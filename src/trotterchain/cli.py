@@ -443,11 +443,11 @@ def fit_report(config: ExperimentConfig, rows: list) -> dict:
     series: dict = {}
     for d, order, variant, est, s_q, exact in rows:
         key = f"Q{order}{'+' if variant == 'plus' else '-' if variant == 'minus' else 'dif'}"
-        series.setdefault(key, []).append(
+        series.setdefault(key, (order, []))[1].append(
             (d, exact if exact is not None else est, 0.0 if exact is not None else s_q)
         )
     out = {}
-    for key, pts in sorted(series.items()):
+    for key, (order, pts) in sorted(series.items()):
         pts.sort()
         ds = analysis.DecaySeries(
             [p[0] for p in pts],
@@ -471,7 +471,7 @@ def fit_report(config: ExperimentConfig, rows: list) -> dict:
                 config.beta_star,
                 config.n_sites,
                 config.depth_max,
-                int(key[1]),
+                order,
                 config.init_spec().label(),
             )
             entry["early_linear"] = {

@@ -40,11 +40,8 @@ def contains(word: PauliWord, term: PauliString) -> bool:
     """True iff every non-identity letter of ``term`` matches ``word``."""
     if word.n_sites != term.n_sites:
         raise ValueError("word and term lengths differ")
-    for j in range(1, term.n_sites + 1):
-        ch = term.letter(j)
-        if ch != "I" and ch != word.letters[j - 1]:
-            return False
-    return True
+    w = PauliString.from_letters(word.letters)
+    return bool(_contained(w.x_mask, w.z_mask, term.x_mask, term.z_mask, term.support_mask))
 
 
 @dataclass(frozen=True)
@@ -64,14 +61,9 @@ class MeasurementPlan:
         return cls(tuple(PauliWord(w) for w in doc["words"]), doc["shots_per_word"])
 
 
-def _term_constraints(term: PauliString) -> dict:
-    return {
-        j: term.letter(j) for j in range(1, term.n_sites + 1) if term.letter(j) != "I"
-    }
-
-
-def _compatible(constraints: dict, other: dict) -> bool:
-    return all(constraints.get(j, ch) == ch for j, ch in other.items())
+def _contained(wx, wz, x, z, s):
+    """Broadcast containment test: every support letter of the term matches."""
+    return (((x ^ wx) | (z ^ wz)) & s) == 0
 
 
 def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> MeasurementPlan:
@@ -81,31 +73,47 @@ def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> Measurement
     terms onto a seed term (unconstrained sites completed with Z) and emits
     the candidate covering the most uncovered terms, ties broken by
     lexicographic word order.  Terms may end up covered by several words.
+
+    Terms and constraint sets are ``(x, z, support)`` bit masks; all seeds of
+    a round are merged at once, one uncovered term at a time in letter order.
     """
     if not charge.terms:
         raise ValueError("cannot build a cover for an empty charge")
     n = charge.n_sites
-    uncovered = sorted((s.letters() for s in charge.terms), reverse=False)
-    uncovered = [PauliString.from_letters(t) for t in uncovered]
+    full = np.int64((1 << n) - 1)
+    ordered = sorted(charge.terms, key=PauliString.letters)
+    x = np.array([t.x_mask for t in ordered], dtype=np.int64)
+    z = np.array([t.z_mask for t in ordered], dtype=np.int64)
     words: list[PauliWord] = []
-    while uncovered:
-        best = None
-        for seed in uncovered:
-            cons = dict(_term_constraints(seed))
-            for other in uncovered:
-                oc = _term_constraints(other)
-                if _compatible(cons, oc):
-                    cons.update(oc)
-            letters = "".join(cons.get(j, "Z") for j in range(1, n + 1))
-            word = PauliWord(letters)
-            covered = sum(1 for t in uncovered if contains(word, t))
-            key = (-covered, letters)
-            if best is None or key < best[0]:
-                best = (key, word)
-        word = best[1]
-        words.append(word)
-        uncovered = [t for t in uncovered if not contains(word, t)]
+    while len(x):
+        s = x | z
+        cx, cz, cs = x.copy(), z.copy(), s.copy()
+        for xj, zj, sj in zip(x, z, s):
+            merge = (((cx ^ xj) | (cz ^ zj)) & cs & sj) == 0
+            cx[merge] |= xj
+            cz[merge] |= zj
+            cs[merge] |= sj
+        cz |= ~cs & full
+        hits = _contained(cx[:, None], cz[:, None], x, z, s)
+        counts = hits.sum(axis=1)
+        tied = np.flatnonzero(counts == counts.max())
+        letters, best = min((PauliString(n, int(cx[i]), int(cz[i])).letters(), i) for i in tied)
+        words.append(PauliWord(letters))
+        keep = ~hits[best]
+        x, z = x[keep], z[keep]
     return MeasurementPlan(tuple(words), shots_per_word)
+
+
+def _word_cover(plan: MeasurementPlan, charge: PauliPolynomial) -> list:
+    """Per plan word, the ascending indices into ``charge.items()`` it contains."""
+    if any(w.n_sites != charge.n_sites for w in plan.words):
+        raise ValueError("word and term lengths differ")
+    xs, zs, _ = charge.mask_arrays()
+    packed = [PauliString.from_letters(w.letters) for w in plan.words]
+    wx = np.array([p.x_mask for p in packed], dtype=np.int64)
+    wz = np.array([p.z_mask for p in packed], dtype=np.int64)
+    hits = _contained(wx[:, None], wz[:, None], xs, zs, xs | zs)
+    return [np.flatnonzero(row).tolist() for row in hits]
 
 
 @dataclass
@@ -146,14 +154,9 @@ class CoverageError(ValueError):
     """Some charge term is not contained in any plan word."""
 
 
-def _support_bits(term: PauliString) -> int:
-    return term.support_mask
-
-
-def _outcome_arrays(counts: dict, n_sites: int):
-    idx = np.array(
-        [sum(int(b) << j for j, b in enumerate(s)) for s in counts], dtype=np.int64
-    )
+def _outcome_arrays(counts: dict):
+    # site 1 is the leftmost character and the lowest bit
+    idx = np.array([int(s[::-1], 2) for s in counts], dtype=np.int64)
     cnt = np.array(list(counts.values()), dtype=np.float64)
     return idx, cnt
 
@@ -175,11 +178,10 @@ def estimate(
     records.validate(plan)
     terms = [(s, p(delta)) for s, p in charge.items()]
     n_w = plan.shots_per_word
-    masks = np.array([_support_bits(s) for s, _ in terms], dtype=np.int64)
+    xs, zs, _ = charge.mask_arrays()
+    masks = xs | zs
 
-    word_cover = []  # per word: indices of the terms it contains
-    for w in plan.words:
-        word_cover.append([i for i, (s, _) in enumerate(terms) if contains(w, s)])
+    word_cover = _word_cover(plan, charge)  # per word: indices of the terms it contains
     covered = set(i for cov in word_cover for i in cov)
     missing = [terms[i][0].letters() for i in range(len(terms)) if i not in covered]
     if missing:
@@ -193,7 +195,7 @@ def estimate(
         cov = word_cover[wi]
         if not cov:
             continue
-        idx, cnt = _outcome_arrays(records.counts[w.letters], records.n_sites)
+        idx, cnt = _outcome_arrays(records.counts[w.letters])
         signs = 1.0 - 2.0 * (np.bitwise_count(idx[None, :] & masks[cov, None]) & 1)
         sums = signs @ cnt
         cross = (signs * cnt) @ signs.T
@@ -253,14 +255,13 @@ def exact_estimator_variance(
     n = charge.n_sites
     idx = np.arange(1 << n, dtype=np.int64)
 
-    word_cover = []
-    for w in plan.words:
-        word_cover.append([i for i, (s, _) in enumerate(terms) if contains(w, s)])
+    word_cover = _word_cover(plan, charge)
     covered = set(i for cov in word_cover for i in cov)
     if len(covered) != len(terms):
         raise CoverageError("plan does not cover the charge")
 
-    masks = [_support_bits(s) for s, _ in terms]
+    xs, zs, _ = charge.mask_arrays()
+    masks = (xs | zs).tolist()
     exp_single = {}
     for wi, w in enumerate(plan.words):
         p = distributions[w.letters]

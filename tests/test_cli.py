@@ -136,3 +136,11 @@ def test_workers_give_identical_results():
     rows1 = cli.decay_table(cfg, workers=1)
     rows4 = cli.decay_table(cfg, workers=4)
     assert rows1 == rows4
+
+
+def test_fit_report_reads_order_from_rows():
+    cfg = ExperimentConfig.from_dict(base_config(depth_max=5))
+    rows = [(d, 10, "plus", 0.0, 0.0, float(np.exp(-0.05 * d))) for d in range(6)]
+    report = cli.fit_report(cfg, rows)
+    assert list(report) == ["Q10+"]
+    assert report["Q10+"]["benchmark"]["n"] == 10

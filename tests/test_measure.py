@@ -1,7 +1,10 @@
+import hashlib
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotterchain import sim
 from trotterchain.charges import ChargeSpec, DeltaPoly, PauliPolynomial, assemble, density
@@ -11,6 +14,7 @@ from trotterchain.measure import (
     MeasurementPlan,
     PauliWord,
     ShotRecords,
+    _word_cover,
     build_cover,
     contains,
     estimate,
@@ -21,6 +25,63 @@ from trotterchain.pauli import PauliString
 DELTA = float(np.tan(0.3))
 
 
+def _letters_contain(word: str, term: str) -> bool:
+    """Letter-wise definition of containment."""
+    return all(t == "I" or t == w for t, w in zip(term, word))
+
+
+def _term_constraints(term: PauliString) -> dict:
+    return {
+        j: term.letter(j) for j in range(1, term.n_sites + 1) if term.letter(j) != "I"
+    }
+
+
+def _compatible(constraints: dict, other: dict) -> bool:
+    return all(constraints.get(j, ch) == ch for j, ch in other.items())
+
+
+def _reference_cover(charge: PauliPolynomial) -> MeasurementPlan:
+    """The greedy cover on per-site letter dicts: the oracle for build_cover."""
+    n = charge.n_sites
+    uncovered = sorted(s.letters() for s in charge.terms)
+    uncovered = [PauliString.from_letters(t) for t in uncovered]
+    words = []
+    while uncovered:
+        best = None
+        for seed in uncovered:
+            cons = dict(_term_constraints(seed))
+            for other in uncovered:
+                oc = _term_constraints(other)
+                if _compatible(cons, oc):
+                    cons.update(oc)
+            letters = "".join(cons.get(j, "Z") for j in range(1, n + 1))
+            covered = sum(1 for t in uncovered if _letters_contain(letters, t.letters()))
+            key = (-covered, letters)
+            if best is None or key < best[0]:
+                best = (key, letters)
+        word = best[1]
+        words.append(PauliWord(word))
+        uncovered = [t for t in uncovered if not _letters_contain(word, t.letters())]
+    return MeasurementPlan(tuple(words), 1)
+
+
+@st.composite
+def polynomials(draw, max_terms=40):
+    n = draw(st.integers(2, 8))
+    masks = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    pairs = draw(
+        st.lists(masks.filter(lambda xz: xz != (0, 0)), min_size=1, max_size=max_terms, unique=True)
+    )
+    q = PauliPolynomial(n)
+    for x, z in pairs:
+        q.add_term(PauliString(n, x, z), DeltaPoly((draw(st.integers(1, 3)),)))
+    return q
+
+
+def _words(n):
+    return st.text(alphabet="XYZ", min_size=n, max_size=n).map(PauliWord)
+
+
 def test_contains_footnote_examples():
     w = PauliWord("XXZY")
     assert contains(w, PauliString.from_letters("XIZI"))  # X1 Z3
@@ -28,6 +89,41 @@ def test_contains_footnote_examples():
     assert not contains(w, PauliString.from_letters("ZIII"))
     with pytest.raises(ValueError):
         contains(w, PauliString.from_letters("X"))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_bitmask_containment_matches_letters(data):
+    q = data.draw(polynomials())
+    words = data.draw(st.lists(_words(q.n_sites), max_size=6))
+    plan = MeasurementPlan(tuple(words), 1)
+    letters = [s.letters() for s, _ in q.items()]
+    expected = [
+        [i for i, t in enumerate(letters) if _letters_contain(w.letters, t)] for w in words
+    ]
+    assert _word_cover(plan, q) == expected
+    for w, cov in zip(words, expected):
+        assert [contains(w, s) for s, _ in q.items()] == [i in cov for i in range(len(q))]
+
+
+@settings(deadline=None)
+@given(polynomials())
+def test_cover_matches_reference_greedy(q):
+    assert build_cover(q).words == _reference_cover(q).words
+
+
+@pytest.mark.parametrize(
+    "order, n_words, first, digest",
+    [
+        (1, 9, "XXXXXXXX", "50b6ba83ff347e26b1c19172d0a4322fbcc3abd0ad125b96354f443dc109cb6d"),
+        (2, 84, "XZYYYZXX", "83f1c9a674a828f8048845f56b3f8ab32b52efdd5f61e2ca2aede47b8717ad96"),
+    ],
+)
+def test_golden_covers_n8(order, n_words, first, digest):
+    # the covers behind the N=8 decay artifacts; any change alters those bytes
+    words = [w.letters for w in build_cover(assemble(ChargeSpec(order, "plus", 8))).words]
+    assert (len(words), words[0]) == (n_words, first)
+    assert hashlib.sha256("\n".join(words).encode()).hexdigest() == digest
 
 
 def test_word_validation():
