@@ -21,16 +21,12 @@ ones; ``variant="dif"`` is the exactly-divided difference ``(Q+ - Q-)/delta``.
 
 from __future__ import annotations
 
-import json
-import os
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
-from .pauli import CODE_LETTERS, LETTER_CODES, PauliString, commutes, mul
-
-GAUGE = "no-identity-on-last-two-window-sites"
+from .pauli import LETTER_CODES, PauliString
 
 VARIANTS = ("plus", "minus", "dif")
 
@@ -148,13 +144,14 @@ class PauliPolynomial:
     are traceless by construction.
     """
 
-    __slots__ = ("n_sites", "terms", "_ordered", "_masks")
+    __slots__ = ("n_sites", "terms", "_ordered", "_masks", "_groups")
 
     def __init__(self, n_sites: int):
         self.n_sites = n_sites
         self.terms: dict[PauliString, DeltaPoly] = {}
         self._ordered = None
         self._masks = None
+        self._groups = None
 
     def add_term(self, string: PauliString, poly: DeltaPoly):
         if string.n_sites != self.n_sites:
@@ -171,6 +168,7 @@ class PauliPolynomial:
             string = string.with_phase(0)
         self._ordered = None
         self._masks = None
+        self._groups = None
         cur = self.terms.get(string)
         new = poly if cur is None else cur + poly
         if new.is_zero():
@@ -229,19 +227,13 @@ class PauliPolynomial:
         Strings sharing an x_mask differ only in sign pattern, so a whole
         group is evaluated by one Walsh transform of a single overlap vector.
         """
-        xs, zs, _ = self.mask_arrays()
-        order = np.argsort(xs, kind="stable")
-        groups = []
-        lo = 0
-        while lo < len(order):
-            hi = lo
-            x = xs[order[lo]]
-            while hi < len(order) and xs[order[hi]] == x:
-                hi += 1
-            idx = order[lo:hi]
-            groups.append((int(x), zs[idx], idx))
-            lo = hi
-        return groups
+        if self._groups is None:
+            xs, zs, _ = self.mask_arrays()
+            order = np.argsort(xs, kind="stable")
+            starts = np.flatnonzero(np.diff(xs[order], prepend=-1))
+            runs = np.split(order, starts[1:]) if len(order) else []
+            self._groups = [(int(xs[idx[0]]), zs[idx], idx) for idx in runs]
+        return self._groups
 
     def evaluated(self, delta: float) -> dict[PauliString, float]:
         return {s: p(delta) for s, p in self.terms.items()}
@@ -259,6 +251,31 @@ class PauliPolynomial:
             ],
         }
         return doc
+
+    @classmethod
+    def from_arrays(cls, n_sites: int, xs, zs, coeffs) -> "PauliPolynomial":
+        """Bulk constructor from packed rows; zero rows are dropped.
+
+        ``coeffs[i, m]`` is the integer coefficient of delta^m on the string
+        with masks ``(xs[i], zs[i])``.  The rows must have distinct keys sorted
+        by (x, z), the order :meth:`items` uses.
+        """
+        keep = np.flatnonzero(np.any(coeffs != 0, axis=1))
+        xs, zs, coeffs = xs[keep], zs[keep], coeffs[keep]
+        if np.any((xs == 0) & (zs == 0)):
+            raise ValueError("identity term in a traceless charge")
+        if np.any((xs[1:] < xs[:-1]) | ((xs[1:] == xs[:-1]) & (zs[1:] <= zs[:-1]))):
+            raise ValueError("packed rows must have distinct keys sorted by (x, z)")
+        poly = cls(n_sites)
+        shared = {}  # one DeltaPoly per distinct row: translates repeat coefficients
+        for x, z, row in zip(xs.tolist(), zs.tolist(), coeffs):
+            key = row.tobytes()
+            p = shared.get(key)
+            if p is None:
+                p = shared[key] = DeltaPoly(row.tolist())
+            poly.terms[PauliString(n_sites, x, z)] = p
+        poly._ordered = list(poly.terms.items())
+        return poly
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PauliPolynomial":
@@ -391,67 +408,75 @@ def density(order: int, variant: str) -> PauliPolynomial:
 # boost recursion
 # ---------------------------------------------------------------------------
 
-# A local term on the infinite chain: (start, letters) where ``letters`` is a
-# tuple over {1, 2, 3} = X, Y, Z with nonzero first and last entries
-# (identities inside are allowed as 0) and ``start`` is the absolute site of
-# the first entry.
+# The recursion works on packed rows: a term is an int64 (x, z) mask pair in
+# the bit layout of PauliString, and its coefficient an int64 row whose
+# column m holds the coefficient of delta^m.
 
 
-def _local_from_window(poly: PauliPolynomial, offset: int) -> dict:
-    terms = {}
-    for s, p in poly.items():
-        codes = [s.code(j) for j in range(1, s.n_sites + 1)]
-        lo = next(i for i, c in enumerate(codes) if c)
-        hi = max(i for i, c in enumerate(codes) if c)
-        key = (offset + lo, tuple(codes[lo : hi + 1]))
-        terms[key] = terms.get(key, DeltaPoly()) + p
-    return {k: v for k, v in terms.items() if not v.is_zero()}
+def _popcount(m):
+    return np.bitwise_count(m).astype(np.int64)
 
 
-def _string_on(span_lo: int, span_n: int, start: int, codes) -> PauliString:
-    x = z = 0
-    for i, c in enumerate(codes):
-        j = start - span_lo + i
-        x |= (c & 1) << j
-        z |= (c >> 1) << j
-    return PauliString(span_n, x, z, 0)
+def _high_bit(m):
+    """Index of the highest set bit of each positive mask (masks below 2**53)."""
+    return np.frexp(m.astype(np.float64))[1] - 1
 
 
-def _half_i_commutator(b_start, b_codes, t_start, t_codes):
-    """(i/2) [b, t] for two local Pauli monomials.
+def _packed(poly: PauliPolynomial):
+    """Ordered terms of ``poly`` as (x, z, coeffs) with int64 T x D coeffs.
 
-    Returns None when they commute, else ``(start, codes, sign)`` with sign
-    in {+1, -1}; an even product phase would break Hermiticity and raises.
+    A coefficient outside int64 raises OverflowError in the assignment.
     """
-    b_end = b_start + len(b_codes) - 1
-    t_end = t_start + len(t_codes) - 1
-    if b_end < t_start or t_end < b_start:
-        return None
-    lo = min(b_start, t_start)
-    n = max(b_end, t_end) - lo + 1
-    bs = _string_on(lo, n, b_start, b_codes)
-    ts = _string_on(lo, n, t_start, t_codes)
-    if commutes(bs, ts):
-        return None
-    prod = mul(bs, ts)
-    k = prod.phase_power
-    if k % 2 == 0:
-        raise ValueError("anticommuting Hermitian product with real phase")
-    sign = 1 if (k + 1) % 4 == 0 else -1
-    codes = []
-    for j in range(n):
-        codes.append(((prod.x_mask >> j) & 1) | (((prod.z_mask >> j) & 1) << 1))
-    i0 = next(i for i, c in enumerate(codes) if c)
-    i1 = max(i for i, c in enumerate(codes) if c)
-    return lo + i0, tuple(codes[i0 : i1 + 1]), sign
+    xs, zs, _ = poly.mask_arrays()
+    width = max((len(p.coeffs) for p in poly.terms.values()), default=0)
+    coeffs = np.zeros((len(poly), width), dtype=np.int64)
+    for i, (_, p) in enumerate(poly.items()):
+        coeffs[i, : len(p.coeffs)] = p.coeffs
+    return xs, zs, coeffs
+
+
+def _check_bound(coeffs: np.ndarray, factor: int):
+    """Raise OverflowError unless ``factor`` times the largest |coefficient| fits int64."""
+    peak = int(np.abs(coeffs).max(initial=0))
+    if peak * factor > np.iinfo(np.int64).max:
+        raise OverflowError(
+            f"coefficients up to {peak} could overflow int64 (bound factor {factor})"
+        )
+
+
+def _key(x, z, nbits: int):
+    """One int64 per (x, z) mask pair, x in the high bits: sorts by (x, z)."""
+    if 2 * nbits > 63:
+        raise ValueError(f"{nbits}-site masks do not fit a packed int64 key")
+    return (x << nbits) | z
+
+
+def _unkey(keys, nbits: int):
+    return keys >> nbits, keys & ((1 << nbits) - 1)
+
+
+def _sum_rows(keys, rows):
+    """Distinct sorted keys and the sum of the rows of each.
+
+    ``rows`` broadcasts against ``keys``: keys of shape (W, T) take rows of
+    shape (T, D), the same row for every leading index.
+    """
+    order = np.argsort(keys, axis=None, kind="stable")
+    flat = keys.ravel()[order]
+    first = np.diff(flat, prepend=-1) != 0
+    which = np.empty(len(order), dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    out = np.zeros((np.count_nonzero(first), rows.shape[-1]), dtype=np.int64)
+    np.add.at(out, which.reshape(keys.shape), rows)
+    return flat[first], out
 
 
 def _boost_monomials():
     """Constituent monomials of one boost block, with delta-power factors.
 
     For the block anchored at ``l`` the sites are A=2l-3, B=2l-2, C=2l-1,
-    D=2l (returned as offsets relative to A); entries are
-    (site-offsets, delta_power, coefficient).
+    D=2l; entries are (x_mask, z_mask, delta_power, coefficient) with bit 0
+    on site A.
     """
     out = []
     for sites, m, c in [
@@ -464,12 +489,12 @@ def _boost_monomials():
         ((1, 2, 3), 1, -1),   # -delta sigma_B . (sigma_C x sigma_D)
     ]:
         for mono, coeff in dot_cross(*[s + 1 for s in sites]).items():
-            codes = [0, 0, 0, 0]
+            x = z = 0
             for site, ax in mono:
-                codes[site - 1] = LETTER_CODES[ax]
-            lo = next(i for i, v in enumerate(codes) if v)
-            hi = max(i for i, v in enumerate(codes) if v)
-            out.append((lo, tuple(codes[lo : hi + 1]), m, c * coeff))
+                code = LETTER_CODES[ax]
+                x |= (code & 1) << (site - 1)
+                z |= (code >> 1) << (site - 1)
+            out.append((x, z, m, c * coeff))
     return out
 
 
@@ -489,118 +514,95 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     sites until it acts nontrivially on one of the last two window sites (the
     density gauge).  A nonzero obstruction in the collapse means the input
     was not a conserved density.
+
+    Each (anchor, block monomial, term) product is one packed row.  A first
+    pass over the products collects the collapsed keys, a second adds the
+    rows of one block monomial at a time into them, so the transient memory
+    stays near the size of the result.
     """
     if q_n.n_sites != 2 * order + 1:
         raise ValueError("density window does not match its order")
     offset = 0 if variant == "plus" else 1
-    local = _local_from_window(q_n, offset)
-    in_lo, in_hi = offset, offset + 2 * order
+    l_min = (offset - 3) // 2
+    l_max = (offset + 2 * order + 3) // 2 + 2
+    # Working masks put bit 0 on chain position ``base``, the first site any
+    # block touches; window site j of the input sits at offset + j - 1.
+    base = 2 * l_min - 3
+    tx, tz, coeffs = _packed(q_n)
+    tx, tz = tx << (offset - base), tz << (offset - base)
+    t_y = _popcount(tx & tz)
+    n_terms, width = coeffs.shape
+    row_width = width + 2  # block monomials carry up to delta^2
 
-    r_acc: dict = {}
-    c_acc: dict = {}
+    # Each output key sums at most one row per (anchor, monomial, term), each
+    # a coefficient times |c| <= 2 and the weight |l + m2|.
+    anchors = l_max - l_min + 1
+    weight = max(-l_min, l_max) + (2 * l_max - base) // 2 + 2
+    _check_bound(coeffs, 2 * weight * len(_BOOST_MONOMIALS) * anchors * n_terms)
 
-    def bump(acc, key, poly):
-        cur = acc.get(key)
-        new = poly if cur is None else cur + poly
-        if new.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = new
-
-    l_min = (in_lo - 3) // 2
-    l_max = (in_hi + 3) // 2 + 2
-    for (t_start, t_codes), t_poly in local.items():
-        for l in range(l_min, l_max + 1):
-            a_site = 2 * l - 3
-            for b_off, b_codes, m, c in _BOOST_MONOMIALS:
-                res = _half_i_commutator(a_site + b_off, b_codes, t_start, t_codes)
-                if res is None:
-                    continue
-                start, codes, sign = res
-                poly = t_poly.shift(m) * (sign * c)
-                bump(r_acc, (start, codes), poly * l)
-                bump(c_acc, (start, codes), poly)
-
-    # Collapse: the output window is [offset, offset + 2*order + 2]; each
-    # term is shifted by a multiple of two sites so that its last nontrivial
-    # site lands on one of the final two window sites.
+    # The collapse moves a term ending at chain position e by 2*m2 so that it
+    # ends on out_hi - 1 or out_hi.  Output masks put bit 0 on offset - 2, the
+    # lowest position a collapsed product can reach (a product spans at most
+    # 2*order + 4 sites).
     out_hi = offset + 2 * order + 2
-    last_two = (out_hi - 1, out_hi)
+    nbits = 2 * order + 5
 
-    def canonical_shift(start, codes):
-        end = start + len(codes) - 1
-        target = last_two[0] if (last_two[0] - end) % 2 == 0 else last_two[1]
-        shift2 = (target - end) // 2
-        return shift2
+    def products():
+        """Per anchor and block monomial: the input terms that anticommute
+        with it, as (l, m, hit, keys, signed c, m2) of their collapsed products."""
+        for l in range(l_min, l_max + 1):
+            for bx, bz, m, c in _BOOST_MONOMIALS:
+                bx, bz = bx << 2 * (l - l_min), bz << 2 * (l - l_min)
+                hit = np.flatnonzero(_popcount((bx & tz) ^ (bz & tx)) & 1)
+                if not len(hit):
+                    continue
+                x, z = tx[hit] ^ bx, tz[hit] ^ bz
+                # (i/2)[b, t] = i b t = i^(k+1) (x, z) for anticommuting b, t,
+                # with the phase k of pauli.mul: +1 for k = 3, -1 for k = 1 (mod 4)
+                k = (bx & bz).bit_count() + t_y[hit] + 2 * _popcount(bz & tx[hit])
+                sign = np.where((k - _popcount(x & z)) % 4 == 3, c, -c)
+                end = base + _high_bit(x | z)
+                m2 = (out_hi - 1 - end + ((out_hi - 1 - end) & 1)) // 2
+                shift = 2 * m2 + base - offset + 2
+                x = np.where(shift >= 0, x << np.maximum(shift, 0), x >> np.maximum(-shift, 0))
+                z = np.where(shift >= 0, z << np.maximum(shift, 0), z >> np.maximum(-shift, 0))
+                yield l, m, hit, _key(x, z, nbits), sign, m2
 
-    collapsed: dict = {}
-    obstruction: dict = {}
-    for (start, codes), poly in r_acc.items():
-        m2 = canonical_shift(start, codes)
-        bump(collapsed, (start + 2 * m2, codes), poly)
-    for (start, codes), poly in c_acc.items():
-        m2 = canonical_shift(start, codes)
-        key = (start + 2 * m2, codes)
-        bump(obstruction, key, poly)
-        if m2:
-            bump(collapsed, key, poly * m2)
-    if obstruction:
+    keys = np.concatenate([np.zeros(0, np.int64)] + [p[3] for p in products()])
+    keys = np.sort(keys, kind="stable")
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    collapsed = np.zeros((len(keys), row_width), dtype=np.int64)
+    obstruction = np.zeros_like(collapsed)
+    for l, m, hit, key, sign, m2 in products():
+        idx = np.searchsorted(keys, key)
+        scaled = coeffs[hit] * sign[:, None]
+        np.add.at(obstruction[:, m : m + width], idx, scaled)
+        np.add.at(collapsed[:, m : m + width], idx, scaled * (l + m2)[:, None])
+
+    x, z = _unkey(keys, nbits)
+    if obstruction.any():
         raise GaugeError(
             "boost collapse obstruction: input density is not conserved "
-            f"({len(obstruction)} orbits with nonzero weight-sum)"
+            f"({np.count_nonzero(obstruction.any(axis=1))} orbits with nonzero weight-sum)"
         )
-
-    out = PauliPolynomial(2 * order + 3)
-    for (start, codes), poly in collapsed.items():
-        if start < offset or start + len(codes) - 1 > out_hi:
-            raise GaugeError("collapsed term does not fit the gauge window")
-        letters = ["I"] * (2 * order + 3)
-        for i, v in enumerate(codes):
-            if v:
-                letters[start - offset + i] = CODE_LETTERS[v]
-        out.add_term(PauliString.from_letters("".join(letters)), poly)
-    return out
+    if np.any(collapsed.any(axis=1) & ((x | z) & 0b11 != 0)):
+        raise GaugeError("collapsed term does not fit the gauge window")
+    return PauliPolynomial.from_arrays(2 * order + 3, x >> 2, z >> 2, collapsed)
 
 
-_DENSITY_CACHE: dict = {}
-
-
-def _density_cache_path(order: int, variant: str) -> str:
-    return os.path.join(
-        cache_dir(), f"density-n{order}-{variant}-{GAUGE}-{__version__}.json"
-    )
-
-
+@functools.cache
 def window_density(order: int, variant: str) -> PauliPolynomial:
     """Window density of any order: hard-coded for n <= 2, boosted above.
 
-    Boosting to high orders takes noticeable time (the term count grows
-    roughly exponentially), so generated densities are memoized on disk,
-    keyed by (order, variant, gauge, code version).
+    Memoized in this process; callers must not mutate the result.
     """
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown density variant {variant!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
-    key = (order, variant)
-    if key in _DENSITY_CACHE:
-        return _DENSITY_CACHE[key]
     if order <= 2:
-        out = density(order, variant)
-    else:
-        path = _density_cache_path(order, variant)
-        if os.path.exists(path):
-            with open(path) as fh:
-                out = PauliPolynomial.from_dict(json.load(fh))
-        else:
-            out = boost_step(window_density(order - 1, variant), order - 1, variant)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(out.to_dict(order, variant), fh)
-            os.replace(tmp, path)
-    _DENSITY_CACHE[key] = out
-    return out
+        return density(order, variant)
+    return boost_step(window_density(order - 1, variant), order - 1, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -634,71 +636,46 @@ class ChargeSpec:
         return f"Q{self.order}{suffix}"
 
 
-def _assemble_variant(order: int, variant: str, n_sites: int) -> PauliPolynomial:
-    q = window_density(order, variant)
-    width = 2 * order + 1
-    out = PauliPolynomial(n_sites)
-    starts = range(0, n_sites, 2) if variant == "plus" else range(1, n_sites + 1, 2)
-    for start in starts:
-        for s, p in q.items():
-            letters = ["I"] * n_sites
-            for w in range(1, width + 1):
-                ch = s.letter(w)
-                if ch != "I":
-                    site = (start + w - 2) % n_sites  # 0-based chain position
-                    letters[site] = ch
-            out.add_term(PauliString.from_letters("".join(letters)), p)
-    return out
+def _assembled_rows(order: int, variant: str, n_sites: int):
+    """Periodic sum of the window density as packed rows (x, z, coeffs).
+
+    Window bit 0 is rotated onto every odd chain bit for ``plus`` (windows
+    start on even sites) and onto every even bit for ``minus``; a window is
+    shorter than the chain, so no rotated string overlaps itself.
+    """
+    xs, zs, coeffs = _packed(window_density(order, variant))
+    ks = np.arange(1 if variant == "plus" else 0, n_sites, 2)[:, None]
+    _check_bound(coeffs, 2 * len(ks))  # dif subtracts two such sums
+    full = (1 << n_sites) - 1
+
+    def rotated(m):
+        return ((m << ks) | (m >> (n_sites - ks))) & full
+
+    keys, rows = _sum_rows(_key(rotated(xs), rotated(zs), n_sites), coeffs)
+    return (*_unkey(keys, n_sites), rows)
 
 
 def assemble(spec: ChargeSpec) -> PauliPolynomial:
     """Periodic charge on N sites; ``dif`` is (Q+ - Q-)/delta, exactly."""
     if spec.variant in ("plus", "minus"):
-        return _assemble_variant(spec.order, spec.variant, spec.n_sites)
-    plus = _assemble_variant(spec.order, "plus", spec.n_sites)
-    minus = _assemble_variant(spec.order, "minus", spec.n_sites)
-    out = PauliPolynomial(spec.n_sites)
-    keys = set(plus.terms) | set(minus.terms)
-    for s in keys:
-        diff = plus.coefficient(s) - minus.coefficient(s)
-        if diff.is_zero():
-            continue
-        try:
-            out.add_term(s, diff.divexact_delta())
-        except ValueError as exc:
-            raise ValueError(
-                "Q+(0) != Q-(0): difference not divisible by delta"
-            ) from exc
-    return out
+        rows = _assembled_rows(spec.order, spec.variant, spec.n_sites)
+        return PauliPolynomial.from_arrays(spec.n_sites, *rows)
+    px, pz, plus = _assembled_rows(spec.order, "plus", spec.n_sites)
+    mx, mz, minus = _assembled_rows(spec.order, "minus", spec.n_sites)
+    rows = np.zeros((len(px) + len(mx), max(plus.shape[1], minus.shape[1])), dtype=np.int64)
+    rows[: len(px), : plus.shape[1]] = plus
+    rows[len(px) :, : minus.shape[1]] = -minus
+    keys = _key(np.concatenate([px, mx]), np.concatenate([pz, mz]), spec.n_sites)
+    keys, diff = _sum_rows(keys, rows)
+    if diff[:, 0].any():
+        raise ValueError("Q+(0) != Q-(0): difference not divisible by delta")
+    return PauliPolynomial.from_arrays(spec.n_sites, *_unkey(keys, spec.n_sites), diff[:, 1:])
 
 
-# ---------------------------------------------------------------------------
-# disk cache for generated charges
-# ---------------------------------------------------------------------------
-
-
-def cache_dir() -> str:
-    return os.environ.get(
-        "TROTTERCHAIN_CACHE", os.path.join(os.path.expanduser("~"), ".cache", "trotterchain")
-    )
-
-
+@functools.cache
 def assemble_cached(spec: ChargeSpec) -> PauliPolynomial:
-    """Like :func:`assemble` but memoized on disk; keyed by (n, variant, N, gauge, version)."""
-    path = os.path.join(
-        cache_dir(),
-        f"charge-n{spec.order}-{spec.variant}-N{spec.n_sites}-{GAUGE}-{__version__}.json",
-    )
-    if os.path.exists(path):
-        with open(path) as fh:
-            return PauliPolynomial.from_dict(json.load(fh))
-    out = assemble(spec)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(out.to_dict(spec.order, spec.variant), fh)
-    os.replace(tmp, path)
-    return out
+    """Like :func:`assemble`, memoized in this process; callers must not mutate the result."""
+    return assemble(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,11 @@ def _contained(wx, wz, x, z, s):
     return (((x ^ wx) | (z ^ wz)) & s) == 0
 
 
+# Candidates x terms per block of the containment count: bounds its int64
+# temporaries to a few MB whatever the charge size.
+_COUNT_BLOCK = 1 << 18
+
+
 def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> MeasurementPlan:
     """Greedy word cover of all charge terms.
 
@@ -75,7 +80,8 @@ def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> Measurement
     lexicographic word order.  Terms may end up covered by several words.
 
     Terms and constraint sets are ``(x, z, support)`` bit masks; all seeds of
-    a round are merged at once, one uncovered term at a time in letter order.
+    a round are merged at once, one uncovered term at a time in letter order;
+    the candidates' covered terms are counted in blocks of rows.
     """
     if not charge.terms:
         raise ValueError("cannot build a cover for an empty charge")
@@ -94,12 +100,15 @@ def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> Measurement
             cz[merge] |= zj
             cs[merge] |= sj
         cz |= ~cs & full
-        hits = _contained(cx[:, None], cz[:, None], x, z, s)
-        counts = hits.sum(axis=1)
+        step = max(1, _COUNT_BLOCK // len(x))
+        counts = np.concatenate([
+            _contained(cx[i : i + step, None], cz[i : i + step, None], x, z, s).sum(axis=1)
+            for i in range(0, len(x), step)
+        ])
         tied = np.flatnonzero(counts == counts.max())
         letters, best = min((PauliString(n, int(cx[i]), int(cz[i])).letters(), i) for i in tied)
         words.append(PauliWord(letters))
-        keep = ~hits[best]
+        keep = ~_contained(cx[best], cz[best], x, z, s)
         x, z = x[keep], z[keep]
     return MeasurementPlan(tuple(words), shots_per_word)
 

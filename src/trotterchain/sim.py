@@ -291,38 +291,27 @@ def walsh_transform(vec: np.ndarray) -> np.ndarray:
     return t
 
 
-def _bulk_expectation(state, charge: PauliPolynomial, delta: float) -> complex:
-    """Grouped evaluation: one gather and one Walsh transform per x_mask.
+def exact_expectation(state, charge: PauliPolynomial, delta: float) -> float:
+    """tr(rho Q) or <psi|Q|psi> with the charge evaluated at ``delta``.
 
-    For fixed flip mask x the term expectations are signed sums of the same
+    Grouped evaluation: one gather and one Walsh transform per x_mask.  For a
+    fixed flip mask x the term expectations are signed sums of the same
     overlap vector, i.e. Walsh-transform components indexed by z.
     """
+    if state.n_sites != charge.n_sites:
+        raise ValueError("state and charge sizes differ")
     coeffs = charge.coefficients(delta) * charge.mask_arrays()[2]
-    n = state.n_sites
-    cols = np.arange(1 << n, dtype=np.int64)
+    cols = np.arange(1 << state.n_sites, dtype=np.int64)
     if isinstance(state, StateVector):
         left = state.amplitudes.conj()
         psi = state.amplitudes
-    total = 0.0 + 0.0j
+    val = 0.0 + 0.0j
     for x, zs, idx in charge.x_groups():
         if isinstance(state, StateVector):
             overlap = left[cols ^ x] * psi
         else:
             overlap = state.entries[cols, cols ^ x]
-        total += coeffs[idx] @ walsh_transform(overlap)[zs]
-    return total
-
-
-def exact_expectation(state, charge: PauliPolynomial, delta: float) -> float:
-    """tr(rho Q) or <psi|Q|psi> with the charge evaluated at ``delta``."""
-    if state.n_sites != charge.n_sites:
-        raise ValueError("state and charge sizes differ")
-    if len(charge) > 48:
-        val = _bulk_expectation(state, charge, delta)
-    elif isinstance(state, StateVector):
-        val = sum(p(delta) * s.expectation_statevector(state.amplitudes) for s, p in charge.items())
-    else:
-        val = sum(p(delta) * s.expectation_density(state.entries) for s, p in charge.items())
+        val += coeffs[idx] @ walsh_transform(overlap)[zs]
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary part {val.imag:.2e}")
     return float(val.real)

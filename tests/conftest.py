@@ -16,16 +16,6 @@ def pytest_runtest_makereport(item, call):
         print(f"\nACCEPTANCE {int(match.group(1))}: FAIL - {item.name}")
 
 
-@pytest.fixture(scope="session", autouse=True)
-def charge_cache(tmp_path_factory):
-    """Keep generated-charge caching hermetic for the test session."""
-    import os
-
-    path = tmp_path_factory.mktemp("charge-cache")
-    os.environ["TROTTERCHAIN_CACHE"] = str(path)
-    return path
-
-
 @pytest.fixture(scope="session")
 def delta03():
     return float(np.tan(0.3))

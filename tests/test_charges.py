@@ -1,7 +1,11 @@
+import functools
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotterchain.charges import (
     ChargeSpec,
@@ -19,9 +23,13 @@ from trotterchain.charges import (
     transfer_matrix,
     window_density,
 )
-from trotterchain.pauli import PauliString
+from trotterchain.pauli import CODE_LETTERS, LETTER_CODES, PauliString, commutes, mul
 
 DELTA = float(np.tan(0.3))
+
+# sha256 of json.dumps([window_density(k, "plus").to_dict(k, "plus") for k in 1..5],
+# sort_keys=True), the digest the benchmark's conserve-pure check compares with
+WINDOW_DENSITY_SHA256 = "a2f8ecb69c64a2a5971d83d2f9687367cfd0eba4477ac667d1953073fdc498f2"
 
 
 def build_window(n_sites, groups):
@@ -179,6 +187,197 @@ def test_boost_rejects_nonconserved_input():
     bad.add_term(PauliString.from_letters("ZZI"), DeltaPoly((1,)))
     with pytest.raises(GaugeError):
         boost_step(bad, 1, "plus")
+
+
+# ---------------------------------------------------------------------------
+# reference boost: the dict-of-DeltaPoly recursion the packed one replaced
+# ---------------------------------------------------------------------------
+
+# A local term on the infinite chain: (start, letters) where ``letters`` is a
+# tuple over {1, 2, 3} = X, Z, Y codes with nonzero first and last entries
+# (identities inside are allowed as 0) and ``start`` is the absolute site of
+# the first entry.
+
+
+def _local_from_window(poly, offset):
+    terms = {}
+    for s, p in poly.items():
+        codes = [s.code(j) for j in range(1, s.n_sites + 1)]
+        lo = next(i for i, c in enumerate(codes) if c)
+        hi = max(i for i, c in enumerate(codes) if c)
+        key = (offset + lo, tuple(codes[lo : hi + 1]))
+        terms[key] = terms.get(key, DeltaPoly()) + p
+    return {k: v for k, v in terms.items() if not v.is_zero()}
+
+
+def _string_on(span_lo, span_n, start, codes):
+    x = z = 0
+    for i, c in enumerate(codes):
+        j = start - span_lo + i
+        x |= (c & 1) << j
+        z |= (c >> 1) << j
+    return PauliString(span_n, x, z, 0)
+
+
+def _half_i_commutator(b_start, b_codes, t_start, t_codes):
+    """(i/2) [b, t] for two local Pauli monomials, or None when they commute."""
+    b_end = b_start + len(b_codes) - 1
+    t_end = t_start + len(t_codes) - 1
+    if b_end < t_start or t_end < b_start:
+        return None
+    lo = min(b_start, t_start)
+    n = max(b_end, t_end) - lo + 1
+    bs = _string_on(lo, n, b_start, b_codes)
+    ts = _string_on(lo, n, t_start, t_codes)
+    if commutes(bs, ts):
+        return None
+    prod = mul(bs, ts)
+    k = prod.phase_power
+    assert k % 2, "anticommuting Hermitian product with real phase"
+    sign = 1 if (k + 1) % 4 == 0 else -1
+    codes = [((prod.x_mask >> j) & 1) | (((prod.z_mask >> j) & 1) << 1) for j in range(n)]
+    i0 = next(i for i, c in enumerate(codes) if c)
+    i1 = max(i for i, c in enumerate(codes) if c)
+    return lo + i0, tuple(codes[i0 : i1 + 1]), sign
+
+
+def _reference_boost_monomials():
+    out = []
+    for sites, m, c in [
+        ((0, 1), 0, 1),
+        ((2, 3), 0, 1),
+        ((1, 2), 0, 2),
+        ((1, 3), 2, 1),
+        ((0, 2), 2, 1),
+        ((0, 1, 2), 1, 1),
+        ((1, 2, 3), 1, -1),
+    ]:
+        for mono, coeff in dot_cross(*[s + 1 for s in sites]).items():
+            codes = [0, 0, 0, 0]
+            for site, ax in mono:
+                codes[site - 1] = LETTER_CODES[ax]
+            lo = next(i for i, v in enumerate(codes) if v)
+            hi = max(i for i, v in enumerate(codes) if v)
+            out.append((lo, tuple(codes[lo : hi + 1]), m, c * coeff))
+    return out
+
+
+def _reference_boost_step(q_n, order, variant="plus"):
+    """One boost rung on tuple-keyed dicts of DeltaPoly, term by term."""
+    if q_n.n_sites != 2 * order + 1:
+        raise ValueError("density window does not match its order")
+    offset = 0 if variant == "plus" else 1
+    local = _local_from_window(q_n, offset)
+    in_lo, in_hi = offset, offset + 2 * order
+
+    r_acc: dict = {}
+    c_acc: dict = {}
+
+    def bump(acc, key, poly):
+        new = acc.get(key, DeltaPoly()) + poly
+        if new.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = new
+
+    for (t_start, t_codes), t_poly in local.items():
+        for l in range((in_lo - 3) // 2, (in_hi + 3) // 2 + 3):
+            for b_off, b_codes, m, c in _reference_boost_monomials():
+                res = _half_i_commutator(2 * l - 3 + b_off, b_codes, t_start, t_codes)
+                if res is None:
+                    continue
+                start, codes, sign = res
+                poly = t_poly.shift(m) * (sign * c)
+                bump(r_acc, (start, codes), poly * l)
+                bump(c_acc, (start, codes), poly)
+
+    out_hi = offset + 2 * order + 2
+
+    def canonical_shift(start, codes):
+        end = start + len(codes) - 1
+        target = out_hi - 1 if (out_hi - 1 - end) % 2 == 0 else out_hi
+        return (target - end) // 2
+
+    collapsed: dict = {}
+    obstruction: dict = {}
+    for (start, codes), poly in r_acc.items():
+        bump(collapsed, (start + 2 * canonical_shift(start, codes), codes), poly)
+    for (start, codes), poly in c_acc.items():
+        m2 = canonical_shift(start, codes)
+        key = (start + 2 * m2, codes)
+        bump(obstruction, key, poly)
+        if m2:
+            bump(collapsed, key, poly * m2)
+    if obstruction:
+        raise GaugeError(f"{len(obstruction)} orbits with nonzero weight-sum")
+
+    out = PauliPolynomial(2 * order + 3)
+    for (start, codes), poly in collapsed.items():
+        if start < offset or start + len(codes) - 1 > out_hi:
+            raise GaugeError("collapsed term does not fit the gauge window")
+        letters = ["I"] * (2 * order + 3)
+        for i, v in enumerate(codes):
+            if v:
+                letters[start - offset + i] = CODE_LETTERS[v]
+        out.add_term(PauliString.from_letters("".join(letters)), poly)
+    return out
+
+
+@functools.cache
+def _reference_boost_of_density(order, variant):
+    return _reference_boost_step(window_density(order, variant), order, variant)
+
+
+def _scaled(q, scale):
+    out = PauliPolynomial(q.n_sites)
+    out.add(q, scale)
+    return out
+
+
+_SCALES = st.builds(
+    DeltaPoly, st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(any)
+)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(1, 3), st.sampled_from(["plus", "minus"]), _SCALES)
+def test_packed_boost_matches_reference(order, variant, scale):
+    # the boost is linear: the reference runs once per (order, variant)
+    got = boost_step(_scaled(window_density(order, variant), scale), order, variant)
+    assert got == _scaled(_reference_boost_of_density(order, variant), scale)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(1, 2), st.sampled_from(["plus", "minus"]), st.data())
+def test_perturbed_density_is_rejected_by_both_boosts(order, variant, data):
+    q = window_density(order, variant)
+    string = data.draw(st.sampled_from([s for s, _ in q.items()]))
+    power = data.draw(st.integers(0, 3))
+    coeff = data.draw(st.sampled_from([-2, -1, 1, 2]))
+    bad = _scaled(q, 1)
+    bad.add_term(string, DeltaPoly.delta_power(power, coeff))
+    with pytest.raises(GaugeError):
+        boost_step(bad, order, variant)
+    with pytest.raises(GaugeError):
+        _reference_boost_step(bad, order, variant)
+
+
+def test_window_densities_match_pinned_digest():
+    docs = [window_density(k, "plus").to_dict(k, "plus") for k in range(1, 6)]
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == WINDOW_DENSITY_SHA256
+
+
+def test_order6_density_term_count():
+    assert len(window_density(6, "plus")) == 199311
+
+
+def test_boost_bound_check_rejects_coefficients_near_int64_limit():
+    big = _scaled(density(1, "plus"), 1 << 62)
+    with pytest.raises(OverflowError):
+        boost_step(big, 1, "plus")
+    with pytest.raises(OverflowError):
+        boost_step(_scaled(density(1, "plus"), 1 << 64), 1, "plus")
 
 
 def test_term_count_grows_with_order():
@@ -358,6 +557,20 @@ def test_export_round_trip(tmp_path):
     assert back == q
     assert doc["n_sites"] == 6 and doc["order"] == 2 and doc["variant"] == "plus"
     assert all(isinstance(c, int) for t in doc["terms"] for c in t["coeffs"])
+
+
+def test_from_arrays_builds_sorted_terms_and_rejects_bad_rows():
+    xs, zs = np.array([1, 1, 2]), np.array([0, 1, 0])
+    coeffs = np.array([[1, 0], [0, 0], [1, 0]])
+    q = PauliPolynomial.from_arrays(2, xs, zs, coeffs)
+    assert [s.letters() for s, _ in q.items()] == ["XI", "IX"]  # zero row dropped
+    assert q.coefficient(PauliString.from_letters("IX")) is q.coefficient(
+        PauliString.from_letters("XI")
+    )  # equal rows share one DeltaPoly
+    with pytest.raises(ValueError):
+        PauliPolynomial.from_arrays(2, xs[::-1], zs[::-1], coeffs)
+    with pytest.raises(ValueError):
+        PauliPolynomial.from_arrays(2, np.array([0]), np.array([0]), np.array([[1]]))
 
 
 def test_assemble_cached_round_trip():
