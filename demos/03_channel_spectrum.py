@@ -9,7 +9,7 @@ rate is -ln of the largest subunit modulus.
 import numpy as np
 
 from trotterchain.charges import ChargeSpec, assemble
-from trotterchain.circuit import Circuit, build_evolution
+from trotterchain.circuit import build_step
 from trotterchain.noise import amp_phase_damping, depolarizing
 from trotterchain.sim import IDEAL, NoiseModel, exact_expectation
 from trotterchain.spectral import decay_rate, fixed_point, spectrum, vectorize_step
@@ -17,8 +17,7 @@ from trotterchain.spectral import decay_rate, fixed_point, spectrum, vectorize_s
 n_sites = 4
 alpha = 0.3
 delta = float(np.tan(alpha))
-gates = build_evolution(n_sites, alpha, 1)
-step = Circuit(n_sites, gates, 0, len(gates), 1)
+step = build_step(n_sites, alpha)
 
 for label, model in (
     ("noiseless", IDEAL),

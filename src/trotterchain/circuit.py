@@ -178,6 +178,12 @@ def build_evolution(n_sites: int, alpha: float, depth: int) -> list:
     return step * depth
 
 
+def build_step(n_sites: int, alpha: float) -> Circuit:
+    """One evolution step as a circuit of its own (no init or rotation gates)."""
+    gates = build_evolution(n_sites, alpha, 1)
+    return Circuit(n_sites, gates, 0, len(gates), 1)
+
+
 def build_measurement_rotation(word: str) -> list:
     """Rotation mapping the word basis to the computational basis.
 
@@ -210,34 +216,3 @@ def build_circuit(
             raise ValueError("word length must match the chain")
         gates += build_measurement_rotation(word)
     return Circuit(n, gates, init_end, evolution_end, depth)
-
-
-# ---------------------------------------------------------------------------
-# dense reconstruction (verification helper)
-# ---------------------------------------------------------------------------
-
-
-def gate_unitary(gate: Gate, n_sites: int) -> np.ndarray:
-    """Dense 2^N unitary of one gate (site 1 = lowest-order bit)."""
-    dim = 1 << n_sites
-    if gate.kind == "CNOT":
-        c, t = gate.sites
-        idx = np.arange(dim)
-        flips = ((idx >> (c - 1)) & 1) << (t - 1)
-        m = np.zeros((dim, dim), dtype=complex)
-        m[idx ^ flips, idx] = 1.0
-        return m
-    (j,) = gate.sites
-    m1 = gate.matrix_1q()
-    out = np.eye(1, dtype=complex)
-    for k in range(n_sites, 0, -1):
-        out = np.kron(out, m1 if k == j else np.eye(2, dtype=complex))
-    return out
-
-
-def circuit_unitary(gates, n_sites: int) -> np.ndarray:
-    """Dense product of a gate list (first gate acts first)."""
-    u = np.eye(1 << n_sites, dtype=complex)
-    for g in gates:
-        u = gate_unitary(g, n_sites) @ u
-    return u

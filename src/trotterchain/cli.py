@@ -12,8 +12,8 @@ import hashlib
 import json
 import os
 import sys
-import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import analysis, measure, mitigate, spectral, tomo
 from .charges import ChargeSpec, assemble_cached
-from .circuit import Circuit, InitialStateSpec, build_circuit, build_evolution
+from .circuit import InitialStateSpec, build_circuit, build_step
 from .noise import amp_phase_damping, depolarizing
 from .sim import (
     DensityMatrix,
@@ -194,7 +194,35 @@ def _header(config: ExperimentConfig) -> str:
 
 
 def _word_seed(seed: int, depth: int, label: str, word: str) -> int:
-    return zlib.crc32(f"{depth}:{label}:{word}".encode()) ^ (seed & 0xFFFFFFFF)
+    """64-bit sampling key over the full seed and the (depth, charge, word) slot."""
+    key = hashlib.blake2b(f"{seed}:{depth}:{label}:{word}".encode(), digest_size=8)
+    return int.from_bytes(key.digest(), "little")
+
+
+def _trajectory(config: ExperimentConfig):
+    """The state at d = 0..depth_max on the configured engine, one step at a time."""
+    init = config.init_spec()
+    if config.engine == "pure":
+        state, evolve, extra = StateVector.from_spec(init), evolve_pure, ()
+    else:
+        state, evolve, extra = DensityMatrix.from_spec(init), evolve_noisy, (config.noise_model(),)
+    step = build_step(config.n_sites, config.alpha)
+    yield state
+    for _ in range(config.depth_max):
+        state = evolve(step, state, *extra)
+        yield state
+
+
+def _plan(config: ExperimentConfig, spec: ChargeSpec):
+    """The charge and its word cover, with shots_total split evenly over the words."""
+    q = assemble_cached(spec)
+    words = measure.build_cover(q).words
+    if config.shots_total < len(words):
+        raise ConfigError(
+            f"shots_total {config.shots_total} below the {len(words)} "
+            f"words needed for {spec.label}"
+        )
+    return q, measure.MeasurementPlan(words, config.shots_total // len(words))
 
 
 # ---------------------------------------------------------------------------
@@ -207,88 +235,47 @@ def decay_table(config: ExperimentConfig, workers: int = 1) -> list:
     delta = config.delta
     noise = config.noise_model()
     charge_ops: dict = {}
-    plans: dict = {}
     for order, variant in config.charges:
         spec = ChargeSpec(order, variant, config.n_sites)
-        q = assemble_cached(spec)
-        plan = measure.build_cover(q)
-        n_w = max(1, config.shots_total // len(plan.words))
-        if config.shots_total < len(plan.words):
-            raise ConfigError(
-                f"shots_total {config.shots_total} below the {len(plan.words)} "
-                f"words needed for {spec.label}"
-            )
-        plans[spec.label] = measure.MeasurementPlan(plan.words, n_w)
-        charge_ops[spec.label] = (spec, q)
-
-    init = config.init_spec()
-    if config.engine == "pure":
-        state = StateVector.from_spec(init)
-    else:
-        state = DensityMatrix.from_spec(init)
-    step_gates = build_evolution(config.n_sites, config.alpha, 1)
-    step = Circuit(config.n_sites, step_gates, 0, len(step_gates), 1)
+        charge_ops[spec.label] = (spec, *_plan(config, spec))
 
     rows = []
-    for d in range(config.depth_max + 1):
-        if d > 0:
-            if config.engine == "pure":
-                state = evolve_pure(step, state)
-            else:
-                state = evolve_noisy(step, state, noise)
-        for label in sorted(charge_ops):
-            spec, q = charge_ops[label]
-            plan = plans[label]
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        map_words = map if pool is None else pool.map
+        for d, state in enumerate(_trajectory(config)):
+            for label in sorted(charge_ops):
+                spec, q, plan = charge_ops[label]
 
-            def run_word(item):
-                wi, w = item
-                counts = sample(
-                    state,
-                    w.letters,
-                    plan.shots_per_word,
-                    _word_seed(config.seed, d, label, w.letters),
-                    noise,
-                    word_index=wi,
-                )
-                return w, counts
+                def run_word(item):
+                    wi, w = item
+                    counts = sample(
+                        state,
+                        w.letters,
+                        plan.shots_per_word,
+                        _word_seed(config.seed, d, label, w.letters),
+                        noise,
+                        word_index=wi,
+                    )
+                    return w, counts
 
-            records = measure.ShotRecords(config.n_sites)
-            items = list(enumerate(plan.words))
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for w, counts in pool.map(run_word, items):
-                        records.add(w, counts)
-            else:
-                for w, counts in map(run_word, items):
+                records = measure.ShotRecords(config.n_sites)
+                for w, counts in map_words(run_word, enumerate(plan.words)):
                     records.add(w, counts)
-            est = measure.estimate(records, plan, q, delta)
-            exact = exact_expectation(state, q, delta) if config.exact_reference else None
-            rows.append((d, spec.order, spec.variant, est.value, est.std_uncertainty, exact))
+                est = measure.estimate(records, plan, q, delta)
+                exact = exact_expectation(state, q, delta) if config.exact_reference else None
+                rows.append((d, spec.order, spec.variant, est.value, est.std_uncertainty, exact))
     return rows
 
 
 def exact_decay_series(config: ExperimentConfig) -> dict:
     """Exact expectation trajectories per charge label (no sampling)."""
     delta = config.delta
-    noise = config.noise_model()
     charge_ops = {
         ChargeSpec(n, v, config.n_sites).label: assemble_cached(ChargeSpec(n, v, config.n_sites))
         for n, v in config.charges
     }
-    init = config.init_spec()
-    state = (
-        StateVector.from_spec(init) if config.engine == "pure" else DensityMatrix.from_spec(init)
-    )
-    step_gates = build_evolution(config.n_sites, config.alpha, 1)
-    step = Circuit(config.n_sites, step_gates, 0, len(step_gates), 1)
     out = {label: [] for label in charge_ops}
-    for d in range(config.depth_max + 1):
-        if d > 0:
-            state = (
-                evolve_pure(step, state)
-                if config.engine == "pure"
-                else evolve_noisy(step, state, noise)
-            )
+    for state in _trajectory(config):
         for label, q in charge_ops.items():
             out[label].append(exact_expectation(state, q, delta))
     return {k: np.array(v) for k, v in out.items()}
@@ -304,9 +291,7 @@ def write_decay_csv(path: str, config: ExperimentConfig, rows: list):
 
 
 def spectrum_report(config: ExperimentConfig) -> dict:
-    step_gates = build_evolution(config.n_sites, config.alpha, 1)
-    step = Circuit(config.n_sites, step_gates, 0, len(step_gates), 1)
-    op = spectral.vectorize_step(step, config.noise_model())
+    op = spectral.vectorize_step(build_step(config.n_sites, config.alpha), config.noise_model())
     vals = spectral.spectrum(op)
     report = {
         "eigenvalues": spectral.spectrum_csv_rows(vals),
@@ -341,8 +326,7 @@ def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
     n = config.n_sites
     shots = None if config.exact_reference else config.shots_total
     noise = config.noise_model()
-    step_gates = build_evolution(n, config.alpha, 1)
-    step = Circuit(n, step_gates, 0, len(step_gates), 1)
+    step = build_step(n, config.alpha)
     probe = list(range(config.depth_max + 1)) if steps is None else sorted(steps)
 
     states = {kind: DensityMatrix.from_spec(_tomo_initial(kind, n)) for kind in _TOMO_STATES}
@@ -379,11 +363,7 @@ def mitigation_table(config: ExperimentConfig) -> list:
     noise = config.noise_model()
     n = config.n_sites
     order, variant = config.charges[0]
-    spec = ChargeSpec(order, variant, n)
-    q = assemble_cached(spec)
-    plan = measure.build_cover(q)
-    n_w = max(1, config.shots_total // len(plan.words))
-    plan = measure.MeasurementPlan(plan.words, n_w)
+    q, plan = _plan(config, ChargeSpec(order, variant, n))
     init = config.init_spec()
 
     calib = mitigate.calibrate(noise, n, shots=None)
@@ -578,7 +558,7 @@ def main(argv=None) -> int:
                         fh.write("\n")
             print(f"wrote {path}, {csv_path} and {bench_path}")
     except Exception as exc:  # surface context, exit nonzero
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,10 +1,12 @@
 """One-step quantum channel as a superoperator; spectra, fixed point, decay rate.
 
 Row-major vectorization throughout: ``|rho> = sum rho_{ab} |a> (x) |b>``,
-i.e. ``rho.reshape(-1)`` for C-ordered arrays.  A unitary gate U becomes
-``U (x) U*``; a one-site channel becomes ``sum_k (K_k (x) Id) (x) (K_k (x) Id)*``.
-Factors multiply in circuit order, so the full step mirrors the noisy
-density-matrix engine exactly.
+i.e. ``rho.reshape(-1)`` for C-ordered arrays.  The superoperator comes from
+the density-matrix engine itself, through the Choi state: ``evolve_noisy``
+runs the step on sites 1..N of the 2N-site state ``|Omega><Omega|`` with
+``|Omega> = sum_i |i>_A |i>_B``, and the evolved matrix, reshuffled, is the
+4^N x 4^N superoperator.  Spectra therefore see exactly the gates and
+channels of the noisy engine.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, gate_unitary
-from .noise import KrausChannel
-from .sim import DensityMatrix, NoiseModel
+from .circuit import Circuit
+from .sim import DensityMatrix, NoiseModel, evolve_noisy
 
 SUPEROP_MAX_SITES = 4
 UNIT_EIGENVALUE_TOL = 1e-8
@@ -34,39 +35,25 @@ class SuperOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.matrix @ rho.reshape(-1)).reshape(rho.shape)
-
-
-def _site_kraus_factor(channel: KrausChannel, site: int, n_sites: int) -> np.ndarray:
-    """Vectorized one-site channel embedded on the full register."""
-    dim = 1 << n_sites
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for op in channel.operators:
-        emb = np.eye(1, dtype=complex)
-        for k in range(n_sites, 0, -1):
-            emb = np.kron(emb, op if k == site else np.eye(2, dtype=complex))
-        out += np.kron(emb, emb.conj())
-    return out
-
 
 def vectorize_step(circuit: Circuit, noise: NoiseModel) -> SuperOperator:
-    """Superoperator of one noisy step (all circuit gates, channels included)."""
+    """Superoperator of one noisy step (all circuit gates, channels included).
+
+    Site j of the Choi state sits on bit j-1, so the register A (sites 1..N)
+    holds the low bits: entry ``[a + d b, c + d e]`` of the evolved state is
+    ``E(|b><e|)[a, c]``, which the reshape moves to row ``(a, c)``, column
+    ``(b, e)``.
+    """
     n = circuit.n_sites
     if n > SUPEROP_MAX_SITES:
         raise ValueError(f"dense superoperator budget is N <= {SUPEROP_MAX_SITES}")
     dim = 1 << n
-    total = np.eye(dim * dim, dtype=complex)
-    for g in circuit.gates:
-        u = gate_unitary(g, n)
-        total = np.kron(u, u.conj()) @ total
-        if g.kind == "CNOT":
-            if noise.after_two_qubit is not None:
-                for s in g.sites:
-                    total = _site_kraus_factor(noise.after_two_qubit, s, n) @ total
-        elif noise.after_one_qubit is not None:
-            total = _site_kraus_factor(noise.after_one_qubit, g.sites[0], n) @ total
-    return SuperOperator(n, total)
+    omega = np.zeros(dim * dim, dtype=complex)
+    omega[np.arange(dim) * (dim + 1)] = 1.0
+    choi = DensityMatrix(2 * n, np.outer(omega, omega))
+    j = evolve_noisy(Circuit(2 * n, circuit.gates), choi, noise).entries
+    matrix = j.reshape(dim, dim, dim, dim).transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim)
+    return SuperOperator(n, matrix)
 
 
 def spectrum(op: SuperOperator) -> np.ndarray:
@@ -108,12 +95,6 @@ def decay_rate(op: SuperOperator) -> float | None:
     return float(-np.log(inside.max()))
 
 
-def subleading_modulus(op: SuperOperator) -> float | None:
-    mods = np.abs(spectrum(op))
-    inside = mods[mods < 1.0 - UNIT_EIGENVALUE_TOL]
-    return float(inside.max()) if len(inside) else None
-
-
 def estimate_subleading_modulus(
     circuit: Circuit, noise: NoiseModel, iterations: int = 60, seed: int = 0
 ) -> float:
@@ -125,8 +106,6 @@ def estimate_subleading_modulus(
     the dominant decaying mode reachable from the start deviation and is
     accurate only to the extent the tail ratios have settled.
     """
-    from .sim import evolve_noisy  # local import: sim already imports noise
-
     n = circuit.n_sites
     dim = 1 << n
     rng = np.random.default_rng(seed)

@@ -1,0 +1,64 @@
+"""Dense reference implementations of gates, circuits and one-step channels.
+
+Full 2^N unitaries and 4^N superoperators built from Kronecker products,
+site 1 on the lowest-order bit.  They cost exponentially more than the
+engines in ``trotterchain.sim`` and serve only as the oracle the tests
+compare those engines against.
+"""
+
+import numpy as np
+
+from trotterchain.circuit import Gate
+
+
+def gate_unitary(gate: Gate, n_sites: int) -> np.ndarray:
+    """Dense 2^N unitary of one gate (site 1 = lowest-order bit)."""
+    dim = 1 << n_sites
+    if gate.kind == "CNOT":
+        c, t = gate.sites
+        idx = np.arange(dim)
+        flips = ((idx >> (c - 1)) & 1) << (t - 1)
+        m = np.zeros((dim, dim), dtype=complex)
+        m[idx ^ flips, idx] = 1.0
+        return m
+    (j,) = gate.sites
+    m1 = gate.matrix_1q()
+    out = np.eye(1, dtype=complex)
+    for k in range(n_sites, 0, -1):
+        out = np.kron(out, m1 if k == j else np.eye(2, dtype=complex))
+    return out
+
+
+def circuit_unitary(gates, n_sites: int) -> np.ndarray:
+    """Dense product of a gate list (first gate acts first)."""
+    u = np.eye(1 << n_sites, dtype=complex)
+    for g in gates:
+        u = gate_unitary(g, n_sites) @ u
+    return u
+
+
+def site_kraus_factor(channel, site: int, n_sites: int) -> np.ndarray:
+    """Vectorized one-site channel embedded on the full register."""
+    dim = 1 << n_sites
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for op in channel.operators:
+        emb = np.eye(1, dtype=complex)
+        for k in range(n_sites, 0, -1):
+            emb = np.kron(emb, op if k == site else np.eye(2, dtype=complex))
+        out += np.kron(emb, emb.conj())
+    return out
+
+
+def step_superoperator(circuit, noise) -> np.ndarray:
+    """Row-major superoperator of a noisy circuit: a gate U is ``U (x) U*``,
+    followed by the noise model's channel on every site the gate touched."""
+    n = circuit.n_sites
+    total = np.eye(1 << (2 * n), dtype=complex)
+    for g in circuit.gates:
+        u = gate_unitary(g, n)
+        total = np.kron(u, u.conj()) @ total
+        channel = noise.after_two_qubit if g.kind == "CNOT" else noise.after_one_qubit
+        if channel is not None:
+            for s in g.sites:
+                total = site_kraus_factor(channel, s, n) @ total
+    return total

@@ -18,7 +18,7 @@ from trotterchain.charges import (
     step_unitary,
     transfer_matrix,
 )
-from trotterchain.circuit import Circuit, InitialStateSpec, build_evolution
+from trotterchain.circuit import InitialStateSpec, build_step
 from trotterchain.cli import (
     ExperimentConfig,
     decay_table,
@@ -38,11 +38,6 @@ DAMP_RATES = {"kind": "damping", "lambda_a": 0.018, "lambda_p": 0.018}
 
 def report(num, detail):
     print(f"ACCEPTANCE {num}: PASS - {detail}")
-
-
-def step_circuit(n):
-    gates = build_evolution(n, ALPHA, 1)
-    return Circuit(n, gates, 0, len(gates), 1)
 
 
 # -- criterion 1: golden charges -------------------------------------------
@@ -90,7 +85,7 @@ def test_c03_exact_conservation(n_sites, max_order):
         charges[f"Q{order}+"] = assemble(ChargeSpec(order, "plus", n_sites))
         if n_sites == 8:
             charges[f"Q{order}dif"] = assemble(ChargeSpec(order, "dif", n_sites))
-    circ = step_circuit(n_sites)
+    circ = build_step(n_sites, ALPHA)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(5):
@@ -201,7 +196,7 @@ def spectrum_single_rate():
     model = ExperimentConfig(
         n_sites=4, noise={"kind": "depolarizing", "p1": 0.018, "p2": 0.018}
     ).noise_model()
-    return spectral.vectorize_step(step_circuit(4), model)
+    return spectral.vectorize_step(build_step(4, ALPHA), model)
 
 
 def test_c07_channel_spectrum_structure(spectrum_single_rate):
@@ -213,7 +208,7 @@ def test_c07_channel_spectrum_structure(spectrum_single_rate):
     assert np.all(others <= 1.0 - 1e-4)
     srt = np.sort_complex(np.round(vals, 8))
     assert np.abs(srt - np.sort_complex(np.round(vals.conj(), 8))).max() < 1e-6
-    noiseless = spectral.spectrum(spectral.vectorize_step(step_circuit(4), sim.IDEAL))
+    noiseless = spectral.spectrum(spectral.vectorize_step(build_step(4, ALPHA), sim.IDEAL))
     assert np.abs(np.abs(noiseless) - 1.0).max() < 1e-8
     report(7, "256 eigenvalues; unique unit eigenvalue; rest inside; conjugate-symmetric")
 
@@ -224,8 +219,8 @@ def test_c08_rate_consistency():
     )
     series = exact_decay_series(config)["Q1+"]
     gamma = an.fit_exp(an.DecaySeries(np.arange(31.0), series)).parameters["gamma"]
-    op = spectral.vectorize_step(step_circuit(4), config.noise_model())
-    target = -np.log(spectral.subleading_modulus(op))
+    op = spectral.vectorize_step(build_step(4, ALPHA), config.noise_model())
+    target = spectral.decay_rate(op)
     ratio = gamma / target
     assert 1.0 <= ratio <= 2.0
     report(8, f"gamma={gamma:.3f} vs -ln|l1|={target:.3f}; ratio {ratio:.2f} in [1,2]")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import circuit_unitary, gate_unitary
 from trotterchain.charges import r_check, step_unitary
 from trotterchain.circuit import (
     Gate,
@@ -10,8 +11,7 @@ from trotterchain.circuit import (
     build_init,
     build_measurement_rotation,
     build_rcheck,
-    circuit_unitary,
-    gate_unitary,
+    build_step,
 )
 from trotterchain.pauli import PauliString
 
@@ -90,7 +90,10 @@ def test_evolution_layout():
 
 def test_step_circuit_matches_dense_unitary():
     n = 4
-    got = circuit_unitary(build_evolution(n, ALPHA, 1), n)
+    step = build_step(n, ALPHA)
+    assert (step.init_gates, step.rotation_gates, step.depth) == ([], [], 1)
+    assert step.step_block() == build_evolution(n, ALPHA, 1)
+    got = circuit_unitary(step.gates, n)
     want = step_unitary(DELTA, n)
     phase = got[0, 0] / want[0, 0]
     assert abs(abs(phase) - 1) < 1e-12

@@ -78,9 +78,10 @@ def test_cli_decay_deterministic(tmp_path):
     assert (tmp_path / "decay.csv").read_bytes() == first
 
 
-def test_cli_error_exit_code(tmp_path):
+def test_cli_error_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_config(n_sites=5))
     assert cli.main(["decay", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    assert "error: ConfigError: n_sites must be even" in capsys.readouterr().err
 
 
 def test_cli_charges_export(tmp_path):
@@ -124,11 +125,21 @@ def test_cli_seed_override(tmp_path):
     assert a != b
 
 
-def test_shots_below_word_count_rejected():
+@pytest.mark.parametrize(
+    "table", [cli.decay_table, cli.mitigation_table], ids=["decay_table", "mitigation_table"]
+)
+def test_shots_below_word_count_rejected(table):
     doc = base_config(shots_total=2)
     cfg = ExperimentConfig.from_dict(doc)
     with pytest.raises(ConfigError):
-        cli.decay_table(cfg)
+        table(cfg)
+
+
+def test_seed_above_32_bits_changes_samples():
+    low = cli.decay_table(ExperimentConfig.from_dict(base_config(seed=5)))
+    high = cli.decay_table(ExperimentConfig.from_dict(base_config(seed=5 + 2**32)))
+    assert [r[3] for r in low] != [r[3] for r in high]
+    assert [r[5] for r in low] == [r[5] for r in high]
 
 
 def test_workers_give_identical_results():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dense_oracle import circuit_unitary
 from trotterchain.charges import ChargeSpec, assemble
-from trotterchain.circuit import InitialStateSpec, build_circuit, circuit_unitary
+from trotterchain.circuit import InitialStateSpec, build_circuit
 from trotterchain.mitigate import (
     CalibrationMatrix,
     calibrate,

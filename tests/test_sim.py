@@ -3,7 +3,7 @@ import pytest
 
 from trotterchain import sim
 from trotterchain.charges import ChargeSpec, assemble, step_unitary
-from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_circuit, build_evolution
+from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_circuit, build_step
 from trotterchain.noise import depolarizing
 from trotterchain.sim import (
     DensityMatrix,
@@ -19,11 +19,6 @@ ALPHA = 0.3
 DELTA = float(np.tan(ALPHA))
 
 
-def step_circuit(n):
-    gates = build_evolution(n, ALPHA, 1)
-    return Circuit(n, gates, 0, len(gates), 1)
-
-
 def test_empty_circuit_is_identity():
     psi = StateVector.from_spec(InitialStateSpec.neel(4))
     out = evolve_pure(Circuit(4, []), psi)
@@ -33,7 +28,7 @@ def test_empty_circuit_is_identity():
 def test_one_step_matches_dense_unitary():
     n = 4
     psi = StateVector.from_spec(InitialStateSpec.neel(n))
-    out = evolve_pure(step_circuit(n), psi)
+    out = evolve_pure(build_step(n, ALPHA), psi)
     want = step_unitary(DELTA, n) @ psi.amplitudes
     phase = want.conj() @ out.amplitudes
     assert abs(abs(phase) - 1) < 1e-12
@@ -45,7 +40,7 @@ def test_charge_conserved_under_pure_evolution():
     q = assemble(ChargeSpec(1, "plus", n))
     psi = StateVector.from_spec(InitialStateSpec.neel(n))
     v0 = exact_expectation(psi, q, DELTA)
-    circ = step_circuit(n)
+    circ = build_step(n, ALPHA)
     for _ in range(30):
         psi = evolve_pure(circ, psi)
         assert abs(exact_expectation(psi, q, DELTA) - v0) < 1e-9
@@ -82,7 +77,7 @@ def test_noisy_invariants_along_trajectory():
         after_one_qubit=depolarizing(0.0013), after_two_qubit=depolarizing(0.013)
     )
     rho = DensityMatrix.from_spec(InitialStateSpec.neel(n))
-    circ = step_circuit(n)
+    circ = build_step(n, ALPHA)
     for _ in range(10):
         rho = evolve_noisy(circ, rho, model)
         rho.check()  # hermitian, unit trace, PSD floor
@@ -91,7 +86,7 @@ def test_noisy_invariants_along_trajectory():
 def test_purity_preserved_without_noise():
     n = 4
     rho = DensityMatrix.from_spec(InitialStateSpec.neel(n))
-    rho = evolve_noisy(step_circuit(n), rho, sim.IDEAL)
+    rho = evolve_noisy(build_step(n, ALPHA), rho, sim.IDEAL)
     assert abs(rho.purity() - 1.0) < 1e-9
 
 
@@ -108,7 +103,7 @@ def test_engines_agree_on_pauli_expectations():
 
 def test_density_budget():
     with pytest.raises(sim.BudgetError):
-        evolve_noisy(step_circuit(12), DensityMatrix(12, _basis_dm(12, 0)), sim.IDEAL)
+        evolve_noisy(build_step(12, ALPHA), DensityMatrix(12, _basis_dm(12, 0)), sim.IDEAL)
 
 
 def test_exact_expectation_neel_at_zero_delta():

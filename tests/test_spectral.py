@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import step_superoperator
 from trotterchain import sim
 from trotterchain.charges import ChargeSpec, assemble
-from trotterchain.circuit import Circuit, InitialStateSpec, build_evolution
+from trotterchain.circuit import GATE_KINDS, Circuit, Gate, InitialStateSpec, build_step
 from trotterchain.noise import amp_phase_damping, depolarizing
 from trotterchain.sim import DensityMatrix, NoiseModel, evolve_noisy, exact_expectation
 from trotterchain.spectral import (
     DegenerateFixedPointError,
     decay_rate,
+    estimate_subleading_modulus,
     fixed_point,
     spectrum,
     vectorize_step,
@@ -19,23 +23,18 @@ DELTA = float(np.tan(ALPHA))
 N = 4
 
 
-def step_circuit(n=N):
-    gates = build_evolution(n, ALPHA, 1)
-    return Circuit(n, gates, 0, len(gates), 1)
-
-
 def depol_model(p1, p2):
     return NoiseModel(after_one_qubit=depolarizing(p1), after_two_qubit=depolarizing(p2))
 
 
 @pytest.fixture(scope="module")
 def noiseless_op():
-    return vectorize_step(step_circuit(), sim.IDEAL)
+    return vectorize_step(build_step(N, ALPHA), sim.IDEAL)
 
 
 @pytest.fixture(scope="module")
 def depol_op():
-    return vectorize_step(step_circuit(), depol_model(0.018, 0.018))
+    return vectorize_step(build_step(N, ALPHA), depol_model(0.018, 0.018))
 
 
 def test_identity_circuit_identity_noise():
@@ -52,12 +51,12 @@ def test_noiseless_spectrum_on_unit_circle(noiseless_op):
 def test_superoperator_matches_density_engine(depol_op):
     rng = np.random.default_rng(0)
     model = depol_model(0.018, 0.018)
-    circ = step_circuit()
+    circ = build_step(N, ALPHA)
     for _ in range(20):
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        via_op = depol_op.apply(rho)
+        via_op = (depol_op.matrix @ rho.reshape(-1)).reshape(rho.shape)
         via_engine = evolve_noisy(circ, DensityMatrix(N, rho), model).entries
         assert np.abs(via_op - via_engine).max() < 1e-10
 
@@ -84,7 +83,7 @@ def test_fixed_point_depolarizing_is_mixed(depol_op):
 
 def test_fixed_point_damping_is_not_mixed():
     model = NoiseModel(after_two_qubit=amp_phase_damping(0.018, 0.018))
-    op = vectorize_step(step_circuit(), model)
+    op = vectorize_step(build_step(N, ALPHA), model)
     fp = fixed_point(op)
     dist = np.abs(fp.entries - np.eye(16) / 16).max()
     assert dist > 1e-3
@@ -100,19 +99,19 @@ def test_fixed_point_degenerate_noiseless(noiseless_op):
 def test_decay_rate(noiseless_op, depol_op):
     assert decay_rate(noiseless_op) is None
     g1 = decay_rate(depol_op)
-    g2 = decay_rate(vectorize_step(step_circuit(), depol_model(0.036, 0.036)))
+    g2 = decay_rate(vectorize_step(build_step(N, ALPHA), depol_model(0.036, 0.036)))
     assert g1 > 0
     assert g2 > g1  # more noise decays faster
 
 
 def test_powers_match_engine_trajectory(depol_op):
     model = depol_model(0.018, 0.018)
-    circ = step_circuit()
+    circ = build_step(N, ALPHA)
     rho = DensityMatrix.from_spec(InitialStateSpec.neel(N))
     q = assemble(ChargeSpec(1, "plus", N))
     vec = rho.entries.copy()
     for _ in range(10):
-        vec = depol_op.apply(vec)
+        vec = (depol_op.matrix @ vec.reshape(-1)).reshape(vec.shape)
         rho = evolve_noisy(circ, rho, model)
         a = exact_expectation(DensityMatrix(N, vec), q, DELTA)
         b = exact_expectation(rho, q, DELTA)
@@ -126,13 +125,44 @@ def test_identity_left_fixed_point(depol_op):
 
 def test_budget():
     with pytest.raises(ValueError):
-        vectorize_step(step_circuit(6), sim.IDEAL)
+        vectorize_step(build_step(6, ALPHA), sim.IDEAL)
 
 
 def test_power_estimate_matches_dense_modulus(depol_op):
-    from trotterchain.spectral import estimate_subleading_modulus, subleading_modulus
-
     model = depol_model(0.018, 0.018)
-    approx = estimate_subleading_modulus(step_circuit(), model, iterations=120)
-    exact = subleading_modulus(depol_op)
+    approx = estimate_subleading_modulus(build_step(N, ALPHA), model, iterations=120)
+    exact = np.exp(-decay_rate(depol_op))
     assert abs(approx - exact) / exact < 0.05
+
+
+@st.composite
+def gate_lists(draw):
+    n = draw(st.integers(1, 3))
+    kinds = GATE_KINDS if n > 1 else tuple(k for k in GATE_KINDS if k != "CNOT")
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        if kind == "CNOT":
+            sites = tuple(draw(st.permutations(range(1, n + 1)))[:2])
+        else:
+            sites = (draw(st.integers(1, n)),)
+        angle = draw(st.floats(-np.pi, np.pi)) if kind == "RZ" else None
+        gates.append(Gate(kind, sites, angle))
+    return Circuit(n, gates)
+
+
+@st.composite
+def channels(draw):
+    kind = draw(st.sampled_from(["none", "depolarizing", "damping"]))
+    if kind == "depolarizing":
+        return depolarizing(draw(st.floats(0.0, 1.0)))
+    if kind == "damping":
+        return amp_phase_damping(draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5)))
+    return None
+
+
+@settings(deadline=None)
+@given(gate_lists(), channels(), channels())
+def test_choi_superoperator_matches_dense_oracle(circuit, one_qubit, two_qubit):
+    noise = NoiseModel(after_one_qubit=one_qubit, after_two_qubit=two_qubit)
+    got = vectorize_step(circuit, noise).matrix
+    assert np.abs(got - step_superoperator(circuit, noise)).max() < 1e-12
