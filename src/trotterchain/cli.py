@@ -377,9 +377,7 @@ def mitigation_table(config: ExperimentConfig) -> list:
         for k in (0, 1):
             circ = mitigate.zne_fold(build_circuit(init, config.alpha, d), k)
             # the init section is part of the folded circuit, so start from |0..0>
-            rho = DensityMatrix(n, np.zeros((1 << n, 1 << n), dtype=complex))
-            rho.entries[0, 0] = 1.0
-            rho = evolve_noisy(circ, rho, noise)
+            rho = evolve_noisy(circ, StateVector.zero(n).density_matrix(), noise)
             dists = {}
             dists_corrected = {}
             for w in plan.words:

@@ -8,7 +8,7 @@ constructor error, never a silent state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,32 +17,27 @@ COMPLETENESS_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A CPTP map given by its Kraus operators (2x2 for one site, 4x4 for two).
+    """A one-site CPTP map given by its 2x2 Kraus operators.
 
-    Instances hash by identity so engines can cache derived representations.
+    ``superop[a, c, b, d] = sum_k D_k[a, b] conj(D_k[c, d])`` is the channel
+    on one (row, column) bit pair of a density matrix, computed once here.
+    Instances compare by identity.
     """
 
-    arity: int
     operators: tuple
+    superop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dim = 2**self.arity
-        if self.arity not in (1, 2):
-            raise ValueError("channel arity must be 1 or 2")
-        acc = np.zeros((dim, dim), dtype=complex)
+        acc = np.zeros((2, 2), dtype=complex)
+        chi = np.zeros((2, 2, 2, 2), dtype=complex)
         for op in self.operators:
-            if op.shape != (dim, dim):
-                raise ValueError(f"Kraus operator shape {op.shape} != ({dim},{dim})")
+            if op.shape != (2, 2):
+                raise ValueError(f"Kraus operator shape {op.shape} != (2,2)")
             acc += op.conj().T @ op
-        if np.abs(acc - np.eye(dim)).max() > COMPLETENESS_TOL:
+            chi += np.einsum("ab,cd->acbd", op, op.conj())
+        if np.abs(acc - np.eye(2)).max() > COMPLETENESS_TOL:
             raise ValueError("Kraus completeness violated beyond 1e-12")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Channel action on a density matrix of matching dimension."""
-        out = np.zeros(rho.shape, dtype=complex)
-        for op in self.operators:
-            out += op @ rho @ op.conj().T
-        return out
+        object.__setattr__(self, "superop", chi)
 
 
 def depolarizing(p: float) -> KrausChannel:
@@ -54,13 +49,12 @@ def depolarizing(p: float) -> KrausChannel:
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     return KrausChannel(
-        1,
         (
             np.sqrt(1 - 3 * p / 4) * i,
             np.sqrt(p / 4) * x,
             np.sqrt(p / 4) * y,
             np.sqrt(p / 4) * z,
-        ),
+        )
     )
 
 
@@ -71,24 +65,4 @@ def amp_phase_damping(lambda_a: float, lambda_p: float) -> KrausChannel:
     d1 = np.array([[1, 0], [0, np.sqrt(1 - lambda_a - lambda_p)]], dtype=complex)
     d2 = np.array([[0, np.sqrt(lambda_a)], [0, 0]], dtype=complex)
     d3 = np.array([[0, 0], [0, np.sqrt(lambda_p)]], dtype=complex)
-    return KrausChannel(1, (d1, d2, d3))
-
-
-def two_site(channel: KrausChannel) -> KrausChannel:
-    """Tensor-product channel acting on a pair of sites."""
-    if channel.arity != 1:
-        raise ValueError("two_site expects a one-site channel")
-    ops = tuple(
-        np.kron(b, a) for a in channel.operators for b in channel.operators
-    )
-    return KrausChannel(2, ops)
-
-
-def standard_damping_rates(lambda_a: float, lambda_p: float) -> tuple:
-    """Convert (lambda_a, lambda_p) to the textbook (gamma, lambda) pair.
-
-    The combined channel is the composition of amplitude damping with rate
-    gamma = lambda_a and phase damping with rate lambda = lambda_p(1-lambda_a);
-    useful for matching rates against other toolchains.
-    """
-    return lambda_a, lambda_p * (1.0 - lambda_a)
+    return KrausChannel((d1, d2, d3))

@@ -41,7 +41,7 @@ class SizeMismatchError(ValueError):
     """Two strings of different lengths were combined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """One tensor product of single-site Paulis with a tracked phase."""
 
@@ -150,17 +150,6 @@ class PauliString:
         m[rows, np.arange(dim)] = vals
         return m
 
-    def expectation_statevector(self, psi: np.ndarray) -> complex:
-        """<psi| P |psi> in O(2^N)."""
-        rows, vals = self.column_action()
-        return complex(np.vdot(psi[rows], vals * psi))
-
-    def expectation_density(self, rho: np.ndarray) -> complex:
-        """tr(rho P) in O(4^N)."""
-        rows, vals = self.column_action()
-        cols = np.arange(rho.shape[0])
-        return complex(np.sum(vals * rho[cols, rows]))
-
 
 def _check_sizes(a: PauliString, b: PauliString):
     if a.n_sites != b.n_sites:
@@ -189,14 +178,6 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     """True iff the symplectic form x_a.z_b + z_a.x_b is even."""
     _check_sizes(a, b)
     return ((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) % 2 == 0
-
-
-def trace_pair(a: PauliString, b: PauliString) -> complex:
-    """tr(a b) / 2^N; nonzero iff the two strings share masks."""
-    _check_sizes(a, b)
-    if a.x_mask != b.x_mask or a.z_mask != b.z_mask:
-        return 0.0 + 0.0j
-    return mul(a, b).phase()
 
 
 def translate(a: PauliString, k: int) -> PauliString:

@@ -5,6 +5,13 @@ matrices).  Site ``j`` lives on bit ``j-1``; a computational basis index
 ``b`` has site-j outcome ``(b >> (j-1)) & 1`` and renders as a bitstring
 with site 1 leftmost, matching the Pauli text convention.
 
+Both engines run on the same kernels.  The density matrix is a vector on 2N
+bits, ``rho.entries.reshape(-1)``: the row index is bits N..2N-1 and the
+column index bits 0..N-1.  A one-qubit gate ``m`` on site ``j`` applies
+``m`` on bit ``j-1+N`` and ``conj(m)`` on bit ``j-1``; a CNOT swaps slices
+on both bit pairs; a one-site channel is its (2,2,2,2) superoperator on the
+bit pair ``(j-1+N, j-1)``.
+
 The noisy engine conjugates the density matrix by each gate and then applies
 the configured channel once per touched site, covering initialization and
 measurement-rotation gates as well; setting a channel to ``None`` exempts
@@ -13,7 +20,6 @@ the corresponding gate class.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +49,49 @@ def index_of_bits(bits) -> int:
 
 
 # ---------------------------------------------------------------------------
+# gate kernels on a vector of 2^n_bits amplitudes, shared by both engines
+# ---------------------------------------------------------------------------
+
+
+def _apply_1q(vec: np.ndarray, m: np.ndarray, bit: int):
+    view = vec.reshape(-1, 2, 1 << bit)
+    a = view[:, 0, :].copy()
+    b = view[:, 1, :]
+    view[:, 0, :] = m[0, 0] * a + m[0, 1] * b
+    view[:, 1, :] = m[1, 0] * a + m[1, 1] * b
+
+
+def _apply_cnot(vec: np.ndarray, n_bits: int, c_bit: int, t_bit: int):
+    v = vec.reshape([2] * n_bits)
+    axc, axt = n_bits - 1 - c_bit, n_bits - 1 - t_bit
+    sel10 = [slice(None)] * n_bits
+    sel11 = [slice(None)] * n_bits
+    sel10[axc] = 1
+    sel11[axc] = 1
+    sel10[axt] = 0
+    sel11[axt] = 1
+    tmp = v[tuple(sel10)].copy()
+    v[tuple(sel10)] = v[tuple(sel11)]
+    v[tuple(sel11)] = tmp
+
+
+def _apply_gate(vec: np.ndarray, n_bits: int, gate: Gate, offset: int = 0, conj: bool = False):
+    """``gate`` with its sites on bits ``offset..``; ``conj`` conjugates its matrix."""
+    if gate.kind == "CNOT":
+        c, t = gate.sites
+        _apply_cnot(vec, n_bits, c - 1 + offset, t - 1 + offset)
+    else:
+        m = gate.matrix_1q()
+        _apply_1q(vec, m.conj() if conj else m, gate.sites[0] - 1 + offset)
+
+
+def _apply_pair(vec: np.ndarray, op: np.ndarray, hi: int, lo: int):
+    """A (2,2,2,2) operator ``op[a, c, b, d]`` taking bits (hi, lo) = (b, d) to (a, c)."""
+    view = vec.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    view[:] = np.einsum("acbd,xbydz->xaycz", op, view)
+
+
+# ---------------------------------------------------------------------------
 # statevector engine
 # ---------------------------------------------------------------------------
 
@@ -68,7 +117,7 @@ class StateVector:
     def from_spec(cls, spec: InitialStateSpec) -> "StateVector":
         state = cls.zero(spec.n_sites)
         for g in build_init(spec):
-            _apply_gate_sv(state.amplitudes, g, spec.n_sites)
+            state.apply(g)
         return state
 
     def copy(self) -> "StateVector":
@@ -84,35 +133,9 @@ class StateVector:
         amp = self.amplitudes
         return DensityMatrix(self.n_sites, np.outer(amp, amp.conj()))
 
-
-def _apply_1q_sv(amp: np.ndarray, m: np.ndarray, bit: int):
-    view = amp.reshape(-1, 2, 1 << bit)
-    a = view[:, 0, :].copy()
-    b = view[:, 1, :]
-    view[:, 0, :] = m[0, 0] * a + m[0, 1] * b
-    view[:, 1, :] = m[1, 0] * a + m[1, 1] * b
-
-
-def _apply_cnot_sv(amp: np.ndarray, n: int, c_bit: int, t_bit: int):
-    v = amp.reshape([2] * n)
-    axc, axt = n - 1 - c_bit, n - 1 - t_bit
-    sel10 = [slice(None)] * n
-    sel11 = [slice(None)] * n
-    sel10[axc] = 1
-    sel11[axc] = 1
-    sel10[axt] = 0
-    sel11[axt] = 1
-    tmp = v[tuple(sel10)].copy()
-    v[tuple(sel10)] = v[tuple(sel11)]
-    v[tuple(sel11)] = tmp
-
-
-def _apply_gate_sv(amp: np.ndarray, gate: Gate, n: int):
-    if gate.kind == "CNOT":
-        c, t = gate.sites
-        _apply_cnot_sv(amp, n, c - 1, t - 1)
-    else:
-        _apply_1q_sv(amp, gate.matrix_1q(), gate.sites[0] - 1)
+    def apply(self, gate: Gate):
+        """Apply ``gate`` in place."""
+        _apply_gate(self.amplitudes, self.n_sites, gate)
 
 
 def evolve_pure(circuit: Circuit, init: StateVector) -> StateVector:
@@ -121,7 +144,7 @@ def evolve_pure(circuit: Circuit, init: StateVector) -> StateVector:
         raise ValueError("circuit and state sizes differ")
     state = init.copy()
     for g in circuit.gates:
-        _apply_gate_sv(state.amplitudes, g, state.n_sites)
+        state.apply(g)
     return state
 
 
@@ -168,56 +191,15 @@ class DensityMatrix:
         if lo < psd_floor:
             raise ValueError(f"density matrix eigenvalue {lo:.2e} below floor")
 
-
-def _apply_1q_rows(rho: np.ndarray, m: np.ndarray, bit: int, dim: int):
-    view = rho.reshape(-1, 2, (1 << bit) * dim)
-    a = view[:, 0, :].copy()
-    b = view[:, 1, :]
-    view[:, 0, :] = m[0, 0] * a + m[0, 1] * b
-    view[:, 1, :] = m[1, 0] * a + m[1, 1] * b
-
-
-def _apply_1q_cols(rho: np.ndarray, m: np.ndarray, bit: int):
-    mc = m.conj()
-    view = rho.reshape(-1, 2, 1 << bit)
-    a = view[:, 0, :].copy()
-    b = view[:, 1, :]
-    view[:, 0, :] = mc[0, 0] * a + mc[0, 1] * b
-    view[:, 1, :] = mc[1, 0] * a + mc[1, 1] * b
-
-
-def _apply_1q_dm(rho: np.ndarray, m: np.ndarray, bit: int):
-    _apply_1q_rows(rho, m, bit, rho.shape[0])
-    _apply_1q_cols(rho, m, bit)
-
-
-def _cnot_perm(n: int, c_bit: int, t_bit: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return idx ^ (((idx >> c_bit) & 1) << t_bit)
-
-
-def _apply_gate_dm(rho: np.ndarray, gate: Gate, n: int):
-    if gate.kind == "CNOT":
-        perm = _cnot_perm(n, gate.sites[0] - 1, gate.sites[1] - 1)
-        rho[:, :] = rho[np.ix_(perm, perm)]
-    else:
-        _apply_1q_dm(rho, gate.matrix_1q(), gate.sites[0] - 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _site_superop(channel: KrausChannel) -> np.ndarray:
-    """One-site channel as a (2,2,2,2) map on the (row, col) bit pair."""
-    chi = np.zeros((2, 2, 2, 2), dtype=complex)  # [a, c, b, d]
-    for op in channel.operators:
-        chi += np.einsum("ab,cd->acbd", op, op.conj())
-    return chi
-
-
-def _apply_channel_dm(rho: np.ndarray, channel: KrausChannel, bit: int):
-    dim = rho.shape[0]
-    chi = _site_superop(channel)
-    view = rho.reshape(-1, 2, dim // 2, 2, 1 << bit)
-    view[:] = np.einsum("acbd,xbydz->xaycz", chi, view)
+    def apply(self, gate: Gate, channel: KrausChannel | None = None):
+        """rho -> U rho U^dag in place, then ``channel`` on every site ``gate`` touches."""
+        n = self.n_sites
+        vec = self.entries.reshape(-1, copy=False)
+        _apply_gate(vec, 2 * n, gate, n)
+        _apply_gate(vec, 2 * n, gate, 0, conj=True)
+        if channel is not None:
+            for s in gate.sites:
+                _apply_pair(vec, channel.superop, s - 1 + n, s - 1)
 
 
 @dataclass(frozen=True)
@@ -233,11 +215,6 @@ class NoiseModel:
     after_one_qubit: KrausChannel | None = None
     after_two_qubit: KrausChannel | None = None
     readout_flip: float | tuple | None = None
-
-    def __post_init__(self):
-        for ch in (self.after_one_qubit, self.after_two_qubit):
-            if ch is not None and ch.arity != 1:
-                raise ValueError("gate channels must act on one site")
 
     def flip_probs(self, n_sites: int) -> np.ndarray | None:
         if self.readout_flip is None:
@@ -261,13 +238,7 @@ def evolve_noisy(circuit: Circuit, init: DensityMatrix, noise: NoiseModel) -> De
         raise BudgetError(f"density-matrix budget is N <= {DM_MAX_SITES}")
     rho = init.copy()
     for g in circuit.gates:
-        _apply_gate_dm(rho.entries, g, rho.n_sites)
-        if g.kind == "CNOT":
-            if noise.after_two_qubit is not None:
-                for s in g.sites:
-                    _apply_channel_dm(rho.entries, noise.after_two_qubit, s - 1)
-        elif noise.after_one_qubit is not None:
-            _apply_channel_dm(rho.entries, noise.after_one_qubit, g.sites[0] - 1)
+        rho.apply(g, noise.after_two_qubit if g.kind == "CNOT" else noise.after_one_qubit)
     return rho
 
 
@@ -319,15 +290,9 @@ def exact_expectation(state, charge: PauliPolynomial, delta: float) -> float:
 
 def rotated_probabilities(state, word: str) -> np.ndarray:
     """Outcome distribution after appending the measurement rotation for ``word``."""
-    gates = build_measurement_rotation(word)
-    if isinstance(state, StateVector):
-        tmp = state.copy()
-        for g in gates:
-            _apply_gate_sv(tmp.amplitudes, g, tmp.n_sites)
-        return tmp.probabilities()
     tmp = state.copy()
-    for g in gates:
-        _apply_gate_dm(tmp.entries, g, tmp.n_sites)
+    for g in build_measurement_rotation(word):
+        tmp.apply(g)
     return tmp.probabilities()
 
 

@@ -1,14 +1,46 @@
-"""Dense reference implementations of gates, circuits and one-step channels.
+"""Dense reference implementations of gates, circuits, channels and Pauli traces.
 
 Full 2^N unitaries and 4^N superoperators built from Kronecker products,
-site 1 on the lowest-order bit.  They cost exponentially more than the
-engines in ``trotterchain.sim`` and serve only as the oracle the tests
-compare those engines against.
+site 1 on the lowest-order bit, plus Kraus sums and Pauli expectations
+written out as matrix products.  They cost exponentially more than the
+engines in ``trotterchain`` and serve only as the oracle the tests compare
+those engines against.
 """
 
 import numpy as np
 
 from trotterchain.circuit import Gate
+from trotterchain.pauli import SizeMismatchError, mul
+
+
+def kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
+    """sum_k D_k rho D_k^dag for Kraus operators of the same dimension as rho."""
+    out = np.zeros(rho.shape, dtype=complex)
+    for op in operators:
+        out += op @ rho @ op.conj().T
+    return out
+
+
+def trace_pair(a, b) -> complex:
+    """tr(a b) / 2^N of two Pauli strings; nonzero iff they share masks."""
+    if a.n_sites != b.n_sites:
+        raise SizeMismatchError(f"size mismatch: {a.n_sites} vs {b.n_sites}")
+    if a.x_mask != b.x_mask or a.z_mask != b.z_mask:
+        return 0.0 + 0.0j
+    return mul(a, b).phase()
+
+
+def pauli_expectation_statevector(s, psi: np.ndarray) -> complex:
+    """<psi| P |psi> from the sparse column action of P."""
+    rows, vals = s.column_action()
+    return complex(np.vdot(psi[rows], vals * psi))
+
+
+def pauli_expectation_density(s, rho: np.ndarray) -> complex:
+    """tr(rho P) from the sparse column action of P."""
+    rows, vals = s.column_action()
+    cols = np.arange(rho.shape[0])
+    return complex(np.sum(vals * rho[cols, rows]))
 
 
 def gate_unitary(gate: Gate, n_sites: int) -> np.ndarray:

@@ -1,6 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import circuit_unitary
+from strategies import gate_lists
 from trotterchain import sim
 from trotterchain.charges import ChargeSpec, assemble, step_unitary
 from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_circuit, build_step
@@ -99,6 +106,34 @@ def test_engines_agree_on_pauli_expectations():
     a = exact_expectation(psi, q, DELTA)
     b = exact_expectation(rho, q, DELTA)
     assert abs(a - b) < 1e-9
+
+
+@settings(deadline=None)
+@given(gate_lists(max_sites=4, max_gates=12), st.integers(0, 2**32 - 1), st.data())
+def test_engines_agree_on_random_circuits(circuit, seed, data):
+    n = circuit.n_sites
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi = StateVector(n, amp / np.linalg.norm(amp))
+    pure = evolve_pure(circuit, psi)
+    rho = evolve_noisy(circuit, psi.density_matrix(), sim.IDEAL)
+    assert np.abs(rho.entries - pure.density_matrix().entries).max() < 1e-12
+    want = circuit_unitary(circuit.gates, n) @ psi.amplitudes
+    assert np.abs(pure.amplitudes - want).max() < 1e-12
+    word = data.draw(st.text("XYZ", min_size=n, max_size=n))
+    p_pure = sim.rotated_probabilities(pure, word)
+    p_rho = sim.rotated_probabilities(rho, word)
+    assert np.abs(p_pure - p_rho).max() < 1e-12
+
+
+def test_noisy_evolution_keeps_no_reference_to_its_channels():
+    channel = depolarizing(0.013)
+    ref = weakref.ref(channel)
+    noise = NoiseModel(after_one_qubit=channel, after_two_qubit=channel)
+    evolve_noisy(build_step(4, ALPHA), DensityMatrix.from_spec(InitialStateSpec.neel(4)), noise)
+    del channel, noise
+    gc.collect()
+    assert ref() is None
 
 
 def test_density_budget():

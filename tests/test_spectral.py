@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import step_superoperator
+from strategies import gate_lists
 from trotterchain import sim
 from trotterchain.charges import ChargeSpec, assemble
-from trotterchain.circuit import GATE_KINDS, Circuit, Gate, InitialStateSpec, build_step
+from trotterchain.circuit import Circuit, InitialStateSpec, build_step
 from trotterchain.noise import amp_phase_damping, depolarizing
 from trotterchain.sim import DensityMatrix, NoiseModel, evolve_noisy, exact_expectation
 from trotterchain.spectral import (
@@ -133,21 +134,6 @@ def test_power_estimate_matches_dense_modulus(depol_op):
     approx = estimate_subleading_modulus(build_step(N, ALPHA), model, iterations=120)
     exact = np.exp(-decay_rate(depol_op))
     assert abs(approx - exact) / exact < 0.05
-
-
-@st.composite
-def gate_lists(draw):
-    n = draw(st.integers(1, 3))
-    kinds = GATE_KINDS if n > 1 else tuple(k for k in GATE_KINDS if k != "CNOT")
-    gates = []
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
-        if kind == "CNOT":
-            sites = tuple(draw(st.permutations(range(1, n + 1)))[:2])
-        else:
-            sites = (draw(st.integers(1, n)),)
-        angle = draw(st.floats(-np.pi, np.pi)) if kind == "RZ" else None
-        gates.append(Gate(kind, sites, angle))
-    return Circuit(n, gates)
 
 
 @st.composite
