@@ -27,7 +27,7 @@ print(f"Trotter angle alpha = {alpha}, delta = tan(alpha) = {delta:.6f}\n")
 # the deformed two-bond energy density; the boost recursion produces the rest.
 for n in (1, 2, 3, 4):
     q = window_density(n, "plus")
-    degree = max(p.degree for _, p in q.items())
+    degree = q.coeffs.shape[1] - 1  # column m holds the delta^m coefficients
     print(f"q[{n},+]: {len(q):5d} Pauli terms, delta-degree {degree}")
 
 # --- assembly and conservation ------------------------------------------------

@@ -4,8 +4,8 @@ Charges are exact objects: sums of Pauli strings whose coefficients are
 integer polynomials in the Trotter step ``delta``.  The module provides
 
 - :class:`DeltaPoly`, integer polynomials in ``delta``;
-- :class:`PauliPolynomial`, a charge or charge density as a map
-  ``PauliString -> DeltaPoly``;
+- :class:`PauliPolynomial`, a charge or charge density as packed rows: int64
+  ``(x, z)`` string masks and an int64 matrix of delta-power coefficients;
 - hard-coded low-order window densities (:func:`density`);
 - :func:`boost_step`, one rung of the boost recursion, evaluated as a direct
   commutator on translation-covariant operator sums and collapsed back to a
@@ -72,10 +72,6 @@ class DeltaPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -135,154 +131,149 @@ class DeltaPoly:
 
 
 class PauliPolynomial:
-    """Operator-valued polynomial: sum of poly(delta) * PauliString.
+    """Operator-valued polynomial: sum of poly(delta) * PauliString, as packed rows.
 
-    Keys are canonical (phase_power 0); any unit in {+-1, +-i} produced by
-    operator products is folded into the integer coefficients, and folding an
-    odd power of i is an error because charges stay Hermitian with real
-    coefficients.  Identity-string terms are rejected: charges and densities
-    are traceless by construction.
+    ``x`` and ``z`` are the int64 masks of the strings (the bit layout of
+    :class:`PauliString`), distinct and sorted by (x, z).  Column m of the
+    int64 T x D matrix ``coeffs`` holds the coefficient of delta^m.  No row is
+    all zero, nor is the last column, so equal charges have equal arrays.
+    The arrays are read-only and the object immutable, so a memoized charge
+    can be shared.
+
+    Strings are canonical (phase_power 0): a sign from operator products is
+    folded into the integer coefficients, and an odd power of i is an error
+    because charges stay Hermitian with real coefficients.  Identity-string
+    terms are rejected: charges and densities are traceless by construction.
     """
 
-    __slots__ = ("n_sites", "terms", "_ordered", "_masks", "_groups")
+    __slots__ = ("n_sites", "x", "z", "coeffs")
 
-    def __init__(self, n_sites: int):
-        self.n_sites = n_sites
-        self.terms: dict[PauliString, DeltaPoly] = {}
-        self._ordered = None
-        self._masks = None
-        self._groups = None
+    def __init__(self, n_sites: int, x=None, z=None, coeffs=None):
+        """The zero polynomial, or rows already canonical (see :meth:`from_arrays`)."""
+        if x is None:
+            x, z, coeffs = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 0), np.int64)
+        for name, value in zip(self.__slots__, (n_sites, x, z, coeffs)):
+            if name != "n_sites":
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
-    def add_term(self, string: PauliString, poly: DeltaPoly):
-        if string.n_sites != self.n_sites:
-            raise ValueError("string size does not match polynomial register")
-        if poly.is_zero():
-            return
-        if string.is_identity():
+    def __setattr__(self, *a):
+        raise AttributeError("PauliPolynomial is immutable")
+
+    @classmethod
+    def from_arrays(cls, n_sites: int, xs, zs, coeffs) -> "PauliPolynomial":
+        """Bulk constructor from packed rows; zero rows and trailing zero columns are dropped.
+
+        ``coeffs[i, m]`` is the integer coefficient of delta^m on the string
+        with masks ``(xs[i], zs[i])``.  The rows must have distinct keys sorted
+        by (x, z).
+        """
+        nonzero = coeffs != 0
+        keep = np.flatnonzero(nonzero.any(axis=1))
+        cols = np.flatnonzero(nonzero.any(axis=0))
+        xs, zs, coeffs = xs[keep], zs[keep], coeffs[keep, : cols[-1] + 1 if len(cols) else 0]
+        if np.any((xs == 0) & (zs == 0)):
             raise ValueError("identity term in a traceless charge")
-        k = string.phase_power
-        if k % 2:
-            raise ValueError("imaginary unit cannot be folded into integer coefficients")
-        if k == 2:
-            poly = -poly
-            string = string.with_phase(0)
-        self._ordered = None
-        self._masks = None
-        self._groups = None
-        cur = self.terms.get(string)
-        new = poly if cur is None else cur + poly
-        if new.is_zero():
-            self.terms.pop(string, None)
-        else:
-            self.terms[string] = new
+        if np.any((xs[1:] < xs[:-1]) | ((xs[1:] == xs[:-1]) & (zs[1:] <= zs[:-1]))):
+            raise ValueError("packed rows must have distinct keys sorted by (x, z)")
+        return cls(n_sites, xs, zs, coeffs)
 
-    def add(self, other: "PauliPolynomial", scale: DeltaPoly | int = 1):
-        if isinstance(scale, int):
-            scale = DeltaPoly.const(scale)
-        for s, p in other.terms.items():
-            self.add_term(s, p * scale)
+    @classmethod
+    def from_terms(cls, n_sites: int, terms) -> "PauliPolynomial":
+        """Sum of ``(PauliString, coefficients)`` terms; repeated strings add up.
 
-    def coefficient(self, string: PauliString) -> DeltaPoly:
-        return self.terms.get(string.with_phase(0), DeltaPoly())
+        Entry m of a coefficient sequence multiplies delta^m; a string with
+        phase -1 enters with negated coefficients.  A coefficient or sum
+        outside int64 raises OverflowError.
+        """
+        xs, zs, rows = [], [], []
+        for string, coeffs in terms:
+            if string.n_sites != n_sites:
+                raise ValueError("string size does not match polynomial register")
+            if not any(coeffs):
+                continue
+            if string.is_identity():
+                raise ValueError("identity term in a traceless charge")
+            if string.phase_power % 2:
+                raise ValueError("imaginary unit cannot be folded into integer coefficients")
+            xs.append(string.x_mask)
+            zs.append(string.z_mask)
+            rows.append([-c for c in coeffs] if string.phase_power else coeffs)
+        packed = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.int64)
+        for row, coeffs in zip(packed, rows):
+            row[: len(coeffs)] = coeffs
+        keys = _key(np.array(xs, dtype=np.int64), np.array(zs, dtype=np.int64), n_sites)
+        _check_bound(packed, int(np.unique(keys, return_counts=True)[1].max(initial=1)))
+        keys, summed = _sum_rows(keys, packed)
+        return cls.from_arrays(n_sites, *_unkey(keys, n_sites), summed)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "PauliPolynomial":
+        terms = [(PauliString.from_letters(t["pauli"]), t["coeffs"]) for t in doc["terms"]]
+        return cls.from_terms(doc["n_sites"], terms)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.x)
 
     def __eq__(self, other):
         return (
             isinstance(other, PauliPolynomial)
             and self.n_sites == other.n_sites
-            and self.terms == other.terms
+            and np.array_equal(self.x, other.x)
+            and np.array_equal(self.z, other.z)
+            and np.array_equal(self.coeffs, other.coeffs)
         )
 
+    @property
+    def terms(self):
+        """The strings, in (x, z) order."""
+        n = self.n_sites
+        return (PauliString(n, x, z) for x, z in zip(self.x.tolist(), self.z.tolist()))
+
     def items(self):
-        """Terms in a canonical order, so float folds are reproducible."""
-        if self._ordered is None:
-            self._ordered = sorted(
-                self.terms.items(), key=lambda kv: (kv[0].x_mask, kv[0].z_mask)
-            )
-        return self._ordered
+        """(PauliString, DeltaPoly) pairs in (x, z) order."""
+        return zip(self.terms, map(DeltaPoly, self.coeffs.tolist()))
 
-    def mask_arrays(self):
-        """(x_masks, z_masks, units) over ordered terms, for bulk evaluation.
-
-        ``units`` carries the i^(Y-count) factor of each string so that
-        coefficient * unit * (-1)^(z.b) reproduces the matrix elements.
-        """
-        if self._masks is None:
-            xs = np.array([s.x_mask for s, _ in self.items()], dtype=np.int64)
-            zs = np.array([s.z_mask for s, _ in self.items()], dtype=np.int64)
-            units = np.array(
-                [1j ** ((s.x_mask & s.z_mask).bit_count() % 4) for s, _ in self.items()]
-            )
-            self._masks = (xs, zs, units)
-        return self._masks
+    def coefficient(self, string: PauliString) -> DeltaPoly:
+        """The coefficient of ``string`` whatever its phase; zero when absent."""
+        lo = np.searchsorted(self.x, string.x_mask, side="left")
+        hi = np.searchsorted(self.x, string.x_mask, side="right")
+        i = lo + np.searchsorted(self.z[lo:hi], string.z_mask)
+        if string.n_sites == self.n_sites and i < hi and self.z[i] == string.z_mask:
+            return DeltaPoly(self.coeffs[i].tolist())
+        return DeltaPoly()
 
     def coefficients(self, delta: float) -> np.ndarray:
-        return np.array([p(delta) for _, p in self.items()])
+        """Every row at ``delta``: Horner from the last column, on each row
+        the same float operations as :meth:`DeltaPoly.__call__` (leading zero
+        columns keep +0.0)."""
+        out = np.zeros(len(self))
+        for column in self.coeffs.T[::-1]:
+            out = out * delta + column
+        return out
 
     def x_groups(self):
-        """Terms grouped by x_mask: list of (x, z_masks, term_indices).
+        """Terms grouped by x mask: list of (x, z_masks, term_slice).
 
-        Strings sharing an x_mask differ only in sign pattern, so a whole
+        Strings sharing an x mask differ only in sign pattern, so a whole
         group is evaluated by one Walsh transform of a single overlap vector.
         """
-        if self._groups is None:
-            xs, zs, _ = self.mask_arrays()
-            order = np.argsort(xs, kind="stable")
-            starts = np.flatnonzero(np.diff(xs[order], prepend=-1))
-            runs = np.split(order, starts[1:]) if len(order) else []
-            self._groups = [(int(xs[idx[0]]), zs[idx], idx) for idx in runs]
-        return self._groups
-
-    def evaluated(self, delta: float) -> dict[PauliString, float]:
-        return {s: p(delta) for s, p in self.terms.items()}
+        starts = np.flatnonzero(np.diff(self.x, prepend=-1)).tolist()
+        ends = starts[1:] + [len(self)]
+        return [(int(self.x[a]), self.z[a:b], slice(a, b)) for a, b in zip(starts, ends)]
 
     # -- serialization (contract consumed by measure and cli) ----------
 
     def to_dict(self, order: int | None = None, variant: str | None = None) -> dict:
-        doc = {
+        return {
             "n_sites": self.n_sites,
             "order": order,
             "variant": variant,
             "terms": [
-                {"pauli": s.letters(), "coeffs": list(p.coeffs)}
-                for s, p in sorted(self.terms.items(), key=lambda kv: kv[0].letters())
+                {"pauli": letters, "coeffs": list(p.coeffs)}
+                for letters, p in sorted((s.letters(), p) for s, p in self.items())
             ],
         }
-        return doc
-
-    @classmethod
-    def from_arrays(cls, n_sites: int, xs, zs, coeffs) -> "PauliPolynomial":
-        """Bulk constructor from packed rows; zero rows are dropped.
-
-        ``coeffs[i, m]`` is the integer coefficient of delta^m on the string
-        with masks ``(xs[i], zs[i])``.  The rows must have distinct keys sorted
-        by (x, z), the order :meth:`items` uses.
-        """
-        keep = np.flatnonzero(np.any(coeffs != 0, axis=1))
-        xs, zs, coeffs = xs[keep], zs[keep], coeffs[keep]
-        if np.any((xs == 0) & (zs == 0)):
-            raise ValueError("identity term in a traceless charge")
-        if np.any((xs[1:] < xs[:-1]) | ((xs[1:] == xs[:-1]) & (zs[1:] <= zs[:-1]))):
-            raise ValueError("packed rows must have distinct keys sorted by (x, z)")
-        poly = cls(n_sites)
-        shared = {}  # one DeltaPoly per distinct row: translates repeat coefficients
-        for x, z, row in zip(xs.tolist(), zs.tolist(), coeffs):
-            key = row.tobytes()
-            p = shared.get(key)
-            if p is None:
-                p = shared[key] = DeltaPoly(row.tolist())
-            poly.terms[PauliString(n_sites, x, z)] = p
-        poly._ordered = list(poly.terms.items())
-        return poly
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PauliPolynomial":
-        poly = cls(doc["n_sites"])
-        for t in doc["terms"]:
-            poly.add_term(PauliString.from_letters(t["pauli"]), DeltaPoly(t["coeffs"]))
-        return poly
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +331,14 @@ def dot_cross(*sites: int) -> dict:
 
 def _window_poly(n_sites: int, combo) -> PauliPolynomial:
     """Build a window density from (DeltaPoly, site-tuple) contributions."""
-    out = PauliPolynomial(n_sites)
+    terms = []
     for poly, sites in combo:
         for mono, c in dot_cross(*sites).items():
             letters = ["I"] * n_sites
             for site, ax in mono:
                 letters[site - 1] = ax
-            out.add_term(PauliString.from_letters("".join(letters)), poly * c)
-    return out
+            terms.append((PauliString.from_letters("".join(letters)), (poly * c).coeffs))
+    return PauliPolynomial.from_terms(n_sites, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +411,6 @@ def _popcount(m):
 def _high_bit(m):
     """Index of the highest set bit of each positive mask (masks below 2**53)."""
     return np.frexp(m.astype(np.float64))[1] - 1
-
-
-def _packed(poly: PauliPolynomial):
-    """Ordered terms of ``poly`` as (x, z, coeffs) with int64 T x D coeffs.
-
-    A coefficient outside int64 raises OverflowError in the assignment.
-    """
-    xs, zs, _ = poly.mask_arrays()
-    width = max((len(p.coeffs) for p in poly.terms.values()), default=0)
-    coeffs = np.zeros((len(poly), width), dtype=np.int64)
-    for i, (_, p) in enumerate(poly.items()):
-        coeffs[i, : len(p.coeffs)] = p.coeffs
-    return xs, zs, coeffs
 
 
 def _check_bound(coeffs: np.ndarray, factor: int):
@@ -528,8 +506,7 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     # Working masks put bit 0 on chain position ``base``, the first site any
     # block touches; window site j of the input sits at offset + j - 1.
     base = 2 * l_min - 3
-    tx, tz, coeffs = _packed(q_n)
-    tx, tz = tx << (offset - base), tz << (offset - base)
+    tx, tz, coeffs = q_n.x << (offset - base), q_n.z << (offset - base), q_n.coeffs
     t_y = _popcount(tx & tz)
     n_terms, width = coeffs.shape
     row_width = width + 2  # block monomials carry up to delta^2
@@ -594,7 +571,7 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
 def window_density(order: int, variant: str) -> PauliPolynomial:
     """Window density of any order: hard-coded for n <= 2, boosted above.
 
-    Memoized in this process; callers must not mutate the result.
+    Memoized in this process; the result is immutable.
     """
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown density variant {variant!r}")
@@ -643,7 +620,8 @@ def _assembled_rows(order: int, variant: str, n_sites: int):
     start on even sites) and onto every even bit for ``minus``; a window is
     shorter than the chain, so no rotated string overlaps itself.
     """
-    xs, zs, coeffs = _packed(window_density(order, variant))
+    q = window_density(order, variant)
+    xs, zs, coeffs = q.x, q.z, q.coeffs
     ks = np.arange(1 if variant == "plus" else 0, n_sites, 2)[:, None]
     _check_bound(coeffs, 2 * len(ks))  # dif subtracts two such sums
     full = (1 << n_sites) - 1
@@ -674,7 +652,7 @@ def assemble(spec: ChargeSpec) -> PauliPolynomial:
 
 @functools.cache
 def assemble_cached(spec: ChargeSpec) -> PauliPolynomial:
-    """Like :func:`assemble`, memoized in this process; callers must not mutate the result."""
+    """Like :func:`assemble`, memoized in this process; the result is immutable."""
     return assemble(spec)
 
 
@@ -692,9 +670,9 @@ def to_matrix(p: PauliPolynomial, delta: float) -> np.ndarray:
     dim = 1 << p.n_sites
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for s, poly in p.items():
+    for s, c in zip(p.terms, p.coefficients(delta).tolist()):
         rows, vals = s.column_action()
-        out[rows, cols] += poly(delta) * vals
+        out[rows, cols] += c * vals
     return out
 
 

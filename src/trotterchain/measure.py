@@ -83,7 +83,7 @@ def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> Measurement
     a round are merged at once, one uncovered term at a time in letter order;
     the candidates' covered terms are counted in blocks of rows.
     """
-    if not charge.terms:
+    if not len(charge):
         raise ValueError("cannot build a cover for an empty charge")
     n = charge.n_sites
     full = np.int64((1 << n) - 1)
@@ -114,10 +114,10 @@ def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> Measurement
 
 
 def _word_cover(plan: MeasurementPlan, charge: PauliPolynomial) -> list:
-    """Per plan word, the ascending indices into ``charge.items()`` it contains."""
+    """Per plan word, the ascending indices of the charge terms it contains."""
     if any(w.n_sites != charge.n_sites for w in plan.words):
         raise ValueError("word and term lengths differ")
-    xs, zs, _ = charge.mask_arrays()
+    xs, zs = charge.x, charge.z
     packed = [PauliString.from_letters(w.letters) for w in plan.words]
     wx = np.array([p.x_mask for p in packed], dtype=np.int64)
     wz = np.array([p.z_mask for p in packed], dtype=np.int64)
@@ -185,14 +185,14 @@ def estimate(
     variance at zero.  Both degeneracies are reported as diagnostics.
     """
     records.validate(plan)
-    terms = [(s, p(delta)) for s, p in charge.items()]
+    coeffs = charge.coefficients(delta).tolist()  # Python floats, as the artifacts print them
     n_w = plan.shots_per_word
-    xs, zs, _ = charge.mask_arrays()
-    masks = xs | zs
+    masks = charge.x | charge.z
+    strings = list(charge.terms)
 
     word_cover = _word_cover(plan, charge)  # per word: indices of the terms it contains
     covered = set(i for cov in word_cover for i in cov)
-    missing = [terms[i][0].letters() for i in range(len(terms)) if i not in covered]
+    missing = [strings[i].letters() for i in range(len(strings)) if i not in covered]
     if missing:
         raise CoverageError(f"terms not covered by any word: {missing[:5]}")
 
@@ -227,7 +227,7 @@ def estimate(
     for (wi, ti), val in per_word_sums.items():
         n_p[ti] += n_w
         s_p[ti] += val
-    value = sum(c * s_p[ti] / n_p[ti] for ti, (_, c) in enumerate(terms))
+    value = sum(c * s_p[ti] / n_p[ti] for ti, c in enumerate(coeffs))
 
     diagnostics = []
     var = 0.0
@@ -238,7 +238,7 @@ def estimate(
             skipped_pairs += 1
             continue
         inner = cross - sum_a * sum_b / n_ab
-        contrib = (n_ab / (n_p[a] * n_p[b])) * (terms[a][1] * terms[b][1] / (n_ab - 1)) * inner
+        contrib = (n_ab / (n_p[a] * n_p[b])) * (coeffs[a] * coeffs[b] / (n_ab - 1)) * inner
         var += contrib if a == b else 2.0 * contrib
     if skipped_pairs:
         diagnostics.append(f"skipped {skipped_pairs} term pairs with n_PP' = 1")
@@ -246,7 +246,7 @@ def estimate(
         diagnostics.append(f"variance estimate {var:.3e} clamped at 0")
         var = 0.0
 
-    term_shots = {terms[ti][0].letters(): n_p[ti] for ti in covered}
+    term_shots = {strings[ti].letters(): n_p[ti] for ti in covered}
     return ChargeEstimate(value, float(np.sqrt(var)), term_shots, tuple(diagnostics))
 
 
@@ -259,18 +259,17 @@ def exact_estimator_variance(
     that word's basis.  Mirrors the finite-shot estimator with expectations
     in place of empirical sums; useful for deterministic error budgets.
     """
-    terms = [(s, p(delta)) for s, p in charge.items()]
+    coeffs = charge.coefficients(delta).tolist()
     n_w = plan.shots_per_word
     n = charge.n_sites
     idx = np.arange(1 << n, dtype=np.int64)
 
     word_cover = _word_cover(plan, charge)
     covered = set(i for cov in word_cover for i in cov)
-    if len(covered) != len(terms):
+    if len(covered) != len(charge):
         raise CoverageError("plan does not cover the charge")
 
-    xs, zs, _ = charge.mask_arrays()
-    masks = (xs | zs).tolist()
+    masks = (charge.x | charge.z).tolist()
     exp_single = {}
     for wi, w in enumerate(plan.words):
         p = distributions[w.letters]
@@ -282,7 +281,7 @@ def exact_estimator_variance(
         n_p[ti] += n_w
     mean = 0.0
     term_means = {}
-    for ti, (s, c) in enumerate(terms):
+    for ti, c in enumerate(coeffs):
         m = sum(exp_single[(wi, ti)] for wi in range(len(plan.words)) if (wi, ti) in exp_single)
         m /= len([wi for wi in range(len(plan.words)) if (wi, ti) in exp_single])
         term_means[ti] = m
@@ -295,5 +294,5 @@ def exact_estimator_variance(
             for b in cov:
                 cross = float(p @ _parities(idx, masks[a] ^ masks[b]))
                 cov_ab = cross - exp_single[(wi, a)] * exp_single[(wi, b)]
-                var += terms[a][1] * terms[b][1] * n_w * cov_ab / (n_p[a] * n_p[b])
+                var += coeffs[a] * coeffs[b] * n_w * cov_ab / (n_p[a] * n_p[b])
     return mean, float(np.sqrt(max(var, 0.0)))

@@ -27,6 +27,7 @@ import numpy as np
 from .charges import PauliPolynomial
 from .circuit import Circuit, Gate, InitialStateSpec, build_init, build_measurement_rotation
 from .noise import KrausChannel
+from .pauli import _I_POW
 
 DM_MAX_SITES = 10
 
@@ -271,18 +272,20 @@ def exact_expectation(state, charge: PauliPolynomial, delta: float) -> float:
     """
     if state.n_sites != charge.n_sites:
         raise ValueError("state and charge sizes differ")
-    coeffs = charge.coefficients(delta) * charge.mask_arrays()[2]
+    # i^(Y count) of each string, so coefficient * unit * (-1)^(z.b) is its matrix element
+    units = np.array(_I_POW)[np.bitwise_count(charge.x & charge.z) & 3]
+    coeffs = charge.coefficients(delta) * units
     cols = np.arange(1 << state.n_sites, dtype=np.int64)
     if isinstance(state, StateVector):
         left = state.amplitudes.conj()
         psi = state.amplitudes
     val = 0.0 + 0.0j
-    for x, zs, idx in charge.x_groups():
+    for x, zs, rows in charge.x_groups():
         if isinstance(state, StateVector):
             overlap = left[cols ^ x] * psi
         else:
             overlap = state.entries[cols, cols ^ x]
-        val += coeffs[idx] @ walsh_transform(overlap)[zs]
+        val += coeffs[rows] @ walsh_transform(overlap)[zs]
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary part {val.imag:.2e}")
     return float(val.real)

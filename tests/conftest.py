@@ -20,10 +20,3 @@ def pytest_runtest_makereport(item, call):
 def delta03():
     return float(np.tan(0.3))
 
-
-def random_product_spec(rng, n):
-    from trotterchain.circuit import InitialStateSpec
-
-    letters = "".join(rng.choice(list("XYZ")) for _ in range(n))
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
-    return InitialStateSpec(letters, bits)

@@ -24,6 +24,7 @@ from trotterchain.charges import (
     transfer_matrix,
     window_density,
 )
+from strategies import term_lists
 from trotterchain.pauli import CODE_LETTERS, LETTER_CODES, PauliString, commutes, mul
 
 DELTA = float(np.tan(0.3))
@@ -35,17 +36,16 @@ WINDOW_DENSITY_SHA256 = "a2f8ecb69c64a2a5971d83d2f9687367cfd0eba4477ac667d195307
 
 def build_window(n_sites, groups):
     """Window density from {delta_power: [(coeff, sites), ...]} dot/cross data."""
-    out = PauliPolynomial(n_sites)
+    terms = []
     for m, entries in groups.items():
         for coeff, sites in entries:
             for mono, c in dot_cross(*sites).items():
                 letters = ["I"] * n_sites
                 for site, ax in mono:
                     letters[site - 1] = ax
-                out.add_term(
-                    PauliString.from_letters("".join(letters)), DeltaPoly.delta_power(m, coeff * c)
-                )
-    return out
+                string = PauliString.from_letters("".join(letters))
+                terms.append((string, DeltaPoly.delta_power(m, coeff * c).coeffs))
+    return PauliPolynomial.from_terms(n_sites, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +184,7 @@ def test_boost_matches_reference_order3():
 
 
 def test_boost_rejects_nonconserved_input():
-    bad = PauliPolynomial(3)
-    bad.add_term(PauliString.from_letters("ZZI"), DeltaPoly((1,)))
+    bad = PauliPolynomial.from_terms(3, [(PauliString.from_letters("ZZI"), (1,))])
     with pytest.raises(GaugeError):
         boost_step(bad, 1, "plus")
 
@@ -312,7 +311,7 @@ def _reference_boost_step(q_n, order, variant="plus"):
     if obstruction:
         raise GaugeError(f"{len(obstruction)} orbits with nonzero weight-sum")
 
-    out = PauliPolynomial(2 * order + 3)
+    terms = []
     for (start, codes), poly in collapsed.items():
         if start < offset or start + len(codes) - 1 > out_hi:
             raise GaugeError("collapsed term does not fit the gauge window")
@@ -320,8 +319,8 @@ def _reference_boost_step(q_n, order, variant="plus"):
         for i, v in enumerate(codes):
             if v:
                 letters[start - offset + i] = CODE_LETTERS[v]
-        out.add_term(PauliString.from_letters("".join(letters)), poly)
-    return out
+        terms.append((PauliString.from_letters("".join(letters)), poly.coeffs))
+    return PauliPolynomial.from_terms(2 * order + 3, terms)
 
 
 @functools.cache
@@ -330,9 +329,7 @@ def _reference_boost_of_density(order, variant):
 
 
 def _scaled(q, scale):
-    out = PauliPolynomial(q.n_sites)
-    out.add(q, scale)
-    return out
+    return PauliPolynomial.from_terms(q.n_sites, [(s, (p * scale).coeffs) for s, p in q.items()])
 
 
 _SCALES = st.builds(
@@ -355,8 +352,9 @@ def test_perturbed_density_is_rejected_by_both_boosts(order, variant, data):
     string = data.draw(st.sampled_from([s for s, _ in q.items()]))
     power = data.draw(st.integers(0, 3))
     coeff = data.draw(st.sampled_from([-2, -1, 1, 2]))
-    bad = _scaled(q, 1)
-    bad.add_term(string, DeltaPoly.delta_power(power, coeff))
+    perturbation = (string, DeltaPoly.delta_power(power, coeff).coeffs)
+    terms = [(s, p.coeffs) for s, p in q.items()] + [perturbation]
+    bad = PauliPolynomial.from_terms(q.n_sites, terms)
     with pytest.raises(GaugeError):
         boost_step(bad, order, variant)
     with pytest.raises(GaugeError):
@@ -401,7 +399,7 @@ def test_gauge_no_identity_on_last_two_sites():
 def test_assemble_window_count():
     q = assemble(ChargeSpec(1, "plus", 4))
     # two windows; the delta^2 edge terms of both land on the same strings
-    oracle = PauliPolynomial(4)
+    terms = []
     win = density(1, "plus")
     for start in (2, 4):  # chain positions of window site 1, distance two apart
         for s, p in win.items():
@@ -409,8 +407,8 @@ def test_assemble_window_count():
             for w in range(1, 4):
                 if s.letter(w) != "I":
                     letters[(start - 1 + w - 1) % 4] = s.letter(w)
-            oracle.add_term(PauliString.from_letters("".join(letters)), p)
-    assert q == oracle
+            terms.append((PauliString.from_letters("".join(letters)), p.coeffs))
+    assert q == PauliPolynomial.from_terms(4, terms)
     # both windows park their quadratic edge term on sites {2, 4}
     assert q.coefficient(PauliString.from_letters("IZIZ")) == DeltaPoly((0, 0, 2))
 
@@ -463,16 +461,16 @@ def test_conservation_fails_for_middle_bond_quadratic_variant():
     # the alternative order-1 density with delta^2 on the middle bond is not
     # conserved; this pins the corrected edge-coupled form
     alt = build_window(3, {0: [(1, (1, 2)), (1, (2, 3))], 1: [(-1, (1, 2, 3))], 2: [(1, (2, 3))]})
-    out = PauliPolynomial(8)
+    terms = []
     for start in (2, 4, 6, 8):
         for s, p in alt.items():
             letters = ["I"] * 8
             for w in range(1, 4):
                 if s.letter(w) != "I":
                     letters[(start - 1 + w - 1) % 8] = s.letter(w)
-            out.add_term(PauliString.from_letters("".join(letters)), p)
+            terms.append((PauliString.from_letters("".join(letters)), p.coeffs))
     u = step_unitary(DELTA, 8)
-    q = to_matrix(out, DELTA)
+    q = to_matrix(PauliPolynomial.from_terms(8, terms), DELTA)
     assert np.abs(u @ q - q @ u).max() > 1e-3
 
 
@@ -482,8 +480,7 @@ def test_conservation_fails_for_middle_bond_quadratic_variant():
 
 
 def test_to_matrix_single_z():
-    p = PauliPolynomial(1)
-    p.add_term(PauliString.from_letters("Z"), DeltaPoly((1,)))
+    p = PauliPolynomial.from_terms(1, [(PauliString.from_letters("Z"), (1,))])
     assert np.allclose(to_matrix(p, 0.3), np.diag([1.0, -1.0]))
 
 
@@ -503,8 +500,7 @@ def test_to_matrix_at_zero_is_xxx_hamiltonian():
 def test_to_matrix_hermitian_and_budget():
     m = to_matrix(assemble(ChargeSpec(2, "plus", 8)), DELTA)
     assert np.abs(m - m.conj().T).max() < 1e-12
-    big = PauliPolynomial(15)
-    big.add_term(PauliString.single(15, 1, "Z"), DeltaPoly((1,)))
+    big = PauliPolynomial.from_terms(15, [(PauliString.single(15, 1, "Z"), (1,))])
     with pytest.raises(ValueError):
         to_matrix(big, 0.0)
 
@@ -565,9 +561,6 @@ def test_from_arrays_builds_sorted_terms_and_rejects_bad_rows():
     coeffs = np.array([[1, 0], [0, 0], [1, 0]])
     q = PauliPolynomial.from_arrays(2, xs, zs, coeffs)
     assert [s.letters() for s, _ in q.items()] == ["XI", "IX"]  # zero row dropped
-    assert q.coefficient(PauliString.from_letters("IX")) is q.coefficient(
-        PauliString.from_letters("XI")
-    )  # equal rows share one DeltaPoly
     with pytest.raises(ValueError):
         PauliPolynomial.from_arrays(2, xs[::-1], zs[::-1], coeffs)
     with pytest.raises(ValueError):
@@ -579,3 +572,53 @@ def test_assemble_cached_round_trip():
     first = assemble_cached(spec)
     again = assemble_cached(spec)
     assert first == again == assemble(spec)
+
+
+def test_memoized_charges_are_read_only():
+    spec = ChargeSpec(2, "plus", 8)
+    for memo, fresh in [
+        (functools.partial(assemble_cached, spec), functools.partial(assemble, spec)),
+        (functools.partial(window_density, 2, "plus"), functools.partial(density, 2, "plus")),
+    ]:
+        q = memo()
+        for array in (q.x, q.z, q.coeffs):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(AttributeError):
+            q.coeffs = np.zeros_like(q.coeffs)
+        assert memo() == fresh()
+
+
+def test_from_terms_sums_folds_phase_and_rejects_bad_terms():
+    zz, xy = PauliString.from_letters("ZZ"), PauliString.from_letters("XY")
+    q = PauliPolynomial.from_terms(2, [(zz, (1, 2)), (zz.with_phase(2), (1, 0, 0)), (xy, [0])])
+    assert list(q.items()) == [(zz, DeltaPoly((0, 2)))]
+    assert q.coeffs.shape == (1, 2) and q.coefficient(zz.with_phase(2)) == DeltaPoly((0, 2))
+    assert q.coefficient(xy).is_zero() and q.coefficient(PauliString.from_letters("ZZZ")).is_zero()
+    for bad in [
+        (PauliString.from_letters("ZZZ"), (1,)),  # register size
+        (PauliString.identity(2), (1,)),
+        (xy.with_phase(1), (1,)),
+    ]:
+        with pytest.raises(ValueError):
+            PauliPolynomial.from_terms(2, [bad])
+    with pytest.raises(OverflowError):
+        PauliPolynomial.from_terms(2, [(zz, (1 << 62,))] * 2)
+
+
+@settings(deadline=None)
+@given(term_lists(), st.sampled_from([0.3, DELTA, -0.7, 1e-3, -0.0]) | st.floats(-2, 2))
+def test_from_terms_matches_delta_poly_sum(case, delta):
+    n, terms = case
+    want = {}
+    for s, c in terms:
+        key = s.with_phase(0)
+        want[key] = want.get(key, DeltaPoly()) + DeltaPoly(c) * (-1 if s.phase_power else 1)
+    q = PauliPolynomial.from_terms(n, terms)
+    assert list(q.items()) == sorted(
+        ((s, p) for s, p in want.items() if p), key=lambda kv: (kv[0].x_mask, kv[0].z_mask)
+    )
+    got = q.coefficients(delta)
+    ref = np.array([p(delta) for _, p in q.items()], dtype=float)
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    assert PauliPolynomial.from_dict(json.loads(json.dumps(q.to_dict()))) == q

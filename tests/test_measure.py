@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import polynomials
 from trotterchain import sim
-from trotterchain.charges import ChargeSpec, DeltaPoly, PauliPolynomial, assemble, density
-from trotterchain.circuit import InitialStateSpec
+from trotterchain.charges import ChargeSpec, PauliPolynomial, assemble, density
+from trotterchain.circuit import InitialStateSpec, build_step
 from trotterchain.measure import (
     CoverageError,
     MeasurementPlan,
@@ -65,17 +66,10 @@ def _reference_cover(charge: PauliPolynomial) -> MeasurementPlan:
     return MeasurementPlan(tuple(words), 1)
 
 
-@st.composite
-def polynomials(draw, max_terms=40):
-    n = draw(st.integers(2, 8))
-    masks = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
-    pairs = draw(
-        st.lists(masks.filter(lambda xz: xz != (0, 0)), min_size=1, max_size=max_terms, unique=True)
-    )
-    q = PauliPolynomial(n)
-    for x, z in pairs:
-        q.add_term(PauliString(n, x, z), DeltaPoly((draw(st.integers(1, 3)),)))
-    return q
+def _charge(*terms):
+    """A charge from (letters, constant coefficient) pairs."""
+    n = len(terms[0][0])
+    return PauliPolynomial.from_terms(n, [(PauliString.from_letters(t), (c,)) for t, c in terms])
 
 
 def _words(n):
@@ -132,8 +126,7 @@ def test_word_validation():
 
 
 def test_cover_single_term():
-    q = PauliPolynomial(2)
-    q.add_term(PauliString.from_letters("ZZ"), DeltaPoly((1,)))
+    q = _charge(("ZZ", 1))
     plan = build_cover(q)
     assert [w.letters for w in plan.words] == ["ZZ"]
 
@@ -173,8 +166,7 @@ def test_cover_empty_charge_rejected():
 
 
 def test_estimate_deterministic_outcome():
-    q = PauliPolynomial(2)
-    q.add_term(PauliString.from_letters("ZZ"), DeltaPoly((1,)))
+    q = _charge(("ZZ", 1))
     plan = MeasurementPlan((PauliWord("ZZ"),), 100)
     records = ShotRecords(2)
     records.add(PauliWord("ZZ"), {"00": 100})
@@ -184,8 +176,7 @@ def test_estimate_deterministic_outcome():
 
 
 def test_estimate_requires_coverage_and_counts():
-    q = PauliPolynomial(2)
-    q.add_term(PauliString.from_letters("XX"), DeltaPoly((1,)))
+    q = _charge(("XX", 1))
     plan = MeasurementPlan((PauliWord("ZZ"),), 10)
     records = ShotRecords(2)
     records.add(PauliWord("ZZ"), {"00": 10})
@@ -230,9 +221,7 @@ def test_estimator_and_variance_unbiased():
 
 def test_exact_estimator_variance_matches_empirical():
     n = 2
-    q = PauliPolynomial(n)
-    q.add_term(PauliString.from_letters("ZZ"), DeltaPoly((1,)))
-    q.add_term(PauliString.from_letters("ZI"), DeltaPoly((2,)))
+    q = _charge(("ZZ", 1), ("ZI", 2))
     plan = MeasurementPlan((PauliWord("ZZ"),), 50)
     psi = sim.StateVector.from_spec(InitialStateSpec("XX", (0, 0)))
     dists = {"ZZ": sim.rotated_probabilities(psi, "ZZ")}
@@ -249,13 +238,9 @@ def test_exact_estimator_variance_matches_empirical():
 def test_covariance_only_through_shared_words():
     n = 2
     # terms measured by disjoint word sets: variance adds, no cross term
-    qa = PauliPolynomial(n)
-    qa.add_term(PauliString.from_letters("XI"), DeltaPoly((1,)))
-    qb = PauliPolynomial(n)
-    qb.add_term(PauliString.from_letters("IZ"), DeltaPoly((1,)))
-    qab = PauliPolynomial(n)
-    qab.add_term(PauliString.from_letters("XI"), DeltaPoly((1,)))
-    qab.add_term(PauliString.from_letters("IZ"), DeltaPoly((1,)))
+    qa = _charge(("XI", 1))
+    qb = _charge(("IZ", 1))
+    qab = _charge(("XI", 1), ("IZ", 1))
 
     plan = MeasurementPlan((PauliWord("XZ"), PauliWord("ZZ")), 200)
     rng = np.random.default_rng(3)
@@ -276,24 +261,18 @@ def test_covariance_only_through_shared_words():
     assert sd_ab == pytest.approx(np.sqrt(sd_a**2 + sd_b**2), rel=1e-9)
 
     # shared-word case: covariance shifts the total away from the quadrature sum
-    qzz = PauliPolynomial(n)
-    qzz.add_term(PauliString.from_letters("ZI"), DeltaPoly((1,)))
-    qzz.add_term(PauliString.from_letters("IZ"), DeltaPoly((1,)))
+    qzz = _charge(("ZI", 1), ("IZ", 1))
     _, sd_shared = exact_estimator_variance(dists_b, plan_b, qzz, DELTA)
-    qz1 = PauliPolynomial(n)
-    qz1.add_term(PauliString.from_letters("ZI"), DeltaPoly((1,)))
+    qz1 = _charge(("ZI", 1))
     _, sd_z1 = exact_estimator_variance(dists_b, plan_b, qz1, DELTA)
-    qz2 = PauliPolynomial(n)
-    qz2.add_term(PauliString.from_letters("IZ"), DeltaPoly((1,)))
+    qz2 = _charge(("IZ", 1))
     _, sd_z2 = exact_estimator_variance(dists_b, plan_b, qz2, DELTA)
     assert abs(sd_shared**2 - (sd_z1**2 + sd_z2**2)) > 1e-4
 
 
 def test_single_shot_pair_skipped_with_diagnostic():
     n = 2
-    q = PauliPolynomial(n)
-    q.add_term(PauliString.from_letters("ZI"), DeltaPoly((1,)))
-    q.add_term(PauliString.from_letters("IZ"), DeltaPoly((1,)))
+    q = _charge(("ZI", 1), ("IZ", 1))
     plan = MeasurementPlan((PauliWord("ZZ"),), 1)
     records = ShotRecords(n)
     records.add(PauliWord("ZZ"), {"01": 1})
@@ -310,3 +289,31 @@ def test_plan_serialization():
     records.add(PauliWord("XY"), {"01": 4, "10": 3})
     back_r = ShotRecords.from_dict(records.to_dict())
     assert back_r.counts == records.counts
+
+
+def _float_digest(values):
+    return hashlib.sha256("\n".join(float.hex(v) for v in values).encode()).hexdigest()
+
+
+def test_estimates_match_pinned_digest():
+    # value and sigma of estimate for three sampling seeds, then the exact
+    # estimator mean and sigma, for Q2+ at N=8 after one step
+    n = 8
+    q = assemble(ChargeSpec(2, "plus", n))
+    plan = MeasurementPlan(build_cover(q).words, 30)
+    psi = sim.StateVector.from_spec(InitialStateSpec("ZXYZZYXZ", (1, 0, 0, 1, 1, 0, 1, 0)))
+    psi = sim.evolve_pure(build_step(n, 0.3), psi)  # DELTA = tan(0.3)
+    values = []
+    for seed in (1, 2, 3):
+        records = ShotRecords(n)
+        for wi, w in enumerate(plan.words):
+            records.add(w, sim.sample(psi, w.letters, plan.shots_per_word, seed, word_index=wi))
+        est = estimate(records, plan, q, DELTA)
+        values += [est.value, est.std_uncertainty]
+    assert _float_digest(values) == (
+        "c2b5a4ddc8bcd69980f52d9ea275d0576872aa408c6a1e5fa072d2e8b584892a"
+    )
+    dists = {w.letters: sim.rotated_probabilities(psi, w.letters) for w in plan.words}
+    assert _float_digest(exact_estimator_variance(dists, plan, q, DELTA)) == (
+        "ed268885f4243ceb9bb8841d232833bbfdeff4472063a6f7e5848b1f7f1f57da"
+    )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import pauli_expectation_density, pauli_expectation_statevector, trace_pair
 from trotterchain.pauli import (
@@ -98,17 +100,15 @@ def test_translate_by_n_is_identity():
         assert translate(s, n) == s
 
 
-def test_mul_associative_and_phase_exact():
-    rng = np.random.default_rng(3)
-    for _ in range(60):
-        n = int(rng.integers(1, 4))
-        abc = [
-            PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.integers(0, 4)))
-            for _ in range(3)
-        ]
-        a, b, c = abc
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
-        assert np.allclose(mul(a, b).matrix(), a.matrix() @ b.matrix(), atol=1e-12)
+@settings(deadline=None)
+@given(st.data())
+def test_mul_associative_and_phase_exact(data):
+    n = data.draw(st.integers(1, 8))
+    mask = st.integers(0, (1 << n) - 1)
+    strings = st.builds(PauliString, st.just(n), mask, mask, st.integers(0, 3))
+    a, b, c = (data.draw(strings) for _ in range(3))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert np.allclose(mul(a, b).matrix(), a.matrix() @ b.matrix(), atol=1e-12)
 
 
 def test_letters_round_trip_site_one_leftmost():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -223,3 +224,26 @@ def test_expectation_cross_checks_sampling():
         par = 1 - 2 * (np.bitwise_count(idx & np.int64(s.support_mask)).astype(int) & 1)
         total += poly(DELTA) * float(p @ par)
     assert total == pytest.approx(exact, abs=1e-10)
+
+
+def _float_digest(values):
+    return hashlib.sha256("\n".join(float.hex(v) for v in values).encode()).hexdigest()
+
+
+def test_exact_expectations_match_pinned_digest():
+    # exact_expectation of Q1+..Q4+, Q1dif and Q2dif at N=10 on one product
+    # state at d = 0..2; any change to the floats of the charge evaluation shows
+    n = 10
+    specs = [ChargeSpec(k, "plus", n) for k in (1, 2, 3, 4)] + [
+        ChargeSpec(k, "dif", n) for k in (1, 2)
+    ]
+    charges = [assemble(spec) for spec in specs]
+    psi = StateVector.from_spec(InitialStateSpec("XYZZYXZYXZ", (0, 1, 1, 0, 1, 0, 0, 1, 1, 0)))
+    step = build_step(n, ALPHA)
+    values = []
+    for _ in range(3):
+        values += [exact_expectation(psi, q, DELTA) for q in charges]
+        psi = evolve_pure(step, psi)
+    assert _float_digest(values) == (
+        "20395f074b17aaccd1cd487ddbeab6f037e64185276c50651d7fc4e61e2bfb72"
+    )
