@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import LETTER_CODES, PauliString
+from .pauli import LETTER_CODES, PauliString, letter_strings
 
 VARIANTS = ("plus", "minus", "dif")
 
@@ -265,13 +265,18 @@ class PauliPolynomial:
     # -- serialization (contract consumed by measure and cli) ----------
 
     def to_dict(self, order: int | None = None, variant: str | None = None) -> dict:
+        """Terms in letter order, each row cut after its last nonzero coefficient."""
+        letters = letter_strings(self.x, self.z, self.n_sites).tolist()
+        width = np.arange(1, self.coeffs.shape[1] + 1)
+        ends = ((self.coeffs != 0) * width).max(axis=1, initial=0).tolist()
+        rows = self.coeffs.tolist()
         return {
             "n_sites": self.n_sites,
             "order": order,
             "variant": variant,
             "terms": [
-                {"pauli": letters, "coeffs": list(p.coeffs)}
-                for letters, p in sorted((s.letters(), p) for s, p in self.items())
+                {"pauli": letters[i], "coeffs": rows[i][: ends[i]]}
+                for i in sorted(range(len(rows)), key=letters.__getitem__)
             ],
         }
 

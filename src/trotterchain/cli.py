@@ -14,7 +14,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,11 +27,10 @@ from .sim import (
     DensityMatrix,
     NoiseModel,
     StateVector,
-    apply_readout_flips,
     evolve_noisy,
     evolve_pure,
     exact_expectation,
-    rotated_probabilities,
+    outcome_distribution,
     sample,
 )
 
@@ -248,7 +247,7 @@ def decay_table(config: ExperimentConfig, workers: int = 1) -> list:
 
                 def run_word(item):
                     wi, w = item
-                    counts = sample(
+                    outcomes = sample(
                         state,
                         w.letters,
                         plan.shots_per_word,
@@ -256,11 +255,11 @@ def decay_table(config: ExperimentConfig, workers: int = 1) -> list:
                         noise,
                         word_index=wi,
                     )
-                    return w, counts
+                    return w, outcomes
 
                 records = measure.ShotRecords(config.n_sites)
-                for w, counts in map_words(run_word, enumerate(plan.words)):
-                    records.add(w, counts)
+                for w, outcomes in map_words(run_word, enumerate(plan.words)):
+                    records.add(w, outcomes)
                 est = measure.estimate(records, plan, q, delta)
                 exact = exact_expectation(state, q, delta) if config.exact_reference else None
                 rows.append((d, spec.order, spec.variant, est.value, est.std_uncertainty, exact))
@@ -323,32 +322,24 @@ def _tomo_initial(kind: str, n: int) -> InitialStateSpec:
 
 def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
     """Self- and pairwise fidelities of reconstructed states along evolution."""
-    n = config.n_sites
     shots = None if config.exact_reference else config.shots_total
-    noise = config.noise_model()
-    step = build_step(n, config.alpha)
     probe = list(range(config.depth_max + 1)) if steps is None else sorted(steps)
 
-    states = {kind: DensityMatrix.from_spec(_tomo_initial(kind, n)) for kind in _TOMO_STATES}
-    ideal0 = {kind: tomo.reconstruct(states[kind], None) for kind in _TOMO_STATES}
-    recon: dict = {kind: {} for kind in _TOMO_STATES}
-    for d in range(max(probe) + 1):
-        if d > 0:
-            for kind in _TOMO_STATES:
-                states[kind] = evolve_noisy(step, states[kind], noise)
-        if d in probe:
-            for kind in _TOMO_STATES:
-                recon[kind][d] = tomo.reconstruct(states[kind], shots, config.seed + d)
-
     report = {"steps": probe, "self_fidelity": {}, "pairwise_fidelity": {}}
+    recon = {}
     for kind in _TOMO_STATES:
-        report["self_fidelity"][kind] = [
-            tomo.fidelity(ideal0[kind], recon[kind][d]) for d in probe
-        ]
+        init = _tomo_initial(kind, config.n_sites)
+        run = replace(config, initial_state=init, engine="noisy", depth_max=max(probe))
+        for d, state in enumerate(_trajectory(run)):
+            if d == 0:
+                ideal = tomo.reconstruct(state, None)
+            if d in probe:
+                recon[kind, d] = tomo.reconstruct(state, shots, config.seed + d)
+        report["self_fidelity"][kind] = [tomo.fidelity(ideal, recon[kind, d]) for d in probe]
     for i, a in enumerate(_TOMO_STATES):
         for b in _TOMO_STATES[i + 1 :]:
             report["pairwise_fidelity"][f"{a}|{b}"] = [
-                tomo.fidelity(recon[a][d], recon[b][d]) for d in probe
+                tomo.fidelity(recon[a, d], recon[b, d]) for d in probe
             ]
     return report
 
@@ -370,7 +361,6 @@ def mitigation_table(config: ExperimentConfig) -> list:
     noiseless = exact_expectation(StateVector.from_spec(init), q, delta)
 
     rows = []
-    flips = noise.flip_probs(n)
     for d in range(config.depth_max + 1):
         values = {}
         sigmas = {}
@@ -378,16 +368,8 @@ def mitigation_table(config: ExperimentConfig) -> list:
             circ = mitigate.zne_fold(build_circuit(init, config.alpha, d), k)
             # the init section is part of the folded circuit, so start from |0..0>
             rho = evolve_noisy(circ, StateVector.zero(n).density_matrix(), noise)
-            dists = {}
-            dists_corrected = {}
-            for w in plan.words:
-                p = rotated_probabilities(rho, w.letters)
-                p = np.clip(p, 0.0, None)
-                p /= p.sum()
-                if flips is not None:
-                    p = apply_readout_flips(p, flips, n)
-                dists[w.letters] = p
-                dists_corrected[w.letters] = mitigate.correct(p, calib)
+            dists = {w.letters: outcome_distribution(rho, w.letters, noise) for w in plan.words}
+            dists_corrected = {w: mitigate.correct(p, calib) for w, p in dists.items()}
             raw_mean, raw_sd = measure.exact_estimator_variance(dists, plan, q, delta)
             cor_mean, cor_sd = measure.exact_estimator_variance(dists_corrected, plan, q, delta)
             if k == 0:

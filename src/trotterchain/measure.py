@@ -6,8 +6,10 @@ matches.  The estimator pools, for each term P, all words containing P; the
 variance estimator keeps the covariances induced by that sharing, pooling
 each pair (P, P') over the words containing both.
 
-Shot records store outcome multiplicities per word: ``{bitstring: count}``
-with site 1 leftmost, the same wire format the sampler emits.
+Shot records store each word's outcomes as the ``(index, count)`` arrays the
+sampler returns: basis indices ascending, site ``j`` on bit ``j-1``.
+Bitstrings (site 1 leftmost) exist only in the records' JSON,
+``{word: {bitstring: count}}``, written and read by ``to_dict``/``from_dict``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charges import PauliPolynomial
-from .pauli import PauliString
+from .pauli import PauliString, letter_strings
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,8 @@ def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> Measurement
         raise ValueError("cannot build a cover for an empty charge")
     n = charge.n_sites
     full = np.int64((1 << n) - 1)
-    ordered = sorted(charge.terms, key=PauliString.letters)
-    x = np.array([t.x_mask for t in ordered], dtype=np.int64)
-    z = np.array([t.z_mask for t in ordered], dtype=np.int64)
+    order = np.argsort(letter_strings(charge.x, charge.z, n))
+    x, z = charge.x[order], charge.z[order]
     words: list[PauliWord] = []
     while len(x):
         s = x | z
@@ -106,8 +107,10 @@ def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> Measurement
             for i in range(0, len(x), step)
         ])
         tied = np.flatnonzero(counts == counts.max())
-        letters, best = min((PauliString(n, int(cx[i]), int(cz[i])).letters(), i) for i in tied)
-        words.append(PauliWord(letters))
+        names = letter_strings(cx[tied], cz[tied], n)
+        k = int(np.argmin(names))  # the first of equal candidates
+        best = tied[k]
+        words.append(PauliWord(str(names[k])))
         keep = ~_contained(cx[best], cz[best], x, z, s)
         x, z = x[keep], z[keep]
     return MeasurementPlan(tuple(words), shots_per_word)
@@ -130,44 +133,48 @@ class ShotRecords:
     """Per-word outcome multiplicities; counts per word must equal n_W."""
 
     n_sites: int
-    counts: dict = field(default_factory=dict)  # word letters -> {bitstring: int}
+    counts: dict = field(default_factory=dict)  # word letters -> (indices, counts), int64
 
-    def add(self, word: PauliWord, outcome_counts: dict):
-        self.counts[word.letters] = dict(outcome_counts)
+    def add(self, word: PauliWord, outcomes: tuple):
+        """Record ``(indices, counts)`` of one word, as :func:`sim.sample` returns them."""
+        self.counts[word.letters] = tuple(np.asarray(a, dtype=np.int64) for a in outcomes)
 
     def validate(self, plan: MeasurementPlan):
         for w in plan.words:
             c = self.counts.get(w.letters)
             if c is None:
                 raise ValueError(f"no records for word {w}")
-            if sum(c.values()) != plan.shots_per_word:
+            if c[1].sum() != plan.shots_per_word:
                 raise ValueError(f"records for {w} do not sum to n_W")
 
     def to_dict(self) -> dict:
-        return {"n_sites": self.n_sites, "counts": self.counts}
+        """``{"n_sites": N, "counts": {word: {bitstring: count}}}``, site 1 leftmost."""
+        n = self.n_sites
+        counts = {
+            w: {format(i, f"0{n}b")[::-1]: c for i, c in zip(idx.tolist(), cnt.tolist())}
+            for w, (idx, cnt) in self.counts.items()
+        }
+        return {"n_sites": n, "counts": counts}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ShotRecords":
-        return cls(doc["n_sites"], {w: dict(c) for w, c in doc["counts"].items()})
+        """Inverse of :meth:`to_dict`; each word's outcomes are stored by ascending index."""
+        records = cls(doc["n_sites"])
+        for w, outcomes in doc["counts"].items():
+            pairs = sorted((int(b[::-1], 2), c) for b, c in outcomes.items())
+            records.add(PauliWord(w), ([i for i, _ in pairs], [c for _, c in pairs]))
+        return records
 
 
 @dataclass
 class ChargeEstimate:
     value: float
     std_uncertainty: float
-    term_shots: dict  # term letters -> pooled shot count n_P
     diagnostics: tuple = ()
 
 
 class CoverageError(ValueError):
     """Some charge term is not contained in any plan word."""
-
-
-def _outcome_arrays(counts: dict):
-    # site 1 is the leftmost character and the lowest bit
-    idx = np.array([int(s[::-1], 2) for s in counts], dtype=np.int64)
-    cnt = np.array(list(counts.values()), dtype=np.float64)
-    return idx, cnt
 
 
 def _parities(idx: np.ndarray, mask: int) -> np.ndarray:
@@ -188,13 +195,13 @@ def estimate(
     coeffs = charge.coefficients(delta).tolist()  # Python floats, as the artifacts print them
     n_w = plan.shots_per_word
     masks = charge.x | charge.z
-    strings = list(charge.terms)
 
     word_cover = _word_cover(plan, charge)  # per word: indices of the terms it contains
     covered = set(i for cov in word_cover for i in cov)
-    missing = [strings[i].letters() for i in range(len(strings)) if i not in covered]
+    missing = [i for i in range(len(charge)) if i not in covered][:5]
     if missing:
-        raise CoverageError(f"terms not covered by any word: {missing[:5]}")
+        names = letter_strings(charge.x[missing], charge.z[missing], charge.n_sites).tolist()
+        raise CoverageError(f"terms not covered by any word: {names}")
 
     # per word: parity-sum vector over its covered terms and the full
     # cross-sum matrix sum_i Pi_a Pi_b, each as one matrix product
@@ -204,7 +211,8 @@ def estimate(
         cov = word_cover[wi]
         if not cov:
             continue
-        idx, cnt = _outcome_arrays(records.counts[w.letters])
+        idx, cnt = records.counts[w.letters]
+        cnt = cnt.astype(np.float64)
         signs = 1.0 - 2.0 * (np.bitwise_count(idx[None, :] & masks[cov, None]) & 1)
         sums = signs @ cnt
         cross = (signs * cnt) @ signs.T
@@ -246,8 +254,7 @@ def estimate(
         diagnostics.append(f"variance estimate {var:.3e} clamped at 0")
         var = 0.0
 
-    term_shots = {strings[ti].letters(): n_p[ti] for ti in covered}
-    return ChargeEstimate(value, float(np.sqrt(var)), term_shots, tuple(diagnostics))
+    return ChargeEstimate(value, float(np.sqrt(var)), tuple(diagnostics))
 
 
 def exact_estimator_variance(
@@ -277,15 +284,11 @@ def exact_estimator_variance(
             exp_single[(wi, ti)] = float(p @ _parities(idx, masks[ti]))
 
     n_p = {ti: 0 for ti in covered}
-    for (wi, ti) in exp_single:
+    s_p = {ti: 0.0 for ti in covered}
+    for (wi, ti), val in exp_single.items():  # word by word, as the estimator pools
         n_p[ti] += n_w
-    mean = 0.0
-    term_means = {}
-    for ti, c in enumerate(coeffs):
-        m = sum(exp_single[(wi, ti)] for wi in range(len(plan.words)) if (wi, ti) in exp_single)
-        m /= len([wi for wi in range(len(plan.words)) if (wi, ti) in exp_single])
-        term_means[ti] = m
-        mean += c * m
+        s_p[ti] += val
+    mean = sum(c * (s_p[ti] / (n_p[ti] // n_w)) for ti, c in enumerate(coeffs))
 
     var = 0.0
     for wi, cov in enumerate(word_cover):

@@ -11,7 +11,8 @@ with ``W_j in {I, X, Y, Z}`` read off the mask bits.  The global phase is
 tracked as a power of ``i`` modulo 4 and never as a floating scalar, so all
 downstream charge coefficients stay exact.
 
-Text rendering writes site 1 leftmost, e.g. ``"IXZY"``.
+Text rendering writes site 1 leftmost, e.g. ``"IXZY"``; :func:`letter_strings`
+is the one renderer, vectorised over mask arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 # letter at code (x_bit | z_bit << 1)
 CODE_LETTERS = "IXZY"
+_LETTER_BYTES = np.frombuffer(CODE_LETTERS.encode(), dtype=np.uint8)
 LETTER_CODES = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 
 # letter -> (x bit, z bit)
@@ -85,16 +87,8 @@ class PauliString:
 
     # -- queries ------------------------------------------------------
 
-    def code(self, site: int) -> int:
-        """Letter code at ``site``: the bit pair (x | z << 1)."""
-        j = (site - 1) % self.n_sites
-        return ((self.x_mask >> j) & 1) | (((self.z_mask >> j) & 1) << 1)
-
-    def letter(self, site: int) -> str:
-        return CODE_LETTERS[self.code(site)]
-
     def letters(self) -> str:
-        return "".join(self.letter(j) for j in range(1, self.n_sites + 1))
+        return str(letter_strings(self.x_mask, self.z_mask, self.n_sites))
 
     @property
     def support_mask(self) -> int:
@@ -149,6 +143,18 @@ class PauliString:
         m = np.zeros((dim, dim), dtype=complex)
         m[rows, np.arange(dim)] = vals
         return m
+
+
+def letter_strings(x, z, n_sites: int) -> np.ndarray:
+    """Letters of the strings with masks ``x``, ``z`` (int64 arrays), site 1 leftmost.
+
+    A numpy unicode array of ``x``'s shape; its sort is Python's ``sorted``.
+    """
+    bits = np.arange(n_sites)
+    codes = ((np.asarray(x, np.int64)[..., None] >> bits) & 1) | (
+        ((np.asarray(z, np.int64)[..., None] >> bits) & 1) << 1
+    )
+    return _LETTER_BYTES[codes].view(f"S{n_sites}")[..., 0].astype(str)
 
 
 def _check_sizes(a: PauliString, b: PauliString):

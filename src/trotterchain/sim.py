@@ -2,8 +2,9 @@
 
 Gates are applied in place with bit-indexed strides (no full 2^N gate
 matrices).  Site ``j`` lives on bit ``j-1``; a computational basis index
-``b`` has site-j outcome ``(b >> (j-1)) & 1`` and renders as a bitstring
-with site 1 leftmost, matching the Pauli text convention.
+``b`` has site-j outcome ``(b >> (j-1)) & 1``.  Sampled outcomes are
+``(index, count)`` arrays; bitstrings exist only in the shot records' JSON
+(:class:`measure.ShotRecords`).
 
 Both engines run on the same kernels.  The density matrix is a vector on 2N
 bits, ``rho.entries.reshape(-1)``: the row index is bits N..2N-1 and the
@@ -38,15 +39,6 @@ PSD_EIG_FLOOR = -1e-8
 
 class BudgetError(ValueError):
     """A dense state exceeds the configured size budget."""
-
-
-def bitstring(index: int, n_sites: int) -> str:
-    """Render a basis index with site 1 leftmost."""
-    return "".join(str((index >> j) & 1) for j in range(n_sites))
-
-
-def index_of_bits(bits) -> int:
-    return sum(int(b) << j for j, b in enumerate(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +310,20 @@ def shot_rng(seed: int, word_index: int = 0, block: int = 0) -> np.random.Genera
     )
 
 
+def outcome_distribution(state, word: str | None, noise: NoiseModel = IDEAL) -> np.ndarray:
+    """Outcome distribution in the word basis (or computational basis) as read out.
+
+    Clipped at zero and normalised, then pushed through the readout flips of ``noise``.
+    """
+    p = rotated_probabilities(state, word) if word is not None else state.probabilities()
+    p = np.clip(p, 0.0, None)
+    p /= p.sum()
+    flips = noise.flip_probs(state.n_sites)
+    if flips is not None:
+        p = apply_readout_flips(p, flips, state.n_sites)
+    return p
+
+
 def sample(
     state,
     word: str | None,
@@ -325,21 +331,15 @@ def sample(
     seed: int,
     noise: NoiseModel = IDEAL,
     word_index: int = 0,
-) -> dict:
-    """Multinomial outcome counts in the word basis (or computational basis).
+) -> tuple:
+    """Multinomial outcome counts of :func:`outcome_distribution`.
 
-    Deterministic for a fixed (seed, word_index); counts sum to ``shots``;
-    readout flips from ``noise`` are folded into the sampled distribution.
+    Returns int64 ``(indices, counts)``: the outcomes drawn, ascending, and
+    their counts, which sum to ``shots``.  Deterministic for a fixed
+    (seed, word_index).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = rotated_probabilities(state, word) if word is not None else state.probabilities()
-    p = np.clip(p, 0.0, None)
-    p /= p.sum()
-    flips = noise.flip_probs(state.n_sites)
-    if flips is not None:
-        p = apply_readout_flips(p, flips, state.n_sites)
-    rng = shot_rng(seed, word_index)
-    draws = rng.multinomial(shots, p)
-    n = state.n_sites
-    return {bitstring(i, n): int(c) for i, c in enumerate(draws) if c}
+    draws = shot_rng(seed, word_index).multinomial(shots, outcome_distribution(state, word, noise))
+    idx = np.flatnonzero(draws)
+    return idx, draws[idx]

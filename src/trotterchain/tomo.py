@@ -16,7 +16,13 @@ from itertools import product as iproduct
 import numpy as np
 
 from .pauli import PauliString
-from .sim import DensityMatrix, rotated_probabilities, shot_rng, walsh_transform
+from .sim import (
+    DensityMatrix,
+    outcome_distribution,
+    rotated_probabilities,
+    shot_rng,
+    walsh_transform,
+)
 
 TOMO_MAX_SITES = 6
 
@@ -57,11 +63,10 @@ def collect(state, shots: int | None, seed: int = 0) -> TomographyData:
     words = all_words(n)
     rows = np.empty((len(words), 1 << n))
     for k, w in enumerate(words):
-        p = rotated_probabilities(state, w)
         if shots is None:
-            rows[k] = p
+            rows[k] = rotated_probabilities(state, w)
         else:
-            rows[k] = shot_rng(seed, k).multinomial(shots, np.clip(p, 0, None) / p.sum())
+            rows[k] = shot_rng(seed, k).multinomial(shots, outcome_distribution(state, w))
     return TomographyData(n, rows, shots)
 
 
@@ -73,27 +78,25 @@ def linear_inversion(data: TomographyData) -> np.ndarray:
     """
     n = data.n_sites
     dim = 1 << n
-    words = all_words(n)
     shots = 1.0 if data.shots is None else float(data.shots)
+    cols = np.arange(dim)
 
-    sums: dict = {}
-    hits: dict = {}
-    for k, w in enumerate(words):
-        t = walsh_transform(data.freqs[k] / shots)
-        for mask in range(dim):
-            letters = "".join(w[j] if (mask >> j) & 1 else "I" for j in range(n))
-            sums[letters] = sums.get(letters, 0.0) + t[mask]
-            hits[letters] = hits.get(letters, 0) + 1
+    # on the sites of subset m, word k measures the Pauli keyed (x << n) | z,
+    # whose expectation is component m of the Walsh transform of its outcomes
+    words = [PauliString.from_letters(w) for w in all_words(n)]
+    keys = np.concatenate([((w.x_mask & cols) << n) | (w.z_mask & cols) for w in words])
+    parities = np.concatenate([walsh_transform(row / shots) for row in data.freqs])
+    paulis, first, which, hits = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    sums = np.zeros(len(paulis))
+    np.add.at(sums, which, parities)  # a running sum per Pauli, in word order
 
     rho = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for letters, total in sums.items():
-        m_p = total / hits[letters]
-        if letters == "I" * n:
-            rho[cols, cols] += m_p  # trace component is exactly 1 by construction
-            continue
-        rows, vals = PauliString.from_letters(letters).column_action()
-        rho[rows, cols] += m_p * vals
+    for i in np.argsort(first).tolist():  # Paulis in order of first appearance
+        key = int(paulis[i])
+        rows, vals = PauliString(n, key >> n, key & (dim - 1)).column_action()
+        rho[rows, cols] += sums[i] / hits[i] * vals
     return rho / dim
 
 

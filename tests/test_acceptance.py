@@ -246,7 +246,8 @@ def test_c09_estimator_monte_carlo():
         records = ShotRecords(n)
         for wi, w in enumerate(plan.words):
             draws = sim.shot_rng(9000 + r, wi).multinomial(plan.shots_per_word, dists[w.letters])
-            records.add(w, {sim.bitstring(i, n): int(c) for i, c in enumerate(draws) if c})
+            idx = np.flatnonzero(draws)
+            records.add(w, (idx, draws[idx]))
         est = estimate(records, plan, q, DELTA)
         vals[r] = est.value
         s2[r] = est.std_uncertainty**2

@@ -202,7 +202,7 @@ def test_boost_rejects_nonconserved_input():
 def _local_from_window(poly, offset):
     terms = {}
     for s, p in poly.items():
-        codes = [s.code(j) for j in range(1, s.n_sites + 1)]
+        codes = [LETTER_CODES[ch] for ch in s.letters()]
         lo = next(i for i, c in enumerate(codes) if c)
         hi = max(i for i, c in enumerate(codes) if c)
         key = (offset + lo, tuple(codes[lo : hi + 1]))
@@ -388,7 +388,7 @@ def test_gauge_no_identity_on_last_two_sites():
     for n in (1, 2, 3):
         q = window_density(n, "plus")
         for s in q.terms:
-            assert any(s.letter(j) != "I" for j in (2 * n, 2 * n + 1))
+            assert any(s.letters()[j - 1] != "I" for j in (2 * n, 2 * n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +404,9 @@ def test_assemble_window_count():
     for start in (2, 4):  # chain positions of window site 1, distance two apart
         for s, p in win.items():
             letters = ["I"] * 4
-            for w in range(1, 4):
-                if s.letter(w) != "I":
-                    letters[(start - 1 + w - 1) % 4] = s.letter(w)
+            for w, ch in enumerate(s.letters(), 1):
+                if ch != "I":
+                    letters[(start - 1 + w - 1) % 4] = ch
             terms.append((PauliString.from_letters("".join(letters)), p.coeffs))
     assert q == PauliPolynomial.from_terms(4, terms)
     # both windows park their quadratic edge term on sites {2, 4}
@@ -465,9 +465,9 @@ def test_conservation_fails_for_middle_bond_quadratic_variant():
     for start in (2, 4, 6, 8):
         for s, p in alt.items():
             letters = ["I"] * 8
-            for w in range(1, 4):
-                if s.letter(w) != "I":
-                    letters[(start - 1 + w - 1) % 8] = s.letter(w)
+            for w, ch in enumerate(s.letters(), 1):
+                if ch != "I":
+                    letters[(start - 1 + w - 1) % 8] = ch
             terms.append((PauliString.from_letters("".join(letters)), p.coeffs))
     u = step_unitary(DELTA, 8)
     q = to_matrix(PauliPolynomial.from_terms(8, terms), DELTA)

@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMO_OUTPUT = {
     "01_conserved_charges": "q[4,+]:  4767 Pauli terms",
     "03_channel_spectrum": "256 eigenvalues; largest two",
+    "04_tomography": "all pairwise fidelities at d=30",
     "05_error_mitigation": "indistinguishable at d = ",
 }
 

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from strategies import polynomials
 from trotterchain import sim
-from trotterchain.charges import ChargeSpec, PauliPolynomial, assemble, density
+from trotterchain.charges import ChargeSpec, PauliPolynomial, assemble, assemble_cached, density
 from trotterchain.circuit import InitialStateSpec, build_step
 from trotterchain.measure import (
     CoverageError,
@@ -32,9 +34,7 @@ def _letters_contain(word: str, term: str) -> bool:
 
 
 def _term_constraints(term: PauliString) -> dict:
-    return {
-        j: term.letter(j) for j in range(1, term.n_sites + 1) if term.letter(j) != "I"
-    }
+    return {j: ch for j, ch in enumerate(term.letters(), 1) if ch != "I"}
 
 
 def _compatible(constraints: dict, other: dict) -> bool:
@@ -169,7 +169,7 @@ def test_estimate_deterministic_outcome():
     q = _charge(("ZZ", 1))
     plan = MeasurementPlan((PauliWord("ZZ"),), 100)
     records = ShotRecords(2)
-    records.add(PauliWord("ZZ"), {"00": 100})
+    records.add(PauliWord("ZZ"), ([0], [100]))  # "00"
     est = estimate(records, plan, q, DELTA)
     assert est.value == 1.0
     assert est.std_uncertainty == 0.0
@@ -179,11 +179,11 @@ def test_estimate_requires_coverage_and_counts():
     q = _charge(("XX", 1))
     plan = MeasurementPlan((PauliWord("ZZ"),), 10)
     records = ShotRecords(2)
-    records.add(PauliWord("ZZ"), {"00": 10})
-    with pytest.raises(CoverageError):
+    records.add(PauliWord("ZZ"), ([0], [10]))
+    with pytest.raises(CoverageError, match=r"\['XX'\]"):
         estimate(records, plan, q, DELTA)
     bad = ShotRecords(2)
-    bad.add(PauliWord("ZZ"), {"00": 7})
+    bad.add(PauliWord("ZZ"), ([0], [7]))
     with pytest.raises(ValueError):
         estimate(bad, plan, PauliPolynomial(2), DELTA)
 
@@ -192,7 +192,8 @@ def _sample_records(plan, dists, seed, n):
     records = ShotRecords(n)
     for wi, w in enumerate(plan.words):
         draws = sim.shot_rng(seed, wi).multinomial(plan.shots_per_word, dists[w.letters])
-        records.add(w, {sim.bitstring(i, n): int(c) for i, c in enumerate(draws) if c})
+        idx = np.flatnonzero(draws)
+        records.add(w, (idx, draws[idx]))
     return records
 
 
@@ -217,6 +218,30 @@ def test_estimator_and_variance_unbiased():
     stderr = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - exact) < 4 * stderr
     assert abs(s2.mean() / vals.var(ddof=1) - 1.0) < 0.10
+
+
+@lru_cache(maxsize=None)
+def _cover_of(spec: ChargeSpec):
+    return build_cover(assemble_cached(spec))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_estimator_mean_is_exact_on_product_eigenstates(data):
+    # the pooled estimator is unbiased: its exact mean over the sampling
+    # distribution is <Q>, for every charge, state and depth drawn
+    n = data.draw(st.sampled_from([4, 6, 8]))
+    kinds = [(1, "plus"), (1, "minus"), (1, "dif")] + [(2, "plus")] * (n > 5)
+    spec = ChargeSpec(*data.draw(st.sampled_from(kinds)), n)
+    letters = data.draw(st.text("XYZ", min_size=n, max_size=n))
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    psi = sim.StateVector.from_spec(InitialStateSpec(letters, tuple(bits)))
+    for _ in range(data.draw(st.integers(0, 1))):
+        psi = sim.evolve_pure(build_step(n, 0.3), psi)  # DELTA = tan(0.3)
+    q, plan = assemble_cached(spec), _cover_of(spec)
+    dists = {w.letters: sim.rotated_probabilities(psi, w.letters) for w in plan.words}
+    mean, _ = exact_estimator_variance(dists, plan, q, DELTA)
+    assert abs(mean - sim.exact_expectation(psi, q, DELTA)) < 1e-10
 
 
 def test_exact_estimator_variance_matches_empirical():
@@ -275,10 +300,14 @@ def test_single_shot_pair_skipped_with_diagnostic():
     q = _charge(("ZI", 1), ("IZ", 1))
     plan = MeasurementPlan((PauliWord("ZZ"),), 1)
     records = ShotRecords(n)
-    records.add(PauliWord("ZZ"), {"01": 1})
+    records.add(PauliWord("ZZ"), ([2], [1]))  # "01": site 2 reads 1
     est = estimate(records, plan, q, DELTA)
     assert any("n_PP' = 1" in d for d in est.diagnostics)
     assert est.std_uncertainty == 0.0
+
+
+def _as_lists(records):
+    return {w: [a.tolist() for a in c] for w, c in records.counts.items()}
 
 
 def test_plan_serialization():
@@ -286,9 +315,38 @@ def test_plan_serialization():
     back = MeasurementPlan.from_dict(plan.to_dict())
     assert back == plan
     records = ShotRecords(2)
-    records.add(PauliWord("XY"), {"01": 4, "10": 3})
+    records.add(PauliWord("XY"), ([1, 2], [3, 4]))
+    assert records.to_dict() == {"n_sites": 2, "counts": {"XY": {"10": 3, "01": 4}}}
     back_r = ShotRecords.from_dict(records.to_dict())
-    assert back_r.counts == records.counts
+    assert _as_lists(back_r) == _as_lists(records) == {"XY": [[1, 2], [3, 4]]}
+
+
+# the records' JSON wire format, pinned: sha256 of json.dumps(ShotRecords.to_dict())
+# for the Q1+ cover at N=4, 40 shots per word, seed 17, one step from the Neel state
+RECORDS_JSON_SHA256 = "a412059e49b43d806262214a9de01268abcaaf7da7506cb42d3accc0a4664704"
+
+
+def test_sampled_records_keep_the_bitstring_wire_format():
+    n = 4
+    psi = sim.evolve_pure(build_step(n, 0.3), sim.StateVector.from_spec(InitialStateSpec.neel(n)))
+    plan = build_cover(assemble(ChargeSpec(1, "plus", n)))
+    records = ShotRecords(n)
+    for wi, w in enumerate(plan.words):
+        idx, cnt = sim.sample(psi, w.letters, 40, 17, word_index=wi)
+        assert idx.dtype == cnt.dtype == np.int64
+        assert np.all(np.diff(idx) > 0) and np.all(cnt > 0) and cnt.sum() == 40
+        records.add(w, (idx, cnt))
+    doc = records.to_dict()
+    text = json.dumps(doc)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDS_JSON_SHA256
+    assert doc["counts"]["ZZZZ"] == {"1100": 1, "0110": 2, "1001": 3, "0101": 30, "0011": 4}
+    back = ShotRecords.from_dict(json.loads(text))
+    assert _as_lists(back) == _as_lists(records)
+    assert json.dumps(back.to_dict()) == text
+    # outcomes read back in another key order are stored by ascending index again
+    shuffled = {w: dict(reversed(c.items())) for w, c in doc["counts"].items()}
+    back = ShotRecords.from_dict({"n_sites": n, "counts": shuffled})
+    assert _as_lists(back) == _as_lists(records)
 
 
 def _float_digest(values):

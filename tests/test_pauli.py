@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from dense_oracle import pauli_expectation_density, pauli_expectation_statevector, trace_pair
 from trotterchain.pauli import (
+    CODE_LETTERS,
     PauliString,
     SizeMismatchError,
     commutes,
+    letter_strings,
     mul,
     translate,
 )
@@ -111,10 +113,17 @@ def test_mul_associative_and_phase_exact(data):
     assert np.allclose(mul(a, b).matrix(), a.matrix() @ b.matrix(), atol=1e-12)
 
 
+def reference_letters(s: PauliString) -> str:
+    """Site by site: the letter at code (x bit | z bit << 1), site 1 first."""
+    codes = (((s.x_mask >> j) & 1) | (((s.z_mask >> j) & 1) << 1) for j in range(s.n_sites))
+    return "".join(CODE_LETTERS[c] for c in codes)
+
+
 def test_letters_round_trip_site_one_leftmost():
     s = PauliString.from_letters("IXZY")
     assert s.letters() == "IXZY"
-    assert s.letter(1) == "I" and s.letter(4) == "Y"
+    assert s.letters()[0] == "I" and s.letters()[3] == "Y"
+    assert str(s.with_phase(3)) == "-i*IXZY"
     # site 1 occupies the lowest-order bit
     assert PauliString.from_letters("XI").x_mask == 1
 
@@ -138,3 +147,19 @@ def test_identity_and_mask_validation():
         PauliString(2, 4, 0)
     with pytest.raises(ValueError):
         PauliString.from_letters("XQ")
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_letter_strings_match_site_loop_and_sort_like_python(data):
+    n = data.draw(st.integers(1, 31))
+    mask = st.integers(0, (1 << n) - 1)
+    pairs = data.draw(st.lists(st.tuples(mask, mask), max_size=30))
+    x = np.array([p[0] for p in pairs], dtype=np.int64)
+    z = np.array([p[1] for p in pairs], dtype=np.int64)
+    names = letter_strings(x, z, n)
+    assert names.shape == x.shape
+    expect = [reference_letters(PauliString(n, a, b)) for a, b in pairs]
+    assert names.tolist() == expect
+    assert np.sort(names).tolist() == sorted(expect)
+    assert [PauliString(n, a, b).letters() for a, b in pairs] == expect
