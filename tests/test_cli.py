@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -155,3 +156,63 @@ def test_fit_report_reads_order_from_rows():
     report = cli.fit_report(cfg, rows)
     assert list(report) == ["Q10+"]
     assert report["Q10+"]["benchmark"]["n"] == 10
+
+
+# Every artifact of every verb on two small configs, pinned by sha256: the
+# first samples with readout flips and writes a dif charge; the second runs
+# damping with finite-shot tomography (exact_reference false).
+PINNED_RUNS = {
+    "depolarizing": (
+        base_config(
+            charges=[[1, "plus"], [1, "dif"]],
+            noise={"kind": "depolarizing", "p1": 0.0013, "p2": 0.013, "readout_flip": 0.02},
+            shots_total=4000,
+            seed=5,
+        ),
+        {
+            "benchmarks.jsonl": "d2ec2a156a015272ecd7c0a981785672a094dee4740768ffb824340c37f015e7",
+            "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
+            "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
+            "decay.csv": "dbeb6a60b7fbe82e0275763254848102e94cee8794a40b10885a6d99db1bfe38",
+            "fits.csv": "1e89c97407ae895d32fe88434e7942a0595c5520ac7b25911a81beb99e718658",
+            "fits.json": "e32d9b504bc4ad2451afecc6b993778f3a93a24a96d3b2b4a182e148e6da2929",
+            "mitigation.csv": "1f8dc00d214fb3c1b608edd8398c93ebcab72adac7bc3af084a0b9656b56f624",
+            "spectrum.csv": "90448863db8af55eead1a928d6abb2bcd09d7816ad3169c40dae81d450d49707",
+            "spectrum.json": "0f08a2609ff4d41b1f7cd05e2f0a8c23cb3de8c09f3b405840b53c6a93684655",
+            "tomo.json": "3d45745c671ec16d60e8f72ab5b822077d224bea97f865e7bd944e45588471a9",
+        },
+    ),
+    "damping": (
+        base_config(
+            initial_state={"letters": "XYZX", "bits": [0, 1, 1, 0]},
+            noise={"kind": "damping", "lambda_a": 0.018, "lambda_p": 0.018},
+            shots_total=3000,
+            seed=9,
+            exact_reference=False,
+        ),
+        {
+            "benchmarks.jsonl": "a74161133458472662b83624c436163b119efdbf1e4f5f4efe22fd2d31bee27b",
+            "charge_Q1+_N4.json": "e819a82716f3a44823a02166dd1c50fe88b7fb3654927ad8065bc7dc89f71d85",
+            "decay.csv": "b55f63be430d12f669739e2a2e97489c1c3789e651520aa2594d232c83a3722b",
+            "fits.csv": "0929207941868b35cd8439297cd9526123963fd4ce4d112b5e27678715190654",
+            "fits.json": "3d2917fa519a7c0753c48227505f63932ee9ebed69aa304bc8b3ff7b642715ff",
+            "mitigation.csv": "4a54caeb5349bc50e9654cee85e81c5846615f14bf5bd00d067b82bddefb4970",
+            "spectrum.csv": "01525f12d222b0a734f328a9319775d0b16b2b6e59eb70f97dde37c6d8fb55fa",
+            "spectrum.json": "1833230c51c12f7aaccd2ce65051251172e9d7c3c592ea7dcea0b341a879acc7",
+            "tomo.json": "25bc9d86707ee2fc4347cdcfbf1043405067d1ea24f95e18530a679e8e1fca38",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_every_verb_writes_pinned_artifacts(tmp_path, name):
+    doc, expected = PINNED_RUNS[name]
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    for verb in ("charges", "decay", "fit", "spectrum", "tomo", "mitigate"):
+        assert cli.main([verb, "--config", cfg_path, "--out", str(out)]) == 0, verb
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())
+    }
+    assert digests == expected
