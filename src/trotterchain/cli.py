@@ -14,7 +14,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,22 +36,6 @@ from .sim import (
 
 SCHEMA_VERSION = 1
 
-_CONFIG_KEYS = {
-    "schema_version",
-    "n_sites",
-    "alpha",
-    "depth_max",
-    "initial_state",
-    "charges",
-    "engine",
-    "noise",
-    "shots_total",
-    "seed",
-    "exact_reference",
-    "fit_window",
-    "beta_star",
-}
-
 _NOISE_KEYS = {"kind", "p1", "p2", "lambda_a", "lambda_p", "readout_flip"}
 
 
@@ -61,6 +45,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; the config keys are its fields plus ``schema_version``."""
+
     n_sites: int
     alpha: float = 0.3
     depth_max: int = 30
@@ -89,6 +75,12 @@ class ExperimentConfig:
         unknown = set(self.noise) - _NOISE_KEYS
         if unknown:
             raise ConfigError(f"unknown noise keys: {sorted(unknown)}")
+        try:
+            model = _build_noise_model(self.noise)
+            model.flip_probs(self.n_sites)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "_noise_model", model)
 
     @property
     def delta(self) -> float:
@@ -98,45 +90,17 @@ class ExperimentConfig:
         return self.initial_state or InitialStateSpec.neel(self.n_sites)
 
     def noise_model(self) -> NoiseModel:
-        kind = self.noise.get("kind", "none")
-        readout = self.noise.get("readout_flip")
-        if kind == "none":
-            return NoiseModel(readout_flip=readout)
-        if kind == "depolarizing":
-            p1, p2 = self.noise.get("p1"), self.noise.get("p2")
-            return NoiseModel(
-                after_one_qubit=None if p1 is None else depolarizing(p1),
-                after_two_qubit=None if p2 is None else depolarizing(p2),
-                readout_flip=readout,
-            )
-        if kind == "damping":
-            la = self.noise.get("lambda_a", 0.018)
-            lp = self.noise.get("lambda_p", 0.018)
-            one = self.noise.get("p1")  # one-qubit gates are noise-free unless asked
-            return NoiseModel(
-                after_one_qubit=None if one is None else amp_phase_damping(la, lp),
-                after_two_qubit=amp_phase_damping(la, lp),
-                readout_flip=readout,
-            )
-        raise ConfigError(f"unknown noise kind {kind!r}")
+        """The model of the ``noise`` block, built and checked once at construction."""
+        return self._noise_model
 
     def to_dict(self) -> dict:
+        doc = {"schema_version": SCHEMA_VERSION}
+        doc.update((f.name, getattr(self, f.name)) for f in fields(self))
         spec = self.init_spec()
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n_sites": self.n_sites,
-            "alpha": self.alpha,
-            "depth_max": self.depth_max,
-            "initial_state": {"letters": spec.letters, "bits": list(spec.bits)},
-            "charges": [list(c) for c in self.charges],
-            "engine": self.engine,
-            "noise": dict(self.noise),
-            "shots_total": self.shots_total,
-            "seed": self.seed,
-            "exact_reference": self.exact_reference,
-            "fit_window": self.fit_window,
-            "beta_star": self.beta_star,
-        }
+        doc["initial_state"] = {"letters": spec.letters, "bits": list(spec.bits)}
+        doc["charges"] = [list(c) for c in self.charges]
+        doc["noise"] = dict(self.noise)
+        return doc
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -144,52 +108,51 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - _CONFIG_KEYS
+        kwargs = dict(doc)
+        if kwargs.pop("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {doc['schema_version']}")
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {doc.get('schema_version')}")
-        init = doc.get("initial_state")
-        spec = None
-        if init is not None:
-            if isinstance(init, str):
-                n = doc["n_sites"]
-                if init == "neel":
-                    spec = InitialStateSpec.neel(n)
-                elif init == "zeros":
-                    spec = InitialStateSpec.zeros(n)
-                else:
-                    raise ConfigError(f"unknown initial_state shorthand {init!r}")
-            else:
-                spec = InitialStateSpec(init["letters"], tuple(init["bits"]))
-        kwargs = {
-            "n_sites": doc["n_sites"],
-            "initial_state": spec,
-            "charges": tuple((int(n), str(v)) for n, v in doc.get("charges", [[1, "plus"]])),
-        }
-        for key in (
-            "alpha",
-            "depth_max",
-            "engine",
-            "noise",
-            "shots_total",
-            "seed",
-            "exact_reference",
-            "fit_window",
-            "beta_star",
-        ):
-            if key in doc:
-                kwargs[key] = doc[key]
+        init = kwargs.get("initial_state")
+        if isinstance(init, str):
+            if init not in ("neel", "zeros"):
+                raise ConfigError(f"unknown initial_state shorthand {init!r}")
+            kwargs["initial_state"] = getattr(InitialStateSpec, init)(doc["n_sites"])
+        elif init is not None:
+            kwargs["initial_state"] = InitialStateSpec(init["letters"], tuple(init["bits"]))
+        if "charges" in kwargs:
+            kwargs["charges"] = tuple((int(n), str(v)) for n, v in kwargs["charges"])
         return cls(**kwargs)
+
+
+def _build_noise_model(noise: dict) -> NoiseModel:
+    kind = noise.get("kind", "none")
+    readout = noise.get("readout_flip")
+    if kind == "none":
+        return NoiseModel(readout_flip=readout)
+    if kind == "depolarizing":
+        p1, p2 = noise.get("p1"), noise.get("p2")
+        return NoiseModel(
+            after_one_qubit=None if p1 is None else depolarizing(p1),
+            after_two_qubit=None if p2 is None else depolarizing(p2),
+            readout_flip=readout,
+        )
+    if kind == "damping":
+        la = noise.get("lambda_a", 0.018)
+        lp = noise.get("lambda_p", 0.018)
+        one = noise.get("p1")  # one-qubit gates are noise-free unless asked
+        return NoiseModel(
+            after_one_qubit=None if one is None else amp_phase_damping(la, lp),
+            after_two_qubit=amp_phase_damping(la, lp),
+            readout_flip=readout,
+        )
+    raise ConfigError(f"unknown noise kind {kind!r}")
 
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         return ExperimentConfig.from_dict(json.load(fh))
-
-
-def _header(config: ExperimentConfig) -> str:
-    return f"# trotterchain={__version__} config_sha256={config.digest()}\n"
 
 
 def _word_seed(seed: int, depth: int, label: str, word: str) -> int:
@@ -198,18 +161,23 @@ def _word_seed(seed: int, depth: int, label: str, word: str) -> int:
     return int.from_bytes(key.digest(), "little")
 
 
+def _steps(state, step, depth: int, *noise):
+    """``state``, then the states after 1..depth applications of ``step``.
+
+    With a noise model the density-matrix engine steps, without one the pure engine.
+    """
+    yield state
+    for _ in range(depth):
+        state = evolve_noisy(step, state, *noise) if noise else evolve_pure(step, state)
+        yield state
+
+
 def _trajectory(config: ExperimentConfig):
     """The state at d = 0..depth_max on the configured engine, one step at a time."""
-    init = config.init_spec()
+    init, step = config.init_spec(), build_step(config.n_sites, config.alpha)
     if config.engine == "pure":
-        state, evolve, extra = StateVector.from_spec(init), evolve_pure, ()
-    else:
-        state, evolve, extra = DensityMatrix.from_spec(init), evolve_noisy, (config.noise_model(),)
-    step = build_step(config.n_sites, config.alpha)
-    yield state
-    for _ in range(config.depth_max):
-        state = evolve(step, state, *extra)
-        yield state
+        return _steps(StateVector.from_spec(init), step, config.depth_max)
+    return _steps(DensityMatrix.from_spec(init), step, config.depth_max, config.noise_model())
 
 
 def _plan(config: ExperimentConfig, spec: ChargeSpec):
@@ -280,15 +248,6 @@ def exact_decay_series(config: ExperimentConfig) -> dict:
     return {k: np.array(v) for k, v in out.items()}
 
 
-def write_decay_csv(path: str, config: ExperimentConfig, rows: list):
-    with open(path, "w", newline="") as fh:
-        fh.write(_header(config))
-        fh.write("d,charge,variant,estimate,s_q,exact\n")
-        for d, order, variant, est, s_q, exact in rows:
-            exact_s = "" if exact is None else repr(exact)
-            fh.write(f"{d},{order},{variant},{est!r},{s_q!r},{exact_s}\n")
-
-
 def spectrum_report(config: ExperimentConfig) -> dict:
     op = spectral.vectorize_step(build_step(config.n_sites, config.alpha), config.noise_model())
     vals = spectral.spectrum(op)
@@ -333,7 +292,9 @@ def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
         for d, state in enumerate(_trajectory(run)):
             if d == 0:
                 ideal = tomo.reconstruct(state, None)
-            if d in probe:
+            if d == 0 and shots is None:
+                recon[kind, d] = ideal  # the exact reconstruction at d = 0 is ideal itself
+            elif d in probe:
                 recon[kind, d] = tomo.reconstruct(state, shots, config.seed + d)
         report["self_fidelity"][kind] = [tomo.fidelity(ideal, recon[kind, d]) for d in probe]
     for i, a in enumerate(_TOMO_STATES):
@@ -360,42 +321,36 @@ def mitigation_table(config: ExperimentConfig) -> list:
     calib = mitigate.calibrate(noise, n, shots=None)
     noiseless = exact_expectation(StateVector.from_spec(init), q, delta)
 
-    rows = []
-    for d in range(config.depth_max + 1):
-        values = {}
-        sigmas = {}
-        for k in (0, 1):
-            circ = mitigate.zne_fold(build_circuit(init, config.alpha, d), k)
-            # the init section is part of the folded circuit, so start from |0..0>
-            rho = evolve_noisy(circ, StateVector.zero(n).density_matrix(), noise)
-            dists = {w.letters: outcome_distribution(rho, w.letters, noise) for w in plan.words}
-            dists_corrected = {w: mitigate.correct(p, calib) for w, p in dists.items()}
-            raw_mean, raw_sd = measure.exact_estimator_variance(dists, plan, q, delta)
-            cor_mean, cor_sd = measure.exact_estimator_variance(dists_corrected, plan, q, delta)
-            if k == 0:
-                values["raw"], sigmas["raw"] = raw_mean, raw_sd
-            values[k], sigmas[k] = cor_mean, cor_sd
-        mit = mitigate.zne_extrapolate(values[0], values[1])
-        mit_sd = mitigate.zne_sigma(sigmas[0], sigmas[1])
-        rows.append(
-            (
-                d,
-                values["raw"] / noiseless,
-                sigmas["raw"] / abs(noiseless),
-                mit / noiseless,
-                mit_sd / abs(noiseless),
-                1.0,
-            )
+    # fold k prepares through its folded (noisy) init section from |0..0>, then
+    # steps with its folded step: the gates of the folded depth-d circuit, in order
+    zero = StateVector.zero(n).density_matrix()
+    step = build_step(n, config.alpha)
+    folds = [
+        _steps(
+            evolve_noisy(mitigate.zne_fold(build_circuit(init, config.alpha, 0), k), zero, noise),
+            mitigate.zne_fold(step, k),
+            config.depth_max,
+            noise,
         )
+        for k in (0, 1)
+    ]
+    rows = []
+    for d, states in enumerate(zip(*folds)):
+        dists = [
+            {w.letters: outcome_distribution(rho, w.letters, noise) for w in plan.words}
+            for rho in states
+        ]
+        raw, raw_sd = measure.exact_estimator_variance(dists[0], plan, q, delta)
+        (e1, s1), (e3, s3) = (
+            measure.exact_estimator_variance(
+                {w: mitigate.correct(p, calib) for w, p in fold.items()}, plan, q, delta
+            )
+            for fold in dists
+        )
+        mit, mit_sd = mitigate.zne_extrapolate(e1, e3), mitigate.zne_sigma(s1, s3)
+        scale = abs(noiseless)
+        rows.append((d, raw / noiseless, raw_sd / scale, mit / noiseless, mit_sd / scale, 1.0))
     return rows
-
-
-def write_mitigation_csv(path: str, config: ExperimentConfig, rows: list):
-    with open(path, "w", newline="") as fh:
-        fh.write(_header(config))
-        fh.write("d,unmitigated,unmitigated_sd,mitigated,mitigated_sd,exact\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def fit_report(config: ExperimentConfig, rows: list) -> dict:
@@ -449,6 +404,15 @@ def fit_report(config: ExperimentConfig, rows: list) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def write_csv(path: str, config: ExperimentConfig, columns: str, rows):
+    """Header, column line, one line per row: floats as ``repr``, None empty, else ``str``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# trotterchain={__version__} config_sha256={config.digest()}\n{columns}\n")
+        for row in rows:
+            cells = ("" if x is None else repr(x) if isinstance(x, float) else str(x) for x in row)
+            fh.write(",".join(cells) + "\n")
+
+
 def _write_json(path: str, config: ExperimentConfig, payload: dict):
     doc = {
         "trotterchain": __version__,
@@ -476,7 +440,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = ExperimentConfig.from_dict({**config.to_dict(), "seed": args.seed})
+            config = replace(config, seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
 
         if args.verb == "charges":
@@ -489,16 +453,12 @@ def main(argv=None) -> int:
         elif args.verb == "decay":
             rows = decay_table(config, workers=args.workers)
             path = os.path.join(args.out, "decay.csv")
-            write_decay_csv(path, config, rows)
+            write_csv(path, config, "d,charge,variant,estimate,s_q,exact", rows)
             print(f"wrote {path} ({len(rows)} rows)")
         elif args.verb == "spectrum":
             report = spectrum_report(config)
             path = os.path.join(args.out, "spectrum.csv")
-            with open(path, "w", newline="") as fh:
-                fh.write(_header(config))
-                fh.write("re,im\n")
-                for re, im in report["eigenvalues"]:
-                    fh.write(f"{re!r},{im!r}\n")
+            write_csv(path, config, "re,im", report["eigenvalues"])
             meta = {k: v for k, v in report.items() if k != "eigenvalues"}
             _write_json(os.path.join(args.out, "spectrum.json"), config, meta)
             print(f"wrote {path} and spectrum.json")
@@ -510,7 +470,8 @@ def main(argv=None) -> int:
         elif args.verb == "mitigate":
             rows = mitigation_table(config)
             path = os.path.join(args.out, "mitigation.csv")
-            write_mitigation_csv(path, config, rows)
+            columns = "d,unmitigated,unmitigated_sd,mitigated,mitigated_sd,exact"
+            write_csv(path, config, columns, rows)
             print(f"wrote {path}")
         elif args.verb == "fit":
             decay_path = os.path.join(args.out, "decay.csv")
@@ -519,17 +480,17 @@ def main(argv=None) -> int:
             path = os.path.join(args.out, "fits.json")
             _write_json(path, config, {"fits": report})
             csv_path = os.path.join(args.out, "fits.csv")
-            with open(csv_path, "w", newline="") as fh:
-                fh.write(_header(config))
-                fh.write("charge,model,parameter,value,std_error,converged\n")
-                for key, entry in sorted(report.items()):
-                    for model in ("exp", "early_linear"):
-                        if model not in entry:
-                            continue
-                        conv = entry[model].get("converged", True)
-                        for name, val in sorted(entry[model]["parameters"].items()):
-                            err = entry[model]["std_errors"][name]
-                            fh.write(f"{key},{model},{name},{val!r},{err!r},{conv}\n")
+            fit_rows = []
+            for key, entry in sorted(report.items()):
+                for model in ("exp", "early_linear"):
+                    if model not in entry:
+                        continue
+                    fit = entry[model]
+                    for name, val in sorted(fit["parameters"].items()):
+                        err, conv = fit["std_errors"][name], fit.get("converged", True)
+                        fit_rows.append((key, model, name, val, err, conv))
+            columns = "charge,model,parameter,value,std_error,converged"
+            write_csv(csv_path, config, columns, fit_rows)
             bench_path = os.path.join(args.out, "benchmarks.jsonl")
             with open(bench_path, "w") as fh:
                 for key, entry in sorted(report.items()):

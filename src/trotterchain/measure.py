@@ -137,7 +137,12 @@ class ShotRecords:
 
     def add(self, word: PauliWord, outcomes: tuple):
         """Record ``(indices, counts)`` of one word, as :func:`sim.sample` returns them."""
-        self.counts[word.letters] = tuple(np.asarray(a, dtype=np.int64) for a in outcomes)
+        idx, cnt = (np.asarray(a, dtype=np.int64) for a in outcomes)
+        if idx.shape != cnt.shape:
+            raise ValueError(f"outcome indices and counts of {word} differ in length")
+        if idx.size and (idx.min() < 0 or idx.max() >= 1 << self.n_sites):
+            raise ValueError(f"outcome index of {word} outside [0, 2^{self.n_sites})")
+        self.counts[word.letters] = (idx, cnt)
 
     def validate(self, plan: MeasurementPlan):
         for w in plan.words:
@@ -161,6 +166,9 @@ class ShotRecords:
         """Inverse of :meth:`to_dict`; each word's outcomes are stored by ascending index."""
         records = cls(doc["n_sites"])
         for w, outcomes in doc["counts"].items():
+            for b in outcomes:
+                if len(b) != records.n_sites:
+                    raise ValueError(f"outcome {b!r} of {w} is not {records.n_sites} sites long")
             pairs = sorted((int(b[::-1], 2), c) for b, c in outcomes.items())
             records.add(PauliWord(w), ([i for i, _ in pairs], [c for _, c in pairs]))
         return records
@@ -293,9 +301,12 @@ def exact_estimator_variance(
     var = 0.0
     for wi, cov in enumerate(word_cover):
         p = distributions[plan.words[wi].letters]
+        cross = {}  # symmetric in (a, b): one pass over the outcomes per unordered pair
+        for i, a in enumerate(cov):
+            for b in cov[i:]:
+                cross[a, b] = cross[b, a] = float(p @ _parities(idx, masks[a] ^ masks[b]))
         for a in cov:
             for b in cov:
-                cross = float(p @ _parities(idx, masks[a] ^ masks[b]))
-                cov_ab = cross - exp_single[(wi, a)] * exp_single[(wi, b)]
+                cov_ab = cross[a, b] - exp_single[(wi, a)] * exp_single[(wi, b)]
                 var += coeffs[a] * coeffs[b] * n_w * cov_ab / (n_p[a] * n_p[b])
     return mean, float(np.sqrt(max(var, 0.0)))

@@ -13,10 +13,15 @@ column index bits 0..N-1.  A one-qubit gate ``m`` on site ``j`` applies
 on both bit pairs; a one-site channel is its (2,2,2,2) superoperator on the
 bit pair ``(j-1+N, j-1)``.
 
-The noisy engine conjugates the density matrix by each gate and then applies
-the configured channel once per touched site, covering initialization and
-measurement-rotation gates as well; setting a channel to ``None`` exempts
-the corresponding gate class.
+The noisy engine conjugates the density matrix by each gate of the circuit
+passed to :func:`evolve_noisy` and then applies the configured channel once
+per touched site; setting a channel to ``None`` exempts the corresponding
+gate class.  Only those gates are noisy.  ``DensityMatrix.from_spec``
+prepares the ideal product state and :func:`rotated_probabilities` rotates
+into a word basis without channels, so decay and tomography run noisy
+evolution steps between ideal preparation and ideal rotation.  Mitigation's
+folded circuits start from |0..0> with the preparation gates, so there
+preparation is noisy as well.
 """
 
 from __future__ import annotations
@@ -213,10 +218,13 @@ class NoiseModel:
         if self.readout_flip is None:
             return None
         if np.isscalar(self.readout_flip):
-            return np.full(n_sites, float(self.readout_flip))
-        q = np.asarray(self.readout_flip, dtype=float)
+            q = np.full(n_sites, float(self.readout_flip))
+        else:
+            q = np.asarray(self.readout_flip, dtype=float)
         if q.shape != (n_sites,):
             raise ValueError("per-site flip probabilities must have length N")
+        if not ((q >= 0.0) & (q <= 1.0)).all():
+            raise ValueError("readout flip probabilities must lie in [0, 1]")
         return q
 
 

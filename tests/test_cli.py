@@ -48,6 +48,26 @@ def test_config_validation():
     assert cfg.delta == pytest.approx(np.tan(0.3))
 
 
+BAD_NOISE = {
+    "bogus kind": {"kind": "bogus"},
+    "p1 above 1": {"kind": "depolarizing", "p1": 1.5, "p2": 0.013},
+    "damping rates above 1": {"kind": "damping", "lambda_a": 0.8, "lambda_p": 0.8},
+    "readout flip above 1": {"kind": "none", "readout_flip": 1.5},
+    "readout flip of wrong length": {"kind": "none", "readout_flip": [0.01, 0.02]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NOISE))
+def test_noise_block_rejected_at_load(tmp_path, capsys, case):
+    doc = base_config(noise=BAD_NOISE[case])
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(doc)
+    out = tmp_path / "out"
+    assert cli.main(["charges", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert "error: ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_noiseless_decay_exact_column_constant(tmp_path):
     doc = base_config(engine="pure", noise={"kind": "none"}, depth_max=6, shots_total=1000)
     cfg = ExperimentConfig.from_dict(doc)
@@ -61,7 +81,7 @@ def test_decay_csv_round_trip_and_header(tmp_path):
     cfg = ExperimentConfig.from_dict(doc)
     rows = cli.decay_table(cfg)
     path = tmp_path / "decay.csv"
-    cli.write_decay_csv(str(path), cfg, rows)
+    cli.write_csv(str(path), cfg, "d,charge,variant,estimate,s_q,exact", rows)
     text = path.read_text()
     assert text.startswith("# trotterchain=")
     assert f"config_sha256={cfg.digest()}" in text

@@ -321,6 +321,21 @@ def test_plan_serialization():
     assert _as_lists(back_r) == _as_lists(records) == {"XY": [[1, 2], [3, 4]]}
 
 
+
+def test_records_reject_outcomes_outside_the_register():
+    with pytest.raises(ValueError, match="not 2 sites long"):
+        ShotRecords.from_dict({"n_sites": 2, "counts": {"ZZ": {"001": 5}}})
+    records = ShotRecords(2)
+    with pytest.raises(ValueError, match="outside"):
+        records.add(PauliWord("ZZ"), ([0, 4], [1, 1]))
+    with pytest.raises(ValueError, match="outside"):
+        records.add(PauliWord("ZZ"), ([-1], [1]))
+    with pytest.raises(ValueError, match="differ in length"):
+        records.add(PauliWord("ZZ"), ([0, 3], [5]))
+    assert records.counts == {}
+    records.add(PauliWord("ZZ"), ([0, 3], [2, 5]))
+    assert _as_lists(records) == {"ZZ": [[0, 3], [2, 5]]}
+
 # the records' JSON wire format, pinned: sha256 of json.dumps(ShotRecords.to_dict())
 # for the Q1+ cover at N=4, 40 shots per word, seed 17, one step from the Neel state
 RECORDS_JSON_SHA256 = "a412059e49b43d806262214a9de01268abcaaf7da7506cb42d3accc0a4664704"

@@ -209,6 +209,12 @@ def test_readout_flip_changes_distribution():
     assert freq10 == pytest.approx(0.25 * 0.75, abs=0.01)
 
 
+@pytest.mark.parametrize("flip", [1.5, -0.1, float("nan"), (0.1, 1.2), (0.1, 0.1, 0.1)])
+def test_readout_flip_probabilities_checked(flip):
+    with pytest.raises(ValueError):
+        NoiseModel(readout_flip=flip).flip_probs(2)
+
+
 def test_expectation_cross_checks_sampling():
     n = 4
     q = assemble(ChargeSpec(1, "plus", n))
