@@ -12,7 +12,8 @@ from strategies import gate_lists
 from trotterchain import sim
 from trotterchain.charges import ChargeSpec, assemble, step_unitary
 from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_circuit, build_step
-from trotterchain.noise import depolarizing
+from trotterchain.mitigate import calibrate
+from trotterchain.noise import amp_phase_damping, depolarizing
 from trotterchain.sim import (
     DensityMatrix,
     NoiseModel,
@@ -22,6 +23,7 @@ from trotterchain.sim import (
     exact_expectation,
     sample,
 )
+from trotterchain.tomo import collect
 
 ALPHA = 0.3
 DELTA = float(np.tan(ALPHA))
@@ -252,3 +254,19 @@ def test_exact_expectations_match_pinned_digest():
     assert _float_digest(values) == (
         "20395f074b17aaccd1cd487ddbeab6f037e64185276c50651d7fc4e61e2bfb72"
     )
+
+
+def test_finite_shot_readout_matches_pinned_digest():
+    # sha256 of the raw bytes of a sampled calibration matrix (per-site flips,
+    # 500 shots per column) and of a 700-shot tomography table of a damped
+    # N=4 state: any change to how shots are drawn or read out shows
+    calib = calibrate(NoiseModel(readout_flip=(0.05, 0.2, 0.0)), 3, shots=500, seed=3)
+    damping = amp_phase_damping(0.018, 0.018)
+    rho = DensityMatrix.from_spec(InitialStateSpec.neel(4))
+    for _ in range(2):
+        rho = evolve_noisy(build_step(4, ALPHA), rho, NoiseModel(damping, damping))
+    freqs = collect(rho, 700, seed=5).freqs
+    assert [hashlib.sha256(a.tobytes()).hexdigest() for a in (calib.matrix, freqs)] == [
+        "d2809a187cc4a6f3929ca61d645f4200e6f054c5e29f7170dd829a4b5a91febb",
+        "bc0b5fe975c35d44074a3c84787c6dad3d87a188ee2e90b17384fe19f59437aa",
+    ]
