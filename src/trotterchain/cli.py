@@ -282,6 +282,7 @@ def _tomo_initial(kind: str, n: int) -> InitialStateSpec:
 def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
     """Self- and pairwise fidelities of reconstructed states along evolution."""
     shots = None if config.exact_reference else config.shots_total
+    noise = config.noise_model()
     probe = list(range(config.depth_max + 1)) if steps is None else sorted(steps)
 
     report = {"steps": probe, "self_fidelity": {}, "pairwise_fidelity": {}}
@@ -295,7 +296,7 @@ def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
             if d == 0 and shots is None:
                 recon[kind, d] = ideal  # the exact reconstruction at d = 0 is ideal itself
             elif d in probe:
-                recon[kind, d] = tomo.reconstruct(state, shots, config.seed + d)
+                recon[kind, d] = tomo.reconstruct(state, shots, config.seed + d, noise)
         report["self_fidelity"][kind] = [tomo.fidelity(ideal, recon[kind, d]) for d in probe]
     for i, a in enumerate(_TOMO_STATES):
         for b in _TOMO_STATES[i + 1 :]:

@@ -1,7 +1,7 @@
 """Readout-error mitigation and zero-noise extrapolation.
 
 Readout correction: a column-stochastic calibration matrix is measured by
-preparing every computational basis state through the readout model; observed
+reading out every computational basis state through the simulator; observed
 distributions are unfolded by least squares constrained to the probability
 simplex (projected gradient), which cannot emit negative probabilities.
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit
-from .sim import NoiseModel, apply_readout_flips, shot_rng
+from .sim import NoiseModel, StateVector, outcome_distribution, sample
 from .tomo import simplex_project
 
 CALIB_MAX_SITES = 6
@@ -43,22 +43,19 @@ class CalibrationMatrix:
 
 
 def calibrate(noise: NoiseModel, n_sites: int, shots: int | None, seed: int = 0) -> CalibrationMatrix:
-    """Measure the readout model column by column; ``shots=None`` is exact."""
+    """Column j reads out basis state j in the all-Z word; ``shots=None`` is exact."""
     if n_sites > CALIB_MAX_SITES:
         raise ValueError(f"calibration budget is N <= {CALIB_MAX_SITES}")
     dim = 1 << n_sites
-    flips = noise.flip_probs(n_sites)
-    cols = np.empty((dim, dim))
+    word = "Z" * n_sites
+    cols = np.zeros((dim, dim))
     for j in range(dim):
-        p = np.zeros(dim)
-        p[j] = 1.0
-        if flips is not None:
-            p = apply_readout_flips(p, flips, n_sites)
+        state = StateVector.basis(n_sites, j)
         if shots is None:
-            cols[:, j] = p
+            cols[:, j] = outcome_distribution(state, word, noise)
         else:
-            draws = shot_rng(seed, word_index=j).multinomial(shots, p)
-            cols[:, j] = draws / shots
+            idx, counts = sample(state, word, shots, seed, noise, word_index=j)
+            cols[idx, j] = counts / shots
     return CalibrationMatrix(n_sites, cols)
 
 

@@ -311,20 +311,19 @@ def apply_readout_flips(probs: np.ndarray, flip: np.ndarray, n_sites: int) -> np
     return p
 
 
-def shot_rng(seed: int, word_index: int = 0, block: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, word index, shot block)."""
+def shot_rng(seed: int, word_index: int = 0) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, word index)."""
     return np.random.Generator(
-        np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, (word_index << 20) ^ block])
+        np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, word_index << 20])
     )
 
 
-def outcome_distribution(state, word: str | None, noise: NoiseModel = IDEAL) -> np.ndarray:
-    """Outcome distribution in the word basis (or computational basis) as read out.
+def outcome_distribution(state, word: str, noise: NoiseModel = IDEAL) -> np.ndarray:
+    """Outcome distribution in the basis of ``word`` (all Z: computational) as read out.
 
     Clipped at zero and normalised, then pushed through the readout flips of ``noise``.
     """
-    p = rotated_probabilities(state, word) if word is not None else state.probabilities()
-    p = np.clip(p, 0.0, None)
+    p = np.clip(rotated_probabilities(state, word), 0.0, None)
     p /= p.sum()
     flips = noise.flip_probs(state.n_sites)
     if flips is not None:
@@ -334,7 +333,7 @@ def outcome_distribution(state, word: str | None, noise: NoiseModel = IDEAL) -> 
 
 def sample(
     state,
-    word: str | None,
+    word: str,
     shots: int,
     seed: int,
     noise: NoiseModel = IDEAL,
@@ -342,9 +341,9 @@ def sample(
 ) -> tuple:
     """Multinomial outcome counts of :func:`outcome_distribution`.
 
-    Returns int64 ``(indices, counts)``: the outcomes drawn, ascending, and
-    their counts, which sum to ``shots``.  Deterministic for a fixed
-    (seed, word_index).
+    The only place shots are drawn.  Returns int64 ``(indices, counts)``: the
+    outcomes drawn, ascending, and their counts, which sum to ``shots``.
+    Deterministic for a fixed (seed, word_index).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

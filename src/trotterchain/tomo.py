@@ -16,13 +16,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .pauli import PauliString
-from .sim import (
-    DensityMatrix,
-    outcome_distribution,
-    rotated_probabilities,
-    shot_rng,
-    walsh_transform,
-)
+from .sim import IDEAL, DensityMatrix, NoiseModel, rotated_probabilities, sample, walsh_transform
 
 TOMO_MAX_SITES = 6
 
@@ -55,18 +49,19 @@ class TomographyData:
             raise ValueError("per-basis counts do not sum to the shot count")
 
 
-def collect(state, shots: int | None, seed: int = 0) -> TomographyData:
-    """Measure all 3^N bases of ``state``; ``shots=None`` stores exact distributions."""
+def collect(state, shots: int | None, seed: int = 0, noise: NoiseModel = IDEAL) -> TomographyData:
+    """Read out all 3^N bases of ``state`` through ``noise``; ``shots=None`` is exact and ideal."""
     n = state.n_sites
     if n > TOMO_MAX_SITES:
         raise ValueError(f"tomography budget is N <= {TOMO_MAX_SITES}")
     words = all_words(n)
-    rows = np.empty((len(words), 1 << n))
+    rows = np.zeros((len(words), 1 << n))
     for k, w in enumerate(words):
         if shots is None:
             rows[k] = rotated_probabilities(state, w)
         else:
-            rows[k] = shot_rng(seed, k).multinomial(shots, outcome_distribution(state, w))
+            idx, counts = sample(state, w, shots, seed, noise, word_index=k)
+            rows[k, idx] = counts
     return TomographyData(n, rows, shots)
 
 
@@ -151,6 +146,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def reconstruct(state, shots: int | None, seed: int = 0) -> DensityMatrix:
-    """collect -> linear inversion -> positive projection."""
-    return psd_project(linear_inversion(collect(state, shots, seed)), state.n_sites)
+def reconstruct(
+    state, shots: int | None, seed: int = 0, noise: NoiseModel = IDEAL
+) -> DensityMatrix:
+    """collect -> linear inversion -> positive projection; ``noise`` as in :func:`collect`."""
+    return psd_project(linear_inversion(collect(state, shots, seed, noise)), state.n_sites)

@@ -170,6 +170,18 @@ def test_workers_give_identical_results():
     assert rows1 == rows4
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["finite_shots", "exact_reference"])
+def test_tomography_reads_out_through_readout_flip(exact):
+    # finite-shot tomography draws through the config's readout flips; the
+    # exact reconstructions are the ideal reference and ignore them
+    def report(**flip):
+        noise = {"kind": "damping", "lambda_a": 0.018, "lambda_p": 0.018, **flip}
+        doc = base_config(noise=noise, shots_total=500, exact_reference=exact)
+        return cli.tomo_report(ExperimentConfig.from_dict(doc), steps=[0, 2])
+
+    assert (report(readout_flip=0.3) == report()) == exact
+
+
 def test_fit_report_reads_order_from_rows():
     cfg = ExperimentConfig.from_dict(base_config(depth_max=5))
     rows = [(d, 10, "plus", 0.0, 0.0, float(np.exp(-0.05 * d))) for d in range(6)]
