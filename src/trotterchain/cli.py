@@ -36,7 +36,11 @@ from .sim import (
 
 SCHEMA_VERSION = 1
 
-_NOISE_KEYS = {"kind", "p1", "p2", "lambda_a", "lambda_p", "readout_flip"}
+_NOISE_KIND_KEYS = {
+    "none": {"readout_flip"},
+    "depolarizing": {"p1", "p2", "readout_flip"},
+    "damping": {"lambda_a", "lambda_p", "p1", "readout_flip"},
+}
 
 
 class ConfigError(ValueError):
@@ -72,9 +76,12 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from None
         if self.initial_state is not None and self.initial_state.n_sites != self.n_sites:
             raise ConfigError("initial state length must match n_sites")
-        unknown = set(self.noise) - _NOISE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown noise keys: {sorted(unknown)}")
+        kind = self.noise.get("kind", "none")
+        if kind not in _NOISE_KIND_KEYS:
+            raise ConfigError(f"unknown noise kind {kind!r}")
+        unread = set(self.noise) - {"kind", *_NOISE_KIND_KEYS[kind]}
+        if unread:
+            raise ConfigError(f"noise kind {kind!r} does not read {sorted(unread)}")
         try:
             model = _build_noise_model(self.noise)
             model.flip_probs(self.n_sites)
@@ -138,16 +145,14 @@ def _build_noise_model(noise: dict) -> NoiseModel:
             after_two_qubit=None if p2 is None else depolarizing(p2),
             readout_flip=readout,
         )
-    if kind == "damping":
-        la = noise.get("lambda_a", 0.018)
-        lp = noise.get("lambda_p", 0.018)
-        one = noise.get("p1")  # one-qubit gates are noise-free unless asked
-        return NoiseModel(
-            after_one_qubit=None if one is None else amp_phase_damping(la, lp),
-            after_two_qubit=amp_phase_damping(la, lp),
-            readout_flip=readout,
-        )
-    raise ConfigError(f"unknown noise kind {kind!r}")
+    la = noise.get("lambda_a", 0.018)  # damping
+    lp = noise.get("lambda_p", 0.018)
+    one = noise.get("p1")  # one-qubit gates are noise-free unless asked
+    return NoiseModel(
+        after_one_qubit=None if one is None else amp_phase_damping(la, lp),
+        after_two_qubit=amp_phase_damping(la, lp),
+        readout_flip=readout,
+    )
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -282,7 +287,6 @@ def _tomo_initial(kind: str, n: int) -> InitialStateSpec:
 def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
     """Self- and pairwise fidelities of reconstructed states along evolution."""
     shots = None if config.exact_reference else config.shots_total
-    noise = config.noise_model()
     probe = list(range(config.depth_max + 1)) if steps is None else sorted(steps)
 
     report = {"steps": probe, "self_fidelity": {}, "pairwise_fidelity": {}}
@@ -296,7 +300,7 @@ def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
             if d == 0 and shots is None:
                 recon[kind, d] = ideal  # the exact reconstruction at d = 0 is ideal itself
             elif d in probe:
-                recon[kind, d] = tomo.reconstruct(state, shots, config.seed + d, noise)
+                recon[kind, d] = tomo.reconstruct(state, shots, config.seed + d, config.noise_model())
         report["self_fidelity"][kind] = [tomo.fidelity(ideal, recon[kind, d]) for d in probe]
     for i, a in enumerate(_TOMO_STATES):
         for b in _TOMO_STATES[i + 1 :]:

@@ -54,6 +54,9 @@ BAD_NOISE = {
     "damping rates above 1": {"kind": "damping", "lambda_a": 0.8, "lambda_p": 0.8},
     "readout flip above 1": {"kind": "none", "readout_flip": 1.5},
     "readout flip of wrong length": {"kind": "none", "readout_flip": [0.01, 0.02]},
+    "p2 under damping": {"kind": "damping", "p2": 0.5},
+    "p1 under none": {"kind": "none", "p1": 0.01},
+    "lambda_a under depolarizing": {"kind": "depolarizing", "lambda_a": 0.1},
 }
 
 
