@@ -300,7 +300,8 @@ def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
             if d == 0 and shots is None:
                 recon[kind, d] = ideal  # the exact reconstruction at d = 0 is ideal itself
             elif d in probe:
-                recon[kind, d] = tomo.reconstruct(state, shots, config.seed + d, config.noise_model())
+                seed = _word_seed(config.seed, d, kind, "tomo")
+                recon[kind, d] = tomo.reconstruct(state, shots, seed, config.noise_model())
         report["self_fidelity"][kind] = [tomo.fidelity(ideal, recon[kind, d]) for d in probe]
     for i, a in enumerate(_TOMO_STATES):
         for b in _TOMO_STATES[i + 1 :]:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from trotterchain import cli
+from trotterchain import cli, tomo
 from trotterchain.charges import ChargeSpec, assemble
 from trotterchain.cli import ConfigError, ExperimentConfig
 
@@ -185,6 +185,24 @@ def test_tomography_reads_out_through_readout_flip(exact):
     assert (report(readout_flip=0.3) == report()) == exact
 
 
+def test_tomography_shot_seeds_never_repeat(monkeypatch):
+    # every finite-shot reconstruction of a run, and of the run with the next
+    # seed, draws from a stream of its own
+    seeds = []
+    real = tomo.reconstruct
+
+    def spy(state, shots, *rest):
+        if shots is not None:
+            seeds.append(rest[0])
+        return real(state, shots, *rest)
+
+    monkeypatch.setattr(tomo, "reconstruct", spy)
+    for seed in (11, 12):
+        doc = base_config(depth_max=2, shots_total=500, exact_reference=False, seed=seed)
+        cli.tomo_report(ExperimentConfig.from_dict(doc))
+    assert len(seeds) == 18 and len(set(seeds)) == 18
+
+
 def test_fit_report_reads_order_from_rows():
     cfg = ExperimentConfig.from_dict(base_config(depth_max=5))
     rows = [(d, 10, "plus", 0.0, 0.0, float(np.exp(-0.05 * d))) for d in range(6)]
@@ -234,7 +252,7 @@ PINNED_RUNS = {
             "mitigation.csv": "4a54caeb5349bc50e9654cee85e81c5846615f14bf5bd00d067b82bddefb4970",
             "spectrum.csv": "01525f12d222b0a734f328a9319775d0b16b2b6e59eb70f97dde37c6d8fb55fa",
             "spectrum.json": "1833230c51c12f7aaccd2ce65051251172e9d7c3c592ea7dcea0b341a879acc7",
-            "tomo.json": "25bc9d86707ee2fc4347cdcfbf1043405067d1ea24f95e18530a679e8e1fca38",
+            "tomo.json": "185a681cfd1a54187802f73575cb708dfae23f04f0c9124c2ed1b00d3253b447",
         },
     ),
 }
