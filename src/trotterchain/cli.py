@@ -145,7 +145,7 @@ def _build_noise_model(noise: dict) -> NoiseModel:
             after_two_qubit=None if p2 is None else depolarizing(p2),
             readout_flip=readout,
         )
-    la = noise.get("lambda_a", 0.018)  # damping
+    la = noise.get("lambda_a", 0.018)  # damping: the kind was checked at load
     lp = noise.get("lambda_p", 0.018)
     one = noise.get("p1")  # one-qubit gates are noise-free unless asked
     return NoiseModel(

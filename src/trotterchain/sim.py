@@ -206,8 +206,8 @@ class NoiseModel:
 
     ``after_one_qubit`` follows every one-qubit gate; ``after_two_qubit`` is
     a one-site channel applied independently to both sites of every CNOT;
-    ``readout_flip`` is a classical per-site bit-flip probability applied to
-    sampled outcomes.  ``None`` disables the corresponding insertion.
+    ``readout_flip`` is a classical per-site bit-flip probability applied by
+    :func:`outcome_distribution`.  ``None`` disables the corresponding insertion.
     """
 
     after_one_qubit: KrausChannel | None = None
