@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -36,10 +37,30 @@ from .sim import (
 
 SCHEMA_VERSION = 1
 
-_NOISE_KIND_KEYS = {
-    "none": {"readout_flip"},
-    "depolarizing": {"p1", "p2", "readout_flip"},
-    "damping": {"lambda_a", "lambda_p", "p1", "readout_flip"},
+
+def _no_noise(readout_flip=None) -> NoiseModel:
+    return NoiseModel(readout_flip=readout_flip)
+
+
+def _depolarizing_noise(p1=None, p2=None, readout_flip=None) -> NoiseModel:
+    return NoiseModel(
+        None if p1 is None else depolarizing(p1),
+        None if p2 is None else depolarizing(p2),
+        readout_flip,
+    )
+
+
+def _damping_noise(lambda_a=0.018, lambda_p=0.018, p1=None, readout_flip=None) -> NoiseModel:
+    """Damping after every CNOT; one-qubit gates are noise-free unless ``p1`` is set."""
+    channel = amp_phase_damping(lambda_a, lambda_p)
+    return NoiseModel(None if p1 is None else channel, channel, readout_flip)
+
+
+# noise kind -> its builder, whose keyword parameters are the keys the kind reads
+_NOISE_BUILDERS = {
+    "none": _no_noise,
+    "depolarizing": _depolarizing_noise,
+    "damping": _damping_noise,
 }
 
 
@@ -77,16 +98,20 @@ class ExperimentConfig:
         if self.initial_state is not None and self.initial_state.n_sites != self.n_sites:
             raise ConfigError("initial state length must match n_sites")
         kind = self.noise.get("kind", "none")
-        if kind not in _NOISE_KIND_KEYS:
+        if kind not in _NOISE_BUILDERS:
             raise ConfigError(f"unknown noise kind {kind!r}")
-        unread = set(self.noise) - {"kind", *_NOISE_KIND_KEYS[kind]}
+        build = _NOISE_BUILDERS[kind]
+        keys = {k: v for k, v in self.noise.items() if k != "kind"}
+        unread = set(keys) - set(inspect.signature(build).parameters)
         if unread:
             raise ConfigError(f"noise kind {kind!r} does not read {sorted(unread)}")
         try:
-            model = _build_noise_model(self.noise)
+            model = build(**keys)
             model.flip_probs(self.n_sites)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.engine == "pure" and (model.after_one_qubit or model.after_two_qubit):
+            raise ConfigError(f"engine 'pure' takes no gate channels, and noise {kind!r} adds one")
         object.__setattr__(self, "_noise_model", model)
 
     @property
@@ -131,28 +156,6 @@ class ExperimentConfig:
         if "charges" in kwargs:
             kwargs["charges"] = tuple((int(n), str(v)) for n, v in kwargs["charges"])
         return cls(**kwargs)
-
-
-def _build_noise_model(noise: dict) -> NoiseModel:
-    kind = noise.get("kind", "none")
-    readout = noise.get("readout_flip")
-    if kind == "none":
-        return NoiseModel(readout_flip=readout)
-    if kind == "depolarizing":
-        p1, p2 = noise.get("p1"), noise.get("p2")
-        return NoiseModel(
-            after_one_qubit=None if p1 is None else depolarizing(p1),
-            after_two_qubit=None if p2 is None else depolarizing(p2),
-            readout_flip=readout,
-        )
-    la = noise.get("lambda_a", 0.018)  # damping: the kind was checked at load
-    lp = noise.get("lambda_p", 0.018)
-    one = noise.get("p1")  # one-qubit gates are noise-free unless asked
-    return NoiseModel(
-        after_one_qubit=None if one is None else amp_phase_damping(la, lp),
-        after_two_qubit=amp_phase_damping(la, lp),
-        readout_flip=readout,
-    )
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -327,19 +330,14 @@ def mitigation_table(config: ExperimentConfig) -> list:
     calib = mitigate.calibrate(noise, n, shots=None)
     noiseless = exact_expectation(StateVector.from_spec(init), q, delta)
 
-    # fold k prepares through its folded (noisy) init section from |0..0>, then
-    # steps with its folded step: the gates of the folded depth-d circuit, in order
+    # every fold prepares through the (noisy) init section from |0..0>, then
+    # steps with its folded step: the gates of the folded depth-d circuit, in
+    # order.  The init section has no CNOT, so folding leaves it unchanged and
+    # one preparation serves every fold.
     zero = StateVector.zero(n).density_matrix()
+    prepared = evolve_noisy(build_circuit(init, config.alpha, 0), zero, noise)
     step = build_step(n, config.alpha)
-    folds = [
-        _steps(
-            evolve_noisy(mitigate.zne_fold(build_circuit(init, config.alpha, 0), k), zero, noise),
-            mitigate.zne_fold(step, k),
-            config.depth_max,
-            noise,
-        )
-        for k in (0, 1)
-    ]
+    folds = [_steps(prepared, mitigate.zne_fold(step, k), config.depth_max, noise) for k in (0, 1)]
     rows = []
     for d, states in enumerate(zip(*folds)):
         dists = [

@@ -51,10 +51,6 @@ class MeasurementPlan:
     words: tuple
     shots_per_word: int
 
-    @property
-    def total_shots(self) -> int:
-        return self.shots_per_word * len(self.words)
-
     def to_dict(self) -> dict:
         return {"shots_per_word": self.shots_per_word, "words": [w.letters for w in self.words]}
 
@@ -73,8 +69,10 @@ def _contained(wx, wz, x, z, s):
 _COUNT_BLOCK = 1 << 18
 
 
-def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> MeasurementPlan:
-    """Greedy word cover of all charge terms.
+def build_cover(charge: PauliPolynomial) -> MeasurementPlan:
+    """Greedy word cover of all charge terms, as a plan of one shot per word.
+
+    Callers that sample set their shot count with ``MeasurementPlan(words, n_W)``.
 
     Each round builds candidate words by merging compatible still-uncovered
     terms onto a seed term (unconstrained sites completed with Z) and emits
@@ -113,7 +111,7 @@ def build_cover(charge: PauliPolynomial, shots_per_word: int = 1) -> Measurement
         words.append(PauliWord(str(names[k])))
         keep = ~_contained(cx[best], cz[best], x, z, s)
         x, z = x[keep], z[keep]
-    return MeasurementPlan(tuple(words), shots_per_word)
+    return MeasurementPlan(tuple(words), 1)
 
 
 def _word_cover(plan: MeasurementPlan, charge: PauliPolynomial) -> list:
@@ -185,8 +183,26 @@ class CoverageError(ValueError):
     """Some charge term is not contained in any plan word."""
 
 
-def _parities(idx: np.ndarray, mask: int) -> np.ndarray:
+def _parities(idx: np.ndarray, mask) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(mask)).astype(np.int64) & 1)
+
+
+def _coverage(plan: MeasurementPlan, charge: PauliPolynomial) -> tuple:
+    """Per plan word, the ascending indices of the terms it contains, and per
+    term its pooled shot count n_P (n_W times the number of words containing it).
+
+    Raises :class:`CoverageError` naming up to five terms no word contains.
+    """
+    word_cover = _word_cover(plan, charge)
+    n_words = [0] * len(charge)
+    for cov in word_cover:
+        for ti in cov:
+            n_words[ti] += 1
+    missing = [ti for ti, k in enumerate(n_words) if not k][:5]
+    if missing:
+        names = letter_strings(charge.x[missing], charge.z[missing], charge.n_sites).tolist()
+        raise CoverageError(f"terms not covered by any word: {names}")
+    return word_cover, [plan.shots_per_word * k for k in n_words]
 
 
 def estimate(
@@ -197,52 +213,39 @@ def estimate(
     The value pools each term over all covering words; the uncertainty keeps
     the word-sharing covariances, skips pairs pooled over a single shot
     (their variance weight is undefined), and clamps a slightly negative
-    variance at zero.  Both degeneracies are reported as diagnostics.
+    variance at zero.  Both degeneracies are reported as diagnostics.  Raises
+    :class:`CoverageError` when a term is in no plan word.
     """
     records.validate(plan)
     coeffs = charge.coefficients(delta).tolist()  # Python floats, as the artifacts print them
     n_w = plan.shots_per_word
     masks = charge.x | charge.z
-
-    word_cover = _word_cover(plan, charge)  # per word: indices of the terms it contains
-    covered = set(i for cov in word_cover for i in cov)
-    missing = [i for i in range(len(charge)) if i not in covered][:5]
-    if missing:
-        names = letter_strings(charge.x[missing], charge.z[missing], charge.n_sites).tolist()
-        raise CoverageError(f"terms not covered by any word: {names}")
+    word_cover, n_p = _coverage(plan, charge)
 
     # per word: parity-sum vector over its covered terms and the full
     # cross-sum matrix sum_i Pi_a Pi_b, each as one matrix product
-    per_word_sums: dict = {}
+    s_p = [0.0] * len(charge)
     pair_stats: dict = {}  # (a, b) a <= b -> [word count, cross, sum_a, sum_b]
-    for wi, w in enumerate(plan.words):
-        cov = word_cover[wi]
+    for w, cov in zip(plan.words, word_cover):
         if not cov:
             continue
         idx, cnt = records.counts[w.letters]
         cnt = cnt.astype(np.float64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx[None, :] & masks[cov, None]) & 1)
+        signs = _parities(idx[None, :], masks[cov, None])
         sums = signs @ cnt
         cross = (signs * cnt) @ signs.T
         for i, a in enumerate(cov):
-            per_word_sums[(wi, a)] = float(sums[i])
-            for j in range(i, len(cov)):
+            s_p[a] += float(sums[i])
+            for j in range(i, len(cov)):  # cov ascends, so (a, b) has a <= b
                 b = cov[j]
-                key = (a, b) if a <= b else (b, a)
-                stat = pair_stats.get(key)
-                if stat is None:
-                    pair_stats[key] = [1, float(cross[i, j]), float(sums[i]), float(sums[j])]
+                stat = pair_stats.get((a, b))
+                if stat is None:  # no zero start: 0.0 + -0.0 would drop the sign
+                    pair_stats[a, b] = [1, float(cross[i, j]), float(sums[i]), float(sums[j])]
                 else:
                     stat[0] += 1
                     stat[1] += float(cross[i, j])
                     stat[2] += float(sums[i])
                     stat[3] += float(sums[j])
-
-    n_p = {ti: 0 for ti in covered}
-    s_p = {ti: 0.0 for ti in covered}
-    for (wi, ti), val in per_word_sums.items():
-        n_p[ti] += n_w
-        s_p[ti] += val
     value = sum(c * s_p[ti] / n_p[ti] for ti, c in enumerate(coeffs))
 
     diagnostics = []
@@ -272,41 +275,28 @@ def exact_estimator_variance(
 
     ``distributions`` maps word letters to the exact outcome distribution in
     that word's basis.  Mirrors the finite-shot estimator with expectations
-    in place of empirical sums; useful for deterministic error budgets.
+    in place of empirical sums, in one pass over the words; useful for
+    deterministic error budgets.  Raises :class:`CoverageError` when a term
+    is in no plan word.
     """
     coeffs = charge.coefficients(delta).tolist()
     n_w = plan.shots_per_word
-    n = charge.n_sites
-    idx = np.arange(1 << n, dtype=np.int64)
-
-    word_cover = _word_cover(plan, charge)
-    covered = set(i for cov in word_cover for i in cov)
-    if len(covered) != len(charge):
-        raise CoverageError("plan does not cover the charge")
-
+    idx = np.arange(1 << charge.n_sites, dtype=np.int64)
     masks = (charge.x | charge.z).tolist()
-    exp_single = {}
-    for wi, w in enumerate(plan.words):
-        p = distributions[w.letters]
-        for ti in word_cover[wi]:
-            exp_single[(wi, ti)] = float(p @ _parities(idx, masks[ti]))
+    word_cover, n_p = _coverage(plan, charge)
 
-    n_p = {ti: 0 for ti in covered}
-    s_p = {ti: 0.0 for ti in covered}
-    for (wi, ti), val in exp_single.items():  # word by word, as the estimator pools
-        n_p[ti] += n_w
-        s_p[ti] += val
-    mean = sum(c * (s_p[ti] / (n_p[ti] // n_w)) for ti, c in enumerate(coeffs))
-
+    s_p = [0.0] * len(charge)
     var = 0.0
-    for wi, cov in enumerate(word_cover):
-        p = distributions[plan.words[wi].letters]
+    for w, cov in zip(plan.words, word_cover):
+        p = distributions[w.letters]
+        single = [float(p @ _parities(idx, masks[a])) for a in cov]
         cross = {}  # symmetric in (a, b): one pass over the outcomes per unordered pair
         for i, a in enumerate(cov):
+            s_p[a] += single[i]
             for b in cov[i:]:
                 cross[a, b] = cross[b, a] = float(p @ _parities(idx, masks[a] ^ masks[b]))
-        for a in cov:
-            for b in cov:
-                cov_ab = cross[a, b] - exp_single[(wi, a)] * exp_single[(wi, b)]
-                var += coeffs[a] * coeffs[b] * n_w * cov_ab / (n_p[a] * n_p[b])
+        for a, e_a in zip(cov, single):
+            for b, e_b in zip(cov, single):
+                var += coeffs[a] * coeffs[b] * n_w * (cross[a, b] - e_a * e_b) / (n_p[a] * n_p[b])
+    mean = sum(c * (s_p[ti] / (n_p[ti] // n_w)) for ti, c in enumerate(coeffs))
     return mean, float(np.sqrt(max(var, 0.0)))
