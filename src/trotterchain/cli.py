@@ -288,8 +288,15 @@ def _tomo_initial(kind: str, n: int) -> InitialStateSpec:
 
 
 def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
-    """Self- and pairwise fidelities of reconstructed states along evolution."""
-    shots = None if config.exact_reference else config.shots_total
+    """Self- and pairwise fidelities of reconstructed states along evolution.
+
+    A finite-shot reconstruction splits ``shots_total`` evenly over the 3^N bases.
+    """
+    shots, bases = None, 3**config.n_sites
+    if not config.exact_reference:
+        if config.shots_total < bases:
+            raise ConfigError(f"shots_total {config.shots_total} below the {bases} tomography bases")
+        shots = config.shots_total // bases
     probe = list(range(config.depth_max + 1)) if steps is None else sorted(steps)
 
     report = {"steps": probe, "self_fidelity": {}, "pairwise_fidelity": {}}

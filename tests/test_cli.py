@@ -203,6 +203,24 @@ def test_tomography_shot_seeds_never_repeat(monkeypatch):
     assert len(seeds) == 18 and len(set(seeds)) == 18
 
 
+def test_tomography_splits_shots_total_over_the_bases(monkeypatch):
+    # shots_total is the budget of one read-out pass, as in decay: N = 4 has 81 bases
+    low = base_config(depth_max=1, shots_total=80, exact_reference=False)
+    with pytest.raises(ConfigError, match="81 tomography bases"):
+        cli.tomo_report(ExperimentConfig.from_dict(low), steps=[1])
+    shots = []
+    real = tomo.reconstruct
+
+    def spy(state, n_shots, *rest):
+        shots.append(n_shots)
+        return real(state, n_shots, *rest)
+
+    monkeypatch.setattr(tomo, "reconstruct", spy)
+    doc = base_config(depth_max=1, shots_total=1000, exact_reference=False)
+    cli.tomo_report(ExperimentConfig.from_dict(doc), steps=[1])
+    assert {s for s in shots if s is not None} == {1000 // 81}
+
+
 def test_fit_report_reads_order_from_rows():
     cfg = ExperimentConfig.from_dict(base_config(depth_max=5))
     rows = [(d, 10, "plus", 0.0, 0.0, float(np.exp(-0.05 * d))) for d in range(6)]
@@ -252,7 +270,7 @@ PINNED_RUNS = {
             "mitigation.csv": "4a54caeb5349bc50e9654cee85e81c5846615f14bf5bd00d067b82bddefb4970",
             "spectrum.csv": "01525f12d222b0a734f328a9319775d0b16b2b6e59eb70f97dde37c6d8fb55fa",
             "spectrum.json": "1833230c51c12f7aaccd2ce65051251172e9d7c3c592ea7dcea0b341a879acc7",
-            "tomo.json": "185a681cfd1a54187802f73575cb708dfae23f04f0c9124c2ed1b00d3253b447",
+            "tomo.json": "db2b34f4ad846bc1bd9a70c04b26631655a6e47c1d9796bcc41b3acd2ce97e7f",
         },
     ),
 }
