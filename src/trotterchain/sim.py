@@ -177,7 +177,7 @@ class DensityMatrix:
     def probabilities(self) -> np.ndarray:
         return np.real(np.diag(self.entries)).copy()
 
-    def check(self, psd_floor: float = PSD_EIG_FLOOR):
+    def check(self):
         """Validate Hermiticity, unit trace and the PSD eigenvalue floor."""
         h = np.abs(self.entries - self.entries.conj().T).max()
         if h > HERMITICITY_TOL:
@@ -186,7 +186,7 @@ class DensityMatrix:
         if t > TRACE_TOL:
             raise ValueError(f"density matrix trace off by {t:.2e}")
         lo = float(np.linalg.eigvalsh(self.entries).min())
-        if lo < psd_floor:
+        if lo < PSD_EIG_FLOOR:
             raise ValueError(f"density matrix eigenvalue {lo:.2e} below floor")
 
     def apply(self, gate: Gate, channel: KrausChannel | None = None):

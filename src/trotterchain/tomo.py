@@ -106,7 +106,7 @@ def simplex_project(values: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def psd_project(hermitian: np.ndarray, n_sites: int | None = None) -> DensityMatrix:
+def psd_project(hermitian: np.ndarray) -> DensityMatrix:
     """Closest density matrix in Frobenius norm to a Hermitian unit-trace input.
 
     Eigenvalues are projected onto the simplex (truncation plus uniform
@@ -119,9 +119,7 @@ def psd_project(hermitian: np.ndarray, n_sites: int | None = None) -> DensityMat
     vals, vecs = np.linalg.eigh(hermitian)
     fixed = simplex_project(vals)
     rho = (vecs * fixed) @ vecs.conj().T
-    if n_sites is None:
-        n_sites = int(np.log2(hermitian.shape[0]))
-    out = DensityMatrix(n_sites, rho)
+    out = DensityMatrix(int(np.log2(hermitian.shape[0])), rho)
     out.check()
     return out
 
@@ -150,4 +148,4 @@ def reconstruct(
     state, shots: int | None, seed: int = 0, noise: NoiseModel = IDEAL
 ) -> DensityMatrix:
     """collect -> linear inversion -> positive projection; ``noise`` as in :func:`collect`."""
-    return psd_project(linear_inversion(collect(state, shots, seed, noise)), state.n_sites)
+    return psd_project(linear_inversion(collect(state, shots, seed, noise)))
