@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -38,16 +39,9 @@ from .sim import (
 SCHEMA_VERSION = 1
 
 
-def _no_noise(readout_flip=None) -> NoiseModel:
-    return NoiseModel(readout_flip=readout_flip)
-
-
 def _depolarizing_noise(p1=None, p2=None, readout_flip=None) -> NoiseModel:
-    return NoiseModel(
-        None if p1 is None else depolarizing(p1),
-        None if p2 is None else depolarizing(p2),
-        readout_flip,
-    )
+    one, two = (None if p is None else depolarizing(p) for p in (p1, p2))
+    return NoiseModel(one, two, readout_flip)
 
 
 def _damping_noise(lambda_a=0.018, lambda_p=0.018, p1=None, readout_flip=None) -> NoiseModel:
@@ -58,7 +52,7 @@ def _damping_noise(lambda_a=0.018, lambda_p=0.018, p1=None, readout_flip=None) -
 
 # noise kind -> its builder, whose keyword parameters are the keys the kind reads
 _NOISE_BUILDERS = {
-    "none": _no_noise,
+    "none": lambda readout_flip=None: NoiseModel(readout_flip=readout_flip),
     "depolarizing": _depolarizing_noise,
     "damping": _damping_noise,
 }
@@ -101,12 +95,11 @@ class ExperimentConfig:
         if kind not in _NOISE_BUILDERS:
             raise ConfigError(f"unknown noise kind {kind!r}")
         build = _NOISE_BUILDERS[kind]
-        keys = {k: v for k, v in self.noise.items() if k != "kind"}
-        unread = set(keys) - set(inspect.signature(build).parameters)
+        unread = set(self.noise) - {"kind", *inspect.signature(build).parameters}
         if unread:
             raise ConfigError(f"noise kind {kind!r} does not read {sorted(unread)}")
         try:
-            model = build(**keys)
+            model = build(**{k: v for k, v in self.noise.items() if k != "kind"})
             model.flip_probs(self.n_sites)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -275,16 +268,11 @@ def spectrum_report(config: ExperimentConfig) -> dict:
     return report
 
 
-_TOMO_STATES = ("neel", "zeros", "yzx")
-
-
-def _tomo_initial(kind: str, n: int) -> InitialStateSpec:
-    if kind == "neel":
-        return InitialStateSpec.neel(n)
-    if kind == "zeros":
-        return InitialStateSpec.zeros(n)
-    pattern = ("YZX" * n)[:n]
-    return InitialStateSpec(pattern, (0,) * n)
+_TOMO_STATES = {
+    "neel": InitialStateSpec.neel,
+    "zeros": InitialStateSpec.zeros,
+    "yzx": lambda n: InitialStateSpec(("YZX" * n)[:n], (0,) * n),
+}
 
 
 def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
@@ -292,17 +280,16 @@ def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
 
     A finite-shot reconstruction splits ``shots_total`` evenly over the 3^N bases.
     """
-    shots, bases = None, 3**config.n_sites
-    if not config.exact_reference:
-        if config.shots_total < bases:
-            raise ConfigError(f"shots_total {config.shots_total} below the {bases} tomography bases")
-        shots = config.shots_total // bases
+    bases = 3**config.n_sites
+    if not config.exact_reference and config.shots_total < bases:
+        raise ConfigError(f"shots_total {config.shots_total} below the {bases} tomography bases")
+    shots = None if config.exact_reference else config.shots_total // bases
     probe = list(range(config.depth_max + 1)) if steps is None else sorted(steps)
 
     report = {"steps": probe, "self_fidelity": {}, "pairwise_fidelity": {}}
     recon = {}
-    for kind in _TOMO_STATES:
-        init = _tomo_initial(kind, config.n_sites)
+    for kind, spec in _TOMO_STATES.items():
+        init = spec(config.n_sites)
         run = replace(config, initial_state=init, engine="noisy", depth_max=max(probe))
         for d, state in enumerate(_trajectory(run)):
             if d == 0:
@@ -313,11 +300,10 @@ def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
                 seed = _word_seed(config.seed, d, kind, "tomo")
                 recon[kind, d] = tomo.reconstruct(state, shots, seed, config.noise_model())
         report["self_fidelity"][kind] = [tomo.fidelity(ideal, recon[kind, d]) for d in probe]
-    for i, a in enumerate(_TOMO_STATES):
-        for b in _TOMO_STATES[i + 1 :]:
-            report["pairwise_fidelity"][f"{a}|{b}"] = [
-                tomo.fidelity(recon[a, d], recon[b, d]) for d in probe
-            ]
+    for a, b in combinations(_TOMO_STATES, 2):
+        report["pairwise_fidelity"][f"{a}|{b}"] = [
+            tomo.fidelity(recon[a, d], recon[b, d]) for d in probe
+        ]
     return report
 
 
@@ -337,10 +323,9 @@ def mitigation_table(config: ExperimentConfig) -> list:
     calib = mitigate.calibrate(noise, n, shots=None)
     noiseless = exact_expectation(StateVector.from_spec(init), q, delta)
 
-    # every fold prepares through the (noisy) init section from |0..0>, then
-    # steps with its folded step: the gates of the folded depth-d circuit, in
-    # order.  The init section has no CNOT, so folding leaves it unchanged and
-    # one preparation serves every fold.
+    # the init section has no CNOT, so folding leaves it unchanged: every fold
+    # prepares the same state through it (noisy) from |0..0>, then steps with its
+    # folded step, running the gates of the folded depth-d circuit in order
     zero = StateVector.zero(n).density_matrix()
     prepared = evolve_noisy(build_circuit(init, config.alpha, 0), zero, noise)
     step = build_step(n, config.alpha)

@@ -72,8 +72,6 @@ _COUNT_BLOCK = 1 << 18
 def build_cover(charge: PauliPolynomial) -> MeasurementPlan:
     """Greedy word cover of all charge terms, as a plan of one shot per word.
 
-    Callers that sample set their shot count with ``MeasurementPlan(words, n_W)``.
-
     Each round builds candidate words by merging compatible still-uncovered
     terms onto a seed term (unconstrained sites completed with Z) and emits
     the candidate covering the most uncovered terms, ties broken by
@@ -188,21 +186,18 @@ def _parities(idx: np.ndarray, mask) -> np.ndarray:
 
 
 def _coverage(plan: MeasurementPlan, charge: PauliPolynomial) -> tuple:
-    """Per plan word, the ascending indices of the terms it contains, and per
-    term its pooled shot count n_P (n_W times the number of words containing it).
-
-    Raises :class:`CoverageError` naming up to five terms no word contains.
-    """
+    """Per word, the ascending indices of the terms it contains; per term, its
+    pooled shot count n_P.  Raises :class:`CoverageError` naming up to five
+    terms that no word contains."""
     word_cover = _word_cover(plan, charge)
-    n_words = [0] * len(charge)
+    n_words = np.zeros(len(charge), dtype=np.int64)
     for cov in word_cover:
-        for ti in cov:
-            n_words[ti] += 1
-    missing = [ti for ti, k in enumerate(n_words) if not k][:5]
-    if missing:
+        n_words[cov] += 1
+    missing = np.flatnonzero(n_words == 0)[:5]
+    if missing.size:
         names = letter_strings(charge.x[missing], charge.z[missing], charge.n_sites).tolist()
         raise CoverageError(f"terms not covered by any word: {names}")
-    return word_cover, [plan.shots_per_word * k for k in n_words]
+    return word_cover, (plan.shots_per_word * n_words).tolist()
 
 
 def estimate(
@@ -213,8 +208,8 @@ def estimate(
     The value pools each term over all covering words; the uncertainty keeps
     the word-sharing covariances, skips pairs pooled over a single shot
     (their variance weight is undefined), and clamps a slightly negative
-    variance at zero.  Both degeneracies are reported as diagnostics.  Raises
-    :class:`CoverageError` when a term is in no plan word.
+    variance at zero.  Both degeneracies are reported as diagnostics.
+    Raises :class:`CoverageError` when a term is in no plan word.
     """
     records.validate(plan)
     coeffs = charge.coefficients(delta).tolist()  # Python floats, as the artifacts print them
@@ -274,10 +269,9 @@ def exact_estimator_variance(
     """Expected value and true estimator standard deviation for a known state.
 
     ``distributions`` maps word letters to the exact outcome distribution in
-    that word's basis.  Mirrors the finite-shot estimator with expectations
-    in place of empirical sums, in one pass over the words; useful for
-    deterministic error budgets.  Raises :class:`CoverageError` when a term
-    is in no plan word.
+    that word's basis.  Mirrors :func:`estimate`, coverage check included,
+    with expectations in place of empirical sums, in one pass over the words;
+    useful for deterministic error budgets.
     """
     coeffs = charge.coefficients(delta).tolist()
     n_w = plan.shots_per_word

@@ -71,6 +71,24 @@ def test_noise_block_rejected_at_load(tmp_path, capsys, case):
     assert not out.exists()
 
 
+PURE_WITH_CHANNELS = {
+    "depolarizing p1": {"kind": "depolarizing", "p1": 0.01},
+    "damping": {"kind": "damping"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PURE_WITH_CHANNELS))
+def test_pure_engine_rejects_gate_channels(case):
+    with pytest.raises(ConfigError, match="pure"):
+        ExperimentConfig.from_dict(base_config(engine="pure", noise=PURE_WITH_CHANNELS[case]))
+
+
+def test_pure_engine_takes_readout_only_noise():
+    noise = {"kind": "none", "readout_flip": 0.02}
+    cfg = ExperimentConfig.from_dict(base_config(engine="pure", noise=noise))
+    assert cfg.noise_model().readout_flip == 0.02
+
+
 def test_noiseless_decay_exact_column_constant(tmp_path):
     doc = base_config(engine="pure", noise={"kind": "none"}, depth_max=6, shots_total=1000)
     cfg = ExperimentConfig.from_dict(doc)

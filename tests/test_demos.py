@@ -13,6 +13,7 @@ DEMO_OUTPUT = {
     "03_channel_spectrum": "256 eigenvalues; largest two",
     "04_tomography": "all pairwise fidelities at d=30",
     "05_error_mitigation": "indistinguishable at d = ",
+    "06_benchmark": "higher / more nonlocal charges decay faster",
 }
 
 

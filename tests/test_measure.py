@@ -188,6 +188,13 @@ def test_estimate_requires_coverage_and_counts():
         estimate(bad, plan, PauliPolynomial(2), DELTA)
 
 
+def test_exact_variance_names_uncovered_terms():
+    q = _charge(("XX", 1))
+    plan = MeasurementPlan((PauliWord("ZZ"),), 10)
+    with pytest.raises(CoverageError, match=r"\['XX'\]"):
+        exact_estimator_variance({"ZZ": np.array([1.0, 0.0, 0.0, 0.0])}, plan, q, DELTA)
+
+
 def _sample_records(plan, dists, seed, n):
     records = ShotRecords(n)
     for wi, w in enumerate(plan.words):
