@@ -181,14 +181,14 @@ class CoverageError(ValueError):
     """Some charge term is not contained in any plan word."""
 
 
-def _parities(idx: np.ndarray, mask) -> np.ndarray:
+def _parities(idx: np.ndarray, mask: int | np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(mask)).astype(np.int64) & 1)
 
 
 def _coverage(plan: MeasurementPlan, charge: PauliPolynomial) -> tuple:
     """Per word, the ascending indices of the terms it contains; per term, its
-    pooled shot count n_P.  Raises :class:`CoverageError` naming up to five
-    terms that no word contains."""
+    pooled shot count n_P, n_W per word containing it.  Raises
+    :class:`CoverageError` naming up to five terms that no word contains."""
     word_cover = _word_cover(plan, charge)
     n_words = np.zeros(len(charge), dtype=np.int64)
     for cov in word_cover:
