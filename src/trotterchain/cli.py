@@ -13,8 +13,6 @@ import inspect
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 
@@ -44,10 +42,12 @@ def _depolarizing_noise(p1=None, p2=None, readout_flip=None) -> NoiseModel:
     return NoiseModel(one, two, readout_flip)
 
 
-def _damping_noise(lambda_a=0.018, lambda_p=0.018, p1=None, readout_flip=None) -> NoiseModel:
-    """Damping after every CNOT; one-qubit gates are noise-free unless ``p1`` is set."""
+def _damping_noise(lambda_a=0.018, lambda_p=0.018, p1=False, readout_flip=None) -> NoiseModel:
+    """Damping after every CNOT, and after every one-qubit gate too if ``p1`` is true."""
+    if not isinstance(p1, bool):
+        raise ValueError(f"damping p1 is true or false, not {p1!r}")
     channel = amp_phase_damping(lambda_a, lambda_p)
-    return NoiseModel(None if p1 is None else channel, channel, readout_flip)
+    return NoiseModel(channel if p1 else None, channel, readout_flip)
 
 
 # noise kind -> its builder, whose keyword parameters are the keys the kind reads
@@ -101,7 +101,7 @@ class ExperimentConfig:
         try:
             model = build(**{k: v for k, v in self.noise.items() if k != "kind"})
             model.flip_probs(self.n_sites)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         if self.engine == "pure" and (model.after_one_qubit or model.after_two_qubit):
             raise ConfigError(f"engine 'pure' takes no gate channels, and noise {kind!r} adds one")
@@ -198,7 +198,7 @@ def _plan(config: ExperimentConfig, spec: ChargeSpec):
 # ---------------------------------------------------------------------------
 
 
-def decay_table(config: ExperimentConfig, workers: int = 1) -> list:
+def decay_table(config: ExperimentConfig) -> list:
     """Rows (d, charge, variant, estimate, s_q, exact) for d = 0..depth_max."""
     delta = config.delta
     noise = config.noise_model()
@@ -208,30 +208,18 @@ def decay_table(config: ExperimentConfig, workers: int = 1) -> list:
         charge_ops[spec.label] = (spec, *_plan(config, spec))
 
     rows = []
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        map_words = map if pool is None else pool.map
-        for d, state in enumerate(_trajectory(config)):
-            for label in sorted(charge_ops):
-                spec, q, plan = charge_ops[label]
-
-                def run_word(item):
-                    wi, w = item
-                    outcomes = sample(
-                        state,
-                        w.letters,
-                        plan.shots_per_word,
-                        _word_seed(config.seed, d, label, w.letters),
-                        noise,
-                        word_index=wi,
-                    )
-                    return w, outcomes
-
-                records = measure.ShotRecords(config.n_sites)
-                for w, outcomes in map_words(run_word, enumerate(plan.words)):
-                    records.add(w, outcomes)
-                est = measure.estimate(records, plan, q, delta)
-                exact = exact_expectation(state, q, delta) if config.exact_reference else None
-                rows.append((d, spec.order, spec.variant, est.value, est.std_uncertainty, exact))
+    for d, state in enumerate(_trajectory(config)):
+        for label in sorted(charge_ops):
+            spec, q, plan = charge_ops[label]
+            words = [w.letters for w in plan.words]
+            keys = [(_word_seed(config.seed, d, label, w), wi) for wi, w in enumerate(words)]
+            records = measure.ShotRecords(config.n_sites)
+            outcomes = sample(state, words, plan.shots_per_word, keys, noise)
+            for w, counts in zip(plan.words, outcomes):
+                records.add(w, counts)
+            est = measure.estimate(records, plan, q, delta)
+            exact = exact_expectation(state, q, delta) if config.exact_reference else None
+            rows.append((d, spec.order, spec.variant, est.value, est.std_uncertainty, exact))
     return rows
 
 
@@ -330,12 +318,10 @@ def mitigation_table(config: ExperimentConfig) -> list:
     prepared = evolve_noisy(build_circuit(init, config.alpha, 0), zero, noise)
     step = build_step(n, config.alpha)
     folds = [_steps(prepared, mitigate.zne_fold(step, k), config.depth_max, noise) for k in (0, 1)]
+    words = [w.letters for w in plan.words]
     rows = []
     for d, states in enumerate(zip(*folds)):
-        dists = [
-            {w.letters: outcome_distribution(rho, w.letters, noise) for w in plan.words}
-            for rho in states
-        ]
+        dists = [dict(zip(words, outcome_distribution(rho, words, noise))) for rho in states]
         raw, raw_sd = measure.exact_estimator_variance(dists[0], plan, q, delta)
         (e1, s1), (e3, s3) = (
             measure.exact_estimator_variance(
@@ -429,7 +415,6 @@ def main(argv=None) -> int:
     parser.add_argument("verb", choices=["charges", "decay", "spectrum", "tomo", "mitigate", "fit"])
     parser.add_argument("--config", required=True, help="experiment JSON")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
@@ -447,7 +432,7 @@ def main(argv=None) -> int:
                 _write_json(path, config, {"charge": q.to_dict(order, variant)})
                 print(f"wrote {path} ({len(q)} terms)")
         elif args.verb == "decay":
-            rows = decay_table(config, workers=args.workers)
+            rows = decay_table(config)
             path = os.path.join(args.out, "decay.csv")
             write_csv(path, config, "d,charge,variant,estimate,s_q,exact", rows)
             print(f"wrote {path} ({len(rows)} rows)")

@@ -52,9 +52,9 @@ def calibrate(noise: NoiseModel, n_sites: int, shots: int | None, seed: int = 0)
     for j in range(dim):
         state = StateVector.basis(n_sites, j)
         if shots is None:
-            cols[:, j] = outcome_distribution(state, word, noise)
+            cols[:, j] = outcome_distribution(state, [word], noise)[0]
         else:
-            idx, counts = sample(state, word, shots, seed, noise, word_index=j)
+            ((idx, counts),) = sample(state, [word], shots, [(seed, j)], noise)
             cols[idx, j] = counts / shots
     return CalibrationMatrix(n_sites, cols)
 

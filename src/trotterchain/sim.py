@@ -17,11 +17,20 @@ The noisy engine conjugates the density matrix by each gate of the circuit
 passed to :func:`evolve_noisy` and then applies the configured channel once
 per touched site; setting a channel to ``None`` exempts the corresponding
 gate class.  Only those gates are noisy.  ``DensityMatrix.from_spec``
-prepares the ideal product state and :func:`rotated_probabilities` rotates
-into a word basis without channels, so decay and tomography run noisy
-evolution steps between ideal preparation and ideal rotation.  Mitigation's
-folded circuits start from |0..0> with the preparation gates, so there
-preparation is noisy as well.
+prepares the ideal product state, and read-out is ideal: decay and
+tomography run noisy evolution steps between ideal preparation and an ideal
+measurement rotation.  Mitigation's folded circuits start from |0..0> with
+the preparation gates, so there preparation is noisy as well.
+
+Read-out (:func:`rotated_probabilities`) is one batched pass over the words
+in site order.  Words that share their first k letters share the work on
+sites 1..k: a prefix tree.  At site k the letter's rotation gates go through
+``_apply_1q`` on the row bit and then the column bit, gate by gate, as
+:meth:`DensityMatrix.apply` applies them, and then only the diagonal of that
+site's (row, column) bit pair is kept, so rho shrinks to its diagonal site
+by site and every kept entry sees the floats of a full rotation.  The
+statevector walks the same tree without the reduction and squares the
+amplitudes at the leaves.
 """
 
 from __future__ import annotations
@@ -124,9 +133,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def density_matrix(self) -> "DensityMatrix":
         amp = self.amplitudes
         return DensityMatrix(self.n_sites, np.outer(amp, amp.conj()))
@@ -173,9 +179,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.sum(self.entries * self.entries.T)))
-
-    def probabilities(self) -> np.ndarray:
-        return np.real(np.diag(self.entries)).copy()
 
     def check(self):
         """Validate Hermiticity, unit trace and the PSD eigenvalue floor."""
@@ -291,16 +294,67 @@ def exact_expectation(state, charge: PauliPolynomial, delta: float) -> float:
     return float(val.real)
 
 
-def rotated_probabilities(state, word: str) -> np.ndarray:
-    """Outcome distribution after appending the measurement rotation for ``word``."""
-    tmp = state.copy()
-    for g in build_measurement_rotation(word):
-        tmp.apply(g)
-    return tmp.probabilities()
+# per letter: the rotation matrices that take its basis to Z, in gate order
+_ROTATION = {c: [g.matrix_1q() for g in build_measurement_rotation(c)] for c in "XYZ"}
+
+
+def _rotate_pure(amp: np.ndarray, site: int, letter: str) -> np.ndarray:
+    """``amp`` rotated on ``site`` (its bit ``site-1``); a Z site is ``amp`` itself."""
+    if letter != "Z":
+        amp = amp.copy()
+        for m in _ROTATION[letter]:
+            _apply_1q(amp, m, site - 1)
+    return amp
+
+
+def _rotate_reduce(vec: np.ndarray, n_sites: int, site: int, letter: str) -> np.ndarray:
+    """``vec`` rotated on ``site``, then reduced to the diagonal of its bit pair.
+
+    Sites before ``site`` are reduced already: their outcome bits are bits
+    0..site-2, and this site's column bit is ``site-1`` and its row bit
+    ``n_sites``.  The kept bit becomes bit ``site-1``.
+    """
+    if letter != "Z":
+        vec = vec.copy()
+        for m in _ROTATION[letter]:
+            _apply_1q(vec, m, n_sites)
+            _apply_1q(vec, m.conj(), site - 1)
+    v = vec.reshape(-1, 2, 1 << (n_sites - site), 2, 1 << (site - 1))
+    return np.stack((v[:, 0, :, 0], v[:, 1, :, 1]), axis=2).reshape(-1)
+
+
+def rotated_probabilities(state, words) -> np.ndarray:
+    """Outcome distributions after the measurement rotation of each word, one row per word.
+
+    One site-ordered pass over the prefix tree of ``words`` (see the module
+    docstring); the state is only read.
+    """
+    n = state.n_sites
+    for w in words:
+        if len(w) != n or not set(w) <= set("XYZ"):
+            raise ValueError(f"measurement word {w!r} is not {n} letters from X, Y, Z")
+    pure = isinstance(state, StateVector)
+    out = np.empty((len(words), 1 << n))
+
+    def walk(vec, k, rows):  # rows: the words whose first k letters gave vec
+        if k == n:
+            out[rows] = np.abs(vec) ** 2 if pure else np.real(vec)
+            return
+        branches: dict = {}
+        for i in rows:
+            branches.setdefault(words[i][k], []).append(i)
+        for letter, sub in branches.items():
+            if pure:
+                walk(_rotate_pure(vec, k + 1, letter), k + 1, sub)
+            else:
+                walk(_rotate_reduce(vec, n, k + 1, letter), k + 1, sub)
+
+    walk(state.amplitudes if pure else state.entries.reshape(-1), 0, range(len(words)))
+    return out
 
 
 def apply_readout_flips(probs: np.ndarray, flip: np.ndarray, n_sites: int) -> np.ndarray:
-    """Push a distribution through independent per-site classical bit flips."""
+    """Push distributions (along the last axis) through independent per-site classical bit flips."""
     p = probs.copy()
     for j in range(n_sites):
         q = flip[j]
@@ -311,42 +365,43 @@ def apply_readout_flips(probs: np.ndarray, flip: np.ndarray, n_sites: int) -> np
     return p
 
 
-def shot_rng(seed: int, word_index: int = 0) -> np.random.Generator:
+def shot_rng(seed: int, word_index: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, word index)."""
     return np.random.Generator(
         np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, word_index << 20])
     )
 
 
-def outcome_distribution(state, word: str, noise: NoiseModel = IDEAL) -> np.ndarray:
-    """Outcome distribution in the basis of ``word`` (all Z: computational) as read out.
+def outcome_distribution(state, words, noise: NoiseModel = IDEAL) -> np.ndarray:
+    """Outcome distributions in the bases of ``words`` (all Z: computational) as read out.
 
-    Clipped at zero and normalised, then pushed through the readout flips of ``noise``.
+    One row per word, clipped at zero and normalised, then pushed through the
+    readout flips of ``noise``.
     """
-    p = np.clip(rotated_probabilities(state, word), 0.0, None)
-    p /= p.sum()
+    p = np.clip(rotated_probabilities(state, words), 0.0, None)
+    for row in p:  # a 1-D sum per row adds in the order of a single distribution's
+        row /= row.sum()
     flips = noise.flip_probs(state.n_sites)
     if flips is not None:
         p = apply_readout_flips(p, flips, state.n_sites)
     return p
 
 
-def sample(
-    state,
-    word: str,
-    shots: int,
-    seed: int,
-    noise: NoiseModel = IDEAL,
-    word_index: int = 0,
-) -> tuple:
-    """Multinomial outcome counts of :func:`outcome_distribution`.
+def sample(state, words, shots: int, keys, noise: NoiseModel = IDEAL) -> list:
+    """Multinomial outcome counts of :func:`outcome_distribution`, ``shots`` per word.
 
-    The only place shots are drawn.  Returns int64 ``(indices, counts)``: the
-    outcomes drawn, ascending, and their counts, which sum to ``shots``.
-    Deterministic for a fixed (seed, word_index).
+    The only place shots are drawn.  ``keys`` holds one ``(seed, word_index)``
+    per word, the key of its :func:`shot_rng`.  Returns one int64
+    ``(indices, counts)`` pair per word: the outcomes drawn, ascending, and
+    their counts, which sum to ``shots``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    draws = shot_rng(seed, word_index).multinomial(shots, outcome_distribution(state, word, noise))
-    idx = np.flatnonzero(draws)
-    return idx, draws[idx]
+    if len(keys) != len(words):
+        raise ValueError("sample needs one (seed, word_index) key per word")
+    out = []
+    for p, (seed, word_index) in zip(outcome_distribution(state, words, noise), keys):
+        draws = shot_rng(seed, word_index).multinomial(shots, p)
+        idx = np.flatnonzero(draws)
+        out.append((idx, draws[idx]))
+    return out

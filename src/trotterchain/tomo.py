@@ -50,18 +50,23 @@ class TomographyData:
 
 
 def collect(state, shots: int | None, seed: int = 0, noise: NoiseModel = IDEAL) -> TomographyData:
-    """Read out all 3^N bases of ``state`` through ``noise``; ``shots=None`` is exact and ideal."""
+    """Read out all 3^N bases of ``state`` through ``noise``; ``shots=None`` is exact and ideal.
+
+    The 3^N words form a complete prefix tree, so the read-out is one batched
+    pass that reduces ``state`` to its diagonal site by site
+    (:func:`sim.rotated_probabilities`); word k draws its shots with the key
+    ``(seed, k)``.
+    """
     n = state.n_sites
     if n > TOMO_MAX_SITES:
         raise ValueError(f"tomography budget is N <= {TOMO_MAX_SITES}")
     words = all_words(n)
+    if shots is None:
+        return TomographyData(n, rotated_probabilities(state, words), None)
     rows = np.zeros((len(words), 1 << n))
-    for k, w in enumerate(words):
-        if shots is None:
-            rows[k] = rotated_probabilities(state, w)
-        else:
-            idx, counts = sample(state, w, shots, seed, noise, word_index=k)
-            rows[k, idx] = counts
+    keys = [(seed, k) for k in range(len(words))]
+    for k, (idx, counts) in enumerate(sample(state, words, shots, keys, noise)):
+        rows[k, idx] = counts
     return TomographyData(n, rows, shots)
 
 

@@ -2,15 +2,17 @@
 
 Full 2^N unitaries and 4^N superoperators built from Kronecker products,
 site 1 on the lowest-order bit, plus Kraus sums and Pauli expectations
-written out as matrix products.  They cost exponentially more than the
+written out as matrix products, and read-out one word at a time on a full
+copy of the state.  They cost exponentially more than the
 engines in ``trotterchain`` and serve only as the oracle the tests compare
 those engines against.
 """
 
 import numpy as np
 
-from trotterchain.circuit import Gate
+from trotterchain.circuit import Gate, build_measurement_rotation
 from trotterchain.pauli import SizeMismatchError, mul
+from trotterchain.sim import IDEAL, StateVector, apply_readout_flips
 
 
 def kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
@@ -94,3 +96,24 @@ def step_superoperator(circuit, noise) -> np.ndarray:
             for s in g.sites:
                 total = site_kraus_factor(channel, s, n) @ total
     return total
+
+
+def rotated_probabilities(state, word: str) -> np.ndarray:
+    """Outcome distribution of one word: copy the state, apply all of the word's
+    rotation gates, then read the squared amplitudes or the diagonal."""
+    tmp = state.copy()
+    for g in build_measurement_rotation(word):
+        tmp.apply(g)
+    if isinstance(tmp, StateVector):
+        return np.abs(tmp.amplitudes) ** 2
+    return np.real(np.diag(tmp.entries)).copy()
+
+
+def outcome_distribution(state, word: str, noise=IDEAL) -> np.ndarray:
+    """One word's distribution clipped at zero, normalised, then through readout flips."""
+    p = np.clip(rotated_probabilities(state, word), 0.0, None)
+    p /= p.sum()
+    flips = noise.flip_probs(state.n_sites)
+    if flips is not None:
+        p = apply_readout_flips(p, flips, state.n_sites)
+    return p

@@ -237,7 +237,8 @@ def test_c09_estimator_monte_carlo():
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = sim.StateVector(n, amp / np.linalg.norm(amp))
     exact = sim.exact_expectation(psi, q, DELTA)
-    dists = {w.letters: sim.rotated_probabilities(psi, w.letters) for w in plan.words}
+    letters = [w.letters for w in plan.words]
+    dists = dict(zip(letters, sim.rotated_probabilities(psi, letters)))
 
     reps = 2000
     vals = np.empty(reps)

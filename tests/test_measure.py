@@ -195,6 +195,12 @@ def test_exact_variance_names_uncovered_terms():
         exact_estimator_variance({"ZZ": np.array([1.0, 0.0, 0.0, 0.0])}, plan, q, DELTA)
 
 
+def _dists(state, words):
+    """The exact distribution of each word, keyed by its letters."""
+    letters = [w.letters for w in words]
+    return dict(zip(letters, sim.rotated_probabilities(state, letters)))
+
+
 def _sample_records(plan, dists, seed, n):
     records = ShotRecords(n)
     for wi, w in enumerate(plan.words):
@@ -213,7 +219,7 @@ def test_estimator_and_variance_unbiased():
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = sim.StateVector(n, amp / np.linalg.norm(amp))
     exact = sim.exact_expectation(psi, q, DELTA)
-    dists = {w.letters: sim.rotated_probabilities(psi, w.letters) for w in plan.words}
+    dists = _dists(psi, plan.words)
 
     reps = 500
     vals = np.empty(reps)
@@ -246,7 +252,7 @@ def test_estimator_mean_is_exact_on_product_eigenstates(data):
     for _ in range(data.draw(st.integers(0, 1))):
         psi = sim.evolve_pure(build_step(n, 0.3), psi)  # DELTA = tan(0.3)
     q, plan = assemble_cached(spec), _cover_of(spec)
-    dists = {w.letters: sim.rotated_probabilities(psi, w.letters) for w in plan.words}
+    dists = _dists(psi, plan.words)
     mean, _ = exact_estimator_variance(dists, plan, q, DELTA)
     assert abs(mean - sim.exact_expectation(psi, q, DELTA)) < 1e-10
 
@@ -256,7 +262,7 @@ def test_exact_estimator_variance_matches_empirical():
     q = _charge(("ZZ", 1), ("ZI", 2))
     plan = MeasurementPlan((PauliWord("ZZ"),), 50)
     psi = sim.StateVector.from_spec(InitialStateSpec("XX", (0, 0)))
-    dists = {"ZZ": sim.rotated_probabilities(psi, "ZZ")}
+    dists = {"ZZ": sim.rotated_probabilities(psi, ["ZZ"])[0]}
     mean, sd = exact_estimator_variance(dists, plan, q, DELTA)
     reps = 4000
     vals = np.empty(reps)
@@ -278,13 +284,13 @@ def test_covariance_only_through_shared_words():
     rng = np.random.default_rng(3)
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = sim.StateVector(n, amp / np.linalg.norm(amp))
-    dists = {w.letters: sim.rotated_probabilities(psi, w.letters) for w in plan.words}
+    dists = _dists(psi, plan.words)
 
     # XI is covered by XZ only; IZ by both words: make the disjoint case
     plan_a = MeasurementPlan((PauliWord("XX"),), 200)
     plan_b = MeasurementPlan((PauliWord("ZZ"),), 200)
-    dists_a = {"XX": sim.rotated_probabilities(psi, "XX")}
-    dists_b = {"ZZ": sim.rotated_probabilities(psi, "ZZ")}
+    dists_a = {"XX": sim.rotated_probabilities(psi, ["XX"])[0]}
+    dists_b = {"ZZ": sim.rotated_probabilities(psi, ["ZZ"])[0]}
     _, sd_a = exact_estimator_variance(dists_a, plan_a, qa, DELTA)
     _, sd_b = exact_estimator_variance(dists_b, plan_b, qb, DELTA)
     both = MeasurementPlan((PauliWord("XX"), PauliWord("ZZ")), 200)
@@ -353,8 +359,9 @@ def test_sampled_records_keep_the_bitstring_wire_format():
     psi = sim.evolve_pure(build_step(n, 0.3), sim.StateVector.from_spec(InitialStateSpec.neel(n)))
     plan = build_cover(assemble(ChargeSpec(1, "plus", n)))
     records = ShotRecords(n)
-    for wi, w in enumerate(plan.words):
-        idx, cnt = sim.sample(psi, w.letters, 40, 17, word_index=wi)
+    letters = [w.letters for w in plan.words]
+    keys = [(17, wi) for wi in range(len(letters))]
+    for w, (idx, cnt) in zip(plan.words, sim.sample(psi, letters, 40, keys)):
         assert idx.dtype == cnt.dtype == np.int64
         assert np.all(np.diff(idx) > 0) and np.all(cnt > 0) and cnt.sum() == 40
         records.add(w, (idx, cnt))
@@ -384,16 +391,18 @@ def test_estimates_match_pinned_digest():
     psi = sim.StateVector.from_spec(InitialStateSpec("ZXYZZYXZ", (1, 0, 0, 1, 1, 0, 1, 0)))
     psi = sim.evolve_pure(build_step(n, 0.3), psi)  # DELTA = tan(0.3)
     values = []
+    letters = [w.letters for w in plan.words]
     for seed in (1, 2, 3):
         records = ShotRecords(n)
-        for wi, w in enumerate(plan.words):
-            records.add(w, sim.sample(psi, w.letters, plan.shots_per_word, seed, word_index=wi))
+        keys = [(seed, wi) for wi in range(len(letters))]
+        for w, outcomes in zip(plan.words, sim.sample(psi, letters, plan.shots_per_word, keys)):
+            records.add(w, outcomes)
         est = estimate(records, plan, q, DELTA)
         values += [est.value, est.std_uncertainty]
     assert _float_digest(values) == (
         "c2b5a4ddc8bcd69980f52d9ea275d0576872aa408c6a1e5fa072d2e8b584892a"
     )
-    dists = {w.letters: sim.rotated_probabilities(psi, w.letters) for w in plan.words}
+    dists = _dists(psi, plan.words)
     assert _float_digest(exact_estimator_variance(dists, plan, q, DELTA)) == (
         "ed268885f4243ceb9bb8841d232833bbfdeff4472063a6f7e5848b1f7f1f57da"
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from dense_oracle import circuit_unitary
 from strategies import gate_lists
 from trotterchain import sim
@@ -124,9 +125,87 @@ def test_engines_agree_on_random_circuits(circuit, seed, data):
     want = circuit_unitary(circuit.gates, n) @ psi.amplitudes
     assert np.abs(pure.amplitudes - want).max() < 1e-12
     word = data.draw(st.text("XYZ", min_size=n, max_size=n))
-    p_pure = sim.rotated_probabilities(pure, word)
-    p_rho = sim.rotated_probabilities(rho, word)
+    p_pure = sim.rotated_probabilities(pure, [word])
+    p_rho = sim.rotated_probabilities(rho, [word])
     assert np.abs(p_pure - p_rho).max() < 1e-12
+
+
+@st.composite
+def word_lists(draw, n):
+    """Up to 12 words on n sites, drawn around a pool so prefixes and whole words repeat."""
+    pool = draw(st.lists(st.text("XYZ", min_size=n, max_size=n), min_size=1, max_size=4))
+    words = []
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(0, n))  # the length of the prefix shared with a pool word
+        tail = draw(st.text("XYZ", min_size=n - k, max_size=n - k))
+        words.append(draw(st.sampled_from(pool))[:k] + tail)
+    return words
+
+
+def _random_state(n: int, kind: str, seed: int):
+    """A product eigenstate, a random statevector, or a mixture of three plus a
+    Hermitian part large enough that rotated diagonal entries fall below zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        letters = "".join(rng.choice(list("XYZ"), size=n))
+        return DensityMatrix.from_spec(InitialStateSpec(letters, tuple(rng.integers(0, 2, n))))
+    amps = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    if kind == "vector":
+        return StateVector(n, amps[0])
+    h = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = sum(w * np.outer(a, a.conj()) for w, a in zip(rng.dirichlet(np.ones(3)), amps))
+    return DensityMatrix(n, rho + 0.1 * (h + h.conj().T) / (1 << n))
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 6),
+    st.sampled_from(["product", "vector", "mixture"]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_batched_readout_matches_per_word_oracle_bit_for_bit(n, kind, seed, data):
+    # the site-ordered, prefix-sharing read-out gives each word's distribution
+    # with the floats of a full copy-rotate-diagonal pass, sign bits included;
+    # so do the per-row clip and normalise, the readout flips and the draws
+    state = _random_state(n, kind, seed)
+    pure = isinstance(state, StateVector)
+    before = _bits(state.amplitudes if pure else state.entries)
+    words = data.draw(word_lists(n))
+    flips = data.draw(st.none() | st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n))
+    noise = NoiseModel(readout_flip=None if flips is None else tuple(flips))
+
+    rows = sim.rotated_probabilities(state, words)
+    dists = sim.outcome_distribution(state, words, noise)
+    keys = [(seed, k) for k in range(len(words))]
+    outcomes = sample(state, words, 500, keys, noise)
+
+    assert rows.shape == dists.shape == (len(words), 1 << n)
+    assert len(outcomes) == len(words)
+    for k, w in enumerate(words):
+        want = dense_oracle.outcome_distribution(state, w, noise)
+        assert _bits(rows[k]) == _bits(dense_oracle.rotated_probabilities(state, w))
+        assert _bits(dists[k]) == _bits(want)
+        draws = sim.shot_rng(seed, k).multinomial(500, want)
+        idx, cnt = outcomes[k]
+        assert np.array_equal(idx, np.flatnonzero(draws)) and np.array_equal(cnt, draws[idx])
+    assert _bits(state.amplitudes if pure else state.entries) == before
+
+
+@pytest.mark.parametrize("word", ["ZIZ", "XY", "XYZZ", "xyz"])
+def test_readout_rejects_malformed_words(word):
+    with pytest.raises(ValueError):
+        sim.rotated_probabilities(StateVector.zero(3), ["XYZ", word])
+
+
+def test_sample_needs_one_key_per_word():
+    with pytest.raises(ValueError, match="key per word"):
+        sample(StateVector.zero(2), ["ZZ", "XX"], 10, [(1, 0)])
 
 
 def test_noisy_evolution_keeps_no_reference_to_its_channels():
@@ -162,14 +241,14 @@ def test_traceless_charge_on_mixed_state():
 
 def test_sample_deterministic_z_word():
     psi = StateVector.zero(4)
-    idx, cnt = sample(psi, "ZZZZ", 500, seed=9)
+    ((idx, cnt),) = sample(psi, ["ZZZZ"], 500, [(9, 0)])
     assert idx.tolist() == [0] and cnt.tolist() == [500]  # {"0000": 500}
 
 
 def test_sample_seed_reproducible_and_sums():
     psi = StateVector.from_spec(InitialStateSpec("XYZX", (0, 1, 0, 1)))
     c1, c2, c3 = (
-        [a.tolist() for a in sample(psi, "ZZZZ", 1000, seed=s)] for s in (3, 3, 4)
+        [a.tolist() for a in sample(psi, ["ZZZZ"], 1000, [(s, 0)])[0]] for s in (3, 3, 4)
     )
     assert c1 == c2
     assert sum(c1[1]) == 1000
@@ -180,7 +259,7 @@ def test_sample_uniform_on_mixed_state():
     n = 3
     rho = DensityMatrix.completely_mixed(n)
     shots = 80_000
-    _, counts = sample(rho, "XYZ", shots, seed=1)
+    ((_, counts),) = sample(rho, ["XYZ"], shots, [(1, 0)])
     expect = shots / (1 << n)
     sigma = np.sqrt(shots * (1 / 8) * (7 / 8))
     for v in counts:
@@ -193,9 +272,9 @@ def test_sample_chi_square_against_exact():
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = StateVector(n, amp / np.linalg.norm(amp))
     word = "XZYX"
-    p = sim.rotated_probabilities(psi, word)
+    (p,) = sim.rotated_probabilities(psi, [word])
     shots = 100_000
-    idx, cnt = sample(psi, word, shots, seed=2)
+    ((idx, cnt),) = sample(psi, [word], shots, [(2, 0)])
     obs = np.zeros(1 << n)
     obs[idx] = cnt
     chi2 = float(np.sum((obs - shots * p) ** 2 / (shots * p)))
@@ -206,7 +285,7 @@ def test_sample_chi_square_against_exact():
 def test_readout_flip_changes_distribution():
     psi = StateVector.zero(2)
     noisy = NoiseModel(readout_flip=0.25)
-    idx, cnt = sample(psi, "ZZ", 40_000, seed=5, noise=noisy)
+    ((idx, cnt),) = sample(psi, ["ZZ"], 40_000, [(5, 0)], noise=noisy)
     freq10 = cnt[idx == 1].sum() / 40_000  # "10": site 1 reads 1
     assert freq10 == pytest.approx(0.25 * 0.75, abs=0.01)
 
@@ -226,7 +305,7 @@ def test_expectation_cross_checks_sampling():
     total = 0.0
     for s, poly in q.items():
         word = s.letters().replace("I", "Z")
-        p = sim.rotated_probabilities(psi, word)
+        (p,) = sim.rotated_probabilities(psi, [word])
         idx = np.arange(1 << n)
         par = 1 - 2 * (np.bitwise_count(idx & np.int64(s.support_mask)).astype(int) & 1)
         total += poly(DELTA) * float(p @ par)
