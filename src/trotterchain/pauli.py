@@ -113,14 +113,6 @@ class PauliString:
     def with_phase(self, phase_power: int) -> "PauliString":
         return PauliString(self.n_sites, self.x_mask, self.z_mask, phase_power)
 
-    def translate(self, k: int) -> "PauliString":
-        """Cyclic shift of site labels by ``k`` (site j -> site j+k)."""
-        n = self.n_sites
-        k %= n
-        full = (1 << n) - 1
-        rot = lambda m: ((m << k) | (m >> (n - k))) & full if k else m
-        return PauliString(n, rot(self.x_mask), rot(self.z_mask), self.phase_power)
-
     # -- dense interface ----------------------------------------------
 
     def column_action(self):
@@ -179,12 +171,3 @@ def mul(a: PauliString, b: PauliString) -> PauliString:
     )
     return PauliString(a.n_sites, x, z, k % 4)
 
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff the symplectic form x_a.z_b + z_a.x_b is even."""
-    _check_sizes(a, b)
-    return ((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) % 2 == 0
-
-
-def translate(a: PauliString, k: int) -> PauliString:
-    return a.translate(k)

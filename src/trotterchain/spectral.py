@@ -95,40 +95,6 @@ def decay_rate(op: SuperOperator) -> float | None:
     return float(-np.log(inside.max()))
 
 
-def estimate_subleading_modulus(
-    circuit: Circuit, noise: NoiseModel, iterations: int = 60, seed: int = 0
-) -> float:
-    """Approximate |lambda_1| by iterated channel action, for N beyond the
-    dense-superoperator budget.
-
-    Powers the step map on a random traceless Hermitian deviation and reads
-    the asymptotic norm ratio.  This is a power-iteration estimate: it sees
-    the dominant decaying mode reachable from the start deviation and is
-    accurate only to the extent the tail ratios have settled.
-    """
-    n = circuit.n_sites
-    dim = 1 << n
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    dev = (a + a.conj().T) / 2.0
-    dev -= np.trace(dev).real * np.eye(dim) / dim
-    dev /= np.linalg.norm(dev)
-    ratios = []
-    for _ in range(iterations):
-        out = evolve_noisy(circuit, DensityMatrix(n, dev), noise).entries
-        # re-project Hermiticity and tracelessness: roundoff leakage into the
-        # unit-eigenvalue mode would otherwise grow by 1/|lambda_1| per step
-        out = (out + out.conj().T) / 2.0
-        out -= np.trace(out).real * np.eye(dim) / dim
-        norm = np.linalg.norm(out)
-        ratios.append(norm)
-        if norm < 1e-300:
-            break
-        dev = out / norm
-    tail = ratios[-10:]
-    return float(np.mean(tail))
-
-
 def spectrum_csv_rows(vals: np.ndarray):
     """(Re, Im) pairs for plotting eigenvalue clouds."""
     return [(float(v.real), float(v.imag)) for v in vals]

@@ -1,11 +1,18 @@
 """Pauli-basis quantum state tomography.
 
-The full basis of 3^N words is measured (or evaluated exactly); linear
-inversion pools, for every Pauli operator, all the bases that measure it,
-since the word basis is over-complete.  The linear-inversion matrix can have
-small negative eigenvalues at finite shots; the positive projection is the
-closest density matrix in Frobenius norm, obtained by projecting the
-spectrum onto the probability simplex while keeping eigenvectors.
+The full basis of 3^N words is measured (or evaluated exactly).  Linear
+inversion pools every Pauli expectation over all the words that measure it,
+since the word basis is over-complete.  Pooled that way, the estimate
+factorises over sites: with f_w(b) the frequency of outcome b in word w,
+
+    rho* = sum_(w, b) f_w(b) (x)_j A[w_j, b_j],   A[s, b] = (I/3 + (-1)^b s) / 2,
+
+the classical-shadow inverse for Pauli measurements averaged over all 3^N
+bases (Huang, Kueng and Preskill, Nat. Phys. 16, 1050 (2020)).  The
+linear-inversion matrix can have small negative eigenvalues at finite shots;
+the positive projection is the closest density matrix in Frobenius norm,
+obtained by projecting the spectrum onto the probability simplex while
+keeping eigenvectors.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .pauli import PauliString
-from .sim import IDEAL, DensityMatrix, NoiseModel, rotated_probabilities, sample, walsh_transform
+from .pauli import _SINGLE
+from .sim import IDEAL, DensityMatrix, NoiseModel, rotated_probabilities, sample
 
 TOMO_MAX_SITES = 6
 
@@ -73,31 +80,23 @@ def collect(state, shots: int | None, seed: int = 0, noise: NoiseModel = IDEAL) 
 def linear_inversion(data: TomographyData) -> np.ndarray:
     """Hermitian unit-trace reconstruction rho* = 2^-N sum_P m_P P.
 
-    Every Pauli expectation is pooled over the 3^(number of identity sites)
-    bases that measure it; the result needs no clipping and may be non-PSD.
+    m_P is pooled over the 3^(number of identity sites) words that measure
+    P, which factorises into one contraction per site: the frequencies,
+    shaped ``(3,)*N + (2,)*N`` (site 1's letter first, as in
+    :func:`all_words`; site N's bit first, as site j sits on bit j-1), meet
+    ``A[letter, bit]`` on each site's pair of axes.  No Pauli is enumerated;
+    the result needs no clipping and may be non-PSD.
     """
     n = data.n_sites
-    dim = 1 << n
     shots = 1.0 if data.shots is None else float(data.shots)
-    cols = np.arange(dim)
-
-    # on the sites of subset m, word k measures the Pauli keyed (x << n) | z,
-    # whose expectation is component m of the Walsh transform of its outcomes
-    words = [PauliString.from_letters(w) for w in all_words(n)]
-    keys = np.concatenate([((w.x_mask & cols) << n) | (w.z_mask & cols) for w in words])
-    parities = np.concatenate([walsh_transform(row / shots) for row in data.freqs])
-    paulis, first, which, hits = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    sums = np.zeros(len(paulis))
-    np.add.at(sums, which, parities)  # a running sum per Pauli, in word order
-
-    rho = np.zeros((dim, dim), dtype=complex)
-    for i in np.argsort(first).tolist():  # Paulis in order of first appearance
-        key = int(paulis[i])
-        rows, vals = PauliString(n, key >> n, key & (dim - 1)).column_action()
-        rho[rows, cols] += sums[i] / hits[i] * vals
-    return rho / dim
+    # site_inverse[letter, bit] = A[sigma, b], letters in all_words' order
+    site_inverse = np.array([[(np.eye(2) / 3 + s * _SINGLE[c]) / 2 for s in (1, -1)] for c in "XYZ"])
+    t = (data.freqs / shots).reshape((3,) * n + (2,) * n)
+    for j in range(n):  # site j+1: its letter is axis 0, its bit the last bit axis
+        t = np.tensordot(t, site_inverse, axes=([0, 2 * (n - j) - 1], [0, 1]))
+    # axes are now (row, column) of site 1, site 2, ...; site N is the high bit
+    order = list(range(2 * n - 2, -1, -2)) + list(range(2 * n - 1, 0, -2))
+    return t.transpose(order).reshape(1 << n, 1 << n)
 
 
 def simplex_project(values: np.ndarray) -> np.ndarray:
@@ -138,7 +137,9 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """State fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped to [0, 1].
 
     Evaluated as the squared nuclear norm of sqrt(sigma) sqrt(rho), which is
-    the same quantity and symmetric under exchange by construction.
+    the same quantity and symmetric under exchange by construction.  Near
+    rank-deficient arguments F is resolved only to about sqrt(eps): round-off
+    eigenvalues of order 1e-16 enter the norm through their 1e-8 roots.
     """
     if rho.n_sites != sigma.n_sites:
         raise ValueError("state sizes differ")

@@ -2,17 +2,18 @@
 
 Full 2^N unitaries and 4^N superoperators built from Kronecker products,
 site 1 on the lowest-order bit, plus Kraus sums and Pauli expectations
-written out as matrix products, and read-out one word at a time on a full
-copy of the state.  They cost exponentially more than the
-engines in ``trotterchain`` and serve only as the oracle the tests compare
-those engines against.
+written out as matrix products, read-out one word at a time on a full
+copy of the state, and tomography's linear inversion summed Pauli by Pauli.
+They cost exponentially more than the engines in ``trotterchain`` and serve
+only as the oracle the tests compare those engines against.
 """
 
 import numpy as np
 
 from trotterchain.circuit import Gate, build_measurement_rotation
-from trotterchain.pauli import SizeMismatchError, mul
-from trotterchain.sim import IDEAL, StateVector, apply_readout_flips
+from trotterchain.pauli import PauliString, SizeMismatchError, mul
+from trotterchain.sim import IDEAL, StateVector, apply_readout_flips, walsh_transform
+from trotterchain.tomo import all_words
 
 
 def kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
@@ -21,6 +22,13 @@ def kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
     for op in operators:
         out += op @ rho @ op.conj().T
     return out
+
+
+def commutes(a, b) -> bool:
+    """True iff the symplectic form x_a.z_b + z_a.x_b is even."""
+    if a.n_sites != b.n_sites:
+        raise SizeMismatchError(f"size mismatch: {a.n_sites} vs {b.n_sites}")
+    return ((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) % 2 == 0
 
 
 def trace_pair(a, b) -> complex:
@@ -117,3 +125,31 @@ def outcome_distribution(state, word: str, noise=IDEAL) -> np.ndarray:
     if flips is not None:
         p = apply_readout_flips(p, flips, state.n_sites)
     return p
+
+
+def linear_inversion(data) -> np.ndarray:
+    """rho* = 2^-N sum_P m_P P, with m_P pooled over every word that measures P.
+
+    On the sites of subset m, word k measures the Pauli keyed ``(x << N) | z``,
+    whose expectation is component m of the Walsh transform of the word's
+    outcomes; the running sums are then written out one Pauli at a time.
+    """
+    n = data.n_sites
+    dim = 1 << n
+    shots = 1.0 if data.shots is None else float(data.shots)
+    cols = np.arange(dim)
+    words = [PauliString.from_letters(w) for w in all_words(n)]
+    keys = np.concatenate([((w.x_mask & cols) << n) | (w.z_mask & cols) for w in words])
+    parities = np.concatenate([walsh_transform(row / shots) for row in data.freqs])
+    paulis, first, which, hits = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    sums = np.zeros(len(paulis))
+    np.add.at(sums, which, parities)  # a running sum per Pauli, in word order
+
+    rho = np.zeros((dim, dim), dtype=complex)
+    for i in np.argsort(first).tolist():  # Paulis in order of first appearance
+        key = int(paulis[i])
+        rows, vals = PauliString(n, key >> n, key & (dim - 1)).column_action()
+        rho[rows, cols] += sums[i] / hits[i] * vals
+    return rho / dim

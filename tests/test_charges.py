@@ -25,7 +25,7 @@ from trotterchain.charges import (
     window_density,
 )
 from strategies import term_lists
-from trotterchain.pauli import CODE_LETTERS, LETTER_CODES, PauliString, commutes, mul
+from trotterchain.pauli import CODE_LETTERS, LETTER_CODES, PauliString, mul
 
 DELTA = float(np.tan(0.3))
 
@@ -229,11 +229,10 @@ def _half_i_commutator(b_start, b_codes, t_start, t_codes):
     n = max(b_end, t_end) - lo + 1
     bs = _string_on(lo, n, b_start, b_codes)
     ts = _string_on(lo, n, t_start, t_codes)
-    if commutes(bs, ts):
-        return None
     prod = mul(bs, ts)
     k = prod.phase_power
-    assert k % 2, "anticommuting Hermitian product with real phase"
+    if k % 2 == 0:  # a real phase: the Hermitian pair commutes
+        return None
     sign = 1 if (k + 1) % 4 == 0 else -1
     codes = [((prod.x_mask >> j) & 1) | (((prod.z_mask >> j) & 1) << 1) for j in range(n)]
     i0 = next(i for i, c in enumerate(codes) if c)

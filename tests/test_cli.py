@@ -264,7 +264,7 @@ PINNED_RUNS = {
             "mitigation.csv": "1f8dc00d214fb3c1b608edd8398c93ebcab72adac7bc3af084a0b9656b56f624",
             "spectrum.csv": "90448863db8af55eead1a928d6abb2bcd09d7816ad3169c40dae81d450d49707",
             "spectrum.json": "0f08a2609ff4d41b1f7cd05e2f0a8c23cb3de8c09f3b405840b53c6a93684655",
-            "tomo.json": "3d45745c671ec16d60e8f72ab5b822077d224bea97f865e7bd944e45588471a9",
+            "tomo.json": "60f5d94c57bb3e4a6be49d34de19c0eb9ad629dbfbca1599cf5bc6fb2575cfea",
         },
     ),
     "damping": (
@@ -284,7 +284,7 @@ PINNED_RUNS = {
             "mitigation.csv": "4a54caeb5349bc50e9654cee85e81c5846615f14bf5bd00d067b82bddefb4970",
             "spectrum.csv": "01525f12d222b0a734f328a9319775d0b16b2b6e59eb70f97dde37c6d8fb55fa",
             "spectrum.json": "1833230c51c12f7aaccd2ce65051251172e9d7c3c592ea7dcea0b341a879acc7",
-            "tomo.json": "db2b34f4ad846bc1bd9a70c04b26631655a6e47c1d9796bcc41b3acd2ce97e7f",
+            "tomo.json": "7f8be732266efb6248d108b85854b7cc78ce4db55059e54e6fc6482bf773f604",
         },
     ),
 }

@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import pauli_expectation_density, pauli_expectation_statevector, trace_pair
-from trotterchain.pauli import (
-    CODE_LETTERS,
-    PauliString,
-    SizeMismatchError,
+from dense_oracle import (
     commutes,
-    letter_strings,
-    mul,
-    translate,
+    pauli_expectation_density,
+    pauli_expectation_statevector,
+    trace_pair,
 )
+from trotterchain.pauli import CODE_LETTERS, PauliString, SizeMismatchError, letter_strings, mul
 
 
 def dense(s: str) -> np.ndarray:
@@ -85,21 +82,6 @@ def test_trace_pair_matches_dense_random():
         b = PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
         want = np.trace(a.matrix() @ b.matrix()) / (1 << n)
         assert trace_pair(a, b) == pytest.approx(want, abs=1e-12)
-
-
-def test_translate():
-    s = PauliString.from_letters("XZII")  # X1 Z2 on N=4
-    assert translate(s, 1).letters() == "IXZI"
-    assert translate(PauliString.from_letters("XIII"), 4).letters() == "XIII"
-    assert translate(PauliString.from_letters("IIIZ"), 1).letters() == "ZIII"
-
-
-def test_translate_by_n_is_identity():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        s = PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.integers(0, 4)))
-        assert translate(s, n) == s
 
 
 @settings(deadline=None)

@@ -13,7 +13,6 @@ from trotterchain.sim import DensityMatrix, NoiseModel, evolve_noisy, exact_expe
 from trotterchain.spectral import (
     DegenerateFixedPointError,
     decay_rate,
-    estimate_subleading_modulus,
     fixed_point,
     spectrum,
     vectorize_step,
@@ -127,13 +126,6 @@ def test_identity_left_fixed_point(depol_op):
 def test_budget():
     with pytest.raises(ValueError):
         vectorize_step(build_step(6, ALPHA), sim.IDEAL)
-
-
-def test_power_estimate_matches_dense_modulus(depol_op):
-    model = depol_model(0.018, 0.018)
-    approx = estimate_subleading_modulus(build_step(N, ALPHA), model, iterations=120)
-    exact = np.exp(-decay_rate(depol_op))
-    assert abs(approx - exact) / exact < 0.05
 
 
 @st.composite

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trotterchain.circuit import InitialStateSpec
-from trotterchain.sim import DensityMatrix, StateVector
+import dense_oracle
+from trotterchain.circuit import Circuit, Gate, InitialStateSpec
+from trotterchain.noise import amp_phase_damping
+from trotterchain.sim import DensityMatrix, NoiseModel, StateVector, evolve_noisy
 from trotterchain.tomo import (
     TomographyData,
     all_words,
@@ -59,6 +63,41 @@ def test_linear_inversion_can_go_negative():
         if np.linalg.eigvalsh(rec).min() < -1e-6:
             found = True
     assert found
+
+
+@st.composite
+def tomography_states(draw):
+    """A product, random mixed or damped entangled state on 1..6 sites."""
+    n = draw(st.integers(1, 6))
+    spec = InitialStateSpec(
+        "".join(draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))),
+        tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+    )
+    kind = draw(st.sampled_from(["product", "mixed", "damped"]))
+    if kind == "product":
+        return DensityMatrix.from_spec(spec)
+    if kind == "mixed":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+        return DensityMatrix(n, m @ m.conj().T / np.trace(m @ m.conj().T).real)
+    gates = [Gate("H", (j,)) for j in range(1, n + 1)]
+    gates += [Gate("CNOT", (j, j + 1)) for j in range(1, n)]
+    rates = draw(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)))
+    damping = amp_phase_damping(*rates)
+    noise = NoiseModel(after_one_qubit=damping, after_two_qubit=damping)
+    return evolve_noisy(Circuit(n, gates), DensityMatrix.from_spec(spec), noise)
+
+
+@settings(deadline=None, max_examples=40)
+@given(tomography_states(), st.one_of(st.none(), st.integers(1, 2000)), st.integers(0, 2**32 - 1))
+def test_linear_inversion_matches_pauli_by_pauli_oracle(rho, shots, seed):
+    data = collect(rho, shots, seed=seed)
+    rec = linear_inversion(data)
+    assert np.abs(rec - dense_oracle.linear_inversion(data)).max() < 1e-12
+    assert np.abs(rec - rec.conj().T).max() < 1e-12
+    assert abs(np.trace(rec) - 1.0) < 1e-12
+    if shots is None:
+        assert np.abs(rec - rho.entries).max() < 1e-12
 
 
 def test_simplex_projection_values():
