@@ -3,10 +3,14 @@
 Charges are exact objects: sums of Pauli strings whose coefficients are
 integer polynomials in the Trotter step ``delta``.  The module provides
 
-- :class:`DeltaPoly`, integer polynomials in ``delta``;
 - :class:`PauliPolynomial`, a charge or charge density as packed rows: int64
   ``(x, z)`` string masks and an int64 matrix of delta-power coefficients;
-- hard-coded low-order window densities (:func:`density`);
+- :class:`DeltaPoly`, integer polynomials in ``delta``: the view of one row's
+  coefficients that :meth:`PauliPolynomial.items` and ``coefficient`` give;
+- integer tables of dot/cross products ``c delta^m sigma . (sigma x ...)``
+  for the order-1 and order-2 window densities (:func:`density`) and the
+  boost block, each expanded by one function (over :func:`dot_cross`) into
+  packed ``(x, z, m, c)`` monomials;
 - :func:`boost_step`, one rung of the boost recursion, evaluated as a direct
   commutator on translation-covariant operator sums and collapsed back to a
   single gauge-fixed window density;
@@ -23,25 +27,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .pauli import LETTER_CODES, PauliString, letter_strings
 
 VARIANTS = ("plus", "minus", "dif")
-
-_AXES = "XYZ"
-
-# Levi-Civita symbol over letter pairs: _EPS[(a, b)] = (c, sign) with
-# eps_{abc} = sign; equal-letter pairs are absent.
-_EPS = {}
-for _i, _a in enumerate(_AXES):
-    for _j, _b in enumerate(_AXES):
-        if _i == _j:
-            continue
-        _k = 3 - _i - _j
-        _sign = 1 if (_j - _i) % 3 == 1 else -1
-        _EPS[(_a, _b)] = (_AXES[_k], _sign)
 
 
 class DeltaPoly:
@@ -60,10 +52,6 @@ class DeltaPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("DeltaPoly is immutable")
-
-    @classmethod
-    def const(cls, c: int) -> "DeltaPoly":
-        return cls((c,))
 
     @classmethod
     def delta_power(cls, m: int, c: int = 1) -> "DeltaPoly":
@@ -209,7 +197,12 @@ class PauliPolynomial:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PauliPolynomial":
-        terms = [(PauliString.from_letters(t["pauli"]), t["coeffs"]) for t in doc["terms"]]
+        """The inverse of :meth:`to_dict`; a coefficient that is no integer raises ValueError."""
+        terms = []
+        for t in doc["terms"]:
+            if not all(isinstance(c, Integral) and not isinstance(c, bool) for c in t["coeffs"]):
+                raise ValueError(f"coefficients of {t['pauli']} are not integers: {t['coeffs']!r}")
+            terms.append((PauliString.from_letters(t["pauli"]), t["coeffs"]))
         return cls.from_terms(doc["n_sites"], terms)
 
     def __len__(self):
@@ -282,73 +275,74 @@ class PauliPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# dot / cross expansions
+# integer tables and their packed expansion
 # ---------------------------------------------------------------------------
 
-
-def _vector(site: int):
-    """The Pauli 3-vector at ``site`` as component -> {letter-map: coeff}."""
-    return [{((site, ax),): 1} for ax in _AXES]
-
-
-def _cross(u, v):
-    """Cross product of two operator-valued 3-vectors on disjoint sites."""
-    out = [{}, {}, {}]
-    for i, a in enumerate(_AXES):
-        for j, b in enumerate(_AXES):
-            if a == b:
-                continue
-            c, sign = _EPS[(a, b)]
-            k = _AXES.index(c)
-            for mono_u, cu in u[i].items():
-                for mono_v, cv in v[j].items():
-                    mono = tuple(sorted(mono_u + mono_v))
-                    out[k][mono] = out[k].get(mono, 0) + sign * cu * cv
-    return [{m: c for m, c in comp.items() if c} for comp in out]
+# A table entry (c, m, sites) is c delta^m sigma_{s1} . (sigma_{s2} x (... x
+# sigma_{sk})) on the 1-based ``sites``, right-nested; a pair is the plain dot
+# product.
 
 
-def _dot(u, v):
-    out = {}
-    for i in range(3):
-        for mono_u, cu in u[i].items():
-            for mono_v, cv in v[i].items():
-                mono = tuple(sorted(mono_u + mono_v))
-                out[mono] = out.get(mono, 0) + cu * cv
-    return {m: c for m, c in out.items() if c}
+@functools.cache
+def dot_cross(k: int) -> tuple:
+    """Expand ``sigma_1 . (sigma_2 x (... x sigma_k))`` over k distinct sites.
 
-
-def dot_cross(*sites: int) -> dict:
-    """Expand ``sigma_a . (sigma_b x sigma_c x ...)``, right-nested.
-
-    With a single pair this is the plain dot product.  Returns a map from
-    monomials ``((site, letter), ...)`` to integer coefficients; all sites
-    must be distinct so no operator reordering phases arise.
+    Returns ``(letters, coefficient)`` pairs: letter i acts on operand i, and
+    the integer coefficient is a product of Levi-Civita signs.  Memoized;
+    the result is immutable.
     """
-    if len(sites) < 2:
+    if k < 2:
         raise ValueError("need at least two sites")
-    if len(set(sites)) != len(sites):
-        raise ValueError("sites must be distinct")
-    vec = _vector(sites[-1])
-    for s in sites[-2:0:-1]:
-        vec = _cross(_vector(s), vec)
-    return _dot(_vector(sites[0]), vec)
+    # vec[a]: {letters of the operands so far: coefficient} of component a
+    vec = [{ax: 1} for ax in "XYZ"]
+    for _ in range(k - 2):
+        out = [{}, {}, {}]
+        for a, left in enumerate("XYZ"):
+            for b in (a + 1) % 3, (a + 2) % 3:
+                sign = 1 if b == (a + 1) % 3 else -1  # eps_{abc}
+                for letters, c in vec[b].items():  # each key arises once
+                    out[3 - a - b][left + letters] = sign * c
+        vec = out
+    dot = [(ax + letters, c) for ax, comp in zip("XYZ", vec) for letters, c in comp.items()]
+    return tuple(sorted(dot))
 
 
-def _window_poly(n_sites: int, combo) -> PauliPolynomial:
-    """Build a window density from (DeltaPoly, site-tuple) contributions."""
-    terms = []
-    for poly, sites in combo:
-        for mono, c in dot_cross(*sites).items():
-            letters = ["I"] * n_sites
-            for site, ax in mono:
-                letters[site - 1] = ax
-            terms.append((PauliString.from_letters("".join(letters)), (poly * c).coeffs))
-    return PauliPolynomial.from_terms(n_sites, terms)
+def _packed_monomials(table) -> list:
+    """The monomials of an integer table as packed ``(x, z, m, c)``: int masks
+    with site 1 on bit 0, the delta power m and the integer coefficient c."""
+    out = []
+    for c, m, sites in table:
+        for letters, sign in dot_cross(len(sites)):
+            x = z = 0
+            for site, letter in zip(sites, letters):
+                code = LETTER_CODES[letter]
+                x |= (code & 1) << (site - 1)
+                z |= (code >> 1) << (site - 1)
+            out.append((x, z, m, c * sign))
+    return out
 
 
-# ---------------------------------------------------------------------------
-# hard-coded low-order densities
-# ---------------------------------------------------------------------------
+# The plus window densities of orders 1 and 2; the minus density takes the
+# coefficient c (-1)^m, the plus density at -delta.
+_DENSITY_TABLES = {
+    1: ((1, 0, (1, 2)), (1, 0, (2, 3)), (-1, 1, (1, 2, 3)), (1, 2, (1, 3))),
+    2: (
+        (-2, 1, (3, 4)),
+        (-2, 1, (4, 5)),
+        (2, 1, (3, 5)),
+        (-1, 0, (3, 4, 5)),
+        (1, 2, (3, 4, 5)),
+        (-1, 0, (2, 3, 4)),
+        (-1, 2, (2, 3, 5)),
+        (-1, 2, (1, 3, 4)),
+        (-1, 4, (1, 3, 5)),
+        (1, 1, (2, 3, 4, 5)),
+        (1, 1, (1, 2, 3, 4)),
+        (1, 3, (1, 3, 4, 5)),
+        (1, 3, (1, 2, 3, 5)),
+        (-1, 2, (1, 2, 3, 4, 5)),
+    ),
+}
 
 
 def density(order: int, variant: str) -> PauliPolynomial:
@@ -365,39 +359,14 @@ def density(order: int, variant: str) -> PauliPolynomial:
     """
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown density variant {variant!r}")
-    s = 1 if variant == "plus" else -1
-    one = DeltaPoly.const
-    dp = DeltaPoly.delta_power
-    if order == 1:
-        return _window_poly(
-            3,
-            [
-                (one(1), (1, 2)),
-                (one(1), (2, 3)),
-                (dp(1, -s), (1, 2, 3)),
-                (dp(2), (1, 3)),
-            ],
-        )
-    if order == 2:
-        return _window_poly(
-            5,
-            [
-                (dp(1, -2 * s), (3, 4)),
-                (dp(1, -2 * s), (4, 5)),
-                (dp(1, 2 * s), (3, 5)),
-                (DeltaPoly((-1, 0, 1)), (3, 4, 5)),
-                (one(-1), (2, 3, 4)),
-                (dp(2, -1), (2, 3, 5)),
-                (dp(2, -1), (1, 3, 4)),
-                (dp(4, -1), (1, 3, 5)),
-                (dp(1, s), (2, 3, 4, 5)),
-                (dp(1, s), (1, 2, 3, 4)),
-                (dp(3, s), (1, 3, 4, 5)),
-                (dp(3, s), (1, 2, 3, 5)),
-                (dp(2, -1), (1, 2, 3, 4, 5)),
-            ],
-        )
-    raise ValueError("hard-coded densities exist for orders 1 and 2 only")
+    if order not in _DENSITY_TABLES:
+        raise ValueError("hard-coded densities exist for orders 1 and 2 only")
+    n_sites = 2 * order + 1
+    x, z, m, c = np.array(_packed_monomials(_DENSITY_TABLES[order]), dtype=np.int64).T
+    rows = np.zeros((len(c), m.max() + 1), dtype=np.int64)
+    rows[np.arange(len(c)), m] = c if variant == "plus" else c * (-1) ** m
+    keys, summed = _sum_rows(_key(x, z, n_sites), rows)
+    return PauliPolynomial.from_arrays(n_sites, *_unkey(keys, n_sites), summed)
 
 
 # ---------------------------------------------------------------------------
@@ -454,34 +423,19 @@ def _sum_rows(keys, rows):
     return flat[first], out
 
 
-def _boost_monomials():
-    """Constituent monomials of one boost block, with delta-power factors.
-
-    For the block anchored at ``l`` the sites are A=2l-3, B=2l-2, C=2l-1,
-    D=2l; entries are (x_mask, z_mask, delta_power, coefficient) with bit 0
-    on site A.
-    """
-    out = []
-    for sites, m, c in [
-        ((0, 1), 0, 1),       # sigma_A . sigma_B
-        ((2, 3), 0, 1),       # sigma_C . sigma_D
-        ((1, 2), 0, 2),       # 2 sigma_B . sigma_C
-        ((1, 3), 2, 1),       # delta^2 sigma_B . sigma_D
-        ((0, 2), 2, 1),       # delta^2 sigma_A . sigma_C
-        ((0, 1, 2), 1, 1),    # +delta sigma_A . (sigma_B x sigma_C)
-        ((1, 2, 3), 1, -1),   # -delta sigma_B . (sigma_C x sigma_D)
-    ]:
-        for mono, coeff in dot_cross(*[s + 1 for s in sites]).items():
-            x = z = 0
-            for site, ax in mono:
-                code = LETTER_CODES[ax]
-                x |= (code & 1) << (site - 1)
-                z |= (code >> 1) << (site - 1)
-            out.append((x, z, m, c * coeff))
-    return out
-
-
-_BOOST_MONOMIALS = _boost_monomials()
+# One boost block, anchored at l, on the sites A=2l-3, B=2l-2, C=2l-1, D=2l;
+# in the table and its packed monomials A..D are sites 1..4 (bit 0 on A).
+_BOOST_MONOMIALS = _packed_monomials(
+    (
+        (1, 0, (1, 2)),  # sigma_A . sigma_B
+        (1, 0, (3, 4)),  # sigma_C . sigma_D
+        (2, 0, (2, 3)),  # 2 sigma_B . sigma_C
+        (1, 2, (2, 4)),  # delta^2 sigma_B . sigma_D
+        (1, 2, (1, 3)),  # delta^2 sigma_A . sigma_C
+        (1, 1, (1, 2, 3)),  # +delta sigma_A . (sigma_B x sigma_C)
+        (-1, 1, (2, 3, 4)),  # -delta sigma_B . (sigma_C x sigma_D)
+    )
+)
 
 
 class GaugeError(RuntimeError):
@@ -603,6 +557,8 @@ class ChargeSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if not isinstance(self.order, Integral) or isinstance(self.order, bool):
+            raise ValueError(f"order must be an integer, got {self.order!r}")
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.n_sites % 2:
@@ -614,8 +570,13 @@ class ChargeSpec:
 
     @property
     def label(self) -> str:
-        suffix = {"plus": "+", "minus": "-", "dif": "dif"}[self.variant]
-        return f"Q{self.order}{suffix}"
+        return charge_label(self.order, self.variant)
+
+
+def charge_label(order: int, variant: str) -> str:
+    """``Q{order}`` then ``+``, ``-`` or ``dif``: a charge's name in artifacts."""
+    suffix = {"plus": "+", "minus": "-", "dif": "dif"}[variant]
+    return f"Q{order}{suffix}"
 
 
 def _assembled_rows(order: int, variant: str, n_sites: int):

@@ -15,12 +15,13 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import __version__
 from . import analysis, measure, mitigate, spectral, tomo
-from .charges import ChargeSpec, assemble_cached
+from .charges import ChargeSpec, assemble_cached, charge_label
 from .circuit import InitialStateSpec, build_circuit, build_step
 from .noise import amp_phase_damping, depolarizing
 from .sim import (
@@ -62,6 +63,10 @@ class ConfigError(ValueError):
     pass
 
 
+# field annotation -> the type its value must have; a bool is no number
+_FIELD_TYPES = {"int": Integral, "float": Real, "bool": bool}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment; the config keys are its fields plus ``schema_version``."""
@@ -80,15 +85,23 @@ class ExperimentConfig:
     beta_star: float = 0.01
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, value = _FIELD_TYPES.get(f.type), getattr(self, f.name)
+            if kind and not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        for name, low in (("depth_max", 0), ("shots_total", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.n_sites % 2:
             raise ConfigError("n_sites must be even")
         if self.engine not in ("pure", "noisy"):
             raise ConfigError(f"unknown engine {self.engine!r}")
-        for order, variant in self.charges:
+        for charge in self.charges:
             try:
+                order, variant = charge
                 ChargeSpec(order, variant, self.n_sites)  # validates N > 2n+1
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"charge {charge!r}: {exc}") from None
         if self.initial_state is not None and self.initial_state.n_sites != self.n_sites:
             raise ConfigError("initial state length must match n_sites")
         kind = self.noise.get("kind", "none")
@@ -140,14 +153,20 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         init = kwargs.get("initial_state")
-        if isinstance(init, str):
-            if init not in ("neel", "zeros"):
-                raise ConfigError(f"unknown initial_state shorthand {init!r}")
-            kwargs["initial_state"] = getattr(InitialStateSpec, init)(doc["n_sites"])
-        elif init is not None:
-            kwargs["initial_state"] = InitialStateSpec(init["letters"], tuple(init["bits"]))
+        if isinstance(init, str) and init not in ("neel", "zeros"):
+            raise ConfigError(f"unknown initial_state shorthand {init!r}")
+        try:
+            if isinstance(init, str):
+                kwargs["initial_state"] = getattr(InitialStateSpec, init)(doc["n_sites"])
+            elif init is not None:
+                kwargs["initial_state"] = InitialStateSpec(init["letters"], tuple(init["bits"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"initial_state {init!r}: {exc}") from None
         if "charges" in kwargs:
-            kwargs["charges"] = tuple((int(n), str(v)) for n, v in kwargs["charges"])
+            try:
+                kwargs["charges"] = tuple(map(tuple, kwargs["charges"]))
+            except TypeError as exc:
+                raise ConfigError(f"charges are [order, variant] pairs: {exc}") from None
         return cls(**kwargs)
 
 
@@ -339,7 +358,7 @@ def fit_report(config: ExperimentConfig, rows: list) -> dict:
     """Exponential and early-linear fits of a decay table, per charge."""
     series: dict = {}
     for d, order, variant, est, s_q, exact in rows:
-        key = f"Q{order}{'+' if variant == 'plus' else '-' if variant == 'minus' else 'dif'}"
+        key = charge_label(order, variant)
         series.setdefault(key, (order, []))[1].append(
             (d, exact if exact is not None else est, 0.0 if exact is not None else s_q)
         )

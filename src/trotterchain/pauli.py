@@ -26,9 +26,6 @@ CODE_LETTERS = "IXZY"
 _LETTER_BYTES = np.frombuffer(CODE_LETTERS.encode(), dtype=np.uint8)
 LETTER_CODES = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 
-# letter -> (x bit, z bit)
-_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -72,18 +69,12 @@ class PauliString:
         x = z = 0
         for j, ch in enumerate(letters):
             try:
-                bx, bz = _BITS[ch]
+                code = LETTER_CODES[ch]
             except KeyError:
                 raise ValueError(f"unknown Pauli letter {ch!r}") from None
-            x |= bx << j
-            z |= bz << j
+            x |= (code & 1) << j
+            z |= (code >> 1) << j
         return cls(len(letters), x, z, phase_power)
-
-    @classmethod
-    def single(cls, n_sites: int, site: int, letter: str) -> "PauliString":
-        bx, bz = _BITS[letter]
-        j = (site - 1) % n_sites
-        return cls(n_sites, bx << j, bz << j, 0)
 
     # -- queries ------------------------------------------------------
 
@@ -101,17 +92,9 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
 
-    def phase(self) -> complex:
-        return _I_POW[self.phase_power]
-
     def __str__(self) -> str:
         pre = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase_power]
         return pre + self.letters()
-
-    # -- unary operations ---------------------------------------------
-
-    def with_phase(self, phase_power: int) -> "PauliString":
-        return PauliString(self.n_sites, self.x_mask, self.z_mask, phase_power)
 
     # -- dense interface ----------------------------------------------
 
@@ -128,13 +111,6 @@ class PauliString:
         scale = _I_POW[(self.phase_power + (self.x_mask & self.z_mask).bit_count()) % 4]
         vals = np.where(par, -scale, scale)
         return rows, vals
-
-    def matrix(self) -> np.ndarray:
-        rows, vals = self.column_action()
-        dim = 1 << self.n_sites
-        m = np.zeros((dim, dim), dtype=complex)
-        m[rows, np.arange(dim)] = vals
-        return m
 
 
 def letter_strings(x, z, n_sites: int) -> np.ndarray:

@@ -11,7 +11,7 @@ only as the oracle the tests compare those engines against.
 import numpy as np
 
 from trotterchain.circuit import Gate, build_measurement_rotation
-from trotterchain.pauli import PauliString, SizeMismatchError, mul
+from trotterchain.pauli import _I_POW, PauliString, SizeMismatchError, mul
 from trotterchain.sim import IDEAL, StateVector, apply_readout_flips, walsh_transform
 from trotterchain.tomo import all_words
 
@@ -22,6 +22,15 @@ def kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
     for op in operators:
         out += op @ rho @ op.conj().T
     return out
+
+
+def matrix(s) -> np.ndarray:
+    """Dense 2^N matrix of a Pauli string, phase included."""
+    rows, vals = s.column_action()
+    dim = 1 << s.n_sites
+    m = np.zeros((dim, dim), dtype=complex)
+    m[rows, np.arange(dim)] = vals
+    return m
 
 
 def commutes(a, b) -> bool:
@@ -37,7 +46,7 @@ def trace_pair(a, b) -> complex:
         raise SizeMismatchError(f"size mismatch: {a.n_sites} vs {b.n_sites}")
     if a.x_mask != b.x_mask or a.z_mask != b.z_mask:
         return 0.0 + 0.0j
-    return mul(a, b).phase()
+    return _I_POW[mul(a, b).phase_power]
 
 
 def pauli_expectation_statevector(s, psi: np.ndarray) -> complex:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import pauli_expectation_statevector
+from dense_oracle import matrix, pauli_expectation_statevector
 from trotterchain.charges import (
     ChargeSpec,
     DeltaPoly,
+    _DENSITY_TABLES,
     GaugeError,
     PauliPolynomial,
+    _packed_monomials,
     assemble,
     assemble_cached,
     boost_step,
@@ -39,9 +41,9 @@ def build_window(n_sites, groups):
     terms = []
     for m, entries in groups.items():
         for coeff, sites in entries:
-            for mono, c in dot_cross(*sites).items():
+            for operands, c in dot_cross(len(sites)):
                 letters = ["I"] * n_sites
-                for site, ax in mono:
+                for site, ax in zip(sites, operands):
                     letters[site - 1] = ax
                 string = PauliString.from_letters("".join(letters))
                 terms.append((string, DeltaPoly.delta_power(m, coeff * c).coeffs))
@@ -87,6 +89,44 @@ def test_density_plus_minus_agree_at_zero():
     plus = {s: p(0.0) for s, p in density(1, "plus").items() if p(0.0)}
     minus = {s: p(0.0) for s, p in density(1, "minus").items() if p(0.0)}
     assert plus == minus
+
+
+def _dense_dot_cross(n_sites, sites):
+    """sigma_{s1} . (sigma_{s2} x (... x sigma_{sk})) from Pauli matrices and eps_{abc}."""
+
+    def sigma(site):
+        rows = ["".join(ax if j == site else "I" for j in range(1, n_sites + 1)) for ax in "XYZ"]
+        return [matrix(PauliString.from_letters(row)) for row in rows]
+
+    def eps(a, b, c):
+        return (a - b) * (b - c) * (c - a) // 2
+
+    vec = sigma(sites[-1])
+    for site in reversed(sites[1:-1]):
+        left = sigma(site)
+        vec = [
+            sum(eps(a, b, c) * left[a] @ vec[b] for a in range(3) for b in range(3))
+            for c in range(3)
+        ]
+    return sum(left @ right for left, right in zip(sigma(sites[0]), vec))
+
+
+def test_dot_cross_matches_dense_levi_civita_product():
+    for k in range(2, 6):
+        sites = tuple(range(1, k + 1))
+        want = _dense_dot_cross(k, sites)
+        assert not np.allclose(want, 0)
+        monomials = _packed_monomials([(1, 0, sites)])
+        got = sum(c * matrix(PauliString(k, x, z)) for x, z, _, c in monomials)
+        assert np.abs(got - want).max() < 1e-12
+        assert len(monomials) == len(dot_cross(k)) and dot_cross(k) is dot_cross(k)
+    # one table entry, on sites that skip one, at a nonzero delta power
+    c, m, sites = entry = (-1, 2, (2, 3, 5))
+    assert entry in _DENSITY_TABLES[2]
+    rows = _packed_monomials([entry])
+    terms = [(PauliString(5, x, z), DeltaPoly.delta_power(p, s).coeffs) for x, z, p, s in rows]
+    got = to_matrix(PauliPolynomial.from_terms(5, terms), DELTA)
+    assert np.abs(got - c * DELTA**m * _dense_dot_cross(5, sites)).max() < 1e-12
 
 
 def test_boost_matches_reference_order2():
@@ -251,10 +291,10 @@ def _reference_boost_monomials():
         ((0, 1, 2), 1, 1),
         ((1, 2, 3), 1, -1),
     ]:
-        for mono, coeff in dot_cross(*[s + 1 for s in sites]).items():
+        for operands, coeff in dot_cross(len(sites)):
             codes = [0, 0, 0, 0]
-            for site, ax in mono:
-                codes[site - 1] = LETTER_CODES[ax]
+            for site, ax in zip(sites, operands):
+                codes[site] = LETTER_CODES[ax]
             lo = next(i for i, v in enumerate(codes) if v)
             hi = max(i for i, v in enumerate(codes) if v)
             out.append((lo, tuple(codes[lo : hi + 1]), m, c * coeff))
@@ -419,6 +459,9 @@ def test_charge_spec_validation():
         ChargeSpec(2, "plus", 4)  # N > 2n+1 violated
     with pytest.raises(ValueError):
         ChargeSpec(1, "weird", 8)
+    for order in (1.5, True):
+        with pytest.raises(ValueError):
+            ChargeSpec(order, "plus", 8)
 
 
 def test_dif_charge_exact_division():
@@ -490,16 +533,16 @@ def test_to_matrix_at_zero_is_xxx_hamiltonian():
     for j in range(1, n + 1):
         k = j % n + 1
         for ax in "XYZ":
-            want += (
-                PauliString.single(n, j, ax).matrix() @ PauliString.single(n, k, ax).matrix()
-            )
+            letters = ["I"] * n
+            letters[j - 1] = letters[k - 1] = ax
+            want += matrix(PauliString.from_letters("".join(letters)))
     assert np.abs(q - want).max() < 1e-12
 
 
 def test_to_matrix_hermitian_and_budget():
     m = to_matrix(assemble(ChargeSpec(2, "plus", 8)), DELTA)
     assert np.abs(m - m.conj().T).max() < 1e-12
-    big = PauliPolynomial.from_terms(15, [(PauliString.single(15, 1, "Z"), (1,))])
+    big = PauliPolynomial.from_terms(15, [(PauliString(15, 0, 1), (1,))])
     with pytest.raises(ValueError):
         to_matrix(big, 0.0)
 
@@ -507,7 +550,7 @@ def test_to_matrix_hermitian_and_budget():
 def test_dif_spectrum_symmetric_under_spin_flip():
     n = 4
     q = to_matrix(assemble(ChargeSpec(1, "dif", n)), DELTA)
-    flip = PauliString(n, (1 << n) - 1, 0).matrix()  # X on every site
+    flip = matrix(PauliString(n, (1 << n) - 1, 0))  # X on every site
     vals = np.sort(np.linalg.eigvalsh(q))
     flipped = np.sort(np.linalg.eigvalsh(flip @ q @ flip))
     assert np.abs(vals - flipped).max() < 1e-10
@@ -553,6 +596,10 @@ def test_export_round_trip(tmp_path):
     assert back == q
     assert doc["n_sites"] == 6 and doc["order"] == 2 and doc["variant"] == "plus"
     assert all(isinstance(c, int) for t in doc["terms"] for c in t["coeffs"])
+    for coeffs in ([1.5, 2.7], ["3"], [True]):
+        bad = {"n_sites": 2, "terms": [{"pauli": "ZZ", "coeffs": coeffs}]}
+        with pytest.raises(ValueError, match="not integers"):
+            PauliPolynomial.from_dict(bad)
 
 
 def test_from_arrays_builds_sorted_terms_and_rejects_bad_rows():
@@ -590,14 +637,15 @@ def test_memoized_charges_are_read_only():
 
 def test_from_terms_sums_folds_phase_and_rejects_bad_terms():
     zz, xy = PauliString.from_letters("ZZ"), PauliString.from_letters("XY")
-    q = PauliPolynomial.from_terms(2, [(zz, (1, 2)), (zz.with_phase(2), (1, 0, 0)), (xy, [0])])
+    minus_zz = PauliString(2, zz.x_mask, zz.z_mask, 2)
+    q = PauliPolynomial.from_terms(2, [(zz, (1, 2)), (minus_zz, (1, 0, 0)), (xy, [0])])
     assert list(q.items()) == [(zz, DeltaPoly((0, 2)))]
-    assert q.coeffs.shape == (1, 2) and q.coefficient(zz.with_phase(2)) == DeltaPoly((0, 2))
+    assert q.coeffs.shape == (1, 2) and q.coefficient(minus_zz) == DeltaPoly((0, 2))
     assert q.coefficient(xy).is_zero() and q.coefficient(PauliString.from_letters("ZZZ")).is_zero()
     for bad in [
         (PauliString.from_letters("ZZZ"), (1,)),  # register size
         (PauliString.identity(2), (1,)),
-        (xy.with_phase(1), (1,)),
+        (PauliString(2, xy.x_mask, xy.z_mask, 1), (1,)),
     ]:
         with pytest.raises(ValueError):
             PauliPolynomial.from_terms(2, [bad])
@@ -611,7 +659,7 @@ def test_from_terms_matches_delta_poly_sum(case, delta):
     n, terms = case
     want = {}
     for s, c in terms:
-        key = s.with_phase(0)
+        key = PauliString(n, s.x_mask, s.z_mask)
         want[key] = want.get(key, DeltaPoly()) + DeltaPoly(c) * (-1 if s.phase_power else 1)
     q = PauliPolynomial.from_terms(n, terms)
     assert list(q.items()) == sorted(

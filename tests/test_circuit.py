@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_oracle import circuit_unitary, gate_unitary
+from dense_oracle import circuit_unitary, gate_unitary, matrix
 from trotterchain.charges import r_check, step_unitary
 from trotterchain.circuit import (
     Gate,
@@ -57,7 +57,7 @@ def test_init_prepares_eigenstates():
         bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
         spec = InitialStateSpec(letters, bits)
         psi = circuit_unitary(build_init(spec), n)[:, 0]
-        op = PauliString.from_letters(letters).matrix()
+        op = matrix(PauliString.from_letters(letters))
         sign = (-1) ** sum(bits)
         assert np.abs(op @ psi - sign * psi).max() < 1e-12
 
@@ -75,7 +75,7 @@ def test_rcheck_identity_at_zero():
 
 def test_rcheck_spin_flip_symmetry():
     block = circuit_unitary(build_rcheck((1, 2), ALPHA), 2)
-    xx = PauliString.from_letters("XX").matrix()
+    xx = matrix(PauliString.from_letters("XX"))
     assert np.abs(block @ xx - xx @ block).max() < 1e-12
 
 
@@ -111,8 +111,8 @@ def test_measurement_rotation_layout():
 def test_rotation_conjugates_word_to_z_basis():
     word = "XYZ"
     r = circuit_unitary(build_measurement_rotation(word), 3)
-    w = PauliString.from_letters(word).matrix()
-    z_all = PauliString.from_letters("ZZZ").matrix()
+    w = matrix(PauliString.from_letters(word))
+    z_all = matrix(PauliString.from_letters("ZZZ"))
     assert np.abs(r @ w @ r.conj().T - z_all).max() < 1e-12
 
 

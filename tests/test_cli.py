@@ -48,6 +48,33 @@ def test_config_validation():
     assert cfg.delta == pytest.approx(np.tan(0.3))
 
 
+BAD_CONFIG = {
+    "n_sites a string": {"n_sites": "4"},
+    "n_sites a float": {"n_sites": 4.0},
+    "n_sites a bool": {"n_sites": True},
+    "depth_max a float": {"depth_max": 2.5},
+    "depth_max negative": {"depth_max": -1},
+    "shots_total zero": {"shots_total": 0},
+    "seed a float": {"seed": 1.5},
+    "seed negative": {"seed": -1},
+    "alpha a string": {"alpha": "0.3"},
+    "beta_star a bool": {"beta_star": True},
+    "exact_reference an int": {"exact_reference": 1},
+    "charge order a string": {"charges": [["x", "plus"]]},
+    "charge order a float": {"charges": [[1.0, "plus"]]},
+    "charge not a pair": {"charges": [[1]]},
+    "charges not a list of pairs": {"charges": [1]},
+    "initial-state bit 2": {"initial_state": {"letters": "ZZZZ", "bits": [0, 1, 0, 2]}},
+    "initial-state without bits": {"initial_state": {"letters": "ZZZZ"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG))
+def test_config_types_rejected_at_load(case):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(base_config(**BAD_CONFIG[case]))
+
+
 BAD_NOISE = {
     "bogus kind": {"kind": "bogus"},
     "p1 above 1": {"kind": "depolarizing", "p1": 1.5, "p2": 0.013},
