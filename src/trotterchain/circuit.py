@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -70,6 +71,8 @@ class InitialStateSpec:
             raise ValueError("letters and bits must have equal length")
         if any(ch not in "XYZ" for ch in self.letters):
             raise ValueError("initial-state letters must be X, Y or Z")
+        if not all(isinstance(b, Integral) and not isinstance(b, bool) for b in self.bits):
+            raise ValueError("bits must be integers, not bools or floats")
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0 or 1")
 
@@ -117,14 +120,6 @@ class Circuit:
     @property
     def rotation_gates(self):
         return self.gates[self.evolution_end :]
-
-    def step_block(self):
-        """The gate block of one evolution step (empty when depth is 0)."""
-        if self.depth == 0:
-            return []
-        block = self.evolution_gates
-        step_len = len(block) // self.depth
-        return block[:step_len]
 
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "CNOT")

@@ -64,7 +64,7 @@ class ConfigError(ValueError):
 
 
 # field annotation -> the type its value must have; a bool is no number
-_FIELD_TYPES = {"int": Integral, "float": Real, "bool": bool}
+_FIELD_TYPES = {"int": Integral, "int | None": (Integral, type(None)), "float": Real, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,10 @@ class ExperimentConfig:
             kind, value = _FIELD_TYPES.get(f.type), getattr(self, f.name)
             if kind and not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        for name, low in (("depth_max", 0), ("shots_total", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name, low in (("depth_max", 0), ("shots_total", 1), ("seed", 0), ("fit_window", 2)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be at least {low}, got {value}")
         if self.n_sites % 2:
             raise ConfigError("n_sites must be even")
         if self.engine not in ("pure", "noisy"):
@@ -230,13 +231,9 @@ def decay_table(config: ExperimentConfig) -> list:
     for d, state in enumerate(_trajectory(config)):
         for label in sorted(charge_ops):
             spec, q, plan = charge_ops[label]
-            words = [w.letters for w in plan.words]
-            keys = [(_word_seed(config.seed, d, label, w), wi) for wi, w in enumerate(words)]
-            records = measure.ShotRecords(config.n_sites)
-            outcomes = sample(state, words, plan.shots_per_word, keys, noise)
-            for w, counts in zip(plan.words, outcomes):
-                records.add(w, counts)
-            est = measure.estimate(records, plan, q, delta)
+            keys = [(_word_seed(config.seed, d, label, w), wi) for wi, w in enumerate(plan.words)]
+            outcomes = sample(state, plan.words, plan.shots_per_word, keys, noise)
+            est = measure.estimate(outcomes, plan, q, delta)
             exact = exact_expectation(state, q, delta) if config.exact_reference else None
             rows.append((d, spec.order, spec.variant, est.value, est.std_uncertainty, exact))
     return rows
@@ -337,14 +334,13 @@ def mitigation_table(config: ExperimentConfig) -> list:
     prepared = evolve_noisy(build_circuit(init, config.alpha, 0), zero, noise)
     step = build_step(n, config.alpha)
     folds = [_steps(prepared, mitigate.zne_fold(step, k), config.depth_max, noise) for k in (0, 1)]
-    words = [w.letters for w in plan.words]
     rows = []
     for d, states in enumerate(zip(*folds)):
-        dists = [dict(zip(words, outcome_distribution(rho, words, noise))) for rho in states]
+        dists = [outcome_distribution(rho, plan.words, noise) for rho in states]
         raw, raw_sd = measure.exact_estimator_variance(dists[0], plan, q, delta)
         (e1, s1), (e3, s3) = (
             measure.exact_estimator_variance(
-                {w: mitigate.correct(p, calib) for w, p in fold.items()}, plan, q, delta
+                [mitigate.correct(p, calib) for p in fold], plan, q, delta
             )
             for fold in dists
         )

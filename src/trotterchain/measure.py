@@ -6,9 +6,13 @@ matches.  The estimator pools, for each term P, all words containing P; the
 variance estimator keeps the covariances induced by that sharing, pooling
 each pair (P, P') over the words containing both.
 
-Shot records store each word's outcomes as the ``(index, count)`` arrays the
-sampler returns: basis indices ascending, site ``j`` on bit ``j-1``.
-Bitstrings (site 1 leftmost) exist only in the records' JSON,
+Words are plain ``str``; their letters are checked where a word enters from
+outside the program (:meth:`MeasurementPlan.from_dict`, :class:`ShotRecords`,
+:func:`contains`).  The estimators read :mod:`sim`'s output in plan order:
+:func:`estimate` takes the ``(indices, counts)`` pairs of :func:`sim.sample`,
+:func:`exact_estimator_variance` the rows of :func:`sim.outcome_distribution`,
+one per plan word.  Basis indices ascend, site ``j`` on bit ``j-1``.
+Bitstrings (site 1 leftmost) exist only in the shot records' JSON,
 ``{word: {bitstring: count}}``, written and read by ``to_dict``/``from_dict``.
 """
 
@@ -22,27 +26,18 @@ from .charges import PauliPolynomial
 from .pauli import PauliString, letter_strings
 
 
-@dataclass(frozen=True)
-class PauliWord:
-    letters: str
-
-    def __post_init__(self):
-        if any(ch not in "XYZ" for ch in self.letters):
-            raise ValueError("a Pauli word has letters X, Y, Z only")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.letters)
-
-    def __str__(self):
-        return self.letters
+def _checked(word) -> str:
+    """``word`` if it is a non-empty string over X, Y, Z, else ValueError."""
+    if not isinstance(word, str) or not word or not set(word) <= set("XYZ"):
+        raise ValueError(f"a Pauli word has letters X, Y, Z only, got {word!r}")
+    return word
 
 
-def contains(word: PauliWord, term: PauliString) -> bool:
+def contains(word: str, term: PauliString) -> bool:
     """True iff every non-identity letter of ``term`` matches ``word``."""
-    if word.n_sites != term.n_sites:
+    if len(_checked(word)) != term.n_sites:
         raise ValueError("word and term lengths differ")
-    w = PauliString.from_letters(word.letters)
+    w = PauliString.from_letters(word)
     return bool(_contained(w.x_mask, w.z_mask, term.x_mask, term.z_mask, term.support_mask))
 
 
@@ -52,11 +47,11 @@ class MeasurementPlan:
     shots_per_word: int
 
     def to_dict(self) -> dict:
-        return {"shots_per_word": self.shots_per_word, "words": [w.letters for w in self.words]}
+        return {"shots_per_word": self.shots_per_word, "words": list(self.words)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MeasurementPlan":
-        return cls(tuple(PauliWord(w) for w in doc["words"]), doc["shots_per_word"])
+        return cls(tuple(map(_checked, doc["words"])), doc["shots_per_word"])
 
 
 def _contained(wx, wz, x, z, s):
@@ -87,7 +82,7 @@ def build_cover(charge: PauliPolynomial) -> MeasurementPlan:
     full = np.int64((1 << n) - 1)
     order = np.argsort(letter_strings(charge.x, charge.z, n))
     x, z = charge.x[order], charge.z[order]
-    words: list[PauliWord] = []
+    words: list[str] = []
     while len(x):
         s = x | z
         cx, cz, cs = x.copy(), z.copy(), s.copy()
@@ -106,7 +101,7 @@ def build_cover(charge: PauliPolynomial) -> MeasurementPlan:
         names = letter_strings(cx[tied], cz[tied], n)
         k = int(np.argmin(names))  # the first of equal candidates
         best = tied[k]
-        words.append(PauliWord(str(names[k])))
+        words.append(str(names[k]))
         keep = ~_contained(cx[best], cz[best], x, z, s)
         x, z = x[keep], z[keep]
     return MeasurementPlan(tuple(words), 1)
@@ -114,10 +109,10 @@ def build_cover(charge: PauliPolynomial) -> MeasurementPlan:
 
 def _word_cover(plan: MeasurementPlan, charge: PauliPolynomial) -> list:
     """Per plan word, the ascending indices of the charge terms it contains."""
-    if any(w.n_sites != charge.n_sites for w in plan.words):
+    if any(len(w) != charge.n_sites for w in plan.words):
         raise ValueError("word and term lengths differ")
     xs, zs = charge.x, charge.z
-    packed = [PauliString.from_letters(w.letters) for w in plan.words]
+    packed = [PauliString.from_letters(w) for w in plan.words]
     wx = np.array([p.x_mask for p in packed], dtype=np.int64)
     wz = np.array([p.z_mask for p in packed], dtype=np.int64)
     hits = _contained(wx[:, None], wz[:, None], xs, zs, xs | zs)
@@ -126,27 +121,23 @@ def _word_cover(plan: MeasurementPlan, charge: PauliPolynomial) -> list:
 
 @dataclass
 class ShotRecords:
-    """Per-word outcome multiplicities; counts per word must equal n_W."""
+    """Per-word outcome multiplicities: the shot-record JSON edge.
+
+    Feed records to :func:`estimate` as ``[records.counts[w] for w in plan.words]``.
+    """
 
     n_sites: int
-    counts: dict = field(default_factory=dict)  # word letters -> (indices, counts), int64
+    counts: dict = field(default_factory=dict)  # word -> (indices, counts), int64
 
-    def add(self, word: PauliWord, outcomes: tuple):
+    def add(self, word: str, outcomes: tuple):
         """Record ``(indices, counts)`` of one word, as :func:`sim.sample` returns them."""
+        _checked(word)
         idx, cnt = (np.asarray(a, dtype=np.int64) for a in outcomes)
         if idx.shape != cnt.shape:
             raise ValueError(f"outcome indices and counts of {word} differ in length")
         if idx.size and (idx.min() < 0 or idx.max() >= 1 << self.n_sites):
             raise ValueError(f"outcome index of {word} outside [0, 2^{self.n_sites})")
-        self.counts[word.letters] = (idx, cnt)
-
-    def validate(self, plan: MeasurementPlan):
-        for w in plan.words:
-            c = self.counts.get(w.letters)
-            if c is None:
-                raise ValueError(f"no records for word {w}")
-            if c[1].sum() != plan.shots_per_word:
-                raise ValueError(f"records for {w} do not sum to n_W")
+        self.counts[word] = (idx, cnt)
 
     def to_dict(self) -> dict:
         """``{"n_sites": N, "counts": {word: {bitstring: count}}}``, site 1 leftmost."""
@@ -166,7 +157,7 @@ class ShotRecords:
                 if len(b) != records.n_sites:
                     raise ValueError(f"outcome {b!r} of {w} is not {records.n_sites} sites long")
             pairs = sorted((int(b[::-1], 2), c) for b, c in outcomes.items())
-            records.add(PauliWord(w), ([i for i, _ in pairs], [c for _, c in pairs]))
+            records.add(w, ([i for i, _ in pairs], [c for _, c in pairs]))
         return records
 
 
@@ -201,17 +192,23 @@ def _coverage(plan: MeasurementPlan, charge: PauliPolynomial) -> tuple:
 
 
 def estimate(
-    records: ShotRecords, plan: MeasurementPlan, charge: PauliPolynomial, delta: float
+    outcomes: list, plan: MeasurementPlan, charge: PauliPolynomial, delta: float
 ) -> ChargeEstimate:
     """Charge estimate with its unbiased variance estimate.
 
+    ``outcomes`` holds one ``(indices, counts)`` pair per plan word, in plan
+    order, as :func:`sim.sample` returns them; each word's counts sum to n_W.
     The value pools each term over all covering words; the uncertainty keeps
     the word-sharing covariances, skips pairs pooled over a single shot
     (their variance weight is undefined), and clamps a slightly negative
     variance at zero.  Both degeneracies are reported as diagnostics.
     Raises :class:`CoverageError` when a term is in no plan word.
     """
-    records.validate(plan)
+    if len(outcomes) != len(plan.words):
+        raise ValueError(f"{len(outcomes)} outcome pairs for {len(plan.words)} plan words")
+    for w, (_, cnt) in zip(plan.words, outcomes):
+        if cnt.sum() != plan.shots_per_word:
+            raise ValueError(f"outcomes of {w} do not sum to n_W")
     coeffs = charge.coefficients(delta).tolist()  # Python floats, as the artifacts print them
     n_w = plan.shots_per_word
     masks = charge.x | charge.z
@@ -221,10 +218,9 @@ def estimate(
     # cross-sum matrix sum_i Pi_a Pi_b, each as one matrix product
     s_p = [0.0] * len(charge)
     pair_stats: dict = {}  # (a, b) a <= b -> [word count, cross, sum_a, sum_b]
-    for w, cov in zip(plan.words, word_cover):
+    for (idx, cnt), cov in zip(outcomes, word_cover):
         if not cov:
             continue
-        idx, cnt = records.counts[w.letters]
         cnt = cnt.astype(np.float64)
         signs = _parities(idx[None, :], masks[cov, None])
         sums = signs @ cnt
@@ -264,25 +260,27 @@ def estimate(
 
 
 def exact_estimator_variance(
-    distributions: dict, plan: MeasurementPlan, charge: PauliPolynomial, delta: float
+    distributions, plan: MeasurementPlan, charge: PauliPolynomial, delta: float
 ) -> tuple:
     """Expected value and true estimator standard deviation for a known state.
 
-    ``distributions`` maps word letters to the exact outcome distribution in
-    that word's basis.  Mirrors :func:`estimate`, coverage check included,
+    ``distributions`` holds the exact outcome distribution of each plan word,
+    one row per word in plan order, as :func:`sim.outcome_distribution`
+    returns them.  Mirrors :func:`estimate`, coverage check included,
     with expectations in place of empirical sums, in one pass over the words;
     useful for deterministic error budgets.
     """
     coeffs = charge.coefficients(delta).tolist()
     n_w = plan.shots_per_word
+    if len(distributions) != len(plan.words):
+        raise ValueError(f"{len(distributions)} distributions for {len(plan.words)} plan words")
     idx = np.arange(1 << charge.n_sites, dtype=np.int64)
     masks = (charge.x | charge.z).tolist()
     word_cover, n_p = _coverage(plan, charge)
 
     s_p = [0.0] * len(charge)
     var = 0.0
-    for w, cov in zip(plan.words, word_cover):
-        p = distributions[w.letters]
+    for p, cov in zip(distributions, word_cover):
         single = [float(p @ _parities(idx, masks[a])) for a in cov]
         cross = {}  # symmetric in (a, b): one pass over the outcomes per unordered pair
         for i, a in enumerate(cov):

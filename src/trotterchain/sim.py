@@ -2,9 +2,11 @@
 
 Gates are applied in place with bit-indexed strides (no full 2^N gate
 matrices).  Site ``j`` lives on bit ``j-1``; a computational basis index
-``b`` has site-j outcome ``(b >> (j-1)) & 1``.  Sampled outcomes are
-``(index, count)`` arrays; bitstrings exist only in the shot records' JSON
-(:class:`measure.ShotRecords`).
+``b`` has site-j outcome ``(b >> (j-1)) & 1``.  :func:`sample` returns one
+``(indices, counts)`` pair per word and :func:`outcome_distribution` one row
+per word, in the order of the words given; the estimators of :mod:`measure`
+read them in plan order as they are.  Bitstrings exist only in the shot
+records' JSON (:class:`measure.ShotRecords`).
 
 Both engines run on the same kernels.  The density matrix is a vector on 2N
 bits, ``rho.entries.reshape(-1)``: the row index is bits N..2N-1 and the
@@ -166,19 +168,11 @@ class DensityMatrix:
     def from_spec(cls, spec: InitialStateSpec) -> "DensityMatrix":
         return StateVector.from_spec(spec).density_matrix()
 
-    @classmethod
-    def completely_mixed(cls, n_sites: int) -> "DensityMatrix":
-        dim = 1 << n_sites
-        return cls(n_sites, np.eye(dim, dtype=complex) / dim)
-
     def copy(self) -> "DensityMatrix":
         return DensityMatrix(self.n_sites, self.entries.copy())
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
-
-    def purity(self) -> float:
-        return float(np.real(np.sum(self.entries * self.entries.T)))
 
     def check(self):
         """Validate Hermiticity, unit trace and the PSD eigenvalue floor."""

@@ -31,10 +31,6 @@ class SuperOperator:
     n_sites: int
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def vectorize_step(circuit: Circuit, noise: NoiseModel) -> SuperOperator:
     """Superoperator of one noisy step (all circuit gates, channels included).

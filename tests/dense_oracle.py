@@ -12,8 +12,33 @@ import numpy as np
 
 from trotterchain.circuit import Gate, build_measurement_rotation
 from trotterchain.pauli import _I_POW, PauliString, SizeMismatchError, mul
-from trotterchain.sim import IDEAL, StateVector, apply_readout_flips, walsh_transform
+from trotterchain.sim import (
+    IDEAL,
+    DensityMatrix,
+    StateVector,
+    apply_readout_flips,
+    walsh_transform,
+)
 from trotterchain.tomo import all_words
+
+
+def completely_mixed(n_sites: int) -> DensityMatrix:
+    """I / 2^N."""
+    dim = 1 << n_sites
+    return DensityMatrix(n_sites, np.eye(dim, dtype=complex) / dim)
+
+
+def purity(rho: DensityMatrix) -> float:
+    """tr(rho^2)."""
+    return float(np.real(np.sum(rho.entries * rho.entries.T)))
+
+
+def step_block(circuit):
+    """The gate block of one evolution step (empty when depth is 0)."""
+    if circuit.depth == 0:
+        return []
+    block = circuit.evolution_gates
+    return block[: len(block) // circuit.depth]
 
 
 def kraus_apply(operators, rho: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from trotterchain.cli import (
     mitigation_table,
     tomo_report,
 )
-from trotterchain.measure import MeasurementPlan, ShotRecords, build_cover, estimate
+from trotterchain.measure import MeasurementPlan, build_cover, estimate
 from trotterchain.pauli import PauliString
 
 ALPHA = 0.3
@@ -237,19 +237,18 @@ def test_c09_estimator_monte_carlo():
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = sim.StateVector(n, amp / np.linalg.norm(amp))
     exact = sim.exact_expectation(psi, q, DELTA)
-    letters = [w.letters for w in plan.words]
-    dists = dict(zip(letters, sim.rotated_probabilities(psi, letters)))
+    dists = sim.rotated_probabilities(psi, plan.words)
 
     reps = 2000
     vals = np.empty(reps)
     s2 = np.empty(reps)
     for r in range(reps):
-        records = ShotRecords(n)
-        for wi, w in enumerate(plan.words):
-            draws = sim.shot_rng(9000 + r, wi).multinomial(plan.shots_per_word, dists[w.letters])
+        outcomes = []
+        for wi, p in enumerate(dists):
+            draws = sim.shot_rng(9000 + r, wi).multinomial(plan.shots_per_word, p)
             idx = np.flatnonzero(draws)
-            records.add(w, (idx, draws[idx]))
-        est = estimate(records, plan, q, DELTA)
+            outcomes.append((idx, draws[idx]))
+        est = estimate(outcomes, plan, q, DELTA)
         vals[r] = est.value
         s2[r] = est.std_uncertainty**2
     stderr = vals.std(ddof=1) / np.sqrt(reps)

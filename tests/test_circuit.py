@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_oracle import circuit_unitary, gate_unitary, matrix
+from dense_oracle import circuit_unitary, gate_unitary, matrix, step_block
 from trotterchain.charges import r_check, step_unitary
 from trotterchain.circuit import (
     Gate,
@@ -92,7 +92,7 @@ def test_step_circuit_matches_dense_unitary():
     n = 4
     step = build_step(n, ALPHA)
     assert (step.init_gates, step.rotation_gates, step.depth) == ([], [], 1)
-    assert step.step_block() == build_evolution(n, ALPHA, 1)
+    assert step_block(step) == build_evolution(n, ALPHA, 1)
     got = circuit_unitary(step.gates, n)
     want = step_unitary(DELTA, n)
     phase = got[0, 0] / want[0, 0]
@@ -120,7 +120,7 @@ def test_full_circuit_sections_and_unitarity():
     spec = InitialStateSpec.neel(6)
     circ = build_circuit(spec, ALPHA, 2, word="XYZXYZ")
     assert circ.init_gates == build_init(spec)
-    assert len(circ.evolution_gates) == 2 * len(circ.step_block())
+    assert len(circ.evolution_gates) == 2 * len(step_block(circ))
     assert circ.rotation_gates == build_measurement_rotation("XYZXYZ")
     u = circuit_unitary(circ.gates, 6)
     assert np.abs(u @ u.conj().T - np.eye(64)).max() < 1e-10

@@ -66,6 +66,12 @@ BAD_CONFIG = {
     "charges not a list of pairs": {"charges": [1]},
     "initial-state bit 2": {"initial_state": {"letters": "ZZZZ", "bits": [0, 1, 0, 2]}},
     "initial-state without bits": {"initial_state": {"letters": "ZZZZ"}},
+    "initial-state bit true": {"initial_state": {"letters": "ZZZZ", "bits": [True, 0, 1, 0]}},
+    "initial-state bit 1.0": {"initial_state": {"letters": "ZZZZ", "bits": [1, 0, 1.0, 0]}},
+    "fit_window a float": {"fit_window": 2.5},
+    "fit_window a bool": {"fit_window": True},
+    "fit_window 1": {"fit_window": 1},
+    "fit_window 0": {"fit_window": 0},
 }
 
 

@@ -15,7 +15,6 @@ from trotterchain.circuit import InitialStateSpec, build_step
 from trotterchain.measure import (
     CoverageError,
     MeasurementPlan,
-    PauliWord,
     ShotRecords,
     _word_cover,
     build_cover,
@@ -61,7 +60,7 @@ def _reference_cover(charge: PauliPolynomial) -> MeasurementPlan:
             if best is None or key < best[0]:
                 best = (key, letters)
         word = best[1]
-        words.append(PauliWord(word))
+        words.append(word)
         uncovered = [t for t in uncovered if not _letters_contain(word, t.letters())]
     return MeasurementPlan(tuple(words), 1)
 
@@ -73,11 +72,11 @@ def _charge(*terms):
 
 
 def _words(n):
-    return st.text(alphabet="XYZ", min_size=n, max_size=n).map(PauliWord)
+    return st.text(alphabet="XYZ", min_size=n, max_size=n)
 
 
 def test_contains_footnote_examples():
-    w = PauliWord("XXZY")
+    w = "XXZY"
     assert contains(w, PauliString.from_letters("XIZI"))  # X1 Z3
     assert contains(w, PauliString.from_letters("XXII"))  # X1 X2
     assert not contains(w, PauliString.from_letters("ZIII"))
@@ -93,7 +92,7 @@ def test_bitmask_containment_matches_letters(data):
     plan = MeasurementPlan(tuple(words), 1)
     letters = [s.letters() for s, _ in q.items()]
     expected = [
-        [i for i, t in enumerate(letters) if _letters_contain(w.letters, t)] for w in words
+        [i for i, t in enumerate(letters) if _letters_contain(w, t)] for w in words
     ]
     assert _word_cover(plan, q) == expected
     for w, cov in zip(words, expected):
@@ -115,20 +114,27 @@ def test_cover_matches_reference_greedy(q):
 )
 def test_golden_covers_n8(order, n_words, first, digest):
     # the covers behind the N=8 decay artifacts; any change alters those bytes
-    words = [w.letters for w in build_cover(assemble(ChargeSpec(order, "plus", 8))).words]
+    words = build_cover(assemble(ChargeSpec(order, "plus", 8))).words
     assert (len(words), words[0]) == (n_words, first)
     assert hashlib.sha256("\n".join(words).encode()).hexdigest() == digest
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
-        PauliWord("XIZ")
+    for word in ("XIZ", ""):
+        with pytest.raises(ValueError, match="letters X, Y, Z only"):
+            MeasurementPlan.from_dict({"shots_per_word": 1, "words": ["XYZ", word]})
+        with pytest.raises(ValueError, match="letters X, Y, Z only"):
+            ShotRecords(3).add(word, ([0], [1]))
+        with pytest.raises(ValueError, match="letters X, Y, Z only"):
+            ShotRecords.from_dict({"n_sites": 3, "counts": {word: {"000": 1}}})
+        with pytest.raises(ValueError, match="letters X, Y, Z only"):
+            contains(word, PauliString.from_letters("XIZ"))
 
 
 def test_cover_single_term():
     q = _charge(("ZZ", 1))
     plan = build_cover(q)
-    assert [w.letters for w in plan.words] == ["ZZ"]
+    assert plan.words == ("ZZ",)
 
 
 def test_cover_of_window_density_is_exhaustive():
@@ -139,7 +145,7 @@ def test_cover_of_window_density_is_exhaustive():
         assert any(contains(w, s) for w in plan.words)
     # lower bound from the 27 candidate words: a word covers at most one term
     # of any pairwise-incompatible family, and the greedy cover attains it
-    words = [PauliWord("".join(w)) for w in iproduct("XYZ", repeat=3)]
+    words = ["".join(w) for w in iproduct("XYZ", repeat=3)]
     cover_sets = [frozenset(i for i, s in enumerate(terms) if contains(w, s)) for w in words]
     incompatible = []
     for i, s in enumerate(terms):
@@ -167,47 +173,40 @@ def test_cover_empty_charge_rejected():
 
 def test_estimate_deterministic_outcome():
     q = _charge(("ZZ", 1))
-    plan = MeasurementPlan((PauliWord("ZZ"),), 100)
-    records = ShotRecords(2)
-    records.add(PauliWord("ZZ"), ([0], [100]))  # "00"
-    est = estimate(records, plan, q, DELTA)
+    plan = MeasurementPlan(("ZZ",), 100)
+    est = estimate([(np.array([0]), np.array([100]))], plan, q, DELTA)  # "00" on every shot
     assert est.value == 1.0
     assert est.std_uncertainty == 0.0
 
 
 def test_estimate_requires_coverage_and_counts():
     q = _charge(("XX", 1))
-    plan = MeasurementPlan((PauliWord("ZZ"),), 10)
-    records = ShotRecords(2)
-    records.add(PauliWord("ZZ"), ([0], [10]))
+    plan = MeasurementPlan(("ZZ",), 10)
     with pytest.raises(CoverageError, match=r"\['XX'\]"):
-        estimate(records, plan, q, DELTA)
-    bad = ShotRecords(2)
-    bad.add(PauliWord("ZZ"), ([0], [7]))
-    with pytest.raises(ValueError):
-        estimate(bad, plan, PauliPolynomial(2), DELTA)
+        estimate([(np.array([0]), np.array([10]))], plan, q, DELTA)
+    with pytest.raises(ValueError, match="do not sum to n_W"):
+        estimate([(np.array([0]), np.array([7]))], plan, PauliPolynomial(2), DELTA)
+    with pytest.raises(ValueError, match="2 outcome pairs for 1 plan words"):
+        estimate([(np.array([0]), np.array([10]))] * 2, plan, PauliPolynomial(2), DELTA)
 
 
 def test_exact_variance_names_uncovered_terms():
     q = _charge(("XX", 1))
-    plan = MeasurementPlan((PauliWord("ZZ"),), 10)
+    plan = MeasurementPlan(("ZZ",), 10)
     with pytest.raises(CoverageError, match=r"\['XX'\]"):
-        exact_estimator_variance({"ZZ": np.array([1.0, 0.0, 0.0, 0.0])}, plan, q, DELTA)
+        exact_estimator_variance(np.array([[1.0, 0.0, 0.0, 0.0]]), plan, q, DELTA)
+    with pytest.raises(ValueError, match="0 distributions for 1 plan words"):
+        exact_estimator_variance(np.empty((0, 4)), plan, q, DELTA)
 
 
-def _dists(state, words):
-    """The exact distribution of each word, keyed by its letters."""
-    letters = [w.letters for w in words]
-    return dict(zip(letters, sim.rotated_probabilities(state, letters)))
-
-
-def _sample_records(plan, dists, seed, n):
-    records = ShotRecords(n)
-    for wi, w in enumerate(plan.words):
-        draws = sim.shot_rng(seed, wi).multinomial(plan.shots_per_word, dists[w.letters])
+def _sample(plan, dists, seed):
+    """One ``(indices, counts)`` pair per plan word, drawn from its row of ``dists``."""
+    outcomes = []
+    for wi, p in enumerate(dists):
+        draws = sim.shot_rng(seed, wi).multinomial(plan.shots_per_word, p)
         idx = np.flatnonzero(draws)
-        records.add(w, (idx, draws[idx]))
-    return records
+        outcomes.append((idx, draws[idx]))
+    return outcomes
 
 
 def test_estimator_and_variance_unbiased():
@@ -219,13 +218,13 @@ def test_estimator_and_variance_unbiased():
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = sim.StateVector(n, amp / np.linalg.norm(amp))
     exact = sim.exact_expectation(psi, q, DELTA)
-    dists = _dists(psi, plan.words)
+    dists = sim.rotated_probabilities(psi, plan.words)
 
     reps = 500
     vals = np.empty(reps)
     s2 = np.empty(reps)
     for r in range(reps):
-        est = estimate(_sample_records(plan, dists, 1000 + r, n), plan, q, DELTA)
+        est = estimate(_sample(plan, dists, 1000 + r), plan, q, DELTA)
         vals[r] = est.value
         s2[r] = est.std_uncertainty**2
     stderr = vals.std(ddof=1) / np.sqrt(reps)
@@ -252,7 +251,7 @@ def test_estimator_mean_is_exact_on_product_eigenstates(data):
     for _ in range(data.draw(st.integers(0, 1))):
         psi = sim.evolve_pure(build_step(n, 0.3), psi)  # DELTA = tan(0.3)
     q, plan = assemble_cached(spec), _cover_of(spec)
-    dists = _dists(psi, plan.words)
+    dists = sim.rotated_probabilities(psi, plan.words)
     mean, _ = exact_estimator_variance(dists, plan, q, DELTA)
     assert abs(mean - sim.exact_expectation(psi, q, DELTA)) < 1e-10
 
@@ -260,14 +259,14 @@ def test_estimator_mean_is_exact_on_product_eigenstates(data):
 def test_exact_estimator_variance_matches_empirical():
     n = 2
     q = _charge(("ZZ", 1), ("ZI", 2))
-    plan = MeasurementPlan((PauliWord("ZZ"),), 50)
+    plan = MeasurementPlan(("ZZ",), 50)
     psi = sim.StateVector.from_spec(InitialStateSpec("XX", (0, 0)))
-    dists = {"ZZ": sim.rotated_probabilities(psi, ["ZZ"])[0]}
+    dists = sim.rotated_probabilities(psi, plan.words)
     mean, sd = exact_estimator_variance(dists, plan, q, DELTA)
     reps = 4000
     vals = np.empty(reps)
     for r in range(reps):
-        est = estimate(_sample_records(plan, dists, 2000 + r, n), plan, q, DELTA)
+        est = estimate(_sample(plan, dists, 2000 + r), plan, q, DELTA)
         vals[r] = est.value
     assert abs(vals.mean() - mean) < 5 * vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.std(ddof=1) / sd - 1.0) < 0.1
@@ -280,21 +279,19 @@ def test_covariance_only_through_shared_words():
     qb = _charge(("IZ", 1))
     qab = _charge(("XI", 1), ("IZ", 1))
 
-    plan = MeasurementPlan((PauliWord("XZ"), PauliWord("ZZ")), 200)
     rng = np.random.default_rng(3)
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = sim.StateVector(n, amp / np.linalg.norm(amp))
-    dists = _dists(psi, plan.words)
 
     # XI is covered by XZ only; IZ by both words: make the disjoint case
-    plan_a = MeasurementPlan((PauliWord("XX"),), 200)
-    plan_b = MeasurementPlan((PauliWord("ZZ"),), 200)
-    dists_a = {"XX": sim.rotated_probabilities(psi, ["XX"])[0]}
-    dists_b = {"ZZ": sim.rotated_probabilities(psi, ["ZZ"])[0]}
+    plan_a = MeasurementPlan(("XX",), 200)
+    plan_b = MeasurementPlan(("ZZ",), 200)
+    dists_a = sim.rotated_probabilities(psi, plan_a.words)
+    dists_b = sim.rotated_probabilities(psi, plan_b.words)
     _, sd_a = exact_estimator_variance(dists_a, plan_a, qa, DELTA)
     _, sd_b = exact_estimator_variance(dists_b, plan_b, qb, DELTA)
-    both = MeasurementPlan((PauliWord("XX"), PauliWord("ZZ")), 200)
-    dists_both = {**dists_a, **dists_b}
+    both = MeasurementPlan(("XX", "ZZ"), 200)
+    dists_both = np.concatenate([dists_a, dists_b])
     _, sd_ab = exact_estimator_variance(dists_both, both, qab, DELTA)
     assert sd_ab == pytest.approx(np.sqrt(sd_a**2 + sd_b**2), rel=1e-9)
 
@@ -311,10 +308,8 @@ def test_covariance_only_through_shared_words():
 def test_single_shot_pair_skipped_with_diagnostic():
     n = 2
     q = _charge(("ZI", 1), ("IZ", 1))
-    plan = MeasurementPlan((PauliWord("ZZ"),), 1)
-    records = ShotRecords(n)
-    records.add(PauliWord("ZZ"), ([2], [1]))  # "01": site 2 reads 1
-    est = estimate(records, plan, q, DELTA)
+    plan = MeasurementPlan(("ZZ",), 1)
+    est = estimate([(np.array([2]), np.array([1]))], plan, q, DELTA)  # "01": site 2 reads 1
     assert any("n_PP' = 1" in d for d in est.diagnostics)
     assert est.std_uncertainty == 0.0
 
@@ -324,11 +319,11 @@ def _as_lists(records):
 
 
 def test_plan_serialization():
-    plan = MeasurementPlan((PauliWord("XY"), PauliWord("ZZ")), 7)
+    plan = MeasurementPlan(("XY", "ZZ"), 7)
     back = MeasurementPlan.from_dict(plan.to_dict())
     assert back == plan
     records = ShotRecords(2)
-    records.add(PauliWord("XY"), ([1, 2], [3, 4]))
+    records.add("XY", ([1, 2], [3, 4]))
     assert records.to_dict() == {"n_sites": 2, "counts": {"XY": {"10": 3, "01": 4}}}
     back_r = ShotRecords.from_dict(records.to_dict())
     assert _as_lists(back_r) == _as_lists(records) == {"XY": [[1, 2], [3, 4]]}
@@ -340,13 +335,13 @@ def test_records_reject_outcomes_outside_the_register():
         ShotRecords.from_dict({"n_sites": 2, "counts": {"ZZ": {"001": 5}}})
     records = ShotRecords(2)
     with pytest.raises(ValueError, match="outside"):
-        records.add(PauliWord("ZZ"), ([0, 4], [1, 1]))
+        records.add("ZZ", ([0, 4], [1, 1]))
     with pytest.raises(ValueError, match="outside"):
-        records.add(PauliWord("ZZ"), ([-1], [1]))
+        records.add("ZZ", ([-1], [1]))
     with pytest.raises(ValueError, match="differ in length"):
-        records.add(PauliWord("ZZ"), ([0, 3], [5]))
+        records.add("ZZ", ([0, 3], [5]))
     assert records.counts == {}
-    records.add(PauliWord("ZZ"), ([0, 3], [2, 5]))
+    records.add("ZZ", ([0, 3], [2, 5]))
     assert _as_lists(records) == {"ZZ": [[0, 3], [2, 5]]}
 
 # the records' JSON wire format, pinned: sha256 of json.dumps(ShotRecords.to_dict())
@@ -359,9 +354,8 @@ def test_sampled_records_keep_the_bitstring_wire_format():
     psi = sim.evolve_pure(build_step(n, 0.3), sim.StateVector.from_spec(InitialStateSpec.neel(n)))
     plan = build_cover(assemble(ChargeSpec(1, "plus", n)))
     records = ShotRecords(n)
-    letters = [w.letters for w in plan.words]
-    keys = [(17, wi) for wi in range(len(letters))]
-    for w, (idx, cnt) in zip(plan.words, sim.sample(psi, letters, 40, keys)):
+    keys = [(17, wi) for wi in range(len(plan.words))]
+    for w, (idx, cnt) in zip(plan.words, sim.sample(psi, plan.words, 40, keys)):
         assert idx.dtype == cnt.dtype == np.int64
         assert np.all(np.diff(idx) > 0) and np.all(cnt > 0) and cnt.sum() == 40
         records.add(w, (idx, cnt))
@@ -378,6 +372,25 @@ def test_sampled_records_keep_the_bitstring_wire_format():
     assert _as_lists(back) == _as_lists(records)
 
 
+def test_records_json_feeds_the_estimator_bit_for_bit():
+    n = 6
+    q = assemble(ChargeSpec(1, "plus", n))
+    plan = MeasurementPlan(build_cover(q).words, 25)
+    psi = sim.evolve_pure(build_step(n, 0.3), sim.StateVector.from_spec(InitialStateSpec.neel(n)))
+    keys = [(5, wi) for wi in range(len(plan.words))]
+    outcomes = sim.sample(psi, plan.words, plan.shots_per_word, keys)
+    records = ShotRecords(n)
+    for w, pair in zip(plan.words, outcomes):
+        records.add(w, pair)
+    back = ShotRecords.from_dict(json.loads(json.dumps(records.to_dict())))
+    direct = estimate(outcomes, plan, q, DELTA)
+    read = estimate([back.counts[w] for w in plan.words], plan, q, DELTA)
+    assert _float_digest([direct.value, direct.std_uncertainty]) == _float_digest(
+        [read.value, read.std_uncertainty]
+    )
+    assert direct.diagnostics == read.diagnostics
+
+
 def _float_digest(values):
     return hashlib.sha256("\n".join(float.hex(v) for v in values).encode()).hexdigest()
 
@@ -391,18 +404,14 @@ def test_estimates_match_pinned_digest():
     psi = sim.StateVector.from_spec(InitialStateSpec("ZXYZZYXZ", (1, 0, 0, 1, 1, 0, 1, 0)))
     psi = sim.evolve_pure(build_step(n, 0.3), psi)  # DELTA = tan(0.3)
     values = []
-    letters = [w.letters for w in plan.words]
     for seed in (1, 2, 3):
-        records = ShotRecords(n)
-        keys = [(seed, wi) for wi in range(len(letters))]
-        for w, outcomes in zip(plan.words, sim.sample(psi, letters, plan.shots_per_word, keys)):
-            records.add(w, outcomes)
-        est = estimate(records, plan, q, DELTA)
+        keys = [(seed, wi) for wi in range(len(plan.words))]
+        est = estimate(sim.sample(psi, plan.words, plan.shots_per_word, keys), plan, q, DELTA)
         values += [est.value, est.std_uncertainty]
     assert _float_digest(values) == (
         "c2b5a4ddc8bcd69980f52d9ea275d0576872aa408c6a1e5fa072d2e8b584892a"
     )
-    dists = _dists(psi, plan.words)
+    dists = sim.rotated_probabilities(psi, plan.words)
     assert _float_digest(exact_estimator_variance(dists, plan, q, DELTA)) == (
         "ed268885f4243ceb9bb8841d232833bbfdeff4472063a6f7e5848b1f7f1f57da"
     )

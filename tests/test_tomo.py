@@ -146,7 +146,7 @@ def test_fidelity_properties():
     overlap = abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2
     f = fidelity(psi.density_matrix(), phi.density_matrix())
     assert f == pytest.approx(overlap, abs=1e-10)
-    mixed = DensityMatrix.completely_mixed(1)
+    mixed = dense_oracle.completely_mixed(1)
     zero = DensityMatrix(1, np.array([[1, 0], [0, 0]], dtype=complex))
     assert fidelity(mixed, zero) == pytest.approx(0.5, abs=1e-10)
     # symmetry
@@ -165,4 +165,4 @@ def test_reconstruct_round_trip_finite_shots():
 
 def test_budget():
     with pytest.raises(ValueError):
-        collect(DensityMatrix.completely_mixed(7), None)
+        collect(dense_oracle.completely_mixed(7), None)
