@@ -29,7 +29,7 @@ for label, model in (
     mods = np.abs(vals)
     print(f"{label}:")
     print(f"  {len(vals)} eigenvalues; largest two moduli {mods[0]:.6f}, {mods[1]:.6f}")
-    rate = decay_rate(op)
+    rate = decay_rate(vals)
     print(f"  decay rate: {'none (unitary)' if rate is None else f'{rate:.4f}'}")
     if rate is None:
         print()

@@ -258,7 +258,7 @@ def spectrum_report(config: ExperimentConfig) -> dict:
     vals = spectral.spectrum(op)
     report = {
         "eigenvalues": spectral.spectrum_csv_rows(vals),
-        "decay_rate": spectral.decay_rate(op),
+        "decay_rate": spectral.decay_rate(vals),
     }
     try:
         fp = spectral.fixed_point(op)
@@ -374,7 +374,7 @@ def fit_report(config: ExperimentConfig, rows: list) -> dict:
                 "converged": fit.converged,
             }
         }
-        window = config.fit_window or min(6, len(pts))
+        window = min(config.fit_window or 6, len(pts))
         if pts[0][1] != 0.0:
             lin = analysis.fit_early_linear(ds, window)
             beta = lin.parameters["beta"]

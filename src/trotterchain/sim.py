@@ -13,7 +13,8 @@ bits, ``rho.entries.reshape(-1)``: the row index is bits N..2N-1 and the
 column index bits 0..N-1.  A one-qubit gate ``m`` on site ``j`` applies
 ``m`` on bit ``j-1+N`` and ``conj(m)`` on bit ``j-1``; a CNOT swaps slices
 on both bit pairs; a one-site channel is its (2,2,2,2) superoperator on the
-bit pair ``(j-1+N, j-1)``.
+bit pair ``(j-1+N, j-1)``, applied as sums of scaled copies of the vector's
+four quarters over that pair (``_apply_pair``), with no ``einsum``.
 
 The noisy engine conjugates the density matrix by each gate of the circuit
 passed to :func:`evolve_noisy` and then applies the configured channel once
@@ -95,9 +96,32 @@ def _apply_gate(vec: np.ndarray, n_bits: int, gate: Gate, offset: int = 0, conj:
 
 
 def _apply_pair(vec: np.ndarray, op: np.ndarray, hi: int, lo: int):
-    """A (2,2,2,2) operator ``op[a, c, b, d]`` taking bits (hi, lo) = (b, d) to (a, c)."""
+    """A (2,2,2,2) operator ``op[a, c, b, d]`` taking bits (hi, lo) = (b, d) to (a, c).
+
+    Slice form: the four quarters ``v_bd`` of the vector (bit hi = b,
+    bit lo = d) are copied, and each output quarter (a, c) is
+    ``op[a,c,0,0] v00 + op[a,c,0,1] v01 + op[a,c,1,0] v10 + op[a,c,1,1] v11``,
+    summed in that order, (b, d) = 00, 01, 10, 11, plus a final ``+ 0.0`` that
+    turns a sum of negative zeros into +0 as the zero-initialised sum of
+    ``einsum`` does.  Where every (a, c) row of ``op`` has at most two nonzero
+    entries and they are real, as for the superoperators of
+    :func:`noise.depolarizing` and :func:`noise.amp_phase_damping`, the result
+    equals the ``einsum("acbd,xbydz->xaycz")`` contraction bit for bit, signed
+    zeros included.  For a general operator it does not: numpy's ``einsum``
+    rounds complex products differently, a random real operator gave other
+    floats when ``lo == 0``, and the two agree only to round-off.
+    """
     view = vec.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    view[:] = np.einsum("acbd,xbydz->xaycz", op, view)
+    v = [view[:, b, :, d, :].copy() for b in (0, 1) for d in (0, 1)]
+    for a in (0, 1):
+        for c in (0, 1):
+            m = op[a, c].reshape(-1)
+            acc = m[0] * v[0]  # accumulated contiguous, written to the strided quarter once
+            acc += m[1] * v[1]
+            acc += m[2] * v[2]
+            acc += m[3] * v[3]
+            acc += 0.0
+            view[:, a, :, c, :] = acc
 
 
 # ---------------------------------------------------------------------------

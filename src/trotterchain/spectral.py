@@ -78,13 +78,14 @@ def fixed_point(op: SuperOperator) -> DensityMatrix:
     return out
 
 
-def decay_rate(op: SuperOperator) -> float | None:
-    """-ln of the largest eigenvalue modulus strictly below 1.
+def decay_rate(vals: np.ndarray) -> float | None:
+    """-ln of the largest modulus strictly below 1 among eigenvalues ``vals``.
 
+    ``vals`` is a superoperator's spectrum, as :func:`spectrum` returns it.
     Returns None for a noiseless (unitary) step, where no eigenvalue sits
     strictly inside the unit circle.
     """
-    mods = np.abs(spectrum(op))
+    mods = np.abs(vals)
     inside = mods[mods < 1.0 - UNIT_EIGENVALUE_TOL]
     if len(inside) == 0:
         return None

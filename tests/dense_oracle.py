@@ -1,9 +1,10 @@
 """Dense reference implementations of gates, circuits, channels and Pauli traces.
 
 Full 2^N unitaries and 4^N superoperators built from Kronecker products,
-site 1 on the lowest-order bit, plus Kraus sums and Pauli expectations
-written out as matrix products, read-out one word at a time on a full
-copy of the state, and tomography's linear inversion summed Pauli by Pauli.
+site 1 on the lowest-order bit, a bit-pair operator applied by ``einsum``,
+plus Kraus sums and Pauli expectations written out as matrix products,
+read-out one word at a time on a full copy of the state, and tomography's
+linear inversion summed Pauli by Pauli.
 They cost exponentially more than the engines in ``trotterchain`` and serve
 only as the oracle the tests compare those engines against.
 """
@@ -123,6 +124,12 @@ def site_kraus_factor(channel, site: int, n_sites: int) -> np.ndarray:
             emb = np.kron(emb, op if k == site else np.eye(2, dtype=complex))
         out += np.kron(emb, emb.conj())
     return out
+
+
+def apply_pair(vec: np.ndarray, op: np.ndarray, hi: int, lo: int):
+    """``op[a, c, b, d]`` taking bits (hi, lo) = (b, d) to (a, c), in place, as one ``einsum``."""
+    view = vec.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    view[:] = np.einsum("acbd,xbydz->xaycz", op, view)
 
 
 def step_superoperator(circuit, noise) -> np.ndarray:

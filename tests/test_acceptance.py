@@ -220,7 +220,7 @@ def test_c08_rate_consistency():
     series = exact_decay_series(config)["Q1+"]
     gamma = an.fit_exp(an.DecaySeries(np.arange(31.0), series)).parameters["gamma"]
     op = spectral.vectorize_step(build_step(4, ALPHA), config.noise_model())
-    target = spectral.decay_rate(op)
+    target = spectral.decay_rate(spectral.spectrum(op))
     ratio = gamma / target
     assert 1.0 <= ratio <= 2.0
     report(8, f"gamma={gamma:.3f} vs -ln|l1|={target:.3f}; ratio {ratio:.2f} in [1,2]")

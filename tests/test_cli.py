@@ -276,6 +276,14 @@ def test_fit_report_reads_order_from_rows():
     assert report["Q10+"]["benchmark"]["n"] == 10
 
 
+def test_fit_report_gives_the_window_the_fit_used():
+    # depths 0..3 are four points, fewer than the configured window
+    doc = base_config(engine="pure", noise={"kind": "none"}, fit_window=10)
+    cfg = ExperimentConfig.from_dict(doc)
+    report = cli.fit_report(cfg, cli.decay_table(cfg))
+    assert report["Q1+"]["early_linear"]["window"] == 4
+
+
 # Every artifact of every verb on two small configs, pinned by sha256: the
 # first samples with readout flips and writes a dif charge; the second runs
 # damping with finite-shot tomography (exact_reference false).

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
@@ -80,6 +80,46 @@ def test_single_gate_depolarizing_channel_action():
     model = NoiseModel(after_one_qubit=depolarizing(p))
     rho = evolve_noisy(circ, DensityMatrix(1, _basis_dm(1, 0)), model)
     assert np.allclose(np.diag(rho.entries).real, [1 - p / 2, p / 2])
+
+
+shipped_channels = st.one_of(
+    st.builds(depolarizing, st.floats(0.0, 1.0)),
+    st.builds(amp_phase_damping, st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    shipped_channels,
+    st.integers(0, 2**32 - 1),
+)
+@example((5, 1), depolarizing(1.0), 0)  # rows of zeros, where a -0 sum must come out +0
+def test_channel_kernel_matches_einsum_oracle_bit_for_bit(site, channel, seed):
+    # every (a, c) row of the shipped superoperators has at most two real
+    # nonzero entries, so the slice form sums the same floats as einsum
+    n, s = site
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = (h + h.conj().T).reshape(-1)
+    want = rho.copy()
+    dense_oracle.apply_pair(want, channel.superop, s - 1 + n, s - 1)
+    sim._apply_pair(rho, channel.superop, s - 1 + n, s - 1)
+    assert rho.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 12), st.data(), st.integers(0, 2**32 - 1))
+def test_pair_kernel_matches_einsum_oracle_on_complex_operators(n_bits, data, seed):
+    hi = data.draw(st.integers(1, n_bits - 1))
+    lo = data.draw(st.integers(0, hi - 1))
+    rng = np.random.default_rng(seed)
+    op = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+    vec = rng.normal(size=1 << n_bits) + 1j * rng.normal(size=1 << n_bits)
+    want = vec.copy()
+    dense_oracle.apply_pair(want, op, hi, lo)
+    sim._apply_pair(vec, op, hi, lo)
+    assert np.abs(vec - want).max() < 1e-13
 
 
 def test_noisy_invariants_along_trajectory():

@@ -97,9 +97,9 @@ def test_fixed_point_degenerate_noiseless(noiseless_op):
 
 
 def test_decay_rate(noiseless_op, depol_op):
-    assert decay_rate(noiseless_op) is None
-    g1 = decay_rate(depol_op)
-    g2 = decay_rate(vectorize_step(build_step(N, ALPHA), depol_model(0.036, 0.036)))
+    assert decay_rate(spectrum(noiseless_op)) is None
+    g1 = decay_rate(spectrum(depol_op))
+    g2 = decay_rate(spectrum(vectorize_step(build_step(N, ALPHA), depol_model(0.036, 0.036))))
     assert g1 > 0
     assert g2 > g1  # more noise decays faster
 
