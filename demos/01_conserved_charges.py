@@ -47,5 +47,5 @@ print("\nNeel-state expectation of Q1+:")
 for n_sites in (4, 6, 8, 10, 12):
     q = assemble(ChargeSpec(1, "plus", n_sites))
     psi = StateVector.from_spec(InitialStateSpec.neel(n_sites))
-    val = exact_expectation(psi, q, delta)
+    (val,) = exact_expectation(psi, [q], delta)
     print(f"  N={n_sites:2d}: {val:+.4f}   (formula -(N/2)(2-delta^2) = {-(n_sites/2)*(2-delta**2):+.4f})")

@@ -36,6 +36,6 @@ for label, model in (
         continue
     rho_star = fixed_point(op)
     q1 = assemble(ChargeSpec(1, "plus", n_sites))
-    c2 = exact_expectation(rho_star, q1, delta)
+    (c2,) = exact_expectation(rho_star, [q1], delta)
     mixed_dist = np.abs(rho_star.entries - np.eye(1 << n_sites) / (1 << n_sites)).max()
     print(f"  fixed point: distance from completely mixed {mixed_dist:.2e}; c2(Q1+) = {c2:+.4f}\n")

@@ -227,14 +227,18 @@ def decay_table(config: ExperimentConfig) -> list:
         spec = ChargeSpec(order, variant, config.n_sites)
         charge_ops[spec.label] = (spec, *_plan(config, spec))
 
+    labels = sorted(charge_ops)
     rows = []
     for d, state in enumerate(_trajectory(config)):
-        for label in sorted(charge_ops):
+        if config.exact_reference:
+            exacts = exact_expectation(state, [charge_ops[label][1] for label in labels], delta)
+        else:
+            exacts = [None] * len(labels)
+        for label, exact in zip(labels, exacts):
             spec, q, plan = charge_ops[label]
             keys = [(_word_seed(config.seed, d, label, w), wi) for wi, w in enumerate(plan.words)]
             outcomes = sample(state, plan.words, plan.shots_per_word, keys, noise)
             est = measure.estimate(outcomes, plan, q, delta)
-            exact = exact_expectation(state, q, delta) if config.exact_reference else None
             rows.append((d, spec.order, spec.variant, est.value, est.std_uncertainty, exact))
     return rows
 
@@ -246,11 +250,9 @@ def exact_decay_series(config: ExperimentConfig) -> dict:
         ChargeSpec(n, v, config.n_sites).label: assemble_cached(ChargeSpec(n, v, config.n_sites))
         for n, v in config.charges
     }
-    out = {label: [] for label in charge_ops}
-    for state in _trajectory(config):
-        for label, q in charge_ops.items():
-            out[label].append(exact_expectation(state, q, delta))
-    return {k: np.array(v) for k, v in out.items()}
+    charges = list(charge_ops.values())
+    series = [exact_expectation(state, charges, delta) for state in _trajectory(config)]
+    return {label: np.array(column) for label, column in zip(charge_ops, zip(*series))}
 
 
 def spectrum_report(config: ExperimentConfig) -> dict:
@@ -262,11 +264,9 @@ def spectrum_report(config: ExperimentConfig) -> dict:
     }
     try:
         fp = spectral.fixed_point(op)
-        report["fixed_point_c2"] = {}
-        for order, variant in config.charges:
-            spec = ChargeSpec(order, variant, config.n_sites)
-            q = assemble_cached(spec)
-            report["fixed_point_c2"][spec.label] = exact_expectation(fp, q, config.delta)
+        specs = [ChargeSpec(order, variant, config.n_sites) for order, variant in config.charges]
+        c2 = exact_expectation(fp, [assemble_cached(spec) for spec in specs], config.delta)
+        report["fixed_point_c2"] = {spec.label: v for spec, v in zip(specs, c2)}
     except (ValueError, spectral.DegenerateFixedPointError) as exc:
         report["fixed_point_error"] = str(exc)
     return report
@@ -325,7 +325,7 @@ def mitigation_table(config: ExperimentConfig) -> list:
     init = config.init_spec()
 
     calib = mitigate.calibrate(noise, n, shots=None)
-    noiseless = exact_expectation(StateVector.from_spec(init), q, delta)
+    (noiseless,) = exact_expectation(StateVector.from_spec(init), [q], delta)
 
     # the init section has no CNOT, so folding leaves it unchanged: every fold
     # prepares the same state through it (noisy) from |0..0>, then steps with its

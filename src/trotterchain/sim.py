@@ -34,10 +34,20 @@ site's (row, column) bit pair is kept, so rho shrinks to its diagonal site
 by site and every kept entry sees the floats of a full rotation.  The
 statevector walks the same tree without the reduction and squares the
 amplitudes at the leaves.
+
+Exact expectations (:func:`exact_expectation`) take all the charges of one
+state at once.  The strings of a charge that share a flip mask x are Walsh
+components of one overlap vector, so the charges share one pass over the
+sorted union of their x masks: a mask several charges use is gathered and
+transformed once, in blocks of at most ``_WALSH_BLOCK`` complex entries
+(256 KB; one mask per row, at least one row).  Each charge still adds its own
+x groups in its own order, so every value equals the one-charge-at-a-time
+evaluation (``dense_oracle.exact_expectation`` in the tests) bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,47 +279,92 @@ def evolve_noisy(circuit: Circuit, init: DensityMatrix, noise: NoiseModel) -> De
 # ---------------------------------------------------------------------------
 
 
-def walsh_transform(vec: np.ndarray) -> np.ndarray:
-    """t[m] = sum_b (-1)^{popcount(b & m)} vec[b] via in-place butterflies."""
-    t = vec.copy()
-    n = len(t)
-    h = 1
-    while h < n:
-        t = t.reshape(-1, 2, h)
-        a = t[:, 0, :].copy()
-        t[:, 0, :] = a + t[:, 1, :]
-        t[:, 1, :] = a - t[:, 1, :]
-        t = t.reshape(n)
-        h *= 2
-    return t
+# complex entries per block of Walsh-transformed overlap rows: 2^14 x 16 B = 256 KB
+_WALSH_BLOCK = 1 << 14
 
 
-def exact_expectation(state, charge: PauliPolynomial, delta: float) -> float:
-    """tr(rho Q) or <psi|Q|psi> with the charge evaluated at ``delta``.
+def _walsh_rows(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Walsh transform ``t[m] = sum_b (-1)^{popcount(b & m)} v[b]`` of each row of ``cur``.
 
-    Grouped evaluation: one gather and one Walsh transform per x_mask.  For a
-    fixed flip mask x the term expectations are signed sums of the same
-    overlap vector, i.e. Walsh-transform components indexed by z.
+    Stage k takes each row's entries pairwise, (2i, 2i+1) -> i and i + dim/2,
+    to their sum and difference: the butterfly on the bit that started as bit
+    k, which then moves to the top.  After log2(dim) stages the bits are back
+    in place, each entry computed from the same operands in the same stage
+    order as by in-place butterflies with h = 1, 2, 4, ..., but every stage
+    reads and writes whole rows.  Stages ping-pong between ``cur`` and
+    ``nxt``; returns the one holding the result.
     """
-    if state.n_sites != charge.n_sites:
+    r, dim = cur.shape
+    half = dim >> 1
+    for _ in range(dim.bit_length() - 1):
+        pairs = cur.reshape(r, half, 2)
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=nxt[:, :half])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=nxt[:, half:])
+        cur, nxt = nxt, cur
+    return cur
+
+
+def exact_expectation(state, charges: Sequence[PauliPolynomial], delta: float) -> list:
+    """tr(rho Q) or <psi|Q|psi> of each charge in ``charges`` at ``delta``, in order.
+
+    For a flip mask x the expectations of the strings with that x are signed
+    sums of one overlap vector (psi-bar[b^x] psi[b], or rho[b, b^x]): Walsh
+    components indexed by z.  All charges share one pass over the sorted
+    union of their x masks, in blocks of ``_WALSH_BLOCK`` complex entries
+    (one row per mask, at least one row), each block transformed along its
+    rows in two preallocated buffers.  Each charge then adds
+    ``coeffs[rows] @ W[zs]`` for its own x groups in ascending x, so every
+    value equals that of a separate per-charge pass bit for bit
+    (``dense_oracle.exact_expectation``).
+    """
+    n = state.n_sites
+    if any(q.n_sites != n for q in charges):
         raise ValueError("state and charge sizes differ")
-    # i^(Y count) of each string, so coefficient * unit * (-1)^(z.b) is its matrix element
-    units = np.array(_I_POW)[np.bitwise_count(charge.x & charge.z) & 3]
-    coeffs = charge.coefficients(delta) * units
-    cols = np.arange(1 << state.n_sites, dtype=np.int64)
-    if isinstance(state, StateVector):
+    dim = 1 << n
+    per = max(1, _WALSH_BLOCK >> n)  # rows per block
+    coeffs, groups = [], []
+    for q in charges:
+        # i^(Y count) of each string, so coefficient * unit * (-1)^(z.b) is its matrix element
+        units = np.array(_I_POW)[np.bitwise_count(q.x & q.z) & 3]
+        coeffs.append(q.coefficients(delta) * units)
+        groups.append(q.x_groups())
+    # a set and sorted(): np.unique imports numpy.ma, and np.sort's first call
+    # alone pages in about 0.4 MB of sort kernels
+    union = sorted({x for g in groups for x, _, _ in g})
+    pos = {x: i for i, x in enumerate(union)}
+    # per block: (charge, row in block, z masks, term rows), each charge in ascending x
+    work = [[] for _ in range(0, len(union), per)]
+    for k, g in enumerate(groups):
+        for x, zs, rows in g:
+            work[pos[x] // per].append((k, pos[x] % per, zs, rows))
+
+    cols = np.arange(dim, dtype=np.int64)
+    pure = isinstance(state, StateVector)
+    if pure:
         left = state.amplitudes.conj()
         psi = state.amplitudes
-    val = 0.0 + 0.0j
-    for x, zs, rows in charge.x_groups():
-        if isinstance(state, StateVector):
-            overlap = left[cols ^ x] * psi
+    else:
+        flat = state.entries.reshape(-1)
+        row_start = cols * dim  # rho[b, b^x] is flat[row_start[b] + (b^x)]
+    buf = np.empty((2, min(per, len(union)), dim), dtype=complex)
+    vals = [0.0 + 0.0j] * len(charges)
+    for b, items in enumerate(work):
+        xs = np.array(union[b * per : (b + 1) * per], dtype=np.int64)
+        cur = buf[0, : len(xs)]
+        idx = cols ^ xs[:, None]
+        if pure:
+            np.take(left, idx, out=cur)
+            np.multiply(cur, psi, out=cur)
         else:
-            overlap = state.entries[cols, cols ^ x]
-        val += coeffs[rows] @ walsh_transform(overlap)[zs]
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary part {val.imag:.2e}")
-    return float(val.real)
+            idx += row_start
+            np.take(flat, idx, out=cur)
+        w = _walsh_rows(cur, buf[1, : len(xs)])
+        for k, row, zs, rows in items:
+            vals[k] += coeffs[k][rows] @ w[row][zs]
+    for v in vals:
+        if abs(v.imag) > 1e-10:
+            raise ValueError(f"expectation has imaginary part {v.imag:.2e}")
+    return [float(v.real) for v in vals]
 
 
 # per letter: the rotation matrices that take its basis to Z, in gate order

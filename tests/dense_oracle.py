@@ -3,6 +3,7 @@
 Full 2^N unitaries and 4^N superoperators built from Kronecker products,
 site 1 on the lowest-order bit, a bit-pair operator applied by ``einsum``,
 plus Kraus sums and Pauli expectations written out as matrix products,
+charge expectations one charge and one Walsh transform per x mask at a time,
 read-out one word at a time on a full copy of the state, and tomography's
 linear inversion summed Pauli by Pauli.
 They cost exponentially more than the engines in ``trotterchain`` and serve
@@ -18,7 +19,6 @@ from trotterchain.sim import (
     DensityMatrix,
     StateVector,
     apply_readout_flips,
-    walsh_transform,
 )
 from trotterchain.tomo import all_words
 
@@ -166,6 +166,47 @@ def outcome_distribution(state, word: str, noise=IDEAL) -> np.ndarray:
     if flips is not None:
         p = apply_readout_flips(p, flips, state.n_sites)
     return p
+
+
+def walsh_transform(vec: np.ndarray) -> np.ndarray:
+    """t[m] = sum_b (-1)^{popcount(b & m)} vec[b] via in-place butterflies."""
+    t = vec.copy()
+    n = len(t)
+    h = 1
+    while h < n:
+        t = t.reshape(-1, 2, h)
+        a = t[:, 0, :].copy()
+        t[:, 0, :] = a + t[:, 1, :]
+        t[:, 1, :] = a - t[:, 1, :]
+        t = t.reshape(n)
+        h *= 2
+    return t
+
+
+def exact_expectation(state, charge, delta: float) -> float:
+    """tr(rho Q) or <psi|Q|psi> of one charge: one gather and one Walsh transform per x mask.
+
+    For a fixed flip mask x the term expectations are signed sums of the same
+    overlap vector, i.e. Walsh-transform components indexed by z.
+    """
+    if state.n_sites != charge.n_sites:
+        raise ValueError("state and charge sizes differ")
+    units = np.array(_I_POW)[np.bitwise_count(charge.x & charge.z) & 3]
+    coeffs = charge.coefficients(delta) * units
+    cols = np.arange(1 << state.n_sites, dtype=np.int64)
+    if isinstance(state, StateVector):
+        left = state.amplitudes.conj()
+        psi = state.amplitudes
+    val = 0.0 + 0.0j
+    for x, zs, rows in charge.x_groups():
+        if isinstance(state, StateVector):
+            overlap = left[cols ^ x] * psi
+        else:
+            overlap = state.entries[cols, cols ^ x]
+        val += coeffs[rows] @ walsh_transform(overlap)[zs]
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"expectation has imaginary part {val.imag:.2e}")
+    return float(val.real)
 
 
 def linear_inversion(data) -> np.ndarray:

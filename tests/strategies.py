@@ -30,9 +30,10 @@ def gate_lists(draw, max_sites: int = 3, max_gates: int = 8):
 
 
 @st.composite
-def polynomials(draw, max_terms=40):
-    """A charge on 2..8 sites with distinct strings and constant coefficients 1..3."""
-    n = draw(st.integers(2, 8))
+def polynomials(draw, max_terms=40, n_sites=None):
+    """A charge on ``n_sites`` sites (drawn from 2..8 if not given) with distinct
+    strings and constant coefficients 1..3."""
+    n = draw(st.integers(2, 8)) if n_sites is None else n_sites
     masks = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
     pairs = draw(
         st.lists(masks.filter(lambda xz: xz != (0, 0)), min_size=1, max_size=max_terms, unique=True)

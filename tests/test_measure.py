@@ -217,7 +217,7 @@ def test_estimator_and_variance_unbiased():
     rng = np.random.default_rng(7)
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = sim.StateVector(n, amp / np.linalg.norm(amp))
-    exact = sim.exact_expectation(psi, q, DELTA)
+    (exact,) = sim.exact_expectation(psi, [q], DELTA)
     dists = sim.rotated_probabilities(psi, plan.words)
 
     reps = 500
@@ -253,7 +253,7 @@ def test_estimator_mean_is_exact_on_product_eigenstates(data):
     q, plan = assemble_cached(spec), _cover_of(spec)
     dists = sim.rotated_probabilities(psi, plan.words)
     mean, _ = exact_estimator_variance(dists, plan, q, DELTA)
-    assert abs(mean - sim.exact_expectation(psi, q, DELTA)) < 1e-10
+    assert abs(mean - sim.exact_expectation(psi, [q], DELTA)[0]) < 1e-10
 
 
 def test_exact_estimator_variance_matches_empirical():

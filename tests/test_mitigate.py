@@ -86,8 +86,8 @@ def test_folding_keeps_noiseless_charge_values():
         circ = build_circuit(InitialStateSpec.neel(n), ALPHA, depth)
         psi0 = evolve_pure(circ, StateVector.zero(n))
         psi1 = evolve_pure(zne_fold(circ, 1), StateVector.zero(n))
-        a = exact_expectation(psi0, q, DELTA)
-        b = exact_expectation(psi1, q, DELTA)
+        (a,) = exact_expectation(psi0, [q], DELTA)
+        (b,) = exact_expectation(psi1, [q], DELTA)
         assert abs(a - b) < 1e-9
 
 

@@ -1,6 +1,10 @@
 import gc
 import hashlib
+import subprocess
+import sys
 import weakref
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +13,9 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from dense_oracle import circuit_unitary
-from strategies import gate_lists
+from strategies import gate_lists, polynomials
 from trotterchain import sim
-from trotterchain.charges import ChargeSpec, assemble, step_unitary
+from trotterchain.charges import VARIANTS, ChargeSpec, assemble, assemble_cached, step_unitary
 from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_circuit, build_step
 from trotterchain.mitigate import calibrate
 from trotterchain.noise import amp_phase_damping, depolarizing
@@ -50,11 +54,11 @@ def test_charge_conserved_under_pure_evolution():
     n = 6
     q = assemble(ChargeSpec(1, "plus", n))
     psi = StateVector.from_spec(InitialStateSpec.neel(n))
-    v0 = exact_expectation(psi, q, DELTA)
+    (v0,) = exact_expectation(psi, [q], DELTA)
     circ = build_step(n, ALPHA)
     for _ in range(30):
         psi = evolve_pure(circ, psi)
-        assert abs(exact_expectation(psi, q, DELTA) - v0) < 1e-9
+        assert abs(exact_expectation(psi, [q], DELTA)[0] - v0) < 1e-9
     assert abs(psi.norm() - 1.0) < 1e-10
 
 
@@ -147,8 +151,8 @@ def test_engines_agree_on_pauli_expectations():
     circ = build_circuit(InitialStateSpec("YZXYZX", (0, 0, 0, 0, 0, 0)), ALPHA, 3)
     psi = evolve_pure(circ, StateVector.zero(n))
     rho = evolve_noisy(circ, DensityMatrix(n, _basis_dm(n, 0)), sim.IDEAL)
-    a = exact_expectation(psi, q, DELTA)
-    b = exact_expectation(rho, q, DELTA)
+    (a,) = exact_expectation(psi, [q], DELTA)
+    (b,) = exact_expectation(rho, [q], DELTA)
     assert abs(a - b) < 1e-9
 
 
@@ -267,16 +271,16 @@ def test_exact_expectation_neel_at_zero_delta():
     n = 6
     q = assemble(ChargeSpec(1, "plus", n))
     psi = StateVector.from_spec(InitialStateSpec.neel(n))
-    assert exact_expectation(psi, q, 0.0) == pytest.approx(-2 * n / 2 + -n / 2 * 0)
+    assert exact_expectation(psi, [q], 0.0)[0] == pytest.approx(-2 * n / 2 + -n / 2 * 0)
     # every bond contributes -1 at delta = 0
-    assert exact_expectation(psi, q, 0.0) == pytest.approx(-n)
+    assert exact_expectation(psi, [q], 0.0)[0] == pytest.approx(-n)
 
 
 def test_traceless_charge_on_mixed_state():
     n = 4
     q = assemble(ChargeSpec(1, "dif", n))
     rho = dense_oracle.completely_mixed(n)
-    assert abs(exact_expectation(rho, q, DELTA)) < 1e-12
+    assert abs(exact_expectation(rho, [q], DELTA)[0]) < 1e-12
 
 
 def test_sample_deterministic_z_word():
@@ -340,7 +344,7 @@ def test_expectation_cross_checks_sampling():
     n = 4
     q = assemble(ChargeSpec(1, "plus", n))
     psi = StateVector.from_spec(InitialStateSpec.neel(n))
-    exact = exact_expectation(psi, q, DELTA)
+    (exact,) = exact_expectation(psi, [q], DELTA)
     # direct resampling of each term through its own word
     total = 0.0
     for s, poly in q.items():
@@ -350,6 +354,98 @@ def test_expectation_cross_checks_sampling():
         par = 1 - 2 * (np.bitwise_count(idx & np.int64(s.support_mask)).astype(int) & 1)
         total += poly(DELTA) * float(p @ par)
     assert total == pytest.approx(exact, abs=1e-10)
+
+
+def _expectation_state(n: int, kind: str, seed: int):
+    """A product state or a random statevector; on the density engine a random
+    rank-2 mixture, or a product state after a damped H-and-CNOT chain."""
+    rng = np.random.default_rng(seed)
+    letters = "".join(rng.choice(list("XYZ"), size=n))
+    spec = InitialStateSpec(letters, tuple(int(b) for b in rng.integers(0, 2, n)))
+    engine, kind = kind.split("-")
+    if kind == "product":
+        return (StateVector if engine == "pure" else DensityMatrix).from_spec(spec)
+    if kind == "damped":
+        gates = [Gate("H", (1,))] + [Gate("CNOT", (j, j + 1)) for j in range(1, n)]
+        damping = amp_phase_damping(0.05, 0.03)
+        rho = DensityMatrix.from_spec(spec)
+        return evolve_noisy(Circuit(n, gates), rho, NoiseModel(damping, damping))
+    amps = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
+    if engine == "pure":
+        return StateVector(n, amps[0] / np.linalg.norm(amps[0]))
+    rho = amps.T @ amps.conj()
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+@st.composite
+def charge_lists(draw, n: int):
+    """1..6 charges on n sites: assembled plus, minus and dif charges, repeats and
+    any order allowed, and random polynomials (the only kind on odd or short chains)."""
+    specs = [(o, v) for o in range(1, (n - 2) // 2 + 1) for v in VARIANTS] if n % 2 == 0 else []
+    kinds = polynomials(max_terms=12, n_sites=n)
+    if specs:
+        kinds = kinds | st.sampled_from(specs).map(lambda s: assemble_cached(ChargeSpec(*s, n)))
+    return draw(st.lists(kinds, min_size=1, max_size=6))
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(2, 10),
+    st.sampled_from(["pure-product", "pure-random", "dm-product", "dm-random", "dm-damped"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 1, 2, 3, 5]),
+    st.data(),
+)
+def test_exact_expectation_matches_per_charge_oracle_bit_for_bit(n, kind, seed, rows, data):
+    # one shared Walsh pass over the union of x masks gives each charge the
+    # floats of its own per-x-mask pass, sign bits included; ``rows`` (if set)
+    # shrinks the block to that many x masks so short lists cross block edges too
+    state = _expectation_state(n, kind, seed)
+    charges = data.draw(charge_lists(n))
+    block = sim._WALSH_BLOCK if rows is None else rows << n
+    with mock.patch.object(sim, "_WALSH_BLOCK", block):
+        got = exact_expectation(state, charges, DELTA)
+    assert _hex(got) == _hex(dense_oracle.exact_expectation(state, q, DELTA) for q in charges)
+
+
+@pytest.mark.parametrize("kind", ["pure-random", "dm-damped"])
+def test_exact_expectation_across_blocks_matches_oracle(kind):
+    # at the module's own block size, the x masks of these charges fill several blocks
+    n = 10
+    specs = [(3, "dif"), (1, "plus"), (2, "minus"), (3, "dif"), (2, "plus"), (1, "plus")]
+    charges = [assemble_cached(ChargeSpec(o, v, n)) for o, v in specs]
+    masks = {x for q in charges for x, _, _ in q.x_groups()}
+    assert len(masks) > 2 * (sim._WALSH_BLOCK >> n)
+    state = _expectation_state(n, kind, 5)
+    got = exact_expectation(state, charges, DELTA)
+    assert _hex(got) == _hex(dense_oracle.exact_expectation(state, q, DELTA) for q in charges)
+
+
+def test_exact_expectation_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, several MB of resident memory for one evaluation
+    code = (
+        "import sys\n"
+        "from trotterchain.charges import ChargeSpec, assemble\n"
+        "from trotterchain.circuit import InitialStateSpec\n"
+        "from trotterchain.sim import DensityMatrix, exact_expectation\n"
+        "rho = DensityMatrix.from_spec(InitialStateSpec.neel(6))\n"
+        "exact_expectation(rho, [assemble(ChargeSpec(k, 'dif', 6)) for k in (2, 1, 2)], 0.3)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(sim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _float_digest(values):
@@ -368,7 +464,7 @@ def test_exact_expectations_match_pinned_digest():
     step = build_step(n, ALPHA)
     values = []
     for _ in range(3):
-        values += [exact_expectation(psi, q, DELTA) for q in charges]
+        values += exact_expectation(psi, charges, DELTA)
         psi = evolve_pure(step, psi)
     assert _float_digest(values) == (
         "20395f074b17aaccd1cd487ddbeab6f037e64185276c50651d7fc4e61e2bfb72"

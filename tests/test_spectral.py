@@ -78,7 +78,7 @@ def test_fixed_point_depolarizing_is_mixed(depol_op):
     fp = fixed_point(depol_op)
     assert np.abs(fp.entries - np.eye(16) / 16).max() < 1e-8
     q = assemble(ChargeSpec(1, "plus", N))
-    assert abs(exact_expectation(fp, q, DELTA)) < 1e-8  # c2 = 0
+    assert abs(exact_expectation(fp, [q], DELTA)[0]) < 1e-8  # c2 = 0
 
 
 def test_fixed_point_damping_is_not_mixed():
@@ -88,7 +88,7 @@ def test_fixed_point_damping_is_not_mixed():
     dist = np.abs(fp.entries - np.eye(16) / 16).max()
     assert dist > 1e-3
     q = assemble(ChargeSpec(1, "plus", N))
-    assert abs(exact_expectation(fp, q, DELTA)) > 1e-3  # nonzero c2
+    assert abs(exact_expectation(fp, [q], DELTA)[0]) > 1e-3  # nonzero c2
 
 
 def test_fixed_point_degenerate_noiseless(noiseless_op):
@@ -113,8 +113,8 @@ def test_powers_match_engine_trajectory(depol_op):
     for _ in range(10):
         vec = (depol_op.matrix @ vec.reshape(-1)).reshape(vec.shape)
         rho = evolve_noisy(circ, rho, model)
-        a = exact_expectation(DensityMatrix(N, vec), q, DELTA)
-        b = exact_expectation(rho, q, DELTA)
+        (a,) = exact_expectation(DensityMatrix(N, vec), [q], DELTA)
+        (b,) = exact_expectation(rho, [q], DELTA)
         assert abs(a - b) < 1e-9
 
 
