@@ -2,7 +2,7 @@
 
 The package is organized as a numpy library:
 
-- :mod:`trotterchain.pauli` -- bit-packed Pauli-string algebra
+- :mod:`trotterchain.pauli` -- bit-packed Pauli strings and their letters
 - :mod:`trotterchain.charges` -- exact conserved charges and transfer matrices
 - :mod:`trotterchain.circuit` -- gate-level circuits (init / brickwork / rotations)
 - :mod:`trotterchain.sim` -- statevector and density-matrix engines

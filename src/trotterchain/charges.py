@@ -4,9 +4,8 @@ Charges are exact objects: sums of Pauli strings whose coefficients are
 integer polynomials in the Trotter step ``delta``.  The module provides
 
 - :class:`PauliPolynomial`, a charge or charge density as packed rows: int64
-  ``(x, z)`` string masks and an int64 matrix of delta-power coefficients;
-- :class:`DeltaPoly`, integer polynomials in ``delta``: the view of one row's
-  coefficients that :meth:`PauliPolynomial.items` and ``coefficient`` give;
+  ``(x, z)`` string masks and an int64 matrix of delta-power coefficients,
+  evaluated all rows at once by :meth:`PauliPolynomial.coefficients`;
 - integer tables of dot/cross products ``c delta^m sigma . (sigma x ...)``
   for the order-1 and order-2 window densities (:func:`density`) and the
   boost block, each expanded by one function (over :func:`dot_cross`) into
@@ -34,88 +33,6 @@ import numpy as np
 from .pauli import LETTER_CODES, PauliString, letter_strings
 
 VARIANTS = ("plus", "minus", "dif")
-
-
-class DeltaPoly:
-    """Integer polynomial in delta; index m holds the coefficient of delta^m.
-
-    Immutable; trailing zeros are trimmed so the zero polynomial is ().
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    def __setattr__(self, *a):
-        raise AttributeError("DeltaPoly is immutable")
-
-    @classmethod
-    def delta_power(cls, m: int, c: int = 1) -> "DeltaPoly":
-        return cls((0,) * m + (c,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DeltaPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "DeltaPoly") -> "DeltaPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return DeltaPoly(out)
-
-    def __neg__(self) -> "DeltaPoly":
-        return DeltaPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "DeltaPoly") -> "DeltaPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "DeltaPoly":
-        if isinstance(other, int):
-            return DeltaPoly(tuple(c * other for c in self.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return DeltaPoly(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, m: int) -> "DeltaPoly":
-        """Multiply by delta^m."""
-        if not self.coeffs:
-            return self
-        return DeltaPoly((0,) * m + self.coeffs)
-
-    def divexact_delta(self) -> "DeltaPoly":
-        """Exact division by delta; raises if the constant term survives."""
-        if self.coeffs and self.coeffs[0] != 0:
-            raise ValueError("polynomial not divisible by delta")
-        return DeltaPoly(self.coeffs[1:])
-
-    def __call__(self, delta: float) -> float:
-        out = 0.0
-        for c in reversed(self.coeffs):
-            out = out * delta + c
-        return out
-
-    def __repr__(self):
-        return f"DeltaPoly({self.coeffs})"
 
 
 class PauliPolynomial:
@@ -223,23 +140,10 @@ class PauliPolynomial:
         n = self.n_sites
         return (PauliString(n, x, z) for x, z in zip(self.x.tolist(), self.z.tolist()))
 
-    def items(self):
-        """(PauliString, DeltaPoly) pairs in (x, z) order."""
-        return zip(self.terms, map(DeltaPoly, self.coeffs.tolist()))
-
-    def coefficient(self, string: PauliString) -> DeltaPoly:
-        """The coefficient of ``string`` whatever its phase; zero when absent."""
-        lo = np.searchsorted(self.x, string.x_mask, side="left")
-        hi = np.searchsorted(self.x, string.x_mask, side="right")
-        i = lo + np.searchsorted(self.z[lo:hi], string.z_mask)
-        if string.n_sites == self.n_sites and i < hi and self.z[i] == string.z_mask:
-            return DeltaPoly(self.coeffs[i].tolist())
-        return DeltaPoly()
-
     def coefficients(self, delta: float) -> np.ndarray:
         """Every row at ``delta``: Horner from the last column, on each row
-        the same float operations as :meth:`DeltaPoly.__call__` (leading zero
-        columns keep +0.0)."""
+        the same float operations as ``DeltaPoly.__call__`` in the tests'
+        ``dense_oracle`` (leading zero columns keep +0.0)."""
         out = np.zeros(len(self))
         for column in self.coeffs.T[::-1]:
             out = out * delta + column
@@ -494,7 +398,8 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
                     continue
                 x, z = tx[hit] ^ bx, tz[hit] ^ bz
                 # (i/2)[b, t] = i b t = i^(k+1) (x, z) for anticommuting b, t,
-                # with the phase k of pauli.mul: +1 for k = 3, -1 for k = 1 (mod 4)
+                # with the phase k of the product b t (``mul`` in the tests' dense_oracle):
+                # +1 for k = 3, -1 for k = 1 (mod 4)
                 k = (bx & bz).bit_count() + t_y[hit] + 2 * _popcount(bz & tx[hit])
                 sign = np.where((k - _popcount(x & z)) % 4 == 3, c, -c)
                 end = base + _high_bit(x | z)

@@ -197,17 +197,10 @@ def build_measurement_rotation(word: str) -> list:
     return gates
 
 
-def build_circuit(
-    init: InitialStateSpec, alpha: float, depth: int, word: str | None = None
-) -> Circuit:
-    """The full three-part circuit: initialization, evolution, rotation."""
-    n = init.n_sites
+def build_circuit(init: InitialStateSpec, alpha: float, depth: int) -> Circuit:
+    """Initialization then ``depth`` evolution steps; the rotation section is
+    empty, since read-out rotates inside :mod:`sim`."""
     gates = build_init(init)
     init_end = len(gates)
-    gates += build_evolution(n, alpha, depth)
-    evolution_end = len(gates)
-    if word is not None:
-        if len(word) != n:
-            raise ValueError("word length must match the chain")
-        gates += build_measurement_rotation(word)
-    return Circuit(n, gates, init_end, evolution_end, depth)
+    gates += build_evolution(init.n_sites, alpha, depth)
+    return Circuit(init.n_sites, gates, init_end, len(gates), depth)

@@ -63,6 +63,10 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 # field annotation -> the type its value must have; a bool is no number
 _FIELD_TYPES = {"int": Integral, "int | None": (Integral, type(None)), "float": Real, "bool": bool}
 
@@ -112,6 +116,15 @@ class ExperimentConfig:
         unread = set(self.noise) - {"kind", *inspect.signature(build).parameters}
         if unread:
             raise ConfigError(f"noise kind {kind!r} does not read {sorted(unread)}")
+        for key, value in self.noise.items():
+            if key == "kind" or (kind, key) == ("damping", "p1"):
+                continue
+            if key == "readout_flip" and isinstance(value, (list, tuple)):
+                ok = all(map(_is_number, value))
+            else:
+                ok = value is None or _is_number(value)
+            if not ok:
+                raise ConfigError(f"noise {key} must be a number or null, got {value!r}")
         try:
             model = build(**{k: v for k, v in self.noise.items() if k != "kind"})
             model.flip_probs(self.n_sites)
@@ -321,11 +334,14 @@ def mitigation_table(config: ExperimentConfig) -> list:
     noise = config.noise_model()
     n = config.n_sites
     order, variant = config.charges[0]
-    q, plan = _plan(config, ChargeSpec(order, variant, n))
+    spec = ChargeSpec(order, variant, n)
+    q, plan = _plan(config, spec)
     init = config.init_spec()
 
-    calib = mitigate.calibrate(noise, n, shots=None)
     (noiseless,) = exact_expectation(StateVector.from_spec(init), [q], delta)
+    if noiseless == 0.0:
+        raise ConfigError(f"noiseless {spec.label} is 0 on {init.label()}: nothing to normalize by")
+    calib = mitigate.calibrate(noise, n, shots=None)
 
     # the init section has no CNOT, so folding leaves it unchanged: every fold
     # prepares the same state through it (noisy) from |0..0>, then steps with its

@@ -1,4 +1,4 @@
-"""Pauli-word measurement protocol: covers, shot records, charge estimator.
+"""Pauli-word measurement protocol: covers and the charge estimator.
 
 A word is a length-N string over {X, Y, Z} fixing a simultaneous measurement
 basis.  A Pauli term is contained in a word when every non-identity letter
@@ -6,19 +6,17 @@ matches.  The estimator pools, for each term P, all words containing P; the
 variance estimator keeps the covariances induced by that sharing, pooling
 each pair (P, P') over the words containing both.
 
-Words are plain ``str``; their letters are checked where a word enters from
-outside the program (:meth:`MeasurementPlan.from_dict`, :class:`ShotRecords`,
-:func:`contains`).  The estimators read :mod:`sim`'s output in plan order:
+Words are plain ``str``; :func:`contains` checks the letters of the word it
+is given.  The estimators read :mod:`sim`'s output in plan order:
 :func:`estimate` takes the ``(indices, counts)`` pairs of :func:`sim.sample`,
 :func:`exact_estimator_variance` the rows of :func:`sim.outcome_distribution`,
-one per plan word.  Basis indices ascend, site ``j`` on bit ``j-1``.
-Bitstrings (site 1 leftmost) exist only in the shot records' JSON,
-``{word: {bitstring: count}}``, written and read by ``to_dict``/``from_dict``.
+one per plan word.  Basis indices ascend, site ``j`` on bit ``j-1``; no
+outcome is ever written as a bitstring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +43,6 @@ def contains(word: str, term: PauliString) -> bool:
 class MeasurementPlan:
     words: tuple
     shots_per_word: int
-
-    def to_dict(self) -> dict:
-        return {"shots_per_word": self.shots_per_word, "words": list(self.words)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MeasurementPlan":
-        return cls(tuple(map(_checked, doc["words"])), doc["shots_per_word"])
 
 
 def _contained(wx, wz, x, z, s):
@@ -117,48 +108,6 @@ def _word_cover(plan: MeasurementPlan, charge: PauliPolynomial) -> list:
     wz = np.array([p.z_mask for p in packed], dtype=np.int64)
     hits = _contained(wx[:, None], wz[:, None], xs, zs, xs | zs)
     return [np.flatnonzero(row).tolist() for row in hits]
-
-
-@dataclass
-class ShotRecords:
-    """Per-word outcome multiplicities: the shot-record JSON edge.
-
-    Feed records to :func:`estimate` as ``[records.counts[w] for w in plan.words]``.
-    """
-
-    n_sites: int
-    counts: dict = field(default_factory=dict)  # word -> (indices, counts), int64
-
-    def add(self, word: str, outcomes: tuple):
-        """Record ``(indices, counts)`` of one word, as :func:`sim.sample` returns them."""
-        _checked(word)
-        idx, cnt = (np.asarray(a, dtype=np.int64) for a in outcomes)
-        if idx.shape != cnt.shape:
-            raise ValueError(f"outcome indices and counts of {word} differ in length")
-        if idx.size and (idx.min() < 0 or idx.max() >= 1 << self.n_sites):
-            raise ValueError(f"outcome index of {word} outside [0, 2^{self.n_sites})")
-        self.counts[word] = (idx, cnt)
-
-    def to_dict(self) -> dict:
-        """``{"n_sites": N, "counts": {word: {bitstring: count}}}``, site 1 leftmost."""
-        n = self.n_sites
-        counts = {
-            w: {format(i, f"0{n}b")[::-1]: c for i, c in zip(idx.tolist(), cnt.tolist())}
-            for w, (idx, cnt) in self.counts.items()
-        }
-        return {"n_sites": n, "counts": counts}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ShotRecords":
-        """Inverse of :meth:`to_dict`; each word's outcomes are stored by ascending index."""
-        records = cls(doc["n_sites"])
-        for w, outcomes in doc["counts"].items():
-            for b in outcomes:
-                if len(b) != records.n_sites:
-                    raise ValueError(f"outcome {b!r} of {w} is not {records.n_sites} sites long")
-            pairs = sorted((int(b[::-1], 2), c) for b, c in outcomes.items())
-            records.add(w, ([i for i, _ in pairs], [c for _, c in pairs]))
-        return records
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Exact algebra of N-site Pauli strings.
+"""Bit-packed N-site Pauli strings.
 
 A string is stored bit-packed: ``x_mask`` has bit ``j-1`` set iff site ``j``
 carries ``X`` or ``Y``, ``z_mask`` has bit ``j-1`` set iff site ``j`` carries
@@ -8,8 +8,10 @@ site ``N+1`` is site 1.  The operator represented is
     i**phase_power * W_1 (x) W_2 (x) ... (x) W_N,
 
 with ``W_j in {I, X, Y, Z}`` read off the mask bits.  The global phase is
-tracked as a power of ``i`` modulo 4 and never as a floating scalar, so all
-downstream charge coefficients stay exact.
+tracked as a power of ``i`` modulo 4 and never as a floating scalar.  The
+library multiplies strings only in bulk, on mask arrays, with the popcount
+phase of :func:`charges.boost_step`; the single-string product is a test
+oracle.
 
 Text rendering writes site 1 leftmost, e.g. ``"IXZY"``; :func:`letter_strings`
 is the one renderer, vectorised over mask arrays.
@@ -36,10 +38,6 @@ _SINGLE = {
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-class SizeMismatchError(ValueError):
-    """Two strings of different lengths were combined."""
-
-
 @dataclass(frozen=True, slots=True)
 class PauliString:
     """One tensor product of single-site Paulis with a tracked phase."""
@@ -58,10 +56,6 @@ class PauliString:
         object.__setattr__(self, "phase_power", self.phase_power % 4)
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def identity(cls, n_sites: int) -> "PauliString":
-        return cls(n_sites, 0, 0, 0)
 
     @classmethod
     def from_letters(cls, letters: str, phase_power: int = 0) -> "PauliString":
@@ -84,10 +78,6 @@ class PauliString:
     @property
     def support_mask(self) -> int:
         return self.x_mask | self.z_mask
-
-    @property
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
 
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
@@ -123,27 +113,3 @@ def letter_strings(x, z, n_sites: int) -> np.ndarray:
         ((np.asarray(z, np.int64)[..., None] >> bits) & 1) << 1
     )
     return _LETTER_BYTES[codes].view(f"S{n_sites}")[..., 0].astype(str)
-
-
-def _check_sizes(a: PauliString, b: PauliString):
-    if a.n_sites != b.n_sites:
-        raise SizeMismatchError(f"size mismatch: {a.n_sites} vs {b.n_sites}")
-
-
-def mul(a: PauliString, b: PauliString) -> PauliString:
-    """Exact operator product ``a * b`` with accumulated phase."""
-    _check_sizes(a, b)
-    x = a.x_mask ^ b.x_mask
-    z = a.z_mask ^ b.z_mask
-    # Convert each factor to X^x Z^z form (Y = i XZ), commute Z past X,
-    # convert the result back; every step is a popcount.
-    k = (
-        a.phase_power
-        + b.phase_power
-        + (a.x_mask & a.z_mask).bit_count()
-        + (b.x_mask & b.z_mask).bit_count()
-        + 2 * (a.z_mask & b.x_mask).bit_count()
-        - (x & z).bit_count()
-    )
-    return PauliString(a.n_sites, x, z, k % 4)
-

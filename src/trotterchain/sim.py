@@ -5,8 +5,8 @@ matrices).  Site ``j`` lives on bit ``j-1``; a computational basis index
 ``b`` has site-j outcome ``(b >> (j-1)) & 1``.  :func:`sample` returns one
 ``(indices, counts)`` pair per word and :func:`outcome_distribution` one row
 per word, in the order of the words given; the estimators of :mod:`measure`
-read them in plan order as they are.  Bitstrings exist only in the shot
-records' JSON (:class:`measure.ShotRecords`).
+read them in plan order as they are.  Outcomes stay basis indices
+throughout; no bitstring is ever written.
 
 Both engines run on the same kernels.  The density matrix is a vector on 2N
 bits, ``rho.entries.reshape(-1)``: the row index is bits N..2N-1 and the

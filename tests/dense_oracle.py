@@ -8,12 +8,17 @@ read-out one word at a time on a full copy of the state, and tomography's
 linear inversion summed Pauli by Pauli.
 They cost exponentially more than the engines in ``trotterchain`` and serve
 only as the oracle the tests compare those engines against.
+
+The exact algebra the library runs only in bulk, on packed arrays, is here
+one object at a time: the single-string product :func:`mul`, integer
+polynomials in delta (:class:`DeltaPoly`) and a charge read term by term
+(:func:`items`, :func:`coefficient`).
 """
 
 import numpy as np
 
 from trotterchain.circuit import Gate, build_measurement_rotation
-from trotterchain.pauli import _I_POW, PauliString, SizeMismatchError, mul
+from trotterchain.pauli import _I_POW, PauliString
 from trotterchain.sim import (
     IDEAL,
     DensityMatrix,
@@ -21,6 +26,130 @@ from trotterchain.sim import (
     apply_readout_flips,
 )
 from trotterchain.tomo import all_words
+
+
+class SizeMismatchError(ValueError):
+    """Two strings of different lengths were combined."""
+
+
+def _check_sizes(a: PauliString, b: PauliString):
+    if a.n_sites != b.n_sites:
+        raise SizeMismatchError(f"size mismatch: {a.n_sites} vs {b.n_sites}")
+
+
+def mul(a: PauliString, b: PauliString) -> PauliString:
+    """Exact operator product ``a * b`` with accumulated phase."""
+    _check_sizes(a, b)
+    x = a.x_mask ^ b.x_mask
+    z = a.z_mask ^ b.z_mask
+    # Convert each factor to X^x Z^z form (Y = i XZ), commute Z past X,
+    # convert the result back; every step is a popcount.
+    k = (
+        a.phase_power
+        + b.phase_power
+        + (a.x_mask & a.z_mask).bit_count()
+        + (b.x_mask & b.z_mask).bit_count()
+        + 2 * (a.z_mask & b.x_mask).bit_count()
+        - (x & z).bit_count()
+    )
+    return PauliString(a.n_sites, x, z, k % 4)
+
+
+class DeltaPoly:
+    """Integer polynomial in delta; index m holds the coefficient of delta^m.
+
+    Immutable; trailing zeros are trimmed so the zero polynomial is ().
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        c = list(coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        object.__setattr__(self, "coeffs", tuple(c))
+
+    def __setattr__(self, *a):
+        raise AttributeError("DeltaPoly is immutable")
+
+    @classmethod
+    def delta_power(cls, m: int, c: int = 1) -> "DeltaPoly":
+        return cls((0,) * m + (c,))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DeltaPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other: "DeltaPoly") -> "DeltaPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return DeltaPoly(out)
+
+    def __neg__(self) -> "DeltaPoly":
+        return DeltaPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other: "DeltaPoly") -> "DeltaPoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "DeltaPoly":
+        if isinstance(other, int):
+            return DeltaPoly(tuple(c * other for c in self.coeffs))
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return DeltaPoly(out)
+
+    __rmul__ = __mul__
+
+    def shift(self, m: int) -> "DeltaPoly":
+        """Multiply by delta^m."""
+        if not self.coeffs:
+            return self
+        return DeltaPoly((0,) * m + self.coeffs)
+
+    def divexact_delta(self) -> "DeltaPoly":
+        """Exact division by delta; raises if the constant term survives."""
+        if self.coeffs and self.coeffs[0] != 0:
+            raise ValueError("polynomial not divisible by delta")
+        return DeltaPoly(self.coeffs[1:])
+
+    def __call__(self, delta: float) -> float:
+        out = 0.0
+        for c in reversed(self.coeffs):
+            out = out * delta + c
+        return out
+
+    def __repr__(self):
+        return f"DeltaPoly({self.coeffs})"
+
+
+def items(q):
+    """(PauliString, DeltaPoly) pairs of a charge, in (x, z) order."""
+    return zip(q.terms, map(DeltaPoly, q.coeffs.tolist()))
+
+
+def coefficient(q, string: PauliString) -> DeltaPoly:
+    """The coefficient of ``string`` in charge ``q`` whatever its phase; zero when absent."""
+    lo = np.searchsorted(q.x, string.x_mask, side="left")
+    hi = np.searchsorted(q.x, string.x_mask, side="right")
+    i = lo + np.searchsorted(q.z[lo:hi], string.z_mask)
+    if string.n_sites == q.n_sites and i < hi and q.z[i] == string.z_mask:
+        return DeltaPoly(q.coeffs[i].tolist())
+    return DeltaPoly()
 
 
 def completely_mixed(n_sites: int) -> DensityMatrix:

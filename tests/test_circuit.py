@@ -118,10 +118,10 @@ def test_rotation_conjugates_word_to_z_basis():
 
 def test_full_circuit_sections_and_unitarity():
     spec = InitialStateSpec.neel(6)
-    circ = build_circuit(spec, ALPHA, 2, word="XYZXYZ")
+    circ = build_circuit(spec, ALPHA, 2)
     assert circ.init_gates == build_init(spec)
     assert len(circ.evolution_gates) == 2 * len(step_block(circ))
-    assert circ.rotation_gates == build_measurement_rotation("XYZXYZ")
+    assert circ.rotation_gates == []
     u = circuit_unitary(circ.gates, 6)
     assert np.abs(u @ u.conj().T - np.eye(64)).max() < 1e-10
 

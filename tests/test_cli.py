@@ -93,6 +93,11 @@ BAD_NOISE = {
     "damping p1 a rate": {"kind": "damping", "p1": 0.0},
     "damping p1 a string": {"kind": "damping", "p1": "x"},
     "p1 a string": {"kind": "depolarizing", "p1": "0.01"},
+    "p1 true": {"kind": "depolarizing", "p1": True},
+    "readout flip true": {"kind": "none", "readout_flip": True},
+    "readout flip a string": {"kind": "none", "readout_flip": "0.1"},
+    "readout flip list with a string": {"kind": "none", "readout_flip": [0.1, "0.2", 0, 0]},
+    "damping lambda_a true": {"kind": "damping", "lambda_a": True, "lambda_p": 0.0},
 }
 
 
@@ -211,6 +216,28 @@ def test_shots_below_word_count_rejected(table):
     cfg = ExperimentConfig.from_dict(doc)
     with pytest.raises(ConfigError):
         table(cfg)
+
+
+@pytest.mark.parametrize(
+    "init, label",
+    [("neel", "|0101>_ZZZZ"), ({"letters": "XXXX", "bits": [0, 0, 0, 0]}, "|0000>_XXXX")],
+)
+def test_mitigation_rejects_a_charge_whose_noiseless_value_is_zero(
+    tmp_path, capsys, monkeypatch, init, label
+):
+    doc = base_config(charges=[[1, "dif"]], initial_state=init)
+
+    def no_fold(*args):
+        raise AssertionError("a fold ran")
+
+    monkeypatch.setattr(cli.mitigate, "zne_fold", no_fold)
+    with pytest.raises(ConfigError) as exc:
+        cli.mitigation_table(ExperimentConfig.from_dict(doc))
+    assert "Q1dif" in str(exc.value) and label in str(exc.value)
+    out = tmp_path / "out"
+    assert cli.main(["mitigate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert "error: ConfigError" in capsys.readouterr().err
+    assert not (out / "mitigation.csv").exists()
 
 
 def test_seed_above_32_bits_changes_samples():

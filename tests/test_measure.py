@@ -1,5 +1,4 @@
 import hashlib
-import json
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import items
 from strategies import polynomials
 from trotterchain import sim
 from trotterchain.charges import ChargeSpec, PauliPolynomial, assemble, assemble_cached, density
@@ -15,7 +15,6 @@ from trotterchain.circuit import InitialStateSpec, build_step
 from trotterchain.measure import (
     CoverageError,
     MeasurementPlan,
-    ShotRecords,
     _word_cover,
     build_cover,
     contains,
@@ -90,13 +89,13 @@ def test_bitmask_containment_matches_letters(data):
     q = data.draw(polynomials())
     words = data.draw(st.lists(_words(q.n_sites), max_size=6))
     plan = MeasurementPlan(tuple(words), 1)
-    letters = [s.letters() for s, _ in q.items()]
+    letters = [s.letters() for s, _ in items(q)]
     expected = [
         [i for i, t in enumerate(letters) if _letters_contain(w, t)] for w in words
     ]
     assert _word_cover(plan, q) == expected
     for w, cov in zip(words, expected):
-        assert [contains(w, s) for s, _ in q.items()] == [i in cov for i in range(len(q))]
+        assert [contains(w, s) for s, _ in items(q)] == [i in cov for i in range(len(q))]
 
 
 @settings(deadline=None)
@@ -121,12 +120,6 @@ def test_golden_covers_n8(order, n_words, first, digest):
 
 def test_word_validation():
     for word in ("XIZ", ""):
-        with pytest.raises(ValueError, match="letters X, Y, Z only"):
-            MeasurementPlan.from_dict({"shots_per_word": 1, "words": ["XYZ", word]})
-        with pytest.raises(ValueError, match="letters X, Y, Z only"):
-            ShotRecords(3).add(word, ([0], [1]))
-        with pytest.raises(ValueError, match="letters X, Y, Z only"):
-            ShotRecords.from_dict({"n_sites": 3, "counts": {word: {"000": 1}}})
         with pytest.raises(ValueError, match="letters X, Y, Z only"):
             contains(word, PauliString.from_letters("XIZ"))
 
@@ -312,83 +305,6 @@ def test_single_shot_pair_skipped_with_diagnostic():
     est = estimate([(np.array([2]), np.array([1]))], plan, q, DELTA)  # "01": site 2 reads 1
     assert any("n_PP' = 1" in d for d in est.diagnostics)
     assert est.std_uncertainty == 0.0
-
-
-def _as_lists(records):
-    return {w: [a.tolist() for a in c] for w, c in records.counts.items()}
-
-
-def test_plan_serialization():
-    plan = MeasurementPlan(("XY", "ZZ"), 7)
-    back = MeasurementPlan.from_dict(plan.to_dict())
-    assert back == plan
-    records = ShotRecords(2)
-    records.add("XY", ([1, 2], [3, 4]))
-    assert records.to_dict() == {"n_sites": 2, "counts": {"XY": {"10": 3, "01": 4}}}
-    back_r = ShotRecords.from_dict(records.to_dict())
-    assert _as_lists(back_r) == _as_lists(records) == {"XY": [[1, 2], [3, 4]]}
-
-
-
-def test_records_reject_outcomes_outside_the_register():
-    with pytest.raises(ValueError, match="not 2 sites long"):
-        ShotRecords.from_dict({"n_sites": 2, "counts": {"ZZ": {"001": 5}}})
-    records = ShotRecords(2)
-    with pytest.raises(ValueError, match="outside"):
-        records.add("ZZ", ([0, 4], [1, 1]))
-    with pytest.raises(ValueError, match="outside"):
-        records.add("ZZ", ([-1], [1]))
-    with pytest.raises(ValueError, match="differ in length"):
-        records.add("ZZ", ([0, 3], [5]))
-    assert records.counts == {}
-    records.add("ZZ", ([0, 3], [2, 5]))
-    assert _as_lists(records) == {"ZZ": [[0, 3], [2, 5]]}
-
-# the records' JSON wire format, pinned: sha256 of json.dumps(ShotRecords.to_dict())
-# for the Q1+ cover at N=4, 40 shots per word, seed 17, one step from the Neel state
-RECORDS_JSON_SHA256 = "a412059e49b43d806262214a9de01268abcaaf7da7506cb42d3accc0a4664704"
-
-
-def test_sampled_records_keep_the_bitstring_wire_format():
-    n = 4
-    psi = sim.evolve_pure(build_step(n, 0.3), sim.StateVector.from_spec(InitialStateSpec.neel(n)))
-    plan = build_cover(assemble(ChargeSpec(1, "plus", n)))
-    records = ShotRecords(n)
-    keys = [(17, wi) for wi in range(len(plan.words))]
-    for w, (idx, cnt) in zip(plan.words, sim.sample(psi, plan.words, 40, keys)):
-        assert idx.dtype == cnt.dtype == np.int64
-        assert np.all(np.diff(idx) > 0) and np.all(cnt > 0) and cnt.sum() == 40
-        records.add(w, (idx, cnt))
-    doc = records.to_dict()
-    text = json.dumps(doc)
-    assert hashlib.sha256(text.encode()).hexdigest() == RECORDS_JSON_SHA256
-    assert doc["counts"]["ZZZZ"] == {"1100": 1, "0110": 2, "1001": 3, "0101": 30, "0011": 4}
-    back = ShotRecords.from_dict(json.loads(text))
-    assert _as_lists(back) == _as_lists(records)
-    assert json.dumps(back.to_dict()) == text
-    # outcomes read back in another key order are stored by ascending index again
-    shuffled = {w: dict(reversed(c.items())) for w, c in doc["counts"].items()}
-    back = ShotRecords.from_dict({"n_sites": n, "counts": shuffled})
-    assert _as_lists(back) == _as_lists(records)
-
-
-def test_records_json_feeds_the_estimator_bit_for_bit():
-    n = 6
-    q = assemble(ChargeSpec(1, "plus", n))
-    plan = MeasurementPlan(build_cover(q).words, 25)
-    psi = sim.evolve_pure(build_step(n, 0.3), sim.StateVector.from_spec(InitialStateSpec.neel(n)))
-    keys = [(5, wi) for wi in range(len(plan.words))]
-    outcomes = sim.sample(psi, plan.words, plan.shots_per_word, keys)
-    records = ShotRecords(n)
-    for w, pair in zip(plan.words, outcomes):
-        records.add(w, pair)
-    back = ShotRecords.from_dict(json.loads(json.dumps(records.to_dict())))
-    direct = estimate(outcomes, plan, q, DELTA)
-    read = estimate([back.counts[w] for w in plan.words], plan, q, DELTA)
-    assert _float_digest([direct.value, direct.std_uncertainty]) == _float_digest(
-        [read.value, read.std_uncertainty]
-    )
-    assert direct.diagnostics == read.diagnostics
 
 
 def _float_digest(values):

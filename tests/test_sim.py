@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from dense_oracle import circuit_unitary
+from dense_oracle import circuit_unitary, items
 from strategies import gate_lists, polynomials
 from trotterchain import sim
 from trotterchain.charges import VARIANTS, ChargeSpec, assemble, assemble_cached, step_unitary
@@ -347,7 +347,7 @@ def test_expectation_cross_checks_sampling():
     (exact,) = exact_expectation(psi, [q], DELTA)
     # direct resampling of each term through its own word
     total = 0.0
-    for s, poly in q.items():
+    for s, poly in items(q):
         word = s.letters().replace("I", "Z")
         (p,) = sim.rotated_probabilities(psi, [word])
         idx = np.arange(1 << n)
