@@ -16,24 +16,33 @@ on both bit pairs; a one-site channel is its (2,2,2,2) superoperator on the
 bit pair ``(j-1+N, j-1)``, applied as sums of scaled copies of the vector's
 four quarters over that pair (``_apply_pair``), with no ``einsum``.
 
-The noisy engine conjugates the density matrix by each gate of the circuit
-passed to :func:`evolve_noisy` and then applies the configured channel once
-per touched site; setting a channel to ``None`` exempts the corresponding
-gate class.  Only those gates are noisy.  ``DensityMatrix.from_spec``
-prepares the ideal product state, and read-out is ideal: decay and
-tomography run noisy evolution steps between ideal preparation and an ideal
-measurement rotation.  Mitigation's folded circuits start from |0..0> with
-the preparation gates, so there preparation is noisy as well.
+The noisy engine (:func:`evolve_noisy`) does not apply these kernels to rho
+gate by gate.  It splits the circuit into maximal runs of consecutive gates
+whose sites fit in one pair: an R-check, the preparation gates of one or
+two sites, a folded CNOT's copies.  Each run is compiled into one 4^k x 4^k
+superoperator on its k = 1 or 2 sites, by running the kernels above (each
+gate on both sides, then the configured channel once per site it touches)
+on the 4^k basis matrices of a k-site register.  The block is then applied
+to rho by ``tensordot`` over the 2k row and column bits of those sites, in
+chunks of at most ``_BLOCK_CHUNK`` entries (``_apply_block``).  Sites are
+relabelled by first appearance, so every bond of a layer, the cyclic bond
+(N, 1) included, shares one compiled block; the blocks live for one call
+only.  Setting a channel to ``None`` exempts the corresponding gate class.
+Only those gates are noisy.  ``DensityMatrix.from_spec`` prepares the ideal
+product state, and read-out is ideal: decay and tomography run noisy
+evolution steps between ideal preparation and an ideal measurement rotation.
+Mitigation's folded circuits start from |0..0> with the preparation gates,
+so there preparation is noisy as well.
 
 Read-out (:func:`rotated_probabilities`) is one batched pass over the words
 in site order.  Words that share their first k letters share the work on
 sites 1..k: a prefix tree.  At site k the letter's rotation gates go through
-``_apply_1q`` on the row bit and then the column bit, gate by gate, as
-:meth:`DensityMatrix.apply` applies them, and then only the diagonal of that
-site's (row, column) bit pair is kept, so rho shrinks to its diagonal site
-by site and every kept entry sees the floats of a full rotation.  The
-statevector walks the same tree without the reduction and squares the
-amplitudes at the leaves.
+``_apply_1q`` on the row bit and then the column bit, gate by gate, as the
+per-gate oracle (``dense_oracle.apply`` in the tests) applies them, and then
+only the diagonal of that site's (row, column) bit pair is kept, so rho
+shrinks to its diagonal site by site and every kept entry sees the floats of
+a full rotation.  The statevector walks the same tree without the reduction
+and squares the amplitudes at the leaves.
 
 Exact expectations (:func:`exact_expectation`) take all the charges of one
 state at once.  The strings of a charge that share a flip mask x are Walsh
@@ -62,6 +71,9 @@ DM_MAX_SITES = 10
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_EIG_FLOOR = -1e-8
+
+# complex entries per chunk of a compiled block's application: 2^14 x 16 B = 256 KB
+_BLOCK_CHUNK = 1 << 14
 
 
 class BudgetError(ValueError):
@@ -132,6 +144,31 @@ def _apply_pair(vec: np.ndarray, op: np.ndarray, hi: int, lo: int):
             acc += m[3] * v[3]
             acc += 0.0
             view[:, a, :, c, :] = acc
+
+
+def _apply_block(vec: np.ndarray, n_bits: int, block: np.ndarray, bits: list):
+    """A compiled block on ``bits`` of ``vec``, in place: block bit i is ``bits[i]``.
+
+    ``block`` has shape ``[2] * 2m`` for m bits: the input bits, then the
+    output bits, each most significant first (see :func:`_compile`).  The
+    vector is taken in chunks of at most ``_BLOCK_CHUNK`` entries, one per
+    value of its most significant bits outside ``bits``, so the two
+    temporaries of each ``tensordot`` stay cache-sized rather than copies of
+    the whole vector.
+    """
+    m = len(bits)
+    v = vec.reshape([2] * n_bits)
+    axes = [n_bits - 1 - b for b in reversed(bits)]  # most significant block bit first
+    n_lead = max(0, n_bits - (_BLOCK_CHUNK.bit_length() - 1))
+    lead = [a for a in range(n_bits) if a not in axes][:n_lead]
+    sub_axes = [a - sum(f < a for f in lead) for a in axes]
+    for values in np.ndindex(*[2] * len(lead)):
+        sel = [slice(None)] * n_bits
+        for a, value in zip(lead, values):
+            sel[a] = value
+        sub = v[tuple(sel)]
+        out = np.tensordot(block, sub, axes=(range(m), sub_axes))
+        sub[...] = np.moveaxis(out, range(m), sub_axes)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +257,6 @@ class DensityMatrix:
         if lo < PSD_EIG_FLOOR:
             raise ValueError(f"density matrix eigenvalue {lo:.2e} below floor")
 
-    def apply(self, gate: Gate, channel: KrausChannel | None = None):
-        """rho -> U rho U^dag in place, then ``channel`` on every site ``gate`` touches."""
-        n = self.n_sites
-        vec = self.entries.reshape(-1, copy=False)
-        _apply_gate(vec, 2 * n, gate, n)
-        _apply_gate(vec, 2 * n, gate, 0, conj=True)
-        if channel is not None:
-            for s in gate.sites:
-                _apply_pair(vec, channel.superop, s - 1 + n, s - 1)
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -262,15 +289,68 @@ class NoiseModel:
 IDEAL = NoiseModel()
 
 
+def _runs(gates) -> list:
+    """Maximal runs of consecutive gates whose sites fit in one pair.
+
+    One ``(sites, run)`` per run, its sites in order of first appearance.
+    """
+    runs = []
+    for g in gates:
+        if runs:
+            sites, run = runs[-1]
+            new = [s for s in g.sites if s not in sites]
+            if len(sites) + len(new) <= 2:
+                sites += new
+                run.append(g)
+                continue
+        runs.append((list(g.sites), [g]))
+    return runs
+
+
+def _compile(gates, k: int, noise: NoiseModel) -> np.ndarray:
+    """The superoperator of ``gates`` on sites 1..k, with the channels of ``noise``.
+
+    Each gate conjugates, then its channel acts once per site it touches,
+    through the engine's kernels on the 4^k basis matrices of a k-site
+    register at once: row r of the batch is a 2k-bit vector, basis vector r
+    at the start and its image at the end.  Returned as a ``[2] * 4k``
+    tensor, input bits first (:func:`_apply_block`).
+    """
+    d = 1 << (2 * k)
+    batch = np.eye(d, dtype=complex).reshape(-1)
+    for g in gates:
+        _apply_gate(batch, 4 * k, g, k)
+        _apply_gate(batch, 4 * k, g, 0, conj=True)
+        channel = noise.after_two_qubit if g.kind == "CNOT" else noise.after_one_qubit
+        if channel is not None:
+            for s in g.sites:
+                _apply_pair(batch, channel.superop, s - 1 + k, s - 1)
+    return batch.reshape([2] * (4 * k))
+
+
 def evolve_noisy(circuit: Circuit, init: DensityMatrix, noise: NoiseModel) -> DensityMatrix:
-    """Gate-by-gate conjugation with one channel application per touched site."""
+    """``circuit`` on a copy of ``init``, each gate followed by its channel on every site it touches.
+
+    Each maximal run of gates on one pair of sites is one compiled
+    superoperator, applied in one pass over rho (see the module docstring).
+    Runs that are equal once their sites are relabelled by first appearance
+    share one block, compiled once per call.
+    """
     if circuit.n_sites != init.n_sites:
         raise ValueError("circuit and state sizes differ")
     if circuit.n_sites > DM_MAX_SITES:
         raise BudgetError(f"density-matrix budget is N <= {DM_MAX_SITES}")
+    n = circuit.n_sites
     rho = init.copy()
-    for g in circuit.gates:
-        rho.apply(g, noise.after_two_qubit if g.kind == "CNOT" else noise.after_one_qubit)
+    vec = rho.entries.reshape(-1, copy=False)
+    blocks = {}  # local, so no channel outlives the call
+    for sites, run in _runs(circuit.gates):
+        label = {s: i for i, s in enumerate(sites, start=1)}
+        key = tuple(Gate(g.kind, tuple(label[s] for s in g.sites), g.angle) for g in run)
+        if key not in blocks:
+            blocks[key] = _compile(key, len(sites), noise)
+        cols = [s - 1 for s in sites]  # column bits, then row bits
+        _apply_block(vec, 2 * n, blocks[key], cols + [b + n for b in cols])
     return rho
 
 

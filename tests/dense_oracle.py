@@ -4,8 +4,9 @@ Full 2^N unitaries and 4^N superoperators built from Kronecker products,
 site 1 on the lowest-order bit, a bit-pair operator applied by ``einsum``,
 plus Kraus sums and Pauli expectations written out as matrix products,
 charge expectations one charge and one Walsh transform per x mask at a time,
-read-out one word at a time on a full copy of the state, and tomography's
-linear inversion summed Pauli by Pauli.
+read-out one word at a time on a full copy of the state, noisy evolution gate
+by gate on the engine's kernels, and tomography's linear inversion summed
+Pauli by Pauli.
 They cost exponentially more than the engines in ``trotterchain`` and serve
 only as the oracle the tests compare those engines against.
 
@@ -23,6 +24,8 @@ from trotterchain.sim import (
     IDEAL,
     DensityMatrix,
     StateVector,
+    _apply_gate,
+    _apply_pair,
     apply_readout_flips,
 )
 from trotterchain.tomo import all_words
@@ -276,12 +279,35 @@ def step_superoperator(circuit, noise) -> np.ndarray:
     return total
 
 
+def apply(rho: DensityMatrix, gate: Gate, channel=None):
+    """rho -> U rho U^dag in place, then ``channel`` on every site ``gate`` touches."""
+    n = rho.n_sites
+    vec = rho.entries.reshape(-1, copy=False)
+    _apply_gate(vec, 2 * n, gate, n)
+    _apply_gate(vec, 2 * n, gate, 0, conj=True)
+    if channel is not None:
+        for s in gate.sites:
+            _apply_pair(vec, channel.superop, s - 1 + n, s - 1)
+
+
+def evolve_noisy(circuit, init: DensityMatrix, noise) -> DensityMatrix:
+    """Gate-by-gate conjugation of a copy of ``init`` with one channel application
+    per touched site: the engine's kernels with no fusion."""
+    rho = init.copy()
+    for g in circuit.gates:
+        apply(rho, g, noise.after_two_qubit if g.kind == "CNOT" else noise.after_one_qubit)
+    return rho
+
+
 def rotated_probabilities(state, word: str) -> np.ndarray:
     """Outcome distribution of one word: copy the state, apply all of the word's
     rotation gates, then read the squared amplitudes or the diagonal."""
     tmp = state.copy()
     for g in build_measurement_rotation(word):
-        tmp.apply(g)
+        if isinstance(tmp, StateVector):
+            tmp.apply(g)
+        else:
+            apply(tmp, g)
     if isinstance(tmp, StateVector):
         return np.abs(tmp.amplitudes) ** 2
     return np.real(np.diag(tmp.entries)).copy()

@@ -323,16 +323,16 @@ PINNED_RUNS = {
             seed=5,
         ),
         {
-            "benchmarks.jsonl": "d2ec2a156a015272ecd7c0a981785672a094dee4740768ffb824340c37f015e7",
+            "benchmarks.jsonl": "affb78b2f5689ce6e783cbeb301507bbb8e1863d1cdee2dc687f27091c0bf1fa",
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
-            "decay.csv": "dbeb6a60b7fbe82e0275763254848102e94cee8794a40b10885a6d99db1bfe38",
-            "fits.csv": "1e89c97407ae895d32fe88434e7942a0595c5520ac7b25911a81beb99e718658",
-            "fits.json": "e32d9b504bc4ad2451afecc6b993778f3a93a24a96d3b2b4a182e148e6da2929",
-            "mitigation.csv": "1f8dc00d214fb3c1b608edd8398c93ebcab72adac7bc3af084a0b9656b56f624",
-            "spectrum.csv": "90448863db8af55eead1a928d6abb2bcd09d7816ad3169c40dae81d450d49707",
-            "spectrum.json": "0f08a2609ff4d41b1f7cd05e2f0a8c23cb3de8c09f3b405840b53c6a93684655",
-            "tomo.json": "60f5d94c57bb3e4a6be49d34de19c0eb9ad629dbfbca1599cf5bc6fb2575cfea",
+            "decay.csv": "5af60b75132d8a3df944b807cdda04ec89aac94f7d84cdaa3bd3a9c986ed92d1",
+            "fits.csv": "8742df20a5ae6185bd84168b8ffdee0bfc6709fbf6b5d15ec038ce9a9c6e44c0",
+            "fits.json": "1c9406ea6d64ad297dc51b6d82e1c17ef85844bfee5e31ecee0f9c3b61c6ba7d",
+            "mitigation.csv": "703b27405e9d15f1313b26bb6172c6e821b74631ee2ed1bfa75c583a5b709f54",
+            "spectrum.csv": "3cbe061322b7d69b999d7e68017013542d00e85c274ae601f6bc40350c9e7fc0",
+            "spectrum.json": "4ec721c3a1bb4f36d8d07b9e29aa2435301534806e1058d6341a0bc9288cf419",
+            "tomo.json": "8edc81c25d44ca9e0a6e3309599414e3467ce7b956e9828de8029dfbd9f77432",
         },
     ),
     "damping": (
@@ -349,10 +349,10 @@ PINNED_RUNS = {
             "decay.csv": "b55f63be430d12f669739e2a2e97489c1c3789e651520aa2594d232c83a3722b",
             "fits.csv": "0929207941868b35cd8439297cd9526123963fd4ce4d112b5e27678715190654",
             "fits.json": "3d2917fa519a7c0753c48227505f63932ee9ebed69aa304bc8b3ff7b642715ff",
-            "mitigation.csv": "4a54caeb5349bc50e9654cee85e81c5846615f14bf5bd00d067b82bddefb4970",
-            "spectrum.csv": "01525f12d222b0a734f328a9319775d0b16b2b6e59eb70f97dde37c6d8fb55fa",
-            "spectrum.json": "1833230c51c12f7aaccd2ce65051251172e9d7c3c592ea7dcea0b341a879acc7",
-            "tomo.json": "7f8be732266efb6248d108b85854b7cc78ce4db55059e54e6fc6482bf773f604",
+            "mitigation.csv": "7ab1cf6cde8e24f6e5c41662b7a87a8041613c7b60c660826cc82e98f6e28199",
+            "spectrum.csv": "a90de191ad1ae36adc74215e61a066209a9866c34ebc5d491743bef31c2a342f",
+            "spectrum.json": "3b5bfbf1099c9c4eb82aaaf58f424840d221a60fe57c9a0a5f986e6a98a88258",
+            "tomo.json": "a45795a321b011b22ff9d91b232200ed309dd874162426ed6fa7eec389222d44",
         },
     ),
 }

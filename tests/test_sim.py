@@ -17,7 +17,7 @@ from strategies import gate_lists, polynomials
 from trotterchain import sim
 from trotterchain.charges import VARIANTS, ChargeSpec, assemble, assemble_cached, step_unitary
 from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_circuit, build_step
-from trotterchain.mitigate import calibrate
+from trotterchain.mitigate import calibrate, zne_fold
 from trotterchain.noise import amp_phase_damping, depolarizing
 from trotterchain.sim import (
     DensityMatrix,
@@ -172,6 +172,55 @@ def test_engines_agree_on_random_circuits(circuit, seed, data):
     p_pure = sim.rotated_probabilities(pure, [word])
     p_rho = sim.rotated_probabilities(rho, [word])
     assert np.abs(p_pure - p_rho).max() < 1e-12
+
+
+@st.composite
+def folded_circuits(draw):
+    """``zne_fold(build_circuit(...), k)`` for k = 1 or 2: a random product state's
+    preparation, then one or two steps, every CNOT repeated 2k+1 times."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    letters = draw(st.text("XYZ", min_size=n, max_size=n))
+    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    alpha = draw(st.floats(-np.pi, np.pi))
+    circuit = build_circuit(InitialStateSpec(letters, bits), alpha, draw(st.integers(1, 2)))
+    return zne_fold(circuit, draw(st.integers(1, 2)))
+
+
+noise_slots = st.none() | shipped_channels
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    gate_lists(max_sites=6, max_gates=24) | folded_circuits(),
+    st.builds(NoiseModel, noise_slots, noise_slots),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 4, 64]),
+)
+def test_block_engine_matches_per_gate_oracle(circuit, noise, seed, chunk):
+    # each run of gates on one pair is one compiled superoperator; the
+    # gate-by-gate oracle applies the same kernels to rho itself.  ``chunk``
+    # (if set) shrinks the chunks a block is applied in, so small chains
+    # cross chunk edges too
+    n = circuit.n_sites
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = DensityMatrix(n, a @ a.conj().T / np.linalg.norm(a) ** 2)
+    before = _bits(rho.entries)
+    with mock.patch.object(sim, "_BLOCK_CHUNK", chunk or sim._BLOCK_CHUNK):
+        got = evolve_noisy(circuit, rho, noise).entries
+    want = dense_oracle.evolve_noisy(circuit, rho, noise).entries
+    assert np.abs(got - want).max() < 1e-12
+    assert _bits(rho.entries) == before
+
+
+def test_every_bond_of_a_step_shares_one_compiled_block():
+    # sites relabelled by first appearance: the cyclic bond (N, 1) compiles
+    # to the same block as (2, 3) and every odd bond
+    noise = NoiseModel(depolarizing(0.0013), depolarizing(0.013))
+    rho = DensityMatrix.from_spec(InitialStateSpec.neel(8))
+    with mock.patch.object(sim, "_compile", wraps=sim._compile) as compile_:
+        evolve_noisy(build_step(8, ALPHA), rho, noise)
+    assert compile_.call_count == 1
 
 
 @st.composite
@@ -483,5 +532,5 @@ def test_finite_shot_readout_matches_pinned_digest():
     freqs = collect(rho, 700, seed=5).freqs
     assert [hashlib.sha256(a.tobytes()).hexdigest() for a in (calib.matrix, freqs)] == [
         "d2809a187cc4a6f3929ca61d645f4200e6f054c5e29f7170dd829a4b5a91febb",
-        "bc0b5fe975c35d44074a3c84787c6dad3d87a188ee2e90b17384fe19f59437aa",
+        "174850ac2f088ae77e0a321aea9269b2cbb588871fb5ccc0aa1ac7e45b09c257",
     ]
