@@ -34,24 +34,33 @@ evolution steps between ideal preparation and an ideal measurement rotation.
 Mitigation's folded circuits start from |0..0> with the preparation gates,
 so there preparation is noisy as well.
 
-Read-out (:func:`rotated_probabilities`) is one batched pass over the words
-in site order.  Words that share their first k letters share the work on
-sites 1..k: a prefix tree.  At site k the letter's rotation gates go through
-``_apply_1q`` on the row bit and then the column bit, gate by gate, as the
-per-gate oracle (``dense_oracle.apply`` in the tests) applies them, and then
-only the diagonal of that site's (row, column) bit pair is kept, so rho
-shrinks to its diagonal site by site and every kept entry sees the floats of
-a full rotation.  The statevector walks the same tree without the reduction
-and squares the amplitudes at the leaves.
+Read-out (:func:`rotated_probabilities`) takes a list of words.  A word's
+outcome b, with bit j-1 = 0 for the +1 eigenvalue of letter j, has
+probability 2^-N sum_S (-1)^popcount(b & S) tr(rho P_S), where S runs over
+the subsets of sites and P_S is the word's letters on S: a Walsh transform
+of the Pauli expectations of its sub-strings.  So a density matrix is read
+from its Pauli spectrum, ``paulis[x, z] = Re tr(rho P(x, z))`` for all 4^N
+strings, built once per call in blocks of real rows (``_pauli_spectrum``).
+Each word with masks (wx, wz) gathers ``paulis[wx & S, wz & S]`` over S, and
+one Walsh pass over all the gathered rows gives every distribution.  These
+floats agree with rotating a copy of rho gate by gate
+(``dense_oracle.rotated_probabilities`` in the tests) only to round-off.  A
+statevector has no 4^N spectrum within reach.  It walks the prefix tree of
+the words instead: words that share their first k letters share the
+rotation of sites 1..k, each letter's gates go through ``_apply_1q`` as the
+oracle applies them, and the amplitudes are squared at the leaves, with the
+oracle's floats bit for bit.
 
 Exact expectations (:func:`exact_expectation`) take all the charges of one
 state at once.  The strings of a charge that share a flip mask x are Walsh
 components of one overlap vector, so the charges share one pass over the
 sorted union of their x masks: a mask several charges use is gathered and
 transformed once, in blocks of at most ``_WALSH_BLOCK`` complex entries
-(256 KB; one mask per row, at least one row).  Each charge still adds its own
-x groups in its own order, so every value equals the one-charge-at-a-time
-evaluation (``dense_oracle.exact_expectation`` in the tests) bit for bit.
+(256 KB; one mask per row, at least one row).  The Pauli spectrum of
+read-out is the same pass over every mask (``_overlap_spectra``).  Each
+charge still adds its own x groups in its own order, so every value equals
+the one-charge-at-a-time evaluation (``dense_oracle.exact_expectation`` in
+the tests) bit for bit.
 """
 
 from __future__ import annotations
@@ -384,15 +393,50 @@ def _walsh_rows(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     return cur
 
 
+def _overlap_spectra(state, masks: Sequence[int]):
+    """Walsh-transformed overlap rows of ``state``, one per flip mask in ``masks``.
+
+    Row x is the overlap vector psi-bar[b^x] psi[b] of a statevector, or
+    rho[b, b^x] of a density matrix, and its transform at z is
+    sum_b (-1)^{popcount(z & b)} row[b]: tr(rho X^x Z^z), or its pure
+    analogue.  Yields ``(start, w)`` per block of at most ``_WALSH_BLOCK``
+    complex entries (one row per mask, at least one row), ``w[r]`` the
+    transform for ``masks[start + r]``; ``w`` is a view of two preallocated
+    buffers and is overwritten by the next block.
+    """
+    n = state.n_sites
+    dim = 1 << n
+    per = max(1, _WALSH_BLOCK >> n)  # rows per block
+    cols = np.arange(dim, dtype=np.int64)
+    pure = isinstance(state, StateVector)
+    if pure:
+        left = state.amplitudes.conj()
+        psi = state.amplitudes
+    else:
+        flat = state.entries.reshape(-1)
+        row_start = cols * dim  # rho[b, b^x] is flat[row_start[b] + (b^x)]
+    buf = np.empty((2, min(per, len(masks)), dim), dtype=complex)
+    for start in range(0, len(masks), per):
+        xs = np.array(masks[start : start + per], dtype=np.int64)
+        cur = buf[0, : len(xs)]
+        idx = cols ^ xs[:, None]
+        if pure:
+            np.take(left, idx, out=cur)
+            np.multiply(cur, psi, out=cur)
+        else:
+            idx += row_start
+            np.take(flat, idx, out=cur)
+        yield start, _walsh_rows(cur, buf[1, : len(xs)])
+
+
 def exact_expectation(state, charges: Sequence[PauliPolynomial], delta: float) -> list:
     """tr(rho Q) or <psi|Q|psi> of each charge in ``charges`` at ``delta``, in order.
 
     For a flip mask x the expectations of the strings with that x are signed
     sums of one overlap vector (psi-bar[b^x] psi[b], or rho[b, b^x]): Walsh
     components indexed by z.  All charges share one pass over the sorted
-    union of their x masks, in blocks of ``_WALSH_BLOCK`` complex entries
-    (one row per mask, at least one row), each block transformed along its
-    rows in two preallocated buffers.  Each charge then adds
+    union of their x masks (:func:`_overlap_spectra`), in blocks of
+    ``_WALSH_BLOCK`` complex entries.  Each charge then adds
     ``coeffs[rows] @ W[zs]`` for its own x groups in ascending x, so every
     value equals that of a separate per-charge pass bit for bit
     (``dense_oracle.exact_expectation``).
@@ -400,8 +444,6 @@ def exact_expectation(state, charges: Sequence[PauliPolynomial], delta: float) -
     n = state.n_sites
     if any(q.n_sites != n for q in charges):
         raise ValueError("state and charge sizes differ")
-    dim = 1 << n
-    per = max(1, _WALSH_BLOCK >> n)  # rows per block
     coeffs, groups = [], []
     for q in charges:
         # i^(Y count) of each string, so coefficient * unit * (-1)^(z.b) is its matrix element
@@ -412,39 +454,38 @@ def exact_expectation(state, charges: Sequence[PauliPolynomial], delta: float) -
     # alone pages in about 0.4 MB of sort kernels
     union = sorted({x for g in groups for x, _, _ in g})
     pos = {x: i for i, x in enumerate(union)}
-    # per block: (charge, row in block, z masks, term rows), each charge in ascending x
-    work = [[] for _ in range(0, len(union), per)]
+    # per mask of the union: (charge, z masks, term rows); each charge meets its x groups ascending
+    work = [[] for _ in union]
     for k, g in enumerate(groups):
         for x, zs, rows in g:
-            work[pos[x] // per].append((k, pos[x] % per, zs, rows))
+            work[pos[x]].append((k, zs, rows))
 
-    cols = np.arange(dim, dtype=np.int64)
-    pure = isinstance(state, StateVector)
-    if pure:
-        left = state.amplitudes.conj()
-        psi = state.amplitudes
-    else:
-        flat = state.entries.reshape(-1)
-        row_start = cols * dim  # rho[b, b^x] is flat[row_start[b] + (b^x)]
-    buf = np.empty((2, min(per, len(union)), dim), dtype=complex)
     vals = [0.0 + 0.0j] * len(charges)
-    for b, items in enumerate(work):
-        xs = np.array(union[b * per : (b + 1) * per], dtype=np.int64)
-        cur = buf[0, : len(xs)]
-        idx = cols ^ xs[:, None]
-        if pure:
-            np.take(left, idx, out=cur)
-            np.multiply(cur, psi, out=cur)
-        else:
-            idx += row_start
-            np.take(flat, idx, out=cur)
-        w = _walsh_rows(cur, buf[1, : len(xs)])
-        for k, row, zs, rows in items:
-            vals[k] += coeffs[k][rows] @ w[row][zs]
+    for start, w in _overlap_spectra(state, union):
+        for items, row in zip(work[start : start + len(w)], w):
+            for k, zs, rows in items:
+                vals[k] += coeffs[k][rows] @ row[zs]
     for v in vals:
         if abs(v.imag) > 1e-10:
             raise ValueError(f"expectation has imaginary part {v.imag:.2e}")
     return [float(v.real) for v in vals]
+
+
+def _pauli_spectrum(rho: DensityMatrix) -> np.ndarray:
+    """``paulis[x, z] = Re tr(rho P(x, z))`` for every Pauli string, a real 2^N x 2^N array.
+
+    P(x, z) has X on the sites of x, Z on those of z and Y on both, so it is
+    i^popcount(x & z) X^x Z^z.  Rows are filled one block of
+    :func:`_overlap_spectra` at a time, so no complex 4^N array is held.
+    """
+    dim = 1 << rho.n_sites
+    cols = np.arange(dim, dtype=np.int64)
+    units = np.array(_I_POW)
+    paulis = np.empty((dim, dim))
+    for start, w in _overlap_spectra(rho, range(dim)):
+        xs = cols[start : start + len(w)]
+        paulis[xs] = (w * units[np.bitwise_count(xs[:, None] & cols) & 3]).real
+    return paulis
 
 
 # per letter: the rotation matrices that take its basis to Z, in gate order
@@ -460,49 +501,47 @@ def _rotate_pure(amp: np.ndarray, site: int, letter: str) -> np.ndarray:
     return amp
 
 
-def _rotate_reduce(vec: np.ndarray, n_sites: int, site: int, letter: str) -> np.ndarray:
-    """``vec`` rotated on ``site``, then reduced to the diagonal of its bit pair.
-
-    Sites before ``site`` are reduced already: their outcome bits are bits
-    0..site-2, and this site's column bit is ``site-1`` and its row bit
-    ``n_sites``.  The kept bit becomes bit ``site-1``.
-    """
-    if letter != "Z":
-        vec = vec.copy()
-        for m in _ROTATION[letter]:
-            _apply_1q(vec, m, n_sites)
-            _apply_1q(vec, m.conj(), site - 1)
-    v = vec.reshape(-1, 2, 1 << (n_sites - site), 2, 1 << (site - 1))
-    return np.stack((v[:, 0, :, 0], v[:, 1, :, 1]), axis=2).reshape(-1)
+def _mask(word: str, letters: str) -> int:
+    """The sites of ``word`` holding one of ``letters``, site j on bit j-1."""
+    return sum(1 << j for j, c in enumerate(word) if c in letters)
 
 
 def rotated_probabilities(state, words) -> np.ndarray:
     """Outcome distributions after the measurement rotation of each word, one row per word.
 
-    One site-ordered pass over the prefix tree of ``words`` (see the module
-    docstring); the state is only read.
+    Outcome bit j-1 is 0 for the +1 eigenvalue of word letter j.  A density
+    matrix is read from its Pauli spectrum (:func:`_pauli_spectrum`), built
+    once per call; a statevector walks the prefix tree of ``words``.  See the
+    module docstring.  The state is only read.
     """
     n = state.n_sites
     for w in words:
         if len(w) != n or not set(w) <= set("XYZ"):
             raise ValueError(f"measurement word {w!r} is not {n} letters from X, Y, Z")
-    pure = isinstance(state, StateVector)
-    out = np.empty((len(words), 1 << n))
+    dim = 1 << n
+    if isinstance(state, DensityMatrix):
+        # p_w(b) = 2^-N sum_S (-1)^popcount(b & S) paulis[wx & S, wz & S]
+        cols = np.arange(dim, dtype=np.int64)
+        wx = np.array([_mask(w, "XY") for w in words], dtype=np.int64)[:, None]
+        wz = np.array([_mask(w, "YZ") for w in words], dtype=np.int64)[:, None]
+        g = _pauli_spectrum(state).reshape(-1)[(wx & cols) * dim + (wz & cols)]
+        out = _walsh_rows(g, np.empty_like(g))
+        out /= dim
+        return out
 
-    def walk(vec, k, rows):  # rows: the words whose first k letters gave vec
+    out = np.empty((len(words), dim))
+
+    def walk(amp, k, rows):  # rows: the words whose first k letters gave amp
         if k == n:
-            out[rows] = np.abs(vec) ** 2 if pure else np.real(vec)
+            out[rows] = np.abs(amp) ** 2
             return
         branches: dict = {}
         for i in rows:
             branches.setdefault(words[i][k], []).append(i)
         for letter, sub in branches.items():
-            if pure:
-                walk(_rotate_pure(vec, k + 1, letter), k + 1, sub)
-            else:
-                walk(_rotate_reduce(vec, n, k + 1, letter), k + 1, sub)
+            walk(_rotate_pure(amp, k + 1, letter), k + 1, sub)
 
-    walk(state.amplitudes if pure else state.entries.reshape(-1), 0, range(len(words)))
+    walk(state.amplitudes, 0, range(len(words)))
     return out
 
 

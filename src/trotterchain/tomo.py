@@ -59,10 +59,9 @@ class TomographyData:
 def collect(state, shots: int | None, seed: int = 0, noise: NoiseModel = IDEAL) -> TomographyData:
     """Read out all 3^N bases of ``state`` through ``noise``; ``shots=None`` is exact and ideal.
 
-    The 3^N words form a complete prefix tree, so the read-out is one batched
-    pass that reduces ``state`` to its diagonal site by site
-    (:func:`sim.rotated_probabilities`); word k draws its shots with the key
-    ``(seed, k)``.
+    All 3^N words are read out in one call (:func:`sim.rotated_probabilities`),
+    which for a density matrix is one Walsh pass over its Pauli spectrum;
+    word k draws its shots with the key ``(seed, k)``.
     """
     n = state.n_sites
     if n > TOMO_MAX_SITES:

@@ -313,13 +313,14 @@ def rotated_probabilities(state, word: str) -> np.ndarray:
     return np.real(np.diag(tmp.entries)).copy()
 
 
-def outcome_distribution(state, word: str, noise=IDEAL) -> np.ndarray:
+def read_out(probs: np.ndarray, noise=IDEAL) -> np.ndarray:
     """One word's distribution clipped at zero, normalised, then through readout flips."""
-    p = np.clip(rotated_probabilities(state, word), 0.0, None)
+    n_sites = len(probs).bit_length() - 1
+    p = np.clip(probs, 0.0, None)
     p /= p.sum()
-    flips = noise.flip_probs(state.n_sites)
+    flips = noise.flip_probs(n_sites)
     if flips is not None:
-        p = apply_readout_flips(p, flips, state.n_sites)
+        p = apply_readout_flips(p, flips, n_sites)
     return p
 
 

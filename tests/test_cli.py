@@ -329,10 +329,10 @@ PINNED_RUNS = {
             "decay.csv": "5af60b75132d8a3df944b807cdda04ec89aac94f7d84cdaa3bd3a9c986ed92d1",
             "fits.csv": "8742df20a5ae6185bd84168b8ffdee0bfc6709fbf6b5d15ec038ce9a9c6e44c0",
             "fits.json": "1c9406ea6d64ad297dc51b6d82e1c17ef85844bfee5e31ecee0f9c3b61c6ba7d",
-            "mitigation.csv": "703b27405e9d15f1313b26bb6172c6e821b74631ee2ed1bfa75c583a5b709f54",
+            "mitigation.csv": "f36976600e233306ec2dca12722fe2ed52f9ec1c1f7db57097b4b56d8c053db6",
             "spectrum.csv": "3cbe061322b7d69b999d7e68017013542d00e85c274ae601f6bc40350c9e7fc0",
             "spectrum.json": "4ec721c3a1bb4f36d8d07b9e29aa2435301534806e1058d6341a0bc9288cf419",
-            "tomo.json": "8edc81c25d44ca9e0a6e3309599414e3467ce7b956e9828de8029dfbd9f77432",
+            "tomo.json": "da4de710216ca1c06bc69f761929d99ca0a3faece9fee31039f9080232624767",
         },
     ),
     "damping": (
@@ -349,10 +349,10 @@ PINNED_RUNS = {
             "decay.csv": "b55f63be430d12f669739e2a2e97489c1c3789e651520aa2594d232c83a3722b",
             "fits.csv": "0929207941868b35cd8439297cd9526123963fd4ce4d112b5e27678715190654",
             "fits.json": "3d2917fa519a7c0753c48227505f63932ee9ebed69aa304bc8b3ff7b642715ff",
-            "mitigation.csv": "7ab1cf6cde8e24f6e5c41662b7a87a8041613c7b60c660826cc82e98f6e28199",
+            "mitigation.csv": "5ed49dcedd404772a80b2d43763e61f3b8ef8e2f90b50502b00ed0b2632a55d4",
             "spectrum.csv": "a90de191ad1ae36adc74215e61a066209a9866c34ebc5d491743bef31c2a342f",
             "spectrum.json": "3b5bfbf1099c9c4eb82aaaf58f424840d221a60fe57c9a0a5f986e6a98a88258",
-            "tomo.json": "a45795a321b011b22ff9d91b232200ed309dd874162426ed6fa7eec389222d44",
+            "tomo.json": "e85fe1af0bdf0856b5e4fcf5d77af0cd623cefce5bfdf8b6e25c90c1d62a972b",
         },
     ),
 }

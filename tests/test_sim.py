@@ -3,6 +3,7 @@ import hashlib
 import subprocess
 import sys
 import weakref
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -262,10 +263,13 @@ def _bits(a: np.ndarray) -> bytes:
     st.integers(0, 2**32 - 1),
     st.data(),
 )
-def test_batched_readout_matches_per_word_oracle_bit_for_bit(n, kind, seed, data):
-    # the site-ordered, prefix-sharing read-out gives each word's distribution
-    # with the floats of a full copy-rotate-diagonal pass, sign bits included;
-    # so do the per-row clip and normalise, the readout flips and the draws
+def test_batched_readout_matches_per_word_oracle(n, kind, seed, data):
+    # a statevector's prefix-tree read-out gives each word's distribution with
+    # the floats of a full copy-rotate-square pass, sign bits included; a
+    # density matrix is read from its Pauli spectrum, another summation, so
+    # its rows agree with the oracle to round-off.  The per-row clip and
+    # normalise, the readout flips and the draws follow from the engine's own
+    # rows bit for bit
     state = _random_state(n, kind, seed)
     pure = isinstance(state, StateVector)
     before = _bits(state.amplitudes if pure else state.entries)
@@ -281,13 +285,37 @@ def test_batched_readout_matches_per_word_oracle_bit_for_bit(n, kind, seed, data
     assert rows.shape == dists.shape == (len(words), 1 << n)
     assert len(outcomes) == len(words)
     for k, w in enumerate(words):
-        want = dense_oracle.outcome_distribution(state, w, noise)
-        assert _bits(rows[k]) == _bits(dense_oracle.rotated_probabilities(state, w))
+        oracle = dense_oracle.rotated_probabilities(state, w)
+        if pure:
+            assert _bits(rows[k]) == _bits(oracle)
+        else:
+            assert np.abs(rows[k] - oracle).max() <= 1e-12
+        want = dense_oracle.read_out(rows[k], noise)
         assert _bits(dists[k]) == _bits(want)
         draws = sim.shot_rng(seed, k).multinomial(500, want)
         idx, cnt = outcomes[k]
         assert np.array_equal(idx, np.flatnonzero(draws)) and np.array_equal(cnt, draws[idx])
     assert _bits(state.amplitudes if pure else state.entries) == before
+
+
+def test_density_readout_of_each_word_eigenstate_is_a_point_mass():
+    # the eigenstate of a word with outcome bits b, read out in that word, is
+    # certain to give b: a slipped Y phase or bit order shows without the oracle
+    for n in range(1, 5):
+        specs = [
+            InitialStateSpec("".join(w), bits)
+            for w in product("XYZ", repeat=n)
+            for bits in product((0, 1), repeat=n)
+        ]
+        for spec in specs:
+            rho = DensityMatrix.from_spec(spec)
+            before = _bits(rho.entries)
+            (row,) = sim.rotated_probabilities(rho, [spec.letters])
+            want = np.zeros(1 << n)
+            want[sum(b << j for j, b in enumerate(spec.bits))] = 1.0
+            assert np.abs(row - want).max() <= 1e-14, (spec.letters, spec.bits)
+            assert _bits(rho.entries) == before
+        assert sim.rotated_probabilities(rho, []).shape == (0, 1 << n)
 
 
 @pytest.mark.parametrize("word", ["ZIZ", "XY", "XYZZ", "xyz"])
@@ -532,5 +560,5 @@ def test_finite_shot_readout_matches_pinned_digest():
     freqs = collect(rho, 700, seed=5).freqs
     assert [hashlib.sha256(a.tobytes()).hexdigest() for a in (calib.matrix, freqs)] == [
         "d2809a187cc4a6f3929ca61d645f4200e6f054c5e29f7170dd829a4b5a91febb",
-        "174850ac2f088ae77e0a321aea9269b2cbb588871fb5ccc0aa1ac7e45b09c257",
+        "bc0b5fe975c35d44074a3c84787c6dad3d87a188ee2e90b17384fe19f59437aa",
     ]
