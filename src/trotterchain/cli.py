@@ -101,12 +101,18 @@ class ExperimentConfig:
             raise ConfigError("n_sites must be even")
         if self.engine not in ("pure", "noisy"):
             raise ConfigError(f"unknown engine {self.engine!r}")
+        if not self.charges:
+            raise ConfigError("charges must name at least one charge")
+        labels = set()
         for charge in self.charges:
             try:
                 order, variant = charge
-                ChargeSpec(order, variant, self.n_sites)  # validates N > 2n+1
+                label = ChargeSpec(order, variant, self.n_sites).label  # validates N > 2n+1
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"charge {charge!r}: {exc}") from None
+            if label in labels:
+                raise ConfigError(f"charge {label} is named twice")
+            labels.add(label)
         if self.initial_state is not None and self.initial_state.n_sites != self.n_sites:
             raise ConfigError("initial state length must match n_sites")
         kind = self.noise.get("kind", "none")
@@ -217,7 +223,7 @@ def _trajectory(config: ExperimentConfig):
 def _plan(config: ExperimentConfig, spec: ChargeSpec):
     """The charge and its word cover, with shots_total split evenly over the words."""
     q = assemble_cached(spec)
-    words = measure.build_cover(q).words
+    words = measure.build_cover(q, config.delta).words
     if config.shots_total < len(words):
         raise ConfigError(
             f"shots_total {config.shots_total} below the {len(words)} "

@@ -50,52 +50,32 @@ def _contained(wx, wz, x, z, s):
     return (((x ^ wx) | (z ^ wz)) & s) == 0
 
 
-# Candidates x terms per block of the containment count: bounds its int64
-# temporaries to a few MB whatever the charge size.
-_COUNT_BLOCK = 1 << 18
+def build_cover(charge: PauliPolynomial, delta: float) -> MeasurementPlan:
+    """Sorted-insertion word cover of all charge terms, as a plan of one shot per word.
 
-
-def build_cover(charge: PauliPolynomial) -> MeasurementPlan:
-    """Greedy word cover of all charge terms, as a plan of one shot per word.
-
-    Each round builds candidate words by merging compatible still-uncovered
-    terms onto a seed term (unconstrained sites completed with Z) and emits
-    the candidate covering the most uncovered terms, ties broken by
-    lexicographic word order.  Terms may end up covered by several words.
-
-    Terms and constraint sets are ``(x, z, support)`` bit masks; all seeds of
-    a round are merged at once, one uncovered term at a time in letter order;
-    the candidates' covered terms are counted in blocks of rows.
+    Terms are taken in descending ``|c(delta)|``, ties in letter order, and
+    each goes into the first open word whose letters agree with it on the
+    sites both constrain; a term that agrees with none opens a new word
+    (Crawford et al., Quantum 5, 385 (2021)).  Sites no term of a word
+    constrains are completed with Z.  A term may be contained in several
+    words.  Terms and open words are ``(x, z, support)`` bit masks.
     """
     if not len(charge):
         raise ValueError("cannot build a cover for an empty charge")
     n = charge.n_sites
-    full = np.int64((1 << n) - 1)
-    order = np.argsort(letter_strings(charge.x, charge.z, n))
-    x, z = charge.x[order], charge.z[order]
-    words: list[str] = []
-    while len(x):
-        s = x | z
-        cx, cz, cs = x.copy(), z.copy(), s.copy()
-        for xj, zj, sj in zip(x, z, s):
-            merge = (((cx ^ xj) | (cz ^ zj)) & cs & sj) == 0
-            cx[merge] |= xj
-            cz[merge] |= zj
-            cs[merge] |= sj
-        cz |= ~cs & full
-        step = max(1, _COUNT_BLOCK // len(x))
-        counts = np.concatenate([
-            _contained(cx[i : i + step, None], cz[i : i + step, None], x, z, s).sum(axis=1)
-            for i in range(0, len(x), step)
-        ])
-        tied = np.flatnonzero(counts == counts.max())
-        names = letter_strings(cx[tied], cz[tied], n)
-        k = int(np.argmin(names))  # the first of equal candidates
-        best = tied[k]
-        words.append(str(names[k]))
-        keep = ~_contained(cx[best], cz[best], x, z, s)
-        x, z = x[keep], z[keep]
-    return MeasurementPlan(tuple(words), 1)
+    names = letter_strings(charge.x, charge.z, n)
+    order = np.lexsort((names, -np.abs(charge.coefficients(delta))))
+    wx, wz, ws = (np.zeros(len(charge), dtype=np.int64) for _ in range(3))
+    m = 0
+    for x, z in zip(charge.x[order].tolist(), charge.z[order].tolist()):
+        fits = np.flatnonzero(_contained(x, z, wx[:m], wz[:m], ws[:m] & (x | z)))
+        k = int(fits[0]) if fits.size else m
+        m += not fits.size
+        wx[k] |= x
+        wz[k] |= z
+        ws[k] |= x | z
+    wz[:m] |= ~ws[:m] & ((1 << n) - 1)
+    return MeasurementPlan(tuple(letter_strings(wx[:m], wz[:m], n).tolist()), 1)
 
 
 def _word_cover(plan: MeasurementPlan, charge: PauliPolynomial) -> list:

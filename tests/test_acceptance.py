@@ -232,7 +232,7 @@ def test_c08_rate_consistency():
 def test_c09_estimator_monte_carlo():
     n = 4
     q = assemble(ChargeSpec(1, "plus", n))
-    plan = MeasurementPlan(build_cover(q).words, 150)
+    plan = MeasurementPlan(build_cover(q, DELTA).words, 150)
     rng = np.random.default_rng(5)
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = sim.StateVector(n, amp / np.linalg.norm(amp))

@@ -64,6 +64,8 @@ BAD_CONFIG = {
     "charge order a float": {"charges": [[1.0, "plus"]]},
     "charge not a pair": {"charges": [[1]]},
     "charges not a list of pairs": {"charges": [1]},
+    "charges empty": {"charges": []},
+    "charge named twice": {"charges": [[1, "plus"], [1, "plus"]]},
     "initial-state bit 2": {"initial_state": {"letters": "ZZZZ", "bits": [0, 1, 0, 2]}},
     "initial-state without bits": {"initial_state": {"letters": "ZZZZ"}},
     "initial-state bit true": {"initial_state": {"letters": "ZZZZ", "bits": [True, 0, 1, 0]}},
@@ -326,10 +328,10 @@ PINNED_RUNS = {
             "benchmarks.jsonl": "affb78b2f5689ce6e783cbeb301507bbb8e1863d1cdee2dc687f27091c0bf1fa",
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
-            "decay.csv": "5af60b75132d8a3df944b807cdda04ec89aac94f7d84cdaa3bd3a9c986ed92d1",
+            "decay.csv": "d2b468a7f1747f4c670d9517546be0c150a64e86991dd260255c42baa901e56a",
             "fits.csv": "8742df20a5ae6185bd84168b8ffdee0bfc6709fbf6b5d15ec038ce9a9c6e44c0",
             "fits.json": "1c9406ea6d64ad297dc51b6d82e1c17ef85844bfee5e31ecee0f9c3b61c6ba7d",
-            "mitigation.csv": "f36976600e233306ec2dca12722fe2ed52f9ec1c1f7db57097b4b56d8c053db6",
+            "mitigation.csv": "5364c4b2f91ff7c9a3b834a4a0e80316a7e42760b67890ec85095ad1ff4c582d",
             "spectrum.csv": "3cbe061322b7d69b999d7e68017013542d00e85c274ae601f6bc40350c9e7fc0",
             "spectrum.json": "4ec721c3a1bb4f36d8d07b9e29aa2435301534806e1058d6341a0bc9288cf419",
             "tomo.json": "da4de710216ca1c06bc69f761929d99ca0a3faece9fee31039f9080232624767",
@@ -344,11 +346,11 @@ PINNED_RUNS = {
             exact_reference=False,
         ),
         {
-            "benchmarks.jsonl": "a74161133458472662b83624c436163b119efdbf1e4f5f4efe22fd2d31bee27b",
+            "benchmarks.jsonl": "e63fb0865ac2c0d680b7df90fb5fc23519cc7fd955c0c64e6c63b79dc9cdc965",
             "charge_Q1+_N4.json": "e819a82716f3a44823a02166dd1c50fe88b7fb3654927ad8065bc7dc89f71d85",
-            "decay.csv": "b55f63be430d12f669739e2a2e97489c1c3789e651520aa2594d232c83a3722b",
-            "fits.csv": "0929207941868b35cd8439297cd9526123963fd4ce4d112b5e27678715190654",
-            "fits.json": "3d2917fa519a7c0753c48227505f63932ee9ebed69aa304bc8b3ff7b642715ff",
+            "decay.csv": "ae81f30abcfe401b89874f723a0458163bbb0187c4580f125283bbefac8497f5",
+            "fits.csv": "9fc864096d06beb7d57db51075925ee3de083d7b244f14d1cc2775c28e9a4479",
+            "fits.json": "57013d98770704a446dac5d98442e5df7f01e93b5c3366fa18cd328ce2082076",
             "mitigation.csv": "5ed49dcedd404772a80b2d43763e61f3b8ef8e2f90b50502b00ed0b2632a55d4",
             "spectrum.csv": "a90de191ad1ae36adc74215e61a066209a9866c34ebc5d491743bef31c2a342f",
             "spectrum.json": "3b5bfbf1099c9c4eb82aaaf58f424840d221a60fe57c9a0a5f986e6a98a88258",

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from dense_oracle import items
 from strategies import polynomials
 from trotterchain import sim
-from trotterchain.charges import ChargeSpec, PauliPolynomial, assemble, assemble_cached, density
+from trotterchain.charges import (
+    VARIANTS,
+    ChargeSpec,
+    PauliPolynomial,
+    assemble,
+    assemble_cached,
+    density,
+)
 from trotterchain.circuit import InitialStateSpec, build_step
 from trotterchain.measure import (
     CoverageError,
@@ -31,37 +38,19 @@ def _letters_contain(word: str, term: str) -> bool:
     return all(t == "I" or t == w for t, w in zip(term, word))
 
 
-def _term_constraints(term: PauliString) -> dict:
-    return {j: ch for j, ch in enumerate(term.letters(), 1) if ch != "I"}
-
-
-def _compatible(constraints: dict, other: dict) -> bool:
-    return all(constraints.get(j, ch) == ch for j, ch in other.items())
-
-
-def _reference_cover(charge: PauliPolynomial) -> MeasurementPlan:
-    """The greedy cover on per-site letter dicts: the oracle for build_cover."""
-    n = charge.n_sites
-    uncovered = sorted(s.letters() for s in charge.terms)
-    uncovered = [PauliString.from_letters(t) for t in uncovered]
+def _reference_cover(charge: PauliPolynomial, delta: float) -> tuple:
+    """Sorted insertion on per-site letter dicts: the oracle for build_cover."""
+    terms = sorted((-abs(c(delta)), s.letters()) for s, c in items(charge))
     words = []
-    while uncovered:
-        best = None
-        for seed in uncovered:
-            cons = dict(_term_constraints(seed))
-            for other in uncovered:
-                oc = _term_constraints(other)
-                if _compatible(cons, oc):
-                    cons.update(oc)
-            letters = "".join(cons.get(j, "Z") for j in range(1, n + 1))
-            covered = sum(1 for t in uncovered if _letters_contain(letters, t.letters()))
-            key = (-covered, letters)
-            if best is None or key < best[0]:
-                best = (key, letters)
-        word = best[1]
-        words.append(word)
-        uncovered = [t for t in uncovered if not _letters_contain(word, t.letters())]
-    return MeasurementPlan(tuple(words), 1)
+    for _, letters in terms:
+        constraints = {j: ch for j, ch in enumerate(letters) if ch != "I"}
+        for word in words:
+            if all(word.get(j, ch) == ch for j, ch in constraints.items()):
+                word.update(constraints)
+                break
+        else:
+            words.append(constraints)
+    return tuple("".join(w.get(j, "Z") for j in range(charge.n_sites)) for w in words)
 
 
 def _charge(*terms):
@@ -98,24 +87,44 @@ def test_bitmask_containment_matches_letters(data):
         assert [contains(w, s) for s, _ in items(q)] == [i in cov for i in range(len(q))]
 
 
+_ASSEMBLED = st.builds(
+    ChargeSpec, st.integers(1, 2), st.sampled_from(VARIANTS), st.sampled_from([6, 8])
+).map(assemble_cached)
+
+
 @settings(deadline=None)
-@given(polynomials())
-def test_cover_matches_reference_greedy(q):
-    assert build_cover(q).words == _reference_cover(q).words
+@given(st.one_of(polynomials(), _ASSEMBLED), st.floats(-3.0, 3.0))
+def test_cover_matches_reference_sorted_insertion(q, delta):
+    # the assembled charges carry delta-dependent coefficients, so delta moves their order
+    words = build_cover(q, delta).words
+    assert words == _reference_cover(q, delta)
+    assert all(any(contains(w, s) for w in words) for s in q.terms)
 
 
 @pytest.mark.parametrize(
     "order, n_words, first, digest",
     [
-        (1, 9, "XXXXXXXX", "50b6ba83ff347e26b1c19172d0a4322fbcc3abd0ad125b96354f443dc109cb6d"),
-        (2, 84, "XZYYYZXX", "83f1c9a674a828f8048845f56b3f8ab32b52efdd5f61e2ca2aede47b8717ad96"),
+        (1, 9, "XXXXXXXX", "1448f5abfb02c1ef3c5341ab579d7deaf17e33dcc18fcccdea9266bb9ae0a266"),
+        (2, 90, "XZYZXYZY", "94859cc47cb220dc6685b6fb9712e77e8abadaba4b63be80fafed7ed463ad066"),
     ],
 )
 def test_golden_covers_n8(order, n_words, first, digest):
     # the covers behind the N=8 decay artifacts; any change alters those bytes
-    words = build_cover(assemble(ChargeSpec(order, "plus", 8))).words
+    words = build_cover(assemble(ChargeSpec(order, "plus", 8)), DELTA).words
     assert (len(words), words[0]) == (n_words, first)
     assert hashlib.sha256("\n".join(words).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("order, sigma_max", [(1, 0.040661), (2, 0.1659)])
+def test_cover_sigma_on_neel_n8(order, sigma_max):
+    # exact sigma at 100,000 shots split evenly over the words; the bounds are
+    # the values of the greedy cover that sorted insertion replaced
+    q = assemble_cached(ChargeSpec(order, "plus", 8))
+    words = build_cover(q, DELTA).words
+    plan = MeasurementPlan(words, 100_000 // len(words))
+    psi = sim.StateVector.from_spec(InitialStateSpec.neel(8))
+    _, sd = exact_estimator_variance(sim.rotated_probabilities(psi, words), plan, q, DELTA)
+    assert sd <= sigma_max
 
 
 def test_word_validation():
@@ -126,18 +135,18 @@ def test_word_validation():
 
 def test_cover_single_term():
     q = _charge(("ZZ", 1))
-    plan = build_cover(q)
+    plan = build_cover(q, DELTA)
     assert plan.words == ("ZZ",)
 
 
 def test_cover_of_window_density_is_exhaustive():
     q = density(1, "plus")  # three-site window charge
-    plan = build_cover(q)
+    plan = build_cover(q, DELTA)
     terms = list(q.terms)
     for s in terms:
         assert any(contains(w, s) for w in plan.words)
     # lower bound from the 27 candidate words: a word covers at most one term
-    # of any pairwise-incompatible family, and the greedy cover attains it
+    # of any pairwise-incompatible family, and the cover attains it
     words = ["".join(w) for w in iproduct("XYZ", repeat=3)]
     cover_sets = [frozenset(i for i, s in enumerate(terms) if contains(w, s)) for w in words]
     incompatible = []
@@ -151,7 +160,7 @@ def test_cover_of_window_density_is_exhaustive():
 
 def test_cover_union_equals_term_set():
     q = assemble(ChargeSpec(1, "plus", 6))
-    plan = build_cover(q)
+    plan = build_cover(q, DELTA)
     covered = set()
     for s in q.terms:
         if any(contains(w, s) for w in plan.words):
@@ -161,7 +170,7 @@ def test_cover_union_equals_term_set():
 
 def test_cover_empty_charge_rejected():
     with pytest.raises(ValueError):
-        build_cover(PauliPolynomial(2))
+        build_cover(PauliPolynomial(2), DELTA)
 
 
 def test_estimate_deterministic_outcome():
@@ -205,7 +214,7 @@ def _sample(plan, dists, seed):
 def test_estimator_and_variance_unbiased():
     n = 4
     q = assemble(ChargeSpec(1, "plus", n))
-    plan0 = build_cover(q)
+    plan0 = build_cover(q, DELTA)
     plan = MeasurementPlan(plan0.words, 150)
     rng = np.random.default_rng(7)
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -227,7 +236,7 @@ def test_estimator_and_variance_unbiased():
 
 @lru_cache(maxsize=None)
 def _cover_of(spec: ChargeSpec):
-    return build_cover(assemble_cached(spec))
+    return build_cover(assemble_cached(spec), DELTA)
 
 
 @settings(deadline=None, max_examples=40)
@@ -316,7 +325,7 @@ def test_estimates_match_pinned_digest():
     # estimator mean and sigma, for Q2+ at N=8 after one step
     n = 8
     q = assemble(ChargeSpec(2, "plus", n))
-    plan = MeasurementPlan(build_cover(q).words, 30)
+    plan = MeasurementPlan(build_cover(q, DELTA).words, 30)
     psi = sim.StateVector.from_spec(InitialStateSpec("ZXYZZYXZ", (1, 0, 0, 1, 1, 0, 1, 0)))
     psi = sim.evolve_pure(build_step(n, 0.3), psi)  # DELTA = tan(0.3)
     values = []
@@ -325,9 +334,9 @@ def test_estimates_match_pinned_digest():
         est = estimate(sim.sample(psi, plan.words, plan.shots_per_word, keys), plan, q, DELTA)
         values += [est.value, est.std_uncertainty]
     assert _float_digest(values) == (
-        "c2b5a4ddc8bcd69980f52d9ea275d0576872aa408c6a1e5fa072d2e8b584892a"
+        "089412f7409e8c0d7e57a5a48c38e0f5bb21256eb802b79d4a35f68b92b1b4a2"
     )
     dists = sim.rotated_probabilities(psi, plan.words)
     assert _float_digest(exact_estimator_variance(dists, plan, q, DELTA)) == (
-        "ed268885f4243ceb9bb8841d232833bbfdeff4472063a6f7e5848b1f7f1f57da"
+        "6c17d94f3df79ddddf17cf6d8becb35defd1ffaec0acef19e3c0ffc00fd2a759"
     )
