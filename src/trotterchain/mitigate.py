@@ -13,6 +13,7 @@ back to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,14 @@ class CalibrationMatrix:
             raise ValueError("calibration columns must sum to 1")
         if self.matrix.min() < -1e-12 or self.matrix.max() > 1.0 + 1e-12:
             raise ValueError("calibration entries must lie in [0, 1]")
+
+    @cached_property
+    def normal_equations(self) -> tuple[np.ndarray, float, float]:
+        """A^T A, its smallest eigenvalue and the gradient step 1 / (its largest
+        eigenvalue), computed on first use for every :func:`correct` call."""
+        ata = self.matrix.T @ self.matrix
+        eigs = np.linalg.eigvalsh(ata)
+        return ata, float(eigs.min()), 1.0 / float(eigs.max())
 
 
 def calibrate(noise: NoiseModel, n_sites: int, shots: int | None, seed: int = 0) -> CalibrationMatrix:
@@ -73,14 +82,13 @@ def correct(observed: np.ndarray, calib: CalibrationMatrix) -> np.ndarray:
     if total <= 0:
         raise ValueError("observed counts are empty")
     f = f / total
-    ata = a.T @ a
-    eigs = np.linalg.eigvalsh(ata)
-    if eigs.min() < 1e-12:
+    ata, lowest, step = calib.normal_equations
+    if lowest < 1e-12:
         raise ValueError("calibration matrix is singular beyond tolerance")
-    step = 1.0 / float(eigs.max())
+    atf = a.T @ f
     x = simplex_project(np.linalg.lstsq(a, f, rcond=None)[0])
     for _ in range(CORRECT_MAX_ITER):
-        grad = ata @ x - a.T @ f
+        grad = ata @ x - atf
         nxt = simplex_project(x - step * grad)
         if np.abs(nxt - x).max() < CORRECT_TOL:
             x = nxt

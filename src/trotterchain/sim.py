@@ -501,9 +501,23 @@ def _rotate_pure(amp: np.ndarray, site: int, letter: str) -> np.ndarray:
     return amp
 
 
-def _mask(word: str, letters: str) -> int:
-    """The sites of ``word`` holding one of ``letters``, site j on bit j-1."""
-    return sum(1 << j for j, c in enumerate(word) if c in letters)
+def _word_masks(words, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int64 X/Y and Y/Z site masks of ``words``, site j on bit j-1, from the
+    code points of all words at once.
+
+    Raises ValueError for the first word that is not ``n`` letters from X, Y, Z.
+    """
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    codes = np.frombuffer("".join(words).encode("utf-32-le"), dtype=np.uint32)
+    bad_letter = (codes < ord("X")) | (codes > ord("Z"))  # X, Y, Z are consecutive
+    bad = lengths != n
+    bad[np.repeat(np.arange(len(words)), lengths)[bad_letter]] = True
+    if bad.any():
+        w = words[int(np.argmax(bad))]
+        raise ValueError(f"measurement word {w!r} is not {n} letters from X, Y, Z")
+    letters = codes.reshape(len(words), n)
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    return (letters != ord("Z")) @ bits, (letters != ord("X")) @ bits
 
 
 def rotated_probabilities(state, words) -> np.ndarray:
@@ -515,16 +529,12 @@ def rotated_probabilities(state, words) -> np.ndarray:
     module docstring.  The state is only read.
     """
     n = state.n_sites
-    for w in words:
-        if len(w) != n or not set(w) <= set("XYZ"):
-            raise ValueError(f"measurement word {w!r} is not {n} letters from X, Y, Z")
+    wx, wz = _word_masks(words, n)
     dim = 1 << n
     if isinstance(state, DensityMatrix):
         # p_w(b) = 2^-N sum_S (-1)^popcount(b & S) paulis[wx & S, wz & S]
         cols = np.arange(dim, dtype=np.int64)
-        wx = np.array([_mask(w, "XY") for w in words], dtype=np.int64)[:, None]
-        wz = np.array([_mask(w, "YZ") for w in words], dtype=np.int64)[:, None]
-        g = _pauli_spectrum(state).reshape(-1)[(wx & cols) * dim + (wz & cols)]
+        g = _pauli_spectrum(state).reshape(-1)[(wx[:, None] & cols) * dim + (wz[:, None] & cols)]
         out = _walsh_rows(g, np.empty_like(g))
         out /= dim
         return out

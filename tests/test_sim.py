@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 import subprocess
 import sys
 import weakref
@@ -320,8 +321,9 @@ def test_density_readout_of_each_word_eigenstate_is_a_point_mass():
 
 @pytest.mark.parametrize("word", ["ZIZ", "XY", "XYZZ", "xyz"])
 def test_readout_rejects_malformed_words(word):
-    with pytest.raises(ValueError):
-        sim.rotated_probabilities(StateVector.zero(3), ["XYZ", word])
+    # the error names the first malformed word
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        sim.rotated_probabilities(StateVector.zero(3), ["XYZ", word, "QQQ"])
 
 
 def test_sample_needs_one_key_per_word():

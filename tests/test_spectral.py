@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 
 from dense_oracle import step_superoperator
 from strategies import gate_lists
-from trotterchain import sim
+from trotterchain import cli, sim
 from trotterchain.charges import ChargeSpec, assemble
 from trotterchain.circuit import Circuit, InitialStateSpec, build_step
 from trotterchain.noise import amp_phase_damping, depolarizing
 from trotterchain.sim import DensityMatrix, NoiseModel, evolve_noisy, exact_expectation
 from trotterchain.spectral import (
+    UNIT_EIGENVALUE_TOL,
     DegenerateFixedPointError,
+    SuperOperator,
     decay_rate,
     fixed_point,
     spectrum,
@@ -144,3 +146,71 @@ def test_choi_superoperator_matches_dense_oracle(circuit, one_qubit, two_qubit):
     noise = NoiseModel(after_one_qubit=one_qubit, after_two_qubit=two_qubit)
     got = vectorize_step(circuit, noise).matrix
     assert np.abs(got - step_superoperator(circuit, noise)).max() < 1e-12
+
+
+def _cluster_means(vals, radius=1e-3):
+    """Each eigenvalue replaced by the mean of its cluster, the eigenvalues
+    linked to it by steps shorter than ``radius``.
+
+    The eigenvalues of a Jordan block are fixed by the matrix only to about
+    sqrt(machine epsilon), so two solvers may split a defective eigenvalue
+    differently by 1e-8; the mean of the cluster is fixed to round-off.  A
+    simple eigenvalue is its own cluster.
+    """
+    link = np.abs(vals[:, None] - vals[None, :]) < radius
+    while True:
+        wider = (link.astype(int) @ link.astype(int)) > 0
+        if (wider == link).all():
+            return link @ vals / link.sum(axis=1)
+        link = wider
+
+
+def _matched_distance(a, b):
+    """Largest distance in a greedy nearest-neighbour pairing of two multisets."""
+    rest = list(b)
+    worst = 0.0
+    for v in a:
+        i = int(np.argmin(np.abs(np.array(rest) - v)))
+        worst = max(worst, abs(rest.pop(i) - v))
+    return worst
+
+
+@settings(deadline=None)
+@given(gate_lists(), channels(), channels())
+def test_pauli_basis_spectrum_and_fixed_point_match_dense_oracle(circuit, one_qubit, two_qubit):
+    noise = NoiseModel(after_one_qubit=one_qubit, after_two_qubit=two_qubit)
+    oracle = step_superoperator(circuit, noise)
+    op = vectorize_step(circuit, noise)
+    want, vecs = np.linalg.eig(oracle)
+    assert _matched_distance(_cluster_means(spectrum(op)), _cluster_means(want)) < 1e-10
+    # An eigenvector's round-off error grows as 1/gap, so the fixed point is
+    # compared where it is unique and isolated from the rest of the spectrum.
+    order = np.argsort(np.abs(want - 1.0))
+    if abs(want[order[0]] - 1.0) < UNIT_EIGENVALUE_TOL and abs(want[order[1]] - 1.0) > 1e-4:
+        dim = 1 << circuit.n_sites
+        rho = vecs[:, order[0]].reshape(dim, dim)
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= np.trace(rho).real
+        assert np.abs(fixed_point(op).entries - rho).max() < 1e-10
+
+
+def test_spectrum_report_diagonalizes_once(monkeypatch):
+    calls = []
+    for name in ("eig", "eigvals"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    config = cli.ExperimentConfig(n_sites=N, noise={"kind": "depolarizing", "p1": 0.018, "p2": 0.018})
+    report = cli.spectrum_report(config)
+    assert len(report["eigenvalues"]) == 256 and "fixed_point_c2" in report
+    assert calls == ["eig"]
+
+
+def test_non_hermiticity_preserving_superoperator_raises():
+    # rho -> i rho: its Pauli transfer matrix is i times the identity
+    op = SuperOperator(2, 1j * np.eye(16))
+    with pytest.raises(ValueError, match="Hermiticity"):
+        spectrum(op)
+    with pytest.raises(ValueError, match="Hermiticity"):
+        fixed_point(op)
