@@ -52,12 +52,6 @@ class Gate:
             return np.array([[np.exp(-1j * h), 0], [0, np.exp(1j * h)]])
         return _FIXED_1Q[self.kind]
 
-    def dump(self) -> str:
-        parts = [self.kind] + [str(s) for s in self.sites]
-        if self.angle is not None:
-            parts.append(repr(self.angle))
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class InitialStateSpec:
@@ -123,9 +117,6 @@ class Circuit:
 
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "CNOT")
-
-    def dump(self) -> str:
-        return "\n".join(g.dump() for g in self.gates)
 
 
 def build_init(spec: InitialStateSpec) -> list:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charges import PauliPolynomial
-from .pauli import PauliString, letter_strings
+from .pauli import PauliString, letter_strings, word_masks
 
 
 def _checked(word) -> str:
@@ -79,13 +79,11 @@ def build_cover(charge: PauliPolynomial, delta: float) -> MeasurementPlan:
 
 
 def _word_cover(plan: MeasurementPlan, charge: PauliPolynomial) -> list:
-    """Per plan word, the ascending indices of the charge terms it contains."""
-    if any(len(w) != charge.n_sites for w in plan.words):
-        raise ValueError("word and term lengths differ")
+    """Per plan word, the ascending indices of the charge terms it contains.
+
+    Raises ValueError for the first word that is not N letters from X, Y, Z."""
     xs, zs = charge.x, charge.z
-    packed = [PauliString.from_letters(w) for w in plan.words]
-    wx = np.array([p.x_mask for p in packed], dtype=np.int64)
-    wz = np.array([p.z_mask for p in packed], dtype=np.int64)
+    wx, wz = word_masks(plan.words, charge.n_sites)
     hits = _contained(wx[:, None], wz[:, None], xs, zs, xs | zs)
     return [np.flatnonzero(row).tolist() for row in hits]
 

@@ -14,7 +14,8 @@ phase of :func:`charges.boost_step`; the single-string product is a test
 oracle.
 
 Text rendering writes site 1 leftmost, e.g. ``"IXZY"``; :func:`letter_strings`
-is the one renderer, vectorised over mask arrays.
+is the one renderer, vectorised over mask arrays, and :func:`word_masks` the
+one parser of measurement words, vectorised over a list of words.
 """
 
 from __future__ import annotations
@@ -113,3 +114,22 @@ def letter_strings(x, z, n_sites: int) -> np.ndarray:
         ((np.asarray(z, np.int64)[..., None] >> bits) & 1) << 1
     )
     return _LETTER_BYTES[codes].view(f"S{n_sites}")[..., 0].astype(str)
+
+
+def word_masks(words, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int64 X/Y and Y/Z site masks of ``words``, site j on bit j-1, from the
+    code points of all words at once.
+
+    Raises ValueError for the first word that is not ``n`` letters from X, Y, Z.
+    """
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    codes = np.frombuffer("".join(words).encode("utf-32-le"), dtype=np.uint32)
+    bad_letter = (codes < ord("X")) | (codes > ord("Z"))  # X, Y, Z are consecutive
+    bad = lengths != n
+    bad[np.repeat(np.arange(len(words)), lengths)[bad_letter]] = True
+    if bad.any():
+        w = words[int(np.argmax(bad))]
+        raise ValueError(f"measurement word {w!r} is not {n} letters from X, Y, Z")
+    letters = codes.reshape(len(words), n)
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    return (letters != ord("Z")) @ bits, (letters != ord("X")) @ bits

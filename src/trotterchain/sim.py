@@ -24,7 +24,7 @@ superoperator on its k = 1 or 2 sites, by running the kernels above (each
 gate on both sides, then the configured channel once per site it touches)
 on the 4^k basis matrices of a k-site register.  The block is then applied
 to rho by ``tensordot`` over the 2k row and column bits of those sites, in
-chunks of at most ``_BLOCK_CHUNK`` entries (``_apply_block``).  Sites are
+chunks of at most ``_CHUNK`` entries (``_apply_block``).  Sites are
 relabelled by first appearance, so every bond of a layer, the cyclic bond
 (N, 1) included, shares one compiled block; the blocks live for one call
 only.  Setting a channel to ``None`` exempts the corresponding gate class.
@@ -40,9 +40,10 @@ probability 2^-N sum_S (-1)^popcount(b & S) tr(rho P_S), where S runs over
 the subsets of sites and P_S is the word's letters on S: a Walsh transform
 of the Pauli expectations of its sub-strings.  So a density matrix is read
 from its Pauli spectrum, ``paulis[x, z] = Re tr(rho P(x, z))`` for all 4^N
-strings, built once per call in blocks of real rows (``_pauli_spectrum``).
-Each word with masks (wx, wz) gathers ``paulis[wx & S, wz & S]`` over S, and
-one Walsh pass over all the gathered rows gives every distribution.  These
+strings, built once per call in blocks of real rows (:func:`pauli_spectrum`;
+:func:`from_pauli_spectrum` inverts it with one more Walsh pass).  Each word
+with masks (wx, wz) gathers ``paulis[wx & S, wz & S]`` over S, and one Walsh
+pass over all the gathered rows gives every distribution.  These
 floats agree with rotating a copy of rho gate by gate
 (``dense_oracle.rotated_probabilities`` in the tests) only to round-off.  A
 statevector has no 4^N spectrum within reach.  It walks the prefix tree of
@@ -55,12 +56,11 @@ Exact expectations (:func:`exact_expectation`) take all the charges of one
 state at once.  The strings of a charge that share a flip mask x are Walsh
 components of one overlap vector, so the charges share one pass over the
 sorted union of their x masks: a mask several charges use is gathered and
-transformed once, in blocks of at most ``_WALSH_BLOCK`` complex entries
-(256 KB; one mask per row, at least one row).  The Pauli spectrum of
-read-out is the same pass over every mask (``_overlap_spectra``).  Each
-charge still adds its own x groups in its own order, so every value equals
-the one-charge-at-a-time evaluation (``dense_oracle.exact_expectation`` in
-the tests) bit for bit.
+transformed once, in blocks of at most ``_CHUNK`` complex entries (one mask
+per row, at least one row).  The Pauli spectrum of read-out is the same pass
+over every mask (``_overlap_spectra``).  Each charge still adds its own x
+groups in its own order, so every value equals the one-charge-at-a-time
+evaluation (``dense_oracle.exact_expectation`` in the tests) bit for bit.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import numpy as np
 from .charges import PauliPolynomial
 from .circuit import Circuit, Gate, InitialStateSpec, build_init, build_measurement_rotation
 from .noise import KrausChannel
-from .pauli import _I_POW
+from .pauli import _I_POW, word_masks
 
 DM_MAX_SITES = 10
 
@@ -81,8 +81,10 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_EIG_FLOOR = -1e-8
 
-# complex entries per chunk of a compiled block's application: 2^14 x 16 B = 256 KB
-_BLOCK_CHUNK = 1 << 14
+# complex entries per chunk of a pass over a state (a compiled block's
+# application, a block of Walsh-transformed overlap rows): 2^14 x 16 B = 256 KB,
+# so each pass's temporaries stay cache-sized
+_CHUNK = 1 << 14
 
 
 class BudgetError(ValueError):
@@ -160,7 +162,7 @@ def _apply_block(vec: np.ndarray, n_bits: int, block: np.ndarray, bits: list):
 
     ``block`` has shape ``[2] * 2m`` for m bits: the input bits, then the
     output bits, each most significant first (see :func:`_compile`).  The
-    vector is taken in chunks of at most ``_BLOCK_CHUNK`` entries, one per
+    vector is taken in chunks of at most ``_CHUNK`` entries, one per
     value of its most significant bits outside ``bits``, so the two
     temporaries of each ``tensordot`` stay cache-sized rather than copies of
     the whole vector.
@@ -168,7 +170,7 @@ def _apply_block(vec: np.ndarray, n_bits: int, block: np.ndarray, bits: list):
     m = len(bits)
     v = vec.reshape([2] * n_bits)
     axes = [n_bits - 1 - b for b in reversed(bits)]  # most significant block bit first
-    n_lead = max(0, n_bits - (_BLOCK_CHUNK.bit_length() - 1))
+    n_lead = max(0, n_bits - (_CHUNK.bit_length() - 1))
     lead = [a for a in range(n_bits) if a not in axes][:n_lead]
     sub_axes = [a - sum(f < a for f in lead) for a in axes]
     for values in np.ndindex(*[2] * len(lead)):
@@ -368,10 +370,6 @@ def evolve_noisy(circuit: Circuit, init: DensityMatrix, noise: NoiseModel) -> De
 # ---------------------------------------------------------------------------
 
 
-# complex entries per block of Walsh-transformed overlap rows: 2^14 x 16 B = 256 KB
-_WALSH_BLOCK = 1 << 14
-
-
 def _walsh_rows(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     """Walsh transform ``t[m] = sum_b (-1)^{popcount(b & m)} v[b]`` of each row of ``cur``.
 
@@ -399,14 +397,14 @@ def _overlap_spectra(state, masks: Sequence[int]):
     Row x is the overlap vector psi-bar[b^x] psi[b] of a statevector, or
     rho[b, b^x] of a density matrix, and its transform at z is
     sum_b (-1)^{popcount(z & b)} row[b]: tr(rho X^x Z^z), or its pure
-    analogue.  Yields ``(start, w)`` per block of at most ``_WALSH_BLOCK``
+    analogue.  Yields ``(start, w)`` per block of at most ``_CHUNK``
     complex entries (one row per mask, at least one row), ``w[r]`` the
     transform for ``masks[start + r]``; ``w`` is a view of two preallocated
     buffers and is overwritten by the next block.
     """
     n = state.n_sites
     dim = 1 << n
-    per = max(1, _WALSH_BLOCK >> n)  # rows per block
+    per = max(1, _CHUNK >> n)  # rows per block
     cols = np.arange(dim, dtype=np.int64)
     pure = isinstance(state, StateVector)
     if pure:
@@ -436,7 +434,7 @@ def exact_expectation(state, charges: Sequence[PauliPolynomial], delta: float) -
     sums of one overlap vector (psi-bar[b^x] psi[b], or rho[b, b^x]): Walsh
     components indexed by z.  All charges share one pass over the sorted
     union of their x masks (:func:`_overlap_spectra`), in blocks of
-    ``_WALSH_BLOCK`` complex entries.  Each charge then adds
+    ``_CHUNK`` complex entries.  Each charge then adds
     ``coeffs[rows] @ W[zs]`` for its own x groups in ascending x, so every
     value equals that of a separate per-charge pass bit for bit
     (``dense_oracle.exact_expectation``).
@@ -471,7 +469,7 @@ def exact_expectation(state, charges: Sequence[PauliPolynomial], delta: float) -
     return [float(v.real) for v in vals]
 
 
-def _pauli_spectrum(rho: DensityMatrix) -> np.ndarray:
+def pauli_spectrum(rho: DensityMatrix) -> np.ndarray:
     """``paulis[x, z] = Re tr(rho P(x, z))`` for every Pauli string, a real 2^N x 2^N array.
 
     P(x, z) has X on the sites of x, Z on those of z and Y on both, so it is
@@ -488,6 +486,23 @@ def _pauli_spectrum(rho: DensityMatrix) -> np.ndarray:
     return paulis
 
 
+def from_pauli_spectrum(paulis: np.ndarray) -> DensityMatrix:
+    """The matrix ``2^-N sum_{x,z} paulis[x, z] P(x, z)``, inverse of :func:`pauli_spectrum`
+    on Hermitian matrices.
+
+    Row x of ``paulis`` times conj(i^popcount(x & z)) is the Walsh transform
+    of the overlap row ``rho[b, b^x]`` (:func:`_overlap_spectra`), so one
+    :func:`_walsh_rows` pass over all rows, divided by 2^N, gives every entry.
+    """
+    dim = len(paulis)
+    cols = np.arange(dim, dtype=np.int64)
+    w = paulis * np.conj(_I_POW)[np.bitwise_count(cols[:, None] & cols) & 3]
+    rows = _walsh_rows(w, np.empty_like(w))
+    rho = np.empty((dim, dim), dtype=complex)
+    rho.reshape(-1)[cols * dim + (cols ^ cols[:, None])] = rows / dim
+    return DensityMatrix(dim.bit_length() - 1, rho)
+
+
 # per letter: the rotation matrices that take its basis to Z, in gate order
 _ROTATION = {c: [g.matrix_1q() for g in build_measurement_rotation(c)] for c in "XYZ"}
 
@@ -501,40 +516,21 @@ def _rotate_pure(amp: np.ndarray, site: int, letter: str) -> np.ndarray:
     return amp
 
 
-def _word_masks(words, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """int64 X/Y and Y/Z site masks of ``words``, site j on bit j-1, from the
-    code points of all words at once.
-
-    Raises ValueError for the first word that is not ``n`` letters from X, Y, Z.
-    """
-    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    codes = np.frombuffer("".join(words).encode("utf-32-le"), dtype=np.uint32)
-    bad_letter = (codes < ord("X")) | (codes > ord("Z"))  # X, Y, Z are consecutive
-    bad = lengths != n
-    bad[np.repeat(np.arange(len(words)), lengths)[bad_letter]] = True
-    if bad.any():
-        w = words[int(np.argmax(bad))]
-        raise ValueError(f"measurement word {w!r} is not {n} letters from X, Y, Z")
-    letters = codes.reshape(len(words), n)
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    return (letters != ord("Z")) @ bits, (letters != ord("X")) @ bits
-
-
 def rotated_probabilities(state, words) -> np.ndarray:
     """Outcome distributions after the measurement rotation of each word, one row per word.
 
     Outcome bit j-1 is 0 for the +1 eigenvalue of word letter j.  A density
-    matrix is read from its Pauli spectrum (:func:`_pauli_spectrum`), built
+    matrix is read from its Pauli spectrum (:func:`pauli_spectrum`), built
     once per call; a statevector walks the prefix tree of ``words``.  See the
     module docstring.  The state is only read.
     """
     n = state.n_sites
-    wx, wz = _word_masks(words, n)
+    wx, wz = word_masks(words, n)
     dim = 1 << n
     if isinstance(state, DensityMatrix):
         # p_w(b) = 2^-N sum_S (-1)^popcount(b & S) paulis[wx & S, wz & S]
         cols = np.arange(dim, dtype=np.int64)
-        g = _pauli_spectrum(state).reshape(-1)[(wx[:, None] & cols) * dim + (wz[:, None] & cols)]
+        g = pauli_spectrum(state).reshape(-1)[(wx[:, None] & cols) * dim + (wz[:, None] & cols)]
         out = _walsh_rows(g, np.empty_like(g))
         out /= dim
         return out

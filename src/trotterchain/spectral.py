@@ -1,19 +1,17 @@
-"""One-step quantum channel as a superoperator; spectra, fixed point, decay rate.
+"""One-step quantum channel as a Pauli transfer matrix; spectra, fixed point, decay rate.
 
-Row-major vectorization throughout: ``|rho> = sum rho_{ab} |a> (x) |b>``,
-i.e. ``rho.reshape(-1)`` for C-ordered arrays.  The superoperator comes from
-the density-matrix engine itself, through the Choi state: ``evolve_noisy``
-runs the step on sites 1..N of the 2N-site state ``|Omega><Omega|`` with
-``|Omega> = sum_i |i>_A |i>_B``, and the evolved matrix, reshuffled, is the
-4^N x 4^N superoperator.  Spectra therefore see exactly the gates and
-channels of the noisy engine.
-
-Spectra and fixed points are computed in the Pauli basis.  Every channel here
-preserves Hermiticity, so in the basis of the 4^N Pauli strings P its matrix,
-the Pauli transfer matrix ``R[P, Q] = 2^-N tr(P E(Q))``, is real and has the
-superoperator's eigenvalues.  One real ``np.linalg.eig`` of R, made at most
-once per :class:`SuperOperator`, serves both :func:`spectrum` and
-:func:`fixed_point`; an eigenvector r of R is the operator ``sum_P r_P P``.
+A step E is held as its Pauli transfer matrix ``R[P, Q] = 2^-N tr(P E(Q))``,
+row and column ``x * 2^N + z`` for the Pauli string P(x, z).  Every channel
+here preserves Hermiticity, so R is real and has the superoperator's
+eigenvalues; an eigenvector r of R is the operator ``sum_P r_P P``.  R is
+read off the Choi state: ``evolve_noisy`` runs the step on sites 1..N of the
+2N-site state ``J = |Omega><Omega|``, ``|Omega> = sum_i |i>_A |i>_B``, and
+``tr(J (P (x) Q)) = tr(P E(Q^T))`` with ``Q^T = (-1)^popcount(x_Q & z_Q) Q``.
+So R is J's Pauli spectrum (:func:`sim.pauli_spectrum`), signed and divided
+by 2^N: spectra see exactly the gates and channels of the noisy engine, and
+the Pauli-string convention lives in :mod:`sim` alone.  One real
+``np.linalg.eig`` of R, made at most once per :class:`SuperOperator`, serves
+both :func:`spectrum` and :func:`fixed_point`.
 """
 
 from __future__ import annotations
@@ -24,8 +22,14 @@ from functools import cached_property
 import numpy as np
 
 from .circuit import Circuit
-from .pauli import _I_POW
-from .sim import HERMITICITY_TOL, DensityMatrix, NoiseModel, evolve_noisy
+from .sim import (
+    HERMITICITY_TOL,
+    DensityMatrix,
+    NoiseModel,
+    evolve_noisy,
+    from_pauli_spectrum,
+    pauli_spectrum,
+)
 
 SUPEROP_MAX_SITES = 4
 UNIT_EIGENVALUE_TOL = 1e-8
@@ -37,54 +41,31 @@ class DegenerateFixedPointError(RuntimeError):
 
 @dataclass
 class SuperOperator:
-    """Row-major superoperator ``matrix`` of an N-site channel."""
+    """Real Pauli transfer matrix ``matrix`` of an N-site channel (module docstring)."""
 
     n_sites: int
     matrix: np.ndarray
 
     @cached_property
     def pauli_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (complex) and right eigenvectors (columns) of the Pauli
-        transfer matrix, computed on first use."""
-        vals, vecs = np.linalg.eig(pauli_transfer_matrix(self))
+        """Eigenvalues (complex) and right eigenvectors (columns) of ``matrix``,
+        computed on first use; ValueError if ``matrix`` is complex."""
+        if np.iscomplexobj(self.matrix):
+            raise ValueError("a complex Pauli transfer matrix does not preserve Hermiticity")
+        vals, vecs = np.linalg.eig(self.matrix)
         return vals.astype(complex, copy=False), vecs
 
 
-def _pauli_basis(n: int) -> np.ndarray:
-    """Row ``x * 2^N + z`` is ``P(x, z).reshape(-1)`` for the Pauli string with
-    masks (x, z) of :mod:`pauli`: ``P(x, z)[c ^ x, c] = i^|x & z| (-1)^|c & z|``."""
-    dim = 1 << n
-    c = np.arange(dim)
-    x = c[:, None, None]
-    z = c[None, :, None]
-    power = np.bitwise_count(x & z) + 2 * np.bitwise_count(c & z)
-    basis = np.zeros((dim, dim, dim * dim), dtype=complex)
-    basis[x, z, (c ^ x) * dim + c] = np.array(_I_POW)[power & 3]
-    return basis.reshape(dim * dim, dim * dim)
-
-
-def pauli_transfer_matrix(op: SuperOperator) -> np.ndarray:
-    """The real 4^N x 4^N matrix ``R = 2^-N B* S B^T`` with the rows of B the
-    vectorized Pauli strings (:func:`_pauli_basis`).
-
-    Raises ValueError when R has an imaginary part above round-off: then ``op``
-    does not map Hermitian matrices to Hermitian matrices.
-    """
-    basis = _pauli_basis(op.n_sites)
-    r = (basis.conj() @ op.matrix @ basis.T) / (1 << op.n_sites)
-    imag = np.abs(r.imag).max()
-    if imag > HERMITICITY_TOL:
-        raise ValueError(f"superoperator does not preserve Hermiticity: Im R up to {imag:.2e}")
-    return r.real
-
-
 def vectorize_step(circuit: Circuit, noise: NoiseModel) -> SuperOperator:
-    """Superoperator of one noisy step (all circuit gates, channels included).
+    """Pauli transfer matrix of one noisy step (all circuit gates, channels included).
 
     Site j of the Choi state sits on bit j-1, so the register A (sites 1..N)
-    holds the low bits: entry ``[a + d b, c + d e]`` of the evolved state is
-    ``E(|b><e|)[a, c]``, which the reshape moves to row ``(a, c)``, column
-    ``(b, e)``.
+    holds the low bits of J's masks: J's Pauli spectrum at
+    ``(x_A + 2^N x_B, z_A + 2^N z_B)`` goes to row ``(x_A, z_A)``, column
+    ``(x_B, z_B)``.
+
+    Raises ValueError when J is not Hermitian: then the step does not map
+    Hermitian matrices to Hermitian matrices.
     """
     n = circuit.n_sites
     if n > SUPEROP_MAX_SITES:
@@ -93,9 +74,15 @@ def vectorize_step(circuit: Circuit, noise: NoiseModel) -> SuperOperator:
     omega = np.zeros(dim * dim, dtype=complex)
     omega[np.arange(dim) * (dim + 1)] = 1.0
     choi = DensityMatrix(2 * n, np.outer(omega, omega))
-    j = evolve_noisy(Circuit(2 * n, circuit.gates), choi, noise).entries
-    matrix = j.reshape(dim, dim, dim, dim).transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim)
-    return SuperOperator(n, matrix)
+    choi = evolve_noisy(Circuit(2 * n, circuit.gates), choi, noise)
+    h = np.abs(choi.entries - choi.entries.conj().T).max()
+    if h > HERMITICITY_TOL:
+        raise ValueError(f"step does not preserve Hermiticity: Choi state deviation {h:.2e}")
+    r = pauli_spectrum(choi).reshape(dim, dim, dim, dim)  # [x_B, x_A, z_B, z_A]
+    masks = np.arange(dim)
+    sign = 1.0 - 2.0 * (np.bitwise_count(masks[:, None] & masks) & 1)  # [x_B, z_B]
+    r *= sign[:, None, :, None] / dim
+    return SuperOperator(n, r.transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim))
 
 
 def spectrum(op: SuperOperator) -> np.ndarray:
@@ -116,7 +103,7 @@ def fixed_point(op: SuperOperator) -> DensityMatrix:
             f"{UNIT_EIGENVALUE_TOL} of 1"
         )
     dim = 1 << op.n_sites
-    rho = (_pauli_basis(op.n_sites).T @ vecs[:, at_one[0]]).reshape(dim, dim)
+    rho = from_pauli_spectrum(vecs[:, at_one[0]].real.reshape(dim, dim)).entries
     rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
     out = DensityMatrix(op.n_sites, rho)

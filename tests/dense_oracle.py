@@ -1,6 +1,7 @@
 """Dense reference implementations of gates, circuits, channels and Pauli traces.
 
 Full 2^N unitaries and 4^N superoperators built from Kronecker products,
+Pauli transfer matrices from them in the basis of vectorized Pauli strings,
 site 1 on the lowest-order bit, a bit-pair operator applied by ``einsum``,
 plus Kraus sums and Pauli expectations written out as matrix products,
 charge expectations one charge and one Walsh transform per x mask at a time,
@@ -277,6 +278,17 @@ def step_superoperator(circuit, noise) -> np.ndarray:
             for s in g.sites:
                 total = site_kraus_factor(channel, s, n) @ total
     return total
+
+
+def pauli_transfer_matrix(circuit, noise) -> np.ndarray:
+    """``R = 2^-N B* S B^T`` of :func:`step_superoperator` S, row ``x * 2^N + z`` of
+    B the vectorized dense matrix of the Pauli string with masks (x, z)."""
+    n = circuit.n_sites
+    dim = 1 << n
+    basis = np.array(
+        [matrix(PauliString(n, x, z)).reshape(-1) for x in range(dim) for z in range(dim)]
+    )
+    return (basis.conj() @ step_superoperator(circuit, noise) @ basis.T) / dim
 
 
 def apply(rho: DensityMatrix, gate: Gate, channel=None):

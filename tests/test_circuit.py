@@ -34,14 +34,14 @@ def test_gate_validation():
 
 def test_init_mixed_letter_layout():
     gates = build_init(InitialStateSpec("YZXY", (0, 1, 0, 1)))
-    assert [g.dump() for g in gates] == [
-        "H 1",
-        "S 1",
-        "X 2",
-        "H 3",
-        "X 4",
-        "H 4",
-        "S 4",
+    assert gates == [
+        Gate("H", (1,)),
+        Gate("S", (1,)),
+        Gate("X", (2,)),
+        Gate("H", (3,)),
+        Gate("X", (4,)),
+        Gate("H", (4,)),
+        Gate("S", (4,)),
     ]
 
 
@@ -102,7 +102,7 @@ def test_step_circuit_matches_dense_unitary():
 
 def test_measurement_rotation_layout():
     gates = build_measurement_rotation("ZXXY")
-    assert [g.dump() for g in gates] == ["H 2", "H 3", "SDG 4", "H 4"]
+    assert gates == [Gate("H", (2,)), Gate("H", (3,)), Gate("SDG", (4,)), Gate("H", (4,))]
     assert build_measurement_rotation("ZZZZ") == []
     with pytest.raises(ValueError):
         build_measurement_rotation("ZIZ")
@@ -139,11 +139,3 @@ def test_gate_unitary_cnot_direction():
     v[1] = 1.0
     assert np.argmax(np.abs(cnot @ v)) == 3
 
-
-def test_dump_round_trip_format():
-    circ = build_circuit(InitialStateSpec("YZ", (1, 0)), ALPHA, 1)
-    lines = circ.dump().splitlines()
-    assert lines[0] == "X 1"
-    assert all(line.split()[0] in ("X", "H", "S", "SDG", "RZ", "CNOT") for line in lines)
-    rz = [line for line in lines if line.startswith("RZ")]
-    assert rz and len(rz[0].split()) == 3

@@ -332,8 +332,8 @@ PINNED_RUNS = {
             "fits.csv": "8742df20a5ae6185bd84168b8ffdee0bfc6709fbf6b5d15ec038ce9a9c6e44c0",
             "fits.json": "1c9406ea6d64ad297dc51b6d82e1c17ef85844bfee5e31ecee0f9c3b61c6ba7d",
             "mitigation.csv": "5364c4b2f91ff7c9a3b834a4a0e80316a7e42760b67890ec85095ad1ff4c582d",
-            "spectrum.csv": "8e799188adc0577aaaf35fd744e6532c8295b365aebe5fa8f1f096563965d5ed",
-            "spectrum.json": "fbf9a59bd0409098bb59a853aca48d8683f80d021c8a7a606a2f945a1ad4ce14",
+            "spectrum.csv": "ba542fd8ea79a99376de72a9df57cbce106f88de2175363048ff558881261ada",
+            "spectrum.json": "bef3cc9b050b880522cfe2b08218c3f743dcd385a9fb15029540b1a6cf6db50d",
             "tomo.json": "da4de710216ca1c06bc69f761929d99ca0a3faece9fee31039f9080232624767",
         },
     ),
@@ -352,8 +352,8 @@ PINNED_RUNS = {
             "fits.csv": "9fc864096d06beb7d57db51075925ee3de083d7b244f14d1cc2775c28e9a4479",
             "fits.json": "57013d98770704a446dac5d98442e5df7f01e93b5c3366fa18cd328ce2082076",
             "mitigation.csv": "5ed49dcedd404772a80b2d43763e61f3b8ef8e2f90b50502b00ed0b2632a55d4",
-            "spectrum.csv": "6db3365c5699b999851a97949e6fb2c73b95e7ade62cc82b42f454ba144db753",
-            "spectrum.json": "46173f3012fb64291c9fdfd4df9a17b0b6315c7414639c800b74ae8b3baeacb7",
+            "spectrum.csv": "e04c114dadda5c931744f4c26c73362ca841da38f63ea14fa5982c0ab8585107",
+            "spectrum.json": "f175706b98537fa6987e6ea47756881beed49deae8aac7cfb5937c39731b8164",
             "tomo.json": "e85fe1af0bdf0856b5e4fcf5d77af0cd623cefce5bfdf8b6e25c90c1d62a972b",
         },
     ),

@@ -28,6 +28,8 @@ from trotterchain.sim import (
     evolve_noisy,
     evolve_pure,
     exact_expectation,
+    from_pauli_spectrum,
+    pauli_spectrum,
     sample,
 )
 from trotterchain.tomo import collect
@@ -208,7 +210,7 @@ def test_block_engine_matches_per_gate_oracle(circuit, noise, seed, chunk):
     a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
     rho = DensityMatrix(n, a @ a.conj().T / np.linalg.norm(a) ** 2)
     before = _bits(rho.entries)
-    with mock.patch.object(sim, "_BLOCK_CHUNK", chunk or sim._BLOCK_CHUNK):
+    with mock.patch.object(sim, "_CHUNK", chunk or sim._CHUNK):
         got = evolve_noisy(circuit, rho, noise).entries
     want = dense_oracle.evolve_noisy(circuit, rho, noise).entries
     assert np.abs(got - want).max() < 1e-12
@@ -317,6 +319,17 @@ def test_density_readout_of_each_word_eigenstate_is_a_point_mass():
             assert np.abs(row - want).max() <= 1e-14, (spec.letters, spec.bits)
             assert _bits(rho.entries) == before
         assert sim.rotated_probabilities(rho, []).shape == (0, 1 << n)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_from_pauli_spectrum_inverts_pauli_spectrum(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = DensityMatrix(n, a + a.conj().T)
+    back = from_pauli_spectrum(pauli_spectrum(rho))
+    assert back.n_sites == n
+    assert np.abs(back.entries - rho.entries).max() < 1e-12
 
 
 @pytest.mark.parametrize("word", ["ZIZ", "XY", "XYZZ", "xyz"])
@@ -485,8 +498,8 @@ def test_exact_expectation_matches_per_charge_oracle_bit_for_bit(n, kind, seed, 
     # shrinks the block to that many x masks so short lists cross block edges too
     state = _expectation_state(n, kind, seed)
     charges = data.draw(charge_lists(n))
-    block = sim._WALSH_BLOCK if rows is None else rows << n
-    with mock.patch.object(sim, "_WALSH_BLOCK", block):
+    block = sim._CHUNK if rows is None else rows << n
+    with mock.patch.object(sim, "_CHUNK", block):
         got = exact_expectation(state, charges, DELTA)
     assert _hex(got) == _hex(dense_oracle.exact_expectation(state, q, DELTA) for q in charges)
 
@@ -498,7 +511,7 @@ def test_exact_expectation_across_blocks_matches_oracle(kind):
     specs = [(3, "dif"), (1, "plus"), (2, "minus"), (3, "dif"), (2, "plus"), (1, "plus")]
     charges = [assemble_cached(ChargeSpec(o, v, n)) for o, v in specs]
     masks = {x for q in charges for x, _, _ in q.x_groups()}
-    assert len(masks) > 2 * (sim._WALSH_BLOCK >> n)
+    assert len(masks) > 2 * (sim._CHUNK >> n)
     state = _expectation_state(n, kind, 5)
     got = exact_expectation(state, charges, DELTA)
     assert _hex(got) == _hex(dense_oracle.exact_expectation(state, q, DELTA) for q in charges)

@@ -1,15 +1,24 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import step_superoperator
+from dense_oracle import pauli_transfer_matrix, step_superoperator
 from strategies import gate_lists
 from trotterchain import cli, sim
 from trotterchain.charges import ChargeSpec, assemble
-from trotterchain.circuit import Circuit, InitialStateSpec, build_step
+from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_step
 from trotterchain.noise import amp_phase_damping, depolarizing
-from trotterchain.sim import DensityMatrix, NoiseModel, evolve_noisy, exact_expectation
+from trotterchain.sim import (
+    DensityMatrix,
+    NoiseModel,
+    evolve_noisy,
+    exact_expectation,
+    from_pauli_spectrum,
+    pauli_spectrum,
+)
 from trotterchain.spectral import (
     UNIT_EIGENVALUE_TOL,
     DegenerateFixedPointError,
@@ -51,6 +60,7 @@ def test_noiseless_spectrum_on_unit_circle(noiseless_op):
 
 
 def test_superoperator_matches_density_engine(depol_op):
+    # R maps the Pauli spectrum of rho to that of E(rho)
     rng = np.random.default_rng(0)
     model = depol_model(0.018, 0.018)
     circ = build_step(N, ALPHA)
@@ -58,8 +68,8 @@ def test_superoperator_matches_density_engine(depol_op):
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        via_op = (depol_op.matrix @ rho.reshape(-1)).reshape(rho.shape)
-        via_engine = evolve_noisy(circ, DensityMatrix(N, rho), model).entries
+        via_op = depol_op.matrix @ pauli_spectrum(DensityMatrix(N, rho)).reshape(-1)
+        via_engine = pauli_spectrum(evolve_noisy(circ, DensityMatrix(N, rho), model)).reshape(-1)
         assert np.abs(via_op - via_engine).max() < 1e-10
 
 
@@ -111,23 +121,31 @@ def test_powers_match_engine_trajectory(depol_op):
     circ = build_step(N, ALPHA)
     rho = DensityMatrix.from_spec(InitialStateSpec.neel(N))
     q = assemble(ChargeSpec(1, "plus", N))
-    vec = rho.entries.copy()
+    paulis = pauli_spectrum(rho).reshape(-1)
     for _ in range(10):
-        vec = (depol_op.matrix @ vec.reshape(-1)).reshape(vec.shape)
+        paulis = depol_op.matrix @ paulis
         rho = evolve_noisy(circ, rho, model)
-        (a,) = exact_expectation(DensityMatrix(N, vec), [q], DELTA)
+        (a,) = exact_expectation(from_pauli_spectrum(paulis.reshape(16, 16)), [q], DELTA)
         (b,) = exact_expectation(rho, [q], DELTA)
         assert abs(a - b) < 1e-9
 
 
 def test_identity_left_fixed_point(depol_op):
-    vec_id = np.eye(16, dtype=complex).reshape(-1)
-    assert np.abs(vec_id @ depol_op.matrix - vec_id).max() < 1e-10
+    # trace preservation: tr E(Q) = tr Q, so the identity's row of R is e_0
+    assert np.abs(depol_op.matrix[0] - np.eye(256)[0]).max() < 1e-10
 
 
 def test_budget():
     with pytest.raises(ValueError):
         vectorize_step(build_step(6, ALPHA), sim.IDEAL)
+
+
+def test_vectorize_step_refuses_non_hermiticity_preserving_channel():
+    # a stand-in channel rho -> i rho after each one-qubit gate: the Choi state
+    # comes out anti-Hermitian, and no real Pauli transfer matrix describes it
+    channel = SimpleNamespace(superop=1j * np.eye(4).reshape(2, 2, 2, 2))
+    with pytest.raises(ValueError, match="Hermiticity"):
+        vectorize_step(Circuit(1, [Gate("H", (1,))]), NoiseModel(after_one_qubit=channel))
 
 
 @st.composite
@@ -145,44 +163,47 @@ def channels(draw):
 def test_choi_superoperator_matches_dense_oracle(circuit, one_qubit, two_qubit):
     noise = NoiseModel(after_one_qubit=one_qubit, after_two_qubit=two_qubit)
     got = vectorize_step(circuit, noise).matrix
-    assert np.abs(got - step_superoperator(circuit, noise)).max() < 1e-12
+    assert np.abs(got - pauli_transfer_matrix(circuit, noise)).max() < 1e-12
 
 
-def _cluster_means(vals, radius=1e-3):
-    """Each eigenvalue replaced by the mean of its cluster, the eigenvalues
-    linked to it by steps shorter than ``radius``.
+def _cluster_distance(a, b, radius=1e-3):
+    """Largest distance between the means of ``a`` and of ``b`` over the clusters
+    of their union, the eigenvalues linked by steps shorter than ``radius``.
 
     The eigenvalues of a Jordan block are fixed by the matrix only to about
     sqrt(machine epsilon), so two solvers may split a defective eigenvalue
     differently by 1e-8; the mean of the cluster is fixed to round-off.  A
-    simple eigenvalue is its own cluster.
+    simple eigenvalue is its own cluster.  Clustering the union once, not
+    each side on its own, keeps two eigenvalues about one radius apart in the
+    same clusters on both sides.  Each cluster must hold as many of ``a`` as
+    of ``b``.
     """
-    link = np.abs(vals[:, None] - vals[None, :]) < radius
+    vals = np.concatenate([a, b])
+    link = (np.abs(vals[:, None] - vals[None, :]) < radius).astype(float)
     while True:
-        wider = (link.astype(int) @ link.astype(int)) > 0
+        wider = ((link @ link) > 0).astype(float)
         if (wider == link).all():
-            return link @ vals / link.sum(axis=1)
+            break
         link = wider
-
-
-def _matched_distance(a, b):
-    """Largest distance in a greedy nearest-neighbour pairing of two multisets."""
-    rest = list(b)
+    in_a = np.arange(len(vals)) < len(a)
     worst = 0.0
-    for v in a:
-        i = int(np.argmin(np.abs(np.array(rest) - v)))
-        worst = max(worst, abs(rest.pop(i) - v))
+    for first in np.unique(np.argmax(link, axis=1)):  # one row per cluster
+        members = link[first] > 0
+        from_a, from_b = vals[members & in_a], vals[members & ~in_a]
+        assert len(from_a) == len(from_b), f"cluster at {vals[first]:.6f} splits unevenly"
+        worst = max(worst, abs(from_a.mean() - from_b.mean()))
     return worst
 
 
 @settings(deadline=None)
 @given(gate_lists(), channels(), channels())
+@example(Circuit(2, [Gate("CNOT", (1, 2))]), None, depolarizing(0.001))  # eigenvalues 1 and 0.999
 def test_pauli_basis_spectrum_and_fixed_point_match_dense_oracle(circuit, one_qubit, two_qubit):
     noise = NoiseModel(after_one_qubit=one_qubit, after_two_qubit=two_qubit)
     oracle = step_superoperator(circuit, noise)
     op = vectorize_step(circuit, noise)
     want, vecs = np.linalg.eig(oracle)
-    assert _matched_distance(_cluster_means(spectrum(op)), _cluster_means(want)) < 1e-10
+    assert _cluster_distance(spectrum(op), want) < 1e-10
     # An eigenvector's round-off error grows as 1/gap, so the fixed point is
     # compared where it is unique and isolated from the rest of the spectrum.
     order = np.argsort(np.abs(want - 1.0))
