@@ -45,7 +45,6 @@ for order in (1, 2, 3):
 # On the Neel state the order-1 charge evaluates in closed form.
 print("\nNeel-state expectation of Q1+:")
 for n_sites in (4, 6, 8, 10, 12):
-    q = assemble(ChargeSpec(1, "plus", n_sites))
     psi = StateVector.from_spec(InitialStateSpec.neel(n_sites))
-    (val,) = exact_expectation(psi, [q], delta)
+    (val,) = exact_expectation(psi, [ChargeSpec(1, "plus", n_sites)], delta)
     print(f"  N={n_sites:2d}: {val:+.4f}   (formula -(N/2)(2-delta^2) = {-(n_sites/2)*(2-delta**2):+.4f})")

@@ -8,7 +8,7 @@ rate is -ln of the largest subunit modulus.
 
 import numpy as np
 
-from trotterchain.charges import ChargeSpec, assemble
+from trotterchain.charges import ChargeSpec
 from trotterchain.circuit import build_step
 from trotterchain.noise import amp_phase_damping, depolarizing
 from trotterchain.sim import IDEAL, NoiseModel, exact_expectation
@@ -35,7 +35,6 @@ for label, model in (
         print()
         continue
     rho_star = fixed_point(op)
-    q1 = assemble(ChargeSpec(1, "plus", n_sites))
-    (c2,) = exact_expectation(rho_star, [q1], delta)
+    (c2,) = exact_expectation(rho_star, [ChargeSpec(1, "plus", n_sites)], delta)
     mixed_dist = np.abs(rho_star.entries - np.eye(1 << n_sites) / (1 << n_sites)).max()
     print(f"  fixed point: distance from completely mixed {mixed_dist:.2e}; c2(Q1+) = {c2:+.4f}\n")

@@ -13,7 +13,12 @@ integer polynomials in the Trotter step ``delta``.  The module provides
 - :func:`boost_step`, one rung of the boost recursion, evaluated as a direct
   commutator on translation-covariant operator sums and collapsed back to a
   single gauge-fixed window density;
-- :func:`assemble`, periodic assembly of a density into a charge on N sites;
+- :func:`periodic_density`, the charge on N sites with one string per
+  two-site translation orbit (memoized), and :func:`assemble`, its sum over
+  the N/2 two-site rotations.  :func:`sim.exact_expectation` evaluates the
+  periodic density on every rotation of the state, so an expectation never
+  needs the assembled charge, which is N/2 times longer; its values match
+  the assembled charge summed term by term to round-off, not bit for bit;
 - dense helpers (:func:`to_matrix`, :func:`transfer_matrix`,
   :func:`step_unitary`) used for verification.
 
@@ -153,7 +158,9 @@ class PauliPolynomial:
         """Terms grouped by x mask: list of (x, z_masks, term_slice).
 
         Strings sharing an x mask differ only in sign pattern, so a whole
-        group is evaluated by one Walsh transform of a single overlap vector.
+        group is evaluated by one Walsh transform: of its coefficient row in
+        :func:`sim.exact_expectation`, of the state's overlap vector in the
+        tests' oracle.
         """
         starts = np.flatnonzero(np.diff(self.x, prepend=-1)).tolist()
         ends = starts[1:] + [len(self)]
@@ -484,41 +491,61 @@ def charge_label(order: int, variant: str) -> str:
     return f"Q{order}{suffix}"
 
 
-def _assembled_rows(order: int, variant: str, n_sites: int):
-    """Periodic sum of the window density as packed rows (x, z, coeffs).
+def _rotations(m, n_sites: int):
+    """Masks ``m`` rotated by each two-site translation: row j moves bit k to bit k + 2j mod N."""
+    ks = np.arange(0, n_sites, 2)[:, None]
+    return ((m << ks) | (m >> (n_sites - ks))) & ((1 << n_sites) - 1)
 
-    Window bit 0 is rotated onto every odd chain bit for ``plus`` (windows
-    start on even sites) and onto every even bit for ``minus``; a window is
-    shorter than the chain, so no rotated string overlaps itself.
+
+def _orbit_rows(order: int, variant: str, n_sites: int):
+    """The window density on N sites as sorted orbit keys and their summed rows.
+
+    Window bit 0 goes to chain bit 1 for ``plus`` (windows start on even
+    sites) and to bit 0 for ``minus``.  Each term is then keyed by the
+    smallest ``(x, z)`` key among its N/2 two-site rotations, so terms in one
+    translation orbit add up on one row.  A window is shorter than the chain,
+    so no term wraps onto itself.
     """
     q = window_density(order, variant)
-    xs, zs, coeffs = q.x, q.z, q.coeffs
-    ks = np.arange(1 if variant == "plus" else 0, n_sites, 2)[:, None]
-    _check_bound(coeffs, 2 * len(ks))  # dif subtracts two such sums
-    full = (1 << n_sites) - 1
-
-    def rotated(m):
-        return ((m << ks) | (m >> (n_sites - ks))) & full
-
-    keys, rows = _sum_rows(_key(rotated(xs), rotated(zs), n_sites), coeffs)
-    return (*_unkey(keys, n_sites), rows)
+    shift = 1 if variant == "plus" else 0
+    # a key sums at most one row per term of an orbit; dif subtracts two such sums
+    _check_bound(q.coeffs, n_sites)
+    keys = _key(_rotations(q.x << shift, n_sites), _rotations(q.z << shift, n_sites), n_sites)
+    return _sum_rows(keys.min(axis=0), q.coeffs)
 
 
-def assemble(spec: ChargeSpec) -> PauliPolynomial:
-    """Periodic charge on N sites; ``dif`` is (Q+ - Q-)/delta, exactly."""
+@functools.cache
+def periodic_density(spec: ChargeSpec) -> PauliPolynomial:
+    """One string per two-site translation orbit of the charge, on N sites.
+
+    Summed over the N/2 two-site rotations R^(2j) it gives :func:`assemble`,
+    integer for integer: each orbit's smallest ``(x, z)`` key carries the
+    summed coefficients of the window terms in that orbit.  ``dif`` is
+    (plus - minus)/delta, divided exactly here.  Memoized in this process;
+    the result is immutable.
+    """
     if spec.variant in ("plus", "minus"):
-        rows = _assembled_rows(spec.order, spec.variant, spec.n_sites)
-        return PauliPolynomial.from_arrays(spec.n_sites, *rows)
-    px, pz, plus = _assembled_rows(spec.order, "plus", spec.n_sites)
-    mx, mz, minus = _assembled_rows(spec.order, "minus", spec.n_sites)
-    rows = np.zeros((len(px) + len(mx), max(plus.shape[1], minus.shape[1])), dtype=np.int64)
-    rows[: len(px), : plus.shape[1]] = plus
-    rows[len(px) :, : minus.shape[1]] = -minus
-    keys = _key(np.concatenate([px, mx]), np.concatenate([pz, mz]), spec.n_sites)
-    keys, diff = _sum_rows(keys, rows)
+        keys, rows = _orbit_rows(spec.order, spec.variant, spec.n_sites)
+        return PauliPolynomial.from_arrays(spec.n_sites, *_unkey(keys, spec.n_sites), rows)
+    pk, plus = _orbit_rows(spec.order, "plus", spec.n_sites)
+    mk, minus = _orbit_rows(spec.order, "minus", spec.n_sites)
+    rows = np.zeros((len(pk) + len(mk), max(plus.shape[1], minus.shape[1])), dtype=np.int64)
+    rows[: len(pk), : plus.shape[1]] = plus
+    rows[len(pk) :, : minus.shape[1]] = -minus
+    keys, diff = _sum_rows(np.concatenate([pk, mk]), rows)
     if diff[:, 0].any():
         raise ValueError("Q+(0) != Q-(0): difference not divisible by delta")
     return PauliPolynomial.from_arrays(spec.n_sites, *_unkey(keys, spec.n_sites), diff[:, 1:])
+
+
+def assemble(spec: ChargeSpec) -> PauliPolynomial:
+    """Periodic charge on N sites, the sum of :func:`periodic_density` over
+    the N/2 two-site rotations; ``dif`` is (Q+ - Q-)/delta, exactly."""
+    q = periodic_density(spec)
+    n = spec.n_sites
+    _check_bound(q.coeffs, n // 2)
+    keys, rows = _sum_rows(_key(_rotations(q.x, n), _rotations(q.z, n), n), q.coeffs)
+    return PauliPolynomial.from_arrays(n, *_unkey(keys, n), rows)
 
 
 @functools.cache

@@ -250,7 +250,7 @@ def decay_table(config: ExperimentConfig) -> list:
     rows = []
     for d, state in enumerate(_trajectory(config)):
         if config.exact_reference:
-            exacts = exact_expectation(state, [charge_ops[label][1] for label in labels], delta)
+            exacts = exact_expectation(state, [charge_ops[label][0] for label in labels], delta)
         else:
             exacts = [None] * len(labels)
         for label, exact in zip(labels, exacts):
@@ -264,14 +264,9 @@ def decay_table(config: ExperimentConfig) -> list:
 
 def exact_decay_series(config: ExperimentConfig) -> dict:
     """Exact expectation trajectories per charge label (no sampling)."""
-    delta = config.delta
-    charge_ops = {
-        ChargeSpec(n, v, config.n_sites).label: assemble_cached(ChargeSpec(n, v, config.n_sites))
-        for n, v in config.charges
-    }
-    charges = list(charge_ops.values())
-    series = [exact_expectation(state, charges, delta) for state in _trajectory(config)]
-    return {label: np.array(column) for label, column in zip(charge_ops, zip(*series))}
+    specs = [ChargeSpec(n, v, config.n_sites) for n, v in config.charges]
+    series = [exact_expectation(state, specs, config.delta) for state in _trajectory(config)]
+    return {spec.label: np.array(column) for spec, column in zip(specs, zip(*series))}
 
 
 def spectrum_report(config: ExperimentConfig) -> dict:
@@ -284,7 +279,7 @@ def spectrum_report(config: ExperimentConfig) -> dict:
     try:
         fp = spectral.fixed_point(op)
         specs = [ChargeSpec(order, variant, config.n_sites) for order, variant in config.charges]
-        c2 = exact_expectation(fp, [assemble_cached(spec) for spec in specs], config.delta)
+        c2 = exact_expectation(fp, specs, config.delta)
         report["fixed_point_c2"] = {spec.label: v for spec, v in zip(specs, c2)}
     except (ValueError, spectral.DegenerateFixedPointError) as exc:
         report["fixed_point_error"] = str(exc)
@@ -344,8 +339,9 @@ def mitigation_table(config: ExperimentConfig) -> list:
     q, plan = _plan(config, spec)
     init = config.init_spec()
 
-    (noiseless,) = exact_expectation(StateVector.from_spec(init), [q], delta)
-    if noiseless == 0.0:
+    (noiseless,) = exact_expectation(StateVector.from_spec(init), [spec], delta)
+    # zero up to the round-off of a sum over the charge's terms
+    if abs(noiseless) <= 1e-13 * np.abs(q.coefficients(delta)).sum():
         raise ConfigError(f"noiseless {spec.label} is 0 on {init.label()}: nothing to normalize by")
     calib = mitigate.calibrate(noise, n, shots=None)
 

@@ -24,19 +24,13 @@ from .charges import PauliPolynomial
 from .pauli import PauliString, letter_strings, word_masks
 
 
-def _checked(word) -> str:
-    """``word`` if it is a non-empty string over X, Y, Z, else ValueError."""
-    if not isinstance(word, str) or not word or not set(word) <= set("XYZ"):
-        raise ValueError(f"a Pauli word has letters X, Y, Z only, got {word!r}")
-    return word
-
-
 def contains(word: str, term: PauliString) -> bool:
-    """True iff every non-identity letter of ``term`` matches ``word``."""
-    if len(_checked(word)) != term.n_sites:
-        raise ValueError("word and term lengths differ")
-    w = PauliString.from_letters(word)
-    return bool(_contained(w.x_mask, w.z_mask, term.x_mask, term.z_mask, term.support_mask))
+    """True iff every non-identity letter of ``term`` matches ``word``.
+
+    ``word`` is parsed by :func:`pauli.word_masks`: ValueError unless it is
+    ``term.n_sites`` letters from X, Y, Z."""
+    (wx,), (wz,) = word_masks([word], term.n_sites)
+    return bool(_contained(int(wx), int(wz), term.x_mask, term.z_mask, term.support_mask))
 
 
 @dataclass(frozen=True)

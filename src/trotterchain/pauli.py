@@ -129,7 +129,7 @@ def word_masks(words, n: int) -> tuple[np.ndarray, np.ndarray]:
     bad[np.repeat(np.arange(len(words)), lengths)[bad_letter]] = True
     if bad.any():
         w = words[int(np.argmax(bad))]
-        raise ValueError(f"measurement word {w!r} is not {n} letters from X, Y, Z")
+        raise ValueError(f"a measurement word has {n} letters X, Y, Z only, got {w!r}")
     letters = codes.reshape(len(words), n)
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     return (letters != ord("Z")) @ bits, (letters != ord("X")) @ bits

@@ -52,15 +52,16 @@ rotation of sites 1..k, each letter's gates go through ``_apply_1q`` as the
 oracle applies them, and the amplitudes are squared at the leaves, with the
 oracle's floats bit for bit.
 
-Exact expectations (:func:`exact_expectation`) take all the charges of one
-state at once.  The strings of a charge that share a flip mask x are Walsh
-components of one overlap vector, so the charges share one pass over the
-sorted union of their x masks: a mask several charges use is gathered and
-transformed once, in blocks of at most ``_CHUNK`` complex entries (one mask
-per row, at least one row).  The Pauli spectrum of read-out is the same pass
-over every mask (``_overlap_spectra``).  Each charge still adds its own x
-groups in its own order, so every value equals the one-charge-at-a-time
-evaluation (``dense_oracle.exact_expectation`` in the tests) bit for bit.
+Exact expectations (:func:`exact_expectation`) take charge specs, not
+assembled charges.  A charge is its memoized integer
+:func:`charges.periodic_density`, one string per two-site translation orbit,
+summed over the N/2 two-site rotations of the chain.  So each x mask of the
+density costs one Walsh pass over its sparse coefficient row, and that row
+is then dotted with the overlap row of every rotated copy of the state,
+gathered through the rotation's index table.  Pure states and density
+matrices take the same path.  The values agree with summing the assembled
+charge term by term (``dense_oracle.exact_expectation`` in the tests) to
+round-off, not bit for bit: they are sums in another order.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charges import PauliPolynomial
+from .charges import ChargeSpec, _rotations, periodic_density
 from .circuit import Circuit, Gate, InitialStateSpec, build_init, build_measurement_rotation
 from .noise import KrausChannel
 from .pauli import _I_POW, word_masks
@@ -391,97 +392,85 @@ def _walsh_rows(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _overlap_spectra(state, masks: Sequence[int]):
-    """Walsh-transformed overlap rows of ``state``, one per flip mask in ``masks``.
+def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
+    """tr(rho Q) or <psi|Q|psi> of the charge of each spec in ``specs`` at ``delta``, in order.
 
-    Row x is the overlap vector psi-bar[b^x] psi[b] of a statevector, or
-    rho[b, b^x] of a density matrix, and its transform at z is
-    sum_b (-1)^{popcount(z & b)} row[b]: tr(rho X^x Z^z), or its pure
-    analogue.  Yields ``(start, w)`` per block of at most ``_CHUNK``
-    complex entries (one row per mask, at least one row), ``w[r]`` the
-    transform for ``masks[start + r]``; ``w`` is a view of two preallocated
-    buffers and is overwritten by the next block.
+    A charge is its :func:`charges.periodic_density` D summed over the N/2
+    two-site rotations R^(2j), so <Q> = sum_j tr(rho_j D) with
+    rho_j[b, b'] = rho[R^(2j) b, R^(2j) b'].  The strings of D that share a
+    flip mask x give, with their i^popcount(x & z) units, the row
+    F_x(b) = sum_z c_z(delta) i^popcount(x & z) (-1)^popcount(z & b): one
+    Walsh pass over the sparse coefficient row, independent of the state.
+    Then tr(rho_j sum_z ...) = sum_b rho_j[b, b ^ x] F_x(b), gathered through
+    the rotation's index table, psi-bar[R(b ^ x)] psi[R b] for a statevector.
+    D's x masks go in blocks of at most ``_CHUNK`` complex entries (one mask
+    per row, at least one row).  The coefficient rows live for one block, the
+    rotation tables for one call.  The values agree with summing the
+    assembled charge term by term (``dense_oracle.exact_expectation`` in the
+    tests) to round-off; ValueError if one has an imaginary part above 1e-10.
     """
     n = state.n_sites
+    if any(spec.n_sites != n for spec in specs):
+        raise ValueError("state and charge sizes differ")
     dim = 1 << n
-    per = max(1, _CHUNK >> n)  # rows per block
     cols = np.arange(dim, dtype=np.int64)
+    perms = _rotations(cols, n)  # perms[j, b] = R^(2j) b
     pure = isinstance(state, StateVector)
     if pure:
-        left = state.amplitudes.conj()
-        psi = state.amplitudes
+        rotated = state.amplitudes[perms]  # rotated[j, b] = psi[R^(2j) b]
     else:
         flat = state.entries.reshape(-1)
-        row_start = cols * dim  # rho[b, b^x] is flat[row_start[b] + (b^x)]
-    buf = np.empty((2, min(per, len(masks)), dim), dtype=complex)
-    for start in range(0, len(masks), per):
-        xs = np.array(masks[start : start + per], dtype=np.int64)
-        cur = buf[0, : len(xs)]
-        idx = cols ^ xs[:, None]
-        if pure:
-            np.take(left, idx, out=cur)
-            np.multiply(cur, psi, out=cur)
-        else:
-            idx += row_start
-            np.take(flat, idx, out=cur)
-        yield start, _walsh_rows(cur, buf[1, : len(xs)])
-
-
-def exact_expectation(state, charges: Sequence[PauliPolynomial], delta: float) -> list:
-    """tr(rho Q) or <psi|Q|psi> of each charge in ``charges`` at ``delta``, in order.
-
-    For a flip mask x the expectations of the strings with that x are signed
-    sums of one overlap vector (psi-bar[b^x] psi[b], or rho[b, b^x]): Walsh
-    components indexed by z.  All charges share one pass over the sorted
-    union of their x masks (:func:`_overlap_spectra`), in blocks of
-    ``_CHUNK`` complex entries.  Each charge then adds
-    ``coeffs[rows] @ W[zs]`` for its own x groups in ascending x, so every
-    value equals that of a separate per-charge pass bit for bit
-    (``dense_oracle.exact_expectation``).
-    """
-    n = state.n_sites
-    if any(q.n_sites != n for q in charges):
-        raise ValueError("state and charge sizes differ")
-    coeffs, groups = [], []
-    for q in charges:
-        # i^(Y count) of each string, so coefficient * unit * (-1)^(z.b) is its matrix element
-        units = np.array(_I_POW)[np.bitwise_count(q.x & q.z) & 3]
-        coeffs.append(q.coefficients(delta) * units)
-        groups.append(q.x_groups())
-    # a set and sorted(): np.unique imports numpy.ma, and np.sort's first call
-    # alone pages in about 0.4 MB of sort kernels
-    union = sorted({x for g in groups for x, _, _ in g})
-    pos = {x: i for i, x in enumerate(union)}
-    # per mask of the union: (charge, z masks, term rows); each charge meets its x groups ascending
-    work = [[] for _ in union]
-    for k, g in enumerate(groups):
-        for x, zs, rows in g:
-            work[pos[x]].append((k, zs, rows))
-
-    vals = [0.0 + 0.0j] * len(charges)
-    for start, w in _overlap_spectra(state, union):
-        for items, row in zip(work[start : start + len(w)], w):
-            for k, zs, rows in items:
-                vals[k] += coeffs[k][rows] @ row[zs]
-    for v in vals:
-        if abs(v.imag) > 1e-10:
-            raise ValueError(f"expectation has imaginary part {v.imag:.2e}")
-    return [float(v.real) for v in vals]
+        row_starts = perms * dim  # rho[R b, R b'] is flat[row_starts[j, b] + perms[j, b']]
+    per = max(1, _CHUNK >> n)  # x masks per block
+    units = np.array(_I_POW)
+    vals = []
+    for spec in specs:
+        q = periodic_density(spec)
+        coeffs = q.coefficients(delta) * units[np.bitwise_count(q.x & q.z) & 3]
+        groups = q.x_groups()
+        val = 0.0 + 0.0j
+        for start in range(0, len(groups), per):
+            block = groups[start : start + per]
+            terms = slice(block[0][2].start, block[-1][2].stop)
+            rows = np.repeat(np.arange(len(block)), [len(zs) for _, zs, _ in block])
+            f = np.zeros((len(block), dim), dtype=complex)
+            f[rows, q.z[terms]] = coeffs[terms]
+            f = _walsh_rows(f, np.empty_like(f))
+            flips = cols ^ np.array([x for x, _, _ in block], dtype=np.int64)[:, None]
+            for j in range(len(perms)):
+                if pure:  # vdot conjugates its first argument
+                    val += np.vdot(rotated[j][flips], rotated[j] * f)
+                else:
+                    val += np.dot(flat[row_starts[j] + perms[j][flips]].ravel(), f.ravel())
+        if abs(val.imag) > 1e-10:
+            raise ValueError(f"expectation has imaginary part {val.imag:.2e}")
+        vals.append(float(val.real))
+    return vals
 
 
 def pauli_spectrum(rho: DensityMatrix) -> np.ndarray:
     """``paulis[x, z] = Re tr(rho P(x, z))`` for every Pauli string, a real 2^N x 2^N array.
 
     P(x, z) has X on the sites of x, Z on those of z and Y on both, so it is
-    i^popcount(x & z) X^x Z^z.  Rows are filled one block of
-    :func:`_overlap_spectra` at a time, so no complex 4^N array is held.
+    i^popcount(x & z) X^x Z^z, and tr(rho X^x Z^z) is the Walsh transform at
+    z of the overlap row ``rho[b, b^x]``.  Rows are gathered and transformed
+    in blocks of at most ``_CHUNK`` complex entries (one row per x, at least
+    one row), so no complex 4^N array is held.
     """
-    dim = 1 << rho.n_sites
+    n = rho.n_sites
+    dim = 1 << n
     cols = np.arange(dim, dtype=np.int64)
+    flat = rho.entries.reshape(-1)
+    row_start = cols * dim  # rho[b, b^x] is flat[row_start[b] + (b^x)]
     units = np.array(_I_POW)
+    per = max(1, _CHUNK >> n)  # rows per block
+    buf = np.empty((2, min(per, dim), dim), dtype=complex)
     paulis = np.empty((dim, dim))
-    for start, w in _overlap_spectra(rho, range(dim)):
-        xs = cols[start : start + len(w)]
+    for start in range(0, dim, per):
+        xs = cols[start : start + per]
+        cur = buf[0, : len(xs)]
+        np.take(flat, (cols ^ xs[:, None]) + row_start, out=cur)
+        w = _walsh_rows(cur, buf[1, : len(xs)])
         paulis[xs] = (w * units[np.bitwise_count(xs[:, None] & cols) & 3]).real
     return paulis
 
@@ -491,7 +480,7 @@ def from_pauli_spectrum(paulis: np.ndarray) -> DensityMatrix:
     on Hermitian matrices.
 
     Row x of ``paulis`` times conj(i^popcount(x & z)) is the Walsh transform
-    of the overlap row ``rho[b, b^x]`` (:func:`_overlap_spectra`), so one
+    of the overlap row ``rho[b, b^x]`` (:func:`pauli_spectrum`), so one
     :func:`_walsh_rows` pass over all rows, divided by 2^N, gives every entry.
     """
     dim = len(paulis)

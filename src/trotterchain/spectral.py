@@ -75,7 +75,9 @@ def vectorize_step(circuit: Circuit, noise: NoiseModel) -> SuperOperator:
     omega[np.arange(dim) * (dim + 1)] = 1.0
     choi = DensityMatrix(2 * n, np.outer(omega, omega))
     choi = evolve_noisy(Circuit(2 * n, circuit.gates), choi, noise)
-    h = np.abs(choi.entries - choi.entries.conj().T).max()
+    dev = choi.entries.conj().T  # a conjugated copy, transposed as a view
+    h = np.abs(np.subtract(choi.entries, dev, out=dev)).max()
+    del dev  # not held through pauli_spectrum below
     if h > HERMITICITY_TOL:
         raise ValueError(f"step does not preserve Hermiticity: Choi state deviation {h:.2e}")
     r = pauli_spectrum(choi).reshape(dim, dim, dim, dim)  # [x_B, x_A, z_B, z_A]

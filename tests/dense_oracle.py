@@ -19,6 +19,7 @@ polynomials in delta (:class:`DeltaPoly`) and a charge read term by term
 
 import numpy as np
 
+from trotterchain.charges import PauliPolynomial, window_density
 from trotterchain.circuit import Gate, build_measurement_rotation
 from trotterchain.pauli import _I_POW, PauliString
 from trotterchain.sim import (
@@ -154,6 +155,41 @@ def coefficient(q, string: PauliString) -> DeltaPoly:
     if string.n_sites == q.n_sites and i < hi and q.z[i] == string.z_mask:
         return DeltaPoly(q.coeffs[i].tolist())
     return DeltaPoly()
+
+
+def window_sum(spec, orbit_keys_only: bool = False) -> PauliPolynomial:
+    """The periodic charge of ``spec`` as its window density placed on every window.
+
+    Window site 1 goes to each even chain site for ``plus`` (bits 1, 3, ...)
+    and to each odd one for ``minus``; equal strings add up one placement at
+    a time, and ``dif`` is (plus - minus)/delta with its constant term
+    checked to vanish.  With ``orbit_keys_only`` only the strings whose
+    (x, z) key is the smallest of their two-site rotations are kept.
+    """
+    n = spec.n_sites
+    full = (1 << n) - 1
+    shifts = np.arange(0, n, 2)[:, None]
+    variants = ("plus", "minus") if spec.variant == "dif" else (spec.variant,)
+    placed = []  # (keys, signed coefficient rows) per variant and window start
+    for sign, variant in zip((1, -1), variants):
+        q = window_density(spec.order, variant)
+        for k in range(1 if variant == "plus" else 0, n, 2):
+            x, z = ((m << k | m >> (n - k)) & full for m in (q.x, q.z))
+            keep = slice(None)
+            if orbit_keys_only:
+                rx, rz = ((m << shifts | m >> (n - shifts)) & full for m in (x, z))
+                keep = (x << n | z) == (rx << n | rz).min(axis=0)
+            placed.append(((x << n | z)[keep], sign * q.coeffs[keep]))
+    keys, which = np.unique(np.concatenate([k for k, _ in placed]), return_inverse=True)
+    out = np.zeros((len(keys), max(rows.shape[1] for _, rows in placed)), dtype=np.int64)
+    start = 0
+    for _, rows in placed:
+        np.add.at(out[:, : rows.shape[1]], which[start : start + len(rows)], rows)
+        start += len(rows)
+    if spec.variant == "dif":
+        assert not out[:, 0].any(), "plus and minus charges differ at delta = 0"
+        out = out[:, 1:]
+    return PauliPolynomial.from_arrays(n, keys >> n, keys & full, out)
 
 
 def completely_mixed(n_sites: int) -> DensityMatrix:

@@ -82,9 +82,7 @@ def test_c02_integrability_identities():
 @pytest.mark.parametrize("n_sites,max_order", [(8, 3), (10, 4)])
 def test_c03_exact_conservation(n_sites, max_order):
     variants = ("plus", "dif") if n_sites == 8 else ("plus",)
-    charges = [
-        assemble(ChargeSpec(order, v, n_sites)) for order in range(1, max_order + 1) for v in variants
-    ]
+    charges = [ChargeSpec(order, v, n_sites) for order in range(1, max_order + 1) for v in variants]
     circ = build_step(n_sites, ALPHA)
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -107,9 +105,8 @@ def test_c03_exact_conservation(n_sites, max_order):
 def test_c04_noiseless_neel_anchors():
     anchors = {4: -3.8, 6: -5.7, 8: -7.6, 10: -9.5, 12: -11.4}
     for n, anchor in anchors.items():
-        q = assemble(ChargeSpec(1, "plus", n))
         psi = sim.StateVector.from_spec(InitialStateSpec.neel(n))
-        (val,) = sim.exact_expectation(psi, [q], DELTA)
+        (val,) = sim.exact_expectation(psi, [ChargeSpec(1, "plus", n)], DELTA)
         assert abs(val - anchor) / abs(anchor) < 0.015
         # resolved convention: no rescaling; the exact value is -(N/2)(2-d^2)
         assert val == pytest.approx(-(n / 2) * (2 - DELTA**2), abs=1e-10)
@@ -236,7 +233,7 @@ def test_c09_estimator_monte_carlo():
     rng = np.random.default_rng(5)
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = sim.StateVector(n, amp / np.linalg.norm(amp))
-    (exact,) = sim.exact_expectation(psi, [q], DELTA)
+    (exact,) = sim.exact_expectation(psi, [ChargeSpec(1, "plus", n)], DELTA)
     dists = sim.rotated_probabilities(psi, plan.words)
 
     reps = 2000

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from trotterchain import cli, tomo
+from trotterchain import charges, cli, tomo
 from trotterchain.charges import ChargeSpec, assemble
 from trotterchain.cli import ConfigError, ExperimentConfig
 
@@ -138,6 +138,19 @@ def test_noiseless_decay_exact_column_constant(tmp_path):
     rows = cli.decay_table(cfg)
     exact = [r[5] for r in rows]
     assert max(abs(v - exact[0]) for v in exact) < 1e-9
+
+
+def test_exact_decay_series_never_assembles_a_charge(monkeypatch):
+    # the series reads each charge's periodic density; assembling Q5+ at N=12
+    # (182,397 terms) only to evaluate it is what the density replaced
+    def no_assembly(spec):
+        raise AssertionError(f"{spec.label} was assembled")
+
+    for module, name in ((cli, "assemble_cached"), (charges, "assemble"), (charges, "assemble_cached")):
+        monkeypatch.setattr(module, name, no_assembly)
+    doc = base_config(engine="pure", noise={"kind": "none"}, charges=[[1, "plus"], [1, "dif"]])
+    series = cli.exact_decay_series(ExperimentConfig.from_dict(doc))
+    assert list(series) == ["Q1+", "Q1dif"] and all(len(v) == 4 for v in series.values())
 
 
 def test_decay_csv_round_trip_and_header(tmp_path):
@@ -328,12 +341,12 @@ PINNED_RUNS = {
             "benchmarks.jsonl": "affb78b2f5689ce6e783cbeb301507bbb8e1863d1cdee2dc687f27091c0bf1fa",
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
-            "decay.csv": "d2b468a7f1747f4c670d9517546be0c150a64e86991dd260255c42baa901e56a",
-            "fits.csv": "8742df20a5ae6185bd84168b8ffdee0bfc6709fbf6b5d15ec038ce9a9c6e44c0",
-            "fits.json": "1c9406ea6d64ad297dc51b6d82e1c17ef85844bfee5e31ecee0f9c3b61c6ba7d",
+            "decay.csv": "ddc07161273da9b35dd5a3a9cb67da6ef71939c1875e7176102669eb6f546d71",
+            "fits.csv": "298cf2598eb161b43089f29ecda032440b45d5dd4d96e20838d4dc3e53ebb782",
+            "fits.json": "61b1a3c7a4c61142042cb97dac73be2a1e39c23ef1c5daacf2cb1339e8231ae6",
             "mitigation.csv": "5364c4b2f91ff7c9a3b834a4a0e80316a7e42760b67890ec85095ad1ff4c582d",
             "spectrum.csv": "ba542fd8ea79a99376de72a9df57cbce106f88de2175363048ff558881261ada",
-            "spectrum.json": "bef3cc9b050b880522cfe2b08218c3f743dcd385a9fb15029540b1a6cf6db50d",
+            "spectrum.json": "95b3da6b29cd579b8cbe07a458d9909c0a35436f36904fb3633d09f602d92a9b",
             "tomo.json": "da4de710216ca1c06bc69f761929d99ca0a3faece9fee31039f9080232624767",
         },
     ),
@@ -353,7 +366,7 @@ PINNED_RUNS = {
             "fits.json": "57013d98770704a446dac5d98442e5df7f01e93b5c3366fa18cd328ce2082076",
             "mitigation.csv": "5ed49dcedd404772a80b2d43763e61f3b8ef8e2f90b50502b00ed0b2632a55d4",
             "spectrum.csv": "e04c114dadda5c931744f4c26c73362ca841da38f63ea14fa5982c0ab8585107",
-            "spectrum.json": "f175706b98537fa6987e6ea47756881beed49deae8aac7cfb5937c39731b8164",
+            "spectrum.json": "5dfa3ec9efcd26d91eceaca8ec176ff7e05d07dc958764c76f02ec437d8ecbb6",
             "tomo.json": "e85fe1af0bdf0856b5e4fcf5d77af0cd623cefce5bfdf8b6e25c90c1d62a972b",
         },
     ),

@@ -28,7 +28,7 @@ from trotterchain.measure import (
     estimate,
     exact_estimator_variance,
 )
-from trotterchain.pauli import PauliString
+from trotterchain.pauli import PauliString, word_masks
 
 DELTA = float(np.tan(0.3))
 
@@ -128,9 +128,14 @@ def test_cover_sigma_on_neel_n8(order, sigma_max):
 
 
 def test_word_validation():
-    for word in ("XIZ", ""):
-        with pytest.raises(ValueError, match="letters X, Y, Z only"):
+    # contains parses its word through pauli.word_masks alone: the same error
+    # for an identity letter, an empty word or a word of the wrong length
+    for word in ("XIZ", "", "XZ", "XYZZ"):
+        with pytest.raises(ValueError, match="letters X, Y, Z only") as got:
             contains(word, PauliString.from_letters("XIZ"))
+        with pytest.raises(ValueError) as want:
+            word_masks([word], 3)
+        assert str(got.value) == str(want.value)
 
 
 def test_cover_single_term():
@@ -219,7 +224,7 @@ def test_estimator_and_variance_unbiased():
     rng = np.random.default_rng(7)
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi = sim.StateVector(n, amp / np.linalg.norm(amp))
-    (exact,) = sim.exact_expectation(psi, [q], DELTA)
+    (exact,) = sim.exact_expectation(psi, [ChargeSpec(1, "plus", n)], DELTA)
     dists = sim.rotated_probabilities(psi, plan.words)
 
     reps = 500
@@ -255,7 +260,7 @@ def test_estimator_mean_is_exact_on_product_eigenstates(data):
     q, plan = assemble_cached(spec), _cover_of(spec)
     dists = sim.rotated_probabilities(psi, plan.words)
     mean, _ = exact_estimator_variance(dists, plan, q, DELTA)
-    assert abs(mean - sim.exact_expectation(psi, [q], DELTA)[0]) < 1e-10
+    assert abs(mean - sim.exact_expectation(psi, [spec], DELTA)[0]) < 1e-10
 
 
 def test_exact_estimator_variance_matches_empirical():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import circuit_unitary
-from trotterchain.charges import ChargeSpec, assemble
+from trotterchain.charges import ChargeSpec
 from trotterchain.circuit import InitialStateSpec, build_circuit
 from trotterchain.mitigate import (
     CalibrationMatrix,
@@ -81,7 +81,7 @@ def test_zne_fold_preserves_unitary():
 
 def test_folding_keeps_noiseless_charge_values():
     n = 4
-    q = assemble(ChargeSpec(1, "plus", n))
+    q = ChargeSpec(1, "plus", n)
     for depth in (1, 2, 3):
         circ = build_circuit(InitialStateSpec.neel(n), ALPHA, depth)
         psi0 = evolve_pure(circ, StateVector.zero(n))

@@ -15,9 +15,16 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from dense_oracle import circuit_unitary, items
-from strategies import gate_lists, polynomials
+from strategies import gate_lists
 from trotterchain import sim
-from trotterchain.charges import VARIANTS, ChargeSpec, assemble, assemble_cached, step_unitary
+from trotterchain.charges import (
+    VARIANTS,
+    ChargeSpec,
+    assemble,
+    assemble_cached,
+    periodic_density,
+    step_unitary,
+)
 from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_circuit, build_step
 from trotterchain.mitigate import calibrate, zne_fold
 from trotterchain.noise import amp_phase_damping, depolarizing
@@ -56,7 +63,7 @@ def test_one_step_matches_dense_unitary():
 
 def test_charge_conserved_under_pure_evolution():
     n = 6
-    q = assemble(ChargeSpec(1, "plus", n))
+    q = ChargeSpec(1, "plus", n)
     psi = StateVector.from_spec(InitialStateSpec.neel(n))
     (v0,) = exact_expectation(psi, [q], DELTA)
     circ = build_step(n, ALPHA)
@@ -151,7 +158,7 @@ def test_purity_preserved_without_noise():
 
 def test_engines_agree_on_pauli_expectations():
     n = 6
-    q = assemble(ChargeSpec(2, "plus", n))
+    q = ChargeSpec(2, "plus", n)
     circ = build_circuit(InitialStateSpec("YZXYZX", (0, 0, 0, 0, 0, 0)), ALPHA, 3)
     psi = evolve_pure(circ, StateVector.zero(n))
     rho = evolve_noisy(circ, DensityMatrix(n, _basis_dm(n, 0)), sim.IDEAL)
@@ -361,7 +368,7 @@ def test_density_budget():
 
 def test_exact_expectation_neel_at_zero_delta():
     n = 6
-    q = assemble(ChargeSpec(1, "plus", n))
+    q = ChargeSpec(1, "plus", n)
     psi = StateVector.from_spec(InitialStateSpec.neel(n))
     assert exact_expectation(psi, [q], 0.0)[0] == pytest.approx(-2 * n / 2 + -n / 2 * 0)
     # every bond contributes -1 at delta = 0
@@ -370,7 +377,7 @@ def test_exact_expectation_neel_at_zero_delta():
 
 def test_traceless_charge_on_mixed_state():
     n = 4
-    q = assemble(ChargeSpec(1, "dif", n))
+    q = ChargeSpec(1, "dif", n)
     rho = dense_oracle.completely_mixed(n)
     assert abs(exact_expectation(rho, [q], DELTA)[0]) < 1e-12
 
@@ -436,7 +443,7 @@ def test_expectation_cross_checks_sampling():
     n = 4
     q = assemble(ChargeSpec(1, "plus", n))
     psi = StateVector.from_spec(InitialStateSpec.neel(n))
-    (exact,) = exact_expectation(psi, [q], DELTA)
+    (exact,) = exact_expectation(psi, [ChargeSpec(1, "plus", n)], DELTA)
     # direct resampling of each term through its own word
     total = 0.0
     for s, poly in items(q):
@@ -469,63 +476,59 @@ def _expectation_state(n: int, kind: str, seed: int):
     return DensityMatrix(n, rho / np.trace(rho).real)
 
 
-@st.composite
-def charge_lists(draw, n: int):
-    """1..6 charges on n sites: assembled plus, minus and dif charges, repeats and
-    any order allowed, and random polynomials (the only kind on odd or short chains)."""
-    specs = [(o, v) for o in range(1, (n - 2) // 2 + 1) for v in VARIANTS] if n % 2 == 0 else []
-    kinds = polynomials(max_terms=12, n_sites=n)
-    if specs:
-        kinds = kinds | st.sampled_from(specs).map(lambda s: assemble_cached(ChargeSpec(*s, n)))
-    return draw(st.lists(kinds, min_size=1, max_size=6))
+def _specs(n: int) -> list:
+    """Every charge on n sites: each order up to (n-2)/2, each variant."""
+    return [ChargeSpec(o, v, n) for o in range(1, (n - 2) // 2 + 1) for v in VARIANTS]
 
 
-def _hex(values):
-    return [float.hex(v) for v in values]
+def _assert_matches_oracle(state, specs, got):
+    # the assembled charge summed term by term, to round-off on its own scale
+    for spec, value in zip(specs, got):
+        q = assemble_cached(spec)
+        bound = 1e-13 * np.abs(q.coefficients(DELTA)).sum()
+        assert abs(value - dense_oracle.exact_expectation(state, q, DELTA)) <= bound, spec
 
 
 @settings(deadline=None, max_examples=40)
 @given(
-    st.integers(2, 10),
-    st.sampled_from(["pure-product", "pure-random", "dm-product", "dm-random", "dm-damped"]),
+    st.sampled_from([4, 6, 8, 10, 12]),
     st.integers(0, 2**32 - 1),
     st.sampled_from([None, 1, 2, 3, 5]),
     st.data(),
 )
-def test_exact_expectation_matches_per_charge_oracle_bit_for_bit(n, kind, seed, rows, data):
-    # one shared Walsh pass over the union of x masks gives each charge the
-    # floats of its own per-x-mask pass, sign bits included; ``rows`` (if set)
-    # shrinks the block to that many x masks so short lists cross block edges too
-    state = _expectation_state(n, kind, seed)
-    charges = data.draw(charge_lists(n))
+def test_exact_expectation_matches_oracle_on_random_states(n, seed, rows, data):
+    # the periodic densities, summed over the state's two-site rotations, give
+    # the assembled charges' values; ``rows`` (if set) shrinks the block to that
+    # many x masks so every density crosses block edges; density matrices up to N = 8
+    kinds = ["pure-product", "pure-random"] + ["dm-product", "dm-random", "dm-damped"] * (n <= 8)
+    state = _expectation_state(n, data.draw(st.sampled_from(kinds)), seed)
+    specs = data.draw(st.lists(st.sampled_from(_specs(n)), min_size=1, max_size=6))
     block = sim._CHUNK if rows is None else rows << n
     with mock.patch.object(sim, "_CHUNK", block):
-        got = exact_expectation(state, charges, DELTA)
-    assert _hex(got) == _hex(dense_oracle.exact_expectation(state, q, DELTA) for q in charges)
+        got = exact_expectation(state, specs, DELTA)
+    _assert_matches_oracle(state, specs, got)
 
 
 @pytest.mark.parametrize("kind", ["pure-random", "dm-damped"])
 def test_exact_expectation_across_blocks_matches_oracle(kind):
-    # at the module's own block size, the x masks of these charges fill several blocks
-    n = 10
-    specs = [(3, "dif"), (1, "plus"), (2, "minus"), (3, "dif"), (2, "plus"), (1, "plus")]
-    charges = [assemble_cached(ChargeSpec(o, v, n)) for o, v in specs]
-    masks = {x for q in charges for x, _, _ in q.x_groups()}
-    assert len(masks) > 2 * (sim._CHUNK >> n)
+    # every charge at the module's own block size, in one call; the x masks of
+    # the largest density fill several blocks
+    n = 12 if kind == "pure-random" else 10
+    specs = _specs(n)
+    assert len(set(periodic_density(specs[-1]).x.tolist())) > 2 * (sim._CHUNK >> n)
     state = _expectation_state(n, kind, 5)
-    got = exact_expectation(state, charges, DELTA)
-    assert _hex(got) == _hex(dense_oracle.exact_expectation(state, q, DELTA) for q in charges)
+    _assert_matches_oracle(state, specs, exact_expectation(state, specs, DELTA))
 
 
 def test_exact_expectation_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma, several MB of resident memory for one evaluation
     code = (
         "import sys\n"
-        "from trotterchain.charges import ChargeSpec, assemble\n"
+        "from trotterchain.charges import ChargeSpec\n"
         "from trotterchain.circuit import InitialStateSpec\n"
         "from trotterchain.sim import DensityMatrix, exact_expectation\n"
         "rho = DensityMatrix.from_spec(InitialStateSpec.neel(6))\n"
-        "exact_expectation(rho, [assemble(ChargeSpec(k, 'dif', 6)) for k in (2, 1, 2)], 0.3)\n"
+        "exact_expectation(rho, [ChargeSpec(k, 'dif', 6) for k in (2, 1, 2)], 0.3)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = Path(sim.__file__).resolve().parents[1]
@@ -551,15 +554,14 @@ def test_exact_expectations_match_pinned_digest():
     specs = [ChargeSpec(k, "plus", n) for k in (1, 2, 3, 4)] + [
         ChargeSpec(k, "dif", n) for k in (1, 2)
     ]
-    charges = [assemble(spec) for spec in specs]
     psi = StateVector.from_spec(InitialStateSpec("XYZZYXZYXZ", (0, 1, 1, 0, 1, 0, 0, 1, 1, 0)))
     step = build_step(n, ALPHA)
     values = []
     for _ in range(3):
-        values += exact_expectation(psi, charges, DELTA)
+        values += exact_expectation(psi, specs, DELTA)
         psi = evolve_pure(step, psi)
     assert _float_digest(values) == (
-        "20395f074b17aaccd1cd487ddbeab6f037e64185276c50651d7fc4e61e2bfb72"
+        "0e430609b0259a58b4c3d507bc9b7d6a69434a9f95fe31f34b24e4c596536516"
     )
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dense_oracle import pauli_transfer_matrix, step_superoperator
 from strategies import gate_lists
 from trotterchain import cli, sim
-from trotterchain.charges import ChargeSpec, assemble
+from trotterchain.charges import ChargeSpec
 from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_step
 from trotterchain.noise import amp_phase_damping, depolarizing
 from trotterchain.sim import (
@@ -89,8 +89,7 @@ def test_noisy_spectrum_structure(depol_op):
 def test_fixed_point_depolarizing_is_mixed(depol_op):
     fp = fixed_point(depol_op)
     assert np.abs(fp.entries - np.eye(16) / 16).max() < 1e-8
-    q = assemble(ChargeSpec(1, "plus", N))
-    assert abs(exact_expectation(fp, [q], DELTA)[0]) < 1e-8  # c2 = 0
+    assert abs(exact_expectation(fp, [ChargeSpec(1, "plus", N)], DELTA)[0]) < 1e-8  # c2 = 0
 
 
 def test_fixed_point_damping_is_not_mixed():
@@ -99,8 +98,7 @@ def test_fixed_point_damping_is_not_mixed():
     fp = fixed_point(op)
     dist = np.abs(fp.entries - np.eye(16) / 16).max()
     assert dist > 1e-3
-    q = assemble(ChargeSpec(1, "plus", N))
-    assert abs(exact_expectation(fp, [q], DELTA)[0]) > 1e-3  # nonzero c2
+    assert abs(exact_expectation(fp, [ChargeSpec(1, "plus", N)], DELTA)[0]) > 1e-3  # nonzero c2
 
 
 def test_fixed_point_degenerate_noiseless(noiseless_op):
@@ -120,7 +118,7 @@ def test_powers_match_engine_trajectory(depol_op):
     model = depol_model(0.018, 0.018)
     circ = build_step(N, ALPHA)
     rho = DensityMatrix.from_spec(InitialStateSpec.neel(N))
-    q = assemble(ChargeSpec(1, "plus", N))
+    q = ChargeSpec(1, "plus", N)
     paulis = pauli_spectrum(rho).reshape(-1)
     for _ in range(10):
         paulis = depol_op.matrix @ paulis
@@ -198,6 +196,9 @@ def _cluster_distance(a, b, radius=1e-3):
 @settings(deadline=None)
 @given(gate_lists(), channels(), channels())
 @example(Circuit(2, [Gate("CNOT", (1, 2))]), None, depolarizing(0.001))  # eigenvalues 1 and 0.999
+# damping after H and S: the fixed point has <Y> != 0, a string with an odd
+# number of Y letters, the only kind where i^|x & z| and its conjugate differ
+@example(Circuit(1, [Gate("H", (1,)), Gate("S", (1,))]), amp_phase_damping(0.3, 0.1), None)
 def test_pauli_basis_spectrum_and_fixed_point_match_dense_oracle(circuit, one_qubit, two_qubit):
     noise = NoiseModel(after_one_qubit=one_qubit, after_two_qubit=two_qubit)
     oracle = step_superoperator(circuit, noise)
