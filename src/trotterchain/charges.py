@@ -154,18 +154,6 @@ class PauliPolynomial:
             out = out * delta + column
         return out
 
-    def x_groups(self):
-        """Terms grouped by x mask: list of (x, z_masks, term_slice).
-
-        Strings sharing an x mask differ only in sign pattern, so a whole
-        group is evaluated by one Walsh transform: of its coefficient row in
-        :func:`sim.exact_expectation`, of the state's overlap vector in the
-        tests' oracle.
-        """
-        starts = np.flatnonzero(np.diff(self.x, prepend=-1)).tolist()
-        ends = starts[1:] + [len(self)]
-        return [(int(self.x[a]), self.z[a:b], slice(a, b)) for a, b in zip(starts, ends)]
-
     # -- serialization (contract consumed by measure and cli) ----------
 
     def to_dict(self, order: int | None = None, variant: str | None = None) -> dict:
@@ -318,20 +306,40 @@ def _unkey(keys, nbits: int):
     return keys >> nbits, keys & ((1 << nbits) - 1)
 
 
+# positions per block of a segment sum: one block of rows is held at a time
+_BLOCK = 1 << 12
+
+
+def _segment_sums(keys, rows_at):
+    """Sums of the rows of each run of equal values in the sorted int64 ``keys``.
+
+    ``rows_at(a, b)`` returns the int64 rows of positions a..b-1 along its
+    second-last axis (the last one holds each row's entries).  The keys
+    are taken in blocks of at least ``_BLOCK`` positions (fewer at the end),
+    each cut where a run ends, and each block's runs are summed by one
+    ``np.add.reduceat``: exact integer sums.  Yields, per block, the distinct
+    keys and their sums.
+    """
+    a = 0
+    while a < len(keys):
+        b = int(np.searchsorted(keys, keys[min(a + _BLOCK, len(keys)) - 1], side="right"))
+        starts = np.flatnonzero(np.diff(keys[a:b], prepend=-1))  # keys are >= 0
+        yield keys[a:b][starts], np.add.reduceat(rows_at(a, b), starts, axis=-2)
+        a = b
+
+
 def _sum_rows(keys, rows):
     """Distinct sorted keys and the sum of the rows of each.
 
     ``rows`` broadcasts against ``keys``: keys of shape (W, T) take rows of
     shape (T, D), the same row for every leading index.
     """
-    order = np.argsort(keys, axis=None, kind="stable")
-    flat = keys.ravel()[order]
-    first = np.diff(flat, prepend=-1) != 0
-    which = np.empty(len(order), dtype=np.intp)
-    which[order] = np.cumsum(first) - 1
-    out = np.zeros((np.count_nonzero(first), rows.shape[-1]), dtype=np.int64)
-    np.add.at(out, which.reshape(keys.shape), rows)
-    return flat[first], out
+    order = np.argsort(keys, axis=None)
+    blocks = list(_segment_sums(keys.ravel()[order], lambda a, b: rows[order[a:b] % len(rows)]))
+    return (
+        np.concatenate([np.zeros(0, np.int64)] + [k for k, _ in blocks]),
+        np.concatenate([np.zeros((0, rows.shape[-1]), np.int64)] + [s for _, s in blocks]),
+    )
 
 
 # One boost block, anchored at l, on the sites A=2l-3, B=2l-2, C=2l-1, D=2l;
@@ -363,10 +371,16 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     density gauge).  A nonzero obstruction in the collapse means the input
     was not a conserved density.
 
-    Each (anchor, block monomial, term) product is one packed row.  A first
-    pass over the products collects the collapsed keys, a second adds the
-    rows of one block monomial at a time into them, so the transient memory
-    stays near the size of the result.
+    Each (anchor, block monomial, term) product is built once: its collapsed
+    key, with the product's index in the low bits, and a narrow payload
+    (int32 row of the term moved up the monomial's delta power, int8 signed
+    c, int16 weight), in arrays sized by a pass that only counts the
+    anticommuting pairs.  The keys are sorted in place, and
+    :func:`_segment_sums` adds the products' rows into each key one block at
+    a time, where the block's obstruction is checked and its nonzero rows
+    kept.  So no product rows and no obstruction matrix the size of the
+    result are held at once; the transient memory is about 20 bytes per
+    product.
     """
     if q_n.n_sites != 2 * order + 1:
         raise ValueError("density window does not match its order")
@@ -393,47 +407,72 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     # 2*order + 4 sites).
     out_hi = offset + 2 * order + 2
     nbits = 2 * order + 5
+    lift = 2 * np.arange(anchors, dtype=np.int64)[:, None]  # anchor l at row l - l_min
 
-    def products():
-        """Per anchor and block monomial: the input terms that anticommute
-        with it, as (l, m, hit, keys, signed c, m2) of their collapsed products."""
-        for l in range(l_min, l_max + 1):
-            for bx, bz, m, c in _BOOST_MONOMIALS:
-                bx, bz = bx << 2 * (l - l_min), bz << 2 * (l - l_min)
-                hit = np.flatnonzero(_popcount((bx & tz) ^ (bz & tx)) & 1)
-                if not len(hit):
-                    continue
-                x, z = tx[hit] ^ bx, tz[hit] ^ bz
-                # (i/2)[b, t] = i b t = i^(k+1) (x, z) for anticommuting b, t,
-                # with the phase k of the product b t (``mul`` in the tests' dense_oracle):
-                # +1 for k = 3, -1 for k = 1 (mod 4)
-                k = (bx & bz).bit_count() + t_y[hit] + 2 * _popcount(bz & tx[hit])
-                sign = np.where((k - _popcount(x & z)) % 4 == 3, c, -c)
-                end = base + _high_bit(x | z)
-                m2 = (out_hi - 1 - end + ((out_hi - 1 - end) & 1)) // 2
-                shift = 2 * m2 + base - offset + 2
-                x = np.where(shift >= 0, x << np.maximum(shift, 0), x >> np.maximum(-shift, 0))
-                z = np.where(shift >= 0, z << np.maximum(shift, 0), z >> np.maximum(-shift, 0))
-                yield l, m, hit, _key(x, z, nbits), sign, m2
+    def anticommuting(bx, bz):
+        """Anchor-by-term parity: 1 where the anchored block monomial and the term anticommute."""
+        return _popcount(((bx << lift) & tz) ^ ((bz << lift) & tx)) & 1
 
-    keys = np.concatenate([np.zeros(0, np.int64)] + [p[3] for p in products()])
-    keys = np.sort(keys, kind="stable")
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    collapsed = np.zeros((len(keys), row_width), dtype=np.int64)
-    obstruction = np.zeros_like(collapsed)
-    for l, m, hit, key, sign, m2 in products():
-        idx = np.searchsorted(keys, key)
-        scaled = coeffs[hit] * sign[:, None]
-        np.add.at(obstruction[:, m : m + width], idx, scaled)
-        np.add.at(collapsed[:, m : m + width], idx, scaled * (l + m2)[:, None])
+    n_products = sum(int(anticommuting(bx, bz).sum()) for bx, bz, _, _ in _BOOST_MONOMIALS)
+    index_bits = n_products.bit_length()
+    if 2 * nbits + index_bits > 63:
+        raise ValueError(f"{n_products} boost products do not fit beside their int64 keys")
+    # padded[m * n_terms + t]: the row of term t moved up m delta powers
+    padded = np.zeros((3, n_terms, row_width), dtype=np.int64)
+    for m in range(3):
+        padded[m, :, m : m + width] = coeffs
+    padded = padded.reshape(-1, row_width)
+    keys = np.empty(n_products, dtype=np.int64)
+    row = np.empty(n_products, dtype=np.int32)
+    scale = np.empty(n_products, dtype=np.int8)
+    lever = np.empty(n_products, dtype=np.int16)  # the weight l + m2
+    end = 0
+    for bx, bz, m, c in _BOOST_MONOMIALS:
+        ls, hit = np.nonzero(anticommuting(bx, bz))
+        start, end = end, end + len(hit)
+        bxs, bzs = bx << 2 * ls, bz << 2 * ls
+        x, z = tx[hit] ^ bxs, tz[hit] ^ bzs
+        # (i/2)[b, t] = i b t = i^(k+1) (x, z) for anticommuting b, t,
+        # with the phase k of the product b t (``mul`` in the tests' dense_oracle):
+        # +1 for k = 3, -1 for k = 1 (mod 4)
+        k = (bx & bz).bit_count() + t_y[hit] + 2 * _popcount(bzs & tx[hit])
+        scale[start:end] = np.where((k - _popcount(x & z)) % 4 == 3, c, -c)
+        last = base + _high_bit(x | z)
+        m2 = (out_hi - 1 - last + ((out_hi - 1 - last) & 1)) // 2
+        shift = 2 * m2 + base - offset + 2
+        x = np.where(shift >= 0, x << np.maximum(shift, 0), x >> np.maximum(-shift, 0))
+        z = np.where(shift >= 0, z << np.maximum(shift, 0), z >> np.maximum(-shift, 0))
+        keys[start:end] = _key(x, z, nbits) << index_bits | np.arange(start, end)
+        row[start:end] = m * n_terms + hit
+        lever[start:end] = ls + l_min + m2
+    keys.sort()
+    index = np.empty(n_products, dtype=np.int32)
+    np.bitwise_and(keys, (1 << index_bits) - 1, out=index, casting="unsafe")
+    keys >>= index_bits
 
-    x, z = _unkey(keys, nbits)
-    if obstruction.any():
+    def rows_at(a, b):
+        """The products' signed rows, then the same rows times their weights."""
+        i = index[a:b]
+        rows = np.empty((2, b - a, row_width), dtype=np.int64)
+        np.take(padded, row[i], axis=0, out=rows[0], mode="clip")
+        rows[0] *= scale[i].astype(np.int64)[:, None]
+        np.multiply(rows[0], lever[i].astype(np.int64)[:, None], out=rows[1])
+        return rows
+
+    obstructed, blocks = 0, []
+    for block_keys, (obstruction, sums) in _segment_sums(keys, rows_at):
+        obstructed += np.count_nonzero(obstruction.any(axis=1))
+        keep = sums.any(axis=1)
+        blocks.append((block_keys[keep], sums[keep]))
+    del keys, index, row, scale, lever, padded  # the products, before the result is joined
+    if obstructed:
         raise GaugeError(
             "boost collapse obstruction: input density is not conserved "
-            f"({np.count_nonzero(obstruction.any(axis=1))} orbits with nonzero weight-sum)"
+            f"({obstructed} orbits with nonzero weight-sum)"
         )
-    if np.any(collapsed.any(axis=1) & ((x | z) & 0b11 != 0)):
+    x, z = _unkey(np.concatenate([np.zeros(0, np.int64)] + [k for k, _ in blocks]), nbits)
+    collapsed = np.concatenate([np.zeros((0, row_width), np.int64)] + [r for _, r in blocks])
+    if np.any((x | z) & 0b11 != 0):
         raise GaugeError("collapsed term does not fit the gauge window")
     return PauliPolynomial.from_arrays(2 * order + 3, x >> 2, z >> 2, collapsed)
 

@@ -16,6 +16,7 @@ outcome is ever written as a bitstring.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,15 @@ def contains(word: str, term: PauliString) -> bool:
     """True iff every non-identity letter of ``term`` matches ``word``.
 
     ``word`` is parsed by :func:`pauli.word_masks`: ValueError unless it is
-    ``term.n_sites`` letters from X, Y, Z."""
-    (wx,), (wz,) = word_masks([word], term.n_sites)
-    return bool(_contained(int(wx), int(wz), term.x_mask, term.z_mask, term.support_mask))
+    ``term.n_sites`` letters from X, Y, Z.  Each word's masks are memoised."""
+    wx, wz = _word_mask(word, term.n_sites)
+    return _contained(wx, wz, term.x_mask, term.z_mask, term.support_mask)
+
+
+@functools.lru_cache(maxsize=4096)
+def _word_mask(word: str, n: int) -> tuple[int, int]:
+    (wx,), (wz,) = word_masks([word], n)
+    return int(wx), int(wz)
 
 
 @dataclass(frozen=True)

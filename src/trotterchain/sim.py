@@ -56,12 +56,13 @@ Exact expectations (:func:`exact_expectation`) take charge specs, not
 assembled charges.  A charge is its memoized integer
 :func:`charges.periodic_density`, one string per two-site translation orbit,
 summed over the N/2 two-site rotations of the chain.  So each x mask of the
-density costs one Walsh pass over its sparse coefficient row, and that row
-is then dotted with the overlap row of every rotated copy of the state,
-gathered through the rotation's index table.  Pure states and density
-matrices take the same path.  The values agree with summing the assembled
-charge term by term (``dense_oracle.exact_expectation`` in the tests) to
-round-off, not bit for bit: they are sums in another order.
+union of the call's densities costs the N/2 overlap rows of the rotated
+copies of the state, gathered through the rotations' index tables and
+summed, and one Walsh pass over that sum; every string with that x mask,
+in whichever charge, reads its term off the transformed row.  Pure states
+and density matrices take the same path.  The values agree with summing the
+assembled charge term by term (``dense_oracle.exact_expectation`` in the
+tests) to round-off, not bit for bit: they are sums in another order.
 """
 
 from __future__ import annotations
@@ -397,17 +398,18 @@ def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
 
     A charge is its :func:`charges.periodic_density` D summed over the N/2
     two-site rotations R^(2j), so <Q> = sum_j tr(rho_j D) with
-    rho_j[b, b'] = rho[R^(2j) b, R^(2j) b'].  The strings of D that share a
-    flip mask x give, with their i^popcount(x & z) units, the row
-    F_x(b) = sum_z c_z(delta) i^popcount(x & z) (-1)^popcount(z & b): one
-    Walsh pass over the sparse coefficient row, independent of the state.
-    Then tr(rho_j sum_z ...) = sum_b rho_j[b, b ^ x] F_x(b), gathered through
-    the rotation's index table, psi-bar[R(b ^ x)] psi[R b] for a statevector.
-    D's x masks go in blocks of at most ``_CHUNK`` complex entries (one mask
-    per row, at least one row).  The coefficient rows live for one block, the
-    rotation tables for one call.  The values agree with summing the
-    assembled charge term by term (``dense_oracle.exact_expectation`` in the
-    tests) to round-off; ValueError if one has an imaginary part above 1e-10.
+    rho_j[b, b'] = rho[R^(2j) b, R^(2j) b'].  For a flip mask x, the overlap
+    row O_x(b) = sum_j rho_j[b, b ^ x] is gathered through the rotations'
+    index tables (psi-bar[R(b ^ x)] psi[R b] for a statevector), and one Walsh
+    pass gives W_x(z) = sum_b (-1)^popcount(z & b) O_x(b) for every z.  The
+    string of D with masks (x, z) then adds c_z(delta) i^popcount(x & z)
+    W_x(z) to its charge.  So each x mask of the union of the densities is
+    summed and transformed once per call, whichever charges share it, in
+    blocks of at most ``_CHUNK`` complex entries (one mask per row, at least
+    one row); the rotation tables live for one call.  The values agree with
+    summing the assembled charge term by term (``dense_oracle.exact_expectation``
+    in the tests) to round-off; ValueError if one has an imaginary part above
+    1e-10.
     """
     n = state.n_sites
     if any(spec.n_sites != n for spec in specs):
@@ -421,31 +423,37 @@ def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
     else:
         flat = state.entries.reshape(-1)
         row_starts = perms * dim  # rho[R b, R b'] is flat[row_starts[j, b] + perms[j, b']]
-    per = max(1, _CHUNK >> n)  # x masks per block
     units = np.array(_I_POW)
-    vals = []
-    for spec in specs:
-        q = periodic_density(spec)
-        coeffs = q.coefficients(delta) * units[np.bitwise_count(q.x & q.z) & 3]
-        groups = q.x_groups()
-        val = 0.0 + 0.0j
-        for start in range(0, len(groups), per):
-            block = groups[start : start + per]
-            terms = slice(block[0][2].start, block[-1][2].stop)
-            rows = np.repeat(np.arange(len(block)), [len(zs) for _, zs, _ in block])
-            f = np.zeros((len(block), dim), dtype=complex)
-            f[rows, q.z[terms]] = coeffs[terms]
-            f = _walsh_rows(f, np.empty_like(f))
-            flips = cols ^ np.array([x for x, _, _ in block], dtype=np.int64)[:, None]
-            for j in range(len(perms)):
-                if pure:  # vdot conjugates its first argument
-                    val += np.vdot(rotated[j][flips], rotated[j] * f)
-                else:
-                    val += np.dot(flat[row_starts[j] + perms[j][flips]].ravel(), f.ravel())
+    qs = [periodic_density(spec) for spec in specs]
+    xs = np.sort(np.concatenate([np.zeros(0, np.int64)] + [q.x for q in qs]))
+    xs = xs[np.diff(xs, prepend=-1) != 0]  # the union of the x masks, ascending
+    per = max(1, _CHUNK >> n)  # x masks per block
+    terms = []  # per charge: weighted coefficients, positions in a block's W, block cuts
+    for q in qs:
+        row = np.searchsorted(xs, q.x)
+        c = q.coefficients(delta) * units[np.bitwise_count(q.x & q.z) & 3]
+        cuts = np.searchsorted(row, range(0, len(xs) + per, per)).tolist()
+        terms.append((c, row % per * dim + q.z, cuts))
+    vals = [0.0 + 0.0j] * len(qs)
+    for i, start in enumerate(range(0, len(xs), per)):
+        flips = cols ^ xs[start : start + per, None]
+        o, g = np.zeros((2,) + flips.shape, dtype=complex)
+        for j in range(len(perms)):
+            if pure:
+                np.take(rotated[j], flips, out=g, mode="clip")
+                np.conjugate(g, out=g)
+                g *= rotated[j]
+            else:
+                np.take(flat, row_starts[j] + perms[j][flips], out=g, mode="clip")
+            o += g
+        w = _walsh_rows(o, g).reshape(-1)
+        for k, (c, pos, cuts) in enumerate(terms):
+            a, b = cuts[i], cuts[i + 1]
+            vals[k] += np.dot(c[a:b], w[pos[a:b]])
+    for val in vals:
         if abs(val.imag) > 1e-10:
             raise ValueError(f"expectation has imaginary part {val.imag:.2e}")
-        vals.append(float(val.real))
-    return vals
+    return [float(val.real) for val in vals]
 
 
 def pauli_spectrum(rho: DensityMatrix) -> np.ndarray:

@@ -402,12 +402,14 @@ def exact_expectation(state, charge, delta: float) -> float:
         left = state.amplitudes.conj()
         psi = state.amplitudes
     val = 0.0 + 0.0j
-    for x, zs, rows in charge.x_groups():
+    starts = np.flatnonzero(np.diff(charge.x, prepend=-1)).tolist()  # one group per x mask
+    for a, b in zip(starts, starts[1:] + [len(charge)]):
+        x = int(charge.x[a])
         if isinstance(state, StateVector):
             overlap = left[cols ^ x] * psi
         else:
             overlap = state.entries[cols, cols ^ x]
-        val += coeffs[rows] @ walsh_transform(overlap)[zs]
+        val += coeffs[a:b] @ walsh_transform(overlap)[charge.z[a:b]]
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary part {val.imag:.2e}")
     return float(val.real)

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from dense_oracle import DeltaPoly, coefficient, items, matrix, mul, pauli_expectation_statevector
+from trotterchain import charges
 from trotterchain.charges import (
     VARIANTS,
     ChargeSpec,
@@ -379,17 +381,24 @@ _SCALES = st.builds(
 )
 
 
+# ``block`` (if set) shrinks the segment sums' block to that many positions,
+# so runs of equal keys, and with them the obstructions, cross block edges
+_BLOCKS = st.sampled_from([None, 1, 2, 7])
+
+
 @settings(deadline=None, max_examples=12)
-@given(st.integers(1, 3), st.sampled_from(["plus", "minus"]), _SCALES)
-def test_packed_boost_matches_reference(order, variant, scale):
+@given(st.integers(1, 3), st.sampled_from(["plus", "minus"]), _SCALES, _BLOCKS)
+def test_packed_boost_matches_reference(order, variant, scale, block):
     # the boost is linear: the reference runs once per (order, variant)
-    got = boost_step(_scaled(window_density(order, variant), scale), order, variant)
-    assert got == _scaled(_reference_boost_of_density(order, variant), scale)
+    with mock.patch.object(charges, "_BLOCK", block or charges._BLOCK):
+        got = boost_step(_scaled(window_density(order, variant), scale), order, variant)
+        want = _scaled(_reference_boost_of_density(order, variant), scale)
+    assert got == want
 
 
 @settings(deadline=None, max_examples=15)
-@given(st.integers(1, 2), st.sampled_from(["plus", "minus"]), st.data())
-def test_perturbed_density_is_rejected_by_both_boosts(order, variant, data):
+@given(st.integers(1, 2), st.sampled_from(["plus", "minus"]), _BLOCKS, st.data())
+def test_perturbed_density_is_rejected_by_both_boosts(order, variant, block, data):
     q = window_density(order, variant)
     string = data.draw(st.sampled_from([s for s, _ in items(q)]))
     power = data.draw(st.integers(0, 3))
@@ -397,8 +406,9 @@ def test_perturbed_density_is_rejected_by_both_boosts(order, variant, data):
     perturbation = (string, DeltaPoly.delta_power(power, coeff).coeffs)
     terms = [(s, p.coeffs) for s, p in items(q)] + [perturbation]
     bad = PauliPolynomial.from_terms(q.n_sites, terms)
-    with pytest.raises(GaugeError):
-        boost_step(bad, order, variant)
+    with mock.patch.object(charges, "_BLOCK", block or charges._BLOCK):
+        with pytest.raises(GaugeError):
+            boost_step(bad, order, variant)
     with pytest.raises(GaugeError):
         _reference_boost_step(bad, order, variant)
 

@@ -341,12 +341,12 @@ PINNED_RUNS = {
             "benchmarks.jsonl": "affb78b2f5689ce6e783cbeb301507bbb8e1863d1cdee2dc687f27091c0bf1fa",
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
-            "decay.csv": "ddc07161273da9b35dd5a3a9cb67da6ef71939c1875e7176102669eb6f546d71",
-            "fits.csv": "298cf2598eb161b43089f29ecda032440b45d5dd4d96e20838d4dc3e53ebb782",
-            "fits.json": "61b1a3c7a4c61142042cb97dac73be2a1e39c23ef1c5daacf2cb1339e8231ae6",
+            "decay.csv": "4bc2748b4052d8c93f1795fb9404672787f401288f7ad13d1d854dc565e6c47f",
+            "fits.csv": "96d3527f724e77aa49925d6ed56603fbced980a557d891fc9a0b7544d1818fcb",
+            "fits.json": "ca192b4fb80bac246dae021e6c444053428c0248849591d7667a92e8b4d619a3",
             "mitigation.csv": "5364c4b2f91ff7c9a3b834a4a0e80316a7e42760b67890ec85095ad1ff4c582d",
             "spectrum.csv": "ba542fd8ea79a99376de72a9df57cbce106f88de2175363048ff558881261ada",
-            "spectrum.json": "95b3da6b29cd579b8cbe07a458d9909c0a35436f36904fb3633d09f602d92a9b",
+            "spectrum.json": "6a62796e150f10d4ebb600a8298999a02cc2604035a4996804c21720611cb5b1",
             "tomo.json": "da4de710216ca1c06bc69f761929d99ca0a3faece9fee31039f9080232624767",
         },
     ),

@@ -509,6 +509,28 @@ def test_exact_expectation_matches_oracle_on_random_states(n, seed, rows, data):
     _assert_matches_oracle(state, specs, got)
 
 
+@settings(deadline=None, max_examples=25)
+@given(
+    st.sampled_from([4, 6, 8, 10]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 1, 3]),
+    st.data(),
+)
+def test_each_value_is_independent_of_the_charges_sharing_the_call(n, seed, rows, data):
+    # one pass over the union of the densities' x masks serves every charge of
+    # the call: a charge's value must not depend on which others share it
+    kinds = ["pure-random"] + ["dm-random"] * (n <= 8)
+    state = _expectation_state(n, data.draw(st.sampled_from(kinds)), seed)
+    specs = data.draw(st.lists(st.sampled_from(_specs(n)), min_size=2, max_size=6))
+    block = sim._CHUNK if rows is None else rows << n
+    with mock.patch.object(sim, "_CHUNK", block):
+        together = exact_expectation(state, specs, DELTA)
+        alone = [exact_expectation(state, [spec], DELTA)[0] for spec in specs]
+    for spec, a, b in zip(specs, alone, together):
+        bound = 1e-13 * np.abs(assemble_cached(spec).coefficients(DELTA)).sum()
+        assert abs(a - b) <= bound, spec
+
+
 @pytest.mark.parametrize("kind", ["pure-random", "dm-damped"])
 def test_exact_expectation_across_blocks_matches_oracle(kind):
     # every charge at the module's own block size, in one call; the x masks of
@@ -521,14 +543,16 @@ def test_exact_expectation_across_blocks_matches_oracle(kind):
 
 
 def test_exact_expectation_leaves_numpy_ma_unimported():
-    # np.unique imports numpy.ma, several MB of resident memory for one evaluation
+    # np.unique imports numpy.ma, several MB of resident memory for one
+    # evaluation or one boosted density (built from cold here)
     code = (
         "import sys\n"
-        "from trotterchain.charges import ChargeSpec\n"
+        "from trotterchain.charges import ChargeSpec, window_density\n"
         "from trotterchain.circuit import InitialStateSpec\n"
         "from trotterchain.sim import DensityMatrix, exact_expectation\n"
         "rho = DensityMatrix.from_spec(InitialStateSpec.neel(6))\n"
         "exact_expectation(rho, [ChargeSpec(k, 'dif', 6) for k in (2, 1, 2)], 0.3)\n"
+        "window_density(4, 'plus')\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = Path(sim.__file__).resolve().parents[1]
@@ -561,7 +585,7 @@ def test_exact_expectations_match_pinned_digest():
         values += exact_expectation(psi, specs, DELTA)
         psi = evolve_pure(step, psi)
     assert _float_digest(values) == (
-        "0e430609b0259a58b4c3d507bc9b7d6a69434a9f95fe31f34b24e4c596536516"
+        "d44e904714bda45332d5e62519b5285cbd382e44030f17af99c5b7c4aab0710b"
     )
 
 
