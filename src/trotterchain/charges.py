@@ -374,8 +374,9 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     Each (anchor, block monomial, term) product is built once: its collapsed
     key, with the product's index in the low bits, and a narrow payload
     (int32 row of the term moved up the monomial's delta power, int8 signed
-    c, int16 weight), in arrays sized by a pass that only counts the
-    anticommuting pairs.  The keys are sorted in place, and
+    c, int16 weight), in arrays sized by a first pass that finds the
+    anticommuting (anchor, term) pairs of each monomial; the fill reads their
+    bool parities back.  The keys are sorted in place, and
     :func:`_segment_sums` adds the products' rows into each key one block at
     a time, where the block's obstruction is checked and its nonzero rows
     kept.  So no product rows and no obstruction matrix the size of the
@@ -409,11 +410,12 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     nbits = 2 * order + 5
     lift = 2 * np.arange(anchors, dtype=np.int64)[:, None]  # anchor l at row l - l_min
 
-    def anticommuting(bx, bz):
-        """Anchor-by-term parity: 1 where the anchored block monomial and the term anticommute."""
-        return _popcount(((bx << lift) & tz) ^ ((bz << lift) & tx)) & 1
-
-    n_products = sum(int(anticommuting(bx, bz).sum()) for bx, bz, _, _ in _BOOST_MONOMIALS)
+    # per block monomial, anchor by term: True where the anchored monomial and the term anticommute
+    parities = [
+        (np.bitwise_count(((bx << lift) & tz) ^ ((bz << lift) & tx)) & 1).astype(bool)
+        for bx, bz, _, _ in _BOOST_MONOMIALS
+    ]
+    n_products = sum(int(p.sum()) for p in parities)
     index_bits = n_products.bit_length()
     if 2 * nbits + index_bits > 63:
         raise ValueError(f"{n_products} boost products do not fit beside their int64 keys")
@@ -427,8 +429,8 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     scale = np.empty(n_products, dtype=np.int8)
     lever = np.empty(n_products, dtype=np.int16)  # the weight l + m2
     end = 0
-    for bx, bz, m, c in _BOOST_MONOMIALS:
-        ls, hit = np.nonzero(anticommuting(bx, bz))
+    for (bx, bz, m, c), parity in zip(_BOOST_MONOMIALS, parities):
+        ls, hit = np.nonzero(parity)
         start, end = end, end + len(hit)
         bxs, bzs = bx << 2 * ls, bz << 2 * ls
         x, z = tx[hit] ^ bxs, tz[hit] ^ bzs
@@ -445,6 +447,7 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
         keys[start:end] = _key(x, z, nbits) << index_bits | np.arange(start, end)
         row[start:end] = m * n_terms + hit
         lever[start:end] = ls + l_min + m2
+    del parities  # read once, not held through the sort and the sums
     keys.sort()
     index = np.empty(n_products, dtype=np.int32)
     np.bitwise_and(keys, (1 << index_bits) - 1, out=index, casting="unsafe")

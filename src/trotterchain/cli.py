@@ -275,6 +275,7 @@ def spectrum_report(config: ExperimentConfig) -> dict:
     report = {
         "eigenvalues": spectral.spectrum_csv_rows(vals),
         "decay_rate": spectral.decay_rate(vals),
+        "fixed_point_gap": spectral.fixed_point_gap(op),
     }
     try:
         fp = spectral.fixed_point(op)

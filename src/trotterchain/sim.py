@@ -59,8 +59,10 @@ summed over the N/2 two-site rotations of the chain.  So each x mask of the
 union of the call's densities costs the N/2 overlap rows of the rotated
 copies of the state, gathered through the rotations' index tables and
 summed, and one Walsh pass over that sum; every string with that x mask,
-in whichever charge, reads its term off the transformed row.  Pure states
-and density matrices take the same path.  The values agree with summing the
+in whichever charge, reads its term off the transformed row.  The state is
+Hermitian, so half of each row determines the other half: only the half
+with the top bit of x clear is gathered and transformed, on N-1 bits.  Pure
+states and density matrices take the same path.  The values agree with summing the
 assembled charge term by term (``dense_oracle.exact_expectation`` in the
 tests) to round-off, not bit for bit: they are sums in another order.
 """
@@ -91,6 +93,16 @@ _CHUNK = 1 << 14
 
 class BudgetError(ValueError):
     """A dense state exceeds the configured size budget."""
+
+
+def hermiticity_deviation(m: np.ndarray) -> float:
+    """The largest entry of |m - m^H|, subtracted into one conjugated copy of ``m``.
+
+    The copy is m^H laid out in row order, so the subtraction runs over
+    contiguous memory: half the time of writing into a transposed view.
+    """
+    dev = np.conjugate(m.T, order="C")
+    return float(np.abs(np.subtract(m, dev, out=dev)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +272,7 @@ class DensityMatrix:
 
     def check(self):
         """Validate Hermiticity, unit trace and the PSD eigenvalue floor."""
-        h = np.abs(self.entries - self.entries.conj().T).max()
+        h = hermiticity_deviation(self.entries)
         if h > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian: deviation {h:.2e}")
         t = abs(self.trace() - 1.0)
@@ -399,61 +411,93 @@ def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
     A charge is its :func:`charges.periodic_density` D summed over the N/2
     two-site rotations R^(2j), so <Q> = sum_j tr(rho_j D) with
     rho_j[b, b'] = rho[R^(2j) b, R^(2j) b'].  For a flip mask x, the overlap
-    row O_x(b) = sum_j rho_j[b, b ^ x] is gathered through the rotations'
-    index tables (psi-bar[R(b ^ x)] psi[R b] for a statevector), and one Walsh
-    pass gives W_x(z) = sum_b (-1)^popcount(z & b) O_x(b) for every z.  The
-    string of D with masks (x, z) then adds c_z(delta) i^popcount(x & z)
-    W_x(z) to its charge.  So each x mask of the union of the densities is
-    summed and transformed once per call, whichever charges share it, in
-    blocks of at most ``_CHUNK`` complex entries (one mask per row, at least
-    one row); the rotation tables live for one call.  The values agree with
-    summing the assembled charge term by term (``dense_oracle.exact_expectation``
-    in the tests) to round-off; ValueError if one has an imaginary part above
-    1e-10.
+    row O_x(b) = sum_j rho_j[b, b ^ x] (psi-bar[R(b ^ x)] psi[R b] for a
+    statevector) has the Walsh transform W_x(z) = sum_b (-1)^popcount(z & b)
+    O_x(b), and the string of D with masks (x, z) adds
+    c_z(delta) i^popcount(x & z) W_x(z) to its charge.
+
+    Only half of each row is gathered and transformed.  The state is
+    Hermitian, so O_x(b ^ x) = conj O_x(b).  Take the pair bit h to be the
+    top bit of x (bit N-1 for x = 0), let H be the Walsh transform on N-1
+    bits of the half row over the b with bit h clear, and z' be z with bit h
+    removed.  Then for x != 0 each term is Re(2 c i^popcount(x & z) H(z')).
+    For x = 0 the row is real, so the half row O(b) + i O(b | 2^h) gives
+    W_0(z) = Re H(z') + (-1)^z_h Im H(z'), and the term is
+    Re(c (1 - i (-1)^z_h) H(z')).  Each value is real by construction.
+
+    The x masks of the union of the densities are walked once, ascending, in
+    blocks of one pair bit and at most ``_CHUNK`` complex entries (one mask
+    per half row, at least one row).  The b-half is a strided view of each
+    rotated copy of psi; the partner half is gathered through the rotations'
+    index tables, which live for one call.  Each charge does one dot per
+    block, whichever charges share it.  The values agree with summing the
+    assembled charge term by term (``dense_oracle.exact_expectation`` in the
+    tests) to round-off.  A density matrix further than ``HERMITICITY_TOL``
+    from Hermitian raises ValueError.
     """
     n = state.n_sites
     if any(spec.n_sites != n for spec in specs):
         raise ValueError("state and charge sizes differ")
-    dim = 1 << n
+    dim, half = 1 << n, 1 << (n - 1)
     cols = np.arange(dim, dtype=np.int64)
     perms = _rotations(cols, n)  # perms[j, b] = R^(2j) b
     pure = isinstance(state, StateVector)
     if pure:
         rotated = state.amplitudes[perms]  # rotated[j, b] = psi[R^(2j) b]
+        probs = state.amplitudes.real**2 + state.amplitudes.imag**2
     else:
+        dev = hermiticity_deviation(state.entries)
+        if dev > HERMITICITY_TOL:
+            raise ValueError(f"density matrix not Hermitian: deviation {dev:.2e}")
         flat = state.entries.reshape(-1)
         row_starts = perms * dim  # rho[R b, R b'] is flat[row_starts[j, b] + perms[j, b']]
+        probs = state.entries.diagonal().real
     units = np.array(_I_POW)
     qs = [periodic_density(spec) for spec in specs]
     xs = np.sort(np.concatenate([np.zeros(0, np.int64)] + [q.x for q in qs]))
     xs = xs[np.diff(xs, prepend=-1) != 0]  # the union of the x masks, ascending
-    per = max(1, _CHUNK >> n)  # x masks per block
-    terms = []  # per charge: weighted coefficients, positions in a block's W, block cuts
+    per = max(1, _CHUNK >> (n - 1))  # x masks per block
+    # blocks of at most ``per`` masks with one pair bit each; x = 0 is a block of its own
+    edges = np.searchsorted(xs, [1 << k for k in range(n + 1)]).tolist()
+    starts = [s for a, b in zip([0] + edges, edges) for s in range(a, b, per)]
+    pair = np.array([n - 1 if xs[a] == 0 else int(xs[a]).bit_length() - 1 for a in starts])
+    starts.append(len(xs))
+    terms = []  # per charge: weighted coefficients, positions in a block's H, block cuts
     for q in qs:
         row = np.searchsorted(xs, q.x)
+        block = np.searchsorted(starts, row, side="right") - 1
+        low = (np.int64(1) << pair[block]) - 1  # the bits below the pair bit
         c = q.coefficients(delta) * units[np.bitwise_count(q.x & q.z) & 3]
-        cuts = np.searchsorted(row, range(0, len(xs) + per, per)).tolist()
-        terms.append((c, row % per * dim + q.z, cuts))
-    vals = [0.0 + 0.0j] * len(qs)
-    for i, start in enumerate(range(0, len(xs), per)):
-        flips = cols ^ xs[start : start + per, None]
-        o, g = np.zeros((2,) + flips.shape, dtype=complex)
-        for j in range(len(perms)):
-            if pure:
-                np.take(rotated[j], flips, out=g, mode="clip")
-                np.conjugate(g, out=g)
-                g *= rotated[j]
-            else:
-                np.take(flat, row_starts[j] + perms[j][flips], out=g, mode="clip")
-            o += g
+        sign = 1 - 2 * (q.z >> (n - 1) & 1)  # (-1)^z_h where x = 0
+        c *= np.where(q.x == 0, 1 - 1j * sign, 2)
+        pos = (row - np.take(starts, block)) * half + (q.z & low | q.z >> 1 & ~low)
+        terms.append((c, pos, np.searchsorted(row, starts).tolist()))
+    vals = [0.0] * len(qs)
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        h = int(pair[i])
+        o, g = np.zeros((2, b - a, half), dtype=complex)
+        if xs[a] == 0:  # the real row O(b) + i O(b | 2^h), h = N-1
+            diag = probs[perms].sum(axis=0)
+            o[0] = diag[:half] + 1j * diag[half:]
+        else:
+            lo = (cols[:half] >> h << (h + 1)) | (cols[:half] & ((1 << h) - 1))  # bit h clear
+            flips = lo ^ xs[a:b, None]  # their partners b ^ x
+            gb = g.reshape(b - a, -1, 1 << h)  # g with bit h of b spelt out, as a view
+            for j in range(len(perms)):
+                if pure:
+                    np.take(rotated[j], flips, out=g, mode="clip")
+                    np.conjugate(g, out=g)
+                    gb *= rotated[j].reshape(-1, 2, 1 << h)[:, 0]
+                else:
+                    at = perms[j][flips].reshape(gb.shape)
+                    at += row_starts[j].reshape(-1, 2, 1 << h)[:, 0]
+                    np.take(flat, at, out=gb, mode="clip")
+                o += g
         w = _walsh_rows(o, g).reshape(-1)
         for k, (c, pos, cuts) in enumerate(terms):
-            a, b = cuts[i], cuts[i + 1]
-            vals[k] += np.dot(c[a:b], w[pos[a:b]])
-    for val in vals:
-        if abs(val.imag) > 1e-10:
-            raise ValueError(f"expectation has imaginary part {val.imag:.2e}")
-    return [float(val.real) for val in vals]
+            t0, t1 = cuts[i], cuts[i + 1]
+            vals[k] += float(np.dot(c[t0:t1], w[pos[t0:t1]]).real)
+    return vals
 
 
 def pauli_spectrum(rho: DensityMatrix) -> np.ndarray:

@@ -11,7 +11,7 @@ So R is J's Pauli spectrum (:func:`sim.pauli_spectrum`), signed and divided
 by 2^N: spectra see exactly the gates and channels of the noisy engine, and
 the Pauli-string convention lives in :mod:`sim` alone.  One real
 ``np.linalg.eig`` of R, made at most once per :class:`SuperOperator`, serves
-both :func:`spectrum` and :func:`fixed_point`.
+:func:`spectrum`, :func:`fixed_point` and :func:`fixed_point_gap`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .sim import (
     NoiseModel,
     evolve_noisy,
     from_pauli_spectrum,
+    hermiticity_deviation,
     pauli_spectrum,
 )
 
@@ -75,9 +76,7 @@ def vectorize_step(circuit: Circuit, noise: NoiseModel) -> SuperOperator:
     omega[np.arange(dim) * (dim + 1)] = 1.0
     choi = DensityMatrix(2 * n, np.outer(omega, omega))
     choi = evolve_noisy(Circuit(2 * n, circuit.gates), choi, noise)
-    dev = choi.entries.conj().T  # a conjugated copy, transposed as a view
-    h = np.abs(np.subtract(choi.entries, dev, out=dev)).max()
-    del dev  # not held through pauli_spectrum below
+    h = hermiticity_deviation(choi.entries)
     if h > HERMITICITY_TOL:
         raise ValueError(f"step does not preserve Hermiticity: Choi state deviation {h:.2e}")
     r = pauli_spectrum(choi).reshape(dim, dim, dim, dim)  # [x_B, x_A, z_B, z_A]
@@ -111,6 +110,18 @@ def fixed_point(op: SuperOperator) -> DensityMatrix:
     out = DensityMatrix(op.n_sites, rho)
     out.check()
     return out
+
+
+def fixed_point_gap(op: SuperOperator) -> float:
+    """Smallest |lambda - 1| over the eigenvalues other than the one nearest 1.
+
+    The fixed point's eigenvector has an error of about eps / gap, and
+    :func:`fixed_point` calls it unique when the gap exceeds
+    ``UNIT_EIGENVALUE_TOL``.  Read off the cached ``pauli_eig``.
+    """
+    vals, _ = op.pauli_eig
+    dist = np.abs(vals - 1.0)
+    return float(np.delete(dist, dist.argmin()).min())
 
 
 def decay_rate(vals: np.ndarray) -> float | None:

@@ -341,12 +341,12 @@ PINNED_RUNS = {
             "benchmarks.jsonl": "affb78b2f5689ce6e783cbeb301507bbb8e1863d1cdee2dc687f27091c0bf1fa",
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
-            "decay.csv": "4bc2748b4052d8c93f1795fb9404672787f401288f7ad13d1d854dc565e6c47f",
-            "fits.csv": "96d3527f724e77aa49925d6ed56603fbced980a557d891fc9a0b7544d1818fcb",
-            "fits.json": "ca192b4fb80bac246dae021e6c444053428c0248849591d7667a92e8b4d619a3",
+            "decay.csv": "a1aa7fc3a23a6e942014e93319507773d59f78a8d800a891f7da348910d38006",
+            "fits.csv": "b5fdf3c9a6af02e6fd2dd9211c2e776796a1ea593580271f23ae40e817a2c1fc",
+            "fits.json": "1ac77ebf7132a43f3001fa667c95d3e5dbff15c307d2dae076dba57848748332",
             "mitigation.csv": "5364c4b2f91ff7c9a3b834a4a0e80316a7e42760b67890ec85095ad1ff4c582d",
             "spectrum.csv": "ba542fd8ea79a99376de72a9df57cbce106f88de2175363048ff558881261ada",
-            "spectrum.json": "6a62796e150f10d4ebb600a8298999a02cc2604035a4996804c21720611cb5b1",
+            "spectrum.json": "efbc7a029cde29f6d9f49df680db5c7eda533cb283c95adc1a7a490b741ceb04",
             "tomo.json": "da4de710216ca1c06bc69f761929d99ca0a3faece9fee31039f9080232624767",
         },
     ),
@@ -366,7 +366,7 @@ PINNED_RUNS = {
             "fits.json": "57013d98770704a446dac5d98442e5df7f01e93b5c3366fa18cd328ce2082076",
             "mitigation.csv": "5ed49dcedd404772a80b2d43763e61f3b8ef8e2f90b50502b00ed0b2632a55d4",
             "spectrum.csv": "e04c114dadda5c931744f4c26c73362ca841da38f63ea14fa5982c0ab8585107",
-            "spectrum.json": "5dfa3ec9efcd26d91eceaca8ec176ff7e05d07dc958764c76f02ec437d8ecbb6",
+            "spectrum.json": "9283666c177e0fab63a83251d444c140a185169307011272ac65d9b5c132091b",
             "tomo.json": "e85fe1af0bdf0856b5e4fcf5d77af0cd623cefce5bfdf8b6e25c90c1d62a972b",
         },
     ),

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 import dense_oracle
 from dense_oracle import circuit_unitary, items
 from strategies import gate_lists
-from trotterchain import sim
+from trotterchain import charges, sim
 from trotterchain.charges import (
     VARIANTS,
     ChargeSpec,
+    PauliPolynomial,
     assemble,
     assemble_cached,
     periodic_density,
@@ -382,6 +383,26 @@ def test_traceless_charge_on_mixed_state():
     assert abs(exact_expectation(rho, [q], DELTA)[0]) < 1e-12
 
 
+def test_exact_expectation_rejects_a_non_hermitian_density_matrix():
+    # rho = I/2^N + 1e-3 i P with P a string of Q1+: the half-row evaluation
+    # assumes rho = rho^H, so rho must be refused rather than read half
+    n = 4
+    spec = ChargeSpec(1, "plus", n)
+    string = next(periodic_density(spec).terms)
+    rho = np.eye(1 << n, dtype=complex) / (1 << n) + 1e-3j * dense_oracle.matrix(string)
+    with pytest.raises(ValueError):
+        exact_expectation(DensityMatrix(n, rho), [spec], DELTA)
+
+
+def test_hermiticity_deviation_is_the_largest_entry_of_rho_minus_its_adjoint():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    before = m.copy()
+    assert sim.hermiticity_deviation(m) == np.abs(m - m.conj().T).max()
+    assert np.array_equal(m, before)  # read only
+    assert sim.hermiticity_deviation(m + m.conj().T) == 0.0
+
+
 def test_sample_deterministic_z_word():
     psi = StateVector.zero(4)
     ((idx, cnt),) = sample(psi, ["ZZZZ"], 500, [(9, 0)])
@@ -499,11 +520,12 @@ def _assert_matches_oracle(state, specs, got):
 def test_exact_expectation_matches_oracle_on_random_states(n, seed, rows, data):
     # the periodic densities, summed over the state's two-site rotations, give
     # the assembled charges' values; ``rows`` (if set) shrinks the block to that
-    # many x masks so every density crosses block edges; density matrices up to N = 8
+    # many x masks (half rows of 2^(N-1) entries) so every density crosses
+    # block edges; density matrices up to N = 8
     kinds = ["pure-product", "pure-random"] + ["dm-product", "dm-random", "dm-damped"] * (n <= 8)
     state = _expectation_state(n, data.draw(st.sampled_from(kinds)), seed)
     specs = data.draw(st.lists(st.sampled_from(_specs(n)), min_size=1, max_size=6))
-    block = sim._CHUNK if rows is None else rows << n
+    block = sim._CHUNK if rows is None else rows << (n - 1)
     with mock.patch.object(sim, "_CHUNK", block):
         got = exact_expectation(state, specs, DELTA)
     _assert_matches_oracle(state, specs, got)
@@ -522,7 +544,7 @@ def test_each_value_is_independent_of_the_charges_sharing_the_call(n, seed, rows
     kinds = ["pure-random"] + ["dm-random"] * (n <= 8)
     state = _expectation_state(n, data.draw(st.sampled_from(kinds)), seed)
     specs = data.draw(st.lists(st.sampled_from(_specs(n)), min_size=2, max_size=6))
-    block = sim._CHUNK if rows is None else rows << n
+    block = sim._CHUNK if rows is None else rows << (n - 1)
     with mock.patch.object(sim, "_CHUNK", block):
         together = exact_expectation(state, specs, DELTA)
         alone = [exact_expectation(state, [spec], DELTA)[0] for spec in specs]
@@ -534,12 +556,53 @@ def test_each_value_is_independent_of_the_charges_sharing_the_call(n, seed, rows
 @pytest.mark.parametrize("kind", ["pure-random", "dm-damped"])
 def test_exact_expectation_across_blocks_matches_oracle(kind):
     # every charge at the module's own block size, in one call; the x masks of
-    # the largest density fill several blocks
+    # the largest density fill several blocks of half rows
     n = 12 if kind == "pure-random" else 10
     specs = _specs(n)
-    assert len(set(periodic_density(specs[-1]).x.tolist())) > 2 * (sim._CHUNK >> n)
+    assert len(set(periodic_density(specs[-1]).x.tolist())) > 2 * (sim._CHUNK >> (n - 1))
     state = _expectation_state(n, kind, 5)
     _assert_matches_oracle(state, specs, exact_expectation(state, specs, DELTA))
+
+
+def _edge_density(n: int, seed: int) -> PauliPolynomial:
+    """Random integer strings on n sites whose x masks include 0, masks with
+    top bit 0 (x = 1) and masks with top bit N-1, beside random ones."""
+    rng = np.random.default_rng(seed)
+    top = 1 << (n - 1)
+    xs = np.array([0, 0, 1, 1, top, top | 1, top | 2, 3] + rng.integers(0, 1 << n, 8).tolist())
+    zs = rng.integers(0, 1 << n, len(xs))
+    zs[xs == 0] |= 1  # no identity string
+    keys = np.unique(charges._key(xs, zs, n))
+    coeffs = rng.integers(-3, 4, (len(keys), 2))
+    coeffs[:, 0] = rng.choice([-2, -1, 1, 2], len(keys))
+    return PauliPolynomial.from_arrays(n, *charges._unkey(keys, n), coeffs)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("kind", ["pure-random", "dm-random"])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_half_rows_match_oracle_at_pair_bit_edges(n, kind, rows):
+    # blocks are cut where the pair bit (the top bit of x, N-1 for x = 0)
+    # changes, as well as every ``rows`` masks: densities with x = 0, top bit
+    # 0 and top bit N-1, patched in for two charges, against the oracle on
+    # their sums over the two-site rotations
+    specs = [ChargeSpec(1, "plus", n), ChargeSpec(1, "minus", n)]
+    fake = {spec: _edge_density(n, seed) for seed, spec in enumerate(specs)}
+    for q in fake.values():
+        tops = {n - 1 if x == 0 else x.bit_length() - 1 for x in q.x.tolist()}
+        assert {0, n - 1} <= tops and 0 in q.x
+    state = _expectation_state(n, kind, n)
+    block = sim._CHUNK if rows is None else rows << (n - 1)
+    with (
+        mock.patch.object(sim, "_CHUNK", block),
+        mock.patch.object(sim, "periodic_density", fake.__getitem__),
+        mock.patch.object(charges, "periodic_density", fake.__getitem__),
+    ):
+        got = exact_expectation(state, specs, DELTA)
+        for spec, value in zip(specs, got):
+            q = assemble(spec)
+            bound = 1e-13 * np.abs(q.coefficients(DELTA)).sum()
+            assert abs(value - dense_oracle.exact_expectation(state, q, DELTA)) <= bound, spec
 
 
 def test_exact_expectation_leaves_numpy_ma_unimported():
@@ -585,7 +648,7 @@ def test_exact_expectations_match_pinned_digest():
         values += exact_expectation(psi, specs, DELTA)
         psi = evolve_pure(step, psi)
     assert _float_digest(values) == (
-        "d44e904714bda45332d5e62519b5285cbd382e44030f17af99c5b7c4aab0710b"
+        "bf78f9e745930a64e137d35114a8503907f7632f2d5fac8936fcb67ca11bd7bc"
     )
 
 

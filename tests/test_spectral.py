@@ -25,6 +25,7 @@ from trotterchain.spectral import (
     SuperOperator,
     decay_rate,
     fixed_point,
+    fixed_point_gap,
     spectrum,
     vectorize_step,
 )
@@ -99,6 +100,19 @@ def test_fixed_point_damping_is_not_mixed():
     dist = np.abs(fp.entries - np.eye(16) / 16).max()
     assert dist > 1e-3
     assert abs(exact_expectation(fp, [ChargeSpec(1, "plus", N)], DELTA)[0]) > 1e-3  # nonzero c2
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "damping"])
+def test_fixed_point_gap_is_the_distance_of_the_second_eigenvalue_from_one(depol_op, kind):
+    if kind == "depolarizing":
+        op = depol_op
+    else:
+        model = NoiseModel(after_two_qubit=amp_phase_damping(0.018, 0.018))
+        op = vectorize_step(build_step(N, ALPHA), model)
+    dist = np.sort(np.abs(spectrum(op) - 1.0))
+    assert dist[0] < UNIT_EIGENVALUE_TOL < dist[1]  # one unit eigenvalue
+    assert fixed_point_gap(op) == dist[1]
+    fixed_point(op)  # unique: the gap exceeds the tolerance
 
 
 def test_fixed_point_degenerate_noiseless(noiseless_op):
@@ -226,6 +240,7 @@ def test_spectrum_report_diagonalizes_once(monkeypatch):
     config = cli.ExperimentConfig(n_sites=N, noise={"kind": "depolarizing", "p1": 0.018, "p2": 0.018})
     report = cli.spectrum_report(config)
     assert len(report["eigenvalues"]) == 256 and "fixed_point_c2" in report
+    assert report["fixed_point_gap"] > UNIT_EIGENVALUE_TOL
     assert calls == ["eig"]
 
 
