@@ -7,12 +7,13 @@ integer polynomials in the Trotter step ``delta``.  The module provides
   ``(x, z)`` string masks and an int64 matrix of delta-power coefficients,
   evaluated all rows at once by :meth:`PauliPolynomial.coefficients`;
 - integer tables of dot/cross products ``c delta^m sigma . (sigma x ...)``
-  for the order-1 and order-2 window densities (:func:`density`) and the
-  boost block, each expanded by one function (over :func:`dot_cross`) into
-  packed ``(x, z, m, c)`` monomials;
+  for the order-1 window density and the boost block, each expanded by one
+  function (over :func:`dot_cross`) into packed ``(x, z, m, c)`` monomials;
 - :func:`boost_step`, one rung of the boost recursion, evaluated as a direct
-  commutator on translation-covariant operator sums and collapsed back to a
-  single gauge-fixed window density;
+  commutator on translation-covariant operator sums, through the packed
+  products of :mod:`trotterchain.pauli`, and collapsed back to a single
+  gauge-fixed window density; :func:`window_density` boosts the order-1
+  density to any order;
 - :func:`periodic_density`, the charge on N sites with one string per
   two-site translation orbit (memoized), and :func:`assemble`, its sum over
   the N/2 two-site rotations.  :func:`sim.exact_expectation` evaluates the
@@ -35,7 +36,16 @@ from numbers import Integral
 
 import numpy as np
 
-from .pauli import LETTER_CODES, PauliString, letter_strings
+from .pauli import (
+    LETTER_CODES,
+    PauliString,
+    anticommute,
+    key,
+    letter_strings,
+    product,
+    rotations,
+    unkey,
+)
 
 VARIANTS = ("plus", "minus", "dif")
 
@@ -112,10 +122,10 @@ class PauliPolynomial:
         packed = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.int64)
         for row, coeffs in zip(packed, rows):
             row[: len(coeffs)] = coeffs
-        keys = _key(np.array(xs, dtype=np.int64), np.array(zs, dtype=np.int64), n_sites)
+        keys = key(np.array(xs, dtype=np.int64), np.array(zs, dtype=np.int64), n_sites)
         _check_bound(packed, int(np.unique(keys, return_counts=True)[1].max(initial=1)))
         keys, summed = _sum_rows(keys, packed)
-        return cls.from_arrays(n_sites, *_unkey(keys, n_sites), summed)
+        return cls.from_arrays(n_sites, *unkey(keys, n_sites), summed)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PauliPolynomial":
@@ -221,51 +231,9 @@ def _packed_monomials(table) -> list:
     return out
 
 
-# The plus window densities of orders 1 and 2; the minus density takes the
+# The plus window density of order 1; the minus density takes the
 # coefficient c (-1)^m, the plus density at -delta.
-_DENSITY_TABLES = {
-    1: ((1, 0, (1, 2)), (1, 0, (2, 3)), (-1, 1, (1, 2, 3)), (1, 2, (1, 3))),
-    2: (
-        (-2, 1, (3, 4)),
-        (-2, 1, (4, 5)),
-        (2, 1, (3, 5)),
-        (-1, 0, (3, 4, 5)),
-        (1, 2, (3, 4, 5)),
-        (-1, 0, (2, 3, 4)),
-        (-1, 2, (2, 3, 5)),
-        (-1, 2, (1, 3, 4)),
-        (-1, 4, (1, 3, 5)),
-        (1, 1, (2, 3, 4, 5)),
-        (1, 1, (1, 2, 3, 4)),
-        (1, 3, (1, 3, 4, 5)),
-        (1, 3, (1, 2, 3, 5)),
-        (-1, 2, (1, 2, 3, 4, 5)),
-    ),
-}
-
-
-def density(order: int, variant: str) -> PauliPolynomial:
-    """The low-order window densities.
-
-    ``variant`` is ``"plus"`` or ``"minus"``; the window has ``2*order + 1``
-    sites.  Higher orders come from :func:`boost_step`.
-
-    The quadratic term of the order-1 density is ``delta^2 sigma_1.sigma_3``:
-    with a middle-bond quadratic term instead, the assembled charge fails to
-    commute with the evolution step (and the exactly-known product-state
-    expectation values come out wrong), so that variant is rejected by the
-    conservation tests.
-    """
-    if variant not in ("plus", "minus"):
-        raise ValueError(f"unknown density variant {variant!r}")
-    if order not in _DENSITY_TABLES:
-        raise ValueError("hard-coded densities exist for orders 1 and 2 only")
-    n_sites = 2 * order + 1
-    x, z, m, c = np.array(_packed_monomials(_DENSITY_TABLES[order]), dtype=np.int64).T
-    rows = np.zeros((len(c), m.max() + 1), dtype=np.int64)
-    rows[np.arange(len(c)), m] = c if variant == "plus" else c * (-1) ** m
-    keys, summed = _sum_rows(_key(x, z, n_sites), rows)
-    return PauliPolynomial.from_arrays(n_sites, *_unkey(keys, n_sites), summed)
+_ORDER1_TABLE = ((1, 0, (1, 2)), (1, 0, (2, 3)), (-1, 1, (1, 2, 3)), (1, 2, (1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +243,6 @@ def density(order: int, variant: str) -> PauliPolynomial:
 # The recursion works on packed rows: a term is an int64 (x, z) mask pair in
 # the bit layout of PauliString, and its coefficient an int64 row whose
 # column m holds the coefficient of delta^m.
-
-
-def _popcount(m):
-    return np.bitwise_count(m).astype(np.int64)
 
 
 def _high_bit(m):
@@ -293,17 +257,6 @@ def _check_bound(coeffs: np.ndarray, factor: int):
         raise OverflowError(
             f"coefficients up to {peak} could overflow int64 (bound factor {factor})"
         )
-
-
-def _key(x, z, nbits: int):
-    """One int64 per (x, z) mask pair, x in the high bits: sorts by (x, z)."""
-    if 2 * nbits > 63:
-        raise ValueError(f"{nbits}-site masks do not fit a packed int64 key")
-    return (x << nbits) | z
-
-
-def _unkey(keys, nbits: int):
-    return keys >> nbits, keys & ((1 << nbits) - 1)
 
 
 # positions per block of a segment sum: one block of rows is held at a time
@@ -392,7 +345,6 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     # block touches; window site j of the input sits at offset + j - 1.
     base = 2 * l_min - 3
     tx, tz, coeffs = q_n.x << (offset - base), q_n.z << (offset - base), q_n.coeffs
-    t_y = _popcount(tx & tz)
     n_terms, width = coeffs.shape
     row_width = width + 2  # block monomials carry up to delta^2
 
@@ -412,8 +364,7 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
 
     # per block monomial, anchor by term: True where the anchored monomial and the term anticommute
     parities = [
-        (np.bitwise_count(((bx << lift) & tz) ^ ((bz << lift) & tx)) & 1).astype(bool)
-        for bx, bz, _, _ in _BOOST_MONOMIALS
+        anticommute(bx << lift, bz << lift, tx, tz) for bx, bz, _, _ in _BOOST_MONOMIALS
     ]
     n_products = sum(int(p.sum()) for p in parities)
     index_bits = n_products.bit_length()
@@ -432,19 +383,16 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     for (bx, bz, m, c), parity in zip(_BOOST_MONOMIALS, parities):
         ls, hit = np.nonzero(parity)
         start, end = end, end + len(hit)
-        bxs, bzs = bx << 2 * ls, bz << 2 * ls
-        x, z = tx[hit] ^ bxs, tz[hit] ^ bzs
-        # (i/2)[b, t] = i b t = i^(k+1) (x, z) for anticommuting b, t,
-        # with the phase k of the product b t (``mul`` in the tests' dense_oracle):
-        # +1 for k = 3, -1 for k = 1 (mod 4)
-        k = (bx & bz).bit_count() + t_y[hit] + 2 * _popcount(bzs & tx[hit])
-        scale[start:end] = np.where((k - _popcount(x & z)) % 4 == 3, c, -c)
+        # (i/2)[b, t] = i b t = i^(k+1) (x, z) for anticommuting b, t with
+        # b t = i^k (x, z): +1 for k = 3, -1 for k = 1
+        x, z, k = product(bx << 2 * ls, bz << 2 * ls, tx[hit], tz[hit])
+        scale[start:end] = np.where(k == 3, c, -c)
         last = base + _high_bit(x | z)
         m2 = (out_hi - 1 - last + ((out_hi - 1 - last) & 1)) // 2
         shift = 2 * m2 + base - offset + 2
         x = np.where(shift >= 0, x << np.maximum(shift, 0), x >> np.maximum(-shift, 0))
         z = np.where(shift >= 0, z << np.maximum(shift, 0), z >> np.maximum(-shift, 0))
-        keys[start:end] = _key(x, z, nbits) << index_bits | np.arange(start, end)
+        keys[start:end] = key(x, z, nbits) << index_bits | np.arange(start, end)
         row[start:end] = m * n_terms + hit
         lever[start:end] = ls + l_min + m2
     del parities  # read once, not held through the sort and the sums
@@ -473,7 +421,7 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
             "boost collapse obstruction: input density is not conserved "
             f"({obstructed} orbits with nonzero weight-sum)"
         )
-    x, z = _unkey(np.concatenate([np.zeros(0, np.int64)] + [k for k, _ in blocks]), nbits)
+    x, z = unkey(np.concatenate([np.zeros(0, np.int64)] + [k for k, _ in blocks]), nbits)
     collapsed = np.concatenate([np.zeros((0, row_width), np.int64)] + [r for _, r in blocks])
     if np.any((x | z) & 0b11 != 0):
         raise GaugeError("collapsed term does not fit the gauge window")
@@ -482,17 +430,27 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
 
 @functools.cache
 def window_density(order: int, variant: str) -> PauliPolynomial:
-    """Window density of any order: hard-coded for n <= 2, boosted above.
+    """Window density of any order on ``2*order + 1`` sites: order 1 from its
+    integer table, each higher order by :func:`boost_step`.
 
+    ``variant`` is ``"plus"`` or ``"minus"``.  The quadratic term of the
+    order-1 density is ``delta^2 sigma_1.sigma_3``: with a middle-bond
+    quadratic term instead, the assembled charge fails to commute with the
+    evolution step (and the exactly-known product-state expectation values
+    come out wrong), so that variant is rejected by the conservation tests.
     Memoized in this process; the result is immutable.
     """
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown density variant {variant!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order <= 2:
-        return density(order, variant)
-    return boost_step(window_density(order - 1, variant), order - 1, variant)
+    if order > 1:
+        return boost_step(window_density(order - 1, variant), order - 1, variant)
+    x, z, m, c = np.array(_packed_monomials(_ORDER1_TABLE), dtype=np.int64).T
+    rows = np.zeros((len(c), m.max() + 1), dtype=np.int64)
+    rows[np.arange(len(c)), m] = c if variant == "plus" else c * (-1) ** m
+    keys, summed = _sum_rows(key(x, z, 3), rows)
+    return PauliPolynomial.from_arrays(3, *unkey(keys, 3), summed)
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +491,6 @@ def charge_label(order: int, variant: str) -> str:
     return f"Q{order}{suffix}"
 
 
-def _rotations(m, n_sites: int):
-    """Masks ``m`` rotated by each two-site translation: row j moves bit k to bit k + 2j mod N."""
-    ks = np.arange(0, n_sites, 2)[:, None]
-    return ((m << ks) | (m >> (n_sites - ks))) & ((1 << n_sites) - 1)
-
-
 def _orbit_rows(order: int, variant: str, n_sites: int):
     """The window density on N sites as sorted orbit keys and their summed rows.
 
@@ -552,7 +504,7 @@ def _orbit_rows(order: int, variant: str, n_sites: int):
     shift = 1 if variant == "plus" else 0
     # a key sums at most one row per term of an orbit; dif subtracts two such sums
     _check_bound(q.coeffs, n_sites)
-    keys = _key(_rotations(q.x << shift, n_sites), _rotations(q.z << shift, n_sites), n_sites)
+    keys = key(rotations(q.x << shift, n_sites), rotations(q.z << shift, n_sites), n_sites)
     return _sum_rows(keys.min(axis=0), q.coeffs)
 
 
@@ -568,7 +520,7 @@ def periodic_density(spec: ChargeSpec) -> PauliPolynomial:
     """
     if spec.variant in ("plus", "minus"):
         keys, rows = _orbit_rows(spec.order, spec.variant, spec.n_sites)
-        return PauliPolynomial.from_arrays(spec.n_sites, *_unkey(keys, spec.n_sites), rows)
+        return PauliPolynomial.from_arrays(spec.n_sites, *unkey(keys, spec.n_sites), rows)
     pk, plus = _orbit_rows(spec.order, "plus", spec.n_sites)
     mk, minus = _orbit_rows(spec.order, "minus", spec.n_sites)
     rows = np.zeros((len(pk) + len(mk), max(plus.shape[1], minus.shape[1])), dtype=np.int64)
@@ -577,7 +529,7 @@ def periodic_density(spec: ChargeSpec) -> PauliPolynomial:
     keys, diff = _sum_rows(np.concatenate([pk, mk]), rows)
     if diff[:, 0].any():
         raise ValueError("Q+(0) != Q-(0): difference not divisible by delta")
-    return PauliPolynomial.from_arrays(spec.n_sites, *_unkey(keys, spec.n_sites), diff[:, 1:])
+    return PauliPolynomial.from_arrays(spec.n_sites, *unkey(keys, spec.n_sites), diff[:, 1:])
 
 
 def assemble(spec: ChargeSpec) -> PauliPolynomial:
@@ -586,8 +538,8 @@ def assemble(spec: ChargeSpec) -> PauliPolynomial:
     q = periodic_density(spec)
     n = spec.n_sites
     _check_bound(q.coeffs, n // 2)
-    keys, rows = _sum_rows(_key(_rotations(q.x, n), _rotations(q.z, n), n), q.coeffs)
-    return PauliPolynomial.from_arrays(n, *_unkey(keys, n), rows)
+    keys, rows = _sum_rows(key(rotations(q.x, n), rotations(q.z, n), n), q.coeffs)
+    return PauliPolynomial.from_arrays(n, *unkey(keys, n), rows)
 
 
 @functools.cache

@@ -370,7 +370,8 @@ def mitigation_table(config: ExperimentConfig) -> list:
 
 
 def fit_report(config: ExperimentConfig, rows: list) -> dict:
-    """Exponential and early-linear fits of a decay table, per charge."""
+    """Exponential and early-linear fits of a decay table, per charge; the
+    exponential fit keeps its diagnostics."""
     series: dict = {}
     for d, order, variant, est, s_q, exact in rows:
         key = charge_label(order, variant)
@@ -391,6 +392,7 @@ def fit_report(config: ExperimentConfig, rows: list) -> dict:
                 "parameters": fit.parameters,
                 "std_errors": fit.std_errors,
                 "converged": fit.converged,
+                "diagnostics": list(fit.diagnostics),
             }
         }
         window = min(config.fit_window or 6, len(pts))

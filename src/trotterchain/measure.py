@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charges import PauliPolynomial
-from .pauli import PauliString, letter_strings, word_masks
+from .pauli import PauliString, letter_strings, parity_sign, word_masks
 
 
 def contains(word: str, term: PauliString) -> bool:
@@ -100,10 +100,6 @@ class CoverageError(ValueError):
     """Some charge term is not contained in any plan word."""
 
 
-def _parities(idx: np.ndarray, mask: int | np.ndarray) -> np.ndarray:
-    return 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(mask)).astype(np.int64) & 1)
-
-
 def _coverage(plan: MeasurementPlan, charge: PauliPolynomial) -> tuple:
     """Per word, the ascending indices of the terms it contains; per term, its
     pooled shot count n_P, n_W per word containing it.  Raises
@@ -150,7 +146,7 @@ def estimate(
         if not cov:
             continue
         cnt = cnt.astype(np.float64)
-        signs = _parities(idx[None, :], masks[cov, None])
+        signs = parity_sign(idx[None, :], masks[cov, None])
         sums = signs @ cnt
         cross = (signs * cnt) @ signs.T
         for i, a in enumerate(cov):
@@ -209,12 +205,12 @@ def exact_estimator_variance(
     s_p = [0.0] * len(charge)
     var = 0.0
     for p, cov in zip(distributions, word_cover):
-        single = [float(p @ _parities(idx, masks[a])) for a in cov]
+        single = [float(p @ parity_sign(idx, masks[a])) for a in cov]
         cross = {}  # symmetric in (a, b): one pass over the outcomes per unordered pair
         for i, a in enumerate(cov):
             s_p[a] += single[i]
             for b in cov[i:]:
-                cross[a, b] = cross[b, a] = float(p @ _parities(idx, masks[a] ^ masks[b]))
+                cross[a, b] = cross[b, a] = float(p @ parity_sign(idx, masks[a] ^ masks[b]))
         for a, e_a in zip(cov, single):
             for b, e_b in zip(cov, single):
                 var += coeffs[a] * coeffs[b] * n_w * (cross[a, b] - e_a * e_b) / (n_p[a] * n_p[b])

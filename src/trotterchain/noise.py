@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pauli import MATRICES
+
 COMPLETENESS_TOL = 1e-12
 
 
@@ -44,18 +46,8 @@ def depolarizing(p: float) -> KrausChannel:
     """Single-qubit depolarizing channel: (1-p) rho + p I/2 for unit trace."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing rate must be in [0, 1], got {p}")
-    i = np.eye(2, dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    return KrausChannel(
-        (
-            np.sqrt(1 - 3 * p / 4) * i,
-            np.sqrt(p / 4) * x,
-            np.sqrt(p / 4) * y,
-            np.sqrt(p / 4) * z,
-        )
-    )
+    weights = (1 - 3 * p / 4, p / 4, p / 4, p / 4)
+    return KrausChannel(tuple(np.sqrt(w) * MATRICES[c] for w, c in zip(weights, "IXYZ")))
 
 
 def amp_phase_damping(lambda_a: float, lambda_p: float) -> KrausChannel:

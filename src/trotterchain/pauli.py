@@ -8,10 +8,15 @@ site ``N+1`` is site 1.  The operator represented is
     i**phase_power * W_1 (x) W_2 (x) ... (x) W_N,
 
 with ``W_j in {I, X, Y, Z}`` read off the mask bits.  The global phase is
-tracked as a power of ``i`` modulo 4 and never as a floating scalar.  The
-library multiplies strings only in bulk, on mask arrays, with the popcount
-phase of :func:`charges.boost_step`; the single-string product is a test
-oracle.
+tracked as a power of ``i`` modulo 4 and never as a floating scalar.
+
+The module owns the packed algebra on int64 mask arrays (Python ints work
+too), and every other module calls it: the sortable :func:`key` and its
+inverse :func:`unkey`, the two-site :func:`rotations`, the unit
+:func:`i_power` of ``P(x, z) = i**|x&z| X^x Z^z``, the sign
+:func:`parity_sign`, :func:`anticommute` and the :func:`product` of two
+strings with its power of ``i``; :data:`MATRICES` holds the 2x2 Paulis.
+``|m|`` is the popcount of mask ``m``.
 
 Text rendering writes site 1 leftmost, e.g. ``"IXZY"``; :func:`letter_strings`
 is the one renderer, vectorised over mask arrays, and :func:`word_masks` the
@@ -29,14 +34,14 @@ CODE_LETTERS = "IXZY"
 _LETTER_BYTES = np.frombuffer(CODE_LETTERS.encode(), dtype=np.uint8)
 LETTER_CODES = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 
-_SINGLE = {
+MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_UNITS = np.array((1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j))  # i**k at k
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +104,7 @@ class PauliString:
         cols = np.arange(1 << n, dtype=np.uint32)
         rows = cols ^ np.uint32(self.x_mask)
         par = np.bitwise_count(cols & np.uint32(self.z_mask)).astype(np.int64) & 1
-        scale = _I_POW[(self.phase_power + (self.x_mask & self.z_mask).bit_count()) % 4]
+        scale = _UNITS[(self.phase_power + (self.x_mask & self.z_mask).bit_count()) % 4]
         vals = np.where(par, -scale, scale)
         return rows, vals
 
@@ -133,3 +138,51 @@ def word_masks(words, n: int) -> tuple[np.ndarray, np.ndarray]:
     letters = codes.reshape(len(words), n)
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     return (letters != ord("Z")) @ bits, (letters != ord("X")) @ bits
+
+
+def key(x, z, nbits: int):
+    """One int64 per (x, z) mask pair of ``nbits`` sites, x in the high bits: sorts by (x, z)."""
+    if 2 * nbits > 63:
+        raise ValueError(f"{nbits}-site masks do not fit a packed int64 key")
+    return (x << nbits) | z
+
+
+def unkey(keys, nbits: int):
+    """The ``(x, z)`` masks of :func:`key`'s ``keys``."""
+    return keys >> nbits, keys & ((1 << nbits) - 1)
+
+
+def rotations(m, n_sites: int):
+    """Masks ``m`` rotated by each two-site translation: row j moves bit k to bit k + 2j mod N."""
+    ks = np.arange(0, n_sites, 2)[:, None]
+    return ((m << ks) | (m >> (n_sites - ks))) & ((1 << n_sites) - 1)
+
+
+def i_power(x, z):
+    """The complex unit i**|x&z|, with which P(x, z) = i**|x&z| X^x Z^z."""
+    return _UNITS[np.bitwise_count(x & z) & 3]
+
+
+def parity_sign(a, b):
+    """(-1)**|a&b| as floats: Z^b on basis state a, or X^a against Z^b."""
+    return 1.0 - 2.0 * (np.bitwise_count(a & b) & 1)
+
+
+def anticommute(x1, z1, x2, z2):
+    """True where P(x1, z1) and P(x2, z2) anticommute: |x1&z2| + |z1&x2| is odd."""
+    return (np.bitwise_count((x1 & z2) ^ (z1 & x2)) & 1).astype(bool)
+
+
+def _count(m):
+    return np.bitwise_count(m).astype(np.int64)
+
+
+def product(x1, z1, x2, z2):
+    """``(x, z, k)`` with P(x1, z1) P(x2, z2) = i**k P(x, z), k in 0..3.
+
+    Each factor is i**|x&z| X^x Z^z; moving Z^z1 past X^x2 gives
+    (-1)**|z1&x2|, and the product's own unit is divided back out.
+    """
+    x, z = x1 ^ x2, z1 ^ z2
+    k = _count(x1 & z1) + _count(x2 & z2) + 2 * _count(z1 & x2) - _count(x & z)
+    return x, z, k % 4

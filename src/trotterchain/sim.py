@@ -74,10 +74,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charges import ChargeSpec, _rotations, periodic_density
+from .charges import ChargeSpec, periodic_density
 from .circuit import Circuit, Gate, InitialStateSpec, build_init, build_measurement_rotation
 from .noise import KrausChannel
-from .pauli import _I_POW, word_masks
+from .pauli import i_power, rotations, word_masks
 
 DM_MAX_SITES = 10
 
@@ -440,7 +440,7 @@ def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
         raise ValueError("state and charge sizes differ")
     dim, half = 1 << n, 1 << (n - 1)
     cols = np.arange(dim, dtype=np.int64)
-    perms = _rotations(cols, n)  # perms[j, b] = R^(2j) b
+    perms = rotations(cols, n)  # perms[j, b] = R^(2j) b
     pure = isinstance(state, StateVector)
     if pure:
         rotated = state.amplitudes[perms]  # rotated[j, b] = psi[R^(2j) b]
@@ -452,7 +452,6 @@ def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
         flat = state.entries.reshape(-1)
         row_starts = perms * dim  # rho[R b, R b'] is flat[row_starts[j, b] + perms[j, b']]
         probs = state.entries.diagonal().real
-    units = np.array(_I_POW)
     qs = [periodic_density(spec) for spec in specs]
     xs = np.sort(np.concatenate([np.zeros(0, np.int64)] + [q.x for q in qs]))
     xs = xs[np.diff(xs, prepend=-1) != 0]  # the union of the x masks, ascending
@@ -467,7 +466,7 @@ def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
         row = np.searchsorted(xs, q.x)
         block = np.searchsorted(starts, row, side="right") - 1
         low = (np.int64(1) << pair[block]) - 1  # the bits below the pair bit
-        c = q.coefficients(delta) * units[np.bitwise_count(q.x & q.z) & 3]
+        c = q.coefficients(delta) * i_power(q.x, q.z)
         sign = 1 - 2 * (q.z >> (n - 1) & 1)  # (-1)^z_h where x = 0
         c *= np.where(q.x == 0, 1 - 1j * sign, 2)
         pos = (row - np.take(starts, block)) * half + (q.z & low | q.z >> 1 & ~low)
@@ -514,7 +513,6 @@ def pauli_spectrum(rho: DensityMatrix) -> np.ndarray:
     cols = np.arange(dim, dtype=np.int64)
     flat = rho.entries.reshape(-1)
     row_start = cols * dim  # rho[b, b^x] is flat[row_start[b] + (b^x)]
-    units = np.array(_I_POW)
     per = max(1, _CHUNK >> n)  # rows per block
     buf = np.empty((2, min(per, dim), dim), dtype=complex)
     paulis = np.empty((dim, dim))
@@ -523,7 +521,7 @@ def pauli_spectrum(rho: DensityMatrix) -> np.ndarray:
         cur = buf[0, : len(xs)]
         np.take(flat, (cols ^ xs[:, None]) + row_start, out=cur)
         w = _walsh_rows(cur, buf[1, : len(xs)])
-        paulis[xs] = (w * units[np.bitwise_count(xs[:, None] & cols) & 3]).real
+        paulis[xs] = (w * i_power(xs[:, None], cols)).real
     return paulis
 
 
@@ -537,7 +535,7 @@ def from_pauli_spectrum(paulis: np.ndarray) -> DensityMatrix:
     """
     dim = len(paulis)
     cols = np.arange(dim, dtype=np.int64)
-    w = paulis * np.conj(_I_POW)[np.bitwise_count(cols[:, None] & cols) & 3]
+    w = paulis * i_power(cols[:, None], cols).conj()
     rows = _walsh_rows(w, np.empty_like(w))
     rho = np.empty((dim, dim), dtype=complex)
     rho.reshape(-1)[cols * dim + (cols ^ cols[:, None])] = rows / dim

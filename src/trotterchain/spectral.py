@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .circuit import Circuit
+from .pauli import parity_sign
 from .sim import (
     HERMITICITY_TOL,
     DensityMatrix,
@@ -81,7 +82,7 @@ def vectorize_step(circuit: Circuit, noise: NoiseModel) -> SuperOperator:
         raise ValueError(f"step does not preserve Hermiticity: Choi state deviation {h:.2e}")
     r = pauli_spectrum(choi).reshape(dim, dim, dim, dim)  # [x_B, x_A, z_B, z_A]
     masks = np.arange(dim)
-    sign = 1.0 - 2.0 * (np.bitwise_count(masks[:, None] & masks) & 1)  # [x_B, z_B]
+    sign = parity_sign(masks[:, None], masks)  # [x_B, z_B]
     r *= sign[:, None, :, None] / dim
     return SuperOperator(n, r.transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim))
 

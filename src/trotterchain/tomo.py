@@ -22,7 +22,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .pauli import _SINGLE
+from .pauli import MATRICES
 from .sim import IDEAL, DensityMatrix, NoiseModel, rotated_probabilities, sample
 
 TOMO_MAX_SITES = 6
@@ -89,7 +89,7 @@ def linear_inversion(data: TomographyData) -> np.ndarray:
     n = data.n_sites
     shots = 1.0 if data.shots is None else float(data.shots)
     # site_inverse[letter, bit] = A[sigma, b], letters in all_words' order
-    site_inverse = np.array([[(np.eye(2) / 3 + s * _SINGLE[c]) / 2 for s in (1, -1)] for c in "XYZ"])
+    site_inverse = np.array([[(np.eye(2) / 3 + s * MATRICES[c]) / 2 for s in (1, -1)] for c in "XYZ"])
     t = (data.freqs / shots).reshape((3,) * n + (2,) * n)
     for j in range(n):  # site j+1: its letter is axis 0, its bit the last bit axis
         t = np.tensordot(t, site_inverse, axes=([0, 2 * (n - j) - 1], [0, 1]))

@@ -21,7 +21,7 @@ import numpy as np
 
 from trotterchain.charges import PauliPolynomial, window_density
 from trotterchain.circuit import Gate, build_measurement_rotation
-from trotterchain.pauli import _I_POW, PauliString
+from trotterchain.pauli import PauliString
 from trotterchain.sim import (
     IDEAL,
     DensityMatrix,
@@ -31,6 +31,9 @@ from trotterchain.sim import (
     apply_readout_flips,
 )
 from trotterchain.tomo import all_words
+
+
+I_POWERS = np.array([1, 1j, -1, -1j])  # i**k at k
 
 
 class SizeMismatchError(ValueError):
@@ -241,7 +244,7 @@ def trace_pair(a, b) -> complex:
         raise SizeMismatchError(f"size mismatch: {a.n_sites} vs {b.n_sites}")
     if a.x_mask != b.x_mask or a.z_mask != b.z_mask:
         return 0.0 + 0.0j
-    return _I_POW[mul(a, b).phase_power]
+    return I_POWERS[mul(a, b).phase_power]
 
 
 def pauli_expectation_statevector(s, psi: np.ndarray) -> complex:
@@ -395,7 +398,7 @@ def exact_expectation(state, charge, delta: float) -> float:
     """
     if state.n_sites != charge.n_sites:
         raise ValueError("state and charge sizes differ")
-    units = np.array(_I_POW)[np.bitwise_count(charge.x & charge.z) & 3]
+    units = I_POWERS[np.bitwise_count(charge.x & charge.z) & 3]
     coeffs = charge.coefficients(delta) * units
     cols = np.arange(1 << state.n_sites, dtype=np.int64)
     if isinstance(state, StateVector):

@@ -15,9 +15,9 @@ from trotterchain.charges import (
     ChargeSpec,
     assemble,
     boost_step,
-    density,
     step_unitary,
     transfer_matrix,
+    window_density,
 )
 from trotterchain.circuit import InitialStateSpec, build_step
 from trotterchain.cli import (
@@ -45,14 +45,14 @@ def report(num, detail):
 
 
 def test_c01_golden_charges():
-    q1 = density(1, "plus")
+    q1 = window_density(1, "plus")
     assert coefficient(q1, PauliString.from_letters("ZZI")).coeffs == (1,)
     assert coefficient(q1, PauliString.from_letters("XYZ")).coeffs == (0, -1)
     assert coefficient(q1, PauliString.from_letters("ZIZ")).coeffs == (0, 0, 1)
     assert len(q1) == 15  # two bond dots, six triples, three edge-pair dots
     for variant in ("plus", "minus"):
-        assert boost_step(density(1, variant), 1, variant) == density(2, variant)
-    got3 = boost_step(density(2, "plus"), 2, "plus")
+        assert boost_step(window_density(1, variant), 1, variant) == golden.q2_reference(variant)
+    got3 = boost_step(golden.q2_reference("plus"), 2, "plus")
     want3 = golden.build_window(7, golden.Q3_REFERENCE_GROUPS)
     assert got3 == want3
     report(1, "q1/q2/q3 densities match the golden expansions with exact integers")

@@ -14,15 +14,12 @@ from trotterchain import charges
 from trotterchain.charges import (
     VARIANTS,
     ChargeSpec,
-    _DENSITY_TABLES,
     GaugeError,
     PauliPolynomial,
     _packed_monomials,
-    _rotations,
     assemble,
     assemble_cached,
     boost_step,
-    density,
     dot_cross,
     periodic_density,
     r_check,
@@ -32,7 +29,7 @@ from trotterchain.charges import (
     window_density,
 )
 from strategies import term_lists
-from trotterchain.pauli import CODE_LETTERS, LETTER_CODES, PauliString
+from trotterchain.pauli import CODE_LETTERS, LETTER_CODES, PauliString, key, rotations
 
 DELTA = float(np.tan(0.3))
 
@@ -79,20 +76,20 @@ def test_delta_poly_arithmetic():
 
 
 def test_density_order1_coefficients():
-    q = density(1, "plus")
+    q = window_density(1, "plus")
     assert coefficient(q, PauliString.from_letters("ZZI")) == DeltaPoly((1,))
     # expanding sigma_1.(sigma_2 x sigma_3) gives X1 Y2 Z3 with weight +1
     assert coefficient(q, PauliString.from_letters("XYZ")) == DeltaPoly((0, -1))
     # the quadratic piece couples the window edges (the middle-bond variant
     # fails conservation; see test_assembled_charges_are_conserved)
     assert coefficient(q, PauliString.from_letters("ZIZ")) == DeltaPoly((0, 0, 1))
-    minus = density(1, "minus")
+    minus = window_density(1, "minus")
     assert coefficient(minus, PauliString.from_letters("XYZ")) == DeltaPoly((0, 1))
 
 
 def test_density_plus_minus_agree_at_zero():
-    plus = {s: p(0.0) for s, p in items(density(1, "plus")) if p(0.0)}
-    minus = {s: p(0.0) for s, p in items(density(1, "minus")) if p(0.0)}
+    plus = {s: p(0.0) for s, p in items(window_density(1, "plus")) if p(0.0)}
+    minus = {s: p(0.0) for s, p in items(window_density(1, "minus")) if p(0.0)}
     assert plus == minus
 
 
@@ -127,7 +124,7 @@ def test_dot_cross_matches_dense_levi_civita_product():
         assert len(monomials) == len(dot_cross(k)) and dot_cross(k) is dot_cross(k)
     # one table entry, on sites that skip one, at a nonzero delta power
     c, m, sites = entry = (-1, 2, (2, 3, 5))
-    assert entry in _DENSITY_TABLES[2]
+    assert (c, sites) in Q2_REFERENCE_GROUPS[m]
     rows = _packed_monomials([entry])
     terms = [(PauliString(5, x, z), DeltaPoly.delta_power(p, s).coeffs) for x, z, p, s in rows]
     got = to_matrix(PauliPolynomial.from_terms(5, terms), DELTA)
@@ -136,15 +133,34 @@ def test_dot_cross_matches_dense_levi_civita_product():
 
 def test_boost_matches_reference_order2():
     for variant in ("plus", "minus"):
-        assert boost_step(density(1, variant), 1, variant) == density(2, variant)
+        want = q2_reference(variant)
+        assert boost_step(window_density(1, variant), 1, variant) == want
+        assert window_density(2, variant) == want
 
 
 def test_boosted_order2_at_zero_has_only_triples():
-    q2 = boost_step(density(1, "plus"), 1, "plus")
+    q2 = boost_step(window_density(1, "plus"), 1, "plus")
     at_zero = {s: p(0.0) for s, p in items(q2) if p(0.0)}
     assert at_zero  # nonempty
     for s in at_zero:
         assert (s.x_mask | s.z_mask).bit_count() == 3
+
+
+# The plus window density of order 2 as {delta_power: [(coeff, sites), ...]}
+Q2_REFERENCE_GROUPS = {
+    0: [(-1, (3, 4, 5)), (-1, (2, 3, 4))],
+    1: [(-2, (3, 4)), (-2, (4, 5)), (2, (3, 5)), (1, (2, 3, 4, 5)), (1, (1, 2, 3, 4))],
+    2: [(1, (3, 4, 5)), (-1, (2, 3, 5)), (-1, (1, 3, 4)), (-1, (1, 2, 3, 4, 5))],
+    3: [(1, (1, 3, 4, 5)), (1, (1, 2, 3, 5))],
+    4: [(-1, (1, 3, 5))],
+}
+
+
+def q2_reference(variant):
+    """The order-2 golden density; the minus variant takes c (-1)^m."""
+    sign = {"plus": 1, "minus": -1}[variant]
+    groups = {m: [(c * sign**m, s) for c, s in e] for m, e in Q2_REFERENCE_GROUPS.items()}
+    return build_window(5, groups)
 
 
 Q3_REFERENCE_GROUPS = {
@@ -220,7 +236,7 @@ Q3_REFERENCE_GROUPS = {
 
 
 def test_boost_matches_reference_order3():
-    got = boost_step(density(2, "plus"), 2, "plus")
+    got = boost_step(q2_reference("plus"), 2, "plus")
     want = build_window(7, Q3_REFERENCE_GROUPS)
     assert got == want
     # the leading flat part starts -4 s6.s7 + 2 s5.s7 - 4 s5.s6 ...
@@ -424,11 +440,11 @@ def test_order6_density_term_count():
 
 
 def test_boost_bound_check_rejects_coefficients_near_int64_limit():
-    big = _scaled(density(1, "plus"), 1 << 62)
+    big = _scaled(window_density(1, "plus"), 1 << 62)
     with pytest.raises(OverflowError):
         boost_step(big, 1, "plus")
     with pytest.raises(OverflowError):
-        boost_step(_scaled(density(1, "plus"), 1 << 64), 1, "plus")
+        boost_step(_scaled(window_density(1, "plus"), 1 << 64), 1, "plus")
 
 
 def test_term_count_grows_with_order():
@@ -444,6 +460,69 @@ def test_gauge_no_identity_on_last_two_sites():
 
 
 # ---------------------------------------------------------------------------
+# SU(2) invariance: letter maps of global spin rotations
+# ---------------------------------------------------------------------------
+
+# Each map takes the masks of a string to the masks of its image and the
+# image's sign; both are site by site, so they commute with translations.
+LETTER_MAPS = {
+    # X -> Y -> Z -> X
+    "cyclic": lambda x, z: (x ^ z, x, 1),
+    # X <-> Y, Z -> -Z
+    "swap_xy": lambda x, z: (x, z ^ x, (-1) ** np.bitwise_count(z & ~x).astype(np.int64)),
+}
+
+
+def letter_map_failures(q, canonical) -> list:
+    """The letter maps that do not send ``q`` to itself, row for row, once
+    each image string is re-keyed by ``canonical(x, z)`` and re-sorted."""
+    failures = []
+    for name, letter_map in LETTER_MAPS.items():
+        x, z, sign = letter_map(q.x, q.z)
+        keys = canonical(x, z)
+        order = np.argsort(keys)
+        image = (q.coeffs * np.broadcast_to(sign, keys.shape)[:, None])[order]
+        same_keys = np.array_equal(keys[order], canonical(q.x, q.z))
+        if not (same_keys and np.array_equal(image, q.coeffs)):
+            failures.append(name)
+    return failures
+
+
+def window_key(n_sites):
+    return lambda x, z: key(x, z, n_sites)
+
+
+def orbit_key(n_sites):
+    """The smallest key among the N/2 two-site rotations of each string."""
+    return lambda x, z: key(rotations(x, n_sites), rotations(z, n_sites), n_sites).min(axis=0)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_window_densities_are_su2_invariant(variant):
+    for order in range(1, 7):
+        q = window_density(order, variant)
+        assert letter_map_failures(q, window_key(q.n_sites)) == [], order
+
+
+def test_periodic_densities_are_su2_invariant():
+    n = 14
+    for spec in [ChargeSpec(o, v, n) for o in range(1, (n - 2) // 2 + 1) for v in VARIANTS]:
+        assert letter_map_failures(periodic_density(spec), orbit_key(n)) == [], spec
+
+
+def test_one_coefficient_off_by_one_breaks_su2_invariance():
+    q = window_density(2, "minus")
+    spec = ChargeSpec(2, "dif", 8)
+    d = periodic_density(spec)
+    for poly, canonical in [(q, window_key(q.n_sites)), (d, orbit_key(spec.n_sites))]:
+        for row in range(len(poly)):
+            coeffs = poly.coeffs.copy()
+            coeffs[row, -1] += 1
+            bad = PauliPolynomial.from_arrays(poly.n_sites, poly.x, poly.z, coeffs)
+            assert letter_map_failures(bad, canonical), row
+
+
+# ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
@@ -452,7 +531,7 @@ def test_assemble_window_count():
     q = assemble(ChargeSpec(1, "plus", 4))
     # two windows; the delta^2 edge terms of both land on the same strings
     terms = []
-    win = density(1, "plus")
+    win = window_density(1, "plus")
     for start in (2, 4):  # chain positions of window site 1, distance two apart
         for s, p in items(win):
             letters = ["I"] * 4
@@ -477,7 +556,7 @@ def test_periodic_density_sums_to_the_window_sum(n_sites):
     for spec in [ChargeSpec(o, v, n) for o in range(1, (n - 2) // 2 + 1) for v in VARIANTS]:
         d = periodic_density(spec)
         keys = d.x << n | d.z
-        rotated = _rotations(d.x, n) << n | _rotations(d.z, n)
+        rotated = rotations(d.x, n) << n | rotations(d.z, n)
         assert np.array_equal(keys, rotated.min(axis=0)), spec
         if spec.order < 6:
             assert assemble(spec) == dense_oracle.window_sum(spec), spec
@@ -659,7 +738,7 @@ def test_memoized_charges_are_read_only():
     spec = ChargeSpec(2, "plus", 8)
     for memo, fresh in [
         (functools.partial(assemble_cached, spec), functools.partial(assemble, spec)),
-        (functools.partial(window_density, 2, "plus"), functools.partial(density, 2, "plus")),
+        (functools.partial(window_density, 2, "plus"), functools.partial(q2_reference, "plus")),
     ]:
         q = memo()
         for array in (q.x, q.z, q.coeffs):

@@ -343,7 +343,7 @@ PINNED_RUNS = {
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
             "decay.csv": "a1aa7fc3a23a6e942014e93319507773d59f78a8d800a891f7da348910d38006",
             "fits.csv": "b5fdf3c9a6af02e6fd2dd9211c2e776796a1ea593580271f23ae40e817a2c1fc",
-            "fits.json": "1ac77ebf7132a43f3001fa667c95d3e5dbff15c307d2dae076dba57848748332",
+            "fits.json": "2a8fc10f753be88fbe02c02974ee3164e294d7b1d1fd6f7a050d7236d6d36b67",
             "mitigation.csv": "5364c4b2f91ff7c9a3b834a4a0e80316a7e42760b67890ec85095ad1ff4c582d",
             "spectrum.csv": "ba542fd8ea79a99376de72a9df57cbce106f88de2175363048ff558881261ada",
             "spectrum.json": "efbc7a029cde29f6d9f49df680db5c7eda533cb283c95adc1a7a490b741ceb04",
@@ -363,7 +363,7 @@ PINNED_RUNS = {
             "charge_Q1+_N4.json": "e819a82716f3a44823a02166dd1c50fe88b7fb3654927ad8065bc7dc89f71d85",
             "decay.csv": "ae81f30abcfe401b89874f723a0458163bbb0187c4580f125283bbefac8497f5",
             "fits.csv": "9fc864096d06beb7d57db51075925ee3de083d7b244f14d1cc2775c28e9a4479",
-            "fits.json": "57013d98770704a446dac5d98442e5df7f01e93b5c3366fa18cd328ce2082076",
+            "fits.json": "4aeefe04b06364ccc23eec1f57f44a7825e8e021a3cc15902fdae11bd278b5a0",
             "mitigation.csv": "5ed49dcedd404772a80b2d43763e61f3b8ef8e2f90b50502b00ed0b2632a55d4",
             "spectrum.csv": "e04c114dadda5c931744f4c26c73362ca841da38f63ea14fa5982c0ab8585107",
             "spectrum.json": "9283666c177e0fab63a83251d444c140a185169307011272ac65d9b5c132091b",
@@ -384,3 +384,18 @@ def test_every_verb_writes_pinned_artifacts(tmp_path, name):
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())
     }
     assert digests == expected
+
+
+def test_fits_json_keeps_the_fit_diagnostics(tmp_path):
+    # the pinned depolarizing run's Q1dif series has no identifiable decay rate
+    cfg_path = write_config(tmp_path, PINNED_RUNS["depolarizing"][0])
+    for verb in ("decay", "fit"):
+        assert cli.main([verb, "--config", cfg_path, "--out", str(tmp_path)]) == 0, verb
+    fits = json.loads((tmp_path / "fits.json").read_text())["fits"]
+    q1dif, q1plus = fits["Q1dif"]["exp"], fits["Q1+"]["exp"]
+    assert not q1dif["converged"]
+    assert q1dif["diagnostics"] == [
+        "singular normal equations; parameters unidentifiable",
+        "decay rate unidentifiable on this series",
+    ]
+    assert q1plus["converged"] and q1plus["diagnostics"] == []

@@ -16,7 +16,7 @@ from trotterchain.charges import (
     PauliPolynomial,
     assemble,
     assemble_cached,
-    density,
+    window_density,
 )
 from trotterchain.circuit import InitialStateSpec, build_step
 from trotterchain.measure import (
@@ -145,7 +145,7 @@ def test_cover_single_term():
 
 
 def test_cover_of_window_density_is_exhaustive():
-    q = density(1, "plus")  # three-site window charge
+    q = window_density(1, "plus")  # three-site window charge
     plan = build_cover(q, DELTA)
     terms = list(q.terms)
     for s in terms:

@@ -12,7 +12,15 @@ from dense_oracle import (
     pauli_expectation_statevector,
     trace_pair,
 )
-from trotterchain.pauli import CODE_LETTERS, PauliString, letter_strings
+from trotterchain.pauli import (
+    CODE_LETTERS,
+    PauliString,
+    anticommute,
+    i_power,
+    letter_strings,
+    parity_sign,
+    product,
+)
 
 
 def dense(s: str) -> np.ndarray:
@@ -96,6 +104,21 @@ def test_mul_associative_and_phase_exact(data):
     a, b, c = (data.draw(strings) for _ in range(3))
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
     assert np.allclose(matrix(mul(a, b)), matrix(a) @ matrix(b), atol=1e-12)
+    # the packed algebra on mask arrays, over the pairs (a, b), (b, c), (c, a)
+    pairs = [(a, b), (b, c), (c, a)]
+    x1, z1, x2, z2 = np.array([(s.x_mask, s.z_mask, t.x_mask, t.z_mask) for s, t in pairs]).T
+    hermitian = [PauliString(n, s.x_mask, s.z_mask) for s in (a, b, c)]
+    want = [mul(s, t) for s, t in zip(hermitian, hermitian[1:] + hermitian[:1])]
+    got = list(zip(*product(x1, z1, x2, z2)))
+    assert got == [(p.x_mask, p.z_mask, p.phase_power) for p in want]
+    assert anticommute(x1, z1, x2, z2).tolist() == [not commutes(s, t) for s, t in pairs]
+    # P(x, z) = i^|x&z| X^x Z^z, and Z^z |b> = (-1)^|z&b| |b>
+    cols = np.arange(1 << n)
+    units = i_power(x1, z1)
+    for s, unit in zip(hermitian, units):
+        column = matrix(s)[cols ^ s.x_mask, cols]
+        assert np.array_equal(column, unit * parity_sign(cols, s.z_mask))
+        assert unit == i_power(s.x_mask, s.z_mask)
 
 
 def reference_letters(s: PauliString) -> str:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import dense_oracle
 from dense_oracle import circuit_unitary, items
 from strategies import gate_lists
-from trotterchain import charges, sim
+from trotterchain import charges, pauli, sim
 from trotterchain.charges import (
     VARIANTS,
     ChargeSpec,
@@ -572,10 +572,10 @@ def _edge_density(n: int, seed: int) -> PauliPolynomial:
     xs = np.array([0, 0, 1, 1, top, top | 1, top | 2, 3] + rng.integers(0, 1 << n, 8).tolist())
     zs = rng.integers(0, 1 << n, len(xs))
     zs[xs == 0] |= 1  # no identity string
-    keys = np.unique(charges._key(xs, zs, n))
+    keys = np.unique(pauli.key(xs, zs, n))
     coeffs = rng.integers(-3, 4, (len(keys), 2))
     coeffs[:, 0] = rng.choice([-2, -1, 1, 2], len(keys))
-    return PauliPolynomial.from_arrays(n, *charges._unkey(keys, n), coeffs)
+    return PauliPolynomial.from_arrays(n, *pauli.unkey(keys, n), coeffs)
 
 
 @pytest.mark.parametrize("rows", [None, 1, 3])
