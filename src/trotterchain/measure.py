@@ -4,7 +4,10 @@ A word is a length-N string over {X, Y, Z} fixing a simultaneous measurement
 basis.  A Pauli term is contained in a word when every non-identity letter
 matches.  The estimator pools, for each term P, all words containing P; the
 variance estimator keeps the covariances induced by that sharing, pooling
-each pair (P, P') over the words containing both.
+each pair (P, P') over the words containing both.  Both estimators read a
+word's parity moments from one pair of matrix products (:func:`_moments`);
+:func:`estimate` pools the pairs over words with ``np.unique`` and
+``np.bincount``, with no loop over pairs.
 
 Words are plain ``str``; :func:`contains` checks the letters of the word it
 is given.  The estimators read :mod:`sim`'s output in plan order:
@@ -86,7 +89,7 @@ def _word_cover(plan: MeasurementPlan, charge: PauliPolynomial) -> list:
     xs, zs = charge.x, charge.z
     wx, wz = word_masks(plan.words, charge.n_sites)
     hits = _contained(wx[:, None], wz[:, None], xs, zs, xs | zs)
-    return [np.flatnonzero(row).tolist() for row in hits]
+    return [np.flatnonzero(row) for row in hits]
 
 
 @dataclass
@@ -102,7 +105,7 @@ class CoverageError(ValueError):
 
 def _coverage(plan: MeasurementPlan, charge: PauliPolynomial) -> tuple:
     """Per word, the ascending indices of the terms it contains; per term, its
-    pooled shot count n_P, n_W per word containing it.  Raises
+    pooled shot count n_P (int64), n_W per word containing it.  Raises
     :class:`CoverageError` naming up to five terms that no word contains."""
     word_cover = _word_cover(plan, charge)
     n_words = np.zeros(len(charge), dtype=np.int64)
@@ -112,7 +115,15 @@ def _coverage(plan: MeasurementPlan, charge: PauliPolynomial) -> tuple:
     if missing.size:
         names = letter_strings(charge.x[missing], charge.z[missing], charge.n_sites).tolist()
         raise CoverageError(f"terms not covered by any word: {names}")
-    return word_cover, (plan.shots_per_word * n_words).tolist()
+    return word_cover, plan.shots_per_word * n_words
+
+
+def _moments(outcomes, weights, masks) -> tuple:
+    """``signs @ weights`` and ``(signs * weights) @ signs.T``, signs[k, i] the
+    parity (-1)^|outcomes[i] & masks[k]| of term k: parity and cross sums for
+    shot counts, <P> and <P P'> for an exact distribution."""
+    signs = parity_sign(outcomes[None, :], masks[:, None])
+    return signs @ weights, (signs * weights) @ signs.T
 
 
 def estimate(
@@ -133,49 +144,35 @@ def estimate(
     for w, (_, cnt) in zip(plan.words, outcomes):
         if cnt.sum() != plan.shots_per_word:
             raise ValueError(f"outcomes of {w} do not sum to n_W")
-    coeffs = charge.coefficients(delta).tolist()  # Python floats, as the artifacts print them
-    n_w = plan.shots_per_word
+    n_terms = len(charge)
+    coeffs = charge.coefficients(delta)
     masks = charge.x | charge.z
     word_cover, n_p = _coverage(plan, charge)
 
-    # per word: parity-sum vector over its covered terms and the full
-    # cross-sum matrix sum_i Pi_a Pi_b, each as one matrix product
-    s_p = [0.0] * len(charge)
-    pair_stats: dict = {}  # (a, b) a <= b -> [word count, cross, sum_a, sum_b]
+    # per word, its term pairs a <= b (the upper triangle, as cov ascends) as
+    # keys a*T + b with their cross and parity sums; pooled below in word order
+    pairs = [(np.empty(0, np.int64),) + (np.empty(0),) * 3]
     for (idx, cnt), cov in zip(outcomes, word_cover):
-        if not cov:
-            continue
-        cnt = cnt.astype(np.float64)
-        signs = parity_sign(idx[None, :], masks[cov, None])
-        sums = signs @ cnt
-        cross = (signs * cnt) @ signs.T
-        for i, a in enumerate(cov):
-            s_p[a] += float(sums[i])
-            for j in range(i, len(cov)):  # cov ascends, so (a, b) has a <= b
-                b = cov[j]
-                stat = pair_stats.get((a, b))
-                if stat is None:  # no zero start: 0.0 + -0.0 would drop the sign
-                    pair_stats[a, b] = [1, float(cross[i, j]), float(sums[i]), float(sums[j])]
-                else:
-                    stat[0] += 1
-                    stat[1] += float(cross[i, j])
-                    stat[2] += float(sums[i])
-                    stat[3] += float(sums[j])
-    value = sum(c * s_p[ti] / n_p[ti] for ti, c in enumerate(coeffs))
+        sums, cross = _moments(idx, cnt.astype(np.float64), masks[cov])
+        i, j = np.nonzero(cov[:, None] <= cov)
+        pairs.append((cov[i] * n_terms + cov[j], cross[i, j], sums[i], sums[j]))
+    keys, cross, sum_a, sum_b = map(np.concatenate, zip(*pairs))
+    keys, inv = np.unique(keys, return_inverse=True)
+    cross, sum_a, sum_b = (np.bincount(inv, v) for v in (cross, sum_a, sum_b))
+    a, b = np.divmod(keys, n_terms)
+    n_ab = plan.shots_per_word * np.bincount(inv)
+    # every term is covered, so its pair (a, a) holds its parity sum; Python's
+    # fold in term order, as the artifacts print the value
+    value = sum((coeffs * sum_a[a == b] / n_p).tolist())
 
     diagnostics = []
-    var = 0.0
-    skipped_pairs = 0
-    for (a, b), (n_words, cross, sum_a, sum_b) in pair_stats.items():
-        n_ab = n_w * n_words
-        if n_ab <= 1:
-            skipped_pairs += 1
-            continue
-        inner = cross - sum_a * sum_b / n_ab
-        contrib = (n_ab / (n_p[a] * n_p[b])) * (coeffs[a] * coeffs[b] / (n_ab - 1)) * inner
-        var += contrib if a == b else 2.0 * contrib
-    if skipped_pairs:
-        diagnostics.append(f"skipped {skipped_pairs} term pairs with n_PP' = 1")
+    live = n_ab > 1
+    if not live.all():
+        diagnostics.append(f"skipped {np.count_nonzero(~live)} term pairs with n_PP' = 1")
+    a, b, n_ab, cross, sum_a, sum_b = (v[live] for v in (a, b, n_ab, cross, sum_a, sum_b))
+    inner = cross - sum_a * sum_b / n_ab
+    contrib = (n_ab / (n_p[a] * n_p[b])) * (coeffs[a] * coeffs[b] / (n_ab - 1)) * inner
+    var = float(np.where(a == b, contrib, 2.0 * contrib).sum())
     if var < 0.0:
         diagnostics.append(f"variance estimate {var:.3e} clamped at 0")
         var = 0.0
@@ -190,29 +187,24 @@ def exact_estimator_variance(
 
     ``distributions`` holds the exact outcome distribution of each plan word,
     one row per word in plan order, as :func:`sim.outcome_distribution`
-    returns them.  Mirrors :func:`estimate`, coverage check included,
-    with expectations in place of empirical sums, in one pass over the words;
-    useful for deterministic error budgets.
+    returns them.  With u = c_P / n_P over the terms a word covers, e and C
+    its exact moments <P> and <P P'>, the word adds n_W u.e to the mean and
+    n_W (u.C.u - (u.e)^2) to the variance; the coverage check is
+    :func:`estimate`'s.  Useful for deterministic error budgets.
     """
-    coeffs = charge.coefficients(delta).tolist()
-    n_w = plan.shots_per_word
     if len(distributions) != len(plan.words):
         raise ValueError(f"{len(distributions)} distributions for {len(plan.words)} plan words")
+    n_w = plan.shots_per_word
+    coeffs = charge.coefficients(delta)
     idx = np.arange(1 << charge.n_sites, dtype=np.int64)
-    masks = (charge.x | charge.z).tolist()
+    masks = charge.x | charge.z
     word_cover, n_p = _coverage(plan, charge)
 
-    s_p = [0.0] * len(charge)
-    var = 0.0
+    mean = var = 0.0
     for p, cov in zip(distributions, word_cover):
-        single = [float(p @ parity_sign(idx, masks[a])) for a in cov]
-        cross = {}  # symmetric in (a, b): one pass over the outcomes per unordered pair
-        for i, a in enumerate(cov):
-            s_p[a] += single[i]
-            for b in cov[i:]:
-                cross[a, b] = cross[b, a] = float(p @ parity_sign(idx, masks[a] ^ masks[b]))
-        for a, e_a in zip(cov, single):
-            for b, e_b in zip(cov, single):
-                var += coeffs[a] * coeffs[b] * n_w * (cross[a, b] - e_a * e_b) / (n_p[a] * n_p[b])
-    mean = sum(c * (s_p[ti] / (n_p[ti] // n_w)) for ti, c in enumerate(coeffs))
+        e, cross = _moments(idx, p, masks[cov])
+        u = coeffs[cov] / n_p[cov]
+        ue = float(u @ e)
+        mean += n_w * ue
+        var += n_w * (float(u @ cross @ u) - ue * ue)
     return mean, float(np.sqrt(max(var, 0.0)))

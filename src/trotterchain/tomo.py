@@ -23,7 +23,14 @@ from itertools import product as iproduct
 import numpy as np
 
 from .pauli import MATRICES
-from .sim import IDEAL, DensityMatrix, NoiseModel, rotated_probabilities, sample
+from .sim import (
+    IDEAL,
+    DensityMatrix,
+    NoiseModel,
+    hermiticity_deviation,
+    rotated_probabilities,
+    sample,
+)
 
 TOMO_MAX_SITES = 6
 
@@ -115,7 +122,7 @@ def psd_project(hermitian: np.ndarray) -> DensityMatrix:
     Eigenvalues are projected onto the simplex (truncation plus uniform
     redistribution); eigenvectors are kept.
     """
-    if np.abs(hermitian - hermitian.conj().T).max() > 1e-9:
+    if hermiticity_deviation(hermitian) > 1e-9:
         raise ValueError("input must be Hermitian")
     if abs(np.trace(hermitian).real - 1.0) > 1e-9:
         raise ValueError("input must have unit trace")

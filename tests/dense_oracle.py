@@ -6,8 +6,9 @@ site 1 on the lowest-order bit, a bit-pair operator applied by ``einsum``,
 plus Kraus sums and Pauli expectations written out as matrix products,
 charge expectations one charge and one Walsh transform per x mask at a time,
 read-out one word at a time on a full copy of the state, noisy evolution gate
-by gate on the engine's kernels, and tomography's linear inversion summed
-Pauli by Pauli.
+by gate on the engine's kernels, tomography's linear inversion summed
+Pauli by Pauli, and the two charge estimators pooling term pairs one pair at
+a time.
 They cost exponentially more than the engines in ``trotterchain`` and serve
 only as the oracle the tests compare those engines against.
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from trotterchain.charges import PauliPolynomial, window_density
 from trotterchain.circuit import Gate, build_measurement_rotation
-from trotterchain.pauli import PauliString
+from trotterchain.measure import ChargeEstimate, contains
+from trotterchain.pauli import PauliString, parity_sign
 from trotterchain.sim import (
     IDEAL,
     DensityMatrix,
@@ -444,3 +446,96 @@ def linear_inversion(data) -> np.ndarray:
         rows, vals = PauliString(n, key >> n, key & (dim - 1)).column_action()
         rho[rows, cols] += sums[i] / hits[i] * vals
     return rho / dim
+
+
+def _coverage(plan, charge) -> tuple:
+    """Per word, the ascending indices of the terms it contains, by ``contains``;
+    per term, its pooled shot count n_P.  ValueError when a term is in no word."""
+    word_cover = [[i for i, s in enumerate(charge.terms) if contains(w, s)] for w in plan.words]
+    n_words = [sum(i in cov for cov in word_cover) for i in range(len(charge))]
+    if 0 in n_words:
+        raise ValueError("a term is not covered by any word")
+    return word_cover, [plan.shots_per_word * k for k in n_words]
+
+
+def estimate(outcomes: list, plan, charge, delta: float) -> ChargeEstimate:
+    """The pooled estimator with each term pair's statistics in a dict, pair by pair."""
+    if len(outcomes) != len(plan.words):
+        raise ValueError(f"{len(outcomes)} outcome pairs for {len(plan.words)} plan words")
+    for w, (_, cnt) in zip(plan.words, outcomes):
+        if cnt.sum() != plan.shots_per_word:
+            raise ValueError(f"outcomes of {w} do not sum to n_W")
+    coeffs = charge.coefficients(delta).tolist()  # Python floats, as the artifacts print them
+    n_w = plan.shots_per_word
+    masks = charge.x | charge.z
+    word_cover, n_p = _coverage(plan, charge)
+
+    # per word: parity-sum vector over its covered terms and the full
+    # cross-sum matrix sum_i Pi_a Pi_b, each as one matrix product
+    s_p = [0.0] * len(charge)
+    pair_stats: dict = {}  # (a, b) a <= b -> [word count, cross, sum_a, sum_b]
+    for (idx, cnt), cov in zip(outcomes, word_cover):
+        if not cov:
+            continue
+        cnt = cnt.astype(np.float64)
+        signs = parity_sign(idx[None, :], masks[cov, None])
+        sums = signs @ cnt
+        cross = (signs * cnt) @ signs.T
+        for i, a in enumerate(cov):
+            s_p[a] += float(sums[i])
+            for j in range(i, len(cov)):  # cov ascends, so (a, b) has a <= b
+                b = cov[j]
+                stat = pair_stats.get((a, b))
+                if stat is None:  # no zero start: 0.0 + -0.0 would drop the sign
+                    pair_stats[a, b] = [1, float(cross[i, j]), float(sums[i]), float(sums[j])]
+                else:
+                    stat[0] += 1
+                    stat[1] += float(cross[i, j])
+                    stat[2] += float(sums[i])
+                    stat[3] += float(sums[j])
+    value = sum(c * s_p[ti] / n_p[ti] for ti, c in enumerate(coeffs))
+
+    diagnostics = []
+    var = 0.0
+    skipped_pairs = 0
+    for (a, b), (n_words, cross, sum_a, sum_b) in pair_stats.items():
+        n_ab = n_w * n_words
+        if n_ab <= 1:
+            skipped_pairs += 1
+            continue
+        inner = cross - sum_a * sum_b / n_ab
+        contrib = (n_ab / (n_p[a] * n_p[b])) * (coeffs[a] * coeffs[b] / (n_ab - 1)) * inner
+        var += contrib if a == b else 2.0 * contrib
+    if skipped_pairs:
+        diagnostics.append(f"skipped {skipped_pairs} term pairs with n_PP' = 1")
+    if var < 0.0:
+        diagnostics.append(f"variance estimate {var:.3e} clamped at 0")
+        var = 0.0
+
+    return ChargeEstimate(value, float(np.sqrt(var)), tuple(diagnostics))
+
+
+def exact_estimator_variance(distributions, plan, charge, delta: float) -> tuple:
+    """Expected value and estimator sigma, one 2^N dot per term pair per word."""
+    coeffs = charge.coefficients(delta).tolist()
+    n_w = plan.shots_per_word
+    if len(distributions) != len(plan.words):
+        raise ValueError(f"{len(distributions)} distributions for {len(plan.words)} plan words")
+    idx = np.arange(1 << charge.n_sites, dtype=np.int64)
+    masks = (charge.x | charge.z).tolist()
+    word_cover, n_p = _coverage(plan, charge)
+
+    s_p = [0.0] * len(charge)
+    var = 0.0
+    for p, cov in zip(distributions, word_cover):
+        single = [float(p @ parity_sign(idx, masks[a])) for a in cov]
+        cross = {}  # symmetric in (a, b): one pass over the outcomes per unordered pair
+        for i, a in enumerate(cov):
+            s_p[a] += single[i]
+            for b in cov[i:]:
+                cross[a, b] = cross[b, a] = float(p @ parity_sign(idx, masks[a] ^ masks[b]))
+        for a, e_a in zip(cov, single):
+            for b, e_b in zip(cov, single):
+                var += coeffs[a] * coeffs[b] * n_w * (cross[a, b] - e_a * e_b) / (n_p[a] * n_p[b])
+    mean = sum(c * (s_p[ti] / (n_p[ti] // n_w)) for ti, c in enumerate(coeffs))
+    return mean, float(np.sqrt(max(var, 0.0)))

@@ -341,10 +341,10 @@ PINNED_RUNS = {
             "benchmarks.jsonl": "affb78b2f5689ce6e783cbeb301507bbb8e1863d1cdee2dc687f27091c0bf1fa",
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
-            "decay.csv": "a1aa7fc3a23a6e942014e93319507773d59f78a8d800a891f7da348910d38006",
+            "decay.csv": "d45f6daebaceea08935c2dd4d09b4c76c0f9792a5907666596209e69fc967063",
             "fits.csv": "b5fdf3c9a6af02e6fd2dd9211c2e776796a1ea593580271f23ae40e817a2c1fc",
             "fits.json": "2a8fc10f753be88fbe02c02974ee3164e294d7b1d1fd6f7a050d7236d6d36b67",
-            "mitigation.csv": "5364c4b2f91ff7c9a3b834a4a0e80316a7e42760b67890ec85095ad1ff4c582d",
+            "mitigation.csv": "f908132be41ca3d839a4e1dc0d41458008027f1c80abac9eb8cb458754e71400",
             "spectrum.csv": "ba542fd8ea79a99376de72a9df57cbce106f88de2175363048ff558881261ada",
             "spectrum.json": "efbc7a029cde29f6d9f49df680db5c7eda533cb283c95adc1a7a490b741ceb04",
             "tomo.json": "da4de710216ca1c06bc69f761929d99ca0a3faece9fee31039f9080232624767",
@@ -361,10 +361,10 @@ PINNED_RUNS = {
         {
             "benchmarks.jsonl": "e63fb0865ac2c0d680b7df90fb5fc23519cc7fd955c0c64e6c63b79dc9cdc965",
             "charge_Q1+_N4.json": "e819a82716f3a44823a02166dd1c50fe88b7fb3654927ad8065bc7dc89f71d85",
-            "decay.csv": "ae81f30abcfe401b89874f723a0458163bbb0187c4580f125283bbefac8497f5",
-            "fits.csv": "9fc864096d06beb7d57db51075925ee3de083d7b244f14d1cc2775c28e9a4479",
-            "fits.json": "4aeefe04b06364ccc23eec1f57f44a7825e8e021a3cc15902fdae11bd278b5a0",
-            "mitigation.csv": "5ed49dcedd404772a80b2d43763e61f3b8ef8e2f90b50502b00ed0b2632a55d4",
+            "decay.csv": "aa9d8839ee6717c250b295e6dbf0f1f3dfe2e0ab9eff80f05cb7ddc43ee01d91",
+            "fits.csv": "5a9a2cd09662e44020123ba7e4b934ef20fc9b1b9e1b2a6e41364e5364dfb79e",
+            "fits.json": "40b86c3baafd76084b66a736755d1a3617ca78492f8889f4a41b0dbb8ffb970d",
+            "mitigation.csv": "4bcfedb8a30a11d97d8fc8a478b09713c6430ad85f3705416b15546e8ed1359e",
             "spectrum.csv": "e04c114dadda5c931744f4c26c73362ca841da38f63ea14fa5982c0ab8585107",
             "spectrum.json": "9283666c177e0fab63a83251d444c140a185169307011272ac65d9b5c132091b",
             "tomo.json": "e85fe1af0bdf0856b5e4fcf5d77af0cd623cefce5bfdf8b6e25c90c1d62a972b",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from dense_oracle import items
 from strategies import polynomials
 from trotterchain import sim
@@ -82,7 +83,7 @@ def test_bitmask_containment_matches_letters(data):
     expected = [
         [i for i, t in enumerate(letters) if _letters_contain(w, t)] for w in words
     ]
-    assert _word_cover(plan, q) == expected
+    assert [cov.tolist() for cov in _word_cover(plan, q)] == expected
     for w, cov in zip(words, expected):
         assert [contains(w, s) for s, _ in items(q)] == [i in cov for i in range(len(q))]
 
@@ -321,6 +322,67 @@ def test_single_shot_pair_skipped_with_diagnostic():
     assert est.std_uncertainty == 0.0
 
 
+def test_negative_variance_clamped_with_diagnostic():
+    # two shots per word leave the unbiased variance estimate negative here
+    q = _charge(("IX", 2), ("XI", -1), ("ZI", -1))
+    plan = MeasurementPlan(("XX", "ZX", "XZ"), 2)
+    both = (np.array([0, 3]), np.array([1, 1]))
+    est = estimate([both, both, (np.array([0]), np.array([2]))], plan, q, DELTA)
+    assert (est.value, est.std_uncertainty) == (-0.5, 0.0)
+    assert est.diagnostics == ("variance estimate -4.167e-01 clamped at 0",)
+
+
+_SMALL_ASSEMBLED = st.one_of(
+    st.builds(ChargeSpec, st.just(1), st.sampled_from(VARIANTS), st.sampled_from([4, 6])),
+    st.builds(ChargeSpec, st.just(2), st.sampled_from(VARIANTS), st.just(6)),
+).map(assemble_cached)
+
+
+def _unclamped_variance(est):
+    """sigma^2, or the negative variance the clamp message reports (to 4 digits)."""
+    for d in est.diagnostics:
+        if d.startswith("variance estimate"):
+            return float(d.split()[2])
+    return est.std_uncertainty**2
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_estimators_match_pairwise_reference(data):
+    # terms pool over the cover and up to three extra words; 1-4 shots per
+    # word make single-shot pairs, whose skip the diagnostics must report
+    q = data.draw(st.one_of(polynomials(max_terms=12), _SMALL_ASSEMBLED))
+    delta = data.draw(st.floats(-3.0, 3.0))
+    n = q.n_sites
+    extra = data.draw(st.lists(_words(n), max_size=3))
+    plan = MeasurementPlan(build_cover(q, delta).words + tuple(extra), data.draw(st.integers(1, 4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    outcomes = [
+        np.unique(rng.integers(0, 1 << n, plan.shots_per_word), return_counts=True)
+        for _ in plan.words
+    ]
+    scale = float(np.abs(q.coefficients(delta)).sum())
+    tol = 1e-12 * scale**2
+
+    got = estimate(outcomes, plan, q, delta)
+    want = dense_oracle.estimate(outcomes, plan, q, delta)
+    assert float.hex(got.value) == float.hex(want.value)
+    assert abs(got.std_uncertainty**2 - want.std_uncertainty**2) <= tol
+
+    def messages(est, head):
+        return [d for d in est.diagnostics if d.startswith(head)]
+
+    assert messages(got, "skipped") == messages(want, "skipped")
+    if abs(_unclamped_variance(want)) > tol:
+        assert messages(got, "variance") == messages(want, "variance")
+
+    dists = rng.dirichlet(np.ones(1 << n), size=len(plan.words))
+    mean, sd = exact_estimator_variance(dists, plan, q, delta)
+    want_mean, want_sd = dense_oracle.exact_estimator_variance(dists, plan, q, delta)
+    assert abs(mean - want_mean) <= 1e-12 * scale
+    assert abs(sd**2 - want_sd**2) <= tol
+
+
 def _float_digest(values):
     return hashlib.sha256("\n".join(float.hex(v) for v in values).encode()).hexdigest()
 
@@ -339,9 +401,9 @@ def test_estimates_match_pinned_digest():
         est = estimate(sim.sample(psi, plan.words, plan.shots_per_word, keys), plan, q, DELTA)
         values += [est.value, est.std_uncertainty]
     assert _float_digest(values) == (
-        "089412f7409e8c0d7e57a5a48c38e0f5bb21256eb802b79d4a35f68b92b1b4a2"
+        "22efd46766051e60e2b7fc92d6ba294a53f286a9e4deb37c5b25d58ce06b688f"
     )
     dists = sim.rotated_probabilities(psi, plan.words)
     assert _float_digest(exact_estimator_variance(dists, plan, q, DELTA)) == (
-        "6c17d94f3df79ddddf17cf6d8becb35defd1ffaec0acef19e3c0ffc00fd2a759"
+        "61e9bbaaa139879ffbf8b91505d1729ada88ed48df9e7460c16ab5246c81abe8"
     )
