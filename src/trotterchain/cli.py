@@ -103,16 +103,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown engine {self.engine!r}")
         if not self.charges:
             raise ConfigError("charges must name at least one charge")
-        labels = set()
+        specs = []
         for charge in self.charges:
             try:
                 order, variant = charge
-                label = ChargeSpec(order, variant, self.n_sites).label  # validates N > 2n+1
+                spec = ChargeSpec(order, variant, self.n_sites)  # validates N > 2n+1
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"charge {charge!r}: {exc}") from None
-            if label in labels:
-                raise ConfigError(f"charge {label} is named twice")
-            labels.add(label)
+            if spec in specs:
+                raise ConfigError(f"charge {spec.label} is named twice")
+            specs.append(spec)
+        object.__setattr__(self, "_specs", tuple(specs))
         if self.initial_state is not None and self.initial_state.n_sites != self.n_sites:
             raise ConfigError("initial state length must match n_sites")
         kind = self.noise.get("kind", "none")
@@ -150,6 +151,10 @@ class ExperimentConfig:
     def noise_model(self) -> NoiseModel:
         """The model of the ``noise`` block, built and checked once at construction."""
         return self._noise_model
+
+    def specs(self) -> tuple:
+        """One :class:`ChargeSpec` per configured charge, in order, built once at construction."""
+        return self._specs
 
     def to_dict(self) -> dict:
         doc = {"schema_version": SCHEMA_VERSION}
@@ -241,10 +246,7 @@ def decay_table(config: ExperimentConfig) -> list:
     """Rows (d, charge, variant, estimate, s_q, exact) for d = 0..depth_max."""
     delta = config.delta
     noise = config.noise_model()
-    charge_ops: dict = {}
-    for order, variant in config.charges:
-        spec = ChargeSpec(order, variant, config.n_sites)
-        charge_ops[spec.label] = (spec, *_plan(config, spec))
+    charge_ops = {spec.label: (spec, *_plan(config, spec)) for spec in config.specs()}
 
     labels = sorted(charge_ops)
     rows = []
@@ -264,7 +266,7 @@ def decay_table(config: ExperimentConfig) -> list:
 
 def exact_decay_series(config: ExperimentConfig) -> dict:
     """Exact expectation trajectories per charge label (no sampling)."""
-    specs = [ChargeSpec(n, v, config.n_sites) for n, v in config.charges]
+    specs = config.specs()
     series = [exact_expectation(state, specs, config.delta) for state in _trajectory(config)]
     return {spec.label: np.array(column) for spec, column in zip(specs, zip(*series))}
 
@@ -279,9 +281,8 @@ def spectrum_report(config: ExperimentConfig) -> dict:
     }
     try:
         fp = spectral.fixed_point(op)
-        specs = [ChargeSpec(order, variant, config.n_sites) for order, variant in config.charges]
-        c2 = exact_expectation(fp, specs, config.delta)
-        report["fixed_point_c2"] = {spec.label: v for spec, v in zip(specs, c2)}
+        c2 = exact_expectation(fp, config.specs(), config.delta)
+        report["fixed_point_c2"] = {spec.label: v for spec, v in zip(config.specs(), c2)}
     except (ValueError, spectral.DegenerateFixedPointError) as exc:
         report["fixed_point_error"] = str(exc)
     return report
@@ -327,7 +328,8 @@ def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
 
 
 def mitigation_table(config: ExperimentConfig) -> list:
-    """Rows (d, unmitigated, mitigated, exact), normalized by the noiseless value.
+    """Rows (d, unmitigated, mitigated, exact) of the first configured charge,
+    normalized by its noiseless value; any further charges are not read.
 
     Estimates are exact-mode (deterministic); the reported uncertainties are
     the true estimator standard deviations at the configured shot budget.
@@ -335,8 +337,7 @@ def mitigation_table(config: ExperimentConfig) -> list:
     delta = config.delta
     noise = config.noise_model()
     n = config.n_sites
-    order, variant = config.charges[0]
-    spec = ChargeSpec(order, variant, n)
+    spec = config.specs()[0]
     q, plan = _plan(config, spec)
     init = config.init_spec()
 
@@ -461,11 +462,10 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
 
         if args.verb == "charges":
-            for order, variant in config.charges:
-                spec = ChargeSpec(order, variant, config.n_sites)
+            for spec in config.specs():
                 q = assemble_cached(spec)
                 path = os.path.join(args.out, f"charge_{spec.label}_N{config.n_sites}.json")
-                _write_json(path, config, {"charge": q.to_dict(order, variant)})
+                _write_json(path, config, {"charge": q.to_dict(spec.order, spec.variant)})
                 print(f"wrote {path} ({len(q)} terms)")
         elif args.verb == "decay":
             rows = decay_table(config)

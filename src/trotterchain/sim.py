@@ -1,6 +1,6 @@
 """Numerical state engines: pure statevector and noisy density matrix.
 
-Gates are applied in place with bit-indexed strides (no full 2^N gate
+Gates are applied in place as small blocks on a few bits (no full 2^N gate
 matrices).  Site ``j`` lives on bit ``j-1``; a computational basis index
 ``b`` has site-j outcome ``(b >> (j-1)) & 1``.  :func:`sample` returns one
 ``(indices, counts)`` pair per word and :func:`outcome_distribution` one row
@@ -8,31 +8,35 @@ per word, in the order of the words given; the estimators of :mod:`measure`
 read them in plan order as they are.  Outcomes stay basis indices
 throughout; no bitstring is ever written.
 
-Both engines run on the same kernels.  The density matrix is a vector on 2N
-bits, ``rho.entries.reshape(-1)``: the row index is bits N..2N-1 and the
-column index bits 0..N-1.  A one-qubit gate ``m`` on site ``j`` applies
-``m`` on bit ``j-1+N`` and ``conj(m)`` on bit ``j-1``; a CNOT swaps slices
-on both bit pairs; a one-site channel is its (2,2,2,2) superoperator on the
-bit pair ``(j-1+N, j-1)``, applied as sums of scaled copies of the vector's
-four quarters over that pair (``_apply_pair``), with no ``einsum``.
+Both engines move a state through one kernel, ``_apply_block``: a block is
+an operator on a few bits of a vector, applied as one matrix product over
+those bits in chunks of at most ``_CHUNK`` entries.  The density matrix is a
+vector on 2N bits, ``rho.entries.reshape(-1)``: the row index is bits
+N..2N-1 and the column index bits 0..N-1.  A one-qubit gate ``m`` is the
+block ``m.T`` (``m.conj().T`` on a column bit), the CNOT is one fixed
+(2,2,2,2) block on bits [control, target], and a one-site channel is its
+superoperator ``superop.transpose(2, 3, 0, 1)`` on the bit pair
+(j-1, j-1+N).
 
-The noisy engine (:func:`evolve_noisy`) does not apply these kernels to rho
-gate by gate.  It splits the circuit into maximal runs of consecutive gates
-whose sites fit in one pair: an R-check, the preparation gates of one or
-two sites, a folded CNOT's copies.  Each run is compiled into one 4^k x 4^k
-superoperator on its k = 1 or 2 sites, by running the kernels above (each
-gate on both sides, then the configured channel once per site it touches)
-on the 4^k basis matrices of a k-site register.  The block is then applied
-to rho by ``tensordot`` over the 2k row and column bits of those sites, in
-chunks of at most ``_CHUNK`` entries (``_apply_block``).  Sites are
-relabelled by first appearance, so every bond of a layer, the cyclic bond
-(N, 1) included, shares one compiled block; the blocks live for one call
-only.  Setting a channel to ``None`` exempts the corresponding gate class.
-Only those gates are noisy.  ``DensityMatrix.from_spec`` prepares the ideal
-product state, and read-out is ideal: decay and tomography run noisy
-evolution steps between ideal preparation and an ideal measurement rotation.
-Mitigation's folded circuits start from |0..0> with the preparation gates,
-so there preparation is noisy as well.
+Both engines run one evolution loop.  It splits the circuit into maximal
+runs of consecutive gates whose sites fit in one pair: an R-check, the
+preparation gates of one or two sites, a folded CNOT's copies.  Each run
+is compiled into one block on its k = 1 or 2 sites by running the gate
+blocks above on the basis vectors of a k-site register (``_compile``): the
+2^k x 2^k unitary for :func:`evolve_pure`, or for :func:`evolve_noisy` the
+4^k x 4^k superoperator, each gate on both sides, then the configured
+channel once per site it touches.  The block is then applied to the state
+over the bits of those sites, their row and column bits for rho.  Sites
+are relabelled by first appearance, so every bond of a layer, the cyclic
+bond (N, 1) included, shares one compiled block; the blocks live for one
+call only.  Setting a channel to ``None`` exempts the corresponding gate
+class.  Only those gates are noisy.  ``StateVector.from_spec`` applies the
+preparation gates one at a time through the same kernel, and
+``DensityMatrix.from_spec`` is its outer product, so preparation is ideal,
+and read-out is ideal: decay and tomography run noisy evolution steps
+between ideal preparation and an ideal measurement rotation.  Mitigation's
+folded circuits start from |0..0> with the preparation gates, so there
+preparation is noisy as well.
 
 Read-out (:func:`rotated_probabilities`) takes a list of words.  A word's
 outcome b, with bit j-1 = 0 for the +1 eigenvalue of letter j, has
@@ -48,9 +52,9 @@ floats agree with rotating a copy of rho gate by gate
 (``dense_oracle.rotated_probabilities`` in the tests) only to round-off.  A
 statevector has no 4^N spectrum within reach.  It walks the prefix tree of
 the words instead: words that share their first k letters share the
-rotation of sites 1..k, each letter's gates go through ``_apply_1q`` as the
-oracle applies them, and the amplitudes are squared at the leaves, with the
-oracle's floats bit for bit.
+rotation of sites 1..k, each letter's gates go one at a time through the
+block kernel as the oracle applies them, and the amplitudes are squared at
+the leaves, with the oracle's floats bit for bit.
 
 Exact expectations (:func:`exact_expectation`) take charge specs, not
 assembled charges.  A charge is its memoized integer
@@ -85,7 +89,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_EIG_FLOOR = -1e-8
 
-# complex entries per chunk of a pass over a state (a compiled block's
+# complex entries per chunk of a pass over a state (a block's
 # application, a block of Walsh-transformed overlap rows): 2^14 x 16 B = 256 KB,
 # so each pass's temporaries stay cache-sized
 _CHUNK = 1 << 14
@@ -106,94 +110,47 @@ def hermiticity_deviation(m: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gate kernels on a vector of 2^n_bits amplitudes, shared by both engines
+# the state kernel on a vector of 2^n_bits amplitudes, shared by both engines
 # ---------------------------------------------------------------------------
 
-
-def _apply_1q(vec: np.ndarray, m: np.ndarray, bit: int):
-    view = vec.reshape(-1, 2, 1 << bit)
-    a = view[:, 0, :].copy()
-    b = view[:, 1, :]
-    view[:, 0, :] = m[0, 0] * a + m[0, 1] * b
-    view[:, 1, :] = m[1, 0] * a + m[1, 1] * b
-
-
-def _apply_cnot(vec: np.ndarray, n_bits: int, c_bit: int, t_bit: int):
-    v = vec.reshape([2] * n_bits)
-    axc, axt = n_bits - 1 - c_bit, n_bits - 1 - t_bit
-    sel10 = [slice(None)] * n_bits
-    sel11 = [slice(None)] * n_bits
-    sel10[axc] = 1
-    sel11[axc] = 1
-    sel10[axt] = 0
-    sel11[axt] = 1
-    tmp = v[tuple(sel10)].copy()
-    v[tuple(sel10)] = v[tuple(sel11)]
-    v[tuple(sel11)] = tmp
+# the CNOT as a block on bits [control, target]: it swaps (t, c) = (0, 1) and (1, 1)
+_CNOT = np.eye(4, dtype=complex)[[0, 3, 2, 1]].reshape(2, 2, 2, 2)
 
 
 def _apply_gate(vec: np.ndarray, n_bits: int, gate: Gate, offset: int = 0, conj: bool = False):
-    """``gate`` with its sites on bits ``offset..``; ``conj`` conjugates its matrix."""
-    if gate.kind == "CNOT":
-        c, t = gate.sites
-        _apply_cnot(vec, n_bits, c - 1 + offset, t - 1 + offset)
-    else:
-        m = gate.matrix_1q()
-        _apply_1q(vec, m.conj() if conj else m, gate.sites[0] - 1 + offset)
+    """``gate`` with its sites on bits ``offset..``; ``conj`` conjugates its matrix.
 
-
-def _apply_pair(vec: np.ndarray, op: np.ndarray, hi: int, lo: int):
-    """A (2,2,2,2) operator ``op[a, c, b, d]`` taking bits (hi, lo) = (b, d) to (a, c).
-
-    Slice form: the four quarters ``v_bd`` of the vector (bit hi = b,
-    bit lo = d) are copied, and each output quarter (a, c) is
-    ``op[a,c,0,0] v00 + op[a,c,0,1] v01 + op[a,c,1,0] v10 + op[a,c,1,1] v11``,
-    summed in that order, (b, d) = 00, 01, 10, 11, plus a final ``+ 0.0`` that
-    turns a sum of negative zeros into +0 as the zero-initialised sum of
-    ``einsum`` does.  Where every (a, c) row of ``op`` has at most two nonzero
-    entries and they are real, as for the superoperators of
-    :func:`noise.depolarizing` and :func:`noise.amp_phase_damping`, the result
-    equals the ``einsum("acbd,xbydz->xaycz")`` contraction bit for bit, signed
-    zeros included.  For a general operator it does not: numpy's ``einsum``
-    rounds complex products differently, a random real operator gave other
-    floats when ``lo == 0``, and the two agree only to round-off.
+    A one-qubit gate ``m`` is the block ``m.T``; the CNOT is ``_CNOT`` on
+    bits [control, target].
     """
-    view = vec.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    v = [view[:, b, :, d, :].copy() for b in (0, 1) for d in (0, 1)]
-    for a in (0, 1):
-        for c in (0, 1):
-            m = op[a, c].reshape(-1)
-            acc = m[0] * v[0]  # accumulated contiguous, written to the strided quarter once
-            acc += m[1] * v[1]
-            acc += m[2] * v[2]
-            acc += m[3] * v[3]
-            acc += 0.0
-            view[:, a, :, c, :] = acc
+    block = _CNOT if gate.kind == "CNOT" else gate.matrix_1q().T
+    _apply_block(vec, n_bits, block.conj() if conj else block, [s - 1 + offset for s in gate.sites])
 
 
 def _apply_block(vec: np.ndarray, n_bits: int, block: np.ndarray, bits: list):
-    """A compiled block on ``bits`` of ``vec``, in place: block bit i is ``bits[i]``.
+    """A block on ``bits`` of ``vec``, in place: block bit i is ``bits[i]``.
 
-    ``block`` has shape ``[2] * 2m`` for m bits: the input bits, then the
-    output bits, each most significant first (see :func:`_compile`).  The
-    vector is taken in chunks of at most ``_CHUNK`` entries, one per
-    value of its most significant bits outside ``bits``, so the two
-    temporaries of each ``tensordot`` stay cache-sized rather than copies of
+    The one function that writes into a state or a compile batch.  ``block``
+    has shape ``[2] * 2m`` for m bits: the input bits, then the output bits,
+    each most significant first, so an operator M is the block ``M.T``.  A
+    one-qubit gate is ``m.T`` on its bit; the CNOT is ``_CNOT``; a one-site
+    channel is ``superop.transpose(2, 3, 0, 1)`` on its (column, row) bits;
+    a compiled run is the tensor :func:`_compile` returns.  The vector is
+    viewed with the block's bits first, as a 2^m x rest matrix that the
+    block's 2^m x 2^m matrix multiplies, in chunks of at most ``_CHUNK``
+    entries, one per value of its most significant bits outside ``bits``, so
+    the temporaries of each product stay cache-sized rather than copies of
     the whole vector.
     """
     m = len(bits)
-    v = vec.reshape([2] * n_bits)
     axes = [n_bits - 1 - b for b in reversed(bits)]  # most significant block bit first
-    n_lead = max(0, n_bits - (_CHUNK.bit_length() - 1))
-    lead = [a for a in range(n_bits) if a not in axes][:n_lead]
-    sub_axes = [a - sum(f < a for f in lead) for a in axes]
-    for values in np.ndindex(*[2] * len(lead)):
-        sel = [slice(None)] * n_bits
-        for a, value in zip(lead, values):
-            sel[a] = value
-        sub = v[tuple(sel)]
-        out = np.tensordot(block, sub, axes=(range(m), sub_axes))
-        sub[...] = np.moveaxis(out, range(m), sub_axes)
+    rest = [a for a in range(n_bits) if a not in axes]
+    lead = rest[: max(0, n_bits - (_CHUNK.bit_length() - 1))]  # one chunk per value
+    v = vec.reshape([2] * n_bits).transpose(lead + axes + rest[len(lead) :])
+    mat = block.reshape(1 << m, 1 << m).T
+    for values in np.ndindex(v.shape[: len(lead)]):
+        sub = v[values]
+        sub[...] = (mat @ sub.reshape(1 << m, -1)).reshape(sub.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +195,6 @@ class StateVector:
     def apply(self, gate: Gate):
         """Apply ``gate`` in place."""
         _apply_gate(self.amplitudes, self.n_sites, gate)
-
-
-def evolve_pure(circuit: Circuit, init: StateVector) -> StateVector:
-    """Apply all circuit gates to a copy of ``init``."""
-    if circuit.n_sites != init.n_sites:
-        raise ValueError("circuit and state sizes differ")
-    state = init.copy()
-    for g in circuit.gates:
-        state.apply(g)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +261,11 @@ class NoiseModel:
 IDEAL = NoiseModel()
 
 
+# ---------------------------------------------------------------------------
+# one evolution loop for both engines: runs, compiled blocks, one pass each
+# ---------------------------------------------------------------------------
+
+
 def _runs(gates) -> list:
     """Maximal runs of consecutive gates whose sites fit in one pair.
 
@@ -332,25 +284,59 @@ def _runs(gates) -> list:
     return runs
 
 
-def _compile(gates, k: int, noise: NoiseModel) -> np.ndarray:
-    """The superoperator of ``gates`` on sites 1..k, with the channels of ``noise``.
+def _compile(gates, k: int, noise: NoiseModel | None) -> np.ndarray:
+    """The block of ``gates`` on sites 1..k: their unitary if ``noise`` is None,
+    else their superoperator with the channels of ``noise``.
 
-    Each gate conjugates, then its channel acts once per site it touches,
-    through the engine's kernels on the 4^k basis matrices of a k-site
-    register at once: row r of the batch is a 2k-bit vector, basis vector r
-    at the start and its image at the end.  Returned as a ``[2] * 4k``
-    tensor, input bits first (:func:`_apply_block`).
+    The gates run on the basis vectors of the operator's space at once, as a
+    batch: row r is basis vector r at the start and its image at the end.
+    The unitary's rows are k-bit vectors.  The superoperator's are 2k-bit
+    vectors, k-site density matrices: each gate conjugates, then its channel
+    acts once per site it touches.  Returned as a ``[2] * 2m`` tensor on its
+    m = k or 2k bits, input bits first (:func:`_apply_block`).
     """
-    d = 1 << (2 * k)
-    batch = np.eye(d, dtype=complex).reshape(-1)
+    m = k if noise is None else 2 * k
+    batch = np.eye(1 << m, dtype=complex).reshape(-1)
     for g in gates:
-        _apply_gate(batch, 4 * k, g, k)
-        _apply_gate(batch, 4 * k, g, 0, conj=True)
+        if noise is None:
+            _apply_gate(batch, 2 * m, g)
+            continue
+        _apply_gate(batch, 2 * m, g, k)
+        _apply_gate(batch, 2 * m, g, 0, conj=True)
         channel = noise.after_two_qubit if g.kind == "CNOT" else noise.after_one_qubit
         if channel is not None:
+            block = channel.superop.transpose(2, 3, 0, 1)  # on bits [column, row]
             for s in g.sites:
-                _apply_pair(batch, channel.superop, s - 1 + k, s - 1)
-    return batch.reshape([2] * (4 * k))
+                _apply_block(batch, 2 * m, block, [s - 1, s - 1 + k])
+    return batch.reshape([2] * (2 * m))
+
+
+def _evolve(vec: np.ndarray, circuit: Circuit, noise: NoiseModel | None):
+    """``circuit`` on ``vec`` in place, one compiled block per run of :func:`_runs`.
+
+    ``vec`` is a statevector if ``noise`` is None, else the density matrix
+    as a vector on 2N bits.  Runs that are equal once their sites are
+    relabelled by first appearance share one block, compiled once per call.
+    """
+    n = circuit.n_sites
+    sides = 1 if noise is None else 2  # rho's column bits, then its row bits
+    blocks = {}  # local, so no channel outlives the call
+    for sites, run in _runs(circuit.gates):
+        label = {s: i for i, s in enumerate(sites, start=1)}
+        key = tuple(Gate(g.kind, tuple(label[s] for s in g.sites), g.angle) for g in run)
+        if key not in blocks:
+            blocks[key] = _compile(key, len(sites), noise)
+        bits = [s - 1 + side * n for side in range(sides) for s in sites]
+        _apply_block(vec, sides * n, blocks[key], bits)
+
+
+def evolve_pure(circuit: Circuit, init: StateVector) -> StateVector:
+    """``circuit`` on a copy of ``init``, one compiled unitary per run of gates on a pair."""
+    if circuit.n_sites != init.n_sites:
+        raise ValueError("circuit and state sizes differ")
+    state = init.copy()
+    _evolve(state.amplitudes, circuit, None)
+    return state
 
 
 def evolve_noisy(circuit: Circuit, init: DensityMatrix, noise: NoiseModel) -> DensityMatrix:
@@ -358,24 +344,13 @@ def evolve_noisy(circuit: Circuit, init: DensityMatrix, noise: NoiseModel) -> De
 
     Each maximal run of gates on one pair of sites is one compiled
     superoperator, applied in one pass over rho (see the module docstring).
-    Runs that are equal once their sites are relabelled by first appearance
-    share one block, compiled once per call.
     """
     if circuit.n_sites != init.n_sites:
         raise ValueError("circuit and state sizes differ")
     if circuit.n_sites > DM_MAX_SITES:
         raise BudgetError(f"density-matrix budget is N <= {DM_MAX_SITES}")
-    n = circuit.n_sites
     rho = init.copy()
-    vec = rho.entries.reshape(-1, copy=False)
-    blocks = {}  # local, so no channel outlives the call
-    for sites, run in _runs(circuit.gates):
-        label = {s: i for i, s in enumerate(sites, start=1)}
-        key = tuple(Gate(g.kind, tuple(label[s] for s in g.sites), g.angle) for g in run)
-        if key not in blocks:
-            blocks[key] = _compile(key, len(sites), noise)
-        cols = [s - 1 for s in sites]  # column bits, then row bits
-        _apply_block(vec, 2 * n, blocks[key], cols + [b + n for b in cols])
+    _evolve(rho.entries.reshape(-1, copy=False), circuit, noise)
     return rho
 
 
@@ -542,16 +517,16 @@ def from_pauli_spectrum(paulis: np.ndarray) -> DensityMatrix:
     return DensityMatrix(dim.bit_length() - 1, rho)
 
 
-# per letter: the rotation matrices that take its basis to Z, in gate order
-_ROTATION = {c: [g.matrix_1q() for g in build_measurement_rotation(c)] for c in "XYZ"}
+# per letter: the gates on site 1 that take its basis to Z, in order
+_ROTATION = {c: build_measurement_rotation(c) for c in "XYZ"}
 
 
-def _rotate_pure(amp: np.ndarray, site: int, letter: str) -> np.ndarray:
-    """``amp`` rotated on ``site`` (its bit ``site-1``); a Z site is ``amp`` itself."""
+def _rotate_pure(amp: np.ndarray, n: int, site: int, letter: str) -> np.ndarray:
+    """``amp`` on n sites rotated on ``site``, one gate at a time; a Z site is ``amp`` itself."""
     if letter != "Z":
         amp = amp.copy()
-        for m in _ROTATION[letter]:
-            _apply_1q(amp, m, site - 1)
+        for g in _ROTATION[letter]:
+            _apply_gate(amp, n, g, site - 1)
     return amp
 
 
@@ -584,7 +559,7 @@ def rotated_probabilities(state, words) -> np.ndarray:
         for i in rows:
             branches.setdefault(words[i][k], []).append(i)
         for letter, sub in branches.items():
-            walk(_rotate_pure(amp, k + 1, letter), k + 1, sub)
+            walk(_rotate_pure(amp, n, k + 1, letter), k + 1, sub)
 
     walk(state.amplitudes, 0, range(len(words)))
     return out

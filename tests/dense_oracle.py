@@ -6,7 +6,7 @@ site 1 on the lowest-order bit, a bit-pair operator applied by ``einsum``,
 plus Kraus sums and Pauli expectations written out as matrix products,
 charge expectations one charge and one Walsh transform per x mask at a time,
 read-out one word at a time on a full copy of the state, noisy evolution gate
-by gate on the engine's kernels, tomography's linear inversion summed
+by gate on the engine's gate kernel with ``einsum`` channels, tomography's linear inversion summed
 Pauli by Pauli, and the two charge estimators pooling term pairs one pair at
 a time.
 They cost exponentially more than the engines in ``trotterchain`` and serve
@@ -29,7 +29,6 @@ from trotterchain.sim import (
     DensityMatrix,
     StateVector,
     _apply_gate,
-    _apply_pair,
     apply_readout_flips,
 )
 from trotterchain.tomo import all_words
@@ -340,12 +339,12 @@ def apply(rho: DensityMatrix, gate: Gate, channel=None):
     _apply_gate(vec, 2 * n, gate, 0, conj=True)
     if channel is not None:
         for s in gate.sites:
-            _apply_pair(vec, channel.superop, s - 1 + n, s - 1)
+            apply_pair(vec, channel.superop, s - 1 + n, s - 1)
 
 
 def evolve_noisy(circuit, init: DensityMatrix, noise) -> DensityMatrix:
-    """Gate-by-gate conjugation of a copy of ``init`` with one channel application
-    per touched site: the engine's kernels with no fusion."""
+    """Gate-by-gate conjugation of a copy of ``init`` through the engine's gate
+    kernel, with one ``einsum`` channel application per touched site: no fusion."""
     rho = init.copy()
     for g in circuit.gates:
         apply(rho, g, noise.after_two_qubit if g.kind == "CNOT" else noise.after_one_qubit)

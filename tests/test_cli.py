@@ -48,6 +48,12 @@ def test_config_validation():
     assert cfg.delta == pytest.approx(np.tan(0.3))
 
 
+def test_config_builds_its_charge_specs_once_in_order():
+    cfg = ExperimentConfig.from_dict(base_config(n_sites=6, charges=[[2, "minus"], [1, "dif"]]))
+    assert cfg.specs() == (ChargeSpec(2, "minus", 6), ChargeSpec(1, "dif", 6))
+    assert cfg.specs() is cfg.specs()
+
+
 BAD_CONFIG = {
     "n_sites a string": {"n_sites": "4"},
     "n_sites a float": {"n_sites": 4.0},
@@ -338,16 +344,16 @@ PINNED_RUNS = {
             seed=5,
         ),
         {
-            "benchmarks.jsonl": "affb78b2f5689ce6e783cbeb301507bbb8e1863d1cdee2dc687f27091c0bf1fa",
+            "benchmarks.jsonl": "64d2964114f1af2c046012c778e130e21e47a55371fe292765121c6f8f3d2df5",
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
-            "decay.csv": "d45f6daebaceea08935c2dd4d09b4c76c0f9792a5907666596209e69fc967063",
-            "fits.csv": "b5fdf3c9a6af02e6fd2dd9211c2e776796a1ea593580271f23ae40e817a2c1fc",
-            "fits.json": "2a8fc10f753be88fbe02c02974ee3164e294d7b1d1fd6f7a050d7236d6d36b67",
-            "mitigation.csv": "f908132be41ca3d839a4e1dc0d41458008027f1c80abac9eb8cb458754e71400",
-            "spectrum.csv": "ba542fd8ea79a99376de72a9df57cbce106f88de2175363048ff558881261ada",
-            "spectrum.json": "efbc7a029cde29f6d9f49df680db5c7eda533cb283c95adc1a7a490b741ceb04",
-            "tomo.json": "da4de710216ca1c06bc69f761929d99ca0a3faece9fee31039f9080232624767",
+            "decay.csv": "f0239803b51213b4a0ab65aabae9696f68cd6e045ae0421a864efc4e2d8a3d3d",
+            "fits.csv": "e7f3d2c3766df651169bd8d16fd01dbfaceb6db16eb84d6a77a0ed3fa24c5107",
+            "fits.json": "a0d42ba3152209f920ef2ad41b547d2bcccfbf0afa8dcfcd8fe78529443f5dd6",
+            "mitigation.csv": "b4627e2fcbcee1d4cc9f416f73549a4162adfbc51f3fd35330ac83b1164af316",
+            "spectrum.csv": "be77a17c098a962beb94a3dea0092b483328182590e1bf551e85a93b63c16eec",
+            "spectrum.json": "d5f76ef8d8eb5512483f5ea424afebe0f6d54719aca3e6ff3e9721ec483aaf31",
+            "tomo.json": "ed930a8d91f4061f6280c90e133436360947cfaaf15e720d19e2f76706c1bae8",
         },
     ),
     "damping": (
@@ -364,10 +370,10 @@ PINNED_RUNS = {
             "decay.csv": "aa9d8839ee6717c250b295e6dbf0f1f3dfe2e0ab9eff80f05cb7ddc43ee01d91",
             "fits.csv": "5a9a2cd09662e44020123ba7e4b934ef20fc9b1b9e1b2a6e41364e5364dfb79e",
             "fits.json": "40b86c3baafd76084b66a736755d1a3617ca78492f8889f4a41b0dbb8ffb970d",
-            "mitigation.csv": "4bcfedb8a30a11d97d8fc8a478b09713c6430ad85f3705416b15546e8ed1359e",
-            "spectrum.csv": "e04c114dadda5c931744f4c26c73362ca841da38f63ea14fa5982c0ab8585107",
-            "spectrum.json": "9283666c177e0fab63a83251d444c140a185169307011272ac65d9b5c132091b",
-            "tomo.json": "e85fe1af0bdf0856b5e4fcf5d77af0cd623cefce5bfdf8b6e25c90c1d62a972b",
+            "mitigation.csv": "9096d98cc47a2852821a68ced97f6006cece03776f27a50258a32899624dbe1f",
+            "spectrum.csv": "98c3185450c51ba6f341a2c0799e3b06d3925cad9fa1a90565b25c1f1dedc685",
+            "spectrum.json": "bc58d0e2dacfd5b44345cbff3cbad0d76e3945205870beae5c5b06e6bb4eeae3",
+            "tomo.json": "0ce9e2baaf6d66be96667b7f567541fcb84e0a8675ea09202c846d39f00aad8f",
         },
     ),
 }

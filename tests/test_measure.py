@@ -401,9 +401,9 @@ def test_estimates_match_pinned_digest():
         est = estimate(sim.sample(psi, plan.words, plan.shots_per_word, keys), plan, q, DELTA)
         values += [est.value, est.std_uncertainty]
     assert _float_digest(values) == (
-        "22efd46766051e60e2b7fc92d6ba294a53f286a9e4deb37c5b25d58ce06b688f"
+        "8b228682783fe41cd5ad7f0efa3073c1918c7160d7d644d8dbeddd91ad669c08"
     )
     dists = sim.rotated_probabilities(psi, plan.words)
     assert _float_digest(exact_estimator_variance(dists, plan, q, DELTA)) == (
-        "61e9bbaaa139879ffbf8b91505d1729ada88ed48df9e7460c16ab5246c81abe8"
+        "c902db4a5568ae6b15bfdb50a345a167270922e33b98dabbe6484ff116532410"
     )

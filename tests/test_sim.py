@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
@@ -105,28 +105,11 @@ shipped_channels = st.one_of(
 
 
 @settings(deadline=None, max_examples=60)
-@given(
-    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
-    shipped_channels,
-    st.integers(0, 2**32 - 1),
-)
-@example((5, 1), depolarizing(1.0), 0)  # rows of zeros, where a -0 sum must come out +0
-def test_channel_kernel_matches_einsum_oracle_bit_for_bit(site, channel, seed):
-    # every (a, c) row of the shipped superoperators has at most two real
-    # nonzero entries, so the slice form sums the same floats as einsum
-    n, s = site
-    rng = np.random.default_rng(seed)
-    h = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
-    rho = (h + h.conj().T).reshape(-1)
-    want = rho.copy()
-    dense_oracle.apply_pair(want, channel.superop, s - 1 + n, s - 1)
-    sim._apply_pair(rho, channel.superop, s - 1 + n, s - 1)
-    assert rho.tobytes() == want.tobytes()
-
-
-@settings(deadline=None, max_examples=60)
 @given(st.integers(2, 12), st.data(), st.integers(0, 2**32 - 1))
 def test_pair_kernel_matches_einsum_oracle_on_complex_operators(n_bits, data, seed):
+    # a (2,2,2,2) operator op[a, c, b, d] taking bits (hi, lo) = (b, d) to
+    # (a, c) is the block op.transpose(2, 3, 0, 1) on bits [lo, hi], as a
+    # channel's superoperator is applied
     hi = data.draw(st.integers(1, n_bits - 1))
     lo = data.draw(st.integers(0, hi - 1))
     rng = np.random.default_rng(seed)
@@ -134,7 +117,26 @@ def test_pair_kernel_matches_einsum_oracle_on_complex_operators(n_bits, data, se
     vec = rng.normal(size=1 << n_bits) + 1j * rng.normal(size=1 << n_bits)
     want = vec.copy()
     dense_oracle.apply_pair(want, op, hi, lo)
-    sim._apply_pair(vec, op, hi, lo)
+    sim._apply_block(vec, n_bits, op.transpose(2, 3, 0, 1), [lo, hi])
+    assert np.abs(vec - want).max() < 1e-13
+
+
+@settings(deadline=None, max_examples=80)
+@given(gate_lists(max_sites=5, max_gates=1).filter(lambda c: c.gates), st.data())
+def test_gate_kernel_matches_dense_unitary(circuit, data):
+    # one gate as a block on its bits: m.T for a one-qubit gate (conjugated
+    # on request), the fixed CNOT block for either orientation, on any pair
+    # of sites; ``offset`` moves the gate up the register
+    (gate,) = circuit.gates
+    offset = data.draw(st.integers(0, 3))
+    conj = data.draw(st.booleans())
+    n_bits = circuit.n_sites + offset + data.draw(st.integers(0, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vec = rng.normal(size=1 << n_bits) + 1j * rng.normal(size=1 << n_bits)
+    moved = Gate(gate.kind, tuple(s + offset for s in gate.sites), gate.angle)
+    u = dense_oracle.gate_unitary(moved, n_bits)
+    want = (u.conj() if conj else u) @ vec
+    sim._apply_gate(vec, n_bits, gate, offset, conj)
     assert np.abs(vec - want).max() < 1e-13
 
 
@@ -209,30 +211,39 @@ noise_slots = st.none() | shipped_channels
     st.sampled_from([None, 4, 64]),
 )
 def test_block_engine_matches_per_gate_oracle(circuit, noise, seed, chunk):
-    # each run of gates on one pair is one compiled superoperator; the
-    # gate-by-gate oracle applies the same kernels to rho itself.  ``chunk``
-    # (if set) shrinks the chunks a block is applied in, so small chains
-    # cross chunk edges too
+    # each run of gates on one pair is one compiled superoperator (one
+    # unitary on the pure engine); the gate-by-gate oracles apply each gate
+    # to the state itself.  ``chunk`` (if set) shrinks the chunks a block is
+    # applied in, so small chains cross chunk edges too
     n = circuit.n_sites
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
     rho = DensityMatrix(n, a @ a.conj().T / np.linalg.norm(a) ** 2)
-    before = _bits(rho.entries)
+    psi = StateVector(n, a[0] / np.linalg.norm(a[0]))
+    before = _bits(rho.entries), _bits(psi.amplitudes)
     with mock.patch.object(sim, "_CHUNK", chunk or sim._CHUNK):
         got = evolve_noisy(circuit, rho, noise).entries
+        got_pure = evolve_pure(circuit, psi).amplitudes
     want = dense_oracle.evolve_noisy(circuit, rho, noise).entries
     assert np.abs(got - want).max() < 1e-12
-    assert _bits(rho.entries) == before
+    want_pure = psi.copy()
+    for g in circuit.gates:
+        want_pure.apply(g)
+    assert np.abs(got_pure - want_pure.amplitudes).max() < 1e-12
+    assert (_bits(rho.entries), _bits(psi.amplitudes)) == before
 
 
 def test_every_bond_of_a_step_shares_one_compiled_block():
     # sites relabelled by first appearance: the cyclic bond (N, 1) compiles
-    # to the same block as (2, 3) and every odd bond
+    # to the same block as (2, 3) and every odd bond, on both engines
     noise = NoiseModel(depolarizing(0.0013), depolarizing(0.013))
     rho = DensityMatrix.from_spec(InitialStateSpec.neel(8))
+    psi = StateVector.from_spec(InitialStateSpec.neel(8))
     with mock.patch.object(sim, "_compile", wraps=sim._compile) as compile_:
         evolve_noisy(build_step(8, ALPHA), rho, noise)
-    assert compile_.call_count == 1
+        assert compile_.call_count == 1
+        evolve_pure(build_step(8, ALPHA), psi)
+    assert compile_.call_count == 2
 
 
 @st.composite
@@ -648,7 +659,7 @@ def test_exact_expectations_match_pinned_digest():
         values += exact_expectation(psi, specs, DELTA)
         psi = evolve_pure(step, psi)
     assert _float_digest(values) == (
-        "bf78f9e745930a64e137d35114a8503907f7632f2d5fac8936fcb67ca11bd7bc"
+        "6b0b928f7f670e8d0ef4a3e3c81adfce5a0d01d30f7d76460f5b75ac35a21bf2"
     )
 
 
@@ -664,5 +675,5 @@ def test_finite_shot_readout_matches_pinned_digest():
     freqs = collect(rho, 700, seed=5).freqs
     assert [hashlib.sha256(a.tobytes()).hexdigest() for a in (calib.matrix, freqs)] == [
         "d2809a187cc4a6f3929ca61d645f4200e6f054c5e29f7170dd829a4b5a91febb",
-        "bc0b5fe975c35d44074a3c84787c6dad3d87a188ee2e90b17384fe19f59437aa",
+        "174850ac2f088ae77e0a321aea9269b2cbb588871fb5ccc0aa1ac7e45b09c257",
     ]
