@@ -59,6 +59,15 @@ def _exp_model(d, c1, gamma, c2):
     return c1 * np.exp(-gamma * d) + c2
 
 
+def _linearisation(d, y, wts, theta):
+    """``(r, jac, h)`` at ``theta``: the residual, its Jacobian and the weighted
+    normal matrix, for the Gauss-Newton steps and the covariance alike."""
+    c1, gamma, _ = theta
+    e = np.exp(-gamma * d)
+    jac = np.column_stack([e, -c1 * d * e, np.ones_like(d)])
+    return _exp_model(d, *theta) - y, jac, jac.T @ (wts[:, None] * jac)
+
+
 def fit_exp(series: DecaySeries) -> FitResult:
     """Weighted nonlinear least squares for c1 exp(-gamma d) + c2.
 
@@ -89,12 +98,8 @@ def fit_exp(series: DecaySeries) -> FitResult:
     lam = 1e-3
     converged = False
     for _ in range(MAX_ITER):
-        c1, gamma, c2 = theta
-        e = np.exp(-gamma * d)
-        r = _exp_model(d, *theta) - y
-        jac = np.column_stack([e, -c1 * d * e, np.ones_like(d)])
+        r, jac, h = _linearisation(d, y, wts, theta)
         g = jac.T @ (wts * r)
-        h = jac.T @ (wts[:, None] * jac)
         try:
             step = np.linalg.solve(h + lam * np.diag(np.diag(h) + 1e-30), -g)
         except np.linalg.LinAlgError:
@@ -116,10 +121,7 @@ def fit_exp(series: DecaySeries) -> FitResult:
                 break
 
     c1, gamma, c2 = theta
-    e = np.exp(-gamma * d)
-    r = _exp_model(d, *theta) - y
-    jac = np.column_stack([e, -c1 * d * e, np.ones_like(d)])
-    h = jac.T @ (wts[:, None] * jac)
+    r, _, h = _linearisation(d, y, wts, theta)
     diagnostics = []
     try:
         cov = np.linalg.inv(h)

@@ -275,7 +275,7 @@ def spectrum_report(config: ExperimentConfig) -> dict:
     op = spectral.vectorize_step(build_step(config.n_sites, config.alpha), config.noise_model())
     vals = spectral.spectrum(op)
     report = {
-        "eigenvalues": spectral.spectrum_csv_rows(vals),
+        "eigenvalues": [(float(v.real), float(v.imag)) for v in vals],
         "decay_rate": spectral.decay_rate(vals),
         "fixed_point_gap": spectral.fixed_point_gap(op),
     }

@@ -59,16 +59,18 @@ the leaves, with the oracle's floats bit for bit.
 Exact expectations (:func:`exact_expectation`) take charge specs, not
 assembled charges.  A charge is its memoized integer
 :func:`charges.periodic_density`, one string per two-site translation orbit,
-summed over the N/2 two-site rotations of the chain.  So each x mask of the
-union of the call's densities costs the N/2 overlap rows of the rotated
-copies of the state, gathered through the rotations' index tables and
-summed, and one Walsh pass over that sum; every string with that x mask,
-in whichever charge, reads its term off the transformed row.  The state is
-Hermitian, so half of each row determines the other half: only the half
-with the top bit of x clear is gathered and transformed, on N-1 bits.  Pure
-states and density matrices take the same path.  The values agree with summing the
-assembled charge term by term (``dense_oracle.exact_expectation`` in the
-tests) to round-off, not bit for bit: they are sums in another order.
+summed over the N/2 two-site rotations of the chain.  A density matrix reads
+every rotated string off its Pauli spectrum, built for one call at the
+rotated x masks only, by the helper that builds all of :func:`pauli_spectrum`.
+A statevector has no spectrum within reach.  Per nonzero x mask of the union
+of the call's densities, it sums the overlap rows of the N/2 rotated copies of
+psi, gathered through the rotations' index tables, and every string with that
+x mask reads its term off one Walsh pass over the sum.  Only the half of each
+row with the top bit of x clear is gathered and transformed, on N-1 bits: the
+other half is its conjugate.  The Z strings read one transform of the summed
+rotated populations.  The values agree with summing the assembled charge term
+by term (``dense_oracle.exact_expectation`` in the tests) to round-off, not
+bit for bit: they are sums in another order.
 """
 
 from __future__ import annotations
@@ -384,89 +386,78 @@ def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
     """tr(rho Q) or <psi|Q|psi> of the charge of each spec in ``specs`` at ``delta``, in order.
 
     A charge is its :func:`charges.periodic_density` D summed over the N/2
-    two-site rotations R^(2j), so <Q> = sum_j tr(rho_j D) with
-    rho_j[b, b'] = rho[R^(2j) b, R^(2j) b'].  For a flip mask x, the overlap
-    row O_x(b) = sum_j rho_j[b, b ^ x] (psi-bar[R(b ^ x)] psi[R b] for a
-    statevector) has the Walsh transform W_x(z) = sum_b (-1)^popcount(z & b)
-    O_x(b), and the string of D with masks (x, z) adds
-    c_z(delta) i^popcount(x & z) W_x(z) to its charge.
+    two-site rotations R^(2j), so each string P(x, z) of D stands for the N/2
+    strings P(R^(2j) x, R^(2j) z).  A density matrix reads them off the rows
+    of its Pauli spectrum at the union of the rotated x masks, one
+    :func:`_pauli_rows` call for the whole call; each charge dots its
+    coefficients with the sums of its rotated strings' entries.  A density
+    matrix further than ``HERMITICITY_TOL`` from Hermitian raises ValueError.
 
-    Only half of each row is gathered and transformed.  The state is
-    Hermitian, so O_x(b ^ x) = conj O_x(b).  Take the pair bit h to be the
-    top bit of x (bit N-1 for x = 0), let H be the Walsh transform on N-1
-    bits of the half row over the b with bit h clear, and z' be z with bit h
-    removed.  Then for x != 0 each term is Re(2 c i^popcount(x & z) H(z')).
-    For x = 0 the row is real, so the half row O(b) + i O(b | 2^h) gives
-    W_0(z) = Re H(z') + (-1)^z_h Im H(z'), and the term is
-    Re(c (1 - i (-1)^z_h) H(z')).  Each value is real by construction.
-
-    The x masks of the union of the densities are walked once, ascending, in
-    blocks of one pair bit and at most ``_CHUNK`` complex entries (one mask
-    per half row, at least one row).  The b-half is a strided view of each
-    rotated copy of psi; the partner half is gathered through the rotations'
-    index tables, which live for one call.  Each charge does one dot per
-    block, whichever charges share it.  The values agree with summing the
-    assembled charge term by term (``dense_oracle.exact_expectation`` in the
-    tests) to round-off.  A density matrix further than ``HERMITICITY_TOL``
-    from Hermitian raises ValueError.
+    A statevector's overlap row for a flip mask x, O_x(b) = sum_j
+    psi-bar[R^(2j)(b ^ x)] psi[R^(2j) b], has the Walsh transform W_x(z) =
+    sum_b (-1)^popcount(z & b) O_x(b), and the string (x, z) of D adds
+    c_z(delta) i^popcount(x & z) W_x(z) to its charge.  A density's strings
+    sort by x, so its Z strings come first: they read the one transform of
+    the summed rotated populations.  For x != 0, O_x(b ^ x) = conj O_x(b), so
+    with h the top bit of x, H the Walsh transform on N-1 bits of the half
+    row over the b with bit h clear and z' the mask z with bit h removed,
+    each term is Re(2 c i^popcount(x & z) H(z')).  The nonzero x masks of
+    the union of the densities are walked once, ascending, in blocks of one
+    pair bit and at most ``_CHUNK`` complex entries (at least one half row).
+    The b-half is a strided view of each rotated copy of psi, the partner
+    half a gather through index tables; both live for one call.  Each charge
+    does one dot per block, whichever charges share it.
     """
     n = state.n_sites
     if any(spec.n_sites != n for spec in specs):
         raise ValueError("state and charge sizes differ")
-    dim, half = 1 << n, 1 << (n - 1)
-    cols = np.arange(dim, dtype=np.int64)
-    perms = rotations(cols, n)  # perms[j, b] = R^(2j) b
-    pure = isinstance(state, StateVector)
-    if pure:
-        rotated = state.amplitudes[perms]  # rotated[j, b] = psi[R^(2j) b]
-        probs = state.amplitudes.real**2 + state.amplitudes.imag**2
-    else:
+    qs = [periodic_density(spec) for spec in specs]
+    coeffs = [q.coefficients(delta) for q in qs]
+    if isinstance(state, DensityMatrix):
         dev = hermiticity_deviation(state.entries)
         if dev > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian: deviation {dev:.2e}")
-        flat = state.entries.reshape(-1)
-        row_starts = perms * dim  # rho[R b, R b'] is flat[row_starts[j, b] + perms[j, b']]
-        probs = state.entries.diagonal().real
-    qs = [periodic_density(spec) for spec in specs]
-    xs = np.sort(np.concatenate([np.zeros(0, np.int64)] + [q.x for q in qs]))
-    xs = xs[np.diff(xs, prepend=-1) != 0]  # the union of the x masks, ascending
+        rx = [rotations(q.x, n) for q in qs]
+        xs = np.sort(np.concatenate([np.zeros(0, np.int64)] + [r.reshape(-1) for r in rx]))
+        xs = xs[np.diff(xs, prepend=-1) != 0]  # the union of the rotated x masks, ascending
+        rows = _pauli_rows(state, xs)
+        sums = [rows[np.searchsorted(xs, r), rotations(q.z, n)].sum(axis=0) for q, r in zip(qs, rx)]
+        return [float(np.dot(c, t)) for c, t in zip(coeffs, sums)]
+    dim, half = 1 << n, 1 << (n - 1)
+    cols = np.arange(dim, dtype=np.int64)
+    perms = rotations(cols, n)  # perms[j, b] = R^(2j) b
+    rotated = state.amplitudes[perms]  # rotated[j, b] = psi[R^(2j) b]
+    probs = state.amplitudes.real**2 + state.amplitudes.imag**2
+    w0 = _walsh_rows(probs[perms].sum(axis=0)[None], np.empty((1, dim)))[0]
+    zs = [int(np.searchsorted(q.x, 1)) for q in qs]  # the number of Z strings
+    vals = [float(np.dot(c[:k], w0[q.z[:k]])) for q, c, k in zip(qs, coeffs, zs)]
+    xs = np.sort(np.concatenate([np.zeros(0, np.int64)] + [q.x[k:] for q, k in zip(qs, zs)]))
+    xs = xs[np.diff(xs, prepend=0) != 0]  # the union of the nonzero x masks, ascending
     per = max(1, _CHUNK >> (n - 1))  # x masks per block
-    # blocks of at most ``per`` masks with one pair bit each; x = 0 is a block of its own
+    # blocks of at most ``per`` masks with one pair bit each, the top bit of x
     edges = np.searchsorted(xs, [1 << k for k in range(n + 1)]).tolist()
-    starts = [s for a, b in zip([0] + edges, edges) for s in range(a, b, per)]
-    pair = np.array([n - 1 if xs[a] == 0 else int(xs[a]).bit_length() - 1 for a in starts])
+    starts = [s for a, b in zip(edges, edges[1:]) for s in range(a, b, per)]
+    pair = np.array([int(xs[a]).bit_length() - 1 for a in starts], dtype=np.int64)
     starts.append(len(xs))
     terms = []  # per charge: weighted coefficients, positions in a block's H, block cuts
-    for q in qs:
-        row = np.searchsorted(xs, q.x)
+    for q, c, k in zip(qs, coeffs, zs):
+        x, z = q.x[k:], q.z[k:]
+        row = np.searchsorted(xs, x)
         block = np.searchsorted(starts, row, side="right") - 1
         low = (np.int64(1) << pair[block]) - 1  # the bits below the pair bit
-        c = q.coefficients(delta) * i_power(q.x, q.z)
-        sign = 1 - 2 * (q.z >> (n - 1) & 1)  # (-1)^z_h where x = 0
-        c *= np.where(q.x == 0, 1 - 1j * sign, 2)
-        pos = (row - np.take(starts, block)) * half + (q.z & low | q.z >> 1 & ~low)
-        terms.append((c, pos, np.searchsorted(row, starts).tolist()))
-    vals = [0.0] * len(qs)
+        pos = (row - np.take(starts, block)) * half + (z & low | z >> 1 & ~low)
+        terms.append((2 * c[k:] * i_power(x, z), pos, np.searchsorted(row, starts).tolist()))
     for i, (a, b) in enumerate(zip(starts, starts[1:])):
         h = int(pair[i])
         o, g = np.zeros((2, b - a, half), dtype=complex)
-        if xs[a] == 0:  # the real row O(b) + i O(b | 2^h), h = N-1
-            diag = probs[perms].sum(axis=0)
-            o[0] = diag[:half] + 1j * diag[half:]
-        else:
-            lo = (cols[:half] >> h << (h + 1)) | (cols[:half] & ((1 << h) - 1))  # bit h clear
-            flips = lo ^ xs[a:b, None]  # their partners b ^ x
-            gb = g.reshape(b - a, -1, 1 << h)  # g with bit h of b spelt out, as a view
-            for j in range(len(perms)):
-                if pure:
-                    np.take(rotated[j], flips, out=g, mode="clip")
-                    np.conjugate(g, out=g)
-                    gb *= rotated[j].reshape(-1, 2, 1 << h)[:, 0]
-                else:
-                    at = perms[j][flips].reshape(gb.shape)
-                    at += row_starts[j].reshape(-1, 2, 1 << h)[:, 0]
-                    np.take(flat, at, out=gb, mode="clip")
-                o += g
+        lo = (cols[:half] >> h << (h + 1)) | (cols[:half] & ((1 << h) - 1))  # bit h clear
+        flips = lo ^ xs[a:b, None]  # their partners b ^ x
+        gb = g.reshape(b - a, -1, 1 << h)  # g with bit h of b spelt out, as a view
+        for r in rotated:
+            np.take(r, flips, out=g, mode="clip")
+            np.conjugate(g, out=g)
+            gb *= r.reshape(-1, 2, 1 << h)[:, 0]
+            o += g
         w = _walsh_rows(o, g).reshape(-1)
         for k, (c, pos, cuts) in enumerate(terms):
             t0, t1 = cuts[i], cuts[i + 1]
@@ -474,8 +465,8 @@ def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
     return vals
 
 
-def pauli_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """``paulis[x, z] = Re tr(rho P(x, z))`` for every Pauli string, a real 2^N x 2^N array.
+def _pauli_rows(rho: DensityMatrix, xs: np.ndarray) -> np.ndarray:
+    """Rows ``xs`` (int64 x masks) of :func:`pauli_spectrum`, ``Re tr(rho P(xs[i], z))`` at [i, z].
 
     P(x, z) has X on the sites of x, Z on those of z and Y on both, so it is
     i^popcount(x & z) X^x Z^z, and tr(rho X^x Z^z) is the Walsh transform at
@@ -483,21 +474,26 @@ def pauli_spectrum(rho: DensityMatrix) -> np.ndarray:
     in blocks of at most ``_CHUNK`` complex entries (one row per x, at least
     one row), so no complex 4^N array is held.
     """
-    n = rho.n_sites
-    dim = 1 << n
+    dim = 1 << rho.n_sites
     cols = np.arange(dim, dtype=np.int64)
     flat = rho.entries.reshape(-1)
     row_start = cols * dim  # rho[b, b^x] is flat[row_start[b] + (b^x)]
-    per = max(1, _CHUNK >> n)  # rows per block
-    buf = np.empty((2, min(per, dim), dim), dtype=complex)
-    paulis = np.empty((dim, dim))
-    for start in range(0, dim, per):
-        xs = cols[start : start + per]
-        cur = buf[0, : len(xs)]
-        np.take(flat, (cols ^ xs[:, None]) + row_start, out=cur)
-        w = _walsh_rows(cur, buf[1, : len(xs)])
-        paulis[xs] = (w * i_power(xs[:, None], cols)).real
-    return paulis
+    per = max(1, _CHUNK >> rho.n_sites)  # rows per block
+    buf = np.empty((2, min(per, len(xs)), dim), dtype=complex)
+    out = np.empty((len(xs), dim))
+    for start in range(0, len(xs), per):
+        x = xs[start : start + per]
+        cur = buf[0, : len(x)]
+        np.take(flat, (cols ^ x[:, None]) + row_start, out=cur)
+        w = _walsh_rows(cur, buf[1, : len(x)])
+        out[start : start + len(x)] = (w * i_power(x[:, None], cols)).real
+    return out
+
+
+def pauli_spectrum(rho: DensityMatrix) -> np.ndarray:
+    """``paulis[x, z] = Re tr(rho P(x, z))`` for every Pauli string, a real 2^N x 2^N array:
+    every row of :func:`_pauli_rows`."""
+    return _pauli_rows(rho, np.arange(1 << rho.n_sites, dtype=np.int64))
 
 
 def from_pauli_spectrum(paulis: np.ndarray) -> DensityMatrix:

@@ -137,8 +137,3 @@ def decay_rate(vals: np.ndarray) -> float | None:
     if len(inside) == 0:
         return None
     return float(-np.log(inside.max()))
-
-
-def spectrum_csv_rows(vals: np.ndarray):
-    """(Re, Im) pairs for plotting eigenvalue clouds."""
-    return [(float(v.real), float(v.imag)) for v in vals]

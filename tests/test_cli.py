@@ -344,15 +344,15 @@ PINNED_RUNS = {
             seed=5,
         ),
         {
-            "benchmarks.jsonl": "64d2964114f1af2c046012c778e130e21e47a55371fe292765121c6f8f3d2df5",
+            "benchmarks.jsonl": "2f2052675392302be73e60c6a63c363d6dc131255203b3907fb4e30b3b652ce5",
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
-            "decay.csv": "f0239803b51213b4a0ab65aabae9696f68cd6e045ae0421a864efc4e2d8a3d3d",
-            "fits.csv": "e7f3d2c3766df651169bd8d16fd01dbfaceb6db16eb84d6a77a0ed3fa24c5107",
-            "fits.json": "a0d42ba3152209f920ef2ad41b547d2bcccfbf0afa8dcfcd8fe78529443f5dd6",
+            "decay.csv": "9d1c24a4ee37212083a3c6d09831f2d338aedfc3d9844285b3cf5fea9631b0cc",
+            "fits.csv": "9727ef2fc471bff0dc310a452583c9ad9727d0208770391c01eaf7b0e91d9a58",
+            "fits.json": "02ef5f9f2c2235ff979912d9c99ab3f96c4edfa0d97a7c5a175b5b3b90b0f16c",
             "mitigation.csv": "b4627e2fcbcee1d4cc9f416f73549a4162adfbc51f3fd35330ac83b1164af316",
             "spectrum.csv": "be77a17c098a962beb94a3dea0092b483328182590e1bf551e85a93b63c16eec",
-            "spectrum.json": "d5f76ef8d8eb5512483f5ea424afebe0f6d54719aca3e6ff3e9721ec483aaf31",
+            "spectrum.json": "f2f82b08e54484fab30493ca07cd0de67dc624f4993a5af39407a4f69404191e",
             "tomo.json": "ed930a8d91f4061f6280c90e133436360947cfaaf15e720d19e2f76706c1bae8",
         },
     ),
@@ -372,7 +372,7 @@ PINNED_RUNS = {
             "fits.json": "40b86c3baafd76084b66a736755d1a3617ca78492f8889f4a41b0dbb8ffb970d",
             "mitigation.csv": "9096d98cc47a2852821a68ced97f6006cece03776f27a50258a32899624dbe1f",
             "spectrum.csv": "98c3185450c51ba6f341a2c0799e3b06d3925cad9fa1a90565b25c1f1dedc685",
-            "spectrum.json": "bc58d0e2dacfd5b44345cbff3cbad0d76e3945205870beae5c5b06e6bb4eeae3",
+            "spectrum.json": "f2672276a7b4662f6d0569afff0501f7fac5f3fa387d39931f04f23f8465ad59",
             "tomo.json": "0ce9e2baaf6d66be96667b7f567541fcb84e0a8675ea09202c846d39f00aad8f",
         },
     ),

@@ -593,10 +593,12 @@ def _edge_density(n: int, seed: int) -> PauliPolynomial:
 @pytest.mark.parametrize("kind", ["pure-random", "dm-random"])
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_half_rows_match_oracle_at_pair_bit_edges(n, kind, rows):
-    # blocks are cut where the pair bit (the top bit of x, N-1 for x = 0)
-    # changes, as well as every ``rows`` masks: densities with x = 0, top bit
-    # 0 and top bit N-1, patched in for two charges, against the oracle on
-    # their sums over the two-site rotations
+    # a statevector's half-row blocks are cut where the pair bit (the top bit
+    # of x) changes, as well as every ``rows`` masks, and its x = 0 strings
+    # read the transform of the populations instead: densities with x = 0, top
+    # bit 0 and top bit N-1, patched in for two charges, against the oracle on
+    # their sums over the two-site rotations (a density matrix reads them off
+    # its Pauli rows)
     specs = [ChargeSpec(1, "plus", n), ChargeSpec(1, "minus", n)]
     fake = {spec: _edge_density(n, seed) for seed, spec in enumerate(specs)}
     for q in fake.values():
@@ -614,6 +616,30 @@ def test_half_rows_match_oracle_at_pair_bit_edges(n, kind, rows):
             q = assemble(spec)
             bound = 1e-13 * np.abs(q.coefficients(DELTA)).sum()
             assert abs(value - dense_oracle.exact_expectation(state, q, DELTA)) <= bound, spec
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_density_matrix_reads_one_set_of_pauli_rows(n):
+    # every charge of a call is read off one request for rows of rho's Pauli
+    # spectrum, exactly the sorted union of the densities' rotated x masks
+    # (43 of 256 rows for Q1+ and Q2+ at N=8, 56 of 1,024 at N=10); a
+    # statevector never asks for any
+    q1, q2 = ChargeSpec(1, "plus", n), ChargeSpec(2, "plus", n)
+    rho = _expectation_state(n, "dm-random", n)
+    for specs in ([q1], [q1, q2], [q1, q2, ChargeSpec(1, "minus", n), ChargeSpec(2, "dif", n)]):
+        want = set()
+        for spec in specs:
+            want.update(pauli.rotations(periodic_density(spec).x, n).reshape(-1).tolist())
+        with mock.patch.object(sim, "_pauli_rows", wraps=sim._pauli_rows) as spy:
+            exact_expectation(rho, specs, DELTA)
+        assert spy.call_count == 1
+        state, xs = spy.call_args.args
+        assert state is rho and xs.tolist() == sorted(want)
+        if specs == [q1, q2]:
+            assert len(xs) == {8: 43, 10: 56}[n]
+    with mock.patch.object(sim, "_pauli_rows", wraps=sim._pauli_rows) as spy:
+        exact_expectation(_expectation_state(n, "pure-random", n), [q1, q2], DELTA)
+    assert spy.call_count == 0
 
 
 def test_exact_expectation_leaves_numpy_ma_unimported():
@@ -659,7 +685,7 @@ def test_exact_expectations_match_pinned_digest():
         values += exact_expectation(psi, specs, DELTA)
         psi = evolve_pure(step, psi)
     assert _float_digest(values) == (
-        "6b0b928f7f670e8d0ef4a3e3c81adfce5a0d01d30f7d76460f5b75ac35a21bf2"
+        "e5b978ef55ea643e6def96614bad487b97e62dc1dead572c66a869b2b0205c14"
     )
 
 

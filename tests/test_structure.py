@@ -1,6 +1,7 @@
 """Module boundaries of the library, read from its source with ``ast``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import trotterchain
@@ -61,3 +62,25 @@ def test_no_module_reads_another_modules_private_names():
     modules = {p.stem for p in paths}
     found = {p.name: private_reads(p.read_text(), modules) for p in paths}
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps each (module, function) of TRACED and
+    # ENGINES with a bare getattr, so a deleted name would crash every traced
+    # pass; read both literals from its source without importing it
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text())
+    found = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("TRACED", "ENGINES")
+    }
+    names = [f"{mod}.{func}" for mod, funcs in found["TRACED"].items() for func in funcs]
+    names += list(found["ENGINES"])
+    missing = []
+    for name in names:
+        mod, func = name.split(".")
+        if not hasattr(importlib.import_module(f"trotterchain.{mod}"), func):
+            missing.append(name)
+    assert missing == []
