@@ -39,6 +39,6 @@ for label, values in series.items():
     verdict = benchmark_verdict(beta, beta_star, 8, 8, order, "neel" if "+" in label else "yzx")
     print(
         f"  {label:6s} beta = {beta:.4f} +- {fit.std_errors['beta']:.4f}"
-        f"   -> {'pass' if verdict.passed else 'fail'}"
+        f"   -> {'pass' if verdict['pass'] else 'fail'}"
     )
 print("\nhigher / more nonlocal charges decay faster, as the orderings show")

@@ -50,7 +50,6 @@ class DecaySeries:
 class FitResult:
     parameters: dict
     std_errors: dict
-    residual_norm: float
     converged: bool
     diagnostics: tuple = ()
 
@@ -141,7 +140,6 @@ def fit_exp(series: DecaySeries) -> FitResult:
     return FitResult(
         {"c1": float(c1), "gamma": float(gamma), "c2": float(c2)},
         {"c1": float(errs[0]), "gamma": float(errs[1]), "c2": float(errs[2])},
-        float(np.sqrt(np.sum(wts * r**2))),
         converged,
         tuple(diagnostics),
     )
@@ -171,35 +169,20 @@ def fit_early_linear(series: DecaySeries, window: int | None = None) -> FitResul
     return FitResult(
         {"value0": float(v0 * coef[0]), "beta": float(-coef[1])},
         {"value0": float(abs(v0) * errs[0]), "beta": float(errs[1])},
-        float(np.linalg.norm(r)),
         True,
     )
 
 
-@dataclass(frozen=True)
-class BenchmarkVerdict:
-    passed: bool
-    beta: float
-    beta_star: float
-    width: int
-    depth: int
-    order: int
-    initial_state: str
-
-    def to_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "beta": self.beta,
-            "beta_star": self.beta_star,
-            "w": self.width,
-            "d": self.depth,
-            "n": self.order,
-            "initial_state": self.initial_state,
-        }
-
-
 def benchmark_verdict(
     beta: float, beta_star: float, width: int, depth: int, order: int, initial_state: str
-) -> BenchmarkVerdict:
-    """Pass iff beta < beta_star, strictly; a tie fails."""
-    return BenchmarkVerdict(beta < beta_star, beta, beta_star, width, depth, order, initial_state)
+) -> dict:
+    """The verdict as ``fits.json`` stores it: pass iff beta < beta_star, strictly; a tie fails."""
+    return {
+        "pass": beta < beta_star,
+        "beta": beta,
+        "beta_star": beta_star,
+        "w": width,
+        "d": depth,
+        "n": order,
+        "initial_state": initial_state,
+    }

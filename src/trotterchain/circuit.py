@@ -1,9 +1,11 @@
 """Gate-level circuits: initialization, brickwork evolution, measurement rotation.
 
-A circuit is an ordered gate list over sites 1..N (cyclic) split into three
-sections.  The evolution section is ``depth`` repetitions of one identical
-step block; each step applies the even-bond layer (2j, 2j+1) to the state
-first, then the odd-bond layer (2j-1, 2j).
+A circuit is an ordered gate list over sites 1..N (cyclic) split into two
+sections, init | evolution.  The evolution section is ``depth`` repetitions
+of one identical step block; each step applies the even-bond layer
+(2j, 2j+1) to the state first, then the odd-bond layer (2j-1, 2j).  The
+measurement rotation of a word is a gate list of its own, which read-out
+applies inside :mod:`sim`; no circuit carries it.
 
 Gate conventions: ``RZ(a) = exp(-i a Z / 2)``; each two-site block realizes
 the R-matrix at ``delta = tan(alpha)`` up to the dropped global phase
@@ -89,7 +91,7 @@ class InitialStateSpec:
 
 @dataclass
 class Circuit:
-    """Ordered gates with section markers (init | evolution | rotation)."""
+    """Ordered gates with section markers (init | evolution)."""
 
     n_sites: int
     gates: list = field(default_factory=list)
@@ -110,10 +112,6 @@ class Circuit:
     @property
     def evolution_gates(self):
         return self.gates[self.init_end : self.evolution_end]
-
-    @property
-    def rotation_gates(self):
-        return self.gates[self.evolution_end :]
 
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "CNOT")
@@ -165,7 +163,7 @@ def build_evolution(n_sites: int, alpha: float, depth: int) -> list:
 
 
 def build_step(n_sites: int, alpha: float) -> Circuit:
-    """One evolution step as a circuit of its own (no init or rotation gates)."""
+    """One evolution step as a circuit of its own (no init gates)."""
     gates = build_evolution(n_sites, alpha, 1)
     return Circuit(n_sites, gates, 0, len(gates), 1)
 
@@ -189,8 +187,7 @@ def build_measurement_rotation(word: str) -> list:
 
 
 def build_circuit(init: InitialStateSpec, alpha: float, depth: int) -> Circuit:
-    """Initialization then ``depth`` evolution steps; the rotation section is
-    empty, since read-out rotates inside :mod:`sim`."""
+    """Initialization then ``depth`` evolution steps; read-out rotates inside :mod:`sim`."""
     gates = build_init(init)
     init_end = len(gates)
     gates += build_evolution(init.n_sites, alpha, depth)

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import combinations
+from itertools import combinations, islice
 from numbers import Integral, Real
 
 import numpy as np
@@ -249,17 +249,22 @@ def decay_table(config: ExperimentConfig) -> list:
     charge_ops = {spec.label: (spec, *_plan(config, spec)) for spec in config.specs()}
 
     labels = sorted(charge_ops)
+    # every charge's words are read out in one sample call per depth, each
+    # word with its plan's shots and the key of its (depth, label, word) slot
+    slots = [(label, wi, w) for label in labels for wi, w in enumerate(charge_ops[label][2].words)]
+    words = [w for *_, w in slots]
+    shots = [charge_ops[label][2].shots_per_word for label, *_ in slots]
     rows = []
     for d, state in enumerate(_trajectory(config)):
         if config.exact_reference:
             exacts = exact_expectation(state, [charge_ops[label][0] for label in labels], delta)
         else:
             exacts = [None] * len(labels)
+        keys = [(_word_seed(config.seed, d, label, w), wi) for label, wi, w in slots]
+        outcomes = iter(sample(state, words, shots, keys, noise))
         for label, exact in zip(labels, exacts):
             spec, q, plan = charge_ops[label]
-            keys = [(_word_seed(config.seed, d, label, w), wi) for wi, w in enumerate(plan.words)]
-            outcomes = sample(state, plan.words, plan.shots_per_word, keys, noise)
-            est = measure.estimate(outcomes, plan, q, delta)
+            est = measure.estimate(list(islice(outcomes, len(plan.words))), plan, q, delta)
             rows.append((d, spec.order, spec.variant, est.value, est.std_uncertainty, exact))
     return rows
 
@@ -399,21 +404,19 @@ def fit_report(config: ExperimentConfig, rows: list) -> dict:
         window = min(config.fit_window or 6, len(pts))
         if pts[0][1] != 0.0:
             lin = analysis.fit_early_linear(ds, window)
-            beta = lin.parameters["beta"]
-            verdict = analysis.benchmark_verdict(
-                beta,
+            entry["early_linear"] = {
+                "parameters": lin.parameters,
+                "std_errors": lin.std_errors,
+                "window": window,
+            }
+            entry["benchmark"] = analysis.benchmark_verdict(
+                lin.parameters["beta"],
                 config.beta_star,
                 config.n_sites,
                 config.depth_max,
                 order,
                 config.init_spec().label(),
             )
-            entry["early_linear"] = {
-                "parameters": lin.parameters,
-                "std_errors": lin.std_errors,
-                "window": window,
-            }
-            entry["benchmark"] = verdict.to_dict()
         out[key] = entry
     return out
 

@@ -13,7 +13,9 @@ Words are plain ``str``; :func:`contains` checks the letters of the word it
 is given.  The estimators read :mod:`sim`'s output in plan order:
 :func:`estimate` takes the ``(indices, counts)`` pairs of :func:`sim.sample`,
 :func:`exact_estimator_variance` the rows of :func:`sim.outcome_distribution`,
-one per plan word.  Basis indices ascend, site ``j`` on bit ``j-1``; no
+one per plan word.  :func:`estimate` reads each word's shot count n_W off
+its counts; :func:`exact_estimator_variance` takes the plan's
+``shots_per_word``.  Basis indices ascend, site ``j`` on bit ``j-1``; no
 outcome is ever written as a bitstring.
 """
 
@@ -103,19 +105,20 @@ class CoverageError(ValueError):
     """Some charge term is not contained in any plan word."""
 
 
-def _coverage(plan: MeasurementPlan, charge: PauliPolynomial) -> tuple:
+def _coverage(plan: MeasurementPlan, charge: PauliPolynomial, n_w) -> tuple:
     """Per word, the ascending indices of the terms it contains; per term, its
-    pooled shot count n_P (int64), n_W per word containing it.  Raises
+    pooled shot count n_P (int64), the sum of the shot counts ``n_w`` (each
+    >= 1, one per plan word) of the words containing it.  Raises
     :class:`CoverageError` naming up to five terms that no word contains."""
     word_cover = _word_cover(plan, charge)
-    n_words = np.zeros(len(charge), dtype=np.int64)
-    for cov in word_cover:
-        n_words[cov] += 1
-    missing = np.flatnonzero(n_words == 0)[:5]
+    n_p = np.zeros(len(charge), dtype=np.int64)
+    for cov, k in zip(word_cover, n_w):
+        n_p[cov] += k
+    missing = np.flatnonzero(n_p == 0)[:5]
     if missing.size:
         names = letter_strings(charge.x[missing], charge.z[missing], charge.n_sites).tolist()
         raise CoverageError(f"terms not covered by any word: {names}")
-    return word_cover, plan.shots_per_word * n_words
+    return word_cover, n_p
 
 
 def _moments(outcomes, weights, masks) -> tuple:
@@ -132,35 +135,36 @@ def estimate(
     """Charge estimate with its unbiased variance estimate.
 
     ``outcomes`` holds one ``(indices, counts)`` pair per plan word, in plan
-    order, as :func:`sim.sample` returns them; each word's counts sum to n_W.
-    The value pools each term over all covering words; the uncertainty keeps
-    the word-sharing covariances, skips pairs pooled over a single shot
-    (their variance weight is undefined), and clamps a slightly negative
-    variance at zero.  Both degeneracies are reported as diagnostics.
-    Raises :class:`CoverageError` when a term is in no plan word.
+    order, as :func:`sim.sample` returns them; n_W is each word's count sum,
+    n_P the sum of n_W over the words containing P, n_PP' over the words
+    containing both.  The value pools each term over all covering words; the
+    uncertainty keeps the word-sharing covariances, skips pairs pooled over
+    a single shot (their variance weight is undefined), and clamps a
+    slightly negative variance at zero.  Both degeneracies are reported as
+    diagnostics.  Raises ValueError for a word whose counts sum to 0 and
+    :class:`CoverageError` when a term is in no plan word.
     """
     if len(outcomes) != len(plan.words):
         raise ValueError(f"{len(outcomes)} outcome pairs for {len(plan.words)} plan words")
-    for w, (_, cnt) in zip(plan.words, outcomes):
-        if cnt.sum() != plan.shots_per_word:
-            raise ValueError(f"outcomes of {w} do not sum to n_W")
+    n_w = [int(cnt.sum()) for _, cnt in outcomes]
+    if 0 in n_w:
+        raise ValueError(f"outcomes of {plan.words[n_w.index(0)]} sum to 0 shots")
     n_terms = len(charge)
     coeffs = charge.coefficients(delta)
     masks = charge.x | charge.z
-    word_cover, n_p = _coverage(plan, charge)
+    word_cover, n_p = _coverage(plan, charge, n_w)
 
     # per word, its term pairs a <= b (the upper triangle, as cov ascends) as
-    # keys a*T + b with their cross and parity sums; pooled below in word order
-    pairs = [(np.empty(0, np.int64),) + (np.empty(0),) * 3]
-    for (idx, cnt), cov in zip(outcomes, word_cover):
+    # keys a*T + b with their cross and parity sums and n_W; pooled in word order
+    pairs = [(np.empty(0, np.int64),) + (np.empty(0),) * 4]
+    for (idx, cnt), cov, k in zip(outcomes, word_cover, n_w):
         sums, cross = _moments(idx, cnt.astype(np.float64), masks[cov])
         i, j = np.nonzero(cov[:, None] <= cov)
-        pairs.append((cov[i] * n_terms + cov[j], cross[i, j], sums[i], sums[j]))
-    keys, cross, sum_a, sum_b = map(np.concatenate, zip(*pairs))
+        pairs.append((cov[i] * n_terms + cov[j], cross[i, j], sums[i], sums[j], np.full(i.size, k)))
+    keys, cross, sum_a, sum_b, shots = map(np.concatenate, zip(*pairs))
     keys, inv = np.unique(keys, return_inverse=True)
-    cross, sum_a, sum_b = (np.bincount(inv, v) for v in (cross, sum_a, sum_b))
+    cross, sum_a, sum_b, n_ab = (np.bincount(inv, v) for v in (cross, sum_a, sum_b, shots))
     a, b = np.divmod(keys, n_terms)
-    n_ab = plan.shots_per_word * np.bincount(inv)
     # every term is covered, so its pair (a, a) holds its parity sum; Python's
     # fold in term order, as the artifacts print the value
     value = sum((coeffs * sum_a[a == b] / n_p).tolist())
@@ -189,8 +193,9 @@ def exact_estimator_variance(
     one row per word in plan order, as :func:`sim.outcome_distribution`
     returns them.  With u = c_P / n_P over the terms a word covers, e and C
     its exact moments <P> and <P P'>, the word adds n_W u.e to the mean and
-    n_W (u.C.u - (u.e)^2) to the variance; the coverage check is
-    :func:`estimate`'s.  Useful for deterministic error budgets.
+    n_W (u.C.u - (u.e)^2) to the variance, with n_W the plan's
+    ``shots_per_word``; the coverage check is :func:`estimate`'s.  Useful
+    for deterministic error budgets.
     """
     if len(distributions) != len(plan.words):
         raise ValueError(f"{len(distributions)} distributions for {len(plan.words)} plan words")
@@ -198,7 +203,7 @@ def exact_estimator_variance(
     coeffs = charge.coefficients(delta)
     idx = np.arange(1 << charge.n_sites, dtype=np.int64)
     masks = charge.x | charge.z
-    word_cover, n_p = _coverage(plan, charge)
+    word_cover, n_p = _coverage(plan, charge, [n_w] * len(plan.words))
 
     mean = var = 0.0
     for p, cov in zip(distributions, word_cover):

@@ -63,7 +63,7 @@ def calibrate(noise: NoiseModel, n_sites: int, shots: int | None, seed: int = 0)
         if shots is None:
             cols[:, j] = outcome_distribution(state, [word], noise)[0]
         else:
-            ((idx, counts),) = sample(state, [word], shots, [(seed, j)], noise)
+            ((idx, counts),) = sample(state, [word], [shots], [(seed, j)], noise)
             cols[idx, j] = counts / shots
     return CalibrationMatrix(n_sites, cols)
 
@@ -114,14 +114,7 @@ def zne_fold(circuit: Circuit, k: int) -> Circuit:
 
     init = expand(circuit.init_gates)
     evo = expand(circuit.evolution_gates)
-    rot = expand(circuit.rotation_gates)
-    return Circuit(
-        circuit.n_sites,
-        init + evo + rot,
-        len(init),
-        len(init) + len(evo),
-        circuit.depth,
-    )
+    return Circuit(circuit.n_sites, init + evo, len(init), len(init) + len(evo), circuit.depth)
 
 
 def zne_extrapolate(e1: float, e3: float) -> float:

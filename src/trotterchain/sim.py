@@ -2,11 +2,11 @@
 
 Gates are applied in place as small blocks on a few bits (no full 2^N gate
 matrices).  Site ``j`` lives on bit ``j-1``; a computational basis index
-``b`` has site-j outcome ``(b >> (j-1)) & 1``.  :func:`sample` returns one
-``(indices, counts)`` pair per word and :func:`outcome_distribution` one row
-per word, in the order of the words given; the estimators of :mod:`measure`
-read them in plan order as they are.  Outcomes stay basis indices
-throughout; no bitstring is ever written.
+``b`` has site-j outcome ``(b >> (j-1)) & 1``.  :func:`sample` takes one
+shot count and one key per word and returns one ``(indices, counts)`` pair
+per word, :func:`outcome_distribution` one row per word, in the order of the
+words given; the estimators of :mod:`measure` read each plan's slice as it
+is, and n_W off its counts.  Outcomes stay basis indices; no bitstring is written.
 
 Both engines move a state through one kernel, ``_apply_block``: a block is
 an operator on a few bits of a vector, applied as one matrix product over
@@ -54,7 +54,8 @@ statevector has no 4^N spectrum within reach.  It walks the prefix tree of
 the words instead: words that share their first k letters share the
 rotation of sites 1..k, each letter's gates go one at a time through the
 block kernel as the oracle applies them, and the amplitudes are squared at
-the leaves, with the oracle's floats bit for bit.
+the leaves, with the oracle's floats bit for bit.  No word's row depends on
+the other words of the call, so ``cli.decay_table`` reads each state once.
 
 Exact expectations (:func:`exact_expectation`) take charge specs, not
 assembled charges.  A charge is its memoized integer
@@ -595,21 +596,21 @@ def outcome_distribution(state, words, noise: NoiseModel = IDEAL) -> np.ndarray:
     return p
 
 
-def sample(state, words, shots: int, keys, noise: NoiseModel = IDEAL) -> list:
-    """Multinomial outcome counts of :func:`outcome_distribution`, ``shots`` per word.
+def sample(state, words, shots, keys, noise: NoiseModel = IDEAL) -> list:
+    """Multinomial outcome counts of :func:`outcome_distribution`, ``shots[i]`` for word i.
 
-    The only place shots are drawn.  ``keys`` holds one ``(seed, word_index)``
-    per word, the key of its :func:`shot_rng`.  Returns one int64
-    ``(indices, counts)`` pair per word: the outcomes drawn, ascending, and
-    their counts, which sum to ``shots``.
+    The only place shots are drawn.  Word i draws ``shots[i]`` outcomes with
+    ``keys[i] = (seed, word_index)``, the key of its :func:`shot_rng`, so its
+    draws do not depend on the other words.  Returns one int64 ``(indices,
+    counts)`` pair per word: the outcomes drawn, ascending, and their counts.
     """
-    if shots < 1:
+    if len(shots) != len(words) or len(keys) != len(words):
+        raise ValueError("sample needs one shot count and one (seed, word_index) key per word")
+    if min(shots, default=1) < 1:
         raise ValueError("shots must be >= 1")
-    if len(keys) != len(words):
-        raise ValueError("sample needs one (seed, word_index) key per word")
     out = []
-    for p, (seed, word_index) in zip(outcome_distribution(state, words, noise), keys):
-        draws = shot_rng(seed, word_index).multinomial(shots, p)
+    for p, n_w, (seed, word_index) in zip(outcome_distribution(state, words, noise), shots, keys):
+        draws = shot_rng(seed, word_index).multinomial(n_w, p)
         idx = np.flatnonzero(draws)
         out.append((idx, draws[idx]))
     return out

@@ -8,7 +8,10 @@ factorises over sites: with f_w(b) the frequency of outcome b in word w,
     rho* = sum_(w, b) f_w(b) (x)_j A[w_j, b_j],   A[s, b] = (I/3 + (-1)^b s) / 2,
 
 the classical-shadow inverse for Pauli measurements averaged over all 3^N
-bases (Huang, Kueng and Preskill, Nat. Phys. 16, 1050 (2020)).  The
+bases (Huang, Kueng and Preskill, Nat. Phys. 16, 1050 (2020)).  The table
+f_w(b) is all that passes between the steps: :func:`collect` returns it as
+one float array, the exact distributions or each word's counts over its
+shots, and :func:`linear_inversion` reads it as it is.  The
 linear-inversion matrix can have small negative eigenvalues at finite shots;
 the positive projection is the closest density matrix in Frobenius norm,
 obtained by projecting the spectrum onto the probability simplex while
@@ -17,7 +20,6 @@ keeping eigenvectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
@@ -40,32 +42,12 @@ def all_words(n_sites: int):
     return ["".join(w) for w in iproduct("XYZ", repeat=n_sites)]
 
 
-@dataclass
-class TomographyData:
-    """Per-basis outcome frequencies.
+def collect(state, shots: int | None, seed: int = 0, noise: NoiseModel = IDEAL) -> np.ndarray:
+    """Outcome frequencies of all 3^N bases of ``state`` read out through ``noise``.
 
-    ``freqs`` has one row per word (ordered as :func:`all_words`) holding
-    outcome counts; ``shots`` is the common per-basis shot count, or None in
-    exact-probability mode where rows are exact distributions.
-    """
-
-    n_sites: int
-    freqs: np.ndarray
-    shots: int | None
-
-    def __post_init__(self):
-        expect = (3**self.n_sites, 1 << self.n_sites)
-        if self.freqs.shape != expect:
-            raise ValueError(f"frequency table must have shape {expect}")
-        target = 1.0 if self.shots is None else float(self.shots)
-        sums = self.freqs.sum(axis=1)
-        if np.abs(sums - target).max() > 1e-9:
-            raise ValueError("per-basis counts do not sum to the shot count")
-
-
-def collect(state, shots: int | None, seed: int = 0, noise: NoiseModel = IDEAL) -> TomographyData:
-    """Read out all 3^N bases of ``state`` through ``noise``; ``shots=None`` is exact and ideal.
-
+    Returns a ``(3^N, 2^N)`` table, one row per word ordered as
+    :func:`all_words`: the exact distributions for ``shots=None`` (exact and
+    ideal), otherwise each word's counts of ``shots`` draws over ``shots``.
     All 3^N words are read out in one call (:func:`sim.rotated_probabilities`),
     which for a density matrix is one Walsh pass over its Pauli spectrum;
     word k draws its shots with the key ``(seed, k)``.
@@ -75,29 +57,31 @@ def collect(state, shots: int | None, seed: int = 0, noise: NoiseModel = IDEAL) 
         raise ValueError(f"tomography budget is N <= {TOMO_MAX_SITES}")
     words = all_words(n)
     if shots is None:
-        return TomographyData(n, rotated_probabilities(state, words), None)
+        return rotated_probabilities(state, words)
     rows = np.zeros((len(words), 1 << n))
     keys = [(seed, k) for k in range(len(words))]
-    for k, (idx, counts) in enumerate(sample(state, words, shots, keys, noise)):
+    for k, (idx, counts) in enumerate(sample(state, words, [shots] * len(words), keys, noise)):
         rows[k, idx] = counts
-    return TomographyData(n, rows, shots)
+    return rows / shots
 
 
-def linear_inversion(data: TomographyData) -> np.ndarray:
+def linear_inversion(freqs: np.ndarray) -> np.ndarray:
     """Hermitian unit-trace reconstruction rho* = 2^-N sum_P m_P P.
 
-    m_P is pooled over the 3^(number of identity sites) words that measure
-    P, which factorises into one contraction per site: the frequencies,
-    shaped ``(3,)*N + (2,)*N`` (site 1's letter first, as in
-    :func:`all_words`; site N's bit first, as site j sits on bit j-1), meet
-    ``A[letter, bit]`` on each site's pair of axes.  No Pauli is enumerated;
-    the result needs no clipping and may be non-PSD.
+    ``freqs`` is a frequency table as :func:`collect` returns it.  m_P is
+    pooled over the 3^(number of identity sites) words that measure P, which
+    factorises into one contraction per site: the frequencies, shaped
+    ``(3,)*N + (2,)*N`` (site 1's letter first, as in :func:`all_words`;
+    site N's bit first, as site j sits on bit j-1), meet ``A[letter, bit]``
+    on each site's pair of axes.  No Pauli is enumerated; the result needs
+    no clipping and may be non-PSD.
     """
-    n = data.n_sites
-    shots = 1.0 if data.shots is None else float(data.shots)
+    n = freqs.shape[-1].bit_length() - 1
+    if freqs.shape != (3**n, 1 << n):
+        raise ValueError(f"frequency table must have shape {(3**n, 1 << n)}, got {freqs.shape}")
     # site_inverse[letter, bit] = A[sigma, b], letters in all_words' order
     site_inverse = np.array([[(np.eye(2) / 3 + s * MATRICES[c]) / 2 for s in (1, -1)] for c in "XYZ"])
-    t = (data.freqs / shots).reshape((3,) * n + (2,) * n)
+    t = freqs.reshape((3,) * n + (2,) * n)
     for j in range(n):  # site j+1: its letter is axis 0, its bit the last bit axis
         t = np.tensordot(t, site_inverse, axes=([0, 2 * (n - j) - 1], [0, 1]))
     # axes are now (row, column) of site 1, site 2, ...; site N is the high bit

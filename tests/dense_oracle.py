@@ -419,20 +419,19 @@ def exact_expectation(state, charge, delta: float) -> float:
     return float(val.real)
 
 
-def linear_inversion(data) -> np.ndarray:
+def linear_inversion(freqs) -> np.ndarray:
     """rho* = 2^-N sum_P m_P P, with m_P pooled over every word that measures P.
 
     On the sites of subset m, word k measures the Pauli keyed ``(x << N) | z``,
     whose expectation is component m of the Walsh transform of the word's
-    outcomes; the running sums are then written out one Pauli at a time.
+    frequencies; the running sums are then written out one Pauli at a time.
     """
-    n = data.n_sites
-    dim = 1 << n
-    shots = 1.0 if data.shots is None else float(data.shots)
+    dim = freqs.shape[1]
+    n = dim.bit_length() - 1
     cols = np.arange(dim)
     words = [PauliString.from_letters(w) for w in all_words(n)]
     keys = np.concatenate([((w.x_mask & cols) << n) | (w.z_mask & cols) for w in words])
-    parities = np.concatenate([walsh_transform(row / shots) for row in data.freqs])
+    parities = np.concatenate([walsh_transform(row) for row in freqs])
     paulis, first, which, hits = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True
     )
@@ -447,33 +446,32 @@ def linear_inversion(data) -> np.ndarray:
     return rho / dim
 
 
-def _coverage(plan, charge) -> tuple:
+def _coverage(plan, charge, n_w) -> tuple:
     """Per word, the ascending indices of the terms it contains, by ``contains``;
-    per term, its pooled shot count n_P.  ValueError when a term is in no word."""
+    per term, its pooled shot count n_P, the sum of ``n_w`` over the words
+    containing it.  ValueError when a term is in no word."""
     word_cover = [[i for i, s in enumerate(charge.terms) if contains(w, s)] for w in plan.words]
     n_words = [sum(i in cov for cov in word_cover) for i in range(len(charge))]
     if 0 in n_words:
         raise ValueError("a term is not covered by any word")
-    return word_cover, [plan.shots_per_word * k for k in n_words]
+    n_p = [sum(k for cov, k in zip(word_cover, n_w) if i in cov) for i in range(len(charge))]
+    return word_cover, n_p
 
 
 def estimate(outcomes: list, plan, charge, delta: float) -> ChargeEstimate:
     """The pooled estimator with each term pair's statistics in a dict, pair by pair."""
     if len(outcomes) != len(plan.words):
         raise ValueError(f"{len(outcomes)} outcome pairs for {len(plan.words)} plan words")
-    for w, (_, cnt) in zip(plan.words, outcomes):
-        if cnt.sum() != plan.shots_per_word:
-            raise ValueError(f"outcomes of {w} do not sum to n_W")
     coeffs = charge.coefficients(delta).tolist()  # Python floats, as the artifacts print them
-    n_w = plan.shots_per_word
+    n_w = [int(cnt.sum()) for _, cnt in outcomes]  # each word's n_W is its count sum
     masks = charge.x | charge.z
-    word_cover, n_p = _coverage(plan, charge)
+    word_cover, n_p = _coverage(plan, charge, n_w)
 
     # per word: parity-sum vector over its covered terms and the full
     # cross-sum matrix sum_i Pi_a Pi_b, each as one matrix product
     s_p = [0.0] * len(charge)
-    pair_stats: dict = {}  # (a, b) a <= b -> [word count, cross, sum_a, sum_b]
-    for (idx, cnt), cov in zip(outcomes, word_cover):
+    pair_stats: dict = {}  # (a, b) a <= b -> [n_PP', cross, sum_a, sum_b]
+    for (idx, cnt), cov, k in zip(outcomes, word_cover, n_w):
         if not cov:
             continue
         cnt = cnt.astype(np.float64)
@@ -486,9 +484,9 @@ def estimate(outcomes: list, plan, charge, delta: float) -> ChargeEstimate:
                 b = cov[j]
                 stat = pair_stats.get((a, b))
                 if stat is None:  # no zero start: 0.0 + -0.0 would drop the sign
-                    pair_stats[a, b] = [1, float(cross[i, j]), float(sums[i]), float(sums[j])]
+                    pair_stats[a, b] = [k, float(cross[i, j]), float(sums[i]), float(sums[j])]
                 else:
-                    stat[0] += 1
+                    stat[0] += k
                     stat[1] += float(cross[i, j])
                     stat[2] += float(sums[i])
                     stat[3] += float(sums[j])
@@ -497,8 +495,7 @@ def estimate(outcomes: list, plan, charge, delta: float) -> ChargeEstimate:
     diagnostics = []
     var = 0.0
     skipped_pairs = 0
-    for (a, b), (n_words, cross, sum_a, sum_b) in pair_stats.items():
-        n_ab = n_w * n_words
+    for (a, b), (n_ab, cross, sum_a, sum_b) in pair_stats.items():
         if n_ab <= 1:
             skipped_pairs += 1
             continue
@@ -522,7 +519,7 @@ def exact_estimator_variance(distributions, plan, charge, delta: float) -> tuple
         raise ValueError(f"{len(distributions)} distributions for {len(plan.words)} plan words")
     idx = np.arange(1 << charge.n_sites, dtype=np.int64)
     masks = (charge.x | charge.z).tolist()
-    word_cover, n_p = _coverage(plan, charge)
+    word_cover, n_p = _coverage(plan, charge, [n_w] * len(plan.words))
 
     s_p = [0.0] * len(charge)
     var = 0.0

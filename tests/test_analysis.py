@@ -81,10 +81,10 @@ def test_fit_early_linear_rejects_zero_start():
 
 
 def test_benchmark_verdict_rules():
-    assert benchmark_verdict(0.005, 0.01, 8, 10, 1, "neel").passed
-    assert not benchmark_verdict(0.02, 0.01, 8, 10, 1, "neel").passed
-    assert not benchmark_verdict(0.01, 0.01, 8, 10, 1, "neel").passed  # tie fails
-    doc = benchmark_verdict(0.005, 0.01, 8, 10, 2, "zeros").to_dict()
+    assert benchmark_verdict(0.005, 0.01, 8, 10, 1, "neel")["pass"]
+    assert not benchmark_verdict(0.02, 0.01, 8, 10, 1, "neel")["pass"]
+    assert not benchmark_verdict(0.01, 0.01, 8, 10, 1, "neel")["pass"]  # tie fails
+    doc = benchmark_verdict(0.005, 0.01, 8, 10, 2, "zeros")
     assert doc == {
         "pass": True,
         "beta": 0.005,

@@ -91,7 +91,7 @@ def test_evolution_layout():
 def test_step_circuit_matches_dense_unitary():
     n = 4
     step = build_step(n, ALPHA)
-    assert (step.init_gates, step.rotation_gates, step.depth) == ([], [], 1)
+    assert (step.init_gates, step.evolution_end, step.depth) == ([], len(step.gates), 1)
     assert step_block(step) == build_evolution(n, ALPHA, 1)
     got = circuit_unitary(step.gates, n)
     want = step_unitary(DELTA, n)
@@ -121,7 +121,7 @@ def test_full_circuit_sections_and_unitarity():
     circ = build_circuit(spec, ALPHA, 2)
     assert circ.init_gates == build_init(spec)
     assert len(circ.evolution_gates) == 2 * len(step_block(circ))
-    assert circ.rotation_gates == []
+    assert circ.evolution_end == len(circ.gates)
     u = circuit_unitary(circ.gates, 6)
     assert np.abs(u @ u.conj().T - np.eye(64)).max() < 1e-10
 

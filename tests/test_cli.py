@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from trotterchain import charges, cli, tomo
+from trotterchain import charges, cli, sim, tomo
 from trotterchain.charges import ChargeSpec, assemble
 from trotterchain.cli import ConfigError, ExperimentConfig
 
@@ -157,6 +157,29 @@ def test_exact_decay_series_never_assembles_a_charge(monkeypatch):
     doc = base_config(engine="pure", noise={"kind": "none"}, charges=[[1, "plus"], [1, "dif"]])
     series = cli.exact_decay_series(ExperimentConfig.from_dict(doc))
     assert list(series) == ["Q1+", "Q1dif"] and all(len(v) == 4 for v in series.values())
+
+
+def test_decay_table_reads_each_state_once(monkeypatch):
+    # the words of both charges go to one sample call per depth, so the noisy
+    # engine builds one Pauli spectrum per depth, not one per charge; each
+    # charge's rows are still those it draws alone
+    doc = base_config(n_sites=6, depth_max=2, charges=[[1, "plus"], [2, "plus"]])
+    alone = [
+        cli.decay_table(ExperimentConfig.from_dict({**doc, "charges": [c]})) for c in doc["charges"]
+    ]
+    calls = {"sample": 0, "pauli_spectrum": 0}
+    for module, name in ((cli, "sample"), (sim, "pauli_spectrum")):
+        real = getattr(module, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    rows = cli.decay_table(ExperimentConfig.from_dict(doc))
+    assert calls == {"sample": 3, "pauli_spectrum": 3}
+    assert [r for r in rows if r[1] == 1] == alone[0]
+    assert [r for r in rows if r[1] == 2] == alone[1]
 
 
 def test_decay_csv_round_trip_and_header(tmp_path):

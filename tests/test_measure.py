@@ -192,8 +192,8 @@ def test_estimate_requires_coverage_and_counts():
     plan = MeasurementPlan(("ZZ",), 10)
     with pytest.raises(CoverageError, match=r"\['XX'\]"):
         estimate([(np.array([0]), np.array([10]))], plan, q, DELTA)
-    with pytest.raises(ValueError, match="do not sum to n_W"):
-        estimate([(np.array([0]), np.array([7]))], plan, PauliPolynomial(2), DELTA)
+    with pytest.raises(ValueError, match="outcomes of ZZ sum to 0 shots"):
+        estimate([(np.array([], np.int64), np.array([], np.int64))], plan, q, DELTA)
     with pytest.raises(ValueError, match="2 outcome pairs for 1 plan words"):
         estimate([(np.array([0]), np.array([10]))] * 2, plan, PauliPolynomial(2), DELTA)
 
@@ -349,18 +349,17 @@ def _unclamped_variance(est):
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_estimators_match_pairwise_reference(data):
-    # terms pool over the cover and up to three extra words; 1-4 shots per
-    # word make single-shot pairs, whose skip the diagnostics must report
+    # terms pool over the cover and up to three extra words; 1-4 shots drawn
+    # per word make unequal words and single-shot pairs, whose skip the
+    # diagnostics must report; the exact variance takes the first word's count
     q = data.draw(st.one_of(polynomials(max_terms=12), _SMALL_ASSEMBLED))
     delta = data.draw(st.floats(-3.0, 3.0))
     n = q.n_sites
-    extra = data.draw(st.lists(_words(n), max_size=3))
-    plan = MeasurementPlan(build_cover(q, delta).words + tuple(extra), data.draw(st.integers(1, 4)))
+    words = build_cover(q, delta).words + tuple(data.draw(st.lists(_words(n), max_size=3)))
+    shots = data.draw(st.lists(st.integers(1, 4), min_size=len(words), max_size=len(words)))
+    plan = MeasurementPlan(words, shots[0])
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    outcomes = [
-        np.unique(rng.integers(0, 1 << n, plan.shots_per_word), return_counts=True)
-        for _ in plan.words
-    ]
+    outcomes = [np.unique(rng.integers(0, 1 << n, k), return_counts=True) for k in shots]
     scale = float(np.abs(q.coefficients(delta)).sum())
     tol = 1e-12 * scale**2
 
@@ -398,7 +397,8 @@ def test_estimates_match_pinned_digest():
     values = []
     for seed in (1, 2, 3):
         keys = [(seed, wi) for wi in range(len(plan.words))]
-        est = estimate(sim.sample(psi, plan.words, plan.shots_per_word, keys), plan, q, DELTA)
+        shots = [plan.shots_per_word] * len(plan.words)
+        est = estimate(sim.sample(psi, plan.words, shots, keys), plan, q, DELTA)
         values += [est.value, est.std_uncertainty]
     assert _float_digest(values) == (
         "8b228682783fe41cd5ad7f0efa3073c1918c7160d7d644d8dbeddd91ad669c08"

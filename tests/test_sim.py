@@ -302,7 +302,7 @@ def test_batched_readout_matches_per_word_oracle(n, kind, seed, data):
     rows = sim.rotated_probabilities(state, words)
     dists = sim.outcome_distribution(state, words, noise)
     keys = [(seed, k) for k in range(len(words))]
-    outcomes = sample(state, words, 500, keys, noise)
+    outcomes = sample(state, words, [500] * len(words), keys, noise)
 
     assert rows.shape == dists.shape == (len(words), 1 << n)
     assert len(outcomes) == len(words)
@@ -360,7 +360,11 @@ def test_readout_rejects_malformed_words(word):
 
 def test_sample_needs_one_key_per_word():
     with pytest.raises(ValueError, match="key per word"):
-        sample(StateVector.zero(2), ["ZZ", "XX"], 10, [(1, 0)])
+        sample(StateVector.zero(2), ["ZZ", "XX"], [10, 10], [(1, 0)])
+    with pytest.raises(ValueError, match="one shot count"):
+        sample(StateVector.zero(2), ["ZZ", "XX"], [10], [(1, 0), (1, 1)])
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        sample(StateVector.zero(2), ["ZZ", "XX"], [10, 0], [(1, 0), (1, 1)])
 
 
 def test_noisy_evolution_keeps_no_reference_to_its_channels():
@@ -416,14 +420,14 @@ def test_hermiticity_deviation_is_the_largest_entry_of_rho_minus_its_adjoint():
 
 def test_sample_deterministic_z_word():
     psi = StateVector.zero(4)
-    ((idx, cnt),) = sample(psi, ["ZZZZ"], 500, [(9, 0)])
+    ((idx, cnt),) = sample(psi, ["ZZZZ"], [500], [(9, 0)])
     assert idx.tolist() == [0] and cnt.tolist() == [500]  # {"0000": 500}
 
 
 def test_sample_seed_reproducible_and_sums():
     psi = StateVector.from_spec(InitialStateSpec("XYZX", (0, 1, 0, 1)))
     c1, c2, c3 = (
-        [a.tolist() for a in sample(psi, ["ZZZZ"], 1000, [(s, 0)])[0]] for s in (3, 3, 4)
+        [a.tolist() for a in sample(psi, ["ZZZZ"], [1000], [(s, 0)])[0]] for s in (3, 3, 4)
     )
     assert c1 == c2
     assert sum(c1[1]) == 1000
@@ -434,7 +438,7 @@ def test_sample_uniform_on_mixed_state():
     n = 3
     rho = dense_oracle.completely_mixed(n)
     shots = 80_000
-    ((_, counts),) = sample(rho, ["XYZ"], shots, [(1, 0)])
+    ((_, counts),) = sample(rho, ["XYZ"], [shots], [(1, 0)])
     expect = shots / (1 << n)
     sigma = np.sqrt(shots * (1 / 8) * (7 / 8))
     for v in counts:
@@ -449,7 +453,7 @@ def test_sample_chi_square_against_exact():
     word = "XZYX"
     (p,) = sim.rotated_probabilities(psi, [word])
     shots = 100_000
-    ((idx, cnt),) = sample(psi, [word], shots, [(2, 0)])
+    ((idx, cnt),) = sample(psi, [word], [shots], [(2, 0)])
     obs = np.zeros(1 << n)
     obs[idx] = cnt
     chi2 = float(np.sum((obs - shots * p) ** 2 / (shots * p)))
@@ -460,7 +464,7 @@ def test_sample_chi_square_against_exact():
 def test_readout_flip_changes_distribution():
     psi = StateVector.zero(2)
     noisy = NoiseModel(readout_flip=0.25)
-    ((idx, cnt),) = sample(psi, ["ZZ"], 40_000, [(5, 0)], noise=noisy)
+    ((idx, cnt),) = sample(psi, ["ZZ"], [40_000], [(5, 0)], noise=noisy)
     freq10 = cnt[idx == 1].sum() / 40_000  # "10": site 1 reads 1
     assert freq10 == pytest.approx(0.25 * 0.75, abs=0.01)
 
@@ -691,14 +695,14 @@ def test_exact_expectations_match_pinned_digest():
 
 def test_finite_shot_readout_matches_pinned_digest():
     # sha256 of the raw bytes of a sampled calibration matrix (per-site flips,
-    # 500 shots per column) and of a 700-shot tomography table of a damped
-    # N=4 state: any change to how shots are drawn or read out shows
+    # 500 shots per column) and of the counts of a 700-shot tomography table
+    # of a damped N=4 state: any change to how shots are drawn or read out shows
     calib = calibrate(NoiseModel(readout_flip=(0.05, 0.2, 0.0)), 3, shots=500, seed=3)
     damping = amp_phase_damping(0.018, 0.018)
     rho = DensityMatrix.from_spec(InitialStateSpec.neel(4))
     for _ in range(2):
         rho = evolve_noisy(build_step(4, ALPHA), rho, NoiseModel(damping, damping))
-    freqs = collect(rho, 700, seed=5).freqs
+    freqs = np.rint(collect(rho, 700, seed=5) * 700)
     assert [hashlib.sha256(a.tobytes()).hexdigest() for a in (calib.matrix, freqs)] == [
         "d2809a187cc4a6f3929ca61d645f4200e6f054c5e29f7170dd829a4b5a91febb",
         "174850ac2f088ae77e0a321aea9269b2cbb588871fb5ccc0aa1ac7e45b09c257",
