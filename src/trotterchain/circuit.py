@@ -1,11 +1,12 @@
-"""Gate-level circuits: initialization, brickwork evolution, measurement rotation.
+"""Gate-level circuits: initialization and brickwork evolution.
 
 A circuit is an ordered gate list over sites 1..N (cyclic) split into two
 sections, init | evolution.  The evolution section is ``depth`` repetitions
 of one identical step block; each step applies the even-bond layer
-(2j, 2j+1) to the state first, then the odd-bond layer (2j-1, 2j).  The
-measurement rotation of a word is a gate list of its own, which read-out
-applies inside :mod:`sim`; no circuit carries it.
+(2j, 2j+1) to the state first, then the odd-bond layer (2j-1, 2j).  No
+circuit carries a measurement rotation: :mod:`sim` rotates each word's
+basis with one 2x2 unitary per letter, and prepares ideal product states
+without gates; the init gates serve circuits whose preparation is noisy.
 
 Gate conventions: ``RZ(a) = exp(-i a Z / 2)``; each two-site block realizes
 the R-matrix at ``delta = tan(alpha)`` up to the dropped global phase
@@ -166,24 +167,6 @@ def build_step(n_sites: int, alpha: float) -> Circuit:
     """One evolution step as a circuit of its own (no init gates)."""
     gates = build_evolution(n_sites, alpha, 1)
     return Circuit(n_sites, gates, 0, len(gates), 1)
-
-
-def build_measurement_rotation(word: str) -> list:
-    """Rotation mapping the word basis to the computational basis.
-
-    Per site: H for X, S-dagger then H for Y, nothing for Z.  Identity
-    letters are rejected; a word fixes a basis for every site.
-    """
-    gates = []
-    for j, letter in enumerate(word, start=1):
-        if letter == "X":
-            gates.append(Gate("H", (j,)))
-        elif letter == "Y":
-            gates.append(Gate("SDG", (j,)))
-            gates.append(Gate("H", (j,)))
-        elif letter != "Z":
-            raise ValueError(f"measurement word letter must be X, Y or Z, got {letter!r}")
-    return gates
 
 
 def build_circuit(init: InitialStateSpec, alpha: float, depth: int) -> Circuit:

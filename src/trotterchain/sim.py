@@ -30,13 +30,16 @@ over the bits of those sites, their row and column bits for rho.  Sites
 are relabelled by first appearance, so every bond of a layer, the cyclic
 bond (N, 1) included, shares one compiled block; the blocks live for one
 call only.  Setting a channel to ``None`` exempts the corresponding gate
-class.  Only those gates are noisy.  ``StateVector.from_spec`` applies the
-preparation gates one at a time through the same kernel, and
-``DensityMatrix.from_spec`` is its outer product, so preparation is ideal,
-and read-out is ideal: decay and tomography run noisy evolution steps
-between ideal preparation and an ideal measurement rotation.  Mitigation's
-folded circuits start from |0..0> with the preparation gates, so there
-preparation is noisy as well.
+class.  Only those gates are noisy.
+
+Preparation and read-out run no gates: both read one table, ``_BASIS``,
+the one-site unitary per letter that takes its eigenbasis to Z's (H for X,
+H S^dagger for Y, I for Z).  ``StateVector.from_spec`` is the Kronecker
+product of the eigenvectors its rows conjugate, and ``DensityMatrix.from_spec``
+is its outer product, so preparation is ideal, and read-out is ideal: decay
+and tomography run noisy evolution steps between ideal preparation and an
+ideal measurement rotation.  Mitigation's folded circuits start from |0..0>
+with the preparation gates, so there preparation is noisy as well.
 
 Read-out (:func:`rotated_probabilities`) takes a list of words.  A word's
 outcome b, with bit j-1 = 0 for the +1 eigenvalue of letter j, has
@@ -47,15 +50,14 @@ from its Pauli spectrum, ``paulis[x, z] = Re tr(rho P(x, z))`` for all 4^N
 strings, built once per call in blocks of real rows (:func:`pauli_spectrum`;
 :func:`from_pauli_spectrum` inverts it with one more Walsh pass).  Each word
 with masks (wx, wz) gathers ``paulis[wx & S, wz & S]`` over S, and one Walsh
-pass over all the gathered rows gives every distribution.  These
-floats agree with rotating a copy of rho gate by gate
-(``dense_oracle.rotated_probabilities`` in the tests) only to round-off.  A
-statevector has no 4^N spectrum within reach.  It walks the prefix tree of
-the words instead: words that share their first k letters share the
-rotation of sites 1..k, each letter's gates go one at a time through the
-block kernel as the oracle applies them, and the amplitudes are squared at
-the leaves, with the oracle's floats bit for bit.  No word's row depends on
-the other words of the call, so ``cli.decay_table`` reads each state once.
+pass over all the gathered rows gives every distribution.  A statevector
+has no 4^N spectrum within reach.  It walks the prefix tree of the words
+instead: words that share their first k letters share the rotation of sites
+1..k, each X or Y letter is its ``_BASIS`` entry applied as one block, and
+the amplitudes are squared at the leaves.  Both agree with rotating a copy
+of the state gate by gate (``dense_oracle.rotated_probabilities`` in the
+tests) to round-off, not bit for bit.  No word's row depends on the other
+words of the call, so ``cli.decay_table`` reads each state once.
 
 Exact expectations (:func:`exact_expectation`) take charge specs, not
 assembled charges.  A charge is its memoized integer
@@ -82,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charges import ChargeSpec, periodic_density
-from .circuit import Circuit, Gate, InitialStateSpec, build_init, build_measurement_rotation
+from .circuit import Circuit, Gate, InitialStateSpec
 from .noise import KrausChannel
 from .pauli import i_power, rotations, word_masks
 
@@ -118,6 +120,15 @@ def hermiticity_deviation(m: np.ndarray) -> float:
 
 # the CNOT as a block on bits [control, target]: it swaps (t, c) = (0, 1) and (1, 1)
 _CNOT = np.eye(4, dtype=complex)[[0, 3, 2, 1]].reshape(2, 2, 2, 2)
+
+# per letter: the one-site unitary taking its eigenbasis to Z's, H for X, H S^dagger
+# for Y: row b is the conjugate of the eigenvector with outcome b
+_SQ2 = 1.0 / np.sqrt(2.0)
+_BASIS = {
+    "X": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    "Y": np.array([[_SQ2, -1j * _SQ2], [_SQ2, 1j * _SQ2]]),
+    "Z": np.eye(2, dtype=complex),
+}
 
 
 def _apply_gate(vec: np.ndarray, n_bits: int, gate: Gate, offset: int = 0, conj: bool = False):
@@ -180,10 +191,12 @@ class StateVector:
 
     @classmethod
     def from_spec(cls, spec: InitialStateSpec) -> "StateVector":
-        state = cls.zero(spec.n_sites)
-        for g in build_init(spec):
-            state.apply(g)
-        return state
+        """The product of each site's eigenvector ``_BASIS[letter][bit].conj()``, site N
+        most significant."""
+        amp = np.ones(1, dtype=complex)
+        for letter, bit in zip(reversed(spec.letters), reversed(spec.bits)):
+            amp = np.kron(amp, _BASIS[letter][bit].conj())
+        return cls(spec.n_sites, amp)
 
     def copy(self) -> "StateVector":
         return StateVector(self.n_sites, self.amplitudes.copy())
@@ -194,10 +207,6 @@ class StateVector:
     def density_matrix(self) -> "DensityMatrix":
         amp = self.amplitudes
         return DensityMatrix(self.n_sites, np.outer(amp, amp.conj()))
-
-    def apply(self, gate: Gate):
-        """Apply ``gate`` in place."""
-        _apply_gate(self.amplitudes, self.n_sites, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +523,6 @@ def from_pauli_spectrum(paulis: np.ndarray) -> DensityMatrix:
     return DensityMatrix(dim.bit_length() - 1, rho)
 
 
-# per letter: the gates on site 1 that take its basis to Z, in order
-_ROTATION = {c: build_measurement_rotation(c) for c in "XYZ"}
-
-
-def _rotate_pure(amp: np.ndarray, n: int, site: int, letter: str) -> np.ndarray:
-    """``amp`` on n sites rotated on ``site``, one gate at a time; a Z site is ``amp`` itself."""
-    if letter != "Z":
-        amp = amp.copy()
-        for g in _ROTATION[letter]:
-            _apply_gate(amp, n, g, site - 1)
-    return amp
-
-
 def rotated_probabilities(state, words) -> np.ndarray:
     """Outcome distributions after the measurement rotation of each word, one row per word.
 
@@ -556,7 +552,11 @@ def rotated_probabilities(state, words) -> np.ndarray:
         for i in rows:
             branches.setdefault(words[i][k], []).append(i)
         for letter, sub in branches.items():
-            walk(_rotate_pure(amp, n, k + 1, letter), k + 1, sub)
+            rotated = amp
+            if letter != "Z":  # site k+1 rotated by one block, on a copy of the parent's amp
+                rotated = amp.copy()
+                _apply_block(rotated, n, _BASIS[letter].T, [k])
+            walk(rotated, k + 1, sub)
 
     walk(state.amplitudes, 0, range(len(words)))
     return out

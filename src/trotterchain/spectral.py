@@ -88,9 +88,14 @@ def vectorize_step(circuit: Circuit, noise: NoiseModel) -> SuperOperator:
 
 
 def spectrum(op: SuperOperator) -> np.ndarray:
-    """All eigenvalues, sorted by descending modulus."""
+    """All eigenvalues, sorted by descending modulus, then by descending imaginary part.
+
+    ``eig`` of a real matrix gives both members of a conjugate pair bit-equal
+    moduli, so the second key orders each pair, positive imaginary part
+    first, whatever order round-off left them in.
+    """
     vals, _ = op.pauli_eig
-    return vals[np.argsort(-np.abs(vals))]
+    return vals[np.lexsort((-vals.imag, -np.abs(vals)))]
 
 
 def fixed_point(op: SuperOperator) -> DensityMatrix:

@@ -5,10 +5,11 @@ Pauli transfer matrices from them in the basis of vectorized Pauli strings,
 site 1 on the lowest-order bit, a bit-pair operator applied by ``einsum``,
 plus Kraus sums and Pauli expectations written out as matrix products,
 charge expectations one charge and one Walsh transform per x mask at a time,
-read-out one word at a time on a full copy of the state, noisy evolution gate
-by gate on the engine's gate kernel with ``einsum`` channels, tomography's linear inversion summed
-Pauli by Pauli, and the two charge estimators pooling term pairs one pair at
-a time.
+preparation and read-out gate by gate (the read-out one word at a time on a
+full copy of the state), noisy evolution gate by gate on the engine's gate
+kernel with ``einsum`` channels, tomography's linear inversion summed Pauli
+by Pauli, and the two charge estimators pooling term pairs one pair at a
+time.
 They cost exponentially more than the engines in ``trotterchain`` and serve
 only as the oracle the tests compare those engines against.
 
@@ -21,7 +22,7 @@ polynomials in delta (:class:`DeltaPoly`) and a charge read term by term
 import numpy as np
 
 from trotterchain.charges import PauliPolynomial, window_density
-from trotterchain.circuit import Gate, build_measurement_rotation
+from trotterchain.circuit import Gate, build_init
 from trotterchain.measure import ChargeEstimate, contains
 from trotterchain.pauli import PauliString, parity_sign
 from trotterchain.sim import (
@@ -351,17 +352,47 @@ def evolve_noisy(circuit, init: DensityMatrix, noise) -> DensityMatrix:
     return rho
 
 
+def apply_pure(psi: StateVector, gates):
+    """``gates`` on ``psi`` in place, one at a time through the engine's gate kernel."""
+    for g in gates:
+        _apply_gate(psi.amplitudes, psi.n_sites, g)
+
+
+def prepare(spec) -> StateVector:
+    """|0..0> through the preparation gates ``build_init(spec)``, one at a time."""
+    psi = StateVector.zero(spec.n_sites)
+    apply_pure(psi, build_init(spec))
+    return psi
+
+
+def build_measurement_rotation(word: str) -> list:
+    """Rotation mapping the word basis to the computational basis.
+
+    Per site: H for X, S-dagger then H for Y, nothing for Z.  Identity
+    letters are rejected; a word fixes a basis for every site.
+    """
+    gates = []
+    for j, letter in enumerate(word, start=1):
+        if letter == "X":
+            gates.append(Gate("H", (j,)))
+        elif letter == "Y":
+            gates.append(Gate("SDG", (j,)))
+            gates.append(Gate("H", (j,)))
+        elif letter != "Z":
+            raise ValueError(f"measurement word letter must be X, Y or Z, got {letter!r}")
+    return gates
+
+
 def rotated_probabilities(state, word: str) -> np.ndarray:
     """Outcome distribution of one word: copy the state, apply all of the word's
     rotation gates, then read the squared amplitudes or the diagonal."""
     tmp = state.copy()
-    for g in build_measurement_rotation(word):
-        if isinstance(tmp, StateVector):
-            tmp.apply(g)
-        else:
-            apply(tmp, g)
+    gates = build_measurement_rotation(word)
     if isinstance(tmp, StateVector):
+        apply_pure(tmp, gates)
         return np.abs(tmp.amplitudes) ** 2
+    for g in gates:
+        apply(tmp, g)
     return np.real(np.diag(tmp.entries)).copy()
 
 

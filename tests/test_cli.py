@@ -374,7 +374,7 @@ PINNED_RUNS = {
             "fits.csv": "9727ef2fc471bff0dc310a452583c9ad9727d0208770391c01eaf7b0e91d9a58",
             "fits.json": "02ef5f9f2c2235ff979912d9c99ab3f96c4edfa0d97a7c5a175b5b3b90b0f16c",
             "mitigation.csv": "b4627e2fcbcee1d4cc9f416f73549a4162adfbc51f3fd35330ac83b1164af316",
-            "spectrum.csv": "be77a17c098a962beb94a3dea0092b483328182590e1bf551e85a93b63c16eec",
+            "spectrum.csv": "fc34cabec5f7833220a935e70df74f1e04e3c71950498921839a1d566071881a",
             "spectrum.json": "f2f82b08e54484fab30493ca07cd0de67dc624f4993a5af39407a4f69404191e",
             "tomo.json": "ed930a8d91f4061f6280c90e133436360947cfaaf15e720d19e2f76706c1bae8",
         },
@@ -394,7 +394,7 @@ PINNED_RUNS = {
             "fits.csv": "5a9a2cd09662e44020123ba7e4b934ef20fc9b1b9e1b2a6e41364e5364dfb79e",
             "fits.json": "40b86c3baafd76084b66a736755d1a3617ca78492f8889f4a41b0dbb8ffb970d",
             "mitigation.csv": "9096d98cc47a2852821a68ced97f6006cece03776f27a50258a32899624dbe1f",
-            "spectrum.csv": "98c3185450c51ba6f341a2c0799e3b06d3925cad9fa1a90565b25c1f1dedc685",
+            "spectrum.csv": "468c879f7dd75a8b708c2709ab877721e08763ef1325176ce3d362a5fcc437b4",
             "spectrum.json": "f2672276a7b4662f6d0569afff0501f7fac5f3fa387d39931f04f23f8465ad59",
             "tomo.json": "0ce9e2baaf6d66be96667b7f567541fcb84e0a8675ea09202c846d39f00aad8f",
         },

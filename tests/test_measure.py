@@ -405,5 +405,5 @@ def test_estimates_match_pinned_digest():
     )
     dists = sim.rotated_probabilities(psi, plan.words)
     assert _float_digest(exact_estimator_variance(dists, plan, q, DELTA)) == (
-        "c902db4a5568ae6b15bfdb50a345a167270922e33b98dabbe6484ff116532410"
+        "59078447abddc6f7117ef80f39a1f7ece2ca46bcf741aabd9d785adf38371232"
     )

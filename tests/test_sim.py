@@ -227,8 +227,7 @@ def test_block_engine_matches_per_gate_oracle(circuit, noise, seed, chunk):
     want = dense_oracle.evolve_noisy(circuit, rho, noise).entries
     assert np.abs(got - want).max() < 1e-12
     want_pure = psi.copy()
-    for g in circuit.gates:
-        want_pure.apply(g)
+    dense_oracle.apply_pure(want_pure, circuit.gates)
     assert np.abs(got_pure - want_pure.amplitudes).max() < 1e-12
     assert (_bits(rho.entries), _bits(psi.amplitudes)) == before
 
@@ -286,12 +285,12 @@ def _bits(a: np.ndarray) -> bytes:
     st.data(),
 )
 def test_batched_readout_matches_per_word_oracle(n, kind, seed, data):
-    # a statevector's prefix-tree read-out gives each word's distribution with
-    # the floats of a full copy-rotate-square pass, sign bits included; a
-    # density matrix is read from its Pauli spectrum, another summation, so
-    # its rows agree with the oracle to round-off.  The per-row clip and
-    # normalise, the readout flips and the draws follow from the engine's own
-    # rows bit for bit
+    # a statevector's prefix-tree read-out rotates each letter with one fused
+    # 2x2 block, the oracle with its gates one at a time; a density matrix is
+    # read from its Pauli spectrum, another summation.  So both agree with the
+    # oracle's full copy-rotate-square pass to round-off.  The per-row clip
+    # and normalise, the readout flips and the draws follow from the engine's
+    # own rows bit for bit
     state = _random_state(n, kind, seed)
     pure = isinstance(state, StateVector)
     before = _bits(state.amplitudes if pure else state.entries)
@@ -308,10 +307,7 @@ def test_batched_readout_matches_per_word_oracle(n, kind, seed, data):
     assert len(outcomes) == len(words)
     for k, w in enumerate(words):
         oracle = dense_oracle.rotated_probabilities(state, w)
-        if pure:
-            assert _bits(rows[k]) == _bits(oracle)
-        else:
-            assert np.abs(rows[k] - oracle).max() <= 1e-12
+        assert np.abs(rows[k] - oracle).max() <= (1e-14 if pure else 1e-12)
         want = dense_oracle.read_out(rows[k], noise)
         assert _bits(dists[k]) == _bits(want)
         draws = sim.shot_rng(seed, k).multinomial(500, want)
@@ -322,7 +318,9 @@ def test_batched_readout_matches_per_word_oracle(n, kind, seed, data):
 
 def test_density_readout_of_each_word_eigenstate_is_a_point_mass():
     # the eigenstate of a word with outcome bits b, read out in that word, is
-    # certain to give b: a slipped Y phase or bit order shows without the oracle
+    # certain to give b: a slipped Y phase or bit order shows without the
+    # oracle.  The statevector is prepared gate by gate, not from the basis
+    # table its read-out uses, so a wrong table entry cannot cancel out
     for n in range(1, 5):
         specs = [
             InitialStateSpec("".join(w), bits)
@@ -330,14 +328,34 @@ def test_density_readout_of_each_word_eigenstate_is_a_point_mass():
             for bits in product((0, 1), repeat=n)
         ]
         for spec in specs:
-            rho = DensityMatrix.from_spec(spec)
-            before = _bits(rho.entries)
-            (row,) = sim.rotated_probabilities(rho, [spec.letters])
             want = np.zeros(1 << n)
             want[sum(b << j for j, b in enumerate(spec.bits))] = 1.0
-            assert np.abs(row - want).max() <= 1e-14, (spec.letters, spec.bits)
-            assert _bits(rho.entries) == before
-        assert sim.rotated_probabilities(rho, []).shape == (0, 1 << n)
+            for state in (DensityMatrix.from_spec(spec), dense_oracle.prepare(spec)):
+                data = state.amplitudes if isinstance(state, StateVector) else state.entries
+                before = _bits(data)
+                (row,) = sim.rotated_probabilities(state, [spec.letters])
+                assert np.abs(row - want).max() <= 1e-14, (spec.label(), type(state))
+                assert _bits(data) == before
+                assert sim.rotated_probabilities(state, []).shape == (0, 1 << n)
+
+
+def test_from_spec_matches_gate_by_gate_preparation():
+    # the Kronecker product of one-site eigenvectors has the floats of running
+    # the preparation gates on |0..0>: every three-site spec, random specs to N=12
+    rng = np.random.default_rng(12)
+    specs = [
+        InitialStateSpec("".join(w), bits)
+        for w in product("XYZ", repeat=3)
+        for bits in product((0, 1), repeat=3)
+    ]
+    for n in range(1, 13):
+        for _ in range(8):
+            letters = "".join(rng.choice(list("XYZ"), size=n))
+            specs.append(InitialStateSpec(letters, tuple(int(b) for b in rng.integers(0, 2, n))))
+    for spec in specs:
+        got = StateVector.from_spec(spec)
+        assert got.n_sites == spec.n_sites
+        assert np.array_equal(got.amplitudes, dense_oracle.prepare(spec).amplitudes), spec.label()
 
 
 @settings(deadline=None)

@@ -87,6 +87,23 @@ def test_noisy_spectrum_structure(depol_op):
     assert np.abs(srt - srt_conj).max() < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["depolarizing", "damping"])
+def test_spectrum_order_survives_round_off(kind):
+    # every modulus tie at N=4 is a conjugate pair, ordered by its imaginary
+    # part: a 1e-14 relative move of the transfer matrix moves no row
+    damping = amp_phase_damping(0.018, 0.018)
+    model = {
+        "depolarizing": depol_model(0.0013, 0.013),
+        "damping": NoiseModel(damping, damping),
+    }[kind]
+    op = vectorize_step(build_step(N, ALPHA), model)
+    rng = np.random.default_rng(0)
+    moved = SuperOperator(N, op.matrix * (1 + 1e-14 * rng.standard_normal(op.matrix.shape)))
+    vals = spectrum(op)
+    assert np.sum(vals.imag > 1e-8) >= 90  # conjugate pairs, each a modulus tie to order
+    assert np.abs(spectrum(moved) - vals).max() < 1e-12
+
+
 def test_fixed_point_depolarizing_is_mixed(depol_op):
     fp = fixed_point(depol_op)
     assert np.abs(fp.entries - np.eye(16) / 16).max() < 1e-8

@@ -3,6 +3,7 @@
 import ast
 import importlib
 from pathlib import Path
+from types import ModuleType, SimpleNamespace
 
 import trotterchain
 
@@ -84,3 +85,43 @@ def test_every_traced_name_resolves():
         if not hasattr(importlib.import_module(f"trotterchain.{mod}"), func):
             missing.append(name)
     assert missing == []
+
+
+def test_layer_probe_reads_every_counter():
+    # a traced benchmark pass reads Circuit.depth, init_end, evolution_end,
+    # cnot_count(), measure.contains and PauliPolynomial.terms through the
+    # probe's hooks; a deleted name would crash every traced pass.  The probe
+    # is driven on an N=4 decay pass's calls, the tracer a stand-in
+    path = Path(__file__).parents[1] / "perfbench" / "worker.py"
+    worker = ModuleType("worker")  # run from its source, so no bytecode is cached beside it
+    exec(compile(path.read_text(), str(path), "exec"), vars(worker))  # stdlib imports only
+
+    from trotterchain.charges import ChargeSpec, assemble_cached
+    from trotterchain.circuit import InitialStateSpec, build_step
+    from trotterchain.measure import build_cover
+    from trotterchain.noise import depolarizing
+    from trotterchain.sim import DensityMatrix, NoiseModel
+
+    tracer = SimpleNamespace(hooks={})
+    probe = worker.LayerProbe(tracer)
+    charge_spec = ChargeSpec(1, "plus", 4)
+    charge = assemble_cached(charge_spec)
+    tracer.hooks["charges.assemble_cached"]((charge_spec,), {}, charge)
+    tracer.hooks["measure.build_cover"]((charge, 0.3), {}, build_cover(charge, 0.3))
+    step = build_step(4, 0.3)
+    rho = DensityMatrix.from_spec(InitialStateSpec.neel(4))
+    noise = NoiseModel(depolarizing(0.0013), depolarizing(0.013))
+    tracer.hooks["sim.evolve_noisy"]((step, rho, noise), {}, None)
+    extras = probe.extras()
+    assert set(extras) == {
+        "charges.terms",
+        "circuit.gates_per_step",
+        "circuit.cnots_per_step",
+        "noise.channel_applications_per_step",
+        "noise.channel_s_per_step",
+        "measure.cover_words.Q1plus",
+        "measure.cover_redundancy",
+    }
+    assert extras["charges.terms"] == len(charge)
+    assert extras["circuit.cnots_per_step"] == step.cnot_count() == 16
+    assert extras["noise.channel_applications_per_step"] == 2 * 16 + len(step.gates) - 16
