@@ -106,19 +106,29 @@ def test_step_circuit_matches_dense_unitary():
     assert np.abs(got - phase * want).max() < 1e-10
 
 
+def test_measurement_rotation_layout():
+    gates = build_measurement_rotation("ZXXY")
+    assert gates == [Gate("H", (2,)), Gate("H", (3,)), Gate("SDG", (4,)), Gate("H", (4,))]
+    assert build_measurement_rotation("ZZZZ") == []
+    with pytest.raises(ValueError):
+        build_measurement_rotation("ZIZ")
+
+
+def test_rotation_conjugates_word_to_z_basis():
+    word = "XYZ"
+    r = circuit_unitary(build_measurement_rotation(word), 3)
+    w = matrix(PauliString.from_letters(word))
+    z_all = matrix(PauliString.from_letters("ZZZ"))
+    assert np.abs(r @ w @ r.conj().T - z_all).max() < 1e-12
+
+
 def test_basis_table_matches_oracle_rotation():
     # sim's one-site unitary per letter is the dense product of the oracle's
-    # rotation gates, and takes the letter's Pauli matrix to Z; the oracle's
-    # rotation of a word does so site by site
+    # rotation gates, and takes the letter's Pauli matrix to Z
     for letter, u in sim._BASIS.items():
         assert np.abs(u - circuit_unitary(build_measurement_rotation(letter), 1)).max() <= 1e-15
         p = matrix(PauliString.from_letters(letter))
         assert np.abs(u @ p @ u.conj().T - matrix(PauliString.from_letters("Z"))).max() <= 1e-15
-    r = circuit_unitary(build_measurement_rotation("ZXYZ"), 4)
-    w = matrix(PauliString.from_letters("ZXYZ"))
-    assert np.abs(r @ w @ r.conj().T - matrix(PauliString.from_letters("ZZZZ"))).max() < 1e-12
-    with pytest.raises(ValueError):
-        build_measurement_rotation("ZIZ")
 
 
 def test_full_circuit_sections_and_unitarity():
