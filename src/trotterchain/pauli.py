@@ -14,8 +14,10 @@ The module owns the packed algebra on int64 mask arrays (Python ints work
 too), and every other module calls it: the sortable :func:`key` and its
 inverse :func:`unkey`, the two-site :func:`rotations`, the unit
 :func:`i_power` of ``P(x, z) = i**|x&z| X^x Z^z``, the sign
-:func:`parity_sign`, :func:`anticommute` and the :func:`product` of two
-strings with its power of ``i``; :data:`MATRICES` holds the 2x2 Paulis.
+:func:`parity_sign`, :func:`anticommute`, the :func:`product` of two
+strings with its power of ``i``, and the six :func:`letter_images` of global
+spin rotations with each string's :func:`letter_orbit`; :data:`MATRICES`
+holds the 2x2 Paulis.
 ``|m|`` is the popcount of mask ``m``.
 
 Text rendering writes site 1 leftmost, e.g. ``"IXZY"``; :func:`letter_strings`
@@ -150,6 +152,54 @@ def key(x, z, nbits: int):
 def unkey(keys, nbits: int):
     """The ``(x, z)`` masks of :func:`key`'s ``keys``."""
     return keys >> nbits, keys & ((1 << nbits) - 1)
+
+
+def letter_images(x, z):
+    """The six letter maps of global spin rotations on masks ``x``, ``z``:
+    a list of ``(x, z, sign)`` images.
+
+    Maps 0-2 permute X -> Y -> Z cyclically, with sign +1; maps 3-5 swap
+    X <-> Y, Y <-> Z and Z <-> X, with signs (-1)**#Z, (-1)**#Y and (-1)**#X
+    of the input string (#L counts its letters L).
+    """
+    y = x & z
+    odd_x, odd_y, odd_z = (np.bitwise_count(m).astype(np.int64) & 1 for m in (x ^ y, y, z ^ y))
+    return [
+        (x, z, 1),
+        (x ^ z, x, 1),
+        (z, x ^ z, 1),
+        (x, z ^ x, 1 - 2 * odd_z),
+        (x ^ z, z, 1 - 2 * odd_y),
+        (z, x, 1 - 2 * odd_x),
+    ]
+
+
+def letter_orbit(x, z, nbits: int):
+    """Each string's letter orbit: ``(rep, sign, size, flagged)``.
+
+    ``rep`` is the smallest :func:`key` among the six :func:`letter_images`,
+    the orbit's representative, and ``sign`` (+1 or -1) the sign of the
+    first map that takes the string to it.  ``size`` is the number of
+    distinct images: 1 for the identity, else 3 or 6, since only the
+    identity is fixed by the cyclic maps.  ``flagged`` marks the strings
+    whose letter counts #X, #Y, #Z are not all even or all odd: a global
+    rotation sends each to minus itself (``ZZZ`` under X <-> Y, Z -> -Z;
+    ``XZ`` under the pi rotation about Z), so any invariant operator gives
+    it coefficient 0.  On the other strings the signs are consistent: a
+    string and its image under a map get the same ``rep``, and signs that
+    differ by the map's sign.
+    """
+    images = letter_images(x, z)
+    own = key(x, z, nbits)
+    rep, sign, fixed = own, np.ones_like(own), np.zeros_like(own)
+    for ix, iz, s in images:
+        k = key(ix, iz, nbits)
+        lower = k < rep
+        rep = np.where(lower, k, rep)
+        sign = np.where(lower, s, sign)
+        fixed += k == own
+    by_z, by_y, by_x = (s for _, _, s in images[3:])
+    return rep, sign, 6 // fixed, (by_z != by_x) | (by_y != by_x)
 
 
 def rotations(m, n_sites: int):

@@ -250,6 +250,24 @@ def test_boost_rejects_nonconserved_input():
         boost_step(bad, 1, "plus")
 
 
+def test_boost_rejects_input_that_is_not_letter_invariant():
+    q = window_density(2, "plus")
+    off_by_one = q.coeffs.copy()
+    off_by_one[0, -1] += 1
+    zzz = PauliString.from_letters("IIZZZ")  # an invariant density gives it 0
+    bad = [
+        PauliPolynomial.from_arrays(5, q.x, q.z, off_by_one),
+        PauliPolynomial.from_arrays(5, q.x[1:], q.z[1:], q.coeffs[1:]),  # one image missing
+        PauliPolynomial.from_terms(5, [(s, p.coeffs) for s, p in items(q)] + [(zzz, (1,))]),
+    ]
+    for poly in bad:
+        with pytest.raises(GaugeError, match="letter maps"):
+            boost_step(poly, 2, "plus")
+    # an orbit's row that the orbit's size does not divide: ZZ, its orbit XX, YY, ZZ
+    with pytest.raises(GaugeError, match="divisible"):
+        charges._expand(2, np.array([0]), np.array([3]), np.array([[4]]))
+
+
 # ---------------------------------------------------------------------------
 # reference boost: the dict-of-DeltaPoly recursion the packed one replaced
 # ---------------------------------------------------------------------------
@@ -419,14 +437,25 @@ def test_perturbed_density_is_rejected_by_both_boosts(order, variant, block, dat
     string = data.draw(st.sampled_from([s for s, _ in items(q)]))
     power = data.draw(st.integers(0, 3))
     coeff = data.draw(st.sampled_from([-2, -1, 1, 2]))
-    perturbation = (string, DeltaPoly.delta_power(power, coeff).coeffs)
-    terms = [(s, p.coeffs) for s, p in items(q)] + [perturbation]
-    bad = PauliPolynomial.from_terms(q.n_sites, terms)
-    with mock.patch.object(charges, "_BLOCK", block or charges._BLOCK):
-        with pytest.raises(GaugeError):
-            boost_step(bad, order, variant)
-    with pytest.raises(GaugeError):
-        _reference_boost_step(bad, order, variant)
+    terms = [(s, p.coeffs) for s, p in items(q)]
+    one_string = PauliPolynomial.from_terms(
+        q.n_sites, terms + [(string, DeltaPoly.delta_power(power, coeff).coeffs)]
+    )
+    # the string's whole letter orbit, each image with its sign: still
+    # invariant, so only the collapse obstruction can reject it
+    images, _ = signed_letter_orbit(string.x_mask, string.z_mask)
+    orbit = [
+        (PauliString(q.n_sites, x, z), DeltaPoly.delta_power(power, coeff * sign).coeffs)
+        for (x, z), sign in images.items()
+    ]
+    whole_orbit = PauliPolynomial.from_terms(q.n_sites, terms + orbit)
+    assert letter_map_failures(whole_orbit, window_key(q.n_sites)) == []
+    for bad, reason in [(one_string, None), (whole_orbit, "weight-sum")]:
+        with mock.patch.object(charges, "_BLOCK", block or charges._BLOCK):
+            with pytest.raises(GaugeError, match=reason):
+                boost_step(bad, order, variant)
+        with pytest.raises(GaugeError, match=reason):
+            _reference_boost_step(bad, order, variant)
 
 
 def test_window_densities_match_pinned_digest():
@@ -471,6 +500,23 @@ LETTER_MAPS = {
     # X <-> Y, Z -> -Z
     "swap_xy": lambda x, z: (x, z ^ x, (-1) ** np.bitwise_count(z & ~x).astype(np.int64)),
 }
+
+
+def signed_letter_orbit(x: int, z: int):
+    """The images of one string under the group that ``LETTER_MAPS`` generate,
+    as {(x, z): sign}, and whether some image arose with both signs (then a
+    rotation sends the string to minus itself)."""
+    seen, frontier, conflict = {(x, z): 1}, [(x, z)], False
+    while frontier:
+        here = frontier.pop()
+        for letter_map in LETTER_MAPS.values():
+            ix, iz, s = letter_map(np.int64(here[0]), np.int64(here[1]))
+            image, sign = (int(ix), int(iz)), seen[here] * int(s)
+            if image not in seen:
+                seen[image] = sign
+                frontier.append(image)
+            conflict |= seen[image] != sign
+    return seen, conflict
 
 
 def letter_map_failures(q, canonical) -> list:

@@ -17,10 +17,13 @@ from trotterchain.pauli import (
     PauliString,
     anticommute,
     i_power,
+    key,
+    letter_orbit,
     letter_strings,
     parity_sign,
     product,
 )
+from test_charges import LETTER_MAPS, signed_letter_orbit
 
 
 def dense(s: str) -> np.ndarray:
@@ -171,3 +174,50 @@ def test_letter_strings_match_site_loop_and_sort_like_python(data):
     assert names.tolist() == expect
     assert np.sort(names).tolist() == sorted(expect)
     assert [PauliString(n, a, b).letters() for a, b in pairs] == expect
+
+
+# ---------------------------------------------------------------------------
+# letter orbits of global spin rotations
+# ---------------------------------------------------------------------------
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_letter_orbit_matches_closure_of_letter_maps(data):
+    n = data.draw(st.integers(1, 8))
+    mask = st.integers(0, (1 << n) - 1)
+    pairs = data.draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=20))
+    x = np.array([p[0] for p in pairs], dtype=np.int64)
+    z = np.array([p[1] for p in pairs], dtype=np.int64)
+    rep, sign, size, flagged = letter_orbit(x, z, n)
+    for i, (a, b) in enumerate(pairs):
+        orbit, conflict = signed_letter_orbit(a, b)
+        smallest = min(orbit, key=lambda xz: key(*xz, n))
+        assert (rep[i], size[i], flagged[i]) == (key(*smallest, n), len(orbit), conflict)
+        if not conflict:
+            assert sign[i] == orbit[smallest]
+    # each image gets the string's representative, and a sign that differs by the map's
+    for letter_map in LETTER_MAPS.values():
+        ix, iz, s = letter_map(x, z)
+        irep, isign, isize, iflagged = letter_orbit(ix, iz, n)
+        assert np.array_equal(irep, rep) and np.array_equal(isize, size)
+        assert np.array_equal(iflagged, flagged)
+        assert np.array_equal((isign * s)[~flagged], sign[~flagged])
+
+
+@pytest.mark.parametrize(
+    "letters, size, flagged",
+    [
+        ("II", 1, False),
+        ("XX", 3, False),
+        ("XIX", 3, False),
+        ("XYZ", 6, False),
+        ("ZZZ", 3, True),
+        ("XZ", 6, True),
+    ],
+)
+def test_letter_orbit_named_cases(letters, size, flagged):
+    s = PauliString.from_letters(letters)
+    x, z = np.array([s.x_mask]), np.array([s.z_mask])
+    _, _, got_size, got_flagged = letter_orbit(x, z, s.n_sites)
+    assert (got_size[0], got_flagged[0]) == (size, flagged)

@@ -230,21 +230,29 @@ def _cluster_distance(a, b, radius=1e-3):
 # damping after H and S: the fixed point has <Y> != 0, a string with an odd
 # number of Y letters, the only kind where i^|x & z| and its conjugate differ
 @example(Circuit(1, [Gate("H", (1,)), Gate("S", (1,))]), amp_phase_damping(0.3, 0.1), None)
+# near-complete depolarizing: the oracle's own eigenvector at 1 has a residual
+# of 4.4e-10, so comparing entries with it failed here
+@example(
+    Circuit(2, [Gate("X", (1,))] * 6 + [Gate("CNOT", (2, 1)), Gate("H", (2,))]),
+    depolarizing(0.9375),
+    None,
+)
 def test_pauli_basis_spectrum_and_fixed_point_match_dense_oracle(circuit, one_qubit, two_qubit):
     noise = NoiseModel(after_one_qubit=one_qubit, after_two_qubit=two_qubit)
     oracle = step_superoperator(circuit, noise)
     op = vectorize_step(circuit, noise)
-    want, vecs = np.linalg.eig(oracle)
+    want = np.linalg.eigvals(oracle)
     assert _cluster_distance(spectrum(op), want) < 1e-10
-    # An eigenvector's round-off error grows as 1/gap, so the fixed point is
-    # compared where it is unique and isolated from the rest of the spectrum.
+    # The fixed point is checked where it is unique and isolated from the rest
+    # of the spectrum, by its residual under the oracle's step: an eigenvector
+    # from either solver carries round-off set by its conditioning, a residual
+    # does not.
     order = np.argsort(np.abs(want - 1.0))
     if abs(want[order[0]] - 1.0) < UNIT_EIGENVALUE_TOL and abs(want[order[1]] - 1.0) > 1e-4:
-        dim = 1 << circuit.n_sites
-        rho = vecs[:, order[0]].reshape(dim, dim)
-        rho = (rho + rho.conj().T) / 2.0
-        rho /= np.trace(rho).real
-        assert np.abs(fixed_point(op).entries - rho).max() < 1e-10
+        rho = fixed_point(op).entries
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.abs(oracle @ rho.ravel() - rho.ravel()).max() < 1e-10
 
 
 def test_spectrum_report_diagonalizes_once(monkeypatch):
