@@ -311,24 +311,27 @@ def tomo_report(config: ExperimentConfig, steps: list | None = None) -> dict:
     shots = None if config.exact_reference else config.shots_total // bases
     probe = list(range(config.depth_max + 1)) if steps is None else sorted(steps)
 
-    report = {"steps": probe, "self_fidelity": {}, "pairwise_fidelity": {}}
-    recon = {}
+    recon, ideal = {}, {}
     for kind, spec in _TOMO_STATES.items():
         init = spec(config.n_sites)
         run = replace(config, initial_state=init, engine="noisy", depth_max=max(probe))
         for d, state in enumerate(_trajectory(run)):
             if d == 0:
-                ideal = tomo.reconstruct(state, None)
+                ideal[kind] = tomo.reconstruct(state, None)
             if d == 0 and shots is None:
-                recon[kind, d] = ideal  # the exact reconstruction at d = 0 is ideal itself
+                recon[kind, d] = ideal[kind]  # the exact reconstruction at d = 0 is ideal itself
             elif d in probe:
                 seed = _word_seed(config.seed, d, kind, "tomo")
                 recon[kind, d] = tomo.reconstruct(state, shots, seed, config.noise_model())
-        report["self_fidelity"][kind] = [tomo.fidelity(ideal, recon[kind, d]) for d in probe]
+    # every fidelity in one call, so each state is checked and rooted once
+    pairs = [(ideal[kind], recon[kind, d]) for kind in _TOMO_STATES for d in probe]
+    pairs += [(recon[a, d], recon[b, d]) for a, b in combinations(_TOMO_STATES, 2) for d in probe]
+    values = iter(tomo.fidelities(pairs))
+    report = {"steps": probe, "self_fidelity": {}, "pairwise_fidelity": {}}
+    for kind in _TOMO_STATES:
+        report["self_fidelity"][kind] = list(islice(values, len(probe)))
     for a, b in combinations(_TOMO_STATES, 2):
-        report["pairwise_fidelity"][f"{a}|{b}"] = [
-            tomo.fidelity(recon[a, d], recon[b, d]) for d in probe
-        ]
+        report["pairwise_fidelity"][f"{a}|{b}"] = list(islice(values, len(probe)))
     return report
 
 

@@ -28,9 +28,12 @@ blocks above on the basis vectors of a k-site register (``_compile``): the
 channel once per site it touches.  The block is then applied to the state
 over the bits of those sites, their row and column bits for rho.  Sites
 are relabelled by first appearance, so every bond of a layer, the cyclic
-bond (N, 1) included, shares one compiled block; the blocks live for one
-call only.  Setting a channel to ``None`` exempts the corresponding gate
-class.  Only those gates are noisy.
+bond (N, 1) included, shares one compiled block.  A noise model keeps
+the superoperator blocks compiled with its channels for as long as it
+lives, read-only, so each noisy step after a model's first compiles
+nothing; the pure engine's unitaries live for one call only.  Setting a
+channel to ``None`` exempts the corresponding gate class.  Only those gates
+are noisy.
 
 Preparation and read-out run no gates: both read one table, ``_BASIS``,
 the one-site unitary per letter that takes its eigenbasis to Z's (H for X,
@@ -79,7 +82,7 @@ bit for bit: they are sums in another order.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -250,11 +253,15 @@ class NoiseModel:
     a one-site channel applied independently to both sites of every CNOT;
     ``readout_flip`` is a classical per-site bit-flip probability applied by
     :func:`outcome_distribution`.  ``None`` disables the corresponding insertion.
+    ``_blocks`` holds the superoperators :func:`_evolve` compiled with these
+    channels, keyed by relabelled run; it takes no part in equality, hashing,
+    ``repr`` or :func:`dataclasses.replace`.
     """
 
     after_one_qubit: KrausChannel | None = None
     after_two_qubit: KrausChannel | None = None
     readout_flip: float | tuple | None = None
+    _blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def flip_probs(self, n_sites: int) -> np.ndarray | None:
         if self.readout_flip is None:
@@ -328,16 +335,20 @@ def _evolve(vec: np.ndarray, circuit: Circuit, noise: NoiseModel | None):
 
     ``vec`` is a statevector if ``noise`` is None, else the density matrix
     as a vector on 2N bits.  Runs that are equal once their sites are
-    relabelled by first appearance share one block, compiled once per call.
+    relabelled by first appearance share one block: a unitary compiled once
+    per call, a superoperator once per noise model, kept read-only in the
+    model's ``_blocks``.
     """
     n = circuit.n_sites
     sides = 1 if noise is None else 2  # rho's column bits, then its row bits
-    blocks = {}  # local, so no channel outlives the call
+    blocks = {} if noise is None else noise._blocks
     for sites, run in _runs(circuit.gates):
         label = {s: i for i, s in enumerate(sites, start=1)}
         key = tuple(Gate(g.kind, tuple(label[s] for s in g.sites), g.angle) for g in run)
         if key not in blocks:
-            blocks[key] = _compile(key, len(sites), noise)
+            block = _compile(key, len(sites), noise)
+            block.flags.writeable = False
+            blocks[key] = block
         bits = [s - 1 + side * n for side in range(sides) for s in sites]
         _apply_block(vec, sides * n, blocks[key], bits)
 

@@ -123,21 +123,38 @@ def _sqrt_psd(entries: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
+def fidelities(pairs) -> list:
+    """:func:`fidelity` of each ``(rho, sigma)`` in ``pairs``, in order.
+
+    Each distinct state, by identity, is checked and rooted once, however
+    many pairs it is in; each pair then costs one product and one SVD.
+    """
+    pairs = list(pairs)
+    if any(rho.n_sites != sigma.n_sites for rho, sigma in pairs):
+        raise ValueError("state sizes differ")
+    roots = {}  # id(state) -> sqrt(state); ``pairs`` keeps every id alive
+    for state in (s for pair in pairs for s in pair):
+        if id(state) not in roots:
+            state.check()
+            roots[id(state)] = _sqrt_psd(state.entries)
+    out = []
+    for rho, sigma in pairs:
+        singular = np.linalg.svd(roots[id(sigma)] @ roots[id(rho)], compute_uv=False)
+        f = float(np.sum(singular) ** 2)
+        out.append(min(max(f, 0.0), 1.0))
+    return out
+
+
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """State fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped to [0, 1].
 
     Evaluated as the squared nuclear norm of sqrt(sigma) sqrt(rho), which is
     the same quantity and symmetric under exchange by construction.  Near
     rank-deficient arguments F is resolved only to about sqrt(eps): round-off
-    eigenvalues of order 1e-16 enter the norm through their 1e-8 roots.
+    eigenvalues of order 1e-16 enter the norm through their 1e-8 roots.  The
+    one-pair case of :func:`fidelities`.
     """
-    if rho.n_sites != sigma.n_sites:
-        raise ValueError("state sizes differ")
-    rho.check()
-    sigma.check()
-    singular = np.linalg.svd(_sqrt_psd(sigma.entries) @ _sqrt_psd(rho.entries), compute_uv=False)
-    f = float(np.sum(singular) ** 2)
-    return min(max(f, 0.0), 1.0)
+    return fidelities([(rho, sigma)])[0]
 
 
 def reconstruct(

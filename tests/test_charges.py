@@ -248,6 +248,11 @@ def test_boost_rejects_nonconserved_input():
     bad = PauliPolynomial.from_terms(3, [(PauliString.from_letters("ZZI"), (1,))])
     with pytest.raises(GaugeError):
         boost_step(bad, 1, "plus")
+    # ZZI alone already fails the letter-invariance check; its whole letter
+    # orbit passes it and reaches the collapse obstruction of the boost
+    orbit = [(PauliString.from_letters(w), (1,)) for w in ("ZZI", "XXI", "YYI")]
+    with pytest.raises(GaugeError, match="weight-sum"):
+        boost_step(PauliPolynomial.from_terms(3, orbit), 1, "plus")
 
 
 def test_boost_rejects_input_that_is_not_letter_invariant():

@@ -182,6 +182,55 @@ def test_decay_table_reads_each_state_once(monkeypatch):
     assert [r for r in rows if r[1] == 2] == alone[1]
 
 
+_PURE = {"engine": "pure", "noise": {"kind": "none"}}
+
+
+@pytest.mark.parametrize(
+    "pipeline, over, engine, starts",
+    [
+        ("decay_table", {}, "evolve_noisy", 1),
+        ("decay_table", _PURE, "evolve_pure", 1),
+        ("exact_decay_series", {}, "evolve_noisy", 1),
+        ("exact_decay_series", _PURE, "evolve_pure", 1),
+        ("tomo_report", {}, "evolve_noisy", 3),  # one trajectory per initial state
+        ("mitigation_table", {}, "evolve_noisy", 2),  # one per fold
+    ],
+)
+def test_pipelines_step_through_the_cli_engine_bindings(monkeypatch, pipeline, over, engine, starts):
+    # the benchmark times the engines through cli.evolve_noisy and
+    # cli.evolve_pure, one call per step: every evolution of a pipeline goes
+    # through them, one one-step circuit per call, each trajectory advancing
+    # from the state its last call returned; mitigation's preparation adds
+    # one call on a circuit of depth 0
+    config = ExperimentConfig.from_dict(base_config(**over))
+    calls, evolutions = [], []
+    real_evolve = sim._evolve
+    monkeypatch.setattr(sim, "_evolve", lambda *args: evolutions.append(1) or real_evolve(*args))
+    for name in ("evolve_noisy", "evolve_pure"):
+        real = getattr(cli, name)
+
+        def spy(circuit, state, *noise, real=real, name=name):
+            out = real(circuit, state, *noise)
+            calls.append((name, circuit.depth, state, out))
+            return out
+
+        monkeypatch.setattr(cli, name, spy)
+    getattr(cli, pipeline)(config)
+    assert len(calls) == len(evolutions)
+    prepared = [out for _, depth, _, out in calls if depth == 0]
+    assert len(prepared) == (1 if pipeline == "mitigation_table" else 0)
+    stepped = [(name, state, out) for name, depth, state, out in calls if depth == 1]
+    assert len(stepped) == len(calls) - len(prepared)
+    assert {name for name, *_ in stepped} == {engine}
+    assert len(stepped) == starts * config.depth_max
+    # each step's state is the trajectory's start or the output of the step before it
+    heads = {id(out): out for out in prepared}
+    for _, state, out in stepped:
+        heads.pop(id(state), None)
+        heads[id(out)] = out
+    assert len(heads) == starts
+
+
 def test_decay_csv_round_trip_and_header(tmp_path):
     doc = base_config()
     cfg = ExperimentConfig.from_dict(doc)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -243,6 +244,42 @@ def test_every_bond_of_a_step_shares_one_compiled_block():
         assert compile_.call_count == 1
         evolve_pure(build_step(8, ALPHA), psi)
     assert compile_.call_count == 2
+
+
+def test_a_noise_model_compiles_each_block_once():
+    # the second step with the same model compiles nothing; a new model with
+    # the same channels keeps its own blocks and compiles again
+    one, two = depolarizing(0.0013), depolarizing(0.013)
+    noise = NoiseModel(one, two)
+    step = build_step(4, ALPHA)
+    rho = DensityMatrix.from_spec(InitialStateSpec.neel(4))
+    with mock.patch.object(sim, "_compile", wraps=sim._compile) as compile_:
+        once = evolve_noisy(step, rho, noise)
+        assert compile_.call_count == 1
+        twice = evolve_noisy(step, once, noise)
+        assert compile_.call_count == 1
+        again = evolve_noisy(step, evolve_noisy(step, rho, NoiseModel(one, two)), noise)
+        assert compile_.call_count == 2
+    assert _bits(again.entries) == _bits(twice.entries)
+
+
+def test_cached_blocks_are_read_only():
+    noise = NoiseModel(depolarizing(0.0013), depolarizing(0.013))
+    evolve_noisy(build_step(4, ALPHA), DensityMatrix.from_spec(InitialStateSpec.neel(4)), noise)
+    (block,) = noise._blocks.values()
+    with pytest.raises(ValueError, match="read-only"):
+        block[(0,) * block.ndim] = 0.0
+
+
+def test_the_block_memo_leaves_equality_hashing_and_replace_alone():
+    one, two = depolarizing(0.0013), depolarizing(0.013)
+    a, b = NoiseModel(one, two, 0.02), NoiseModel(one, two, 0.02)
+    evolve_noisy(build_step(4, ALPHA), DensityMatrix.from_spec(InitialStateSpec.neel(4)), a)
+    assert a._blocks and not b._blocks
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    c = replace(a, readout_flip=0.03)
+    assert c != a and not c._blocks
+    assert replace(a) == a and not replace(a)._blocks
 
 
 @st.composite

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+from trotterchain import cli, tomo
 from trotterchain.circuit import Circuit, Gate, InitialStateSpec
 from trotterchain.noise import amp_phase_damping
 from trotterchain.sim import DensityMatrix, NoiseModel, StateVector, evolve_noisy
 from trotterchain.tomo import (
     all_words,
     collect,
+    fidelities,
     fidelity,
     linear_inversion,
     psd_project,
@@ -153,6 +155,67 @@ def test_fidelity_properties():
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     b = DensityMatrix(2, (m @ m.conj().T) / np.trace(m @ m.conj().T).real)
     assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-10)
+
+
+def _random_density(n: int, rng, rank: int) -> DensityMatrix:
+    m = rng.normal(size=(1 << n, rank)) + 1j * rng.normal(size=(1 << n, rank))
+    rho = m @ m.conj().T
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_fidelities_equal_fidelity_pair_by_pair(n, seed, data):
+    # each state rooted once gives the floats of rooting it anew in each pair,
+    # repeated states and self pairs included
+    rng = np.random.default_rng(seed)
+    states = [_random_density(n, rng, int(rng.integers(1, 1 << n, endpoint=True))) for _ in range(3)]
+    index = st.integers(0, len(states) - 1)
+    picks = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=8))
+    pairs = [(states[i], states[j]) for i, j in picks] + [(states[0], states[0])]
+    assert fidelities(pairs) == [fidelity(a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact_reference", "finite_shots"])
+def test_tomo_report_roots_each_state_once(monkeypatch, exact):
+    # three kinds at d = 0, 1, 2; the exact reconstruction at d = 0 is the
+    # ideal reference itself, a finite-shot one is a fourth state per kind
+    rooted = []
+    real = tomo._sqrt_psd
+
+    def spy(entries):
+        rooted.append(entries)
+        return real(entries)
+
+    monkeypatch.setattr(tomo, "_sqrt_psd", spy)
+    doc = {"n_sites": 4, "depth_max": 2, "shots_total": 810, "exact_reference": exact}
+    report = cli.tomo_report(cli.ExperimentConfig.from_dict(doc))
+    assert len(rooted) == len({id(e) for e in rooted}) == (9 if exact else 12)
+    assert sum(map(len, report["self_fidelity"].values())) == 9
+
+
+_NON_HERMITIAN = np.eye(4, dtype=complex) / 4 + 1e-3j * np.eye(4, k=1)
+_NOT_PSD = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("where", range(5))
+@pytest.mark.parametrize(
+    "entries, message",
+    [(_NON_HERMITIAN, "not Hermitian"), (_NOT_PSD, "below floor")],
+    ids=["non_hermitian", "not_psd"],
+)
+def test_fidelities_reject_a_bad_state_in_any_pair(where, entries, message):
+    # the bad state is the first of pair ``where`` and the second of the pair before
+    rng = np.random.default_rng(where)
+    states = [_random_density(2, rng, 2) for _ in range(4)]
+    states.insert(where, DensityMatrix(2, entries))
+    pairs = [(states[i], states[(i + 1) % 5]) for i in range(5)]
+    with pytest.raises(ValueError, match=message):
+        fidelities(pairs)
+    with pytest.raises(ValueError, match=message):
+        fidelity(*pairs[where])
+    with pytest.raises(ValueError, match=message):
+        fidelities(pairs[where - 1 :][:1])
 
 
 def test_reconstruct_round_trip_finite_shots():
