@@ -274,21 +274,24 @@ _BLOCK = 1 << 12
 _ORBIT_CHUNK = 1 << 16
 
 
-def _segment_sums(keys, rows_at):
-    """Sums of the rows of each run of equal values in the sorted int64 ``keys``.
+def _segment_sums(keys, rows_of):
+    """Sums of the rows of each set of equal values in the int64 ``keys``.
 
-    ``rows_at(a, b)`` returns the int64 rows of positions a..b-1 along its
-    second-last axis (the last one holds each row's entries).  The keys
-    are taken in blocks of at least ``_BLOCK`` positions (fewer at the end),
-    each cut where a run ends, and each block's runs are summed by one
-    ``np.add.reduceat``: exact integer sums.  Yields, per block, the distinct
-    keys and their sums.
+    ``rows_of(i)`` returns the int64 rows of the original positions ``i``
+    along its second-last axis (the last one holds each row's entries).
+    The keys are argsorted once and taken in sorted blocks of at least
+    ``_BLOCK`` positions (fewer at the end), each cut where a run of equal
+    keys ends, and each block's runs are summed by one ``np.add.reduceat``:
+    exact integer sums.  Yields, per block, the distinct keys in ascending
+    order and their sums.
     """
+    order = np.argsort(keys)
+    keys = keys[order]
     a = 0
     while a < len(keys):
         b = int(np.searchsorted(keys, keys[min(a + _BLOCK, len(keys)) - 1], side="right"))
         starts = np.flatnonzero(np.diff(keys[a:b], prepend=-1))  # keys are >= 0
-        yield keys[a:b][starts], np.add.reduceat(rows_at(a, b), starts, axis=-2)
+        yield keys[a:b][starts], np.add.reduceat(rows_of(order[a:b]), starts, axis=-2)
         a = b
 
 
@@ -298,8 +301,7 @@ def _sum_rows(keys, rows):
     ``rows`` broadcasts against ``keys``: keys of shape (W, T) take rows of
     shape (T, D), the same row for every leading index.
     """
-    order = np.argsort(keys, axis=None)
-    blocks = list(_segment_sums(keys.ravel()[order], lambda a, b: rows[order[a:b] % len(rows)]))
+    blocks = list(_segment_sums(keys.ravel(), lambda i: rows[i % len(rows)]))
     return (
         np.concatenate([np.zeros(0, np.int64)] + [k for k, _ in blocks]),
         np.concatenate([np.zeros((0, rows.shape[-1]), np.int64)] + [s for _, s in blocks]),
@@ -408,9 +410,6 @@ def _boost_orbits(x, z, w, order: int, variant: str):
         anticommute(bx << lift, bz << lift, tx, tz) for bx, bz, _, _ in _BOOST_MONOMIALS
     ]
     n_products = sum(int(p.sum()) for p in parities)
-    index_bits = n_products.bit_length()
-    if 2 * nbits + index_bits > 63:
-        raise ValueError(f"{n_products} boost products do not fit beside their int64 keys")
     # padded[m * n_terms + t]: the row of term t moved up m delta powers
     padded = np.zeros((3, n_terms, row_width), dtype=np.int64)
     for m in range(3):
@@ -446,28 +445,23 @@ def _boost_orbits(x, z, w, order: int, variant: str):
     for a in range(0, n_products, _ORBIT_CHUNK):  # chunked: the orbit's temporaries stay small
         b = min(a + _ORBIT_CHUNK, n_products)
         rep, sign, _, _ = letter_orbit(*unkey(keys[a:b], nbits), nbits)
-        keys[a:b] = rep << index_bits | np.arange(a, b)
+        keys[a:b] = rep
         scale[a:b] *= sign.astype(np.int8)
-    keys.sort()
-    index = np.empty(n_products, dtype=np.int32)
-    np.bitwise_and(keys, (1 << index_bits) - 1, out=index, casting="unsafe")
-    keys >>= index_bits
 
-    def rows_at(a, b):
+    def rows_of(i):
         """The products' signed rows, then the same rows times their weights."""
-        i = index[a:b]
-        rows = np.empty((2, b - a, row_width), dtype=np.int64)
+        rows = np.empty((2, len(i), row_width), dtype=np.int64)
         np.take(padded, row[i], axis=0, out=rows[0], mode="clip")
         rows[0] *= scale[i].astype(np.int64)[:, None]
         np.multiply(rows[0], lever[i].astype(np.int64)[:, None], out=rows[1])
         return rows
 
     obstructed, blocks = 0, []
-    for block_keys, (obstruction, sums) in _segment_sums(keys, rows_at):
+    for block_keys, (obstruction, sums) in _segment_sums(keys, rows_of):
         obstructed += np.count_nonzero(obstruction.any(axis=1))
         keep = sums.any(axis=1)
         blocks.append((block_keys[keep], sums[keep]))
-    del keys, index, row, scale, lever, padded  # the products, before the result is joined
+    del keys, row, scale, lever, padded  # the products, before the result is joined
     if obstructed:
         raise GaugeError(
             "boost collapse obstruction: input density is not conserved "
@@ -500,18 +494,18 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     map's sign, and added there: W_out += sign * a * W, integers throughout.
     The output is expanded by dividing each W by its orbit's size exactly.
 
-    Each product is built once: its collapsed representative key, with the
-    product's index in the low bits, and a narrow payload (int32 row of the
-    term moved up the monomial's delta power, int8 signed c, int16 weight),
-    in arrays sized by a first pass that finds the anticommuting (anchor,
-    representative) pairs of each monomial.  The keys are sorted in place,
-    and :func:`_segment_sums` adds the products' rows into each key one block
-    at a time, where the block's obstruction is checked and its nonzero rows
-    kept.  So no product rows and no obstruction matrix the size of the
-    result are held at once; the transient memory is about 20 bytes per
-    product, about six times fewer products than strings would give.  Cold
-    order 7 peaks at about 350 MB of resident memory, most of it the
-    expanded result.
+    Each product is built once: its collapsed representative key and a
+    narrow payload (int32 row of the term moved up the monomial's delta
+    power, int8 signed c, int16 weight), in arrays sized by a first pass
+    that finds the anticommuting (anchor, representative) pairs of each
+    monomial.  :func:`_segment_sums` argsorts the keys and adds the
+    products' rows into each key one block at a time, where the block's
+    obstruction is checked and its nonzero rows kept.  So no product rows
+    and no obstruction matrix the size of the result are held at once; the
+    transient memory is about 31 bytes per product (the key, its sorted
+    copy, the sort order and the payload), about six times fewer products
+    than strings would give.  Cold order 7 peaks at about 350 MB of
+    resident memory, most of it the expanded result.
     """
     if q_n.n_sites != 2 * order + 1:
         raise ValueError("density window does not match its order")
@@ -530,7 +524,8 @@ def _window_orbits(order: int, variant: str):
     return _orbits(PauliPolynomial.from_arrays(3, *unkey(keys, 3), summed))
 
 
-@functools.cache
+# typed, so that ``True`` and ``2.0`` reach the order check instead of the entries of 1 and 2
+@functools.lru_cache(maxsize=None, typed=True)
 def window_density(order: int, variant: str) -> PauliPolynomial:
     """Window density of any order on ``2*order + 1`` sites: order 1 from its
     integer table, each higher order by one boost rung on the letter orbits
@@ -546,8 +541,8 @@ def window_density(order: int, variant: str) -> PauliPolynomial:
     """
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown density variant {variant!r}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not isinstance(order, Integral) or isinstance(order, bool) or order < 1:
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
     return _expand(2 * order + 1, *_window_orbits(order, variant))
 
 
@@ -589,45 +584,42 @@ def charge_label(order: int, variant: str) -> str:
     return f"Q{order}{suffix}"
 
 
-def _orbit_rows(order: int, variant: str, n_sites: int):
-    """The window density on N sites as sorted orbit keys and their summed rows.
-
-    Window bit 0 goes to chain bit 1 for ``plus`` (windows start on even
-    sites) and to bit 0 for ``minus``.  Each term is then keyed by the
-    smallest ``(x, z)`` key among its N/2 two-site rotations, so terms in one
-    translation orbit add up on one row.  A window is shorter than the chain,
-    so no term wraps onto itself.
-    """
-    q = window_density(order, variant)
-    shift = 1 if variant == "plus" else 0
-    # a key sums at most one row per term of an orbit; dif subtracts two such sums
-    _check_bound(q.coeffs, n_sites)
-    keys = key(rotations(q.x << shift, n_sites), rotations(q.z << shift, n_sites), n_sites)
-    return _sum_rows(keys.min(axis=0), q.coeffs)
-
-
 @functools.cache
 def periodic_density(spec: ChargeSpec) -> PauliPolynomial:
     """One string per two-site translation orbit of the charge, on N sites.
 
     Summed over the N/2 two-site rotations R^(2j) it gives :func:`assemble`,
-    integer for integer: each orbit's smallest ``(x, z)`` key carries the
-    summed coefficients of the window terms in that orbit.  ``dif`` is
-    (plus - minus)/delta, divided exactly here.  Memoized in this process;
-    the result is immutable.
+    integer for integer.  Window bit 0 goes to chain bit 1 for ``plus``
+    (windows start on even sites), to bit 0 for ``minus``; one segment sum
+    adds each window term on the smallest ``(x, z)`` key among its N/2
+    rotations (no term wraps onto itself: a window is shorter than the
+    chain).  ``dif`` sums the plus and the negated minus terms together and
+    divides by delta exactly.  Memoized in this process; the result is
+    immutable.
     """
-    if spec.variant in ("plus", "minus"):
-        keys, rows = _orbit_rows(spec.order, spec.variant, spec.n_sites)
-        return PauliPolynomial.from_arrays(spec.n_sites, *unkey(keys, spec.n_sites), rows)
-    pk, plus = _orbit_rows(spec.order, "plus", spec.n_sites)
-    mk, minus = _orbit_rows(spec.order, "minus", spec.n_sites)
-    rows = np.zeros((len(pk) + len(mk), max(plus.shape[1], minus.shape[1])), dtype=np.int64)
-    rows[: len(pk), : plus.shape[1]] = plus
-    rows[len(pk) :, : minus.shape[1]] = -minus
-    keys, diff = _sum_rows(np.concatenate([pk, mk]), rows)
-    if diff[:, 0].any():
-        raise ValueError("Q+(0) != Q-(0): difference not divisible by delta")
-    return PauliPolynomial.from_arrays(spec.n_sites, *unkey(keys, spec.n_sites), diff[:, 1:])
+    n = spec.n_sites
+    variants = ("plus", "minus") if spec.variant == "dif" else (spec.variant,)
+    windows, keys = [], []
+    for v in variants:
+        q = window_density(spec.order, v)
+        shift = 1 if v == "plus" else 0
+        windows.append(q)
+        keys.append(key(rotations(q.x << shift, n), rotations(q.z << shift, n), n).min(axis=0))
+    keys = np.concatenate(keys)
+    rows = windows[0].coeffs
+    if spec.variant == "dif":
+        plus, minus = windows
+        rows = np.zeros((len(keys), max(plus.coeffs.shape[1], minus.coeffs.shape[1])), np.int64)
+        rows[: len(plus), : plus.coeffs.shape[1]] = plus.coeffs
+        rows[len(plus) :, : minus.coeffs.shape[1]] = -minus.coeffs
+    # a key sums at most one row per term of an orbit, from each variant
+    _check_bound(rows, len(variants) * n)
+    keys, rows = _sum_rows(keys, rows)
+    if spec.variant == "dif":
+        if rows[:, 0].any():
+            raise ValueError("Q+(0) != Q-(0): difference not divisible by delta")
+        rows = rows[:, 1:]
+    return PauliPolynomial.from_arrays(n, *unkey(keys, n), rows)
 
 
 def assemble(spec: ChargeSpec) -> PauliPolynomial:

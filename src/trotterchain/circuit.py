@@ -66,8 +66,8 @@ class InitialStateSpec:
     def __post_init__(self):
         if len(self.letters) != len(self.bits):
             raise ValueError("letters and bits must have equal length")
-        if any(ch not in "XYZ" for ch in self.letters):
-            raise ValueError("initial-state letters must be X, Y or Z")
+        if not isinstance(self.letters, str) or any(ch not in "XYZ" for ch in self.letters):
+            raise ValueError(f"initial-state letters are one string of X, Y, Z: {self.letters!r}")
         if not all(isinstance(b, Integral) and not isinstance(b, bool) for b in self.bits):
             raise ValueError("bits must be integers, not bools or floats")
         if any(b not in (0, 1) for b in self.bits):

@@ -64,11 +64,14 @@ class ConfigError(ValueError):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """A finite real: no bool, and not the NaN or Infinity that ``json.load`` accepts."""
+    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) < np.inf
 
 
-# field annotation -> the type its value must have; a bool is no number
-_FIELD_TYPES = {"int": Integral, "int | None": (Integral, type(None)), "float": Real, "bool": bool}
+# field annotation -> the type its value must have; a bool is no number, a float is finite
+_FIELD_TYPES = {
+    "int": Integral, "int | None": (Integral, type(None)), "float": Real, "bool": bool, "dict": dict
+}
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             kind, value = _FIELD_TYPES.get(f.type), getattr(self, f.name)
-            if kind and not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
+            ok = not kind or isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+            if not ok or kind is Real and not _is_number(value):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         for name, low in (("depth_max", 0), ("shots_total", 1), ("seed", 0), ("fit_window", 2)):
             value = getattr(self, name)

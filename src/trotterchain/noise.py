@@ -37,7 +37,7 @@ class KrausChannel:
                 raise ValueError(f"Kraus operator shape {op.shape} != (2,2)")
             acc += op.conj().T @ op
             chi += np.einsum("ab,cd->acbd", op, op.conj())
-        if np.abs(acc - np.eye(2)).max() > COMPLETENESS_TOL:
+        if not np.abs(acc - np.eye(2)).max() <= COMPLETENESS_TOL:  # NaN fails too
             raise ValueError("Kraus completeness violated beyond 1e-12")
         object.__setattr__(self, "superop", chi)
 
@@ -52,7 +52,7 @@ def depolarizing(p: float) -> KrausChannel:
 
 def amp_phase_damping(lambda_a: float, lambda_p: float) -> KrausChannel:
     """Combined amplitude-and-phase damping with rates (lambda_a, lambda_p)."""
-    if lambda_a < 0 or lambda_p < 0 or lambda_a + lambda_p > 1:
+    if not (lambda_a >= 0 and lambda_p >= 0 and lambda_a + lambda_p <= 1):  # NaN fails too
         raise ValueError("need lambda_a, lambda_p >= 0 and lambda_a + lambda_p <= 1")
     d1 = np.array([[1, 0], [0, np.sqrt(1 - lambda_a - lambda_p)]], dtype=complex)
     d2 = np.array([[0, np.sqrt(lambda_a)], [0, 0]], dtype=complex)

@@ -463,6 +463,61 @@ def test_perturbed_density_is_rejected_by_both_boosts(order, variant, block, dat
             _reference_boost_step(bad, order, variant)
 
 
+def _unique_sums(keys, rows):
+    """The oracle of a segment sum: distinct sorted keys and each one's rows added by np.add.at."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    sums = np.zeros((len(distinct), rows.shape[-1]), dtype=np.int64)
+    np.add.at(sums, inverse, rows)
+    return distinct, sums
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_segment_sums_add_unsorted_keys_by_original_position(block):
+    rng = np.random.default_rng(block)
+    keys = rng.integers(0, 9, 40)  # unsorted, every key repeated
+    rows = rng.integers(-50, 50, (40, 3))
+    calls = []
+
+    def rows_of(i):
+        calls.append(i)
+        return rows[i]
+
+    with mock.patch.object(charges, "_BLOCK", block):
+        blocks = list(charges._segment_sums(keys, rows_of))
+    want_keys, want = _unique_sums(keys, rows)
+    assert np.array_equal(np.concatenate([k for k, _ in blocks]), want_keys)
+    assert np.array_equal(np.concatenate([s for _, s in blocks]), want)
+    # rows_of sees each original position once, in key order, and a block
+    # holds at least ``block`` positions unless it is the last one
+    positions = np.concatenate(calls)
+    assert np.array_equal(np.sort(positions), np.arange(len(keys)))
+    assert np.all(np.diff(keys[positions]) >= 0)
+    assert all(len(i) >= block for i in calls[:-1])
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_segment_sums_broadcast_rows_over_a_leading_key_axis(block):
+    # the form of assemble and from_terms: keys (W, T), one row per column t
+    rng = np.random.default_rng(10 + block)
+    keys = rng.integers(0, 12, (4, 10))
+    rows = rng.integers(-9, 9, (10, 2))
+    with mock.patch.object(charges, "_BLOCK", block):
+        blocks = list(charges._segment_sums(keys.ravel(), lambda i: rows[i % len(rows)]))
+        summed = charges._sum_rows(keys, rows)
+    want_keys, want = _unique_sums(keys.ravel(), np.tile(rows, (4, 1)))
+    assert np.array_equal(np.concatenate([k for k, _ in blocks]), want_keys)
+    assert np.array_equal(np.concatenate([s for _, s in blocks]), want)
+    assert np.array_equal(summed[0], want_keys) and np.array_equal(summed[1], want)
+
+
+@pytest.mark.parametrize("order", [True, 2.0, 1.5, "2"])
+def test_window_density_rejects_orders_that_are_not_integers(order):
+    for k in (1, 2):  # memoized int orders must not answer for True or 2.0
+        window_density(k, "plus")
+    with pytest.raises(ValueError, match="order must be an integer >= 1"):
+        window_density(order, "plus")
+
+
 def test_window_densities_match_pinned_digest():
     docs = [window_density(k, "plus").to_dict(k, "plus") for k in range(1, 6)]
     digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()

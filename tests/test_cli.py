@@ -64,6 +64,9 @@ BAD_CONFIG = {
     "seed a float": {"seed": 1.5},
     "seed negative": {"seed": -1},
     "alpha a string": {"alpha": "0.3"},
+    "alpha NaN": {"alpha": float("nan")},
+    "alpha Infinity": {"alpha": float("inf")},
+    "beta_star NaN": {"beta_star": float("nan")},
     "beta_star a bool": {"beta_star": True},
     "exact_reference an int": {"exact_reference": 1},
     "charge order a string": {"charges": [["x", "plus"]]},
@@ -76,6 +79,7 @@ BAD_CONFIG = {
     "initial-state without bits": {"initial_state": {"letters": "ZZZZ"}},
     "initial-state bit true": {"initial_state": {"letters": "ZZZZ", "bits": [True, 0, 1, 0]}},
     "initial-state bit 1.0": {"initial_state": {"letters": "ZZZZ", "bits": [1, 0, 1.0, 0]}},
+    "initial-state letter list": {"initial_state": {"letters": list("ZZZZ"), "bits": [0, 1, 0, 1]}},
     "fit_window a float": {"fit_window": 2.5},
     "fit_window a bool": {"fit_window": True},
     "fit_window 1": {"fit_window": 1},
@@ -91,6 +95,8 @@ def test_config_types_rejected_at_load(case):
 
 BAD_NOISE = {
     "bogus kind": {"kind": "bogus"},
+    "noise not an object": "depolarizing",
+    "damping lambda_a NaN": {"kind": "damping", "lambda_a": float("nan")},
     "p1 above 1": {"kind": "depolarizing", "p1": 1.5, "p2": 0.013},
     "damping rates above 1": {"kind": "damping", "lambda_a": 0.8, "lambda_p": 0.8},
     "readout flip above 1": {"kind": "none", "readout_flip": 1.5},

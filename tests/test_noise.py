@@ -52,6 +52,15 @@ def test_damping_rate_range():
         amp_phase_damping(0.6, 0.6)
 
 
+def test_nan_channels_are_rejected():
+    # a NaN compares False with every bound, so a check written as "> tol" would pass it
+    with pytest.raises(ValueError, match="completeness"):
+        KrausChannel((np.full((2, 2), np.nan),))
+    for rates in ((np.nan, 0.01), (0.01, np.nan), (np.nan, np.nan)):
+        with pytest.raises(ValueError):
+            amp_phase_damping(*rates)
+
+
 def test_unitality():
     assert np.abs(kraus_apply(depolarizing(0.3).operators, np.eye(2)) - np.eye(2)).max() < 1e-12
     moved = kraus_apply(amp_phase_damping(0.2, 0.1).operators, np.eye(2))
