@@ -20,13 +20,17 @@ integer polynomials in the Trotter step ``delta``.  The module provides
   W = c |orbit|, and only representatives are multiplied with the block:
   132 / 876 / 6,996 / 53,940 / 408,596 products on rungs 1->2 to 5->6,
   against 504 / 4,968 / 41,184 / 322,848 / 2,450,256 for every string.
-  The full density is expanded from its representatives on return;
+  :func:`window_density` expands the full density from its representatives;
 - :func:`periodic_density`, the charge on N sites with one string per
-  two-site translation orbit (memoized), and :func:`assemble`, its sum over
-  the N/2 two-site rotations.  :func:`sim.exact_expectation` evaluates the
-  periodic density on every rotation of the state, so an expectation never
-  needs the assembled charge, which is N/2 times longer; its values match
-  the assembled charge summed term by term to round-off, not bit for bit;
+  two-site translation orbit (memoized), summed straight from the letter
+  orbits into one exact-size array, with no expanded window density: cold
+  Q7+ at N=16 peaks at 326 MB ``ru_maxrss``, against 675 MB when the window
+  density was expanded first (``tests/charge_memory.py``, one process per
+  call); and :func:`assemble`, its sum over the N/2 two-site rotations.
+  :func:`sim.exact_expectation` evaluates the periodic density on every
+  rotation of the state, so an expectation never needs the assembled
+  charge, which is N/2 times longer; its values match the assembled charge
+  summed term by term to round-off, not bit for bit;
 - dense helpers (:func:`to_matrix`, :func:`transfer_matrix`,
   :func:`step_unitary`) used for verification.
 
@@ -95,12 +99,20 @@ class PauliPolynomial:
 
         ``coeffs[i, m]`` is the integer coefficient of delta^m on the string
         with masks ``(xs[i], zs[i])``.  The rows must have distinct keys sorted
-        by (x, z).
+        by (x, z).  The arrays are copied only when a row or a column is
+        dropped; otherwise the polynomial keeps the caller's arrays and locks
+        them (read-only), so a large charge is never held twice.
         """
         nonzero = coeffs != 0
-        keep = np.flatnonzero(nonzero.any(axis=1))
+        rows = nonzero.any(axis=1)
         cols = np.flatnonzero(nonzero.any(axis=0))
-        xs, zs, coeffs = xs[keep], zs[keep], coeffs[keep, : cols[-1] + 1 if len(cols) else 0]
+        del nonzero
+        width = cols[-1] + 1 if len(cols) else 0
+        if not rows.all():
+            keep = np.flatnonzero(rows)
+            xs, zs, coeffs = xs[keep], zs[keep], coeffs[keep, :width]
+        elif width < coeffs.shape[1]:
+            coeffs = coeffs[:, :width].copy()
         if np.any((xs == 0) & (zs == 0)):
             raise ValueError("identity term in a traceless charge")
         if np.any((xs[1:] < xs[:-1]) | ((xs[1:] == xs[:-1]) & (zs[1:] <= zs[:-1]))):
@@ -261,7 +273,8 @@ def _high_bit(m):
 
 def _check_bound(coeffs: np.ndarray, factor: int):
     """Raise OverflowError unless ``factor`` times the largest |coefficient| fits int64."""
-    peak = int(np.abs(coeffs).max(initial=0))
+    # no np.abs: it wraps -2**63 onto itself
+    peak = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0)))
     if peak * factor > np.iinfo(np.int64).max:
         raise OverflowError(
             f"coefficients up to {peak} could overflow int64 (bound factor {factor})"
@@ -282,17 +295,37 @@ def _segment_sums(keys, rows_of):
     The keys are argsorted once and taken in sorted blocks of at least
     ``_BLOCK`` positions (fewer at the end), each cut where a run of equal
     keys ends, and each block's runs are summed by one ``np.add.reduceat``:
-    exact integer sums.  Yields, per block, the distinct keys in ascending
-    order and their sums.
+    exact integer sums.  Returns the number of distinct keys and a
+    generator that yields, per block, the distinct keys in ascending order
+    and their sums.
     """
     order = np.argsort(keys)
     keys = keys[order]
+    runs = int(np.count_nonzero(keys[1:] != keys[:-1])) + (len(keys) > 0)
+
+    def blocks():
+        a = 0
+        while a < len(keys):
+            b = int(np.searchsorted(keys, keys[min(a + _BLOCK, len(keys)) - 1], side="right"))
+            starts = np.flatnonzero(np.diff(keys[a:b], prepend=-1))  # keys are >= 0
+            yield keys[a:b][starts], np.add.reduceat(rows_of(order[a:b]), starts, axis=-2)
+            a = b
+
+    return runs, blocks()
+
+
+def _joined_sums(keys, rows_of, width: int):
+    """The distinct sorted keys and their row sums (see :func:`_segment_sums`),
+    each block written into exact-size arrays: no block is held twice."""
+    runs, blocks = _segment_sums(keys, rows_of)
+    distinct = np.empty(runs, np.int64)
+    sums = np.empty((runs, width), np.int64)
     a = 0
-    while a < len(keys):
-        b = int(np.searchsorted(keys, keys[min(a + _BLOCK, len(keys)) - 1], side="right"))
-        starts = np.flatnonzero(np.diff(keys[a:b], prepend=-1))  # keys are >= 0
-        yield keys[a:b][starts], np.add.reduceat(rows_of(order[a:b]), starts, axis=-2)
-        a = b
+    for block_keys, block_sums in blocks:
+        distinct[a : a + len(block_keys)] = block_keys
+        sums[a : a + len(block_keys)] = block_sums
+        a += len(block_keys)
+    return distinct, sums
 
 
 def _sum_rows(keys, rows):
@@ -301,11 +334,7 @@ def _sum_rows(keys, rows):
     ``rows`` broadcasts against ``keys``: keys of shape (W, T) take rows of
     shape (T, D), the same row for every leading index.
     """
-    blocks = list(_segment_sums(keys.ravel(), lambda i: rows[i % len(rows)]))
-    return (
-        np.concatenate([np.zeros(0, np.int64)] + [k for k, _ in blocks]),
-        np.concatenate([np.zeros((0, rows.shape[-1]), np.int64)] + [s for _, s in blocks]),
-    )
+    return _joined_sums(keys.ravel(), lambda i: rows[i % len(rows)], rows.shape[-1])
 
 
 # One boost block, anchored at l, on the sites A=2l-3, B=2l-2, C=2l-1, D=2l;
@@ -457,7 +486,7 @@ def _boost_orbits(x, z, w, order: int, variant: str):
         return rows
 
     obstructed, blocks = 0, []
-    for block_keys, (obstruction, sums) in _segment_sums(keys, rows_of):
+    for block_keys, (obstruction, sums) in _segment_sums(keys, rows_of)[1]:
         obstructed += np.count_nonzero(obstruction.any(axis=1))
         keep = sums.any(axis=1)
         blocks.append((block_keys[keep], sums[keep]))
@@ -584,37 +613,75 @@ def charge_label(order: int, variant: str) -> str:
     return f"Q{order}{suffix}"
 
 
+def _smallest_rotation(x, z, n_sites: int):
+    """The smallest :func:`key` among the N/2 two-site rotations of each
+    string, taken one rotation at a time."""
+    full = (1 << n_sites) - 1
+    smallest = key(x, z, n_sites)
+    for k in range(2, n_sites, 2):
+        rx = ((x << k) | (x >> (n_sites - k))) & full
+        rz = ((z << k) | (z >> (n_sites - k))) & full
+        np.minimum(smallest, key(rx, rz, n_sites), out=smallest)
+    return smallest
+
+
 @functools.cache
 def periodic_density(spec: ChargeSpec) -> PauliPolynomial:
     """One string per two-site translation orbit of the charge, on N sites.
 
     Summed over the N/2 two-site rotations R^(2j) it gives :func:`assemble`,
     integer for integer.  Window bit 0 goes to chain bit 1 for ``plus``
-    (windows start on even sites), to bit 0 for ``minus``; one segment sum
-    adds each window term on the smallest ``(x, z)`` key among its N/2
-    rotations (no term wraps onto itself: a window is shorter than the
-    chain).  ``dif`` sums the plus and the negated minus terms together and
-    divides by delta exactly.  Memoized in this process; the result is
-    immutable.
+    (windows start on even sites), to bit 0 for ``minus``.  The density is
+    summed straight from the letter orbits of the window density (see
+    :func:`_window_orbits`), never expanded: each representative's six
+    :func:`letter_images`, placed on the chain, are keyed by the smallest
+    ``(x, z)`` key among their N/2 rotations (no term wraps onto itself: a
+    window is shorter than the chain), and one segment sum adds the signed
+    W rows of the representatives on those keys.  A string of an orbit of
+    size s arises as an image 6/s times, each with W = c s, so every sum is
+    6 times the charge's and is divided by 6 exactly; a W that its orbit's
+    size does not divide raises GaugeError first.  ``dif``
+    sums the plus and the negated minus orbits together and divides by
+    delta exactly.  The sums are written into one exact-size array that the
+    result keeps.  Memoized in this process; the result is immutable.
     """
     n = spec.n_sites
+    window = 2 * spec.order + 1
     variants = ("plus", "minus") if spec.variant == "dif" else (spec.variant,)
-    windows, keys = [], []
-    for v in variants:
-        q = window_density(spec.order, v)
-        shift = 1 if v == "plus" else 0
-        windows.append(q)
-        keys.append(key(rotations(q.x << shift, n), rotations(q.z << shift, n), n).min(axis=0))
-    keys = np.concatenate(keys)
-    rows = windows[0].coeffs
+    orbits = [_window_orbits(spec.order, v) for v in variants]
+    width = max(w.shape[1] for _, _, w in orbits)
     if spec.variant == "dif":
-        plus, minus = windows
-        rows = np.zeros((len(keys), max(plus.coeffs.shape[1], minus.coeffs.shape[1])), np.int64)
-        rows[: len(plus), : plus.coeffs.shape[1]] = plus.coeffs
-        rows[len(plus) :, : minus.coeffs.shape[1]] = -minus.coeffs
-    # a key sums at most one row per term of an orbit, from each variant
-    _check_bound(rows, len(variants) * n)
-    keys, rows = _sum_rows(keys, rows)
+        (_, _, plus), (_, _, minus) = orbits
+        w = np.zeros((len(plus) + len(minus), width), np.int64)
+        w[: len(plus), : plus.shape[1]] = plus
+        w[len(plus) :, : minus.shape[1]] = -minus
+    else:
+        w = orbits[0][2]
+    keys, signs, reps, offset = [], [], [], 0
+    for v, (x, z, w_v) in zip(variants, orbits):
+        images = letter_images(x, z)
+        own = key(x, z, window)
+        size = 6 // sum(key(ix, iz, window) == own for ix, iz, _ in images)
+        if np.any(w_v % size[:, None]):
+            raise GaugeError("a letter orbit's row is not divisible by the orbit's size")
+        shift = 1 if v == "plus" else 0
+        for ix, iz, sign in images:
+            keys.append(_smallest_rotation(ix << shift, iz << shift, n))
+            signs.append(np.broadcast_to(sign, x.shape).astype(np.int8))
+        reps.append(np.tile(np.arange(offset, offset + len(x), dtype=np.int32), 6))
+        offset += len(x)
+    keys, signs, reps = (np.concatenate(a) for a in (keys, signs, reps))
+    # a key sums at most six images of each of the N/2 rotations of a
+    # string, from each variant
+    _check_bound(w, 3 * n * len(variants))
+
+    def rows_of(i):
+        rows = w[reps[i]]
+        rows *= signs[i, None]
+        return rows
+
+    keys, rows = _joined_sums(keys, rows_of, width)
+    rows //= 6
     if spec.variant == "dif":
         if rows[:, 0].any():
             raise ValueError("Q+(0) != Q-(0): difference not divisible by delta")

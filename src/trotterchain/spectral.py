@@ -111,7 +111,6 @@ def fixed_point(op: SuperOperator) -> DensityMatrix:
         )
     dim = 1 << op.n_sites
     rho = from_pauli_spectrum(vecs[:, at_one[0]].real.reshape(dim, dim)).entries
-    rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
     out = DensityMatrix(op.n_sites, rho)
     out.check()

@@ -483,8 +483,10 @@ def test_segment_sums_add_unsorted_keys_by_original_position(block):
         return rows[i]
 
     with mock.patch.object(charges, "_BLOCK", block):
-        blocks = list(charges._segment_sums(keys, rows_of))
+        runs, blocks = charges._segment_sums(keys, rows_of)
+        blocks = list(blocks)
     want_keys, want = _unique_sums(keys, rows)
+    assert runs == len(want_keys)
     assert np.array_equal(np.concatenate([k for k, _ in blocks]), want_keys)
     assert np.array_equal(np.concatenate([s for _, s in blocks]), want)
     # rows_of sees each original position once, in key order, and a block
@@ -502,7 +504,7 @@ def test_segment_sums_broadcast_rows_over_a_leading_key_axis(block):
     keys = rng.integers(0, 12, (4, 10))
     rows = rng.integers(-9, 9, (10, 2))
     with mock.patch.object(charges, "_BLOCK", block):
-        blocks = list(charges._segment_sums(keys.ravel(), lambda i: rows[i % len(rows)]))
+        blocks = list(charges._segment_sums(keys.ravel(), lambda i: rows[i % len(rows)])[1])
         summed = charges._sum_rows(keys, rows)
     want_keys, want = _unique_sums(keys.ravel(), np.tile(rows, (4, 1)))
     assert np.array_equal(np.concatenate([k for k, _ in blocks]), want_keys)
@@ -672,6 +674,50 @@ def test_periodic_density_sums_to_the_window_sum(n_sites):
             assert dense_oracle.window_sum(spec, orbit_keys_only=True) == want, spec
 
 
+def _expanded_periodic_density(spec):
+    """The route that periodic_density replaced: expand each window density,
+    key every term by the smallest of its N/2 two-site rotations, sum once."""
+    n = spec.n_sites
+    variants = ("plus", "minus") if spec.variant == "dif" else (spec.variant,)
+    keys, rows = [], []
+    for v in variants:
+        q = charges._expand(2 * spec.order + 1, *charges._window_orbits(spec.order, v))
+        shift = 1 if v == "plus" else 0
+        keys.append(key(rotations(q.x << shift, n), rotations(q.z << shift, n), n).min(axis=0))
+        rows.append(-q.coeffs if spec.variant == "dif" and v == "minus" else q.coeffs)
+    width = max(r.shape[1] for r in rows)
+    rows = np.concatenate([np.pad(r, ((0, 0), (0, width - r.shape[1]))) for r in rows])
+    keys, rows = charges._sum_rows(np.concatenate(keys), rows)
+    if spec.variant == "dif":
+        assert not rows[:, 0].any()
+        rows = rows[:, 1:]
+    return PauliPolynomial.from_arrays(n, keys >> n, keys & ((1 << n) - 1), rows)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 4), st.sampled_from(VARIANTS), st.data())
+def test_periodic_density_matches_the_expanded_window_route(order, variant, data):
+    # summed from the letter-orbit representatives, divided by 6 exactly
+    spec = ChargeSpec(order, variant, 2 * data.draw(st.integers(order + 1, 15), label="N/2"))
+    assert periodic_density(spec) == _expanded_periodic_density(spec)
+
+
+def _density_of_one_orbit(w: int):
+    # ZZ on window sites 1, 2 as the one representative, of the orbit XX, YY,
+    # ZZ (size 3), with the row W = w
+    zz = (np.array([0]), np.array([0b011]), np.array([[w]]))
+    with mock.patch.object(charges, "_window_orbits", lambda order, variant: zz):
+        return periodic_density.__wrapped__(ChargeSpec(1, "plus", 4))
+
+
+def test_periodic_density_rejects_a_row_its_orbit_size_does_not_divide():
+    with pytest.raises(GaugeError, match="divisible"):
+        _density_of_one_orbit(4)
+    q = _density_of_one_orbit(3)  # XX + YY + ZZ on sites 2, 3, in (x, z) order
+    assert [s.letters() for s in q.terms] == ["IZZI", "IXXI", "IYYI"]
+    assert q.coeffs.tolist() == [[1]] * 3
+
+
 def test_charge_spec_validation():
     with pytest.raises(ValueError):
         ChargeSpec(1, "plus", 4 + 1)  # odd chain
@@ -833,6 +879,16 @@ def test_from_arrays_builds_sorted_terms_and_rejects_bad_rows():
         PauliPolynomial.from_arrays(2, np.array([0]), np.array([0]), np.array([[1]]))
 
 
+def test_from_arrays_copies_only_what_it_drops():
+    xs, zs, coeffs = np.array([1, 2]), np.array([0, 1]), np.array([[1, 0], [2, 3]])
+    q = PauliPolynomial.from_arrays(2, xs, zs, coeffs)
+    assert q.x is xs and q.z is zs and q.coeffs is coeffs  # kept and locked
+    assert not any(a.flags.writeable for a in (xs, zs, coeffs))
+    trailing = np.array([[1, 0], [2, 0]])
+    q = PauliPolynomial.from_arrays(2, np.array([1, 2]), np.array([0, 1]), trailing)
+    assert q.coeffs.tolist() == [[1], [2]] and trailing.flags.writeable
+
+
 def test_assemble_cached_round_trip():
     spec = ChargeSpec(1, "plus", 6)
     first = assemble_cached(spec)
@@ -872,6 +928,8 @@ def test_from_terms_sums_folds_phase_and_rejects_bad_terms():
             PauliPolynomial.from_terms(2, [bad])
     with pytest.raises(OverflowError):
         PauliPolynomial.from_terms(2, [(zz, (1 << 62,))] * 2)
+    with pytest.raises(OverflowError):  # np.abs wraps -2**63 onto itself
+        PauliPolynomial.from_terms(2, [(zz, (-(1 << 63),))] * 2)
 
 
 @settings(deadline=None)

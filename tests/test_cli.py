@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,6 +165,20 @@ def test_exact_decay_series_never_assembles_a_charge(monkeypatch):
     doc = base_config(engine="pure", noise={"kind": "none"}, charges=[[1, "plus"], [1, "dif"]])
     series = cli.exact_decay_series(ExperimentConfig.from_dict(doc))
     assert list(series) == ["Q1+", "Q1dif"] and all(len(v) == 4 for v in series.values())
+
+
+def test_exact_decay_series_never_expands_a_window_density(monkeypatch):
+    # a periodic density is summed straight from the letter-orbit
+    # representatives; expanding the window density first held the charge
+    # twice (fresh memos, so that the densities are built inside the spy)
+    for module, name in ((sim, "periodic_density"), (charges, "window_density")):
+        monkeypatch.setattr(module, name, functools.cache(getattr(charges, name).__wrapped__))
+    doc = base_config(
+        n_sites=6, engine="pure", noise={"kind": "none"}, charges=[[1, "plus"], [2, "dif"]]
+    )
+    with mock.patch.object(charges, "_expand", wraps=charges._expand) as spy:
+        series = cli.exact_decay_series(ExperimentConfig.from_dict(doc))
+    assert list(series) == ["Q1+", "Q2dif"] and spy.call_count == 0
 
 
 def test_decay_table_reads_each_state_once(monkeypatch):
