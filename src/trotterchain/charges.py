@@ -20,17 +20,19 @@ integer polynomials in the Trotter step ``delta``.  The module provides
   W = c |orbit|, and only representatives are multiplied with the block:
   132 / 876 / 6,996 / 53,940 / 408,596 products on rungs 1->2 to 5->6,
   against 504 / 4,968 / 41,184 / 322,848 / 2,450,256 for every string.
-  :func:`window_density` expands the full density from its representatives;
+  One sum turns representatives into strings, each the signed W rows of
+  its six letter images over 6: :func:`window_density` keys them on the
+  window (cold order 7: 1.3-2.1 s, 304-306 MB ``ru_maxrss``);
 - :func:`periodic_density`, the charge on N sites with one string per
-  two-site translation orbit (memoized), summed straight from the letter
-  orbits into one exact-size array, with no expanded window density: cold
-  Q7+ at N=16 peaks at 326 MB ``ru_maxrss``, against 675 MB when the window
-  density was expanded first (``tests/charge_memory.py``, one process per
-  call); and :func:`assemble`, its sum over the N/2 two-site rotations.
-  :func:`sim.exact_expectation` evaluates the periodic density on every
-  rotation of the state, so an expectation never needs the assembled
-  charge, which is N/2 times longer; its values match the assembled charge
-  summed term by term to round-off, not bit for bit;
+  two-site translation orbit (memoized), keys them by their smallest
+  rotation on the chain (cold Q7+ at N=16: 1.6-2.5 s, 304-305 MB), with no
+  expanded window density; and :func:`assemble`, its sum over the N/2
+  two-site rotations (times and peaks: ``tests/charge_memory.py``, one
+  process per call, ``taskset -c 1``, seven rounds).  :func:`sim.exact_expectation`
+  evaluates the periodic density on every rotation of the state, so an
+  expectation never needs the assembled charge, which is N/2 times longer;
+  its values match the assembled charge summed term by term to round-off,
+  not bit for bit;
 - dense helpers (:func:`to_matrix`, :func:`transfer_matrix`,
   :func:`step_unitary`) used for verification.
 
@@ -381,30 +383,52 @@ def _orbits(q: PauliPolynomial):
     return (*unkey(rep[starts], q.n_sites), signed[starts] * size[starts, None])
 
 
-def _expand(n_sites: int, x, z, w) -> PauliPolynomial:
-    """The density whose letter orbits are the representatives ``(x, z)``
-    with rows ``w`` (see :func:`_orbits`).
+def _image_sums(n_sites: int, parts, key_of, copies: int):
+    """The distinct sorted keys and row sums of the strings of letter orbits.
 
-    The six images of every representative are keyed and sorted together,
-    duplicates (images under a map that fixes the representative) dropped,
-    and each string's row gathered once from W / |orbit|; a remainder in
-    that division raises GaugeError.
+    Each part ``(x, z, w, sign, shift)`` holds representatives ``(x, z)``
+    with rows ``w`` (see :func:`_orbits`), counted with ``sign`` and moved
+    up ``shift`` bits; ``key_of(x, z, n_sites)`` keys a string, and a key
+    sums at most ``copies`` rows of ``w``.  A string of an orbit of size s
+    is one of its representative's six :func:`letter_images` 6/s times,
+    each with W = c s, so :func:`_joined_sums` of the images' signed rows
+    is 6 c, divided by 6 exactly.  A W that its orbit's size (from
+    :func:`letter_orbit`) does not divide raises GaugeError first.
     """
-    images = letter_images(x, z)
-    keys = np.concatenate([key(ix, iz, n_sites) for ix, iz, _ in images])
-    signs = np.concatenate([np.broadcast_to(s, x.shape) for _, _, s in images])
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    keys, pick = keys[first], order[first]
-    rep = pick % len(x)
-    coeffs, remainder = np.divmod(w, np.bincount(rep, minlength=len(x))[:, None])
-    if remainder.any():
-        raise GaugeError("a letter orbit's row is not divisible by the orbit's size")
-    del remainder
-    coeffs = coeffs[rep]
-    coeffs *= signs[pick, None]
-    return PauliPolynomial(n_sites, *unkey(keys, n_sites), coeffs)
+    width = max(w.shape[1] for _, _, w, _, _ in parts)
+    for x, z, w, _, _ in parts:
+        if np.any(w % letter_orbit(x, z, n_sites)[2][:, None]):
+            raise GaugeError("a letter orbit's row is not divisible by the orbit's size")
+    w = parts[0][2]
+    if len(parts) > 1:
+        w = np.concatenate([np.pad(p[2], ((0, 0), (0, width - p[2].shape[1]))) for p in parts])
+    _check_bound(w, copies)
+    # image-major, so the image at position i is of representative i % len(w)
+    images = [letter_images(x, z) for x, z, _, _, _ in parts]
+    keys, signs = [], []
+    for m in range(6):
+        for (x, _, _, sign, shift), image in zip(parts, images):
+            ix, iz, s = image[m]
+            keys.append(key_of(ix << shift, iz << shift, n_sites))
+            signs.append(np.broadcast_to(s * sign, x.shape).astype(np.int8))
+    del images
+    keys, signs = np.concatenate(keys), np.concatenate(signs)
+
+    def rows_of(i):
+        rows = w.take(i % len(w), axis=0)
+        rows *= signs[i, None]
+        return rows
+
+    keys, rows = _joined_sums(keys, rows_of, width)
+    rows //= 6
+    return keys, rows
+
+
+def _expand(n_sites: int, x, z, w) -> PauliPolynomial:
+    """The window density whose letter orbits are the representatives
+    ``(x, z)`` with rows ``w``: :func:`_image_sums` on window keys."""
+    keys, rows = _image_sums(n_sites, [(x, z, w, 1, 0)], key, 6)
+    return PauliPolynomial(n_sites, *unkey(keys, n_sites), rows)
 
 
 def _boost_orbits(x, z, w, order: int, variant: str):
@@ -485,6 +509,9 @@ def _boost_orbits(x, z, w, order: int, variant: str):
         np.multiply(rows[0], lever[i].astype(np.int64)[:, None], out=rows[1])
         return rows
 
+    # Filter per block, not after one exact-size sum: that sum would hold the
+    # obstruction half and the zero rows (485,404 runs for 214,738 orbits on
+    # rung 6 -> 7), 169 -> 277 MB ru_maxrss, and leave 96 MB resident, not 99.
     obstructed, blocks = 0, []
     for block_keys, (obstruction, sums) in _segment_sums(keys, rows_of)[1]:
         obstructed += np.count_nonzero(obstruction.any(axis=1))
@@ -521,7 +548,7 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     product's support; so each (anchor, block monomial, representative)
     product is collapsed, mapped to its own orbit's representative with the
     map's sign, and added there: W_out += sign * a * W, integers throughout.
-    The output is expanded by dividing each W by its orbit's size exactly.
+    The output is expanded by :func:`_image_sums`.
 
     Each product is built once: its collapsed representative key and a
     narrow payload (int32 row of the term moved up the monomial's delta
@@ -533,8 +560,9 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     and no obstruction matrix the size of the result are held at once; the
     transient memory is about 31 bytes per product (the key, its sorted
     copy, the sort order and the payload), about six times fewer products
-    than strings would give.  Cold order 7 peaks at about 350 MB of
-    resident memory, most of it the expanded result.
+    than strings would give.  The cold boost to order 7 peaks at 170 MB
+    ``ru_maxrss`` and leaves 99 MB resident for 32 MB of orbit arrays; the
+    expanded result takes it to 304-306 MB (``tests/charge_memory.py``).
     """
     if q_n.n_sites != 2 * order + 1:
         raise ValueError("density window does not match its order")
@@ -595,6 +623,8 @@ class ChargeSpec:
             raise ValueError(f"order must be an integer, got {self.order!r}")
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if not isinstance(self.n_sites, Integral) or isinstance(self.n_sites, bool):
+            raise ValueError(f"chain length must be an integer, got {self.n_sites!r}")
         if self.n_sites % 2:
             raise ValueError("chain length must be even")
         if self.n_sites <= 2 * self.order + 1:
@@ -631,57 +661,23 @@ def periodic_density(spec: ChargeSpec) -> PauliPolynomial:
 
     Summed over the N/2 two-site rotations R^(2j) it gives :func:`assemble`,
     integer for integer.  Window bit 0 goes to chain bit 1 for ``plus``
-    (windows start on even sites), to bit 0 for ``minus``.  The density is
-    summed straight from the letter orbits of the window density (see
-    :func:`_window_orbits`), never expanded: each representative's six
-    :func:`letter_images`, placed on the chain, are keyed by the smallest
-    ``(x, z)`` key among their N/2 rotations (no term wraps onto itself: a
-    window is shorter than the chain), and one segment sum adds the signed
-    W rows of the representatives on those keys.  A string of an orbit of
-    size s arises as an image 6/s times, each with W = c s, so every sum is
-    6 times the charge's and is divided by 6 exactly; a W that its orbit's
-    size does not divide raises GaugeError first.  ``dif``
-    sums the plus and the negated minus orbits together and divides by
-    delta exactly.  The sums are written into one exact-size array that the
-    result keeps.  Memoized in this process; the result is immutable.
+    (windows start on even sites), to bit 0 for ``minus``.  Summed straight
+    from the letter orbits of :func:`_window_orbits` by :func:`_image_sums`,
+    keyed by the smallest of their N/2 rotations (no term wraps onto
+    itself: a window is shorter than the chain), never expanded; ``dif``
+    sums the plus and the negated minus orbits and divides by delta
+    exactly.  Cold Q6+ / Q7+ at N=16 take 0.22-0.29 / 1.6-2.5 s and peak at
+    67-69 / 304-305 MB ``ru_maxrss`` (``tests/charge_memory.py``, seven
+    rounds, ``taskset -c 1``).  Memoized; the result is immutable.
     """
     n = spec.n_sites
-    window = 2 * spec.order + 1
     variants = ("plus", "minus") if spec.variant == "dif" else (spec.variant,)
-    orbits = [_window_orbits(spec.order, v) for v in variants]
-    width = max(w.shape[1] for _, _, w in orbits)
-    if spec.variant == "dif":
-        (_, _, plus), (_, _, minus) = orbits
-        w = np.zeros((len(plus) + len(minus), width), np.int64)
-        w[: len(plus), : plus.shape[1]] = plus
-        w[len(plus) :, : minus.shape[1]] = -minus
-    else:
-        w = orbits[0][2]
-    keys, signs, reps, offset = [], [], [], 0
-    for v, (x, z, w_v) in zip(variants, orbits):
-        images = letter_images(x, z)
-        own = key(x, z, window)
-        size = 6 // sum(key(ix, iz, window) == own for ix, iz, _ in images)
-        if np.any(w_v % size[:, None]):
-            raise GaugeError("a letter orbit's row is not divisible by the orbit's size")
-        shift = 1 if v == "plus" else 0
-        for ix, iz, sign in images:
-            keys.append(_smallest_rotation(ix << shift, iz << shift, n))
-            signs.append(np.broadcast_to(sign, x.shape).astype(np.int8))
-        reps.append(np.tile(np.arange(offset, offset + len(x), dtype=np.int32), 6))
-        offset += len(x)
-    keys, signs, reps = (np.concatenate(a) for a in (keys, signs, reps))
+    # plus windows move up one site; dif is plus plus negated minus
+    sign = {"plus": 1, "minus": -1 if spec.variant == "dif" else 1}
+    parts = [(*_window_orbits(spec.order, v), sign[v], int(v == "plus")) for v in variants]
     # a key sums at most six images of each of the N/2 rotations of a
-    # string, from each variant
-    _check_bound(w, 3 * n * len(variants))
-
-    def rows_of(i):
-        rows = w[reps[i]]
-        rows *= signs[i, None]
-        return rows
-
-    keys, rows = _joined_sums(keys, rows_of, width)
-    rows //= 6
+    # string, from each part
+    keys, rows = _image_sums(n, parts, _smallest_rotation, 3 * n * len(parts))
     if spec.variant == "dif":
         if rows[:, 0].any():
             raise ValueError("Q+(0) != Q-(0): difference not divisible by delta")

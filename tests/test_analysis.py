@@ -74,6 +74,23 @@ def test_fit_early_linear_values():
     assert fit3.parameters["beta"] == pytest.approx(slope2, abs=1e-12)
 
 
+def test_fit_early_linear_error_is_the_textbook_ols_error():
+    # sigma_beta = sqrt(RSS / (k - 2) / sum (d - mean d)^2) on a noisy window
+    rng = np.random.default_rng(3)
+    d = np.arange(0.0, 9.0)
+    v0 = 2.5
+    y = v0 * (1.0 - 0.03 * d + rng.normal(0.0, 0.01, len(d)))
+    k = 6
+    fit = fit_early_linear(DecaySeries(d, y), window=k)
+    t, u = d[:k], y[:k] / y[0]
+    slope = np.sum((t - t.mean()) * (u - u.mean())) / np.sum((t - t.mean()) ** 2)
+    rss = np.sum((u - u.mean() - slope * (t - t.mean())) ** 2)
+    assert fit.parameters["beta"] == pytest.approx(-slope, rel=1e-10)
+    assert fit.std_errors["beta"] == pytest.approx(
+        np.sqrt(rss / (k - 2) / np.sum((t - t.mean()) ** 2)), rel=1e-10
+    )
+
+
 def test_fit_early_linear_rejects_zero_start():
     d = np.arange(0.0, 5.0)
     with pytest.raises(ValueError):

@@ -730,6 +730,15 @@ def test_charge_spec_validation():
             ChargeSpec(order, "plus", 8)
 
 
+def test_charge_spec_rejects_a_chain_length_that_is_no_integer():
+    # 8.0 hashes equal to 8, so it would read the memo of ChargeSpec(1, "plus", 8)
+    periodic_density(ChargeSpec(1, "plus", 8))
+    for n_sites in (8.0, "8", True):
+        with pytest.raises(ValueError, match="chain length must be an integer"):
+            ChargeSpec(1, "plus", n_sites)
+    assert ChargeSpec(1, "plus", np.int64(8)) == ChargeSpec(1, "plus", 8)
+
+
 def test_dif_charge_exact_division():
     q = assemble(ChargeSpec(1, "dif", 8))
     assert len(q) > 0  # division by delta succeeded, coefficients integer

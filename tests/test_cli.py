@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from trotterchain import charges, cli, sim, tomo
+from trotterchain import analysis, charges, cli, sim, tomo
 from trotterchain.charges import ChargeSpec, assemble
 from trotterchain.cli import ConfigError, ExperimentConfig
 
@@ -424,6 +424,21 @@ def test_fit_report_gives_the_window_the_fit_used():
     cfg = ExperimentConfig.from_dict(doc)
     report = cli.fit_report(cfg, cli.decay_table(cfg))
     assert report["Q1+"]["early_linear"]["window"] == 4
+
+
+def test_fit_report_fits_six_points_by_default():
+    # no fit_window: the early-linear fit keeps the first six of eight points
+    cfg = ExperimentConfig.from_dict(base_config(depth_max=7))
+    assert cfg.fit_window is None
+    d = np.arange(8.0)
+    values = np.exp(-0.05 * d)
+    rows = [(int(k), 1, "plus", 0.0, 0.0, float(v)) for k, v in zip(d, values)]
+    fit = cli.fit_report(cfg, rows)["Q1+"]["early_linear"]
+    assert fit["window"] == 6
+    want = analysis.fit_early_linear(analysis.DecaySeries(d[:6], values[:6]))
+    assert fit["parameters"] == want.parameters
+    seven = analysis.fit_early_linear(analysis.DecaySeries(d, values), 7)
+    assert fit["parameters"] != seven.parameters  # the series tells the windows apart
 
 
 # Every artifact of every verb on two small configs, pinned by sha256: the

@@ -145,6 +145,16 @@ def test_decay_rate(noiseless_op, depol_op):
     assert g2 > g1  # more noise decays faster
 
 
+def test_decay_rate_is_the_slowest_mode_of_the_pauli_transfer_matrix():
+    # -ln of the largest modulus strictly inside the unit circle, from the
+    # dense oracle's Pauli transfer matrix of the same noisy step
+    noise = depol_model(0.018, 0.018)
+    mods = np.abs(np.linalg.eigvals(pauli_transfer_matrix(build_step(N, ALPHA), noise)))
+    slowest = mods[mods < 1.0 - UNIT_EIGENVALUE_TOL].max()
+    got = decay_rate(spectrum(vectorize_step(build_step(N, ALPHA), noise)))
+    assert got == pytest.approx(-np.log(slowest), rel=1e-9)
+
+
 def test_powers_match_engine_trajectory(depol_op):
     model = depol_model(0.018, 0.018)
     circ = build_step(N, ALPHA)
