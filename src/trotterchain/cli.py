@@ -366,19 +366,18 @@ def mitigation_table(config: ExperimentConfig) -> list:
     prepared = evolve_noisy(build_circuit(init, config.alpha, 0), zero, noise)
     step = build_step(n, config.alpha)
     folds = [_steps(prepared, mitigate.zne_fold(step, k), config.depth_max, noise) for k in (0, 1)]
+    # every word's distribution, shaped (depth, fold, word, outcome), unfolded in one call
+    dists = np.array(
+        [[outcome_distribution(rho, plan.words, noise) for rho in states] for states in zip(*folds)]
+    )
+    fixed = mitigate.correct(dists.reshape(-1, dists.shape[-1]), calib).reshape(dists.shape)
+    raw = measure.exact_estimator_variance(dists[:, 0], plan, q, delta)
+    ones, threes = (measure.exact_estimator_variance(fixed[:, k], plan, q, delta) for k in (0, 1))
+    scale = abs(noiseless)
     rows = []
-    for d, states in enumerate(zip(*folds)):
-        dists = [outcome_distribution(rho, plan.words, noise) for rho in states]
-        raw, raw_sd = measure.exact_estimator_variance(dists[0], plan, q, delta)
-        (e1, s1), (e3, s3) = (
-            measure.exact_estimator_variance(
-                [mitigate.correct(p, calib) for p in fold], plan, q, delta
-            )
-            for fold in dists
-        )
+    for d, ((e, sd), (e1, s1), (e3, s3)) in enumerate(zip(raw, ones, threes)):
         mit, mit_sd = mitigate.zne_extrapolate(e1, e3), mitigate.zne_sigma(s1, s3)
-        scale = abs(noiseless)
-        rows.append((d, raw / noiseless, raw_sd / scale, mit / noiseless, mit_sd / scale, 1.0))
+        rows.append((d, e / noiseless, sd / scale, mit / noiseless, mit_sd / scale, 1.0))
     return rows
 
 

@@ -13,10 +13,11 @@ Words are plain ``str``; :func:`contains` checks the letters of the word it
 is given.  The estimators read :mod:`sim`'s output in plan order:
 :func:`estimate` takes the ``(indices, counts)`` pairs of :func:`sim.sample`,
 :func:`exact_estimator_variance` the rows of :func:`sim.outcome_distribution`,
-one per plan word.  :func:`estimate` reads each word's shot count n_W off
-its counts; :func:`exact_estimator_variance` takes the plan's
-``shots_per_word``.  Basis indices ascend, site ``j`` on bit ``j-1``; no
-outcome is ever written as a bitstring.
+one per plan word, or a stack of such tables, one per state, which share
+one coverage and one set of parity signs.  :func:`estimate` reads each
+word's shot count n_W off its counts; :func:`exact_estimator_variance` takes
+the plan's ``shots_per_word``.  Basis indices ascend, site ``j`` on bit
+``j-1``; no outcome is ever written as a bitstring.
 """
 
 from __future__ import annotations
@@ -121,12 +122,13 @@ def _coverage(plan: MeasurementPlan, charge: PauliPolynomial, n_w) -> tuple:
     return word_cover, n_p
 
 
-def _moments(outcomes, weights, masks) -> tuple:
+def _moments(signs, weights) -> tuple:
     """``signs @ weights`` and ``(signs * weights) @ signs.T``, signs[k, i] the
-    parity (-1)^|outcomes[i] & masks[k]| of term k: parity and cross sums for
-    shot counts, <P> and <P P'> for an exact distribution."""
-    signs = parity_sign(outcomes[None, :], masks[:, None])
-    return signs @ weights, (signs * weights) @ signs.T
+    parity (-1)^|outcome i & mask of term k|: parity and cross sums for shot
+    counts, <P> and <P P'> for an exact distribution.  ``weights`` may be a
+    stack, one row per state: ``matmul`` makes each row the same BLAS call
+    as that row alone, so each row's moments are its own bit for bit."""
+    return (signs @ weights[..., None])[..., 0], (signs * weights[..., None, :]) @ signs.T
 
 
 def estimate(
@@ -158,7 +160,7 @@ def estimate(
     # keys a*T + b with their cross and parity sums and n_W; pooled in word order
     pairs = [(np.empty(0, np.int64),) + (np.empty(0),) * 4]
     for (idx, cnt), cov, k in zip(outcomes, word_cover, n_w):
-        sums, cross = _moments(idx, cnt.astype(np.float64), masks[cov])
+        sums, cross = _moments(parity_sign(idx, masks[cov, None]), cnt.astype(np.float64))
         i, j = np.nonzero(cov[:, None] <= cov)
         pairs.append((cov[i] * n_terms + cov[j], cross[i, j], sums[i], sums[j], np.full(i.size, k)))
     keys, cross, sum_a, sum_b, shots = map(np.concatenate, zip(*pairs))
@@ -186,7 +188,7 @@ def estimate(
 
 def exact_estimator_variance(
     distributions, plan: MeasurementPlan, charge: PauliPolynomial, delta: float
-) -> tuple:
+) -> tuple | list:
     """Expected value and true estimator standard deviation for a known state.
 
     ``distributions`` holds the exact outcome distribution of each plan word,
@@ -196,20 +198,29 @@ def exact_estimator_variance(
     n_W (u.C.u - (u.e)^2) to the variance, with n_W the plan's
     ``shots_per_word``; the coverage check is :func:`estimate`'s.  Useful
     for deterministic error budgets.
+
+    A ``(k, words, outcomes)`` stack of such tables returns a list of k
+    ``(mean, sigma)`` pairs: the coverage, coefficients and each word's
+    parity signs are built once, and each pair is bit for bit the one its
+    table alone returns.
     """
-    if len(distributions) != len(plan.words):
-        raise ValueError(f"{len(distributions)} distributions for {len(plan.words)} plan words")
+    tables = np.asarray(distributions, dtype=float)
+    stack = tables if tables.ndim == 3 else tables[None]
+    if stack.shape[1] != len(plan.words):
+        raise ValueError(f"{stack.shape[1]} distributions for {len(plan.words)} plan words")
     n_w = plan.shots_per_word
     coeffs = charge.coefficients(delta)
     idx = np.arange(1 << charge.n_sites, dtype=np.int64)
     masks = charge.x | charge.z
     word_cover, n_p = _coverage(plan, charge, [n_w] * len(plan.words))
 
-    mean = var = 0.0
-    for p, cov in zip(distributions, word_cover):
-        e, cross = _moments(idx, p, masks[cov])
+    mean = var = np.zeros(len(stack))
+    for w, cov in enumerate(word_cover):
+        e, cross = _moments(parity_sign(idx, masks[cov, None]), stack[:, w])
         u = coeffs[cov] / n_p[cov]
-        ue = float(u @ e)
-        mean += n_w * ue
-        var += n_w * (float(u @ cross @ u) - ue * ue)
-    return mean, float(np.sqrt(max(var, 0.0)))
+        # one dot u.e and one u.C.u per state, each the call its table alone makes
+        ue = (e[:, None, :] @ u)[:, 0]
+        mean = mean + n_w * ue
+        var = var + n_w * (((u @ cross)[:, None, :] @ u)[:, 0] - ue * ue)
+    out = [(m, float(np.sqrt(max(v, 0.0)))) for m, v in zip(mean.tolist(), var.tolist())]
+    return out if tables.ndim == 3 else out[0]

@@ -4,6 +4,8 @@ Readout correction: a column-stochastic calibration matrix is measured by
 reading out every computational basis state through the simulator; observed
 distributions are unfolded by least squares constrained to the probability
 simplex (projected gradient), which cannot emit negative probabilities.
+:func:`correct` unfolds a whole stack of distributions, one per row, in one
+call: one ``lstsq`` and one gradient loop serve every row.
 
 ZNE: noise is amplified by replacing every CNOT with an odd power, and the
 expectation value is extrapolated linearly from amplification factors 1 and 3
@@ -71,30 +73,35 @@ def calibrate(noise: NoiseModel, n_sites: int, shots: int | None, seed: int = 0)
 def correct(observed: np.ndarray, calib: CalibrationMatrix) -> np.ndarray:
     """Solve A x = f by simplex-constrained least squares (projected gradient).
 
-    Deterministic: fixed step from the spectral norm of A^T A, at most 1000
-    iterations, convergence when the iterate moves less than 1e-10.
+    ``observed`` is one distribution or a stack of them, one per row, and the
+    result has its shape; each row is normalised and unfolded on its own.
+    One ``lstsq`` starts every row, then the rows step together, each frozen
+    once it moves less than ``CORRECT_TOL``.  Deterministic: fixed step from
+    the spectral norm of A^T A, at most ``CORRECT_MAX_ITER`` iterations.
     """
     a = calib.matrix
     f = np.asarray(observed, dtype=float)
-    if f.shape != (a.shape[0],):
+    if f.ndim not in (1, 2) or f.shape[-1] != a.shape[0]:
         raise ValueError("observed distribution has wrong length")
-    total = f.sum()
-    if total <= 0:
+    rows = np.atleast_2d(f)
+    total = rows.sum(axis=1, keepdims=True)
+    if (total <= 0).any():
         raise ValueError("observed counts are empty")
-    f = f / total
+    rows = rows / total
     ata, lowest, step = calib.normal_equations
     if lowest < 1e-12:
         raise ValueError("calibration matrix is singular beyond tolerance")
-    atf = a.T @ f
-    x = simplex_project(np.linalg.lstsq(a, f, rcond=None)[0])
+    atf = rows @ a  # row i is A^T f_i
+    x = simplex_project(np.linalg.lstsq(a, rows.T, rcond=None)[0].T)
+    live = np.arange(len(x))
     for _ in range(CORRECT_MAX_ITER):
-        grad = ata @ x - atf
-        nxt = simplex_project(x - step * grad)
-        if np.abs(nxt - x).max() < CORRECT_TOL:
-            x = nxt
+        if not live.size:
             break
-        x = nxt
-    return x
+        old = x[live]
+        nxt = simplex_project(old - step * (old @ ata.T - atf[live]))
+        x[live] = nxt
+        live = live[np.abs(nxt - old).max(axis=1) >= CORRECT_TOL]
+    return x.reshape(f.shape)
 
 
 def zne_fold(circuit: Circuit, k: int) -> Circuit:

@@ -9,9 +9,12 @@ read off the Choi state: ``evolve_noisy`` runs the step on sites 1..N of the
 ``tr(J (P (x) Q)) = tr(P E(Q^T))`` with ``Q^T = (-1)^popcount(x_Q & z_Q) Q``.
 So R is J's Pauli spectrum (:func:`sim.pauli_spectrum`), signed and divided
 by 2^N: spectra see exactly the gates and channels of the noisy engine, and
-the Pauli-string convention lives in :mod:`sim` alone.  One real
-``np.linalg.eig`` of R, made at most once per :class:`SuperOperator`, serves
-:func:`spectrum`, :func:`fixed_point` and :func:`fixed_point_gap`.
+the Pauli-string convention lives in :mod:`sim` alone.  R's eigenvalues,
+from one real ``np.linalg.eigvals`` made at most once per
+:class:`SuperOperator`, serve :func:`spectrum`, :func:`fixed_point` and
+:func:`fixed_point_gap`; no eigenvector is computed with them.  The one
+eigenvector needed, the fixed point's, comes from one step of inverse
+iteration: a single LU solve with R shifted by the eigenvalue nearest 1.
 """
 
 from __future__ import annotations
@@ -49,13 +52,12 @@ class SuperOperator:
     matrix: np.ndarray
 
     @cached_property
-    def pauli_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (complex) and right eigenvectors (columns) of ``matrix``,
-        computed on first use; ValueError if ``matrix`` is complex."""
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues (complex) of ``matrix``, computed on first use; ValueError
+        if ``matrix`` is complex."""
         if np.iscomplexobj(self.matrix):
             raise ValueError("a complex Pauli transfer matrix does not preserve Hermiticity")
-        vals, vecs = np.linalg.eig(self.matrix)
-        return vals.astype(complex, copy=False), vecs
+        return np.linalg.eigvals(self.matrix).astype(complex, copy=False)
 
 
 def vectorize_step(circuit: Circuit, noise: NoiseModel) -> SuperOperator:
@@ -90,17 +92,24 @@ def vectorize_step(circuit: Circuit, noise: NoiseModel) -> SuperOperator:
 def spectrum(op: SuperOperator) -> np.ndarray:
     """All eigenvalues, sorted by descending modulus, then by descending imaginary part.
 
-    ``eig`` of a real matrix gives both members of a conjugate pair bit-equal
+    ``eigvals`` of a real matrix gives both members of a conjugate pair bit-equal
     moduli, so the second key orders each pair, positive imaginary part
     first, whatever order round-off left them in.
     """
-    vals, _ = op.pauli_eig
+    vals = op.eigenvalues
     return vals[np.lexsort((-vals.imag, -np.abs(vals)))]
 
 
 def fixed_point(op: SuperOperator) -> DensityMatrix:
-    """The unique eigenvector at eigenvalue 1, as a density matrix."""
-    vals, vecs = op.pauli_eig
+    """The unique eigenvector at eigenvalue 1, as a density matrix.
+
+    One step of inverse iteration: R - s I is solved against the all-ones
+    vector, s the eigenvalue nearest 1 moved one ulp away from 1.  The ulp
+    keeps R - s I regular when s would be exactly 1 and R trace preserving
+    (its identity row is then exactly zero), and the fixed point's
+    component outgrows every other by about gap / ulp.
+    """
+    vals = op.eigenvalues
     at_one = np.where(np.abs(vals - 1.0) < UNIT_EIGENVALUE_TOL)[0]
     if len(at_one) == 0:
         raise ValueError("no eigenvalue within tolerance of 1")
@@ -109,8 +118,13 @@ def fixed_point(op: SuperOperator) -> DensityMatrix:
             f"multiple steady states: {len(at_one)} eigenvalues within "
             f"{UNIT_EIGENVALUE_TOL} of 1"
         )
+    # a lone eigenvalue this close to 1 is real: a complex one has its conjugate as close
+    nearest = vals[at_one[0]].real
+    shift = np.nextafter(nearest, -np.inf if nearest <= 1.0 else np.inf)
+    size = len(vals)
+    vec = np.linalg.solve(op.matrix - shift * np.eye(size), np.ones(size))
     dim = 1 << op.n_sites
-    rho = from_pauli_spectrum(vecs[:, at_one[0]].real.reshape(dim, dim)).entries
+    rho = from_pauli_spectrum(vec.reshape(dim, dim)).entries
     rho /= np.trace(rho).real
     out = DensityMatrix(op.n_sites, rho)
     out.check()
@@ -122,9 +136,9 @@ def fixed_point_gap(op: SuperOperator) -> float:
 
     The fixed point's eigenvector has an error of about eps / gap, and
     :func:`fixed_point` calls it unique when the gap exceeds
-    ``UNIT_EIGENVALUE_TOL``.  Read off the cached ``pauli_eig``.
+    ``UNIT_EIGENVALUE_TOL``.  Read off the cached ``eigenvalues``.
     """
-    vals, _ = op.pauli_eig
+    vals = op.eigenvalues
     dist = np.abs(vals - 1.0)
     return float(np.delete(dist, dist.argmin()).min())
 

@@ -90,13 +90,15 @@ def linear_inversion(freqs: np.ndarray) -> np.ndarray:
 
 
 def simplex_project(values: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
+    """Euclidean projection of a real vector onto the probability simplex; a 2-D
+    input is projected row by row, each row with the arithmetic of a 1-D call."""
     v = np.asarray(values, dtype=float)
-    srt = np.sort(v)[::-1]
-    css = np.cumsum(srt) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = np.max(np.where(srt - css / idx > 0)[0]) + 1
-    theta = css[rho - 1] / rho
+    srt = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(srt, axis=-1) - 1.0
+    idx = np.arange(1, v.shape[-1] + 1)
+    # rho: one past the last sorted entry that stays positive after the shift
+    rho = v.shape[-1] - np.argmax((srt - css / idx > 0)[..., ::-1], axis=-1, keepdims=True)
+    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
     return np.maximum(v - theta, 0.0)
 
 

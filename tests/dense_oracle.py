@@ -8,8 +8,10 @@ charge expectations one charge and one Walsh transform per x mask at a time,
 preparation and read-out gate by gate (the read-out one word at a time on a
 full copy of the state), noisy evolution gate by gate on the engine's gate
 kernel with ``einsum`` channels, tomography's linear inversion summed Pauli
-by Pauli, and the two charge estimators pooling term pairs one pair at a
-time.
+by Pauli, the two charge estimators pooling term pairs one pair at a
+time, the Hermiticity deviation over one full conjugated copy, the readout
+unfold one distribution at a time and the fixed point as an eigenvector of
+a full ``np.linalg.eig``.
 They cost exponentially more than the engines in ``trotterchain`` and serve
 only as the oracle the tests compare those engines against.
 
@@ -24,6 +26,7 @@ import numpy as np
 from trotterchain.charges import PauliPolynomial, window_density
 from trotterchain.circuit import Gate, build_init
 from trotterchain.measure import ChargeEstimate, contains
+from trotterchain.mitigate import CORRECT_MAX_ITER, CORRECT_TOL
 from trotterchain.pauli import PauliString, parity_sign
 from trotterchain.sim import (
     IDEAL,
@@ -31,8 +34,10 @@ from trotterchain.sim import (
     StateVector,
     _apply_gate,
     apply_readout_flips,
+    from_pauli_spectrum,
 )
-from trotterchain.tomo import all_words
+from trotterchain.spectral import UNIT_EIGENVALUE_TOL
+from trotterchain.tomo import all_words, simplex_project
 
 
 I_POWERS = np.array([1, 1j, -1, -1j])  # i**k at k
@@ -566,3 +571,44 @@ def exact_estimator_variance(distributions, plan, charge, delta: float) -> tuple
                 var += coeffs[a] * coeffs[b] * n_w * (cross[a, b] - e_a * e_b) / (n_p[a] * n_p[b])
     mean = sum(c * (s_p[ti] / (n_p[ti] // n_w)) for ti, c in enumerate(coeffs))
     return mean, float(np.sqrt(max(var, 0.0)))
+
+
+def hermiticity_deviation(m: np.ndarray) -> float:
+    """The largest entry of |m - m^H| over one full conjugated copy of ``m``."""
+    dev = np.conjugate(m.T, order="C")
+    return float(np.abs(np.subtract(m, dev, out=dev)).max())
+
+
+def correct(observed: np.ndarray, calib) -> np.ndarray:
+    """Simplex-constrained least squares for one distribution: its own ``lstsq``
+    start, then projected gradient until it moves less than ``CORRECT_TOL``."""
+    a = calib.matrix
+    f = np.asarray(observed, dtype=float)
+    if f.shape != (a.shape[0],):
+        raise ValueError("observed distribution has wrong length")
+    total = f.sum()
+    if total <= 0:
+        raise ValueError("observed counts are empty")
+    f = f / total
+    ata, lowest, step = calib.normal_equations
+    if lowest < 1e-12:
+        raise ValueError("calibration matrix is singular beyond tolerance")
+    atf = a.T @ f
+    x = simplex_project(np.linalg.lstsq(a, f, rcond=None)[0])
+    for _ in range(CORRECT_MAX_ITER):
+        nxt = simplex_project(x - step * (ata @ x - atf))
+        if np.abs(nxt - x).max() < CORRECT_TOL:
+            return nxt
+        x = nxt
+    return x
+
+
+def fixed_point(op) -> np.ndarray:
+    """The unit-trace fixed point of a Pauli transfer matrix, as a density
+    matrix's entries, from the eigenvector at 1 of a full ``np.linalg.eig``."""
+    vals, vecs = np.linalg.eig(op.matrix)
+    at_one = np.flatnonzero(np.abs(vals - 1.0) < UNIT_EIGENVALUE_TOL)
+    assert len(at_one) == 1, "no unique eigenvalue at 1"
+    dim = 1 << op.n_sites
+    rho = from_pauli_spectrum(vecs[:, at_one[0]].real.reshape(dim, dim)).entries
+    return rho / np.trace(rho).real

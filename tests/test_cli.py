@@ -459,9 +459,9 @@ PINNED_RUNS = {
             "decay.csv": "9d1c24a4ee37212083a3c6d09831f2d338aedfc3d9844285b3cf5fea9631b0cc",
             "fits.csv": "9727ef2fc471bff0dc310a452583c9ad9727d0208770391c01eaf7b0e91d9a58",
             "fits.json": "02ef5f9f2c2235ff979912d9c99ab3f96c4edfa0d97a7c5a175b5b3b90b0f16c",
-            "mitigation.csv": "b4627e2fcbcee1d4cc9f416f73549a4162adfbc51f3fd35330ac83b1164af316",
-            "spectrum.csv": "fc34cabec5f7833220a935e70df74f1e04e3c71950498921839a1d566071881a",
-            "spectrum.json": "f2f82b08e54484fab30493ca07cd0de67dc624f4993a5af39407a4f69404191e",
+            "mitigation.csv": "f0991580fdbbac27136f87b0eb05655cc146f82e93121e43c650e093e9a6df09",
+            "spectrum.csv": "96858cf7b0de6926f6864b8fa3c71b5972830cf970bd2a2d9b6328e64b8130df",
+            "spectrum.json": "ec8f0ed4f2626653cf857dbae80f1307b2abd8a462af6b5d13b87dbb493a6d4d",
             "tomo.json": "ed930a8d91f4061f6280c90e133436360947cfaaf15e720d19e2f76706c1bae8",
         },
     ),
@@ -480,8 +480,8 @@ PINNED_RUNS = {
             "fits.csv": "5a9a2cd09662e44020123ba7e4b934ef20fc9b1b9e1b2a6e41364e5364dfb79e",
             "fits.json": "40b86c3baafd76084b66a736755d1a3617ca78492f8889f4a41b0dbb8ffb970d",
             "mitigation.csv": "9096d98cc47a2852821a68ced97f6006cece03776f27a50258a32899624dbe1f",
-            "spectrum.csv": "468c879f7dd75a8b708c2709ab877721e08763ef1325176ce3d362a5fcc437b4",
-            "spectrum.json": "f2672276a7b4662f6d0569afff0501f7fac5f3fa387d39931f04f23f8465ad59",
+            "spectrum.csv": "73fdbabbd1d58c5bec62e320b35f03b009fe233c400c2a292b639d3deb5b0590",
+            "spectrum.json": "15f36e8272fc0cb9392cbd21f183316c8ba02be58b56fe56ca8a47a6edc3b187",
             "tomo.json": "0ce9e2baaf6d66be96667b7f567541fcb84e0a8675ea09202c846d39f00aad8f",
         },
     ),

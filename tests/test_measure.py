@@ -407,3 +407,21 @@ def test_estimates_match_pinned_digest():
     assert _float_digest(exact_estimator_variance(dists, plan, q, DELTA)) == (
         "59078447abddc6f7117ef80f39a1f7ece2ca46bcf741aabd9d785adf38371232"
     )
+
+
+@pytest.mark.parametrize("n, order", [(4, 1), (6, 2), (8, 2)])
+def test_stacked_exact_variance_is_each_table_alone_bit_for_bit(n, order):
+    # a contiguous stack, the strided fold slice cli.mitigation_table passes,
+    # and a list of tables
+    q = assemble(ChargeSpec(order, "plus", n))
+    plan = MeasurementPlan(build_cover(q, DELTA).words, 30)
+    rng = np.random.default_rng(n)
+    tables = rng.dirichlet(np.ones(1 << n), size=(4, 2, len(plan.words)))
+    for stack in (tables.reshape(8, len(plan.words), -1), tables[:, 1], list(tables[:, 0])):
+        got = exact_estimator_variance(stack, plan, q, DELTA)
+        assert len(got) == len(stack)
+        for table, pair in zip(stack, got):
+            want = exact_estimator_variance(table, plan, q, DELTA)
+            assert list(map(float.hex, pair)) == list(map(float.hex, want))
+    with pytest.raises(ValueError, match="distributions for"):
+        exact_estimator_variance(tables[:, 0, 1:], plan, q, DELTA)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import dense_oracle
 from dense_oracle import circuit_unitary
 from trotterchain.charges import ChargeSpec
 from trotterchain.circuit import InitialStateSpec, build_circuit
@@ -58,8 +61,56 @@ def test_correct_inverts_flip_model():
 
 def test_correct_rejects_singular():
     bad = CalibrationMatrix(1, np.array([[0.5, 0.5], [0.5, 0.5]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         correct(np.array([0.6, 0.4]), bad)
+    with pytest.raises(ValueError, match="singular"):
+        correct(np.array([[0.6, 0.4], [0.5, 0.5]]), bad)
+
+
+def test_correct_rejects_empty_rows_and_wrong_shapes():
+    a = calibrate(NoiseModel(readout_flip=0.05), 2, shots=None)
+    with pytest.raises(ValueError, match="empty"):
+        correct(np.zeros(4), a)
+    with pytest.raises(ValueError, match="empty"):
+        correct(np.array([[0.2, 0.3, 0.4, 0.1], [0.0, 0.0, 0.0, 0.0]]), a)
+    for shape in ((3,), (2, 3), (1, 2, 4)):
+        with pytest.raises(ValueError, match="length"):
+            correct(np.ones(shape), a)
+
+
+@st.composite
+def unfold_cases(draw):
+    """A calibration on 1..4 sites, flip model or a random column-stochastic
+    matrix near the identity, and a stack of unnormalised observed rows:
+    images of simplex points, which one step fixes, mixed with sparse rows
+    outside the calibration's image, which take tens to hundreds of steps."""
+    n = draw(st.integers(1, 4))
+    dim = 1 << n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        calib = calibrate(NoiseModel(readout_flip=draw(st.floats(0.0, 0.3))), n, shots=None)
+    else:
+        mix = draw(st.floats(0.0, 0.4))
+        columns = rng.dirichlet(np.ones(dim), size=dim).T
+        calib = CalibrationMatrix(n, (1.0 - mix) * np.eye(dim) + mix * columns)
+        assume(calib.normal_equations[1] > 1e-6)
+    rows = [
+        calib.matrix @ rng.dirichlet(np.ones(dim)) if inside else rng.dirichlet(np.full(dim, 0.1))
+        for inside in draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    ]
+    return calib, np.array(rows) * draw(st.floats(0.5, 1000.0))
+
+
+@settings(deadline=None, max_examples=80)
+@given(unfold_cases())
+def test_stacked_correct_matches_the_row_by_row_oracle(case):
+    calib, rows = case
+    got = correct(rows, calib)
+    assert got.shape == rows.shape
+    for row, x in zip(rows, got):
+        assert np.abs(x - dense_oracle.correct(row, calib)).max() <= 1e-12
+        assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12
+    assert np.array_equal(correct(rows[0], calib), correct(rows[:1], calib)[0])
 
 
 def test_zne_fold_counts_and_identity():

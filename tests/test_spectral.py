@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from dense_oracle import pauli_transfer_matrix, step_superoperator
 from strategies import gate_lists
 from trotterchain import cli, sim
@@ -130,6 +131,35 @@ def test_fixed_point_gap_is_the_distance_of_the_second_eigenvalue_from_one(depol
     assert dist[0] < UNIT_EIGENVALUE_TOL < dist[1]  # one unit eigenvalue
     assert fixed_point_gap(op) == dist[1]
     fixed_point(op)  # unique: the gap exceeds the tolerance
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        depol_model(0.018, 0.018),
+        depol_model(0.0013, 0.013),
+        NoiseModel(after_two_qubit=amp_phase_damping(0.018, 0.018)),
+        NoiseModel(
+            after_one_qubit=amp_phase_damping(0.05, 0.01),
+            after_two_qubit=amp_phase_damping(0.02, 0.03),
+        ),
+    ],
+    ids=["depolarizing", "paper-depolarizing", "damping", "damping-both"],
+)
+def test_inverse_iteration_fixed_point_matches_the_eig_eigenvector(model):
+    op = vectorize_step(build_step(N, ALPHA), model)
+    fp = fixed_point(op)
+    assert np.abs(fp.entries - dense_oracle.fixed_point(op)).max() <= 1e-10
+    r = pauli_spectrum(fp).reshape(-1)
+    assert np.abs(op.matrix @ r - r).max() <= 1e-12
+
+
+def test_fixed_point_at_an_eigenvalue_of_exactly_one():
+    # pure depolarizing as a diagonal R: the eigenvalue is 1.0 itself and the
+    # identity row of R - I is exactly zero, so the shift must leave 1
+    op = SuperOperator(1, np.diag([1.0, 0.9, 0.8, 0.7]))
+    assert spectrum(op)[0] == 1.0
+    assert np.abs(fixed_point(op).entries - np.eye(2) / 2).max() < 1e-14
 
 
 def test_fixed_point_degenerate_noiseless(noiseless_op):
@@ -276,7 +306,7 @@ def test_spectrum_report_diagonalizes_once(monkeypatch):
     report = cli.spectrum_report(config)
     assert len(report["eigenvalues"]) == 256 and "fixed_point_c2" in report
     assert report["fixed_point_gap"] > UNIT_EIGENVALUE_TOL
-    assert calls == ["eig"]
+    assert calls == ["eigvals"]
 
 
 def test_non_hermiticity_preserving_superoperator_raises():

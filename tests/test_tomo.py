@@ -106,6 +106,17 @@ def test_simplex_projection_values():
     assert np.allclose(out, [0.4, 0.4, 0.2])
 
 
+def test_simplex_projection_of_a_stack_is_each_row_alone_bit_for_bit():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(30, 9)) * rng.choice([1e-3, 1.0, 30.0], size=(30, 1))
+    rows[0] = 1.0 / 9  # on the simplex
+    rows[1] = [0.5, 0.5, 0.5, -1.0, -1.0, 0.2, 0.2, 0.0, -0.0]  # ties and signed zeros
+    got = simplex_project(rows)
+    assert got.shape == rows.shape
+    for row, x in zip(rows, got):
+        assert x.tobytes() == simplex_project(row).tobytes()
+
+
 def test_psd_project_identity_on_feasible():
     rho = DensityMatrix.from_spec(InitialStateSpec("ZZ", (0, 1))).entries
     mixed = 0.7 * rho + 0.3 * np.eye(4) / 4
