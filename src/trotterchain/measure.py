@@ -12,9 +12,9 @@ word's parity moments from one pair of matrix products (:func:`_moments`);
 Words are plain ``str``; :func:`contains` checks the letters of the word it
 is given.  The estimators read :mod:`sim`'s output in plan order:
 :func:`estimate` takes the ``(indices, counts)`` pairs of :func:`sim.sample`,
-:func:`exact_estimator_variance` the rows of :func:`sim.outcome_distribution`,
-one per plan word, or a stack of such tables, one per state, which share
-one coverage and one set of parity signs.  :func:`estimate` reads each
+:func:`exact_estimator_variance` a stack of tables, one per state, each the
+rows of :func:`sim.outcome_distribution`, one per plan word; the states
+share one coverage and one set of parity signs.  :func:`estimate` reads each
 word's shot count n_W off its counts; :func:`exact_estimator_variance` takes
 the plan's ``shots_per_word``.  Basis indices ascend, site ``j`` on bit
 ``j-1``; no outcome is ever written as a bitstring.
@@ -188,24 +188,25 @@ def estimate(
 
 def exact_estimator_variance(
     distributions, plan: MeasurementPlan, charge: PauliPolynomial, delta: float
-) -> tuple | list:
-    """Expected value and true estimator standard deviation for a known state.
+) -> list:
+    """Expected value and true estimator standard deviation for known states.
 
-    ``distributions`` holds the exact outcome distribution of each plan word,
-    one row per word in plan order, as :func:`sim.outcome_distribution`
-    returns them.  With u = c_P / n_P over the terms a word covers, e and C
-    its exact moments <P> and <P P'>, the word adds n_W u.e to the mean and
+    ``distributions`` is a ``(states, words, outcomes)`` stack: each state's
+    table holds the exact outcome distribution of each plan word, one row per
+    word in plan order, as :func:`sim.outcome_distribution` returns them.
+    With u = c_P / n_P over the terms a word covers, e and C its exact
+    moments <P> and <P P'>, the word adds n_W u.e to the mean and
     n_W (u.C.u - (u.e)^2) to the variance, with n_W the plan's
     ``shots_per_word``; the coverage check is :func:`estimate`'s.  Useful
     for deterministic error budgets.
 
-    A ``(k, words, outcomes)`` stack of such tables returns a list of k
-    ``(mean, sigma)`` pairs: the coverage, coefficients and each word's
-    parity signs are built once, and each pair is bit for bit the one its
-    table alone returns.
+    Returns one ``(mean, sigma)`` pair per state.  The coverage, coefficients
+    and each word's parity signs are built once for the stack, and each pair
+    is bit for bit the one a stack of its table alone returns.
     """
-    tables = np.asarray(distributions, dtype=float)
-    stack = tables if tables.ndim == 3 else tables[None]
+    stack = np.asarray(distributions, dtype=float)
+    if stack.ndim != 3:
+        raise ValueError(f"distributions of shape {stack.shape}: want (states, words, outcomes)")
     if stack.shape[1] != len(plan.words):
         raise ValueError(f"{stack.shape[1]} distributions for {len(plan.words)} plan words")
     n_w = plan.shots_per_word
@@ -222,5 +223,4 @@ def exact_estimator_variance(
         ue = (e[:, None, :] @ u)[:, 0]
         mean = mean + n_w * ue
         var = var + n_w * (((u @ cross)[:, None, :] @ u)[:, 0] - ue * ue)
-    out = [(m, float(np.sqrt(max(v, 0.0)))) for m, v in zip(mean.tolist(), var.tolist())]
-    return out if tables.ndim == 3 else out[0]
+    return [(m, float(np.sqrt(max(v, 0.0)))) for m, v in zip(mean.tolist(), var.tolist())]

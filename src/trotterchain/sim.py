@@ -102,33 +102,19 @@ PSD_EIG_FLOOR = -1e-8
 # so each pass's temporaries stay cache-sized
 _CHUNK = 1 << 14
 
-# rows per block of hermiticity_deviation: up to N = 8 a matrix is one block, the
-# whole conjugate transpose in one copy.  64-row blocks were faster at N = 8
-# (0.21 against 0.33 ms), but their 256 KB copies stayed on the heap once glibc's
-# dynamic mmap threshold had risen, and peak RSS of an N = 8 decay run grew 0.9 MB
-_HERMITICITY_ROWS = 256
-
 
 class BudgetError(ValueError):
     """A dense state exceeds the configured size budget."""
 
 
 def hermiticity_deviation(m: np.ndarray) -> float:
-    """The largest entry of |m - m^H|, read off the upper triangle's row blocks.
+    """The largest entry of |m - m^H|, subtracted into one conjugated copy of ``m``.
 
-    |m_ij - conj m_ji| is symmetric in (i, j), so rows [a, a + B) need only
-    the columns from a on, where the block meets its mirror strip, conjugated
-    and copied to row order; the maximum is the full matrix's bit for bit.
-    Copying one strip at a time reads memory in runs instead of striding
-    over whole columns, and skips the lower triangle: 17 -> 7 ms at N = 10.
-    A matrix of at most ``_HERMITICITY_ROWS`` rows is one block.
+    The copy is m^H laid out in row order, so the subtraction runs over
+    contiguous memory: half the time of writing into a transposed view.
     """
-    worst = []
-    for a in range(0, len(m), _HERMITICITY_ROWS):
-        b = a + _HERMITICITY_ROWS
-        dev = np.conjugate(m[a:, a:b].T, order="C")
-        worst.append(np.abs(np.subtract(m[a:b, a:], dev, out=dev)).max())
-    return float(np.max(worst))
+    dev = np.conjugate(m.T, order="C")
+    return float(np.abs(np.subtract(m, dev, out=dev)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ preparation and read-out gate by gate (the read-out one word at a time on a
 full copy of the state), noisy evolution gate by gate on the engine's gate
 kernel with ``einsum`` channels, tomography's linear inversion summed Pauli
 by Pauli, the two charge estimators pooling term pairs one pair at a
-time, the Hermiticity deviation over one full conjugated copy, the readout
-unfold one distribution at a time and the fixed point as an eigenvector of
-a full ``np.linalg.eig``.
+time, the readout unfold one distribution at a time and the fixed point
+as an eigenvector of a full ``np.linalg.eig``.
 They cost exponentially more than the engines in ``trotterchain`` and serve
 only as the oracle the tests compare those engines against.
 
@@ -571,12 +570,6 @@ def exact_estimator_variance(distributions, plan, charge, delta: float) -> tuple
                 var += coeffs[a] * coeffs[b] * n_w * (cross[a, b] - e_a * e_b) / (n_p[a] * n_p[b])
     mean = sum(c * (s_p[ti] / (n_p[ti] // n_w)) for ti, c in enumerate(coeffs))
     return mean, float(np.sqrt(max(var, 0.0)))
-
-
-def hermiticity_deviation(m: np.ndarray) -> float:
-    """The largest entry of |m - m^H| over one full conjugated copy of ``m``."""
-    dev = np.conjugate(m.T, order="C")
-    return float(np.abs(np.subtract(m, dev, out=dev)).max())
 
 
 def correct(observed: np.ndarray, calib) -> np.ndarray:

@@ -124,7 +124,7 @@ def test_cover_sigma_on_neel_n8(order, sigma_max):
     words = build_cover(q, DELTA).words
     plan = MeasurementPlan(words, 100_000 // len(words))
     psi = sim.StateVector.from_spec(InitialStateSpec.neel(8))
-    _, sd = exact_estimator_variance(sim.rotated_probabilities(psi, words), plan, q, DELTA)
+    ((_, sd),) = exact_estimator_variance([sim.rotated_probabilities(psi, words)], plan, q, DELTA)
     assert sd <= sigma_max
 
 
@@ -202,9 +202,9 @@ def test_exact_variance_names_uncovered_terms():
     q = _charge(("XX", 1))
     plan = MeasurementPlan(("ZZ",), 10)
     with pytest.raises(CoverageError, match=r"\['XX'\]"):
-        exact_estimator_variance(np.array([[1.0, 0.0, 0.0, 0.0]]), plan, q, DELTA)
+        exact_estimator_variance(np.array([[[1.0, 0.0, 0.0, 0.0]]]), plan, q, DELTA)
     with pytest.raises(ValueError, match="0 distributions for 1 plan words"):
-        exact_estimator_variance(np.empty((0, 4)), plan, q, DELTA)
+        exact_estimator_variance(np.empty((1, 0, 4)), plan, q, DELTA)
 
 
 def _sample(plan, dists, seed):
@@ -260,7 +260,7 @@ def test_estimator_mean_is_exact_on_product_eigenstates(data):
         psi = sim.evolve_pure(build_step(n, 0.3), psi)  # DELTA = tan(0.3)
     q, plan = assemble_cached(spec), _cover_of(spec)
     dists = sim.rotated_probabilities(psi, plan.words)
-    mean, _ = exact_estimator_variance(dists, plan, q, DELTA)
+    ((mean, _),) = exact_estimator_variance([dists], plan, q, DELTA)
     assert abs(mean - sim.exact_expectation(psi, [spec], DELTA)[0]) < 1e-10
 
 
@@ -270,7 +270,7 @@ def test_exact_estimator_variance_matches_empirical():
     plan = MeasurementPlan(("ZZ",), 50)
     psi = sim.StateVector.from_spec(InitialStateSpec("XX", (0, 0)))
     dists = sim.rotated_probabilities(psi, plan.words)
-    mean, sd = exact_estimator_variance(dists, plan, q, DELTA)
+    ((mean, sd),) = exact_estimator_variance([dists], plan, q, DELTA)
     reps = 4000
     vals = np.empty(reps)
     for r in range(reps):
@@ -296,20 +296,20 @@ def test_covariance_only_through_shared_words():
     plan_b = MeasurementPlan(("ZZ",), 200)
     dists_a = sim.rotated_probabilities(psi, plan_a.words)
     dists_b = sim.rotated_probabilities(psi, plan_b.words)
-    _, sd_a = exact_estimator_variance(dists_a, plan_a, qa, DELTA)
-    _, sd_b = exact_estimator_variance(dists_b, plan_b, qb, DELTA)
+    ((_, sd_a),) = exact_estimator_variance([dists_a], plan_a, qa, DELTA)
+    ((_, sd_b),) = exact_estimator_variance([dists_b], plan_b, qb, DELTA)
     both = MeasurementPlan(("XX", "ZZ"), 200)
     dists_both = np.concatenate([dists_a, dists_b])
-    _, sd_ab = exact_estimator_variance(dists_both, both, qab, DELTA)
+    ((_, sd_ab),) = exact_estimator_variance([dists_both], both, qab, DELTA)
     assert sd_ab == pytest.approx(np.sqrt(sd_a**2 + sd_b**2), rel=1e-9)
 
     # shared-word case: covariance shifts the total away from the quadrature sum
     qzz = _charge(("ZI", 1), ("IZ", 1))
-    _, sd_shared = exact_estimator_variance(dists_b, plan_b, qzz, DELTA)
+    ((_, sd_shared),) = exact_estimator_variance([dists_b], plan_b, qzz, DELTA)
     qz1 = _charge(("ZI", 1))
-    _, sd_z1 = exact_estimator_variance(dists_b, plan_b, qz1, DELTA)
+    ((_, sd_z1),) = exact_estimator_variance([dists_b], plan_b, qz1, DELTA)
     qz2 = _charge(("IZ", 1))
-    _, sd_z2 = exact_estimator_variance(dists_b, plan_b, qz2, DELTA)
+    ((_, sd_z2),) = exact_estimator_variance([dists_b], plan_b, qz2, DELTA)
     assert abs(sd_shared**2 - (sd_z1**2 + sd_z2**2)) > 1e-4
 
 
@@ -376,7 +376,7 @@ def test_estimators_match_pairwise_reference(data):
         assert messages(got, "variance") == messages(want, "variance")
 
     dists = rng.dirichlet(np.ones(1 << n), size=len(plan.words))
-    mean, sd = exact_estimator_variance(dists, plan, q, delta)
+    ((mean, sd),) = exact_estimator_variance([dists], plan, q, delta)
     want_mean, want_sd = dense_oracle.exact_estimator_variance(dists, plan, q, delta)
     assert abs(mean - want_mean) <= 1e-12 * scale
     assert abs(sd**2 - want_sd**2) <= tol
@@ -404,7 +404,7 @@ def test_estimates_match_pinned_digest():
         "8b228682783fe41cd5ad7f0efa3073c1918c7160d7d644d8dbeddd91ad669c08"
     )
     dists = sim.rotated_probabilities(psi, plan.words)
-    assert _float_digest(exact_estimator_variance(dists, plan, q, DELTA)) == (
+    assert _float_digest(exact_estimator_variance([dists], plan, q, DELTA)[0]) == (
         "59078447abddc6f7117ef80f39a1f7ece2ca46bcf741aabd9d785adf38371232"
     )
 
@@ -421,7 +421,9 @@ def test_stacked_exact_variance_is_each_table_alone_bit_for_bit(n, order):
         got = exact_estimator_variance(stack, plan, q, DELTA)
         assert len(got) == len(stack)
         for table, pair in zip(stack, got):
-            want = exact_estimator_variance(table, plan, q, DELTA)
+            (want,) = exact_estimator_variance([table], plan, q, DELTA)
             assert list(map(float.hex, pair)) == list(map(float.hex, want))
     with pytest.raises(ValueError, match="distributions for"):
         exact_estimator_variance(tables[:, 0, 1:], plan, q, DELTA)
+    with pytest.raises(ValueError, match="want \\(states, words, outcomes\\)"):
+        exact_estimator_variance(tables[0, 0], plan, q, DELTA)

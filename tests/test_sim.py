@@ -473,27 +473,6 @@ def test_hermiticity_deviation_is_the_largest_entry_of_rho_minus_its_adjoint():
     assert sim.hermiticity_deviation(m + m.conj().T) == 0.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 10])
-def test_blocked_hermiticity_deviation_equals_the_full_copy_bit_for_bit(n):
-    # random, exactly Hermitian, and Hermitian with one entry moved below the
-    # diagonal: in the first column, whose mirror is in the first row block, or
-    # in the last row block's corner, which only that block reads
-    dim = 1 << n
-    rng = np.random.default_rng(n)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    hermitian = m + m.conj().T
-    perturbed = []
-    for i, j in {(dim - 1, 0), (dim - 1, max(dim - 2, 0))}:
-        perturbed.append(hermitian.copy())
-        perturbed[-1][i, j] += 3e-11 - 2e-11j
-    for a in [m, hermitian, m.real] + perturbed:
-        assert float.hex(sim.hermiticity_deviation(a)) == float.hex(
-            dense_oracle.hermiticity_deviation(a)
-        )
-    assert sim.hermiticity_deviation(hermitian) == 0.0
-    assert all(sim.hermiticity_deviation(a) > 0.0 for a in perturbed)
-
-
 def test_sample_deterministic_z_word():
     psi = StateVector.zero(4)
     ((idx, cnt),) = sample(psi, ["ZZZZ"], [500], [(9, 0)])
