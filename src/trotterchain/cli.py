@@ -246,8 +246,12 @@ def _plan(config: ExperimentConfig, spec: ChargeSpec):
 # ---------------------------------------------------------------------------
 
 
-def decay_table(config: ExperimentConfig) -> list:
-    """Rows (d, charge, variant, estimate, s_q, exact) for d = 0..depth_max."""
+def decay_table(config: ExperimentConfig, diagnostics: list | None = None) -> list:
+    """Rows (d, charge, variant, estimate, s_q, exact) for d = 0..depth_max.
+
+    Each estimator diagnostic is appended to ``diagnostics``, if given, as
+    ``"d=<d> <label>: <text>"``.
+    """
     delta = config.delta
     noise = config.noise_model()
     charge_ops = {spec.label: (spec, *_plan(config, spec)) for spec in config.specs()}
@@ -258,6 +262,7 @@ def decay_table(config: ExperimentConfig) -> list:
     slots = [(label, wi, w) for label in labels for wi, w in enumerate(charge_ops[label][2].words)]
     words = [w for *_, w in slots]
     shots = [charge_ops[label][2].shots_per_word for label, *_ in slots]
+    cuts = np.cumsum([len(charge_ops[label][2].words) for label in labels])[:-1]
     rows = []
     for d, state in enumerate(_trajectory(config)):
         if config.exact_reference:
@@ -265,11 +270,13 @@ def decay_table(config: ExperimentConfig) -> list:
         else:
             exacts = [None] * len(labels)
         keys = [(_word_seed(config.seed, d, label, w), wi) for label, wi, w in slots]
-        outcomes = iter(sample(state, words, shots, keys, noise))
-        for label, exact in zip(labels, exacts):
+        tables = np.split(sample(state, words, shots, keys, noise), cuts)
+        for label, exact, counts in zip(labels, exacts, tables):
             spec, q, plan = charge_ops[label]
-            est = measure.estimate(list(islice(outcomes, len(plan.words))), plan, q, delta)
+            est = measure.estimate(counts, plan, q, delta)
             rows.append((d, spec.order, spec.variant, est.value, est.std_uncertainty, exact))
+            if diagnostics is not None:
+                diagnostics.extend(f"d={d} {label}: {text}" for text in est.diagnostics)
     return rows
 
 
@@ -477,7 +484,10 @@ def main(argv=None) -> int:
                 _write_json(path, config, {"charge": q.to_dict(spec.order, spec.variant)})
                 print(f"wrote {path} ({len(q)} terms)")
         elif args.verb == "decay":
-            rows = decay_table(config)
+            diagnostics = []
+            rows = decay_table(config, diagnostics)
+            for line in diagnostics:
+                print(line, file=sys.stderr)
             path = os.path.join(args.out, "decay.csv")
             write_csv(path, config, "d,charge,variant,estimate,s_q,exact", rows)
             print(f"wrote {path} ({len(rows)} rows)")

@@ -65,8 +65,7 @@ def calibrate(noise: NoiseModel, n_sites: int, shots: int | None, seed: int = 0)
         if shots is None:
             cols[:, j] = outcome_distribution(state, [word], noise)[0]
         else:
-            ((idx, counts),) = sample(state, [word], [shots], [(seed, j)], noise)
-            cols[idx, j] = counts / shots
+            cols[:, j] = sample(state, [word], [shots], [(seed, j)], noise)[0] / shots
     return CalibrationMatrix(n_sites, cols)
 
 

@@ -14,10 +14,11 @@ The module owns the packed algebra on int64 mask arrays (Python ints work
 too), and every other module calls it: the sortable :func:`key` and its
 inverse :func:`unkey`, the two-site :func:`rotations`, the unit
 :func:`i_power` of ``P(x, z) = i**|x&z| X^x Z^z``, the sign
-:func:`parity_sign`, :func:`anticommute`, the :func:`product` of two
-strings with its power of ``i``, and the six :func:`letter_images` of global
-spin rotations with each string's :func:`letter_orbit`; :data:`MATRICES`
-holds the 2x2 Paulis.
+:func:`parity_sign`, the :func:`walsh_rows` transform that sums it against
+each row of a table for every mask at once, :func:`anticommute`, the
+:func:`product` of two strings with its power of ``i``, and the six
+:func:`letter_images` of global spin rotations with each string's
+:func:`letter_orbit`; :data:`MATRICES` holds the 2x2 Paulis.
 ``|m|`` is the popcount of mask ``m``.
 
 Text rendering writes site 1 leftmost, e.g. ``"IXZY"``; :func:`letter_strings`
@@ -216,6 +217,28 @@ def i_power(x, z):
 def parity_sign(a, b):
     """(-1)**|a&b| as floats: Z^b on basis state a, or X^a against Z^b."""
     return 1.0 - 2.0 * (np.bitwise_count(a & b) & 1)
+
+
+def walsh_rows(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Walsh transform ``t[m] = sum_b (-1)^{popcount(b & m)} v[b]`` of each row of ``cur``.
+
+    Stage k takes each row's entries pairwise, (2i, 2i+1) -> i and i + dim/2,
+    to their sum and difference: the butterfly on the bit that started as bit
+    k, which then moves to the top.  After log2(dim) stages the bits are back
+    in place, each entry computed from the same operands in the same stage
+    order as by in-place butterflies with h = 1, 2, 4, ..., but every stage
+    reads and writes whole rows.  Stages ping-pong between ``cur`` and
+    ``nxt``, of one shape and dtype (an integer table stays exact); returns
+    the one holding the result.
+    """
+    r, dim = cur.shape
+    half = dim >> 1
+    for _ in range(dim.bit_length() - 1):
+        pairs = cur.reshape(r, half, 2)
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=nxt[:, :half])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=nxt[:, half:])
+        cur, nxt = nxt, cur
+    return cur
 
 
 def anticommute(x1, z1, x2, z2):

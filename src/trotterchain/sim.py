@@ -3,10 +3,11 @@
 Gates are applied in place as small blocks on a few bits (no full 2^N gate
 matrices).  Site ``j`` lives on bit ``j-1``; a computational basis index
 ``b`` has site-j outcome ``(b >> (j-1)) & 1``.  :func:`sample` takes one
-shot count and one key per word and returns one ``(indices, counts)`` pair
-per word, :func:`outcome_distribution` one row per word, in the order of the
-words given; the estimators of :mod:`measure` read each plan's slice as it
-is, and n_W off its counts.  Outcomes stay basis indices; no bitstring is written.
+shot count and one key per word and returns an int64 count table,
+:func:`outcome_distribution` a table of probabilities: one row per word, in
+the order of the words given, one column per basis outcome.  The estimators
+of :mod:`measure` read each plan's rows as they are, and n_W off a row's
+sum.  Outcomes stay basis indices; no bitstring is written.
 
 Both engines move a state through one kernel, ``_apply_block``: a block is
 an operator on a few bits of a vector, applied as one matrix product over
@@ -89,7 +90,7 @@ import numpy as np
 from .charges import ChargeSpec, periodic_density
 from .circuit import Circuit, Gate, InitialStateSpec
 from .noise import KrausChannel
-from .pauli import i_power, rotations, word_masks
+from .pauli import i_power, rotations, walsh_rows, word_masks
 
 DM_MAX_SITES = 10
 
@@ -382,27 +383,6 @@ def evolve_noisy(circuit: Circuit, init: DensityMatrix, noise: NoiseModel) -> De
 # ---------------------------------------------------------------------------
 
 
-def _walsh_rows(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Walsh transform ``t[m] = sum_b (-1)^{popcount(b & m)} v[b]`` of each row of ``cur``.
-
-    Stage k takes each row's entries pairwise, (2i, 2i+1) -> i and i + dim/2,
-    to their sum and difference: the butterfly on the bit that started as bit
-    k, which then moves to the top.  After log2(dim) stages the bits are back
-    in place, each entry computed from the same operands in the same stage
-    order as by in-place butterflies with h = 1, 2, 4, ..., but every stage
-    reads and writes whole rows.  Stages ping-pong between ``cur`` and
-    ``nxt``; returns the one holding the result.
-    """
-    r, dim = cur.shape
-    half = dim >> 1
-    for _ in range(dim.bit_length() - 1):
-        pairs = cur.reshape(r, half, 2)
-        np.add(pairs[:, :, 0], pairs[:, :, 1], out=nxt[:, :half])
-        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=nxt[:, half:])
-        cur, nxt = nxt, cur
-    return cur
-
-
 def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
     """tr(rho Q) or <psi|Q|psi> of the charge of each spec in ``specs`` at ``delta``, in order.
 
@@ -449,7 +429,7 @@ def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
     perms = rotations(cols, n)  # perms[j, b] = R^(2j) b
     rotated = state.amplitudes[perms]  # rotated[j, b] = psi[R^(2j) b]
     probs = state.amplitudes.real**2 + state.amplitudes.imag**2
-    w0 = _walsh_rows(probs[perms].sum(axis=0)[None], np.empty((1, dim)))[0]
+    w0 = walsh_rows(probs[perms].sum(axis=0)[None], np.empty((1, dim)))[0]
     zs = [int(np.searchsorted(q.x, 1)) for q in qs]  # the number of Z strings
     vals = [float(np.dot(c[:k], w0[q.z[:k]])) for q, c, k in zip(qs, coeffs, zs)]
     xs = np.sort(np.concatenate([np.zeros(0, np.int64)] + [q.x[k:] for q, k in zip(qs, zs)]))
@@ -479,7 +459,7 @@ def exact_expectation(state, specs: Sequence[ChargeSpec], delta: float) -> list:
             np.conjugate(g, out=g)
             gb *= r.reshape(-1, 2, 1 << h)[:, 0]
             o += g
-        w = _walsh_rows(o, g).reshape(-1)
+        w = walsh_rows(o, g).reshape(-1)
         for k, (c, pos, cuts) in enumerate(terms):
             t0, t1 = cuts[i], cuts[i + 1]
             vals[k] += float(np.dot(c[t0:t1], w[pos[t0:t1]]).real)
@@ -506,7 +486,7 @@ def _pauli_rows(rho: DensityMatrix, xs: np.ndarray) -> np.ndarray:
         x = xs[start : start + per]
         cur = buf[0, : len(x)]
         np.take(flat, (cols ^ x[:, None]) + row_start, out=cur)
-        w = _walsh_rows(cur, buf[1, : len(x)])
+        w = walsh_rows(cur, buf[1, : len(x)])
         out[start : start + len(x)] = (w * i_power(x[:, None], cols)).real
     return out
 
@@ -523,12 +503,12 @@ def from_pauli_spectrum(paulis: np.ndarray) -> DensityMatrix:
 
     Row x of ``paulis`` times conj(i^popcount(x & z)) is the Walsh transform
     of the overlap row ``rho[b, b^x]`` (:func:`pauli_spectrum`), so one
-    :func:`_walsh_rows` pass over all rows, divided by 2^N, gives every entry.
+    :func:`pauli.walsh_rows` pass over all rows, divided by 2^N, gives every entry.
     """
     dim = len(paulis)
     cols = np.arange(dim, dtype=np.int64)
     w = paulis * i_power(cols[:, None], cols).conj()
-    rows = _walsh_rows(w, np.empty_like(w))
+    rows = walsh_rows(w, np.empty_like(w))
     rho = np.empty((dim, dim), dtype=complex)
     rho.reshape(-1)[cols * dim + (cols ^ cols[:, None])] = rows / dim
     return DensityMatrix(dim.bit_length() - 1, rho)
@@ -549,7 +529,7 @@ def rotated_probabilities(state, words) -> np.ndarray:
         # p_w(b) = 2^-N sum_S (-1)^popcount(b & S) paulis[wx & S, wz & S]
         cols = np.arange(dim, dtype=np.int64)
         g = pauli_spectrum(state).reshape(-1)[(wx[:, None] & cols) * dim + (wz[:, None] & cols)]
-        out = _walsh_rows(g, np.empty_like(g))
+        out = walsh_rows(g, np.empty_like(g))
         out /= dim
         return out
 
@@ -585,11 +565,16 @@ def apply_readout_flips(probs: np.ndarray, flip: np.ndarray, n_sites: int) -> np
     return p
 
 
+def _philox_key(seed: int, word_index: int) -> np.ndarray:
+    """The Philox key of (seed, word index): the seed's 64 low bits and
+    ``word_index << 20``, as an explicit uint64 pair.  A list holding an int
+    above 2^63 - 1 would pass through float64 and lose the seed's low bits."""
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, word_index << 20], dtype=np.uint64)
+
+
 def shot_rng(seed: int, word_index: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, word index)."""
-    return np.random.Generator(
-        np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, word_index << 20])
-    )
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, word_index)))
 
 
 def outcome_distribution(state, words, noise: NoiseModel = IDEAL) -> np.ndarray:
@@ -607,21 +592,28 @@ def outcome_distribution(state, words, noise: NoiseModel = IDEAL) -> np.ndarray:
     return p
 
 
-def sample(state, words, shots, keys, noise: NoiseModel = IDEAL) -> list:
+def sample(state, words, shots, keys, noise: NoiseModel = IDEAL) -> np.ndarray:
     """Multinomial outcome counts of :func:`outcome_distribution`, ``shots[i]`` for word i.
 
     The only place shots are drawn.  Word i draws ``shots[i]`` outcomes with
     ``keys[i] = (seed, word_index)``, the key of its :func:`shot_rng`, so its
-    draws do not depend on the other words.  Returns one int64 ``(indices,
-    counts)`` pair per word: the outcomes drawn, ascending, and their counts.
+    draws do not depend on the other words.  One Philox generator is re-keyed
+    for each word through its ``state``, with the counter and buffer of a new
+    one, so it draws what a fresh :func:`shot_rng` draws.  Returns an int64
+    count table of shape ``(words, 2^N)``: row i counts each basis outcome of
+    word i.
     """
     if len(shots) != len(words) or len(keys) != len(words):
         raise ValueError("sample needs one shot count and one (seed, word_index) key per word")
     if min(shots, default=1) < 1:
         raise ValueError("shots must be >= 1")
-    out = []
-    for p, n_w, (seed, word_index) in zip(outcome_distribution(state, words, noise), shots, keys):
-        draws = shot_rng(seed, word_index).multinomial(n_w, p)
-        idx = np.flatnonzero(draws)
-        out.append((idx, draws[idx]))
-    return out
+    dists = outcome_distribution(state, words, noise)
+    counts = np.empty(dists.shape, dtype=np.int64)
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    fresh = bits.state  # counter 0 and buffer spent, as a new generator's; only the key changes
+    for row, p, n_w, (seed, word_index) in zip(counts, dists, shots, keys):
+        fresh["state"]["key"] = _philox_key(seed, word_index)
+        bits.state = fresh
+        row[:] = gen.multinomial(n_w, p)
+    return counts

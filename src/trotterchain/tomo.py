@@ -58,11 +58,8 @@ def collect(state, shots: int | None, seed: int = 0, noise: NoiseModel = IDEAL) 
     words = all_words(n)
     if shots is None:
         return rotated_probabilities(state, words)
-    rows = np.zeros((len(words), 1 << n))
     keys = [(seed, k) for k in range(len(words))]
-    for k, (idx, counts) in enumerate(sample(state, words, [shots] * len(words), keys, noise)):
-        rows[k, idx] = counts
-    return rows / shots
+    return sample(state, words, [shots] * len(words), keys, noise) / shots
 
 
 def linear_inversion(freqs: np.ndarray) -> np.ndarray:

@@ -493,12 +493,15 @@ def _coverage(plan, charge, n_w) -> tuple:
     return word_cover, n_p
 
 
-def estimate(outcomes: list, plan, charge, delta: float) -> ChargeEstimate:
-    """The pooled estimator with each term pair's statistics in a dict, pair by pair."""
-    if len(outcomes) != len(plan.words):
-        raise ValueError(f"{len(outcomes)} outcome pairs for {len(plan.words)} plan words")
+def estimate(counts, plan, charge, delta: float) -> ChargeEstimate:
+    """The pooled estimator with each term pair's statistics in a dict, pair by pair.
+
+    ``counts`` is a count table, one row per plan word; each row is read as
+    its nonzero outcomes and their counts."""
+    if len(counts) != len(plan.words):
+        raise ValueError(f"{len(counts)} count rows for {len(plan.words)} plan words")
     coeffs = charge.coefficients(delta).tolist()  # Python floats, as the artifacts print them
-    n_w = [int(cnt.sum()) for _, cnt in outcomes]  # each word's n_W is its count sum
+    n_w = [int(row.sum()) for row in counts]  # each word's n_W is its count sum
     masks = charge.x | charge.z
     word_cover, n_p = _coverage(plan, charge, n_w)
 
@@ -506,10 +509,11 @@ def estimate(outcomes: list, plan, charge, delta: float) -> ChargeEstimate:
     # cross-sum matrix sum_i Pi_a Pi_b, each as one matrix product
     s_p = [0.0] * len(charge)
     pair_stats: dict = {}  # (a, b) a <= b -> [n_PP', cross, sum_a, sum_b]
-    for (idx, cnt), cov, k in zip(outcomes, word_cover, n_w):
+    for row, cov, k in zip(counts, word_cover, n_w):
         if not cov:
             continue
-        cnt = cnt.astype(np.float64)
+        idx = np.flatnonzero(row)
+        cnt = row[idx].astype(np.float64)
         signs = parity_sign(idx[None, :], masks[cov, None])
         sums = signs @ cnt
         cross = (signs * cnt) @ signs.T
@@ -528,7 +532,7 @@ def estimate(outcomes: list, plan, charge, delta: float) -> ChargeEstimate:
     value = sum(c * s_p[ti] / n_p[ti] for ti, c in enumerate(coeffs))
 
     diagnostics = []
-    var = 0.0
+    terms = {}
     skipped_pairs = 0
     for (a, b), (n_ab, cross, sum_a, sum_b) in pair_stats.items():
         if n_ab <= 1:
@@ -536,7 +540,10 @@ def estimate(outcomes: list, plan, charge, delta: float) -> ChargeEstimate:
             continue
         inner = cross - sum_a * sum_b / n_ab
         contrib = (n_ab / (n_p[a] * n_p[b])) * (coeffs[a] * coeffs[b] / (n_ab - 1)) * inner
-        var += contrib if a == b else 2.0 * contrib
+        terms[a, b] = contrib if a == b else 2.0 * contrib
+    # folded in (a, b) order by numpy's pairwise sum, as measure.estimate
+    # folds its pairs, so sigma compares bit for bit
+    var = float(np.sum([terms[pair] for pair in sorted(terms)], dtype=np.float64))
     if skipped_pairs:
         diagnostics.append(f"skipped {skipped_pairs} term pairs with n_PP' = 1")
     if var < 0.0:

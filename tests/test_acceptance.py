@@ -240,12 +240,11 @@ def test_c09_estimator_monte_carlo():
     vals = np.empty(reps)
     s2 = np.empty(reps)
     for r in range(reps):
-        outcomes = []
-        for wi, p in enumerate(dists):
-            draws = sim.shot_rng(9000 + r, wi).multinomial(plan.shots_per_word, p)
-            idx = np.flatnonzero(draws)
-            outcomes.append((idx, draws[idx]))
-        est = estimate(outcomes, plan, q, DELTA)
+        counts = [
+            sim.shot_rng(9000 + r, wi).multinomial(plan.shots_per_word, p)
+            for wi, p in enumerate(dists)
+        ]
+        est = estimate(np.array(counts), plan, q, DELTA)
         vals[r] = est.value
         s2[r] = est.std_uncertainty**2
     stderr = vals.std(ddof=1) / np.sqrt(reps)

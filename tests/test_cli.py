@@ -1,12 +1,13 @@
 import functools
 import hashlib
 import json
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from trotterchain import analysis, charges, cli, sim, tomo
+from trotterchain import analysis, charges, cli, measure, sim, tomo
 from trotterchain.charges import ChargeSpec, assemble
 from trotterchain.cli import ConfigError, ExperimentConfig
 
@@ -355,6 +356,25 @@ def test_mitigation_rejects_a_charge_whose_noiseless_value_is_zero(
     assert not (out / "mitigation.csv").exists()
 
 
+def test_decay_prints_the_estimator_diagnostics(tmp_path, capsys):
+    # one shot per word pools term pairs over a single shot: the decay verb
+    # prints each skip to stderr, tagged with its depth and charge, and
+    # decay.csv holds the rows a call without the list returns
+    n_words = len(measure.build_cover(assemble(ChargeSpec(1, "plus", 4)), np.tan(0.3)).words)
+    doc = base_config(depth_max=1, shots_total=n_words)
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cli.main(["decay", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["d=0 Q1+", "d=1 Q1+"]
+    assert all(re.fullmatch(r"d=\d Q1\+: skipped \d+ term pairs with n_PP' = 1", e) for e in err)
+    diagnostics = []
+    rows = cli.decay_table(cfg, diagnostics)
+    assert diagnostics == err and rows == cli.decay_table(cfg)
+    want = tmp_path / "want.csv"
+    cli.write_csv(str(want), cfg, "d,charge,variant,estimate,s_q,exact", rows)
+    assert (tmp_path / "decay.csv").read_bytes() == want.read_bytes()
+
+
 def test_seed_above_32_bits_changes_samples():
     low = cli.decay_table(ExperimentConfig.from_dict(base_config(seed=5)))
     high = cli.decay_table(ExperimentConfig.from_dict(base_config(seed=5 + 2**32)))
@@ -456,7 +476,7 @@ PINNED_RUNS = {
             "benchmarks.jsonl": "2f2052675392302be73e60c6a63c363d6dc131255203b3907fb4e30b3b652ce5",
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
-            "decay.csv": "9d1c24a4ee37212083a3c6d09831f2d338aedfc3d9844285b3cf5fea9631b0cc",
+            "decay.csv": "61249717acf1a90ab5d8b8411bf47b5e693c88f8d43d3b9282812b8fb951f72b",
             "fits.csv": "9727ef2fc471bff0dc310a452583c9ad9727d0208770391c01eaf7b0e91d9a58",
             "fits.json": "02ef5f9f2c2235ff979912d9c99ab3f96c4edfa0d97a7c5a175b5b3b90b0f16c",
             "mitigation.csv": "f0991580fdbbac27136f87b0eb05655cc146f82e93121e43c650e093e9a6df09",
@@ -474,15 +494,15 @@ PINNED_RUNS = {
             exact_reference=False,
         ),
         {
-            "benchmarks.jsonl": "e63fb0865ac2c0d680b7df90fb5fc23519cc7fd955c0c64e6c63b79dc9cdc965",
+            "benchmarks.jsonl": "399738b8484dfef907ef5f7682a1d697c9fd996ef3da132d5f414534dcc60a64",
             "charge_Q1+_N4.json": "e819a82716f3a44823a02166dd1c50fe88b7fb3654927ad8065bc7dc89f71d85",
-            "decay.csv": "aa9d8839ee6717c250b295e6dbf0f1f3dfe2e0ab9eff80f05cb7ddc43ee01d91",
-            "fits.csv": "5a9a2cd09662e44020123ba7e4b934ef20fc9b1b9e1b2a6e41364e5364dfb79e",
-            "fits.json": "40b86c3baafd76084b66a736755d1a3617ca78492f8889f4a41b0dbb8ffb970d",
+            "decay.csv": "42cedf7a2c5adf27e854c59f0e8e1dbdbd1ce40c217d6117a0077168bb0634f8",
+            "fits.csv": "7b78d0aed08fa6337f9d70430f74e1cb95818d91c2bcfc0b1ac2c5b167805157",
+            "fits.json": "5298e25bdf1f1371ccb052ad5dea5d9a992ab42e4835641adb6e37d4da6ff1c2",
             "mitigation.csv": "9096d98cc47a2852821a68ced97f6006cece03776f27a50258a32899624dbe1f",
             "spectrum.csv": "73fdbabbd1d58c5bec62e320b35f03b009fe233c400c2a292b639d3deb5b0590",
             "spectrum.json": "15f36e8272fc0cb9392cbd21f183316c8ba02be58b56fe56ca8a47a6edc3b187",
-            "tomo.json": "0ce9e2baaf6d66be96667b7f567541fcb84e0a8675ea09202c846d39f00aad8f",
+            "tomo.json": "d54d04bedad343160a7c94a9d2eb57936da4dce4f766b135c09dc39c6f28be47",
         },
     ),
 }

@@ -83,7 +83,7 @@ def test_bitmask_containment_matches_letters(data):
     expected = [
         [i for i, t in enumerate(letters) if _letters_contain(w, t)] for w in words
     ]
-    assert [cov.tolist() for cov in _word_cover(plan, q)] == expected
+    assert [np.flatnonzero(row).tolist() for row in _word_cover(plan, q)] == expected
     for w, cov in zip(words, expected):
         assert [contains(w, s) for s, _ in items(q)] == [i in cov for i in range(len(q))]
 
@@ -182,7 +182,7 @@ def test_cover_empty_charge_rejected():
 def test_estimate_deterministic_outcome():
     q = _charge(("ZZ", 1))
     plan = MeasurementPlan(("ZZ",), 100)
-    est = estimate([(np.array([0]), np.array([100]))], plan, q, DELTA)  # "00" on every shot
+    est = estimate(np.array([[100, 0, 0, 0]]), plan, q, DELTA)  # "00" on every shot
     assert est.value == 1.0
     assert est.std_uncertainty == 0.0
 
@@ -191,11 +191,13 @@ def test_estimate_requires_coverage_and_counts():
     q = _charge(("XX", 1))
     plan = MeasurementPlan(("ZZ",), 10)
     with pytest.raises(CoverageError, match=r"\['XX'\]"):
-        estimate([(np.array([0]), np.array([10]))], plan, q, DELTA)
+        estimate(np.array([[10, 0, 0, 0]]), plan, q, DELTA)
     with pytest.raises(ValueError, match="outcomes of ZZ sum to 0 shots"):
-        estimate([(np.array([], np.int64), np.array([], np.int64))], plan, q, DELTA)
-    with pytest.raises(ValueError, match="2 outcome pairs for 1 plan words"):
-        estimate([(np.array([0]), np.array([10]))] * 2, plan, PauliPolynomial(2), DELTA)
+        estimate(np.zeros((1, 4), np.int64), plan, q, DELTA)
+    with pytest.raises(ValueError, match=r"counts of shape \(2, 4\): want ints of \(1, 4\)"):
+        estimate(np.array([[10, 0, 0, 0]] * 2), plan, PauliPolynomial(2), DELTA)
+    with pytest.raises(ValueError, match=r"float64 counts"):
+        estimate(np.array([[10.0, 0, 0, 0]]), plan, q, DELTA)
 
 
 def test_exact_variance_names_uncovered_terms():
@@ -208,13 +210,10 @@ def test_exact_variance_names_uncovered_terms():
 
 
 def _sample(plan, dists, seed):
-    """One ``(indices, counts)`` pair per plan word, drawn from its row of ``dists``."""
-    outcomes = []
-    for wi, p in enumerate(dists):
-        draws = sim.shot_rng(seed, wi).multinomial(plan.shots_per_word, p)
-        idx = np.flatnonzero(draws)
-        outcomes.append((idx, draws[idx]))
-    return outcomes
+    """A count table, each plan word's row drawn from its row of ``dists``."""
+    return np.array(
+        [sim.shot_rng(seed, wi).multinomial(plan.shots_per_word, p) for wi, p in enumerate(dists)]
+    )
 
 
 def test_estimator_and_variance_unbiased():
@@ -317,7 +316,7 @@ def test_single_shot_pair_skipped_with_diagnostic():
     n = 2
     q = _charge(("ZI", 1), ("IZ", 1))
     plan = MeasurementPlan(("ZZ",), 1)
-    est = estimate([(np.array([2]), np.array([1]))], plan, q, DELTA)  # "01": site 2 reads 1
+    est = estimate(np.array([[0, 0, 1, 0]]), plan, q, DELTA)  # "01": site 2 reads 1
     assert any("n_PP' = 1" in d for d in est.diagnostics)
     assert est.std_uncertainty == 0.0
 
@@ -326,8 +325,8 @@ def test_negative_variance_clamped_with_diagnostic():
     # two shots per word leave the unbiased variance estimate negative here
     q = _charge(("IX", 2), ("XI", -1), ("ZI", -1))
     plan = MeasurementPlan(("XX", "ZX", "XZ"), 2)
-    both = (np.array([0, 3]), np.array([1, 1]))
-    est = estimate([both, both, (np.array([0]), np.array([2]))], plan, q, DELTA)
+    both = [1, 0, 0, 1]
+    est = estimate(np.array([both, both, [2, 0, 0, 0]]), plan, q, DELTA)
     assert (est.value, est.std_uncertainty) == (-0.5, 0.0)
     assert est.diagnostics == ("variance estimate -4.167e-01 clamped at 0",)
 
@@ -359,7 +358,7 @@ def test_estimators_match_pairwise_reference(data):
     shots = data.draw(st.lists(st.integers(1, 4), min_size=len(words), max_size=len(words)))
     plan = MeasurementPlan(words, shots[0])
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    outcomes = [np.unique(rng.integers(0, 1 << n, k), return_counts=True) for k in shots]
+    outcomes = np.array([np.bincount(rng.integers(0, 1 << n, k), minlength=1 << n) for k in shots])
     scale = float(np.abs(q.coefficients(delta)).sum())
     tol = 1e-12 * scale**2
 
@@ -380,6 +379,41 @@ def test_estimators_match_pairwise_reference(data):
     want_mean, want_sd = dense_oracle.exact_estimator_variance(dists, plan, q, delta)
     assert abs(mean - want_mean) <= 1e-12 * scale
     assert abs(sd**2 - want_sd**2) <= tol
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_estimate_matches_pairwise_reference_bit_for_bit(data):
+    # the Walsh table's parity and cross sums are exact integers, as the
+    # reference's matrix products are, and both fold their pairs in key
+    # order: value, sigma and diagnostics agree bit for bit.  The plans carry
+    # a word that covers no term (where one exists), repeated words, one-shot
+    # words and unequal shots per word
+    n = data.draw(st.integers(2, 6))
+    charges = [polynomials(max_terms=12, n_sites=n)]
+    if n in (4, 6):
+        orders = st.sampled_from([1, 2] if n == 6 else [1])
+        specs = st.builds(ChargeSpec, orders, st.sampled_from(VARIANTS), st.just(n))
+        charges.append(specs.map(assemble_cached))
+    q = data.draw(st.one_of(charges))
+    delta = data.draw(st.floats(-3.0, 3.0))
+    words = list(build_cover(q, delta).words)
+    words += data.draw(st.lists(st.sampled_from(words), max_size=3))  # repeats
+    every = ["".join(w) for w in iproduct("XYZ", repeat=n)]
+    idle = [w for w, row in zip(every, _word_cover(MeasurementPlan(every, 1), q)) if not row.any()]
+    if idle:
+        words.append(data.draw(st.sampled_from(idle)))
+    words = data.draw(st.permutations(words))
+    plan = MeasurementPlan(tuple(words), 1)
+    shots = data.draw(st.lists(st.integers(1, 6), min_size=len(words), max_size=len(words)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    counts = np.array([rng.multinomial(k, rng.dirichlet(np.ones(1 << n))) for k in shots])
+
+    got = estimate(counts, plan, q, delta)
+    want = dense_oracle.estimate(counts, plan, q, delta)
+    assert float.hex(got.value) == float.hex(want.value)
+    assert float.hex(got.std_uncertainty) == float.hex(want.std_uncertainty)
+    assert got.diagnostics == want.diagnostics
 
 
 def _float_digest(values):

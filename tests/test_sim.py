@@ -3,6 +3,7 @@ import hashlib
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import replace
 from itertools import product
@@ -338,18 +339,16 @@ def test_batched_readout_matches_per_word_oracle(n, kind, seed, data):
     rows = sim.rotated_probabilities(state, words)
     dists = sim.outcome_distribution(state, words, noise)
     keys = [(seed, k) for k in range(len(words))]
-    outcomes = sample(state, words, [500] * len(words), keys, noise)
+    counts = sample(state, words, [500] * len(words), keys, noise)
 
-    assert rows.shape == dists.shape == (len(words), 1 << n)
-    assert len(outcomes) == len(words)
+    assert rows.shape == dists.shape == counts.shape == (len(words), 1 << n)
+    assert counts.dtype == np.int64
     for k, w in enumerate(words):
         oracle = dense_oracle.rotated_probabilities(state, w)
         assert np.abs(rows[k] - oracle).max() <= (1e-14 if pure else 1e-12)
         want = dense_oracle.read_out(rows[k], noise)
         assert _bits(dists[k]) == _bits(want)
-        draws = sim.shot_rng(seed, k).multinomial(500, want)
-        idx, cnt = outcomes[k]
-        assert np.array_equal(idx, np.flatnonzero(draws)) and np.array_equal(cnt, draws[idx])
+        assert np.array_equal(counts[k], sim.shot_rng(seed, k).multinomial(500, want))
     assert _bits(state.amplitudes if pure else state.entries) == before
 
 
@@ -411,6 +410,47 @@ def test_readout_rejects_malformed_words(word):
     # the error names the first malformed word
     with pytest.raises(ValueError, match=re.escape(repr(word))):
         sim.rotated_probabilities(StateVector.zero(3), ["XYZ", word, "QQQ"])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 5), st.data())
+def test_sample_count_table_rows_are_each_words_own_draws(n, data):
+    # a basis state read out in a word with a Z letter has outcomes of
+    # probability exactly 0, which no row may draw; each row sums to its
+    # word's shots and is the row its word draws when sampled alone, so the
+    # one re-keyed generator carries nothing from word to word
+    state = StateVector.basis(n, data.draw(st.integers(0, (1 << n) - 1)))
+    words = data.draw(word_lists(n))
+    shots = data.draw(st.lists(st.integers(1, 60), min_size=len(words), max_size=len(words)))
+    key = st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**20))
+    keys = data.draw(st.lists(key, min_size=len(words), max_size=len(words)))
+    counts = sample(state, words, shots, keys)
+    assert counts.dtype == np.int64 and counts.shape == (len(words), 1 << n)
+    assert counts.sum(axis=1).tolist() == shots
+    assert not counts[sim.outcome_distribution(state, words) == 0.0].any()
+    for row, word, k, key in zip(counts, words, shots, keys):
+        assert np.array_equal(row, sample(state, [word], [k], [key])[0])
+
+
+def test_shot_rng_keys_on_all_64_seed_bits():
+    # a key list holding a seed above 2^63 - 1 went through float64: 2^63 + 1
+    # and 2^63 + 2 drew alike, and 2^64 - 1 cast to key 0 with a RuntimeWarning
+    p = np.full(16, 1 / 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = {
+            key: sim.shot_rng(*key).multinomial(1000, p).tolist()
+            for key in ((2**63 + 1, 0), (2**63 + 2, 0), (2**64 - 1, 7), (0, 7))
+        }
+        for key in ((2**63 + 1, 0), (2**64 - 1, 7)):
+            (row,) = sample(StateVector.basis(4, 0), ["XXXX"], [1000], [key])
+            assert row.tolist() == draws[key]
+    assert draws[2**63 + 1, 0] != draws[2**63 + 2, 0]
+    assert draws[2**64 - 1, 7] != draws[0, 7]
+    # below 2^63 every key draws as the list-keyed generator it replaced
+    for seed, word in ((0, 7), (5, 3), (2**32 + 5, 1), (2**63 - 1, 2)):
+        old = np.random.Generator(np.random.Philox(key=[seed, word << 20])).multinomial(1000, p)
+        assert np.array_equal(sim.shot_rng(seed, word).multinomial(1000, p), old)
 
 
 def test_sample_needs_one_key_per_word():
@@ -475,17 +515,15 @@ def test_hermiticity_deviation_is_the_largest_entry_of_rho_minus_its_adjoint():
 
 def test_sample_deterministic_z_word():
     psi = StateVector.zero(4)
-    ((idx, cnt),) = sample(psi, ["ZZZZ"], [500], [(9, 0)])
-    assert idx.tolist() == [0] and cnt.tolist() == [500]  # {"0000": 500}
+    ((*row,),) = sample(psi, ["ZZZZ"], [500], [(9, 0)])
+    assert row == [500] + [0] * 15  # {"0000": 500}
 
 
 def test_sample_seed_reproducible_and_sums():
     psi = StateVector.from_spec(InitialStateSpec("XYZX", (0, 1, 0, 1)))
-    c1, c2, c3 = (
-        [a.tolist() for a in sample(psi, ["ZZZZ"], [1000], [(s, 0)])[0]] for s in (3, 3, 4)
-    )
+    c1, c2, c3 = (sample(psi, ["ZZZZ"], [1000], [(s, 0)])[0].tolist() for s in (3, 3, 4))
     assert c1 == c2
-    assert sum(c1[1]) == 1000
+    assert sum(c1) == 1000
     assert c1 != c3
 
 
@@ -493,7 +531,7 @@ def test_sample_uniform_on_mixed_state():
     n = 3
     rho = dense_oracle.completely_mixed(n)
     shots = 80_000
-    ((_, counts),) = sample(rho, ["XYZ"], [shots], [(1, 0)])
+    (counts,) = sample(rho, ["XYZ"], [shots], [(1, 0)])
     expect = shots / (1 << n)
     sigma = np.sqrt(shots * (1 / 8) * (7 / 8))
     for v in counts:
@@ -508,9 +546,7 @@ def test_sample_chi_square_against_exact():
     word = "XZYX"
     (p,) = sim.rotated_probabilities(psi, [word])
     shots = 100_000
-    ((idx, cnt),) = sample(psi, [word], [shots], [(2, 0)])
-    obs = np.zeros(1 << n)
-    obs[idx] = cnt
+    (obs,) = sample(psi, [word], [shots], [(2, 0)])
     chi2 = float(np.sum((obs - shots * p) ** 2 / (shots * p)))
     # 0.999 quantile of chi-square with 15 degrees of freedom
     assert chi2 < 37.697
@@ -519,8 +555,8 @@ def test_sample_chi_square_against_exact():
 def test_readout_flip_changes_distribution():
     psi = StateVector.zero(2)
     noisy = NoiseModel(readout_flip=0.25)
-    ((idx, cnt),) = sample(psi, ["ZZ"], [40_000], [(5, 0)], noise=noisy)
-    freq10 = cnt[idx == 1].sum() / 40_000  # "10": site 1 reads 1
+    (counts,) = sample(psi, ["ZZ"], [40_000], [(5, 0)], noise=noisy)
+    freq10 = counts[1] / 40_000  # "10": site 1 reads 1
     assert freq10 == pytest.approx(0.25 * 0.75, abs=0.01)
 
 
