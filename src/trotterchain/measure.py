@@ -18,21 +18,23 @@ over word w's shots, so a term's parity sum is read at its support mask and
 a pair's cross sum at the XOR of theirs, as exact integers.  The pairs of
 all words are listed in one pass over the coverage and pooled with
 ``np.unique`` and ``np.bincount``, with no loop over words or pairs.
-:func:`exact_estimator_variance` takes the plan's ``shots_per_word``; its
-states share one coverage and one set of parity signs, and each word's
-moments <P> and <P P'> are one pair of matrix products.  Basis indices
-ascend, site ``j`` on bit ``j-1``; no outcome is ever written as a bitstring.
+:func:`exact_estimator_variance` takes the plan's ``shots_per_word``; one
+Walsh transform gives each word's one-shot estimate at every outcome, and
+every state's mean and variance are two elementwise products with it.  Basis
+indices ascend, site ``j`` on bit ``j-1``; no outcome is ever written as a
+bitstring.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .charges import PauliPolynomial
-from .pauli import PauliString, letter_strings, parity_sign, walsh_rows, word_masks
+from .pauli import PauliString, letter_strings, walsh_rows, word_masks
 
 
 def contains(word: str, term: PauliString) -> bool:
@@ -52,8 +54,15 @@ def _word_mask(word: str, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class MeasurementPlan:
+    """The plan words, each read out ``shots_per_word`` times: an integer >= 1."""
+
     words: tuple
     shots_per_word: int
+
+    def __post_init__(self):
+        n = self.shots_per_word
+        if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"shots_per_word must be an integer >= 1, got {n!r}")
 
 
 def _contained(wx, wz, x, z, s):
@@ -162,13 +171,16 @@ def estimate(
     reported as diagnostics.  Every parity and cross sum is read off one
     Walsh transform of the table, as exact integers (see the module
     docstring).  Raises ValueError for a table of another shape or a
-    non-integer dtype, or a row that sums to 0, and :class:`CoverageError`
-    when a term is in no plan word.
+    non-integer dtype, a negative count, or a row that sums to 0, and
+    :class:`CoverageError` when a term is in no plan word.
     """
     table = np.asarray(counts)
     shape = (len(plan.words), 1 << charge.n_sites)
     if table.shape != shape or table.dtype.kind not in "iu":
         raise ValueError(f"{table.dtype} counts of shape {table.shape}: want ints of {shape}")
+    negative = (table < 0).any(axis=1)
+    if negative.any():
+        raise ValueError(f"negative counts for {plan.words[int(np.argmax(negative))]}")
     n_w = table.sum(axis=1, dtype=np.int64)
     if not n_w.all():
         raise ValueError(f"outcomes of {plan.words[int(np.argmin(n_w != 0))]} sum to 0 shots")
@@ -221,15 +233,17 @@ def exact_estimator_variance(
     ``distributions`` is a ``(states, words, outcomes)`` stack: each state's
     table holds the exact outcome distribution of each plan word, one row per
     word in plan order, as :func:`sim.outcome_distribution` returns them.
-    With u = c_P / n_P over the terms a word covers, e and C its exact
-    moments <P> and <P P'>, the word adds n_W u.e to the mean and
-    n_W (u.C.u - (u.e)^2) to the variance, with n_W the plan's
-    ``shots_per_word``; the coverage check is :func:`estimate`'s.  Useful
+    Each shot of word W adds its one-shot estimate
+    O_W(b) = sum_P (c_P / n_P) (-1)^|b & mask_P| over the terms W covers, so
+    the word adds n_W E[O_W] to the mean and n_W Var(O_W) to the variance,
+    with n_W the plan's ``shots_per_word`` and both moments exact under the
+    word's distribution; the coverage check is :func:`estimate`'s.  Useful
     for deterministic error budgets.
 
-    Returns one ``(mean, sigma)`` pair per state.  The coverage, coefficients
-    and each word's parity signs are built once for the stack, and each pair
-    is bit for bit the one a stack of its table alone returns.
+    Returns one ``(mean, sigma)`` pair per state.  The table of one-shot
+    estimates, (words, outcomes), is one Walsh transform built once for the
+    stack, and each pair is bit for bit the one a stack of its table alone
+    returns.
     """
     stack = np.asarray(distributions, dtype=float)
     if stack.ndim != 3:
@@ -237,21 +251,14 @@ def exact_estimator_variance(
     if stack.shape[1] != len(plan.words):
         raise ValueError(f"{stack.shape[1]} distributions for {len(plan.words)} plan words")
     n_w = plan.shots_per_word
-    coeffs = charge.coefficients(delta)
-    idx = np.arange(1 << charge.n_sites, dtype=np.int64)
-    masks = charge.x | charge.z
     hits, n_p = _coverage(plan, charge, [n_w] * len(plan.words))
-
-    mean = var = np.zeros(len(stack))
-    for w, row in enumerate(hits):
-        cov = np.flatnonzero(row)
-        # <P> and <P P'> per state: ``matmul`` makes each state the same BLAS
-        # call as that state alone, so each row's moments are its own bit for bit
-        signs, p = parity_sign(idx, masks[cov, None]), stack[:, w]
-        e, cross = (signs @ p[..., None])[..., 0], (signs * p[..., None, :]) @ signs.T
-        u = coeffs[cov] / n_p[cov]
-        # one dot u.e and one u.C.u per state, each the call its table alone makes
-        ue = (e[:, None, :] @ u)[:, 0]
-        mean = mean + n_w * ue
-        var = var + n_w * (((u @ cross)[:, None, :] @ u)[:, 0] - ue * ue)
+    word, term = np.nonzero(hits)
+    # c_P / n_P at each term's mask in its word's row, then one_shot[w, b] = O_w(b)
+    one_shot = np.zeros((len(plan.words), 1 << charge.n_sites))
+    # no two terms of a word share a support mask: a word fixes the letter on each site
+    one_shot[word, (charge.x | charge.z)[term]] = (charge.coefficients(delta) / n_p)[term]
+    one_shot = walsh_rows(one_shot, np.empty_like(one_shot))
+    weighted = stack * one_shot
+    e, e2 = weighted.sum(axis=-1), (weighted * one_shot).sum(axis=-1)
+    mean, var = n_w * e.sum(axis=1), n_w * (e2 - e * e).sum(axis=1)
     return [(m, float(np.sqrt(max(v, 0.0)))) for m, v in zip(mean.tolist(), var.tolist())]

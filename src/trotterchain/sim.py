@@ -84,6 +84,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -601,12 +602,14 @@ def sample(state, words, shots, keys, noise: NoiseModel = IDEAL) -> np.ndarray:
     for each word through its ``state``, with the counter and buffer of a new
     one, so it draws what a fresh :func:`shot_rng` draws.  Returns an int64
     count table of shape ``(words, 2^N)``: row i counts each basis outcome of
-    word i.
+    word i.  Raises ValueError unless every shot count is an integer >= 1
+    (a bool is not one).
     """
     if len(shots) != len(words) or len(keys) != len(words):
         raise ValueError("sample needs one shot count and one (seed, word_index) key per word")
-    if min(shots, default=1) < 1:
-        raise ValueError("shots must be >= 1")
+    bad = [n for n in shots if not isinstance(n, Integral) or isinstance(n, bool) or n < 1]
+    if bad:
+        raise ValueError(f"shots must be >= 1, each an integer: got {bad[0]!r}")
     dists = outcome_distribution(state, words, noise)
     counts = np.empty(dists.shape, dtype=np.int64)
     bits = np.random.Philox(key=0)

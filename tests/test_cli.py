@@ -479,7 +479,7 @@ PINNED_RUNS = {
             "decay.csv": "61249717acf1a90ab5d8b8411bf47b5e693c88f8d43d3b9282812b8fb951f72b",
             "fits.csv": "9727ef2fc471bff0dc310a452583c9ad9727d0208770391c01eaf7b0e91d9a58",
             "fits.json": "02ef5f9f2c2235ff979912d9c99ab3f96c4edfa0d97a7c5a175b5b3b90b0f16c",
-            "mitigation.csv": "f0991580fdbbac27136f87b0eb05655cc146f82e93121e43c650e093e9a6df09",
+            "mitigation.csv": "d072b19265ed6fd2b526587e9fc34aaf7486152fc4332a960b5c8ae1c9ce3c4b",
             "spectrum.csv": "96858cf7b0de6926f6864b8fa3c71b5972830cf970bd2a2d9b6328e64b8130df",
             "spectrum.json": "ec8f0ed4f2626653cf857dbae80f1307b2abd8a462af6b5d13b87dbb493a6d4d",
             "tomo.json": "ed930a8d91f4061f6280c90e133436360947cfaaf15e720d19e2f76706c1bae8",
@@ -499,7 +499,7 @@ PINNED_RUNS = {
             "decay.csv": "42cedf7a2c5adf27e854c59f0e8e1dbdbd1ce40c217d6117a0077168bb0634f8",
             "fits.csv": "7b78d0aed08fa6337f9d70430f74e1cb95818d91c2bcfc0b1ac2c5b167805157",
             "fits.json": "5298e25bdf1f1371ccb052ad5dea5d9a992ab42e4835641adb6e37d4da6ff1c2",
-            "mitigation.csv": "9096d98cc47a2852821a68ced97f6006cece03776f27a50258a32899624dbe1f",
+            "mitigation.csv": "4ef40b6524519cc8a6d3c29492cbb9b4ec7646986348fddf2ae4febffeb5781b",
             "spectrum.csv": "73fdbabbd1d58c5bec62e320b35f03b009fe233c400c2a292b639d3deb5b0590",
             "spectrum.json": "15f36e8272fc0cb9392cbd21f183316c8ba02be58b56fe56ca8a47a6edc3b187",
             "tomo.json": "d54d04bedad343160a7c94a9d2eb57936da4dce4f766b135c09dc39c6f28be47",

@@ -10,11 +10,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DEMO_OUTPUT = {
     "01_conserved_charges": "q[4,+]:  4767 Pauli terms",
+    "02_noisy_decay": "sampled estimates (d, value +- s_Q, exact):",
     "03_channel_spectrum": "256 eigenvalues; largest two",
     "04_tomography": "all pairwise fidelities at d=30",
     "05_error_mitigation": "indistinguishable at d = ",
     "06_benchmark": "higher / more nonlocal charges decay faster",
 }
+
+
+def test_every_demo_is_run():
+    assert sorted(DEMO_OUTPUT) == sorted(path.stem for path in (ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", sorted(DEMO_OUTPUT))

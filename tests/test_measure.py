@@ -209,6 +209,39 @@ def test_exact_variance_names_uncovered_terms():
         exact_estimator_variance(np.empty((1, 0, 4)), plan, q, DELTA)
 
 
+def _neel_q1_n4(delta):
+    """Q1+ at N=4, its cover, and the Neel state's distribution of each word."""
+    q = assemble(ChargeSpec(1, "plus", 4))
+    words = build_cover(q, delta).words
+    psi = sim.StateVector.from_spec(InitialStateSpec.neel(4))
+    return q, words, psi, sim.rotated_probabilities(psi, words)
+
+
+@pytest.mark.parametrize("shots", [2.5, 0, -3, True, np.float64(3.0)])
+def test_plan_rejects_a_shot_count_that_is_no_integer_at_least_one(shots):
+    # 2.5 once gave an exact mean of -4.775 (n_W truncated in the coverage,
+    # kept in the weights), 0 an uncovered-terms error and -3 a sigma of 0
+    with pytest.raises(ValueError, match="shots_per_word must be an integer >= 1"):
+        MeasurementPlan(("ZZZZ",), shots)
+
+
+def test_plan_takes_numpy_integer_shots():
+    q, words, _, dists = _neel_q1_n4(0.3)
+    ((mean, sd),) = exact_estimator_variance([dists], MeasurementPlan(words, np.int64(3)), q, 0.3)
+    assert mean == pytest.approx(-(4 / 2) * (2 - 0.3**2), abs=1e-12)
+    assert sd > 0.0
+
+
+def test_estimate_rejects_negative_counts():
+    # one -1 entry once gave 12.18 with sigma 0 and no diagnostic
+    q, words, psi, _ = _neel_q1_n4(0.3)
+    plan = MeasurementPlan(words, 5)
+    table = sim.sample(psi, words, [5] * len(words), [(1, wi) for wi in range(len(words))])
+    table[2, 3] = -1
+    with pytest.raises(ValueError, match=f"negative counts for {words[2]}"):
+        estimate(table, plan, q, 0.3)
+
+
 def _sample(plan, dists, seed):
     """A count table, each plan word's row drawn from its row of ``dists``."""
     return np.array(
@@ -439,7 +472,7 @@ def test_estimates_match_pinned_digest():
     )
     dists = sim.rotated_probabilities(psi, plan.words)
     assert _float_digest(exact_estimator_variance([dists], plan, q, DELTA)[0]) == (
-        "59078447abddc6f7117ef80f39a1f7ece2ca46bcf741aabd9d785adf38371232"
+        "19767b4150799843d6b22695c2a20ffdac453df11ae31c12f079a0afd9f4bd59"
     )
 
 

@@ -462,6 +462,20 @@ def test_sample_needs_one_key_per_word():
         sample(StateVector.zero(2), ["ZZ", "XX"], [10, 0], [(1, 0), (1, 1)])
 
 
+def test_sample_rejects_a_shot_count_that_is_no_integer():
+    # 2.5 once drew 2 shots, True 1, and collect(psi, 2.5) rows that summed to 0.8;
+    # collect and calibrate draw through sample
+    psi = StateVector.from_spec(InitialStateSpec.neel(4))
+    for shots in (2.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="each an integer"):
+            sample(psi, ["ZZZZ"], [shots], [(1, 0)])
+    with pytest.raises(ValueError, match="each an integer: got 2.5"):
+        collect(psi, 2.5)
+    with pytest.raises(ValueError, match="each an integer: got 2.5"):
+        calibrate(NoiseModel(readout_flip=0.02), 2, shots=2.5)
+    assert sample(psi, ["ZZZZ"], [np.int64(3)], [(1, 0)]).sum() == 3
+
+
 def test_noisy_evolution_keeps_no_reference_to_its_channels():
     channel = depolarizing(0.013)
     ref = weakref.ref(channel)
