@@ -17,24 +17,20 @@ integer polynomials in the Trotter step ``delta``.  The module provides
   and the boost block are invariant under the six letter maps of global spin
   rotations (:func:`trotterchain.pauli.letter_orbit`), so a density is
   carried as one representative string per orbit with the integer row
-  W = c |orbit|, and only representatives are multiplied with the block:
-  132 / 876 / 6,996 / 53,940 / 408,596 products on rungs 1->2 to 5->6,
-  against 504 / 4,968 / 41,184 / 322,848 / 2,450,256 for every string.
+  W = c |orbit|, and only representatives are multiplied with the block.
   One sum turns representatives into strings, each the signed W rows of
   its six letter images over 6: :func:`window_density` keys them on the
-  window (cold order 7: 1.3-2.1 s, 304-306 MB ``ru_maxrss``);
+  window;
 - :func:`periodic_density`, the charge on N sites with one string per
   two-site translation orbit (memoized), keys them by their smallest
-  rotation on the chain (cold Q7+ at N=16: 1.6-2.5 s, 304-305 MB), with no
-  expanded window density; and :func:`assemble`, its sum over the N/2
-  two-site rotations (times and peaks: ``tests/charge_memory.py``, one
-  process per call, ``taskset -c 1``, seven rounds).  :func:`sim.exact_expectation`
-  evaluates the periodic density on every rotation of the state, so an
-  expectation never needs the assembled charge, which is N/2 times longer;
-  its values match the assembled charge summed term by term to round-off,
-  not bit for bit;
-- dense helpers (:func:`to_matrix`, :func:`transfer_matrix`,
-  :func:`step_unitary`) used for verification.
+  rotation on the chain, with no expanded window density; and
+  :func:`assemble`, its sum over the N/2 two-site rotations.
+  :func:`sim.exact_expectation` evaluates the periodic density on every
+  rotation of the state, so an expectation never needs the assembled
+  charge, which is N/2 times longer; its values match the assembled charge
+  summed term by term to round-off, not bit for bit;
+- :func:`r_check` and :func:`transfer_matrix`, the two-site R-matrix and
+  the staggered transfer matrix built from it, whose family commutes.
 
 Window densities live on ``2n+1`` sites.  A plus density is understood to be
 placed on windows starting at even chain positions, a minus density on odd
@@ -509,9 +505,8 @@ def _boost_orbits(x, z, w, order: int, variant: str):
         np.multiply(rows[0], lever[i].astype(np.int64)[:, None], out=rows[1])
         return rows
 
-    # Filter per block, not after one exact-size sum: that sum would hold the
-    # obstruction half and the zero rows (485,404 runs for 214,738 orbits on
-    # rung 6 -> 7), 169 -> 277 MB ru_maxrss, and leave 96 MB resident, not 99.
+    # Filter per block, not after one exact-size sum: that sum would also hold
+    # the obstruction half and the zero rows.
     obstructed, blocks = 0, []
     for block_keys, (obstruction, sums) in _segment_sums(keys, rows_of)[1]:
         obstructed += np.count_nonzero(obstruction.any(axis=1))
@@ -560,9 +555,7 @@ def boost_step(q_n: PauliPolynomial, order: int, variant: str = "plus") -> Pauli
     and no obstruction matrix the size of the result are held at once; the
     transient memory is about 31 bytes per product (the key, its sorted
     copy, the sort order and the payload), about six times fewer products
-    than strings would give.  The cold boost to order 7 peaks at 170 MB
-    ``ru_maxrss`` and leaves 99 MB resident for 32 MB of orbit arrays; the
-    expanded result takes it to 304-306 MB (``tests/charge_memory.py``).
+    than strings would give.
     """
     if q_n.n_sites != 2 * order + 1:
         raise ValueError("density window does not match its order")
@@ -666,9 +659,7 @@ def periodic_density(spec: ChargeSpec) -> PauliPolynomial:
     keyed by the smallest of their N/2 rotations (no term wraps onto
     itself: a window is shorter than the chain), never expanded; ``dif``
     sums the plus and the negated minus orbits and divides by delta
-    exactly.  Cold Q6+ / Q7+ at N=16 take 0.22-0.29 / 1.6-2.5 s and peak at
-    67-69 / 304-305 MB ``ru_maxrss`` (``tests/charge_memory.py``, seven
-    rounds, ``taskset -c 1``).  Memoized; the result is immutable.
+    exactly.  Memoized; the result is immutable.
     """
     n = spec.n_sites
     variants = ("plus", "minus") if spec.variant == "dif" else (spec.variant,)
@@ -702,23 +693,8 @@ def assemble_cached(spec: ChargeSpec) -> PauliPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# dense verification helpers
+# R-matrices and the transfer matrix
 # ---------------------------------------------------------------------------
-
-MAX_DENSE_SITES = 14
-
-
-def to_matrix(p: PauliPolynomial, delta: float) -> np.ndarray:
-    """Dense Hermitian matrix of a charge at a numeric delta."""
-    if p.n_sites > MAX_DENSE_SITES:
-        raise ValueError(f"dense budget exceeded: N={p.n_sites} > {MAX_DENSE_SITES}")
-    dim = 1 << p.n_sites
-    out = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for s, c in zip(p.terms, p.coefficients(delta).tolist()):
-        rows, vals = s.column_action()
-        out[rows, cols] += c * vals
-    return out
 
 
 def _permutation_matrix(n_sites: int, i: int, j: int) -> np.ndarray:
@@ -739,22 +715,6 @@ def r_check(lam: complex, n_sites: int, i: int, j: int) -> np.ndarray:
         raise ValueError("spectral parameter at the pole of 1/(1+i lam)")
     dim = 1 << n_sites
     return (np.eye(dim) + 1j * lam * _permutation_matrix(n_sites, i, j)) / (1 + 1j * lam)
-
-
-def step_unitary(delta: float, n_sites: int) -> np.ndarray:
-    """Dense one-step evolution: odd-bond layer times even-bond layer.
-
-    The even-bond layer acts on the state first.
-    """
-    if n_sites % 2:
-        raise ValueError("chain length must be even")
-    dim = 1 << n_sites
-    u = np.eye(dim, dtype=complex)
-    for j in range(1, n_sites // 2 + 1):  # even bonds (2j, 2j+1), cyclic
-        u = r_check(delta, n_sites, 2 * j, (2 * j) % n_sites + 1) @ u
-    for j in range(1, n_sites // 2 + 1):  # odd bonds (2j-1, 2j)
-        u = r_check(delta, n_sites, 2 * j - 1, 2 * j) @ u
-    return u
 
 
 def transfer_matrix(lam: complex, delta: float, n_sites: int) -> np.ndarray:

@@ -350,8 +350,13 @@ def mitigation_table(config: ExperimentConfig) -> list:
     """Rows (d, unmitigated, mitigated, exact) of the first configured charge,
     normalized by its noiseless value; any further charges are not read.
 
-    Estimates are exact-mode (deterministic); the reported uncertainties are
-    the true estimator standard deviations at the configured shot budget.
+    Estimates are exact-mode (deterministic).  Each uncertainty is the
+    sigma of :func:`measure.exact_estimator_variance` at the configured shot
+    budget: the unmitigated one of the noisy read-out distributions, the
+    mitigated one (through :func:`mitigate.zne_sigma`) of the unfolded
+    distributions.  The latter leaves out the read-out noise's share of the
+    mitigated estimator's spread, so it is below that estimator's true
+    standard deviation.
     """
     delta = config.delta
     noise = config.noise_model()
@@ -388,9 +393,19 @@ def mitigation_table(config: ExperimentConfig) -> list:
     return rows
 
 
+def _nulls(entry):
+    """``entry`` with every non-finite float in its dicts and lists as None."""
+    if isinstance(entry, dict):
+        return {k: _nulls(v) for k, v in entry.items()}
+    if isinstance(entry, list):
+        return [_nulls(v) for v in entry]
+    return None if isinstance(entry, float) and not np.isfinite(entry) else entry
+
+
 def fit_report(config: ExperimentConfig, rows: list) -> dict:
     """Exponential and early-linear fits of a decay table, per charge; the
-    exponential fit keeps its diagnostics."""
+    exponential fit keeps its diagnostics.  A non-finite number, such as the
+    standard errors of an unidentifiable fit, is None."""
     series: dict = {}
     for d, order, variant, est, s_q, exact in rows:
         key = charge_label(order, variant)
@@ -430,7 +445,7 @@ def fit_report(config: ExperimentConfig, rows: list) -> dict:
                 order,
                 config.init_spec().label(),
             )
-        out[key] = entry
+        out[key] = _nulls(entry)
     return out
 
 
@@ -456,7 +471,7 @@ def _write_json(path: str, config: ExperimentConfig, payload: dict):
     }
     doc.update(payload)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -511,6 +526,13 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         elif args.verb == "fit":
             decay_path = os.path.join(args.out, "decay.csv")
+            with open(decay_path) as fh:
+                written = fh.readline().partition("config_sha256=")[2].strip()
+            if written != config.digest():
+                raise ConfigError(
+                    f"{decay_path} was written under config {written or '(none)'}, not "
+                    f"{config.digest()}: fit needs the config and --seed that ran decay"
+                )
             rows = read_decay_csv(decay_path)
             report = fit_report(config, rows)
             path = os.path.join(args.out, "fits.json")

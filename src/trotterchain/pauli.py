@@ -95,22 +95,6 @@ class PauliString:
         pre = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase_power]
         return pre + self.letters()
 
-    # -- dense interface ----------------------------------------------
-
-    def column_action(self):
-        """Sparse action on computational indices.
-
-        Returns ``(rows, vals)`` with ``M[rows[b], b] = vals[b]`` the only
-        nonzero entries; ``rows[b] = b ^ x_mask``.
-        """
-        n = self.n_sites
-        cols = np.arange(1 << n, dtype=np.uint32)
-        rows = cols ^ np.uint32(self.x_mask)
-        par = np.bitwise_count(cols & np.uint32(self.z_mask)).astype(np.int64) & 1
-        scale = _UNITS[(self.phase_power + (self.x_mask & self.z_mask).bit_count()) % 4]
-        vals = np.where(par, -scale, scale)
-        return rows, vals
-
 
 def letter_strings(x, z, n_sites: int) -> np.ndarray:
     """Letters of the strings with masks ``x``, ``z`` (int64 arrays), site 1 leftmost.

@@ -2,7 +2,9 @@
 
 Full 2^N unitaries and 4^N superoperators built from Kronecker products,
 Pauli transfer matrices from them in the basis of vectorized Pauli strings,
-site 1 on the lowest-order bit, a bit-pair operator applied by ``einsum``,
+site 1 on the lowest-order bit, dense Pauli strings from their column
+action and dense charges summed from them, the evolution step multiplied
+out of its R-matrices, a bit-pair operator applied by ``einsum``,
 plus Kraus sums and Pauli expectations written out as matrix products,
 charge expectations one charge and one Walsh transform per x mask at a time,
 preparation and read-out gate by gate (the read-out one word at a time on a
@@ -22,7 +24,7 @@ polynomials in delta (:class:`DeltaPoly`) and a charge read term by term
 
 import numpy as np
 
-from trotterchain.charges import PauliPolynomial, window_density
+from trotterchain.charges import PauliPolynomial, r_check, window_density
 from trotterchain.circuit import Gate, build_init
 from trotterchain.measure import ChargeEstimate, contains
 from trotterchain.mitigate import CORRECT_MAX_ITER, CORRECT_TOL
@@ -228,13 +230,51 @@ def kraus_apply(operators, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix(s) -> np.ndarray:
-    """Dense 2^N matrix of a Pauli string, phase included."""
-    rows, vals = s.column_action()
-    dim = 1 << s.n_sites
-    m = np.zeros((dim, dim), dtype=complex)
-    m[rows, np.arange(dim)] = vals
-    return m
+def column_action(s):
+    """``(rows, vals)``: the only nonzero entries of the matrix M of Pauli
+    string ``s`` are ``M[rows[b], b] = vals[b]``, with ``rows[b] = b ^ x_mask``."""
+    cols = np.arange(1 << s.n_sites, dtype=np.uint32)
+    rows = cols ^ np.uint32(s.x_mask)
+    par = np.bitwise_count(cols & np.uint32(s.z_mask)).astype(np.int64) & 1
+    scale = I_POWERS[(s.phase_power + (s.x_mask & s.z_mask).bit_count()) % 4]
+    return rows, np.where(par, -scale, scale)
+
+
+def matrix(s, c=1.0, out=None) -> np.ndarray:
+    """Dense 2^N matrix of a Pauli string, phase included, times ``c``;
+    added in place to ``out`` when one is given, at the string's 2^N entries."""
+    rows, vals = column_action(s)
+    if out is None:
+        out = np.zeros((1 << s.n_sites,) * 2, dtype=complex)
+    out[rows, np.arange(len(rows))] += c * vals
+    return out
+
+
+MAX_DENSE_SITES = 14
+
+
+def to_matrix(p: PauliPolynomial, delta: float) -> np.ndarray:
+    """Dense Hermitian matrix of a charge at a numeric delta: the sum of
+    c * :func:`matrix` over its terms, added in place."""
+    if p.n_sites > MAX_DENSE_SITES:
+        raise ValueError(f"dense budget exceeded: N={p.n_sites} > {MAX_DENSE_SITES}")
+    out = np.zeros((1 << p.n_sites,) * 2, dtype=complex)
+    for s, c in zip(p.terms, p.coefficients(delta).tolist()):
+        matrix(s, c, out)
+    return out
+
+
+def step_unitary(delta: float, n_sites: int) -> np.ndarray:
+    """Dense one-step evolution from the R-matrices of :func:`r_check`: the
+    odd-bond layer times the even-bond layer, the even one acting first."""
+    if n_sites % 2:
+        raise ValueError("chain length must be even")
+    u = np.eye(1 << n_sites, dtype=complex)
+    for j in range(1, n_sites // 2 + 1):  # even bonds (2j, 2j+1), cyclic
+        u = r_check(delta, n_sites, 2 * j, (2 * j) % n_sites + 1) @ u
+    for j in range(1, n_sites // 2 + 1):  # odd bonds (2j-1, 2j)
+        u = r_check(delta, n_sites, 2 * j - 1, 2 * j) @ u
+    return u
 
 
 def commutes(a, b) -> bool:
@@ -255,13 +295,13 @@ def trace_pair(a, b) -> complex:
 
 def pauli_expectation_statevector(s, psi: np.ndarray) -> complex:
     """<psi| P |psi> from the sparse column action of P."""
-    rows, vals = s.column_action()
+    rows, vals = column_action(s)
     return complex(np.vdot(psi[rows], vals * psi))
 
 
 def pauli_expectation_density(s, rho: np.ndarray) -> complex:
     """tr(rho P) from the sparse column action of P."""
-    rows, vals = s.column_action()
+    rows, vals = column_action(s)
     cols = np.arange(rho.shape[0])
     return complex(np.sum(vals * rho[cols, rows]))
 
@@ -476,8 +516,7 @@ def linear_inversion(freqs) -> np.ndarray:
     rho = np.zeros((dim, dim), dtype=complex)
     for i in np.argsort(first).tolist():  # Paulis in order of first appearance
         key = int(paulis[i])
-        rows, vals = PauliString(n, key >> n, key & (dim - 1)).column_action()
-        rho[rows, cols] += sums[i] / hits[i] * vals
+        matrix(PauliString(n, key >> n, key & (dim - 1)), sums[i] / hits[i], rho)
     return rho / dim
 
 

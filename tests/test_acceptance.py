@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 import test_charges as golden
-from dense_oracle import coefficient
+from dense_oracle import coefficient, step_unitary
 from trotterchain import analysis as an
 from trotterchain import sim, spectral
 from trotterchain.charges import (
     ChargeSpec,
     assemble,
     boost_step,
-    step_unitary,
     transfer_matrix,
     window_density,
 )

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from dense_oracle import DeltaPoly, coefficient, items, matrix, mul, pauli_expectation_statevector
+from dense_oracle import (
+    DeltaPoly,
+    coefficient,
+    items,
+    matrix,
+    mul,
+    pauli_expectation_statevector,
+    step_unitary,
+    to_matrix,
+)
 from trotterchain import charges
 from trotterchain.charges import (
     VARIANTS,
@@ -23,8 +32,6 @@ from trotterchain.charges import (
     dot_cross,
     periodic_density,
     r_check,
-    step_unitary,
-    to_matrix,
     transfer_matrix,
     window_density,
 )

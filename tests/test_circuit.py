@@ -7,9 +7,10 @@ from dense_oracle import (
     gate_unitary,
     matrix,
     step_block,
+    step_unitary,
 )
 from trotterchain import sim
-from trotterchain.charges import r_check, step_unitary
+from trotterchain.charges import r_check
 from trotterchain.circuit import (
     Gate,
     InitialStateSpec,

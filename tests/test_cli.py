@@ -477,8 +477,8 @@ PINNED_RUNS = {
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
             "decay.csv": "61249717acf1a90ab5d8b8411bf47b5e693c88f8d43d3b9282812b8fb951f72b",
-            "fits.csv": "9727ef2fc471bff0dc310a452583c9ad9727d0208770391c01eaf7b0e91d9a58",
-            "fits.json": "02ef5f9f2c2235ff979912d9c99ab3f96c4edfa0d97a7c5a175b5b3b90b0f16c",
+            "fits.csv": "61251147703d34d0b14290129bf52b976ee88e468cd1a56f495443aec346980e",
+            "fits.json": "fb152bb3917b9dcacb1bade1f5c889473d348f91e9fe9f402855d72023de25e5",
             "mitigation.csv": "d072b19265ed6fd2b526587e9fc34aaf7486152fc4332a960b5c8ae1c9ce3c4b",
             "spectrum.csv": "96858cf7b0de6926f6864b8fa3c71b5972830cf970bd2a2d9b6328e64b8130df",
             "spectrum.json": "ec8f0ed4f2626653cf857dbae80f1307b2abd8a462af6b5d13b87dbb493a6d4d",
@@ -497,8 +497,8 @@ PINNED_RUNS = {
             "benchmarks.jsonl": "399738b8484dfef907ef5f7682a1d697c9fd996ef3da132d5f414534dcc60a64",
             "charge_Q1+_N4.json": "e819a82716f3a44823a02166dd1c50fe88b7fb3654927ad8065bc7dc89f71d85",
             "decay.csv": "42cedf7a2c5adf27e854c59f0e8e1dbdbd1ce40c217d6117a0077168bb0634f8",
-            "fits.csv": "7b78d0aed08fa6337f9d70430f74e1cb95818d91c2bcfc0b1ac2c5b167805157",
-            "fits.json": "5298e25bdf1f1371ccb052ad5dea5d9a992ab42e4835641adb6e37d4da6ff1c2",
+            "fits.csv": "b5097819acb7722961156ff469c794c7f20a334642a31e03b3a0a976ede375dd",
+            "fits.json": "fe9a7ad095c311f37c44de0d6459576763c52866876c2c10c03ae2e860a4873b",
             "mitigation.csv": "4ef40b6524519cc8a6d3c29492cbb9b4ec7646986348fddf2ae4febffeb5781b",
             "spectrum.csv": "73fdbabbd1d58c5bec62e320b35f03b009fe233c400c2a292b639d3deb5b0590",
             "spectrum.json": "15f36e8272fc0cb9392cbd21f183316c8ba02be58b56fe56ca8a47a6edc3b187",
@@ -519,6 +519,39 @@ def test_every_verb_writes_pinned_artifacts(tmp_path, name):
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())
     }
     assert digests == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_pinned_fits_json_is_strict_json(tmp_path, name):
+    # each pinned run has one fit with no finite standard errors
+    cfg_path = write_config(tmp_path, PINNED_RUNS[name][0])
+    for verb in ("decay", "fit"):
+        assert cli.main([verb, "--config", cfg_path, "--out", str(tmp_path)]) == 0, verb
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    fits = json.loads((tmp_path / "fits.json").read_text(), parse_constant=reject)["fits"]
+    errors = [v for entry in fits.values() for v in entry["exp"]["std_errors"].values()]
+    assert None in errors
+    assert ",," in (tmp_path / "fits.csv").read_text()
+
+
+def test_fit_refuses_a_decay_table_of_another_config(tmp_path, capsys):
+    docs = base_config(), base_config(n_sites=6, depth_max=20)
+    wrote, now = (ExperimentConfig.from_dict(doc).digest() for doc in docs)
+    first = write_config(tmp_path, docs[0])
+    assert cli.main(["decay", "--config", first, "--out", str(tmp_path)]) == 0
+    (tmp_path / "other").mkdir()
+    second = write_config(tmp_path / "other", docs[1])
+    capsys.readouterr()
+    assert cli.main(["fit", "--config", second, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and wrote in err and now in err
+    # the seed is part of the config that wrote the table
+    assert cli.main(["fit", "--config", first, "--seed", "12", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "fits.json").exists()
+    assert cli.main(["fit", "--config", first, "--seed", "11", "--out", str(tmp_path)]) == 0
 
 
 def test_fits_json_keeps_the_fit_diagnostics(tmp_path):

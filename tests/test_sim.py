@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from dense_oracle import circuit_unitary, items
+from dense_oracle import circuit_unitary, items, step_unitary
 from strategies import gate_lists
 from trotterchain import charges, pauli, sim
 from trotterchain.charges import (
@@ -26,7 +26,6 @@ from trotterchain.charges import (
     assemble,
     assemble_cached,
     periodic_density,
-    step_unitary,
 )
 from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_circuit, build_step
 from trotterchain.mitigate import calibrate, zne_fold
