@@ -574,8 +574,6 @@ def _window_orbits(order: int, variant: str):
     return _orbits(PauliPolynomial.from_arrays(3, *unkey(keys, 3), summed))
 
 
-# typed, so that ``True`` and ``2.0`` reach the order check instead of the entries of 1 and 2
-@functools.lru_cache(maxsize=None, typed=True)
 def window_density(order: int, variant: str) -> PauliPolynomial:
     """Window density of any order on ``2*order + 1`` sites: order 1 from its
     integer table, each higher order by one boost rung on the letter orbits
@@ -586,8 +584,8 @@ def window_density(order: int, variant: str) -> PauliPolynomial:
     quadratic term instead, the assembled charge fails to commute with the
     evolution step (and the exactly-known product-state expectation values
     come out wrong), so that variant is rejected by the conservation tests.
-    Memoized in this process, as are the letter orbits of every order up to
-    it; the result is immutable.
+    Each call expands afresh from the letter orbits, which are memoized in
+    this process for every order up to it.
     """
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown density variant {variant!r}")

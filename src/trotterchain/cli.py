@@ -550,11 +550,12 @@ def main(argv=None) -> int:
             columns = "charge,model,parameter,value,std_error,converged"
             write_csv(csv_path, config, columns, fit_rows)
             bench_path = os.path.join(args.out, "benchmarks.jsonl")
+            stamp = {"trotterchain": __version__, "config_sha256": config.digest()}
             with open(bench_path, "w") as fh:
                 for key, entry in sorted(report.items()):
                     if "benchmark" in entry:
-                        fh.write(json.dumps({"charge": key, **entry["benchmark"]}, sort_keys=True))
-                        fh.write("\n")
+                        record = {**stamp, "charge": key, **entry["benchmark"]}
+                        fh.write(json.dumps(record, sort_keys=True) + "\n")
             print(f"wrote {path}, {csv_path} and {bench_path}")
     except Exception as exc:  # surface context, exit nonzero
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -55,13 +55,12 @@ strings, built once per call in blocks of real rows (:func:`pauli_spectrum`;
 :func:`from_pauli_spectrum` inverts it with one more Walsh pass).  Each word
 with masks (wx, wz) gathers ``paulis[wx & S, wz & S]`` over S, and one Walsh
 pass over all the gathered rows gives every distribution.  A statevector
-has no 4^N spectrum within reach.  It walks the prefix tree of the words
-instead: words that share their first k letters share the rotation of sites
-1..k, each X or Y letter is its ``_BASIS`` entry applied as one block, and
-the amplitudes are squared at the leaves.  Both agree with rotating a copy
-of the state gate by gate (``dense_oracle.rotated_probabilities`` in the
-tests) to round-off, not bit for bit.  No word's row depends on the other
-words of the call, so ``cli.decay_table`` reads each state once.
+has no 4^N spectrum within reach.  It is read word by word instead: a copy
+of the amplitudes per word, each X or Y letter's ``_BASIS`` entry applied in
+site order as one block, and the amplitudes squared.  Both agree with
+rotating a copy of the state gate by gate (``dense_oracle.rotated_probabilities``
+in the tests) to round-off, not bit for bit.  No word's row depends on the
+other words of the call, so ``cli.decay_table`` reads each state once.
 
 Exact expectations (:func:`exact_expectation`) take charge specs, not
 assembled charges.  A charge is its memoized integer
@@ -520,8 +519,8 @@ def rotated_probabilities(state, words) -> np.ndarray:
 
     Outcome bit j-1 is 0 for the +1 eigenvalue of word letter j.  A density
     matrix is read from its Pauli spectrum (:func:`pauli_spectrum`), built
-    once per call; a statevector walks the prefix tree of ``words``.  See the
-    module docstring.  The state is only read.
+    once per call; a statevector rotates a copy of its amplitudes per word.
+    See the module docstring.  The state is only read.
     """
     n = state.n_sites
     wx, wz = word_masks(words, n)
@@ -535,22 +534,12 @@ def rotated_probabilities(state, words) -> np.ndarray:
         return out
 
     out = np.empty((len(words), dim))
-
-    def walk(amp, k, rows):  # rows: the words whose first k letters gave amp
-        if k == n:
-            out[rows] = np.abs(amp) ** 2
-            return
-        branches: dict = {}
-        for i in rows:
-            branches.setdefault(words[i][k], []).append(i)
-        for letter, sub in branches.items():
-            rotated = amp
-            if letter != "Z":  # site k+1 rotated by one block, on a copy of the parent's amp
-                rotated = amp.copy()
-                _apply_block(rotated, n, _BASIS[letter].T, [k])
-            walk(rotated, k + 1, sub)
-
-    walk(state.amplitudes, 0, range(len(words)))
+    for row, word in zip(out, words):
+        amp = state.amplitudes.copy()
+        for k, letter in enumerate(word):
+            if letter != "Z":
+                _apply_block(amp, n, _BASIS[letter].T, [k])
+        row[:] = np.abs(amp) ** 2
     return out
 
 

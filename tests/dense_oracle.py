@@ -629,9 +629,11 @@ def correct(observed: np.ndarray, calib) -> np.ndarray:
     if total <= 0:
         raise ValueError("observed counts are empty")
     f = f / total
-    ata, lowest, step = calib.normal_equations
-    if lowest < 1e-12:
+    ata = a.T @ a
+    eigs = np.linalg.eigvalsh(ata)
+    if eigs.min() < 1e-12:
         raise ValueError("calibration matrix is singular beyond tolerance")
+    step = 1.0 / eigs.max()
     atf = a.T @ f
     x = simplex_project(np.linalg.lstsq(a, f, rcond=None)[0])
     for _ in range(CORRECT_MAX_ITER):

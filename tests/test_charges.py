@@ -521,7 +521,7 @@ def test_segment_sums_broadcast_rows_over_a_leading_key_axis(block):
 
 @pytest.mark.parametrize("order", [True, 2.0, 1.5, "2"])
 def test_window_density_rejects_orders_that_are_not_integers(order):
-    for k in (1, 2):  # memoized int orders must not answer for True or 2.0
+    for k in (1, 2):  # orders 1 and 2 are built, yet True and 2.0 are still refused
         window_density(k, "plus")
     with pytest.raises(ValueError, match="order must be an integer >= 1"):
         window_density(order, "plus")

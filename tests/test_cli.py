@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import trotterchain
 from trotterchain import analysis, charges, cli, measure, sim, tomo
 from trotterchain.charges import ChargeSpec, assemble
 from trotterchain.cli import ConfigError, ExperimentConfig
@@ -171,9 +172,9 @@ def test_exact_decay_series_never_assembles_a_charge(monkeypatch):
 def test_exact_decay_series_never_expands_a_window_density(monkeypatch):
     # a periodic density is summed straight from the letter-orbit
     # representatives; expanding the window density first held the charge
-    # twice (fresh memos, so that the densities are built inside the spy)
-    for module, name in ((sim, "periodic_density"), (charges, "window_density")):
-        monkeypatch.setattr(module, name, functools.cache(getattr(charges, name).__wrapped__))
+    # twice (a fresh memo, so that the densities are built inside the spy)
+    fresh = functools.cache(charges.periodic_density.__wrapped__)
+    monkeypatch.setattr(sim, "periodic_density", fresh)
     doc = base_config(
         n_sites=6, engine="pure", noise={"kind": "none"}, charges=[[1, "plus"], [2, "dif"]]
     )
@@ -313,6 +314,11 @@ def test_cli_spectrum_and_fit(tmp_path):
     assert any(line.startswith("Q1+,exp,gamma,") for line in fit_rows)
     bench = (tmp_path / "benchmarks.jsonl").read_text().splitlines()
     assert bench and json.loads(bench[0])["charge"] == "Q1+"
+    digest = ExperimentConfig.from_dict(base_config(depth_max=8)).digest()
+    for line in bench:
+        record = json.loads(line)
+        assert record["trotterchain"] == trotterchain.__version__
+        assert record["config_sha256"] == digest == fits["config_sha256"]
 
 
 def test_cli_seed_override(tmp_path):
@@ -473,7 +479,7 @@ PINNED_RUNS = {
             seed=5,
         ),
         {
-            "benchmarks.jsonl": "2f2052675392302be73e60c6a63c363d6dc131255203b3907fb4e30b3b652ce5",
+            "benchmarks.jsonl": "e0d1546121c240f5e6e559dece1008f9cb8e5b0a9e244b61acf04b4352f06c95",
             "charge_Q1+_N4.json": "3fe821f89dfdd92c0e5beae2a86408be7b40ce48756dd3dd72bc332a45db41fc",
             "charge_Q1dif_N4.json": "8e72a69452c1bc0e27d24b86b9d348bd968f228bf4e09c7fd3ba56bf602766d2",
             "decay.csv": "61249717acf1a90ab5d8b8411bf47b5e693c88f8d43d3b9282812b8fb951f72b",
@@ -494,7 +500,7 @@ PINNED_RUNS = {
             exact_reference=False,
         ),
         {
-            "benchmarks.jsonl": "399738b8484dfef907ef5f7682a1d697c9fd996ef3da132d5f414534dcc60a64",
+            "benchmarks.jsonl": "e148a1675ffa7409255bb06e5d28fa680cdd459d349cdefc9595f4d3a428cbed",
             "charge_Q1+_N4.json": "e819a82716f3a44823a02166dd1c50fe88b7fb3654927ad8065bc7dc89f71d85",
             "decay.csv": "42cedf7a2c5adf27e854c59f0e8e1dbdbd1ce40c217d6117a0077168bb0634f8",
             "fits.csv": "b5097819acb7722961156ff469c794c7f20a334642a31e03b3a0a976ede375dd",

@@ -93,7 +93,7 @@ def unfold_cases(draw):
         mix = draw(st.floats(0.0, 0.4))
         columns = rng.dirichlet(np.ones(dim), size=dim).T
         calib = CalibrationMatrix(n, (1.0 - mix) * np.eye(dim) + mix * columns)
-        assume(calib.normal_equations[1] > 1e-6)
+        assume(np.linalg.eigvalsh(calib.matrix.T @ calib.matrix).min() > 1e-6)
     rows = [
         calib.matrix @ rng.dirichlet(np.ones(dim)) if inside else rng.dirichlet(np.full(dim, 0.1))
         for inside in draw(st.lists(st.booleans(), min_size=1, max_size=6))

@@ -28,6 +28,7 @@ from trotterchain.charges import (
     periodic_density,
 )
 from trotterchain.circuit import Circuit, Gate, InitialStateSpec, build_circuit, build_step
+from trotterchain.measure import build_cover
 from trotterchain.mitigate import calibrate, zne_fold
 from trotterchain.noise import amp_phase_damping, depolarizing
 from trotterchain.sim import (
@@ -322,7 +323,7 @@ def _bits(a: np.ndarray) -> bytes:
     st.data(),
 )
 def test_batched_readout_matches_per_word_oracle(n, kind, seed, data):
-    # a statevector's prefix-tree read-out rotates each letter with one fused
+    # a statevector's per-word read-out rotates each letter with one fused
     # 2x2 block, the oracle with its gates one at a time; a density matrix is
     # read from its Pauli spectrum, another summation.  So both agree with the
     # oracle's full copy-rotate-square pass to round-off.  The per-row clip
@@ -794,6 +795,24 @@ def test_exact_expectations_match_pinned_digest():
         psi = evolve_pure(step, psi)
     assert _float_digest(values) == (
         "e5b978ef55ea643e6def96614bad487b97e62dc1dead572c66a869b2b0205c14"
+    )
+
+
+def test_statevector_readout_matches_pinned_digest():
+    # sha256 of the raw bytes of the read-out rows of an N=8 Neel state after
+    # two pure steps, over the Q1+ and Q2+ covers' words (98 distinct): any
+    # change to the floats of a statevector's read-out shows
+    n = 8
+    psi = StateVector.from_spec(InitialStateSpec.neel(n))
+    for _ in range(2):
+        psi = evolve_pure(build_step(n, ALPHA), psi)
+    words = []
+    for order in (1, 2):
+        words += build_cover(assemble(ChargeSpec(order, "plus", n)), DELTA).words
+    rows = sim.rotated_probabilities(psi, list(dict.fromkeys(words)))
+    assert rows.shape == (98, 1 << n)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "5aadd48e021ccebe19d6fbcc8e488c2c17d3ddcd81b1ac7c0749be9732aafc7e"
     )
 
 
